@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .geometry import DEGENERACY_EPS, DegenerateSurface, SplineField
 from .splines import (
@@ -171,18 +172,39 @@ def interior_block(matrix, space: TensorSplineSpace):
     return matrix[idx][:, idx].tocsr()
 
 
-def assemble_curvature_load(tables, geom, kappa_coeffs, nu_coeffs):
-    """Load |A|^2 kappa against the scalar basis (full-length vector)."""
-    frob2 = weingarten_energy(tables, geom, nu_coeffs)
+def factor_symmetric(K):
+    """Sparse LU of a symmetric, possibly indefinite, CSC matrix.
+
+    Every system of the flow and the projections is symmetric: a shifted
+    stiffness block, or its saddle extension by the boundary constraint.
+    Ordering on the structure of K^T + K and preferring diagonal pivots
+    keeps the factors structurally symmetric, which needs less fill and
+    time than the default column ordering.
+    """
+    return spla.splu(
+        K,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):
+    """Load |A|^2 kappa against the scalar basis (full-length vector).
+
+    `frob2` is `weingarten_energy` of the normal on the same geometry.
+    """
     kap = tables.field_values(np.asarray(kappa_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2 * kap
     local = np.einsum("eq,eqi->ei", dens, tables.basis)
     return _scatter_vector(tables, local)
 
 
-def assemble_normal_load(tables, geom, nu_coeffs):
-    """Load |A|^2 nu against the vector basis, (dim, 3)."""
-    frob2 = weingarten_energy(tables, geom, nu_coeffs)
+def assemble_normal_load(tables, geom, nu_coeffs, frob2):
+    """Load |A|^2 nu against the vector basis, (dim, 3).
+
+    `frob2` is `weingarten_energy` of `nu_coeffs` on the same geometry.
+    """
     nu = tables.field_values(np.asarray(nu_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2
     local = np.einsum("eq,eqd,eqi->eid", dens, nu, tables.basis)

@@ -8,8 +8,6 @@ from pathlib import Path
 
 
 def _add_common(p):
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS threads (needs threadpoolctl; ignored otherwise)")
     p.add_argument("--snapshot-stride", type=int, default=None,
                    help="override the config snapshot stride")
     p.add_argument("--dump-matrices", action="store_true",
@@ -37,17 +35,6 @@ def build_parser():
     k.add_argument("--scenario", required=True,
                    choices=("perturbed_plane", "sphere_patch"))
     return parser
-
-
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        print("threadpoolctl not installed; --threads ignored", file=sys.stderr)
 
 
 def _apply_overrides(cfg, args):
@@ -114,7 +101,6 @@ def cmd_calibrate(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _limit_threads(getattr(args, "threads", None))
     if args.command == "solve":
         return cmd_solve(args)
     if args.command == "converge":

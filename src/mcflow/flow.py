@@ -26,7 +26,6 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BoundaryTables,
@@ -39,11 +38,13 @@ from .assembly import (
     assemble_mass_stiffness,
     assemble_normal_load,
     constraint_residual,
+    factor_symmetric,
     stack_components,
     unstack_components,
+    weingarten_energy,
 )
 from .config import ScenarioConfig
-from .geometry import SplineField, surface_area
+from .geometry import SplineField
 from .projections import (
     AnalyticSource,
     RitzConfig,
@@ -52,7 +53,7 @@ from .projections import (
     project_velocity,
 )
 from .scenarios import get_scenario
-from .splines import ParametricMesh, build_quasi_interpolant, build_space
+from .splines import build_quasi_interpolant, build_space
 
 
 class SolverFailure(Exception):
@@ -165,7 +166,6 @@ class FlowProblem:
         self.quasi = build_quasi_interpolant(self.space)
         n_quad = cfg.degree + 1
         self.tables = MeshTables(self.space, n_quad)
-        self.mesh = ParametricMesh(cfg.elements_per_side, n_quad)
         # The conormal load integrand stacks five spline factors, so the
         # boundary rule is sized for degree 5p rather than 2p.
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
@@ -236,19 +236,21 @@ class FlowProblem:
         geom = ElementGeometry(self.tables, x_ext)
         M, A = assemble_mass_stiffness(self.tables, geom)
         idx = space.interior_indices
+        # |A|^2 of the extrapolated normal, shared by both loads
+        frob2 = weingarten_energy(self.tables, geom, nu_ext)
 
         # curvature step (zero-trace space)
-        f1 = assemble_curvature_load(self.tables, geom, kap_ext, nu_ext)
+        f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
         tail_k = scheme.derivative_tail("kappa")
         rhs_k = f1[idx] - (M @ tail_k)[idx] / dt
         K0 = ((d0 / dt) * M + A)[idx][:, idx].tocsc()
-        sol_k = spla.splu(K0).solve(rhs_k)
+        sol_k = factor_symmetric(K0).solve(rhs_k)
         res_k = _relative_residual(K0, sol_k, rhs_k)
         kappa = np.zeros(space.dim)
         kappa[idx] = sol_k
 
         # normal step (saddle system with tangential boundary constraint)
-        f2 = assemble_normal_load(self.tables, geom, nu_ext)
+        f2 = assemble_normal_load(self.tables, geom, nu_ext, frob2)
         fb = assemble_boundary_load(self.btables, nu_ext)
         tail_n = scheme.derivative_tail("nu")
         rhs_n = stack_components(f2 + fb - (M @ tail_n) / dt)
@@ -256,7 +258,7 @@ class FlowProblem:
         K3 = sp.block_diag([Kb, Kb, Kb])
         saddle = sp.bmat([[K3, self.S.T], [self.S, None]], format="csc")
         rhs_full = np.concatenate([rhs_n, np.zeros(self.S.shape[0])])
-        sol_n = spla.splu(saddle).solve(rhs_full)
+        sol_n = factor_symmetric(saddle).solve(rhs_full)
         res_n = _relative_residual(saddle, sol_n, rhs_full)
         nu = unstack_components(sol_n[: 3 * space.dim], space.dim)
         multiplier = sol_n[3 * space.dim :]
@@ -288,7 +290,7 @@ class FlowProblem:
         )
         diag = StepDiagnostics(
             time=state.time,
-            area=surface_area(SplineField(space, x), self.mesh),
+            area=self.area(x),
             max_abs_kappa=float(np.abs(kappa).max()),
             constraint_residual=constraint_residual(self.S, nu),
             solver_residuals=(res_k, res_n),
@@ -296,10 +298,15 @@ class FlowProblem:
         )
         return state, diag
 
+    def area(self, x) -> float:
+        """Quadrature area of the surface with position coefficients x."""
+        geom = ElementGeometry(self.tables, x)
+        return float(np.sum(self.tables.weights * geom.area_element))
+
     def initial_diagnostics(self, state: FlowState) -> StepDiagnostics:
         return StepDiagnostics(
             time=state.time,
-            area=surface_area(SplineField(self.space, state.x), self.mesh),
+            area=self.area(state.x),
             max_abs_kappa=float(np.abs(state.kappa).max()),
             constraint_residual=constraint_residual(self.S, state.nu),
             solver_residuals=(),

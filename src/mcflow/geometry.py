@@ -102,8 +102,7 @@ class SplineField:
         if nderiv == 0:
             return self.eval(pts)
         vals, jac = self.eval(pts, 1)
-        run = 1 - (edge % 2 == 0)  # edges 0,2 run in u; 1,3 in v
-        run = 0 if edge in (0, 2) else 1
+        run = 0 if edge in (0, 2) else 1  # edges 0,2 run in u; 1,3 in v
         return vals, jac[:, :, run]
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     BoundaryTables,
@@ -36,6 +35,7 @@ from .assembly import (
     MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
+    factor_symmetric,
     stack_components,
     unstack_components,
 )
@@ -223,8 +223,7 @@ def linear_ritz_zero_trace(
     rhs = np.zeros(space.dim)
     np.add.at(rhs, tables.conn, local)
 
-    lu = spla.splu(K)
-    sol = lu.solve(rhs[idx])
+    sol = factor_symmetric(K).solve(rhs[idx])
     _check_residual(K, sol, rhs[idx])
     coeffs = np.zeros(space.dim)
     coeffs[idx] = sol
@@ -327,7 +326,7 @@ def nonlinear_ritz_normal(
         K = sp.bmat(
             [[A3 + lam * M3, S.T], [S, None]], format="csc"
         )
-        lu = spla.splu(K)
+        lu = factor_symmetric(K)
         rhs_fixed = stack_components(interior_rhs(lam) - rhs_b)
         prev_inc = None
         escalate = False
@@ -378,5 +377,5 @@ def _constrained_l2(M3, S, target_vec):
     n_mult = S.shape[0]
     K = sp.bmat([[M3, S.T], [S, None]], format="csc")
     rhs = np.concatenate([M3 @ target_vec, np.zeros(n_mult)])
-    sol = spla.splu(K).solve(rhs)
+    sol = factor_symmetric(K).solve(rhs)
     return sol[: M3.shape[0]]

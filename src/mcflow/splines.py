@@ -272,20 +272,13 @@ class ParametricMesh:
     def num_elements_2d(self):
         return self.num_elements ** 2
 
-    def element_points(self, eu: int, ev: int):
-        """Quadrature points of element (eu, ev) as an (nq^2, 2) array."""
-        pu = self.points_1d[eu]
-        pv = self.points_1d[ev]
-        U, V = np.meshgrid(pu, pv, indexing="ij")
-        return np.column_stack([U.ravel(), V.ravel()])
-
     def all_points(self):
         """All quadrature points, elements in row-major order, (Ne*nq^2, 2)."""
-        n = self.num_elements
-        blocks = [
-            self.element_points(eu, ev) for eu in range(n) for ev in range(n)
-        ]
-        return np.vstack(blocks)
+        n, nq = self.num_elements, self.n_quad
+        shape = (n, n, nq, nq)
+        U = np.broadcast_to(self.points_1d[:, None, :, None], shape)
+        V = np.broadcast_to(self.points_1d[None, :, None, :], shape)
+        return np.stack([U.ravel(), V.ravel()], axis=-1)
 
 
 class QuasiInterpolant:
@@ -314,8 +307,9 @@ class QuasiInterpolant:
         mu, mv = len(self.points_u), len(self.points_v)
         scalar = values.ndim == 1
         grid = values.reshape(mu, mv, -1)
-        coeffs = np.einsum("aq,qrd,br->abd", self.wu, grid, self.wv)
-        coeffs = coeffs.reshape(self.space.dim, -1)
+        # wu along u, then wv along v: two BLAS products
+        t = (self.wu @ grid.reshape(mu, -1)).reshape(-1, mv, grid.shape[-1])
+        coeffs = np.matmul(self.wv, t).reshape(self.space.dim, -1)
         return coeffs[:, 0] if scalar else coeffs
 
     def __call__(self, f, zero_boundary: bool = False):

@@ -179,6 +179,36 @@ def test_criterion_6_constraint_and_boundary_invariants(example1, example2):
             assert np.array_equal(state.x[bidx], x0b), f"boundary moved at step {k}"
 
 
+@pytest.mark.parametrize("N, p", [(40, 2), (16, 3)])
+def test_criterion_6_invariants_on_scale_ladder(N, p):
+    """Four steps of the perturbed plane higher up the scale ladder.
+
+    Every step keeps ||S nu||_inf <= 1e-10 and both solver residuals
+    <= 1e-9, and the boundary control points keep their initial bits.
+    """
+    dt = 0.0015625
+    cfg = ScenarioConfig(
+        scenario="perturbed_plane",
+        degree=p,
+        smoothness=p - 1,
+        elements_per_side=N,
+        dt=dt,
+        t_final=4 * dt,
+        snapshot_stride=1,
+        output_dir="",
+    )
+    result = FlowProblem(cfg).run(order=2)
+    assert len(result.diagnostics) == 5
+    for d in result.diagnostics:
+        assert d.constraint_residual <= 1e-10
+        assert d.solver_residual <= 1e-9
+    bidx = result.problem.space.boundary_indices
+    x0b = result.snapshots[0][1].x[bidx]
+    assert len(result.snapshots) == 5
+    for k, state in result.snapshots:
+        assert np.array_equal(state.x[bidx], x0b), f"boundary moved at step {k}"
+
+
 def test_criterion_7_flat_square_stationarity():
     """100 steps on the unperturbed square leave all coefficients at 1e-12."""
     cfg = ScenarioConfig(

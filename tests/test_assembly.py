@@ -159,10 +159,12 @@ def test_curvature_load_oracle():
     sc = prob.scenario
     kap_exact = prob.quasi(sc.mean_curvature)
     nu_exact = prob.quasi(sc.normal)
-    f1 = assemble_curvature_load(prob.tables, geom, kap_exact, nu_exact)
+    frob2_exact = weingarten_energy(prob.tables, geom, nu_exact)
+    f1 = assemble_curvature_load(prob.tables, geom, kap_exact, frob2_exact)
     assert np.abs(f1 - ref).max() < 1e-13
 
-    f1_init = assemble_curvature_load(prob.tables, geom, st.kappa, st.nu)
+    frob2_init = weingarten_energy(prob.tables, geom, st.nu)
+    f1_init = assemble_curvature_load(prob.tables, geom, st.kappa, frob2_init)
     rel = np.linalg.norm(f1_init[idx] - ref[idx]) / np.linalg.norm(ref[idx])
     assert rel < 0.05
 
@@ -171,9 +173,9 @@ def test_normal_load_consistent_with_curvature_load(sphere_problem):
     """f2 = |A|^2 nu: on the sphere nu ~ -x, and f1/kappa = f2 . (nu/|nu|^2)."""
     prob, st = sphere_problem
     geom = ElementGeometry(prob.tables, st.x)
-    f2 = assemble_normal_load(prob.tables, geom, st.nu)
-    # against a brute-force contraction at quadrature points
     frob2 = weingarten_energy(prob.tables, geom, st.nu)
+    f2 = assemble_normal_load(prob.tables, geom, st.nu, frob2)
+    # against a brute-force contraction at quadrature points
     nu = prob.tables.field_values(st.nu)
     dens = prob.tables.weights[None, :] * geom.area_element * frob2
     ref = np.zeros((prob.space.dim, 3))

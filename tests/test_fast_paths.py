@@ -1,0 +1,86 @@
+"""The fast paths of a flow step agree with the plain computations they replace."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import mcflow.assembly
+import mcflow.flow
+from mcflow.config import ScenarioConfig
+from mcflow.flow import BdfScheme, FlowProblem
+from mcflow.geometry import SplineField, surface_area
+from mcflow.splines import ParametricMesh, build_quasi_interpolant, build_space
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("N", [4, 8, 20])
+def test_apply_to_values_matches_einsum(p, N, rng):
+    quasi = build_quasi_interpolant(build_space(p, p - 1, N))
+    mu, mv = len(quasi.points_u), len(quasi.points_v)
+    for shape in ((mu * mv,), (mu * mv, 3)):
+        values = rng.normal(size=shape)
+        got = quasi.apply_to_values(values)
+        assert got.shape == (quasi.space.dim,) + shape[1:]
+        grid = values.reshape(mu, mv, -1)
+        ref = np.einsum("aq,qrd,br->abd", quasi.wu, grid, quasi.wv)
+        ref = ref.reshape(got.shape)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_flow_area_matches_surface_area(scenario):
+    p, N = 2, 8
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        degree=p,
+        smoothness=1,
+        elements_per_side=N,
+        dt=0.01,
+        t_final=0.1,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    x = prob.quasi(prob.scenario.position)
+    ref = surface_area(SplineField(prob.space, x), ParametricMesh(N, p + 1))
+    assert abs(prob.area(x) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("N, nq", [(1, 3), (5, 3), (7, 4)])
+def test_all_points_matches_element_loop(N, nq):
+    mesh = ParametricMesh(N, nq)
+    blocks = []
+    for eu in range(N):
+        for ev in range(N):
+            U, V = np.meshgrid(
+                mesh.points_1d[eu], mesh.points_1d[ev], indexing="ij"
+            )
+            blocks.append(np.column_stack([U.ravel(), V.ravel()]))
+    assert np.array_equal(mesh.all_points(), np.vstack(blocks))
+
+
+def test_step_evaluates_weingarten_energy_once(monkeypatch):
+    cfg = ScenarioConfig(
+        scenario="perturbed_plane",
+        degree=2,
+        smoothness=1,
+        elements_per_side=6,
+        dt=0.0015625,
+        t_final=0.0015625,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme(1)
+    scheme.push(prob.initialize())
+
+    calls = []
+    original = mcflow.assembly.weingarten_energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mcflow.assembly, "weingarten_energy", counted)
+    monkeypatch.setattr(mcflow.flow, "weingarten_energy", counted)
+    prob.step(scheme, cfg.dt)
+    assert len(calls) == 1
