@@ -6,40 +6,29 @@ alongside through constrained Galerkin equations, integrated in time
 with linearly implicit BDF formulas.
 """
 
+from .assembly import SolverFailure
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, serialize_config
 from .convergence import ConvergenceReport, convergence_study
 from .flow import (
     BdfScheme,
     FlowProblem,
     FlowState,
-    SolverFailure,
     StepDiagnostics,
     bdf_coefficients,
     initialize,
     run,
 )
-from .geometry import (
-    BoundaryFrame,
-    DegenerateSurface,
-    GeometrySample,
-    SplineField,
-    boundary_frame,
-    geometry_at,
-    surface_area,
-    surface_gradient,
-    weingarten,
-)
+from .geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from .projections import (
     BoundaryData,
     NoContraction,
     RitzConfig,
     boundary_quasi_interp,
-    linear_ritz_zero_trace,
     nonlinear_ritz_normal,
     project_velocity,
-    surface_quasi_interp,
 )
 from .scenarios import (
+    SCENARIOS,
     Scenario,
     calibrate_plane_amplitude,
     calibrate_sphere_extent,
@@ -49,12 +38,9 @@ from .scenarios import (
 )
 from .splines import (
     BoundaryTraceSpace,
-    ParametricMesh,
     QuasiInterpolant,
     TensorSplineSpace,
     UnivariateSpline,
-    apply_quasi_interpolant,
-    boundary_trace_space,
     build_quasi_interpolant,
     build_space,
 )

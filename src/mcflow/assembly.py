@@ -1,11 +1,15 @@
 """Galerkin assembly over the parametric mesh.
 
 Interior forms are integrated element by element with a tensor Gauss
-rule; all element loops are vectorized, with basis tabulations cached in
-`MeshTables` so that repeated assembly on a moving surface only re-does
-the coefficient-dependent contractions.  Matrices are returned in CSR
-format; vector-valued systems stack coefficients component-major, i.e.
-[all x | all y | all z], matching `scipy.sparse.block_diag`.
+rule; all element loops are vectorized.  `MeshTables` is the one
+quadrature layer: it caches the Gauss points and weights of the N x N
+mesh, the basis tabulations and the CSR sparsity pattern of the space,
+so repeated assembly on a moving surface only re-does the
+coefficient-dependent contractions and then sums the element entries
+into the fixed pattern with one `np.bincount`.  Mass and stiffness
+share that pattern.  Vector-valued systems stack coefficients
+component-major, i.e. [all x | all y | all z], matching
+`scipy.sparse.block_diag`.
 
 Boundary terms live on the four edges of the parametric square.  The
 constraint matrix S has one row per distinct boundary control point and
@@ -21,14 +25,35 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import DEGENERACY_EPS, DegenerateSurface, SplineField
-from .splines import (
-    EDGE_FIXED_COORD,
-    BoundaryTraceSpace,
-    TensorSplineSpace,
-    boundary_trace_space,
-    gauss_rule,
-)
+from .geometry import SplineField, metric_pieces
+from .splines import BoundaryTraceSpace, TensorSplineSpace
+
+
+class SolverFailure(Exception):
+    """Raised when a linear solve leaves too large a residual."""
+
+
+def check_residual(K, x, b, tol, what):
+    """Relative residual |K x - b| / |b|; raises SolverFailure above tol."""
+    b_norm = np.linalg.norm(b)
+    r_norm = np.linalg.norm(K @ x - b)
+    rel = r_norm / b_norm if b_norm > 0.0 else r_norm
+    if not np.isfinite(rel) or rel > tol:
+        raise SolverFailure(f"{what}: relative residual {rel:.3e} exceeds {tol:.1e}")
+    return rel
+
+
+def scatter_vector(index, local, dim):
+    """Sum entries `local` (..., [D]) into rows `index` (...) of a (dim[, D]) array.
+
+    Entries are summed one at a time in their flattened order.
+    """
+    if local.ndim == index.ndim:
+        return np.bincount(index.ravel(), weights=local.ravel(), minlength=dim)
+    D = local.shape[-1]
+    rows = (index[..., None] * D + np.arange(D)).ravel()
+    out = np.bincount(rows, weights=local.ravel(), minlength=dim * D)
+    return out.reshape(dim, D)
 
 
 def stack_components(coeffs):
@@ -42,7 +67,13 @@ def unstack_components(vec, dim):
 
 
 class MeshTables:
-    """Cached basis tabulation on the N x N Gauss mesh of a space."""
+    """Gauss mesh of a space: points, weights, basis tabulation, CSR pattern.
+
+    `points` is (Ne, nq^2, 2) with elements in row-major order and
+    `weights` the (nq^2,) tensor weights shared by every element, so a
+    quadrature sum over the square is `sum(weights * values)` for values
+    of shape (Ne, nq^2).
+    """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
@@ -62,6 +93,15 @@ class MeshTables:
             au[:, None, :, None] * space.v.dim + av[None, :, None, :]
         )  # (neu, nev, du+1, dv+1)
         self.conn = conn.reshape(self.num_elements, self.nloc)
+
+        # CSR pattern of the space, sorted and without duplicates, and the
+        # slot in `data` of every local entry (Ne, nloc, nloc), row-major
+        dim = space.dim
+        keys = (self.conn[:, :, None] * dim + self.conn[:, None, :]).ravel()
+        pairs, self.scatter = np.unique(keys, return_inverse=True)
+        self.indices = (pairs % dim).astype(np.int32)
+        counts = np.bincount(pairs // dim, minlength=dim)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
         # quadrature points per element (Ne, nq2, 2)
         U = np.broadcast_to(pu[:, None, :, None], (neu, nev, n_quad, n_quad))
@@ -88,6 +128,12 @@ class MeshTables:
         )
         self.basis_grad = dB.reshape(self.num_elements, nq2, self.nloc, 2)
 
+    def matrix(self, local):
+        """Sum local matrices (Ne, nloc, nloc) into a CSR matrix on the pattern."""
+        n, dim = len(self.indices), self.space.dim
+        data = np.bincount(self.scatter, weights=local.ravel(), minlength=n)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+
     def field_values(self, coeffs):
         """Field values at all quadrature points, (Ne, nq2[, D])."""
         loc = coeffs[self.conn]
@@ -108,46 +154,8 @@ class ElementGeometry:
 
     def __init__(self, tables: MeshTables, x_coeffs):
         J = tables.field_jacobians(np.asarray(x_coeffs))
-        G = np.einsum("eqda,eqdb->eqab", J, J)
-        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        if np.any(det <= DEGENERACY_EPS):
-            raise DegenerateSurface(
-                f"metric determinant {det.min():.3e} at quadrature point"
-            )
-        Ginv = np.empty_like(G)
-        Ginv[..., 0, 0] = G[..., 1, 1]
-        Ginv[..., 1, 1] = G[..., 0, 0]
-        Ginv[..., 0, 1] = -G[..., 0, 1]
-        Ginv[..., 1, 0] = -G[..., 1, 0]
-        Ginv /= det[..., None, None]
         self.jacobian = J
-        self.metric = G
-        self.metric_inv = Ginv
-        self.area_element = np.sqrt(det)  # (Ne, nq2)
-
-
-def _scatter_matrix(tables, local, shape=None):
-    """Accumulate per-element local matrices (Ne, nloc, nloc) into CSR."""
-    conn = tables.conn
-    rows = np.repeat(conn, tables.nloc, axis=1).ravel()
-    cols = np.tile(conn, (1, tables.nloc)).ravel()
-    dim = tables.space.dim
-    M = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=shape or (dim, dim)
-    )
-    return M.tocsr()
-
-
-def _scatter_vector(tables, local):
-    """Accumulate per-element local vectors (Ne, nloc[, D])."""
-    dim = tables.space.dim
-    if local.ndim == 2:
-        out = np.zeros(dim)
-        np.add.at(out, tables.conn, local)
-    else:
-        out = np.zeros((dim, local.shape[2]))
-        np.add.at(out, tables.conn, local)
-    return out
+        self.metric, self.metric_inv, self.area_element = metric_pieces(J)
 
 
 def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
@@ -163,7 +171,7 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B, optimize=True)
     t = np.einsum("eqab,eqjb->eqja", geom.metric_inv, dB)
     Aloc = np.einsum("q,eq,eqia,eqja->eij", w, q, dB, t, optimize=True)
-    return _scatter_matrix(tables, Mloc), _scatter_matrix(tables, Aloc)
+    return tables.matrix(Mloc), tables.matrix(Aloc)
 
 
 def interior_block(matrix, space: TensorSplineSpace):
@@ -197,7 +205,7 @@ def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):
     kap = tables.field_values(np.asarray(kappa_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2 * kap
     local = np.einsum("eq,eqi->ei", dens, tables.basis)
-    return _scatter_vector(tables, local)
+    return scatter_vector(tables.conn, local, tables.space.dim)
 
 
 def assemble_normal_load(tables, geom, nu_coeffs, frob2):
@@ -208,7 +216,7 @@ def assemble_normal_load(tables, geom, nu_coeffs, frob2):
     nu = tables.field_values(np.asarray(nu_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2
     local = np.einsum("eq,eqd,eqi->eid", dens, nu, tables.basis)
-    return _scatter_vector(tables, local)
+    return scatter_vector(tables.conn, local, tables.space.dim)
 
 
 def weingarten_energy(tables, geom, nu_coeffs):
@@ -236,7 +244,7 @@ class BoundaryTables:
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        self.traces = boundary_trace_space(space)
+        self.traces = BoundaryTraceSpace(space)
         self.edge_tabs = []
         for edge in range(4):
             uspace = self.traces.edge_spaces[edge]
@@ -330,29 +338,6 @@ def assemble_constraint(btables: BoundaryTables):
     return S.tocsr()
 
 
-def assemble_boundary_mass(btables: BoundaryTables):
-    """Boundary mass matrix on the trace DOFs, (n_boundary, n_boundary)."""
-    assert btables.frozen is not None
-    traces = btables.traces
-    rows, cols, vals = [], [], []
-    for edge in range(4):
-        tab = btables.edge_tabs[edge]
-        fr = btables.frozen[edge]
-        loc = btables.edge_local_indices(edge)
-        brow = traces.row_of_flat(traces.edge_flat_indices[edge][loc])
-        dens = tab["weights"][None, :] * fr["length"]
-        base = np.einsum("eq,eqa,eqb->eab", dens, tab["values"], tab["values"])
-        p1 = loc.shape[1]
-        rows.append(np.repeat(brow, p1, axis=1).ravel())
-        cols.append(np.tile(brow, (1, p1)).ravel())
-        vals.append(base.ravel())
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(traces.num_rows, traces.num_rows),
-    )
-    return M.tocsr()
-
-
 def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     """Conormal boundary load for the normal equation, (dim, 3).
 
@@ -361,8 +346,7 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     unnormalized.
     """
     assert btables.frozen is not None
-    space = btables.space
-    out = np.zeros((space.dim, 3))
+    rows, entries = [], []
     for edge in range(4):
         tab = btables.edge_tabs[edge]
         fr = btables.frozen[edge]
@@ -372,12 +356,13 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
         alpha = np.einsum("eqd,eqd->eq", fr["kappa"], nu)
         mu = np.cross(nu, fr["tau"])
         dens = tab["weights"][None, :] * fr["length"] * alpha
-        local = np.einsum("eq,eqd,eqa->ead", dens, mu, tab["values"])
-        flat = btables.traces.edge_flat_indices[edge][
-            btables.edge_local_indices(edge)
-        ]
-        np.add.at(out, flat, local)
-    return out
+        entries.append(np.einsum("eq,eqd,eqa->ead", dens, mu, tab["values"]))
+        rows.append(
+            btables.traces.edge_flat_indices[edge][btables.edge_local_indices(edge)]
+        )
+    return scatter_vector(
+        np.concatenate(rows), np.concatenate(entries), btables.space.dim
+    )
 
 
 def constraint_residual(S, nu_coeffs):

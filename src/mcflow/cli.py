@@ -11,10 +11,13 @@ def _add_common(p):
     p.add_argument("--snapshot-stride", type=int, default=None,
                    help="override the config snapshot stride")
     p.add_argument("--dump-matrices", action="store_true",
-                   help="dump assembled matrices in MatrixMarket format")
+                   help="dump the mass, stiffness and constraint matrices "
+                        "in MatrixMarket format")
 
 
 def build_parser():
+    from .scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="mcflow",
         description="Mean curvature flow of spline surfaces with fixed boundary",
@@ -32,8 +35,7 @@ def build_parser():
     _add_common(c)
 
     k = sub.add_parser("calibrate", help="re-derive a scenario constant")
-    k.add_argument("--scenario", required=True,
-                   choices=("perturbed_plane", "sphere_patch"))
+    k.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     return parser
 
 
@@ -85,17 +87,14 @@ def cmd_converge(args):
 
 
 def cmd_calibrate(args):
-    from . import scenarios
+    from .scenarios import SCENARIOS
 
-    if args.scenario == "perturbed_plane":
-        value = scenarios.calibrate_plane_amplitude()
-        stored = scenarios.PLANE_AMPLITUDE
-        name = "perturbation amplitude"
-    else:
-        value = scenarios.calibrate_sphere_extent()
-        stored = scenarios.SPHERE_EXTENT
-        name = "patch polar extent"
-    print(f"{name}: {value!r} (stored {stored!r}, diff {abs(value - stored):.3e})")
+    entry = SCENARIOS[args.scenario]
+    value = entry.calibrate()
+    print(
+        f"{entry.constant}: {value!r} (stored {entry.stored!r}, "
+        f"diff {abs(value - entry.stored):.3e})"
+    )
     return 0
 
 

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .scenarios import PLANE_AMPLITUDE, SPHERE_CORNER_TEMPER, SPHERE_EXTENT
+from .scenarios import (
+    PLANE_AMPLITUDE,
+    SCENARIOS,
+    SPHERE_CORNER_TEMPER,
+    SPHERE_EXTENT,
+)
 
 
 class ConfigError(Exception):
@@ -41,14 +46,11 @@ class ScenarioConfig:
     dump_matrices: bool = False
 
     def scenario_params(self):
-        if self.scenario == "perturbed_plane":
-            return {"amplitude": self.perturbation_amplitude}
-        if self.scenario == "sphere_patch":
-            return {
-                "extent": self.patch_polar_extent,
-                "temper": self.patch_corner_temper,
-            }
-        raise ConfigError(f"unknown scenario {self.scenario!r}")
+        """Keyword parameters of `scenarios.get_scenario` for this run."""
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        keys = SCENARIOS[self.scenario].config_keys
+        return {param: getattr(self, key) for param, key in keys.items()}
 
 
 _FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}

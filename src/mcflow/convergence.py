@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import MeshTables
 from .config import ScenarioConfig
 from .flow import FlowProblem
 from .geometry import SplineField
-from .splines import ParametricMesh
 
 VARIABLES = ("position", "kappa", "nu")
 
@@ -85,10 +85,9 @@ def convergence_study(
         runs.append(result)
 
     finest = runs[-1]
-    n_fine = levels[-1]
-    mesh = ParametricMesh(n_fine, base.degree + 3)
-    pts = mesh.all_points()
-    weights = np.tile(mesh.weights_2d, mesh.num_elements_2d)
+    tables = MeshTables(finest.problem.space, base.degree + 3)
+    pts = tables.points.reshape(-1, 2)
+    weights = np.tile(tables.weights, tables.num_elements)
 
     def fields(result):
         space = result.problem.space

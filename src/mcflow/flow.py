@@ -13,14 +13,16 @@ The BDF coefficients come from the generating polynomials
 
     delta(z) = sum_{l=1..q} (1/l) (1 - z)^l,    gamma(z) = (1 - (1-z)^q) / z,
 
-evaluated exactly in rational arithmetic; orders 1 and 2 are supported,
-and a q=2 run bootstraps with a single q=1 step.
+evaluated exactly in rational arithmetic; orders 1 and 2 are supported.
+The history grows up to the scheme's order and each step uses the
+highest order it supports, so a q=2 run bootstraps with a single q=1
+step.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -32,19 +34,20 @@ from .assembly import (
     ElementGeometry,
     MeshTables,
     assemble_boundary_load,
-    assemble_boundary_mass,
     assemble_constraint,
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
+    check_residual,
     constraint_residual,
     factor_symmetric,
+    interior_block,
     stack_components,
     unstack_components,
     weingarten_energy,
 )
 from .config import ScenarioConfig
-from .geometry import SplineField
+from .geometry import SplineField, surface_area
 from .projections import (
     AnalyticSource,
     RitzConfig,
@@ -54,10 +57,6 @@ from .projections import (
 )
 from .scenarios import get_scenario
 from .splines import build_quasi_interpolant, build_space
-
-
-class SolverFailure(Exception):
-    """Raised when a linear solve leaves too large a residual."""
 
 
 def bdf_coefficients(order: int):
@@ -119,32 +118,32 @@ class StepDiagnostics:
 
 
 class BdfScheme:
-    """Coefficients plus the state history (newest first) for one order."""
+    """State history (newest first) of up to `order` states."""
 
     def __init__(self, order: int):
         self.order = order
-        self.delta, self.gamma = bdf_coefficients(order)
+        self._coefficients = [bdf_coefficients(q) for q in range(1, order + 1)]
         self.history: list[FlowState] = []
 
     def push(self, state: FlowState):
         self.history.insert(0, state)
         del self.history[self.order :]
 
-    @property
-    def ready(self):
-        return len(self.history) >= self.order
+    def coefficients(self):
+        """(delta, gamma) of the highest order the history supports."""
+        if not self.history:
+            raise ValueError("BDF history is empty")
+        return self._coefficients[len(self.history) - 1]
 
     def extrapolate(self, attr: str):
         """gamma-weighted combination of history coefficients."""
-        return sum(
-            g * getattr(s, attr) for g, s in zip(self.gamma, self.history)
-        )
+        gamma = self.coefficients()[1]
+        return sum(g * getattr(s, attr) for g, s in zip(gamma, self.history))
 
     def derivative_tail(self, attr: str):
         """sum_{j>=1} delta_j * (history coefficients)."""
-        return sum(
-            d * getattr(s, attr) for d, s in zip(self.delta[1:], self.history)
-        )
+        delta = self.coefficients()[0]
+        return sum(d * getattr(s, attr) for d, s in zip(delta[1:], self.history))
 
 
 @dataclass
@@ -200,11 +199,10 @@ class FlowProblem:
         )
         self.btables.freeze(x_field, self.boundary_data)
         self.S = assemble_constraint(self.btables)
-        self.boundary_mass = assemble_boundary_mass(self.btables)
 
         kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
         nu_field, self.ritz_info = nonlinear_ritz_normal(
-            x_field, AnalyticSource(sc), self.btables, self.S, self.ritz_cfg
+            x_field, AnalyticSource(sc), self.btables, self.S, self.quasi, self.ritz_cfg
         )
         kappa_field = SplineField(self.space, kappa)
         v = project_velocity(self.quasi, kappa_field, nu_field)
@@ -221,13 +219,10 @@ class FlowProblem:
 
     def step(self, scheme: BdfScheme, dt: float):
         """One linearly implicit BDF step; returns (state, diagnostics)."""
-        if not scheme.ready:
-            raise ValueError("BDF history is not full")
+        d0 = scheme.coefficients()[0][0]
         t0 = _time.perf_counter()
-        cfg = self.cfg
+        tol = self.cfg.solver_residual_tol
         space = self.space
-        delta = scheme.delta
-        d0 = delta[0]
 
         x_ext = scheme.extrapolate("x")
         nu_ext = scheme.extrapolate("nu")
@@ -243,9 +238,10 @@ class FlowProblem:
         f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
         tail_k = scheme.derivative_tail("kappa")
         rhs_k = f1[idx] - (M @ tail_k)[idx] / dt
-        K0 = ((d0 / dt) * M + A)[idx][:, idx].tocsc()
+        Kb = (d0 / dt) * M + A
+        K0 = interior_block(Kb, space).tocsc()
         sol_k = factor_symmetric(K0).solve(rhs_k)
-        res_k = _relative_residual(K0, sol_k, rhs_k)
+        res_k = check_residual(K0, sol_k, rhs_k, tol, "curvature solve")
         kappa = np.zeros(space.dim)
         kappa[idx] = sol_k
 
@@ -254,21 +250,13 @@ class FlowProblem:
         fb = assemble_boundary_load(self.btables, nu_ext)
         tail_n = scheme.derivative_tail("nu")
         rhs_n = stack_components(f2 + fb - (M @ tail_n) / dt)
-        Kb = (d0 / dt) * M + A
         K3 = sp.block_diag([Kb, Kb, Kb])
         saddle = sp.bmat([[K3, self.S.T], [self.S, None]], format="csc")
         rhs_full = np.concatenate([rhs_n, np.zeros(self.S.shape[0])])
         sol_n = factor_symmetric(saddle).solve(rhs_full)
-        res_n = _relative_residual(saddle, sol_n, rhs_full)
+        res_n = check_residual(saddle, sol_n, rhs_full, tol, "normal solve")
         nu = unstack_components(sol_n[: 3 * space.dim], space.dim)
         multiplier = sol_n[3 * space.dim :]
-
-        for name, res in (("curvature", res_k), ("normal", res_n)):
-            if not np.isfinite(res) or res > cfg.solver_residual_tol:
-                raise SolverFailure(
-                    f"{name} solve: relative residual {res:.3e} exceeds "
-                    f"{cfg.solver_residual_tol:.1e}"
-                )
 
         # velocity on the extrapolated surface, then position update
         v = project_velocity(
@@ -300,8 +288,7 @@ class FlowProblem:
 
     def area(self, x) -> float:
         """Quadrature area of the surface with position coefficients x."""
-        geom = ElementGeometry(self.tables, x)
-        return float(np.sum(self.tables.weights * geom.area_element))
+        return surface_area(SplineField(self.space, x), self.tables)
 
     def initial_diagnostics(self, state: FlowState) -> StepDiagnostics:
         return StepDiagnostics(
@@ -333,7 +320,7 @@ class FlowProblem:
         if cfg.dump_matrices and cfg.output_dir:
             self._dump_matrices(state)
 
-        scheme = BdfScheme(1)
+        scheme = BdfScheme(order)
         scheme.push(state)
         try:
             for k in range(1, num_steps + 1):
@@ -343,13 +330,7 @@ class FlowProblem:
                     k % cfg.snapshot_stride == 0 or k == num_steps
                 ):
                     snapshots.append((k, state.copy()))
-                if order == 2 and scheme.order == 1:
-                    upgraded = BdfScheme(2)
-                    upgraded.history = [state] + scheme.history
-                    del upgraded.history[2:]
-                    scheme = upgraded
-                else:
-                    scheme.push(state)
+                scheme.push(state)
         except Exception:
             if cfg.output_dir:
                 self._serialize_abort(state, diagnostics)
@@ -361,12 +342,7 @@ class FlowProblem:
 
         geom = ElementGeometry(self.tables, state.x)
         M, A = assemble_mass_stiffness(self.tables, geom)
-        for name, mat in (
-            ("mass", M),
-            ("stiffness", A),
-            ("constraint", self.S),
-            ("boundary_mass", self.boundary_mass),
-        ):
+        for name, mat in (("mass", M), ("stiffness", A), ("constraint", self.S)):
             dump_matrix_market(cfg_dir(self.cfg), name, mat)
 
     def _serialize_abort(self, state, diagnostics):
@@ -383,12 +359,6 @@ def cfg_dir(cfg: ScenarioConfig):
     p = Path(cfg.output_dir)
     p.mkdir(parents=True, exist_ok=True)
     return p
-
-
-def _relative_residual(A, x, b):
-    b_norm = np.linalg.norm(b)
-    r = np.linalg.norm(A @ x - b)
-    return r / b_norm if b_norm > 0.0 else r
 
 
 def initialize(cfg: ScenarioConfig):

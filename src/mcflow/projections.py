@@ -1,23 +1,19 @@
 """Projections onto the discrete spaces.
 
 Quasi-interpolation onto a surface applies the parametric coefficient
-functionals to the pullback of the data; the zero-trace variant simply
-zeroes the boundary coefficients.  The two Ritz projections compare a
-bilinear form on the discrete initial surface with the same form on the
-source surface (analytic scenario or another spline surface):
+functionals to the pullback of the data; the velocity is the zero-trace
+quasi-interpolant of -kappa * nu.  The Ritz projection of the normal
+compares the H1 form on the discrete initial surface with the same form
+on the analytic source surface.  It is nonlinear through an
+orientation-dependent boundary term and constrained to have boundary
+trace discretely orthogonal to the interpolated boundary tangent.  It is
+computed by a fixed-point iteration whose linear part (stiffness +
+lambda * mass + constraint saddle) is factorized once per stabilization
+weight; when the H1 increments expand or contract too slowly to finish
+within the iteration budget, lambda is multiplied by a growth factor and
+the iteration continues from the current iterate.
 
-* the linear zero-trace projection of a scalar uses the H1 inner
-  product (gradients plus values);
-* the normal projection is nonlinear through an orientation-dependent
-  boundary term and constrained to have boundary trace discretely
-  orthogonal to the interpolated boundary tangent.  It is computed by a
-  fixed-point iteration whose linear part (stiffness + lambda * mass +
-  constraint saddle) is factorized once per stabilization weight; when
-  the H1 increments expand or contract too slowly to finish within the
-  iteration budget, lambda is multiplied by a growth factor and the
-  iteration continues from the current iterate.
-
-Both projections integrate with a rule one order finer than flow-step
+The projection integrates with a rule one order finer than flow-step
 assembly, on both sides, so data already in the space on the same
 surface is reproduced to solver precision.
 """
@@ -35,12 +31,14 @@ from .assembly import (
     MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
+    check_residual,
     factor_symmetric,
+    scatter_vector,
     stack_components,
     unstack_components,
 )
-from .geometry import SplineField
-from .splines import QuasiInterpolant, TensorSplineSpace, _dual_weights, gauss_rule
+from .geometry import SplineField, metric_pieces
+from .splines import QuasiInterpolant, _dual_weights, edge_points, gauss_rule
 
 
 class NoContraction(Exception):
@@ -78,19 +76,8 @@ class BoundaryData:
     curvature: list = field(default_factory=list)
 
 
-def surface_quasi_interp(
-    Q: QuasiInterpolant, g, zero_boundary: bool = False
-) -> np.ndarray:
-    """Coefficients of the surface quasi-interpolant of g.
-
-    `g` maps parametric points (n, 2) to values (n,) or (n, D); data
-    given on the surface is passed as its parametric pullback.
-    """
-    return Q(g, zero_boundary=zero_boundary)
-
-
 def boundary_quasi_interp(
-    btables: BoundaryTables, tangent_fn, curvature_fn, n_quad: int | None = None
+    btables: BoundaryTables, tangent_fn, curvature_fn
 ) -> BoundaryData:
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
@@ -101,8 +88,7 @@ def boundary_quasi_interp(
     data = BoundaryData()
     for edge in range(4):
         uspace = btables.traces.edge_spaces[edge]
-        nq = n_quad or (uspace.degree + 2)
-        W, pts = _dual_weights(uspace, nq)
+        W, pts = _dual_weights(uspace, uspace.degree + 2)
         data.tangent.append(W @ np.asarray(tangent_fn(edge, pts)))
         data.curvature.append(W @ np.asarray(curvature_fn(edge, pts)))
     return data
@@ -134,16 +120,8 @@ class AnalyticSource:
         self.scenario = scenario
 
     def geometry(self, pts):
-        J = self.scenario.jacobian(pts)
-        G = np.einsum("nda,ndb->nab", J, J)
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        Ginv = np.empty_like(G)
-        Ginv[:, 0, 0] = G[:, 1, 1]
-        Ginv[:, 1, 1] = G[:, 0, 0]
-        Ginv[:, 0, 1] = -G[:, 0, 1]
-        Ginv[:, 1, 0] = -G[:, 1, 0]
-        Ginv /= det[:, None, None]
-        return Ginv, np.sqrt(det)
+        _, Ginv, q = metric_pieces(self.scenario.jacobian(pts))
+        return Ginv, q
 
     def normal_data(self, pts):
         return self.scenario.normal(pts), self.scenario.normal_jacobian(pts)
@@ -151,94 +129,10 @@ class AnalyticSource:
     def edge_data(self, edge, s):
         c1, _ = self.scenario.edge_derivatives(edge, s)
         pts_len = np.linalg.norm(c1, axis=1)
-        nu = self.scenario.normal(_edge_pts(edge, s))
+        nu = self.scenario.normal(edge_points(edge, s))
         tau = self.scenario.boundary_tangent(edge, s)
         kap = self.scenario.boundary_curvature(edge, s)
         return nu, tau, kap, pts_len
-
-
-class SplineSource:
-    """Spline-surface sampler: source data already lives in the space."""
-
-    def __init__(self, x_field: SplineField, nu_field: SplineField, btables=None):
-        self.x = x_field
-        self.nu = nu_field
-        self.btables = btables
-
-    def geometry(self, pts):
-        _, J = self.x.eval(pts, 1)
-        G = np.einsum("nda,ndb->nab", J, J)
-        det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        Ginv = np.empty_like(G)
-        Ginv[:, 0, 0] = G[:, 1, 1]
-        Ginv[:, 1, 1] = G[:, 0, 0]
-        Ginv[:, 0, 1] = -G[:, 0, 1]
-        Ginv[:, 1, 0] = -G[:, 1, 0]
-        Ginv /= det[:, None, None]
-        return Ginv, np.sqrt(det)
-
-    def normal_data(self, pts):
-        return self.nu.eval(pts, 1)
-
-
-def _edge_pts(edge, s):
-    from .splines import edge_points
-
-    return edge_points(edge, np.atleast_1d(s))
-
-
-# ---------------------------------------------------------------------------
-# linear zero-trace projection
-
-
-def linear_ritz_zero_trace(
-    x_field: SplineField, source, u_vals, u_grads, n_quad: int | None = None
-) -> SplineField:
-    """H1 projection of a scalar onto the zero-trace space of a surface.
-
-    `source` provides the geometry the data lives on; `u_vals(pts)` and
-    `u_grads(pts)` return the parametric pullback of the data and its
-    parametric gradient.  Solves (grad w, grad b) + (w, b) on the
-    discrete surface equal to the same form for u on the source surface.
-    """
-    space = x_field.space
-    nq = n_quad or (max(space.u.degree, space.v.degree) + 2)
-    tables = MeshTables(space, nq)
-    geom = ElementGeometry(tables, x_field.coeffs)
-    M, A = assemble_mass_stiffness(tables, geom)
-    idx = space.interior_indices
-    K = (M + A)[idx][:, idx].tocsc()
-
-    pts = tables.points.reshape(-1, 2)
-    Ginv_s, q_s = source.geometry(pts)
-    ne, nq2 = tables.points.shape[:2]
-    Ginv_s = Ginv_s.reshape(ne, nq2, 2, 2)
-    q_s = q_s.reshape(ne, nq2)
-    U = np.asarray(u_vals(pts), dtype=float).reshape(ne, nq2)
-    dU = np.asarray(u_grads(pts), dtype=float).reshape(ne, nq2, 2)
-    w = tables.weights
-    t = np.einsum("eqab,eqb->eqa", Ginv_s, dU)
-    local = np.einsum("q,eq,eqa,eqia->ei", w, q_s, t, tables.basis_grad)
-    local += np.einsum("q,eq,eq,eqi->ei", w, q_s, U, tables.basis)
-    rhs = np.zeros(space.dim)
-    np.add.at(rhs, tables.conn, local)
-
-    sol = factor_symmetric(K).solve(rhs[idx])
-    _check_residual(K, sol, rhs[idx])
-    coeffs = np.zeros(space.dim)
-    coeffs[idx] = sol
-    return SplineField(space, coeffs)
-
-
-def _check_residual(A, x, b, tol: float = 1e-9, what: str = "linear solve"):
-    from .flow import SolverFailure
-
-    b_norm = np.linalg.norm(np.atleast_1d(b))
-    r_norm = np.linalg.norm(np.atleast_1d(A @ x - b))
-    rel = r_norm / b_norm if b_norm > 0.0 else r_norm
-    if not np.isfinite(rel) or rel > tol:
-        raise SolverFailure(f"{what}: relative residual {rel:.3e} exceeds {tol:.1e}")
-    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +144,20 @@ def nonlinear_ritz_normal(
     source: AnalyticSource,
     btables: BoundaryTables,
     S: sp.spmatrix,
+    quasi: QuasiInterpolant,
     cfg: RitzConfig | None = None,
-    n_quad: int | None = None,
 ):
     """Constrained H1 projection of the source normal field.
 
-    Returns (SplineField, info) with info recording the lambda used,
-    iteration count and the H1 increments.  Raises NoContraction when
-    the combined iteration budget is exhausted.
+    `quasi` is the (p + 2)-point quasi-interpolant of the space; the
+    starting guess interpolates the source normal with it.  Returns
+    (SplineField, info) with info recording the lambda used, iteration
+    count and the H1 increments.  Raises NoContraction when the combined
+    iteration budget is exhausted.
     """
     cfg = cfg or RitzConfig()
     space = x_field.space
-    nq = n_quad or (max(space.u.degree, space.v.degree) + 2)
+    nq = max(space.degree) + 2
     tables = MeshTables(space, nq)
     geom = ElementGeometry(tables, x_field.coeffs)
     M, A = assemble_mass_stiffness(tables, geom)
@@ -283,14 +179,11 @@ def nonlinear_ritz_normal(
         t = np.einsum("eqab,eqdb->eqda", Ginv_s, Njac)
         local = np.einsum("q,eq,eqda,eqia->eid", w, q_s, t, tables.basis_grad)
         local += lam * np.einsum("q,eq,eqd,eqi->eid", w, q_s, Nvals, tables.basis)
-        out = np.zeros((dim, 3))
-        np.add.at(out, tables.conn, local)
-        return out
+        return scatter_vector(tables.conn, local, dim)
 
     # analytic boundary term, moved to the right-hand side with minus sign
-    nq_b = nq
-    xb, wb = gauss_rule(nq_b)
-    rhs_b = np.zeros((dim, 3))
+    xb, wb = gauss_rule(nq)
+    rows, entries = [], []
     for edge in range(4):
         uspace = btables.traces.edge_spaces[edge]
         h = uspace.mesh_size
@@ -304,8 +197,9 @@ def nonlinear_ritz_normal(
         flat_edge = btables.traces.edge_flat_indices[edge]
         p1 = uspace.degree + 1
         idx_loc = first[:, None] + np.arange(p1)[None, :]
-        contrib = dens[:, None, None] * mu[:, None, :] * ders[:, 0, :, None]
-        np.add.at(rhs_b, flat_edge[idx_loc], contrib)
+        entries.append(dens[:, None, None] * mu[:, None, :] * ders[:, 0, :, None])
+        rows.append(flat_edge[idx_loc])
+    rhs_b = scatter_vector(np.concatenate(rows), np.concatenate(entries), dim)
     # (sign: the projection identity carries -boundary term on both sides)
 
     history = []
@@ -316,9 +210,8 @@ def nonlinear_ritz_normal(
     H1 = (A3 + M3).tocsr()  # increment norm
 
     # starting guess: constrained L2 projection of the interpolated normal
-    Qtmp = QuasiInterpolant(space, nq)
-    nu0_coeffs = Qtmp.apply_to_values(
-        np.asarray(source.normal_data(Qtmp.grid_points)[0])
+    nu0_coeffs = quasi.apply_to_values(
+        np.asarray(source.normal_data(quasi.grid_points)[0])
     )
     current = _constrained_l2(M3, S, stack_components(nu0_coeffs))
 
@@ -337,7 +230,8 @@ def nonlinear_ritz_normal(
             rhs = np.concatenate([rhs_fixed + stack_components(fb_iter),
                                   np.zeros(n_mult)])
             sol = lu.solve(rhs)
-            _check_residual(K, sol, rhs, what="normal projection solve")
+            # a fixed gate: the flow's solver_residual_tol governs steps only
+            check_residual(K, sol, rhs, 1e-9, "normal projection solve")
             new = sol[: 3 * dim]
             d = new - current
             inc = float(np.sqrt(d @ (H1 @ d)))

@@ -8,7 +8,8 @@ Jacobian).  Everything else -- normal field, mean curvature, boundary
 tangents and curvature vectors -- derives from these by closed-form
 differentiation, so scenario authors only supply X0, J and H.
 
-Two scenarios are provided:
+Two scenarios are provided, registered by name in ``SCENARIOS`` together
+with their config keys and calibration:
 
 * ``perturbed_plane``: the square [-1, 1]^2 with a smooth interior bump
   a * (sin(pi u) sin(pi v))^3.  The bump vanishes at the boundary
@@ -32,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points
+from .geometry import metric_pieces
+from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points, gauss_rule
 
 # Calibrated constants; see calibrate_plane_amplitude / calibrate_sphere_extent.
 PLANE_AMPLITUDE = 0.16074835298468315
@@ -92,8 +94,7 @@ class Scenario:
         """Trace of the Weingarten map for the oriented normal."""
         J = self.jacobian(pts)
         Jn = self.normal_jacobian(pts)
-        G = np.einsum("nda,ndb->nab", J, J)
-        Ginv = _inv2x2(G)
+        _, Ginv, _ = metric_pieces(J)
         # tr(Jn Ginv J^T) summed over surface components
         return np.einsum("nda,nab,ndb->n", Jn, Ginv, J)
 
@@ -127,16 +128,6 @@ class Scenario:
         speed2 = np.sum(c1 * c1, axis=1, keepdims=True)
         that = c1 / np.sqrt(speed2)
         return (c2 - that * np.sum(c2 * that, axis=1, keepdims=True)) / speed2
-
-
-def _inv2x2(G):
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    inv = np.empty_like(G)
-    inv[:, 0, 0] = G[:, 1, 1]
-    inv[:, 1, 1] = G[:, 0, 0]
-    inv[:, 0, 1] = -G[:, 0, 1]
-    inv[:, 1, 0] = -G[:, 1, 0]
-    return inv / det[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +356,6 @@ def scenario_sphere_patch(
     )
 
 
-def get_scenario(name: str, **params) -> Scenario:
-    if name == "perturbed_plane":
-        return scenario_perturbed_plane(params.get("amplitude"))
-    if name == "sphere_patch":
-        return scenario_sphere_patch(params.get("extent"), params.get("temper"))
-    raise ValueError(f"unknown scenario {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # calibration
 
@@ -381,8 +364,6 @@ def sphere_patch_area(
     extent: float, temper: float | None = None, n_quad: int = 60
 ) -> float:
     """Analytic area of the sphere patch by high-order quadrature."""
-    from .splines import gauss_rule
-
     sc = scenario_sphere_patch(extent, temper)
     x, w = gauss_rule(n_quad)
     U, V = np.meshgrid(x, x, indexing="ij")
@@ -422,17 +403,18 @@ def calibrate_plane_amplitude(
     reference mesh with the standard assembly quadrature, which is what
     a flow run reports at t = 0.
     """
+    from .assembly import MeshTables
     from .geometry import SplineField, surface_area
-    from .splines import ParametricMesh, build_quasi_interpolant, build_space
+    from .splines import build_quasi_interpolant, build_space
 
     space = build_space(degree, smoothness, num_elements)
     Q = build_quasi_interpolant(space)
-    mesh = ParametricMesh(num_elements, degree + 1)
+    tables = MeshTables(space, degree + 1)
 
     def area_of(a):
         sc = scenario_perturbed_plane(a)
         X = SplineField(space, Q(sc.position))
-        return surface_area(X, mesh)
+        return surface_area(X, tables)
 
     lo, hi = 0.0, 1.0
     assert area_of(lo) < target < area_of(hi)
@@ -443,3 +425,43 @@ def calibrate_plane_amplitude(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class ScenarioEntry:
+    """How to build, configure and re-calibrate one named scenario."""
+
+    build: Callable  # keyword parameters -> Scenario
+    config_keys: dict  # build parameter -> ScenarioConfig field
+    calibrate: Callable  # () -> the calibrated constant, re-derived
+    stored: float  # that constant as shipped
+    constant: str  # what the constant is called
+
+
+SCENARIOS = {
+    "perturbed_plane": ScenarioEntry(
+        scenario_perturbed_plane,
+        {"amplitude": "perturbation_amplitude"},
+        calibrate_plane_amplitude,
+        PLANE_AMPLITUDE,
+        "perturbation amplitude",
+    ),
+    "sphere_patch": ScenarioEntry(
+        scenario_sphere_patch,
+        {"extent": "patch_polar_extent", "temper": "patch_corner_temper"},
+        calibrate_sphere_extent,
+        SPHERE_EXTENT,
+        "patch polar extent",
+    ),
+}
+
+
+def get_scenario(name: str, **params) -> Scenario:
+    """Scenario `name` built with keyword parameters (defaults if omitted)."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    return SCENARIOS[name].build(**params)

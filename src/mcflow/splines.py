@@ -12,6 +12,12 @@ integrated with a per-element Gauss rule that is exact for the products
 involved.  This makes the functionals exactly dual to the basis, so the
 operator is a projector onto the space and reproduces polynomials up to
 degree p.
+
+`UnivariateSpline.element_tables` tabulates one direction on its
+per-element Gauss grid; the tensor quadrature mesh built from two of
+them, with points, weights and basis values, is `assembly.MeshTables`,
+the one quadrature layer that assembly, area, error norms and
+calibration share.
 """
 
 from __future__ import annotations
@@ -140,11 +146,6 @@ class UnivariateSpline:
         ders = _basis_derivatives(self.knots, self.degree, x, spans, nderiv)
         return spans - self.degree, ders
 
-    def element_span(self, e: int):
-        """Knot span index of element e."""
-        mid = (e + 0.5) * self.mesh_size
-        return int(self.find_span(np.array([mid]))[0])
-
     def element_tables(self, n_quad: int, nderiv: int = 1):
         """Per-element Gauss tabulation.
 
@@ -169,13 +170,6 @@ class UnivariateSpline:
             == first[:, None]
         )
         return points, weights, first, values
-
-    def greville_points(self):
-        """Knot averages, one per basis function."""
-        p = self.degree
-        return np.array(
-            [self.knots[j + 1 : j + p + 1].mean() for j in range(self.dim)]
-        )
 
 
 class TensorSplineSpace:
@@ -247,38 +241,6 @@ def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSpline
         UnivariateSpline(degree, smoothness, num_elements),
         UnivariateSpline(degree, smoothness, num_elements),
     )
-
-
-class ParametricMesh:
-    """Uniform N x N quadrature mesh on the unit square."""
-
-    def __init__(self, num_elements: int, n_quad: int):
-        if num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
-        if n_quad < 1:
-            raise ValueError("n_quad must be >= 1")
-        self.num_elements = num_elements
-        self.n_quad = n_quad
-        self.mesh_size = 1.0 / num_elements
-
-        xq, wq = gauss_rule(n_quad)
-        h = self.mesh_size
-        self.points_1d = np.arange(num_elements)[:, None] * h + xq[None, :] * h
-        self.weights_1d = wq * h
-        # per-element 2D weights (same on every element)
-        self.weights_2d = np.outer(self.weights_1d, self.weights_1d).ravel()
-
-    @property
-    def num_elements_2d(self):
-        return self.num_elements ** 2
-
-    def all_points(self):
-        """All quadrature points, elements in row-major order, (Ne*nq^2, 2)."""
-        n, nq = self.num_elements, self.n_quad
-        shape = (n, n, nq, nq)
-        U = np.broadcast_to(self.points_1d[:, None, :, None], shape)
-        V = np.broadcast_to(self.points_1d[None, :, None, :], shape)
-        return np.stack([U.ravel(), V.ravel()], axis=-1)
 
 
 class QuasiInterpolant:
@@ -372,16 +334,9 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
     return W, points.ravel()
 
 
-def build_quasi_interpolant(space: TensorSplineSpace, n_quad: int | None = None):
+def build_quasi_interpolant(space: TensorSplineSpace):
     """Quasi-interpolant with the standard (p + 2)-point functional rule."""
-    if n_quad is None:
-        n_quad = max(space.u.degree, space.v.degree) + 2
-    return QuasiInterpolant(space, n_quad)
-
-
-def apply_quasi_interpolant(Q: QuasiInterpolant, f, zero_boundary: bool = False):
-    """Coefficients of Q(f); see QuasiInterpolant.__call__."""
-    return Q(f, zero_boundary=zero_boundary)
+    return QuasiInterpolant(space, max(space.degree) + 2)
 
 
 # Edge conventions for the boundary of the unit square: the running
@@ -435,10 +390,3 @@ class BoundaryTraceSpace:
         rows = self._row_of_flat[np.asarray(flat)]
         assert np.all(rows >= 0)
         return rows
-
-    def edge_rows(self, edge: int):
-        return self.row_of_flat(self.edge_flat_indices[edge])
-
-
-def boundary_trace_space(space: TensorSplineSpace) -> BoundaryTraceSpace:
-    return BoundaryTraceSpace(space)

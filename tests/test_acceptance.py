@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mcflow.assembly import assemble_boundary_load
+from mcflow.assembly import MeshTables, assemble_boundary_load
 from mcflow.config import ScenarioConfig
 from mcflow.convergence import convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
 from mcflow.scenarios import get_scenario
 from mcflow.splines import (
-    ParametricMesh,
     build_quasi_interpolant,
     build_space,
     edge_points,
@@ -263,9 +262,9 @@ def test_criterion_8_projector_and_oracle_suite(example2):
             sp_n = build_space(p, l, N)
             q_n = build_quasi_interpolant(sp_n)
             f_n = SplineField(sp_n, q_n(smooth))
-            mesh = ParametricMesh(N, p + 2)
-            mpts = mesh.all_points()
-            w = np.tile(mesh.weights_2d, mesh.num_elements_2d)
+            tables = MeshTables(sp_n, p + 2)
+            mpts = tables.points.reshape(-1, 2)
+            w = np.tile(tables.weights, tables.num_elements)
             d = f_n.eval(mpts)[:, 0] - smooth(mpts)
             errs.append(np.sqrt(np.sum(w * d * d)))
         eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

@@ -11,7 +11,6 @@ from mcflow.assembly import (
     ElementGeometry,
     MeshTables,
     assemble_boundary_load,
-    assemble_boundary_mass,
     assemble_constraint,
     assemble_curvature_load,
     assemble_mass_stiffness,
@@ -113,6 +112,30 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
                     w = wa * wb * h * h * 4.0  # area element of the flat map
                     dense[np.ix_(idx, idx)] += w * np.outer(vals, vals)
     assert np.abs(M.toarray() - dense).max() < 1e-13
+
+
+def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
+    """Summing into the fixed CSR pattern equals a COO -> CSR assembly.
+
+    M and A of two different geometries all carry the same canonical
+    pattern (sorted column indices, no duplicates) as the reference.
+    """
+    prob, st = sphere_problem
+    tables = prob.tables
+    rows = np.repeat(tables.conn, tables.nloc, axis=1).ravel()
+    cols = np.tile(tables.conn, (1, tables.nloc)).ravel()
+    w, B, dB = tables.weights, tables.basis, tables.basis_grad
+    for x in (st.x, st.x + 0.01 * rng.normal(size=st.x.shape)):
+        geom = ElementGeometry(tables, x)
+        q = geom.area_element
+        Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B)
+        Aloc = np.einsum("q,eq,eqia,eqab,eqjb->eij", w, q, dB, geom.metric_inv, dB)
+        for got, loc in zip(assemble_mass_stiffness(tables, geom), (Mloc, Aloc)):
+            ref = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=got.shape).tocsr()
+            assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+            assert got.has_canonical_format
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
 
 
 def test_interior_block_shape(flat_setup):
@@ -295,14 +318,6 @@ def test_constraint_on_flat_square():
     prob, _ = initialize(cfg)
     ez = np.tile(np.array([0.0, 0.0, 1.0]), (prob.space.dim, 1))
     assert constraint_residual(prob.S, ez) < 1e-12
-
-
-def test_boundary_mass_positive_definite(sphere_problem):
-    prob, _ = sphere_problem
-    Mb = assemble_boundary_mass(prob.btables)
-    assert abs((Mb - Mb.T)).max() < 1e-14
-    evals = np.linalg.eigvalsh(Mb.toarray())
-    assert evals.min() > 0.0
 
 
 def test_boundary_tables_require_freeze(space_small):

@@ -200,7 +200,7 @@ def test_cli_solve_dump_matrices(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     save_config(cfg, cfg_path)
     assert cli_main(["solve", "--config", str(cfg_path), "--dump-matrices"]) == 0
-    for name in ("mass", "stiffness", "constraint", "boundary_mass"):
+    for name in ("mass", "stiffness", "constraint"):
         assert (tmp_path / "out" / f"{name}.mtx").exists()
 
 

@@ -7,10 +7,11 @@ import pytest
 
 import mcflow.assembly
 import mcflow.flow
+from mcflow.assembly import MeshTables
 from mcflow.config import ScenarioConfig
 from mcflow.flow import BdfScheme, FlowProblem
-from mcflow.geometry import SplineField, surface_area
-from mcflow.splines import ParametricMesh, build_quasi_interpolant, build_space
+from mcflow.geometry import SplineField
+from mcflow.splines import build_quasi_interpolant, build_space
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -30,6 +31,7 @@ def test_apply_to_values_matches_einsum(p, N, rng):
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_flow_area_matches_surface_area(scenario):
+    """The area on the tables' Jacobians equals a pointwise evaluation."""
     p, N = 2, 8
     cfg = ScenarioConfig(
         scenario=scenario,
@@ -42,21 +44,26 @@ def test_flow_area_matches_surface_area(scenario):
     )
     prob = FlowProblem(cfg)
     x = prob.quasi(prob.scenario.position)
-    ref = surface_area(SplineField(prob.space, x), ParametricMesh(N, p + 1))
+    tables = MeshTables(prob.space, p + 1)
+    _, J = SplineField(prob.space, x).eval(tables.points.reshape(-1, 2), 1)
+    dens = np.sqrt(np.linalg.det(np.einsum("nda,ndb->nab", J, J)))
+    ref = np.sum(np.tile(tables.weights, tables.num_elements) * dens)
     assert abs(prob.area(x) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("N, nq", [(1, 3), (5, 3), (7, 4)])
 def test_all_points_matches_element_loop(N, nq):
-    mesh = ParametricMesh(N, nq)
+    """MeshTables points and weights equal a per-element tensor loop."""
+    space = build_space(2, 1, N)
+    tables = MeshTables(space, nq)
+    points_1d, weights_1d, _, _ = space.u.element_tables(nq)
     blocks = []
     for eu in range(N):
         for ev in range(N):
-            U, V = np.meshgrid(
-                mesh.points_1d[eu], mesh.points_1d[ev], indexing="ij"
-            )
+            U, V = np.meshgrid(points_1d[eu], points_1d[ev], indexing="ij")
             blocks.append(np.column_stack([U.ravel(), V.ravel()]))
-    assert np.array_equal(mesh.all_points(), np.vstack(blocks))
+    assert np.array_equal(tables.points.reshape(-1, 2), np.vstack(blocks))
+    assert np.array_equal(tables.weights, np.outer(weights_1d, weights_1d).ravel())
 
 
 def test_step_evaluates_weingarten_energy_once(monkeypatch):

@@ -7,15 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mcflow.assembly import SolverFailure
 from mcflow.config import ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
-from mcflow.flow import (
-    BdfScheme,
-    FlowProblem,
-    SolverFailure,
-    bdf_coefficients,
-    run,
-)
+from mcflow.flow import BdfScheme, FlowProblem, bdf_coefficients, run
 
 
 def small_cfg(**kw):

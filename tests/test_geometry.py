@@ -1,22 +1,14 @@
-"""Surface geometry of spline fields: metric, normal, area, frames."""
+"""Surface geometry of spline fields: evaluation, metric, area."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from mcflow.geometry import (
-    DegenerateSurface,
-    SplineField,
-    boundary_frame,
-    geometry_at,
-    surface_area,
-    surface_gradient,
-    weingarten,
-)
+from mcflow.assembly import ElementGeometry, MeshTables, weingarten_energy
+from mcflow.geometry import DegenerateSurface, SplineField, surface_area
 from mcflow.scenarios import get_scenario
-from mcflow.splines import ParametricMesh, build_quasi_interpolant, build_space
-from tests.conftest import interior_grid
+from mcflow.splines import build_quasi_interpolant, build_space
 
 
 @pytest.fixture(scope="module")
@@ -63,41 +55,38 @@ def test_eval_edge_matches_full_eval(space_small, rng):
 
 
 def test_flat_square_geometry():
-    """X(u,v) = (2u-1, 2v-1, 0): metric 4I, area 4, normal e_z."""
+    """X(u,v) = (2u-1, 2v-1, 0): metric 4I, area element 4, area 4."""
     space = build_space(2, 1, 4)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
     X = SplineField(space, quasi(sc.position))
-    g = geometry_at(X, (0.3, 0.7))
-    assert np.allclose(g.metric, 4.0 * np.eye(2), atol=1e-12)
-    assert np.allclose(g.normal, [0.0, 0.0, 1.0], atol=1e-13)
-    assert abs(g.area_element - 4.0) < 1e-12
-    assert abs(surface_area(X, ParametricMesh(4, 3)) - 4.0) < 1e-12
+    tables = MeshTables(space, 3)
+    geom = ElementGeometry(tables, X.coeffs)
+    assert np.allclose(geom.metric, 4.0 * np.eye(2), atol=1e-12)
+    assert np.allclose(geom.metric_inv, 0.25 * np.eye(2), atol=1e-13)
+    assert np.abs(geom.area_element - 4.0).max() < 1e-12
+    assert abs(surface_area(X, tables) - 4.0) < 1e-12
 
 
 def test_surface_gradient_tangential_and_exact():
-    """grad_Gamma of a linear ambient function restricted to the flat square."""
+    """grad_Gamma of linear ambient functions restricted to the flat square.
+
+    `weingarten_energy` pushes the parametric gradients forward with
+    J G^{-1}; for f = (3x - 2y, x + 4y) the surface gradients are the rows
+    (3, -2, 0) and (1, 4, 0), so |grad_Gamma f|^2 = 30 at every point.
+    """
     space = build_space(2, 1, 5)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
-    X = SplineField(space, quasi(sc.position))
-    # f(x, y, z) = 3x - 2y pulled back through X
-    f = SplineField(space, quasi(lambda p: 3.0 * (2 * p[:, 0] - 1) - 2.0 * (2 * p[:, 1] - 1)))
-    g = geometry_at(X, (0.4, 0.6))
-    grad = surface_gradient(f, g)
-    assert np.allclose(grad, [3.0, -2.0, 0.0], atol=1e-11)
+    x = quasi(sc.position)
 
+    def f(p):
+        xs, ys = 2 * p[:, 0] - 1, 2 * p[:, 1] - 1
+        return np.column_stack([3.0 * xs - 2.0 * ys, xs + 4.0 * ys])
 
-def test_weingarten_invariants_on_sphere(sphere_surface):
-    """Inward-normal unit sphere: tr A = -2 and |A|^2 = 2."""
-    sc, X = sphere_surface
-    quasi = build_quasi_interpolant(X.space)
-    NU = SplineField(X.space, quasi(sc.normal))
-    for pt in interior_grid(5, margin=0.25):
-        g = geometry_at(X, pt)
-        _, frob2, tr = weingarten(NU, g)
-        assert abs(tr + 2.0) < 5e-3
-        assert abs(frob2 - 2.0) < 5e-3
+    tables = MeshTables(space, 3)
+    frob2 = weingarten_energy(tables, ElementGeometry(tables, x), quasi(f))
+    assert np.abs(frob2 - 30.0).max() < 1e-11
 
 
 def test_surface_area_converges_to_analytic(sphere_surface):
@@ -110,28 +99,13 @@ def test_surface_area_converges_to_analytic(sphere_surface):
         space = build_space(2, 1, N)
         quasi = build_quasi_interpolant(space)
         X = SplineField(space, quasi(sc.position))
-        errs.append(abs(surface_area(X, ParametricMesh(N, 3)) - exact))
+        errs.append(abs(surface_area(X, MeshTables(space, 3)) - exact))
     # area error of the interpolated surface decays at order p + 1
     assert errs[2] < errs[1] < errs[0]
     assert errs[1] / errs[2] > 2.0 ** 2.5
 
 
-def test_boundary_frame_orthonormal(sphere_surface):
-    sc, X = sphere_surface
-    from mcflow.splines import edge_points
-
-    for edge in range(4):
-        s = 0.37
-        nu = sc.normal(edge_points(edge, np.array([s])))[0]
-        fr = boundary_frame(X, nu, edge, s)
-        assert abs(np.linalg.norm(fr.tangent) - 1.0) < 1e-12
-        assert abs(np.dot(fr.conormal, fr.tangent)) < 1e-12
-        # curvature vector is orthogonal to the tangent by construction
-        assert abs(np.dot(fr.curvature_vector, fr.tangent)) < 1e-10
-        assert fr.length_element > 0.0
-
-
 def test_degenerate_surface_raises(space_small):
     X = SplineField(space_small, np.zeros((space_small.dim, 3)))
     with pytest.raises(DegenerateSurface):
-        geometry_at(X, (0.5, 0.5))
+        surface_area(X, MeshTables(space_small, 3))

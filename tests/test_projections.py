@@ -14,7 +14,6 @@ from mcflow.projections import (
     NoContraction,
     RitzConfig,
     boundary_quasi_interp,
-    linear_ritz_zero_trace,
     nonlinear_ritz_normal,
     project_velocity,
 )
@@ -96,33 +95,6 @@ def test_project_velocity_zero_trace_and_values(rng):
         -kap.eval(quasi.grid_points)[:, [0]] * nu.eval(quasi.grid_points)
     )
     assert np.abs(v[space.interior_indices] - direct[space.interior_indices]).max() < 1e-13
-
-
-# -- linear zero-trace projection ----------------------------------------------
-
-
-def test_linear_ritz_reproduces_zero_trace_spline(rng):
-    """Data already in the zero-trace space on the same surface is a fixed point."""
-    prob = _sphere_problem(6)
-    x_field = SplineField(prob.space, prob.quasi(prob.scenario.position))
-    target = np.zeros(prob.space.dim)
-    target[prob.space.interior_indices] = rng.normal(
-        size=len(prob.space.interior_indices)
-    )
-    tf = SplineField(prob.space, target)
-
-    from mcflow.projections import SplineSource
-
-    src = SplineSource(x_field, None)
-
-    def u_vals(pts):
-        return tf.eval(pts)[:, 0]
-
-    def u_grads(pts):
-        return tf.eval(pts, 1)[1][:, 0, :]
-
-    out = linear_ritz_zero_trace(x_field, src, u_vals, u_grads)
-    assert np.abs(out.coeffs - target).max() < 1e-9
 
 
 # -- nonlinear normal projection -------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+from mcflow.assembly import MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
     BoundaryTraceSpace,
-    ParametricMesh,
     UnivariateSpline,
     build_quasi_interpolant,
     build_space,
@@ -159,9 +159,9 @@ def test_quasi_interpolant_l2_order(p, l, gate):
         space = build_space(p, l, N)
         quasi = build_quasi_interpolant(space)
         fld = SplineField(space, quasi(f))
-        mesh = ParametricMesh(N, p + 2)
-        pts = mesh.all_points()
-        w = np.tile(mesh.weights_2d, mesh.num_elements_2d)
+        tables = MeshTables(space, p + 2)
+        pts = tables.points.reshape(-1, 2)
+        w = np.tile(tables.weights, tables.num_elements)
         d = fld.eval(pts)[:, 0] - f(pts)
         errs.append(np.sqrt(np.sum(w * d * d)))
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -214,7 +214,8 @@ def test_boundary_trace_space(space_small, rng):
     n = space_small.u.dim
     assert traces.num_rows == 4 * n - 4
     # corners are shared between adjacent edges
-    assert traces.edge_rows(0)[0] == traces.edge_rows(3)[0]
+    corner = traces.row_of_flat([traces.edge_flat_indices[k][0] for k in (0, 3)])
+    assert corner[0] == corner[1]
     coeffs = rng.normal(size=(space_small.dim, 2))
     fld = SplineField(space_small, coeffs)
     s = rng.uniform(0.0, 1.0, size=40)
