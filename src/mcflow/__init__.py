@@ -22,7 +22,6 @@ from .geometry import DegenerateSurface, SplineField, metric_pieces, surface_are
 from .projections import (
     BoundaryData,
     NoContraction,
-    RitzConfig,
     boundary_quasi_interp,
     nonlinear_ritz_normal,
     project_velocity,

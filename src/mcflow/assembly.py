@@ -7,9 +7,14 @@ mesh, the basis tabulations and the CSR sparsity pattern of the space,
 so repeated assembly on a moving surface only re-does the
 coefficient-dependent contractions and then sums the element entries
 into the fixed pattern with one `np.bincount`.  Mass and stiffness
-share that pattern.  Vector-valued systems stack coefficients
+share that pattern.
+
+Every linear system for the normal, in the flow step and in the Ritz
+projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
+multiplier enforces the boundary constraint; `constrained_solver` is
+the only code that builds it.  It stacks (dim, 3) coefficients
 component-major, i.e. [all x | all y | all z], matching
-`scipy.sparse.block_diag`.
+`scipy.sparse.block_diag`, and puts the multiplier last.
 
 Boundary terms live on the four edges of the parametric square.  The
 constraint matrix S has one row per distinct boundary control point and
@@ -195,6 +200,27 @@ def factor_symmetric(K):
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def constrained_solver(K, S, tol, what):
+    """Factor the saddle system [[I3 (x) K, S^T], [S, 0]] once.
+
+    K is a dim x dim symmetric block shared by the three components and S
+    the tangential-trace constraint.  Returns `solve(f)`, which takes a
+    (dim, 3) load and returns (w (dim, 3), multiplier, relative residual)
+    with S w = 0; the residual is gated by `check_residual(..., tol, what)`.
+    """
+    dim = K.shape[0]
+    saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
+    lu = factor_symmetric(saddle)
+
+    def solve(f):
+        rhs = np.concatenate([stack_components(f), np.zeros(S.shape[0])])
+        sol = lu.solve(rhs)
+        res = check_residual(saddle, sol, rhs, tol, what)
+        return unstack_components(sol[: 3 * dim], dim), sol[3 * dim :], res
+
+    return solve
 
 
 def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):

@@ -77,7 +77,7 @@ def cmd_converge(args):
 
     cfg = _apply_overrides(load_config(args.config), args)
     levels = [int(v) for v in args.levels.split(",")]
-    report = convergence_study(cfg, levels)
+    report = convergence_study(cfg, levels, t_final=cfg.t_final)
     out = cfg_dir(cfg) if cfg.output_dir else Path(".")
     path = save_report(report, out / "convergence.json")
     print(f"wrote {path}")

@@ -4,8 +4,8 @@ The CSV uses a fixed header and 17-significant-digit formatting, enough
 for float64 round trips, so two identical runs produce byte-identical
 files in every column except the wallclock.  VTK snapshots sample the
 spline surface on a uniform parametric grid and write an unstructured
-quad mesh with point data for curvature, normal and velocity; the
-default is legacy ASCII, with an XML (.vtu) variant behind a flag.
+quad mesh with point data for curvature, normal and velocity, as
+legacy ASCII VTK.
 """
 
 from __future__ import annotations
@@ -76,15 +76,12 @@ def _sample_grid(problem, state, resolution: int):
     return pos, kap, nu, vel, np.array(quads, dtype=int)
 
 
-def export_vtk(problem, state, path, resolution: int = 2, xml: bool = False):
-    """Write a VTK snapshot of the surface with its field data."""
+def export_vtk(problem, state, path, resolution: int = 2):
+    """Write a legacy VTK snapshot of the surface with its field data."""
     pos, kap, nu, vel, quads = _sample_grid(problem, state, resolution)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if xml:
-        _write_vtu(path, pos, kap, nu, vel, quads)
-    else:
-        _write_legacy_vtk(path, pos, kap, nu, vel, quads)
+    _write_legacy_vtk(path, pos, kap, nu, vel, quads)
     return path
 
 
@@ -112,48 +109,3 @@ def _write_legacy_vtk(path, pos, kap, nu, vel, quads):
     out.append("VECTORS velocity double")
     out += [" ".join(_fmt(c) for c in p) for p in vel]
     Path(path).write_text("\n".join(out) + "\n")
-
-
-def _write_vtu(path, pos, kap, nu, vel, quads):
-    npts = len(pos)
-    ncell = len(quads)
-
-    def da(name, data, ncomp):
-        flat = np.asarray(data).reshape(npts, -1)
-        body = "\n".join(" ".join(_fmt(v) for v in row) for row in flat)
-        return (
-            f'<DataArray type="Float64" Name="{name}" '
-            f'NumberOfComponents="{ncomp}" format="ascii">\n{body}\n</DataArray>'
-        )
-
-    conn = "\n".join(" ".join(str(i) for i in q) for q in quads)
-    offs = " ".join(str(4 * (i + 1)) for i in range(ncell))
-    types = " ".join("9" for _ in range(ncell))
-    xml = f"""<?xml version="1.0"?>
-<VTKFile type="UnstructuredGrid" version="0.1" byte_order="LittleEndian">
-<UnstructuredGrid>
-<Piece NumberOfPoints="{npts}" NumberOfCells="{ncell}">
-<Points>
-{da("points", pos, 3)}
-</Points>
-<Cells>
-<DataArray type="Int64" Name="connectivity" format="ascii">
-{conn}
-</DataArray>
-<DataArray type="Int64" Name="offsets" format="ascii">
-{offs}
-</DataArray>
-<DataArray type="UInt8" Name="types" format="ascii">
-{types}
-</DataArray>
-</Cells>
-<PointData Scalars="kappa">
-{da("kappa", kap, 1)}
-{da("nu", nu, 3)}
-{da("velocity", vel, 3)}
-</PointData>
-</Piece>
-</UnstructuredGrid>
-</VTKFile>
-"""
-    Path(path).write_text(xml)

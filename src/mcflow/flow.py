@@ -3,11 +3,12 @@
 Each step extrapolates surface, normal and curvature from the history,
 assembles mass/stiffness and the nonlinear loads on the extrapolated
 surface, then solves two linear systems: a zero-trace parabolic step
-for the curvature and a saddle system for the normal whose multiplier
-enforces discrete tangential orthogonality of the boundary trace.  The
-velocity is the quasi-interpolant of -kappa * nu with exactly zero
-boundary coefficients, and the position update resets the boundary rows
-to their initial values so the Dirichlet data is preserved bit for bit.
+for the curvature and, through `assembly.constrained_solver`, a saddle
+system for the normal whose multiplier enforces discrete tangential
+orthogonality of the boundary trace.  The velocity is the
+quasi-interpolant of -kappa * nu with exactly zero boundary
+coefficients, and the position update resets the boundary rows to their
+initial values so the Dirichlet data is preserved bit for bit.
 
 The BDF coefficients come from the generating polynomials
 
@@ -16,7 +17,9 @@ The BDF coefficients come from the generating polynomials
 evaluated exactly in rational arithmetic; orders 1 and 2 are supported.
 The history grows up to the scheme's order and each step uses the
 highest order it supports, so a q=2 run bootstraps with a single q=1
-step.
+step.  `FlowProblem` rejects a config with `ConfigError` before any
+set-up unless dt > 0 divides t_final >= 0 into whole steps and the
+snapshot stride is non-negative.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     BoundaryTables,
@@ -39,18 +41,15 @@ from .assembly import (
     assemble_mass_stiffness,
     assemble_normal_load,
     check_residual,
+    constrained_solver,
     constraint_residual,
     factor_symmetric,
     interior_block,
-    stack_components,
-    unstack_components,
     weingarten_energy,
 )
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .geometry import SplineField, surface_area
 from .projections import (
-    AnalyticSource,
-    RitzConfig,
     boundary_quasi_interp,
     nonlinear_ritz_normal,
     project_velocity,
@@ -159,6 +158,7 @@ class FlowProblem:
     """Discretization context for one scenario run."""
 
     def __init__(self, cfg: ScenarioConfig):
+        _check_time_grid(cfg)
         self.cfg = cfg
         self.scenario = get_scenario(cfg.scenario, **cfg.scenario_params())
         self.space = build_space(cfg.degree, cfg.smoothness, cfg.elements_per_side)
@@ -168,12 +168,6 @@ class FlowProblem:
         # The conormal load integrand stacks five spline factors, so the
         # boundary rule is sized for degree 5p rather than 2p.
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
-        self.ritz_cfg = RitzConfig(
-            lam=cfg.ritz_lambda,
-            fp_tol=cfg.ritz_fp_tol,
-            fp_max_iter=cfg.ritz_fp_max_iter,
-            lambda_growth=cfg.ritz_lambda_growth,
-        )
         # filled by initialize()
         self.S = None
         self.boundary_data = None
@@ -202,7 +196,7 @@ class FlowProblem:
 
         kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
         nu_field, self.ritz_info = nonlinear_ritz_normal(
-            x_field, AnalyticSource(sc), self.btables, self.S, self.quasi, self.ritz_cfg
+            x_field, sc, self.btables, self.S, self.quasi, self.cfg
         )
         kappa_field = SplineField(self.space, kappa)
         v = project_velocity(self.quasi, kappa_field, nu_field)
@@ -249,14 +243,9 @@ class FlowProblem:
         f2 = assemble_normal_load(self.tables, geom, nu_ext, frob2)
         fb = assemble_boundary_load(self.btables, nu_ext)
         tail_n = scheme.derivative_tail("nu")
-        rhs_n = stack_components(f2 + fb - (M @ tail_n) / dt)
-        K3 = sp.block_diag([Kb, Kb, Kb])
-        saddle = sp.bmat([[K3, self.S.T], [self.S, None]], format="csc")
-        rhs_full = np.concatenate([rhs_n, np.zeros(self.S.shape[0])])
-        sol_n = factor_symmetric(saddle).solve(rhs_full)
-        res_n = check_residual(saddle, sol_n, rhs_full, tol, "normal solve")
-        nu = unstack_components(sol_n[: 3 * space.dim], space.dim)
-        multiplier = sol_n[3 * space.dim :]
+        nu, multiplier, res_n = constrained_solver(Kb, self.S, tol, "normal solve")(
+            f2 + fb - (M @ tail_n) / dt
+        )
 
         # velocity on the extrapolated surface, then position update
         v = project_velocity(
@@ -310,7 +299,7 @@ class FlowProblem:
         directory is configured.
         """
         cfg = self.cfg
-        num_steps = int(round(cfg.t_final / cfg.dt)) if cfg.dt > 0 else 0
+        num_steps = int(round(cfg.t_final / cfg.dt))
         state = self.initialize()
         diagnostics = [self.initial_diagnostics(state)]
         snapshots = []
@@ -351,6 +340,21 @@ class FlowProblem:
         out = cfg_dir(self.cfg)
         write_diagnostics_csv(diagnostics, out / "diagnostics_abort.csv")
         export_vtk(self, state, out / "last_good_state.vtk")
+
+
+def _check_time_grid(cfg: ScenarioConfig):
+    """Raise ConfigError unless dt > 0 divides t_final >= 0 into whole steps."""
+    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {cfg.dt!r}")
+    if not (np.isfinite(cfg.t_final) and cfg.t_final >= 0):
+        raise ConfigError(f"t_final must be finite and >= 0, got {cfg.t_final!r}")
+    steps = cfg.t_final / cfg.dt
+    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ConfigError(
+            f"t_final {cfg.t_final!r} is not a whole number of steps dt {cfg.dt!r}"
+        )
+    if cfg.snapshot_stride < 0:
+        raise ConfigError(f"snapshot_stride must be >= 0, got {cfg.snapshot_stride}")
 
 
 def cfg_dir(cfg: ScenarioConfig):

@@ -49,8 +49,8 @@ class SplineField:
     def eval(self, points, nderiv: int = 0):
         """Values and parametric derivatives at arbitrary points.
 
-        Returns `values` (n, D), plus `jac` (n, D, 2) if nderiv >= 1 and
-        `hess` (n, D, 2, 2) if nderiv == 2.  Scalar fields keep D = 1.
+        Returns `values` (n, D), or (values, jac) with `jac` (n, D, 2) if
+        nderiv == 1.  Scalar fields keep D = 1.
         """
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
@@ -75,13 +75,6 @@ class SplineField:
         if nderiv >= 1:
             jac = np.stack([contract(1, 0), contract(0, 1)], axis=-1)
             out.append(jac)
-        if nderiv >= 2:
-            hess = np.empty((len(pts), loc.shape[3], 2, 2))
-            hess[:, :, 0, 0] = contract(2, 0)
-            hess[:, :, 0, 1] = contract(1, 1)
-            hess[:, :, 1, 0] = hess[:, :, 0, 1]
-            hess[:, :, 1, 1] = contract(0, 2)
-            out.append(hess)
         if single:
             out = [a[0] for a in out]
         return out[0] if nderiv == 0 else tuple(out)

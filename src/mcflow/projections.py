@@ -4,14 +4,16 @@ Quasi-interpolation onto a surface applies the parametric coefficient
 functionals to the pullback of the data; the velocity is the zero-trace
 quasi-interpolant of -kappa * nu.  The Ritz projection of the normal
 compares the H1 form on the discrete initial surface with the same form
-on the analytic source surface.  It is nonlinear through an
-orientation-dependent boundary term and constrained to have boundary
-trace discretely orthogonal to the interpolated boundary tangent.  It is
-computed by a fixed-point iteration whose linear part (stiffness +
-lambda * mass + constraint saddle) is factorized once per stabilization
-weight; when the H1 increments expand or contract too slowly to finish
-within the iteration budget, lambda is multiplied by a growth factor and
-the iteration continues from the current iterate.
+on the scenario's exact surface, which it samples directly.  It is
+nonlinear through an orientation-dependent boundary term and constrained
+to have boundary trace discretely orthogonal to the interpolated
+boundary tangent.  It is computed by a fixed-point iteration whose
+linear part, the constraint saddle of stiffness + lambda * mass, is one
+`assembly.constrained_solver` per stabilization weight; the weight and
+the iteration budget come from the run's `ScenarioConfig`.  When the H1
+increments expand or contract too slowly to finish within the budget,
+lambda is multiplied by a growth factor and the iteration continues
+from the current iterate.
 
 The projection integrates with a rule one order finer than flow-step
 assembly, on both sides, so data already in the space on the same
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     BoundaryTables,
@@ -31,36 +32,15 @@ from .assembly import (
     MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
-    check_residual,
-    factor_symmetric,
+    constrained_solver,
     scatter_vector,
-    stack_components,
-    unstack_components,
 )
 from .geometry import SplineField, metric_pieces
-from .splines import QuasiInterpolant, _dual_weights, edge_points, gauss_rule
+from .splines import QuasiInterpolant, _dual_weights, edge_points
 
 
 class NoContraction(Exception):
     """Raised when the normal projection exhausts its iteration budget."""
-
-
-@dataclass
-class RitzConfig:
-    """Parameters of the nonlinear normal projection.
-
-    The fixed-point iteration runs at the smallest stabilization weight
-    that contracts: lam grows by lambda_growth only when the increments
-    expand or contract too slowly to reach fp_tol within the remaining
-    budget.  Large weights are counterproductive (the roundoff floor of
-    the increment scales with the weight), so stagnation below
-    100 * fp_tol is accepted as converged.
-    """
-
-    lam: float = 10.0
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 100
-    lambda_growth: float = 4.0
 
 
 @dataclass
@@ -110,69 +90,42 @@ def project_velocity(
 
 
 # ---------------------------------------------------------------------------
-# source-surface sampling
-
-
-class AnalyticSource:
-    """Scenario-backed geometry + data sampler for Ritz right-hand sides."""
-
-    def __init__(self, scenario):
-        self.scenario = scenario
-
-    def geometry(self, pts):
-        _, Ginv, q = metric_pieces(self.scenario.jacobian(pts))
-        return Ginv, q
-
-    def normal_data(self, pts):
-        return self.scenario.normal(pts), self.scenario.normal_jacobian(pts)
-
-    def edge_data(self, edge, s):
-        c1, _ = self.scenario.edge_derivatives(edge, s)
-        pts_len = np.linalg.norm(c1, axis=1)
-        nu = self.scenario.normal(edge_points(edge, s))
-        tau = self.scenario.boundary_tangent(edge, s)
-        kap = self.scenario.boundary_curvature(edge, s)
-        return nu, tau, kap, pts_len
-
-
-# ---------------------------------------------------------------------------
 # nonlinear normal projection
 
 
-def nonlinear_ritz_normal(
-    x_field: SplineField,
-    source: AnalyticSource,
-    btables: BoundaryTables,
-    S: sp.spmatrix,
-    quasi: QuasiInterpolant,
-    cfg: RitzConfig | None = None,
-):
-    """Constrained H1 projection of the source normal field.
+def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg):
+    """Constrained H1 projection of the normal of `scenario`.
+
+    The fixed-point iteration runs at the smallest stabilization weight
+    that contracts, starting from `cfg.ritz_lambda`: the weight grows by
+    `cfg.ritz_lambda_growth` only when the H1 increments expand or
+    contract too slowly to reach `cfg.ritz_fp_tol` within the remaining
+    budget of `cfg.ritz_fp_max_iter` iterations.  Large weights are
+    counterproductive (the roundoff floor of the increment scales with
+    the weight), so stagnation below 100 * ritz_fp_tol is accepted as
+    converged.
 
     `quasi` is the (p + 2)-point quasi-interpolant of the space; the
-    starting guess interpolates the source normal with it.  Returns
-    (SplineField, info) with info recording the lambda used, iteration
-    count and the H1 increments.  Raises NoContraction when the combined
-    iteration budget is exhausted.
+    starting guess is the constrained L2 projection of its interpolant
+    of the scenario normal.  Returns (SplineField, info) with info
+    recording the lambda used, iteration count and the H1 increments.
+    Raises NoContraction when the combined iteration budget is exhausted.
     """
-    cfg = cfg or RitzConfig()
     space = x_field.space
     nq = max(space.degree) + 2
     tables = MeshTables(space, nq)
     geom = ElementGeometry(tables, x_field.coeffs)
     M, A = assemble_mass_stiffness(tables, geom)
     dim = space.dim
-    n_mult = S.shape[0]
 
-    # right-hand side on the source surface (independent of the iterate)
+    # right-hand side on the scenario surface (independent of the iterate)
     pts = tables.points.reshape(-1, 2)
-    Ginv_s, q_s = source.geometry(pts)
+    _, Ginv_s, q_s = metric_pieces(scenario.jacobian(pts))
     ne, nq2 = tables.points.shape[:2]
     Ginv_s = Ginv_s.reshape(ne, nq2, 2, 2)
     q_s = q_s.reshape(ne, nq2)
-    Nvals, Njac = source.normal_data(pts)
-    Nvals = Nvals.reshape(ne, nq2, 3)
-    Njac = Njac.reshape(ne, nq2, 3, 2)
+    Nvals = scenario.normal(pts).reshape(ne, nq2, 3)
+    Njac = scenario.normal_jacobian(pts).reshape(ne, nq2, 3, 2)
     w = tables.weights
 
     def interior_rhs(lam):
@@ -182,72 +135,62 @@ def nonlinear_ritz_normal(
         return scatter_vector(tables.conn, local, dim)
 
     # analytic boundary term, moved to the right-hand side with minus sign
-    xb, wb = gauss_rule(nq)
     rows, entries = [], []
     for edge in range(4):
         uspace = btables.traces.edge_spaces[edge]
-        h = uspace.mesh_size
-        svals = (np.arange(uspace.num_elements)[:, None] * h + xb[None, :] * h).ravel()
-        nu_b, tau_b, kap_b, speed = source.edge_data(edge, svals)
-        alpha = np.einsum("nd,nd->n", kap_b, nu_b)
-        mu = np.cross(nu_b, tau_b)
-        first, ders = uspace.eval_basis(svals, 0)
-        weights_s = np.tile(wb * h, uspace.num_elements)
-        dens = weights_s * speed * alpha
-        flat_edge = btables.traces.edge_flat_indices[edge]
-        p1 = uspace.degree + 1
-        idx_loc = first[:, None] + np.arange(p1)[None, :]
-        entries.append(dens[:, None, None] * mu[:, None, :] * ders[:, 0, :, None])
-        rows.append(flat_edge[idx_loc])
-    rhs_b = scatter_vector(np.concatenate(rows), np.concatenate(entries), dim)
+        svals, wts, first, vals = uspace.element_tables(nq, nderiv=0)
+        s = svals.ravel()
+        vec = svals.shape + (3,)  # (Ne, nq, 3)
+        nu_b = scenario.normal(edge_points(edge, s)).reshape(vec)
+        kap_b = scenario.boundary_curvature(edge, s).reshape(vec)
+        mu = np.cross(nu_b, scenario.boundary_tangent(edge, s).reshape(vec))
+        speed = np.linalg.norm(scenario.edge_derivatives(edge, s)[0], axis=1)
+        dens = wts * speed.reshape(svals.shape) * np.einsum("eqd,eqd->eq", kap_b, nu_b)
+        basis = vals[:, :, 0, :]  # (Ne, nq, p+1)
+        local = first[:, None] + np.arange(uspace.degree + 1)[None, :]
+        flat = btables.traces.edge_flat_indices[edge][local]  # (Ne, p+1)
+        entries.append(dens[..., None, None] * mu[:, :, None, :] * basis[..., None])
+        rows.append(np.broadcast_to(flat[:, None, :], basis.shape))
+    rhs_b = scatter_vector(
+        np.concatenate([r.ravel() for r in rows]),
+        np.concatenate([e.reshape(-1, 3) for e in entries]),
+        dim,
+    )
     # (sign: the projection identity carries -boundary term on both sides)
 
     history = []
-    lam = cfg.lam
+    lam = cfg.ritz_lambda
     total_iters = 0
-    A3 = sp.block_diag([A, A, A]).tocsr()
-    M3 = sp.block_diag([M, M, M]).tocsr()
-    H1 = (A3 + M3).tocsr()  # increment norm
+    h1 = A + M  # Gram matrix of the increment norm
 
     # starting guess: constrained L2 projection of the interpolated normal
-    nu0_coeffs = quasi.apply_to_values(
-        np.asarray(source.normal_data(quasi.grid_points)[0])
-    )
-    current = _constrained_l2(M3, S, stack_components(nu0_coeffs))
+    current = constrained_solver(M, S, 1e-9, "normal projection start")(
+        M @ quasi(scenario.normal)
+    )[0]
 
-    while total_iters < cfg.fp_max_iter:
-        K = sp.bmat(
-            [[A3 + lam * M3, S.T], [S, None]], format="csc"
-        )
-        lu = factor_symmetric(K)
-        rhs_fixed = stack_components(interior_rhs(lam) - rhs_b)
+    while total_iters < cfg.ritz_fp_max_iter:
+        # a fixed gate: the flow's solver_residual_tol governs steps only
+        solve = constrained_solver(A + lam * M, S, 1e-9, "normal projection solve")
+        rhs_fixed = interior_rhs(lam) - rhs_b
         prev_inc = None
         escalate = False
-        while total_iters < cfg.fp_max_iter and not escalate:
-            fb_iter = assemble_boundary_load(
-                btables, unstack_components(current, dim)
-            )
-            rhs = np.concatenate([rhs_fixed + stack_components(fb_iter),
-                                  np.zeros(n_mult)])
-            sol = lu.solve(rhs)
-            # a fixed gate: the flow's solver_residual_tol governs steps only
-            check_residual(K, sol, rhs, 1e-9, "normal projection solve")
-            new = sol[: 3 * dim]
+        while total_iters < cfg.ritz_fp_max_iter and not escalate:
+            new = solve(rhs_fixed + assemble_boundary_load(btables, current))[0]
             d = new - current
-            inc = float(np.sqrt(d @ (H1 @ d)))
+            inc = float(np.sqrt(np.sum(d * (h1 @ d))))
             history.append(inc)
             current = new
             total_iters += 1
-            converged = inc <= cfg.fp_tol
+            converged = inc <= cfg.ritz_fp_tol
             if prev_inc is not None and not converged:
                 ratio = inc / prev_inc
                 if ratio >= 1.0:
                     # expanding, or stuck on the solver roundoff floor
-                    converged = inc <= 100.0 * cfg.fp_tol
+                    converged = inc <= 100.0 * cfg.ritz_fp_tol
                     escalate = not converged
                 elif (
-                    np.log(cfg.fp_tol / inc) / np.log(ratio)
-                    > cfg.fp_max_iter - total_iters
+                    np.log(cfg.ritz_fp_tol / inc) / np.log(ratio)
+                    > cfg.ritz_fp_max_iter - total_iters
                 ):
                     escalate = True  # contraction too slow for the budget
             if converged:
@@ -256,20 +199,10 @@ def nonlinear_ritz_normal(
                     "iterations": total_iters,
                     "increments": history,
                 }
-                nu = unstack_components(current, dim)
-                return SplineField(space, nu), info
+                return SplineField(space, current), info
             prev_inc = inc
-        lam *= cfg.lambda_growth
+        lam *= cfg.ritz_lambda_growth
     raise NoContraction(
-        f"normal projection: no convergence within {cfg.fp_max_iter} iterations "
-        f"(last lambda {lam:g})"
+        f"normal projection: no convergence within {cfg.ritz_fp_max_iter} "
+        f"iterations (last lambda {lam:g})"
     )
-
-
-def _constrained_l2(M3, S, target_vec):
-    """L2 projection onto the constraint set S w = 0."""
-    n_mult = S.shape[0]
-    K = sp.bmat([[M3, S.T], [S, None]], format="csc")
-    rhs = np.concatenate([M3 @ target_vec, np.zeros(n_mult)])
-    sol = factor_symmetric(K).solve(rhs)
-    return sol[: M3.shape[0]]

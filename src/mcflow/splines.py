@@ -199,40 +199,17 @@ class TensorSplineSpace:
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.v.dim + np.asarray(j2)
 
-    def pair_index(self, j):
-        j = np.asarray(j)
-        return j // self.v.dim, j % self.v.dim
-
-    def eval_basis(self, point, deriv_order: int = 0):
-        """Active basis data at a single parametric point.
-
-        Returns (indices, values) for deriv_order 0, plus gradients
-        (nloc, 2) for order >= 1 and Hessians (nloc, 2, 2) for order 2.
-        """
+    def eval_basis(self, point):
+        """Flat indices and values of the active basis at one parametric point."""
         u, v = float(point[0]), float(point[1])
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise ValueError(f"point {(u, v)} outside the unit square")
-        fu, du = self.u.eval_basis(np.array([u]), deriv_order)
-        fv, dv = self.v.eval_basis(np.array([v]), deriv_order)
-        pu, pv = self.u.degree, self.v.degree
-        ju = fu[0] + np.arange(pu + 1)
-        jv = fv[0] + np.arange(pv + 1)
+        fu, du = self.u.eval_basis(np.array([u]))
+        fv, dv = self.v.eval_basis(np.array([v]))
+        ju = fu[0] + np.arange(self.u.degree + 1)
+        jv = fv[0] + np.arange(self.v.degree + 1)
         indices = (ju[:, None] * self.v.dim + jv[None, :]).ravel()
-        values = np.outer(du[0, 0], dv[0, 0]).ravel()
-        out = [indices, values]
-        if deriv_order >= 1:
-            grads = np.empty((len(indices), 2))
-            grads[:, 0] = np.outer(du[0, 1], dv[0, 0]).ravel()
-            grads[:, 1] = np.outer(du[0, 0], dv[0, 1]).ravel()
-            out.append(grads)
-        if deriv_order >= 2:
-            hess = np.empty((len(indices), 2, 2))
-            hess[:, 0, 0] = np.outer(du[0, 2], dv[0, 0]).ravel()
-            hess[:, 0, 1] = np.outer(du[0, 1], dv[0, 1]).ravel()
-            hess[:, 1, 0] = hess[:, 0, 1]
-            hess[:, 1, 1] = np.outer(du[0, 0], dv[0, 2]).ravel()
-            out.append(hess)
-        return tuple(out)
+        return indices, np.outer(du[0, 0], dv[0, 0]).ravel()
 
 
 def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSplineSpace:
@@ -281,20 +258,6 @@ class QuasiInterpolant:
             coeffs = coeffs.copy()
             coeffs[self.space.boundary_indices] = 0.0
         return coeffs
-
-    def functional_support(self, j: int):
-        """Points and weights realizing the functional of flat index j."""
-        j1, j2 = self.space.pair_index(j)
-        iu = np.nonzero(self.wu[int(j1)])[0]
-        iv = np.nonzero(self.wv[int(j2)])[0]
-        pts = np.column_stack(
-            [
-                np.repeat(self.points_u[iu], len(iv)),
-                np.tile(self.points_v[iv], len(iu)),
-            ]
-        )
-        wts = np.outer(self.wu[int(j1), iu], self.wv[int(j2), iv]).ravel()
-        return pts, wts
 
 
 def _dual_weights(uspace: UnivariateSpline, n_quad: int):

@@ -178,16 +178,23 @@ def test_criterion_6_constraint_and_boundary_invariants(example1, example2):
             assert np.array_equal(state.x[bidx], x0b), f"boundary moved at step {k}"
 
 
-@pytest.mark.parametrize("N, p", [(40, 2), (16, 3)])
-def test_criterion_6_invariants_on_scale_ladder(N, p):
-    """Four steps of the perturbed plane higher up the scale ladder.
+@pytest.mark.parametrize(
+    "scenario, dt, N, p",
+    [
+        pytest.param("perturbed_plane", 0.0015625, 40, 2, id="40-2"),
+        pytest.param("perturbed_plane", 0.0015625, 16, 3, id="16-3"),
+        pytest.param("sphere_patch", 0.025, 40, 2, id="sphere_patch-40-2"),
+        pytest.param("sphere_patch", 0.025, 16, 3, id="sphere_patch-16-3"),
+    ],
+)
+def test_criterion_6_invariants_on_scale_ladder(scenario, dt, N, p):
+    """Four steps of each scenario higher up the scale ladder.
 
     Every step keeps ||S nu||_inf <= 1e-10 and both solver residuals
     <= 1e-9, and the boundary control points keep their initial bits.
     """
-    dt = 0.0015625
     cfg = ScenarioConfig(
-        scenario="perturbed_plane",
+        scenario=scenario,
         degree=p,
         smoothness=p - 1,
         elements_per_side=N,
@@ -237,7 +244,7 @@ def test_criterion_8_projector_and_oracle_suite(example2):
     quasi = build_quasi_interpolant(space)
     B = np.zeros((len(quasi.grid_points), space.dim))
     for i, pt in enumerate(quasi.grid_points):
-        idx, vals = space.eval_basis(pt, 0)
+        idx, vals = space.eval_basis(pt)
         B[i, idx] = vals
     assert np.abs(quasi.apply_to_values(B) - np.eye(space.dim)).max() <= 1e-10
 

@@ -5,16 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mcflow.assembly import (
     BoundaryTables,
     ElementGeometry,
     MeshTables,
+    SolverFailure,
     assemble_boundary_load,
     assemble_constraint,
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
+    constrained_solver,
     constraint_residual,
     interior_block,
     stack_components,
@@ -108,7 +111,7 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
             for a, wa in zip(xg, wg):
                 for b, wb in zip(xg, wg):
                     pt = ((eu + a) * h, (ev + b) * h)
-                    idx, vals = space.eval_basis(pt, 0)
+                    idx, vals = space.eval_basis(pt)
                     w = wa * wb * h * h * 4.0  # area element of the flat map
                     dense[np.ix_(idx, idx)] += w * np.outer(vals, vals)
     assert np.abs(M.toarray() - dense).max() < 1e-13
@@ -318,6 +321,45 @@ def test_constraint_on_flat_square():
     prob, _ = initialize(cfg)
     ez = np.tile(np.array([0.0, 0.0, 1.0]), (prob.space.dim, 1))
     assert constraint_residual(prob.S, ez) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def sphere_saddle():
+    """Shifted stiffness and constraint of the initialized N=8 sphere patch."""
+    cfg = ScenarioConfig(
+        scenario="sphere_patch",
+        degree=2,
+        smoothness=1,
+        elements_per_side=8,
+        dt=0.025,
+        t_final=0.9,
+        output_dir="",
+    )
+    prob, st = initialize(cfg)
+    M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, st.x))
+    return (1.5 / cfg.dt) * M + A, prob.S
+
+
+def test_constrained_solver_matches_direct_saddle_solve(sphere_saddle, rng):
+    K, S = sphere_saddle
+    dim, nb = K.shape[0], S.shape[0]
+    f = rng.normal(size=(dim, 3))
+    w, mult, res = constrained_solver(K, S, 1e-9, "test solve")(f)
+    assert w.shape == (dim, 3) and mult.shape == (nb,)
+    assert res <= 1e-12
+    saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
+    ref = spla.spsolve(saddle, np.concatenate([f.T.ravel(), np.zeros(nb)]))
+    got = np.concatenate([w.T.ravel(), mult])
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert constraint_residual(S, w) <= 1e-12
+
+
+def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
+    K, S = sphere_saddle
+    f = rng.normal(size=(K.shape[0], 3))
+    f[3, 1] = np.nan
+    with pytest.raises(SolverFailure, match="nan"):
+        constrained_solver(K, S, 1e-9, "test solve")(f)
 
 
 def test_boundary_tables_require_freeze(space_small):

@@ -153,16 +153,6 @@ def test_vtk_legacy_structure(tiny_run, tmp_path):
     assert "VECTORS velocity double" in lines
 
 
-def test_vtu_structure(tiny_run, tmp_path):
-    prob, res = tiny_run
-    path = export_vtk(prob, res.final_state, tmp_path / "s.vtu", resolution=1, xml=True)
-    text = path.read_text()
-    n = 4 + 1
-    assert f'NumberOfPoints="{n * n}"' in text
-    assert f'NumberOfCells="{(n - 1) ** 2}"' in text
-    assert 'Name="kappa"' in text and 'Name="velocity"' in text
-
-
 # -- CLI -------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcflow.assembly import SolverFailure
-from mcflow.config import ScenarioConfig
+from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
 from mcflow.flow import BdfScheme, FlowProblem, bdf_coefficients, run
 
@@ -106,9 +106,34 @@ def test_snapshot_stride():
 
 
 def test_zero_step_run():
-    res = run(small_cfg(t_final=0.0, dt=0.0))
+    res = run(small_cfg(t_final=0.0, dt=0.01))
     assert len(res.diagnostics) == 1
     assert res.final_state.time == 0.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(dt=0.0),
+        dict(dt=-0.1),
+        dict(dt=float("nan")),
+        dict(t_final=-0.1),
+        dict(t_final=1.0, dt=0.3),
+        dict(snapshot_stride=-1),
+    ],
+    ids=[
+        "dt-zero",
+        "dt-negative",
+        "dt-nan",
+        "t_final-negative",
+        "t_final-off-grid",
+        "stride-negative",
+    ],
+)
+def test_bad_time_grid_rejected(bad):
+    """A config whose time grid cannot be marched raises before any set-up."""
+    with pytest.raises(ConfigError):
+        FlowProblem(small_cfg(**bad))
 
 
 def test_determinism_bit_identical_csv(tmp_path):

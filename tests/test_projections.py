@@ -10,18 +10,15 @@ from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem, initialize
 from mcflow.geometry import SplineField
 from mcflow.projections import (
-    AnalyticSource,
     NoContraction,
-    RitzConfig,
     boundary_quasi_interp,
-    nonlinear_ritz_normal,
     project_velocity,
 )
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
 
 
-def _sphere_problem(N, p=2, l=None):
+def _sphere_problem(N, p=2, l=None, **overrides):
     cfg = ScenarioConfig(
         scenario="sphere_patch",
         degree=p,
@@ -30,6 +27,7 @@ def _sphere_problem(N, p=2, l=None):
         dt=0.025,
         t_final=0.9,
         output_dir="",
+        **overrides,
     )
     return FlowProblem(cfg)
 
@@ -138,7 +136,6 @@ def test_sphere_normal_projection_converges(N, p):
 
 def test_normal_projection_iteration_budget():
     """Exhausting the budget raises instead of silently returning."""
-    prob = _sphere_problem(8)
-    prob.ritz_cfg = RitzConfig(lam=10.0, fp_tol=1e-12, fp_max_iter=3)
+    prob = _sphere_problem(8, ritz_fp_max_iter=3)
     with pytest.raises(NoContraction):
         prob.initialize()

@@ -44,9 +44,6 @@ def test_tensor_dimension_and_boundary_split():
     assert space.dim == 64
     assert len(space.boundary_indices) == 4 * 8 - 4
     assert len(space.interior_indices) == 64 - 28
-    # flat <-> pair index round trip
-    j = np.arange(space.dim)
-    assert np.array_equal(space.flat_index(*space.pair_index(j)), j)
 
 
 @pytest.mark.parametrize(
@@ -79,7 +76,7 @@ def test_univariate_basis_matches_scipy(rng):
 @given(u=UNIT, v=UNIT)
 def test_partition_of_unity(u, v):
     space = build_space(2, 1, 5)
-    _, vals = space.eval_basis((u, v), 0)
+    _, vals = space.eval_basis((u, v))
     assert vals.min() >= -1e-15
     assert abs(vals.sum() - 1.0) < 1e-12
 
@@ -88,8 +85,8 @@ def test_partition_of_unity(u, v):
 @given(u=UNIT, v=UNIT)
 def test_basis_gradients_sum_to_zero(u, v):
     space = build_space(3, 2, 4)
-    _, _, grads = space.eval_basis((u, v), 1)
-    assert np.abs(grads.sum(axis=0)).max() < 1e-10
+    _, jac = SplineField(space, np.ones(space.dim)).eval(np.array([u, v]), 1)
+    assert np.abs(jac).max() < 1e-10
 
 
 def test_eval_outside_domain_rejected():
@@ -118,7 +115,7 @@ def test_dual_basis_identity(space_small, quasi_small):
     """The coefficient functionals are exactly dual to the basis."""
     B = np.zeros((len(quasi_small.grid_points), space_small.dim))
     for i, pt in enumerate(quasi_small.grid_points):
-        idx, vals = space_small.eval_basis(pt, 0)
+        idx, vals = space_small.eval_basis(pt)
         B[i, idx] = vals
     C = quasi_small.apply_to_values(B)
     assert np.abs(C - np.eye(space_small.dim)).max() < 1e-10
@@ -178,17 +175,17 @@ def test_functional_support_is_local(space_small, quasi_small):
     """Dual functionals only sample inside the support of their basis function."""
     h = space_small.u.mesh_size
     p = space_small.u.degree
-    for j in (0, space_small.dim // 2, space_small.dim - 1):
-        pts, wts = quasi_small.functional_support(j)
-        j1, j2 = space_small.pair_index(j)
-        ku = space_small.u.knots
-        kv = space_small.v.knots
-        # support of b_j plus the elements overlapping it
-        lo_u, hi_u = ku[j1] - p * h, ku[j1 + p + 1] + p * h
-        lo_v, hi_v = kv[j2] - p * h, kv[j2 + p + 1] + p * h
-        assert pts[:, 0].min() >= lo_u and pts[:, 0].max() <= hi_u
-        assert pts[:, 1].min() >= lo_v and pts[:, 1].max() <= hi_v
-        assert len(wts) == len(pts)
+    factors = (
+        (space_small.u, quasi_small.wu, quasi_small.points_u),
+        (space_small.v, quasi_small.wv, quasi_small.points_v),
+    )
+    for uspace, W, points in factors:
+        for j in (0, uspace.dim // 2, uspace.dim - 1):
+            pts = points[np.nonzero(W[j])[0]]
+            # support of b_j plus the elements overlapping it
+            lo, hi = uspace.knots[j] - p * h, uspace.knots[j + p + 1] + p * h
+            assert len(pts) > 0
+            assert pts.min() >= lo and pts.max() <= hi
 
 
 # -- quadrature and edges ----------------------------------------------------
