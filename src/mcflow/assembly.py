@@ -11,10 +11,16 @@ share that pattern.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
-multiplier enforces the boundary constraint; `constrained_solver` is
-the only code that builds it.  It stacks (dim, 3) coefficients
-component-major, i.e. [all x | all y | all z], matching
-`scipy.sparse.block_diag`, and puts the multiplier last.
+multiplier enforces the boundary constraint.  `ConstrainedSolver` is the
+only code that solves it, and it never assembles it: S has nonzero
+columns only at boundary control points, so the interior block K_II is
+eliminated by its sparse LU and what remains is two small dense SPD
+Schur complements on the boundary, each Cholesky-factored (the block
+elimination of Benzi, Golub & Liesen, Acta Numerica 14 (2005), Sec. 5).
+The same LU of K_II serves the zero-trace curvature system of a flow
+step, which is that interior block, so a step factors one sparse matrix.
+Vector coefficients are (dim, 3) arrays; S acts on them stacked
+component-major, i.e. [all x | all y | all z].
 
 Boundary terms live on the four edges of the parametric square.  The
 constraint matrix S has one row per distinct boundary control point and
@@ -29,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import SplineField, metric_pieces
 from .splines import BoundaryTraceSpace, TensorSplineSpace
@@ -38,10 +45,10 @@ class SolverFailure(Exception):
     """Raised when a linear solve leaves too large a residual."""
 
 
-def check_residual(K, x, b, tol, what):
-    """Relative residual |K x - b| / |b|; raises SolverFailure above tol."""
+def check_residual(residual, b, tol, what):
+    """Relative residual |residual| / |b|; raises SolverFailure above tol."""
     b_norm = np.linalg.norm(b)
-    r_norm = np.linalg.norm(K @ x - b)
+    r_norm = np.linalg.norm(residual)
     rel = r_norm / b_norm if b_norm > 0.0 else r_norm
     if not np.isfinite(rel) or rel > tol:
         raise SolverFailure(f"{what}: relative residual {rel:.3e} exceeds {tol:.1e}")
@@ -59,16 +66,6 @@ def scatter_vector(index, local, dim):
     rows = (index[..., None] * D + np.arange(D)).ravel()
     out = np.bincount(rows, weights=local.ravel(), minlength=dim * D)
     return out.reshape(dim, D)
-
-
-def stack_components(coeffs):
-    """(dim, 3) coefficients -> component-major vector of length 3*dim."""
-    return np.asarray(coeffs).T.ravel()
-
-
-def unstack_components(vec, dim):
-    """Inverse of stack_components."""
-    return np.asarray(vec).reshape(3, dim).T
 
 
 class MeshTables:
@@ -166,8 +163,7 @@ class ElementGeometry:
 def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     """Surface mass and stiffness matrices on the given geometry.
 
-    Returns (M, A) in CSR; restrict with `interior_block` for the
-    zero-trace versions.
+    Returns (M, A) in CSR.
     """
     w = tables.weights
     q = geom.area_element
@@ -179,20 +175,14 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     return tables.matrix(Mloc), tables.matrix(Aloc)
 
 
-def interior_block(matrix, space: TensorSplineSpace):
-    """Restriction of a dim x dim matrix to interior basis indices."""
-    idx = space.interior_indices
-    return matrix[idx][:, idx].tocsr()
-
-
 def factor_symmetric(K):
-    """Sparse LU of a symmetric, possibly indefinite, CSC matrix.
+    """Sparse LU of a symmetric CSC matrix.
 
-    Every system of the flow and the projections is symmetric: a shifted
-    stiffness block, or its saddle extension by the boundary constraint.
-    Ordering on the structure of K^T + K and preferring diagonal pivots
-    keeps the factors structurally symmetric, which needs less fill and
-    time than the default column ordering.
+    Every sparse factorization of the flow and the projections is the
+    interior block of a shifted stiffness matrix, which is SPD.  Ordering
+    on the structure of K^T + K and preferring diagonal pivots keeps the
+    factors structurally symmetric, which needs less fill and time than
+    the default column ordering.
     """
     return spla.splu(
         K,
@@ -202,25 +192,64 @@ def factor_symmetric(K):
     )
 
 
-def constrained_solver(K, S, tol, what):
-    """Factor the saddle system [[I3 (x) K, S^T], [S, 0]] once.
+def _cholesky(matrix, what, name):
+    """Cholesky factor of a dense SPD matrix; SolverFailure if it is not SPD."""
+    try:
+        return cho_factor(matrix, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{what}: {name} is not positive definite ({exc})") from exc
 
-    K is a dim x dim symmetric block shared by the three components and S
-    the tangential-trace constraint.  Returns `solve(f)`, which takes a
-    (dim, 3) load and returns (w (dim, 3), multiplier, relative residual)
-    with S w = 0; the residual is gated by `check_residual(..., tol, what)`.
+
+class ConstrainedSolver:
+    """The saddle system [[I3 (x) K, S^T], [S, 0]], factored once.
+
+    K is a dim x dim SPD block shared by the three components and S the
+    tangential-trace constraint, whose nonzero columns all belong to the
+    boundary indices of `space`.  With I the interior and B the boundary
+    indices, the set-up factors K_II (sparse LU), forms
+    Z = K_II^-1 K_IB, the boundary Schur complement C = K_BB - K_IB^T Z
+    and the multiplier Schur complement T = sum_k S_kB C^-1 S_kB^T, and
+    Cholesky-factors C and T.  Calling the solver with a (dim, 3) load f
+    returns (w (dim, 3), multiplier, relative residual) with S w = 0; the
+    residual is taken against the full saddle operator, applied block by
+    block, and gated by `check_residual(..., tol, what)`.
+    `solve_interior` solves with K_II alone.
     """
-    dim = K.shape[0]
-    saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
-    lu = factor_symmetric(saddle)
 
-    def solve(f):
-        rhs = np.concatenate([stack_components(f), np.zeros(S.shape[0])])
-        sol = lu.solve(rhs)
-        res = check_residual(saddle, sol, rhs, tol, what)
-        return unstack_components(sol[: 3 * dim], dim), sol[3 * dim :], res
+    def __init__(self, K, S, space: TensorSplineSpace, tol, what):
+        self.K, self.S, self.tol, self.what = K, S, tol, what
+        self.interior = I = space.interior_indices
+        self.boundary = B = space.boundary_indices
+        K_I = K[I]
+        self.K_II = K_I[:, I].tocsc()
+        self.lu = factor_symmetric(self.K_II)
+        self.K_IB = K_I[:, B]
+        self.Z = self.lu.solve(self.K_IB.toarray())
+        C = K[B][:, B].toarray() - self.K_IB.T @ self.Z
+        self.C = _cholesky(C, what, "boundary Schur complement")
+        dim = K.shape[0]
+        self.S_B = [S[:, k * dim + B].toarray() for k in range(3)]
+        self.X = [cho_solve(self.C, Sk.T, check_finite=False) for Sk in self.S_B]
+        T = sum(Sk @ Xk for Sk, Xk in zip(self.S_B, self.X))
+        self.T = _cholesky(T, what, "multiplier Schur complement")
 
-    return solve
+    def solve_interior(self, b, what):
+        """Solve K_II x = b; returns (x, relative residual), gated at tol."""
+        x = self.lu.solve(b)
+        return x, check_residual(self.K_II @ x - b, b, self.tol, what)
+
+    def __call__(self, f):
+        I, B = self.interior, self.boundary
+        u = self.lu.solve(f[I])
+        Cg = cho_solve(self.C, f[B] - self.K_IB.T @ u, check_finite=False)
+        rhs = sum(Sk @ Cg[:, k] for k, Sk in enumerate(self.S_B))
+        mu = cho_solve(self.T, rhs, check_finite=False)
+        w = np.empty(f.shape)
+        w[B] = Cg - np.column_stack([Xk @ mu for Xk in self.X])
+        w[I] = u - self.Z @ w[B]
+        r = self.K @ w + (self.S.T @ mu).reshape(3, -1).T - f
+        r = np.concatenate([r.ravel(), self.S @ w.T.ravel()])
+        return w, mu, check_residual(r, f, self.tol, self.what)
 
 
 def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):
@@ -393,7 +422,7 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
 
 def constraint_residual(S, nu_coeffs):
     """Max-norm of S applied to a stacked normal field."""
-    return float(np.abs(S @ stack_components(nu_coeffs)).max())
+    return float(np.abs(S @ np.asarray(nu_coeffs).T.ravel()).max())
 
 
 def dump_matrix_market(path, name, matrix):

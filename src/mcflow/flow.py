@@ -2,10 +2,12 @@
 
 Each step extrapolates surface, normal and curvature from the history,
 assembles mass/stiffness and the nonlinear loads on the extrapolated
-surface, then solves two linear systems: a zero-trace parabolic step
-for the curvature and, through `assembly.constrained_solver`, a saddle
-system for the normal whose multiplier enforces discrete tangential
-orthogonality of the boundary trace.  The velocity is the
+surface, then solves two linear systems with one sparse factorization:
+`assembly.ConstrainedSolver` LU-factors the interior block of
+(d0/dt) M + A, which is the zero-trace parabolic system of the
+curvature, and reuses that LU in a boundary Schur-complement solve of
+the saddle system for the normal, whose multiplier enforces discrete
+tangential orthogonality of the boundary trace.  The velocity is the
 quasi-interpolant of -kappa * nu with exactly zero boundary
 coefficients, and the position update resets the boundary rows to their
 initial values so the Dirichlet data is preserved bit for bit.
@@ -18,8 +20,9 @@ evaluated exactly in rational arithmetic; orders 1 and 2 are supported.
 The history grows up to the scheme's order and each step uses the
 highest order it supports, so a q=2 run bootstraps with a single q=1
 step.  `FlowProblem` rejects a config with `ConfigError` before any
-set-up unless dt > 0 divides t_final >= 0 into whole steps and the
-snapshot stride is non-negative.
+set-up unless dt > 0 divides t_final >= 0 into whole steps, the
+snapshot stride is non-negative and degree, smoothness and elements per
+side make a spline space.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from .assembly import (
     BoundaryTables,
+    ConstrainedSolver,
     ElementGeometry,
     MeshTables,
     assemble_boundary_load,
@@ -40,11 +44,7 @@ from .assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    check_residual,
-    constrained_solver,
     constraint_residual,
-    factor_symmetric,
-    interior_block,
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
@@ -159,9 +159,14 @@ class FlowProblem:
 
     def __init__(self, cfg: ScenarioConfig):
         _check_time_grid(cfg)
+        try:
+            self.space = build_space(
+                cfg.degree, cfg.smoothness, cfg.elements_per_side
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad spline space: {exc}") from exc
         self.cfg = cfg
         self.scenario = get_scenario(cfg.scenario, **cfg.scenario_params())
-        self.space = build_space(cfg.degree, cfg.smoothness, cfg.elements_per_side)
         self.quasi = build_quasi_interpolant(self.space)
         n_quad = cfg.degree + 1
         self.tables = MeshTables(self.space, n_quad)
@@ -228,14 +233,15 @@ class FlowProblem:
         # |A|^2 of the extrapolated normal, shared by both loads
         frob2 = weingarten_energy(self.tables, geom, nu_ext)
 
+        # one LU of the interior block serves both systems
+        Kb = (d0 / dt) * M + A
+        solver = ConstrainedSolver(Kb, self.S, space, tol, "normal solve")
+
         # curvature step (zero-trace space)
         f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
         tail_k = scheme.derivative_tail("kappa")
         rhs_k = f1[idx] - (M @ tail_k)[idx] / dt
-        Kb = (d0 / dt) * M + A
-        K0 = interior_block(Kb, space).tocsc()
-        sol_k = factor_symmetric(K0).solve(rhs_k)
-        res_k = check_residual(K0, sol_k, rhs_k, tol, "curvature solve")
+        sol_k, res_k = solver.solve_interior(rhs_k, "curvature solve")
         kappa = np.zeros(space.dim)
         kappa[idx] = sol_k
 
@@ -243,9 +249,7 @@ class FlowProblem:
         f2 = assemble_normal_load(self.tables, geom, nu_ext, frob2)
         fb = assemble_boundary_load(self.btables, nu_ext)
         tail_n = scheme.derivative_tail("nu")
-        nu, multiplier, res_n = constrained_solver(Kb, self.S, tol, "normal solve")(
-            f2 + fb - (M @ tail_n) / dt
-        )
+        nu, multiplier, res_n = solver(f2 + fb - (M @ tail_n) / dt)
 
         # velocity on the extrapolated surface, then position update
         v = project_velocity(

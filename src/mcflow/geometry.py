@@ -57,13 +57,7 @@ class SplineField:
         pts = np.atleast_2d(points)
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("evaluation points must lie in the unit square")
-        space = self.space
-        fu, du = space.u.eval_basis(pts[:, 0], nderiv)
-        fv, dv = space.v.eval_basis(pts[:, 1], nderiv)
-        pu, pv = space.u.degree, space.v.degree
-        ju = fu[:, None] + np.arange(pu + 1)[None, :]
-        jv = fv[:, None] + np.arange(pv + 1)[None, :]
-        flat = ju[:, :, None] * space.v.dim + jv[:, None, :]
+        flat, du, dv = self.space.active_basis(pts, nderiv)
         coeffs = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
         loc = coeffs[flat]  # (n, pu+1, pv+1, D)
 

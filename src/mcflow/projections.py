@@ -2,18 +2,22 @@
 
 Quasi-interpolation onto a surface applies the parametric coefficient
 functionals to the pullback of the data; the velocity is the zero-trace
-quasi-interpolant of -kappa * nu.  The Ritz projection of the normal
-compares the H1 form on the discrete initial surface with the same form
-on the scenario's exact surface, which it samples directly.  It is
-nonlinear through an orientation-dependent boundary term and constrained
-to have boundary trace discretely orthogonal to the interpolated
-boundary tangent.  It is computed by a fixed-point iteration whose
-linear part, the constraint saddle of stiffness + lambda * mass, is one
-`assembly.constrained_solver` per stabilization weight; the weight and
-the iteration budget come from the run's `ScenarioConfig`.  When the H1
-increments expand or contract too slowly to finish within the budget,
-lambda is multiplied by a growth factor and the iteration continues
-from the current iterate.
+quasi-interpolant of -kappa * nu, with kappa and nu evaluated on the
+basis the quasi-interpolant tabulated once at its fixed grid.
+
+The Ritz projection of the normal compares the H1 form on the discrete
+initial surface with the same form on the scenario's exact surface,
+which it samples directly.  It is nonlinear through an
+orientation-dependent boundary term and constrained to have boundary
+trace discretely orthogonal to the interpolated boundary tangent.  It
+is computed by a fixed-point iteration whose linear part, the
+constraint saddle of stiffness + lambda * mass, is one
+`assembly.ConstrainedSolver` per stabilization weight: one sparse LU of
+the interior block and a boundary Schur complement, as in a flow step.
+The weight and the iteration budget come from the run's
+`ScenarioConfig`.  When the H1 increments expand or contract too slowly
+to finish within the budget, lambda is multiplied by a growth factor
+and the iteration continues from the current iterate.
 
 The projection integrates with a rule one order finer than flow-step
 assembly, on both sides, so data already in the space on the same
@@ -28,11 +32,11 @@ import numpy as np
 
 from .assembly import (
     BoundaryTables,
+    ConstrainedSolver,
     ElementGeometry,
     MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
-    constrained_solver,
     scatter_vector,
 )
 from .geometry import SplineField, metric_pieces
@@ -82,8 +86,8 @@ def project_velocity(
     Boundary coefficients are set to exactly zero so the velocity lies
     in the zero-trace subspace and the boundary stays put bit for bit.
     """
-    kap = kappa_field.eval(Q.grid_points)[:, 0]
-    nu = nu_field.eval(Q.grid_points)
+    kap = Q.grid_values(kappa_field.coeffs)[:, 0]
+    nu = Q.grid_values(nu_field.coeffs)
     coeffs = Q.apply_to_values(-kap[:, None] * nu)
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs
@@ -164,13 +168,15 @@ def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg
     h1 = A + M  # Gram matrix of the increment norm
 
     # starting guess: constrained L2 projection of the interpolated normal
-    current = constrained_solver(M, S, 1e-9, "normal projection start")(
+    current = ConstrainedSolver(M, S, space, 1e-9, "normal projection start")(
         M @ quasi(scenario.normal)
     )[0]
 
     while total_iters < cfg.ritz_fp_max_iter:
         # a fixed gate: the flow's solver_residual_tol governs steps only
-        solve = constrained_solver(A + lam * M, S, 1e-9, "normal projection solve")
+        solve = ConstrainedSolver(
+            A + lam * M, S, space, 1e-9, "normal projection solve"
+        )
         rhs_fixed = interior_rhs(lam) - rhs_b
         prev_inc = None
         escalate = False

@@ -199,6 +199,22 @@ class TensorSplineSpace:
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.v.dim + np.asarray(j2)
 
+    def active_basis(self, points, nderiv: int = 0):
+        """Active basis at each of the points (n, 2) of the unit square.
+
+        Returns (flat, du, dv): `flat[i, a, b]` is the flat index of the
+        tensor basis function whose univariate factors are active basis a
+        in u and b in v at point i, and du (n, nderiv + 1, pu + 1) and
+        dv (n, nderiv + 1, pv + 1) are their values and derivatives
+        (see `UnivariateSpline.eval_basis`).
+        """
+        fu, du = self.u.eval_basis(points[:, 0], nderiv)
+        fv, dv = self.v.eval_basis(points[:, 1], nderiv)
+        ju = fu[:, None] + np.arange(self.u.degree + 1)[None, :]
+        jv = fv[:, None] + np.arange(self.v.degree + 1)[None, :]
+        flat = ju[:, :, None] * self.v.dim + jv[:, None, :]
+        return flat, du, dv
+
     def eval_basis(self, point):
         """Flat indices and values of the active basis at one parametric point."""
         u, v = float(point[0]), float(point[1])
@@ -227,6 +243,8 @@ class QuasiInterpolant:
     values on the global per-element Gauss grid; rows of `wu`/`wv` hold
     the weights (zero outside the support of the corresponding basis
     function).  Tensor functionals are products of univariate ones.
+    The grid is fixed, so the active basis at `grid_points` is tabulated
+    once (`grid_basis`) for evaluating spline fields there.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -236,6 +254,16 @@ class QuasiInterpolant:
         self.wv, self.points_v = _dual_weights(space.v, n_quad)
         U, V = np.meshgrid(self.points_u, self.points_v, indexing="ij")
         self.grid_points = np.column_stack([U.ravel(), V.ravel()])
+        self.grid_basis = space.active_basis(self.grid_points)
+
+    def grid_values(self, coeffs):
+        """Values (npts, D) at `grid_points` of the field with coefficients (dim[, D]).
+
+        The same contraction as `SplineField.eval`, on the stored basis.
+        """
+        flat, du, dv = self.grid_basis
+        coeffs = coeffs if coeffs.ndim == 2 else coeffs[:, None]
+        return np.einsum("na,nabd,nb->nd", du[:, 0], coeffs[flat], dv[:, 0])
 
     def apply_to_values(self, values):
         """Coefficients from values sampled at `grid_points`.

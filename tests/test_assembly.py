@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from mcflow.assembly import (
     BoundaryTables,
+    ConstrainedSolver,
     ElementGeometry,
     MeshTables,
     SolverFailure,
@@ -17,11 +18,7 @@ from mcflow.assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    constrained_solver,
     constraint_residual,
-    interior_block,
-    stack_components,
-    unstack_components,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
@@ -60,13 +57,6 @@ def flat_setup():
     tables = MeshTables(space, 3)
     geom = ElementGeometry(tables, x)
     return space, tables, geom, x
-
-
-def test_stack_unstack_roundtrip(rng):
-    c = rng.normal(size=(17, 3))
-    assert np.array_equal(unstack_components(stack_components(c), 17), c)
-    # component-major layout matches scipy block_diag stacking
-    assert np.array_equal(stack_components(c)[:17], c[:, 0])
 
 
 def test_mesh_tables_field_values(space_small, rng):
@@ -139,14 +129,6 @@ def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
             assert got.has_canonical_format
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.array_equal(got.indices, ref.indices)
-
-
-def test_interior_block_shape(flat_setup):
-    space, tables, geom, _ = flat_setup
-    M, _ = assemble_mass_stiffness(tables, geom)
-    Mi = interior_block(M, space)
-    n = len(space.interior_indices)
-    assert Mi.shape == (n, n)
 
 
 def test_weingarten_energy_on_sphere(sphere_problem):
@@ -297,13 +279,13 @@ def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
     # zero boundary coefficients: S w = 0 exactly (column support)
     w = rng.normal(size=(space.dim, 3))
     w[space.boundary_indices] = 0.0
-    assert np.abs(prob.S @ stack_components(w)).max() == 0.0
+    assert constraint_residual(prob.S, w) == 0.0
     # a trace along the interpolated tangent is maximally visible
     wt = np.zeros((space.dim, 3))
     for edge in range(4):
         flat = prob.btables.traces.edge_flat_indices[edge]
         wt[flat] = prob.boundary_data.tangent[edge]
-    assert np.abs(prob.S @ stack_components(wt)).max() > 1e-2
+    assert constraint_residual(prob.S, wt) > 1e-2
 
 
 def test_constraint_on_flat_square():
@@ -323,13 +305,12 @@ def test_constraint_on_flat_square():
     assert constraint_residual(prob.S, ez) < 1e-12
 
 
-@pytest.fixture(scope="module")
-def sphere_saddle():
-    """Shifted stiffness and constraint of the initialized N=8 sphere patch."""
+def _initialized_saddle(scenario, p):
+    """Shifted stiffness, constraint and space of an initialized N=8 patch."""
     cfg = ScenarioConfig(
-        scenario="sphere_patch",
-        degree=2,
-        smoothness=1,
+        scenario=scenario,
+        degree=p,
+        smoothness=p - 1,
         elements_per_side=8,
         dt=0.025,
         t_final=0.9,
@@ -337,14 +318,29 @@ def sphere_saddle():
     )
     prob, st = initialize(cfg)
     M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, st.x))
-    return (1.5 / cfg.dt) * M + A, prob.S
+    return (1.5 / cfg.dt) * M + A, prob.S, prob.space
 
 
-def test_constrained_solver_matches_direct_saddle_solve(sphere_saddle, rng):
-    K, S = sphere_saddle
+@pytest.fixture(scope="module")
+def sphere_saddle():
+    return _initialized_saddle("sphere_patch", 2)
+
+
+@pytest.mark.parametrize(
+    "scenario, p",
+    [
+        pytest.param("sphere_patch", 2, id="sphere_patch-2"),
+        # the flat boundary makes the z block of S numerically zero
+        pytest.param("perturbed_plane", 2, id="perturbed_plane-2"),
+        pytest.param("sphere_patch", 3, id="sphere_patch-3"),
+    ],
+)
+def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
+    """The Schur-complement solve equals a direct solve of the assembled saddle."""
+    K, S, space = _initialized_saddle(scenario, p)
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
-    w, mult, res = constrained_solver(K, S, 1e-9, "test solve")(f)
+    w, mult, res = ConstrainedSolver(K, S, space, 1e-9, "test solve")(f)
     assert w.shape == (dim, 3) and mult.shape == (nb,)
     assert res <= 1e-12
     saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
@@ -354,12 +350,37 @@ def test_constrained_solver_matches_direct_saddle_solve(sphere_saddle, rng):
     assert constraint_residual(S, w) <= 1e-12
 
 
+def test_constrained_solver_interior_solve(sphere_saddle, rng):
+    """`solve_interior` solves the zero-trace block K_II alone."""
+    K, S, space = sphere_saddle
+    idx = space.interior_indices
+    K_II = K[idx][:, idx].tocsc()
+    b = rng.normal(size=len(idx))
+    x, res = ConstrainedSolver(K, S, space, 1e-9, "test solve").solve_interior(
+        b, "interior test solve"
+    )
+    assert res <= 1e-12
+    ref = spla.spsolve(K_II, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
-    K, S = sphere_saddle
+    K, S, space = sphere_saddle
     f = rng.normal(size=(K.shape[0], 3))
     f[3, 1] = np.nan
     with pytest.raises(SolverFailure, match="nan"):
-        constrained_solver(K, S, 1e-9, "test solve")(f)
+        ConstrainedSolver(K, S, space, 1e-9, "test solve")(f)
+
+
+def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
+    """A non-SPD block or a rank-deficient constraint is a named SolverFailure."""
+    K, S, space = sphere_saddle
+    with pytest.raises(SolverFailure, match="test solve: boundary Schur complement"):
+        ConstrainedSolver(-K, S, space, 1e-9, "test solve")
+    S0 = S.tolil()
+    S0[0, :] = 0.0
+    with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
+        ConstrainedSolver(K, S0.tocsr(), space, 1e-9, "test solve")
 
 
 def test_boundary_tables_require_freeze(space_small):

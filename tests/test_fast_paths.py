@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import mcflow.assembly
 import mcflow.flow
@@ -91,3 +92,33 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
     monkeypatch.setattr(mcflow.flow, "weingarten_energy", counted)
     prob.step(scheme, cfg.dt)
     assert len(calls) == 1
+
+
+def test_step_factors_one_sparse_matrix(monkeypatch):
+    """The curvature and the normal solve share one LU per step."""
+    cfg = ScenarioConfig(
+        scenario="sphere_patch",
+        degree=2,
+        smoothness=1,
+        elements_per_side=6,
+        dt=0.0125,
+        t_final=0.025,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme(2)
+    scheme.push(prob.initialize())
+
+    calls = []
+    original = scipy.sparse.linalg.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    for _ in range(2):
+        calls.clear()
+        state, _ = prob.step(scheme, cfg.dt)
+        assert len(calls) == 1
+        scheme.push(state)

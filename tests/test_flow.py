@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mcflow.flow
 from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
@@ -133,6 +134,26 @@ def test_zero_step_run():
 def test_bad_time_grid_rejected(bad):
     """A config whose time grid cannot be marched raises before any set-up."""
     with pytest.raises(ConfigError):
+        FlowProblem(small_cfg(**bad))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(elements_per_side=0),
+        dict(degree=1, smoothness=0),
+        dict(degree=2, smoothness=2),
+    ],
+    ids=["elements-zero", "degree-1", "smoothness-2"],
+)
+def test_bad_space_rejected(bad, monkeypatch):
+    """A config that makes no spline space raises ConfigError before any set-up."""
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up reached")
+
+    monkeypatch.setattr(mcflow.flow, "get_scenario", no_setup)
+    with pytest.raises(ConfigError, match="bad spline space"):
         FlowProblem(small_cfg(**bad))
 
 
