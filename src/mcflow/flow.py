@@ -160,9 +160,7 @@ class FlowProblem:
     def __init__(self, cfg: ScenarioConfig):
         _check_time_grid(cfg)
         try:
-            self.space = build_space(
-                cfg.degree, cfg.smoothness, cfg.elements_per_side
-            )
+            self.space = build_space(cfg.degree, cfg.smoothness, cfg.elements_per_side)
         except ValueError as exc:
             raise ConfigError(f"bad spline space: {exc}") from exc
         self.cfg = cfg
