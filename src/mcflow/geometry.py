@@ -57,7 +57,17 @@ class SplineField:
         pts = np.atleast_2d(points)
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("evaluation points must lie in the unit square")
-        flat, du, dv = self.space.active_basis(pts, nderiv)
+        out = self.eval_tabulated(self.space.active_basis(pts, nderiv), nderiv)
+        if single:
+            return out[0] if nderiv == 0 else tuple(a[0] for a in out)
+        return out
+
+    def eval_tabulated(self, basis, nderiv: int = 0):
+        """`eval` on an active basis (flat, du, dv) from `TensorSplineSpace.active_basis`.
+
+        `basis` must be tabulated with at least `nderiv` derivatives.
+        """
+        flat, du, dv = basis
         coeffs = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
         loc = coeffs[flat]  # (n, pu+1, pv+1, D)
 
@@ -65,13 +75,9 @@ class SplineField:
             return np.einsum("na,nabd,nb->nd", du[:, ku], loc, dv[:, kv])
 
         values = contract(0, 0)
-        out = [values]
-        if nderiv >= 1:
-            jac = np.stack([contract(1, 0), contract(0, 1)], axis=-1)
-            out.append(jac)
-        if single:
-            out = [a[0] for a in out]
-        return out[0] if nderiv == 0 else tuple(out)
+        if nderiv == 0:
+            return values
+        return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
 
     def eval_edge(self, edge: int, s, nderiv: int = 0):
         """Trace values (and edge-parameter derivatives) along an edge."""

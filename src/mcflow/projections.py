@@ -86,8 +86,9 @@ def project_velocity(
     Boundary coefficients are set to exactly zero so the velocity lies
     in the zero-trace subspace and the boundary stays put bit for bit.
     """
-    kap = Q.grid_values(kappa_field.coeffs)[:, 0]
-    nu = Q.grid_values(nu_field.coeffs)
+    basis = Q.grid_basis()
+    kap = kappa_field.eval_tabulated(basis)[:, 0]
+    nu = nu_field.eval_tabulated(basis)
     coeffs = Q.apply_to_values(-kap[:, None] * nu)
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs

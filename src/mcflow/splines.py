@@ -210,6 +210,10 @@ class TensorSplineSpace:
         """
         fu, du = self.u.eval_basis(points[:, 0], nderiv)
         fv, dv = self.v.eval_basis(points[:, 1], nderiv)
+        return self.tensor_basis(fu, du, fv, dv)
+
+    def tensor_basis(self, fu, du, fv, dv):
+        """`active_basis` from the univariate tables (first, ders) at each point."""
         ju = fu[:, None] + np.arange(self.u.degree + 1)[None, :]
         jv = fv[:, None] + np.arange(self.v.degree + 1)[None, :]
         flat = ju[:, :, None] * self.v.dim + jv[:, None, :]
@@ -243,8 +247,9 @@ class QuasiInterpolant:
     values on the global per-element Gauss grid; rows of `wu`/`wv` hold
     the weights (zero outside the support of the corresponding basis
     function).  Tensor functionals are products of univariate ones.
-    The grid is fixed, so the active basis at `grid_points` is tabulated
-    once (`grid_basis`) for evaluating spline fields there.
+    The grid is fixed and a tensor product, so the univariate basis is
+    tabulated once per direction (`grid_u`, `grid_v`); `grid_basis()`
+    expands it to `grid_points` for `SplineField.eval_tabulated`.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -254,16 +259,14 @@ class QuasiInterpolant:
         self.wv, self.points_v = _dual_weights(space.v, n_quad)
         U, V = np.meshgrid(self.points_u, self.points_v, indexing="ij")
         self.grid_points = np.column_stack([U.ravel(), V.ravel()])
-        self.grid_basis = space.active_basis(self.grid_points)
+        self.grid_u = space.u.eval_basis(self.points_u)
+        self.grid_v = space.v.eval_basis(self.points_v)
 
-    def grid_values(self, coeffs):
-        """Values (npts, D) at `grid_points` of the field with coefficients (dim[, D]).
-
-        The same contraction as `SplineField.eval`, on the stored basis.
-        """
-        flat, du, dv = self.grid_basis
-        coeffs = coeffs if coeffs.ndim == 2 else coeffs[:, None]
-        return np.einsum("na,nabd,nb->nd", du[:, 0], coeffs[flat], dv[:, 0])
+    def grid_basis(self):
+        """`space.active_basis(grid_points)`, from the per-direction tables."""
+        iu, iv = np.divmod(np.arange(len(self.grid_points)), len(self.points_v))
+        (fu, du), (fv, dv) = self.grid_u, self.grid_v
+        return self.space.tensor_basis(fu[iu], du[iu], fv[iv], dv[iv])
 
     def apply_to_values(self, values):
         """Coefficients from values sampled at `grid_points`.
