@@ -20,7 +20,6 @@ from .flow import (
 )
 from .geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from .projections import (
-    BoundaryData,
     NoContraction,
     boundary_quasi_interp,
     nonlinear_ritz_normal,
@@ -36,7 +35,6 @@ from .scenarios import (
     scenario_sphere_patch,
 )
 from .splines import (
-    BoundaryTraceSpace,
     QuasiInterpolant,
     TensorSplineSpace,
     UnivariateSpline,

@@ -22,12 +22,18 @@ step, which is that interior block, so a step factors one sparse matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
 component-major, i.e. [all x | all y | all z].
 
-Boundary terms live on the four edges of the parametric square.  The
-constraint matrix S has one row per distinct boundary control point and
-columns for all 3 * dim vector coefficients; its entries integrate
-(trace basis) * (trace basis) * (unit tangent component) against the
-fixed initial boundary length element, so S w = 0 expresses discrete
-L2-orthogonality of the trace of w to the boundary tangent.
+Boundary terms live on the four edges of the parametric square.
+`BoundaryTables` is the one edge layer: it stacks the four edges along
+one element axis, so every boundary form is a single contraction over
+all edges.  The constraint matrix S has one row per distinct boundary
+control point and columns for all 3 * dim vector coefficients; its
+entries integrate (trace basis) * (trace basis) * (unit tangent
+component) against the fixed initial boundary length element, so
+S w = 0 expresses discrete L2-orthogonality of the trace of w to the
+boundary tangent.  `conormal_load` integrates the conormal term
+(kappa_b . nu)(nu x tau) of the normal equation from sampled edge data;
+the flow samples the frozen discrete boundary, the Ritz projection the
+scenario's exact one.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
-from .geometry import SplineField, metric_pieces
-from .splines import BoundaryTraceSpace, TensorSplineSpace
+from .geometry import metric_pieces
+from .splines import EDGE_FIXED_COORD, TensorSplineSpace
 
 
 class SolverFailure(Exception):
@@ -68,20 +74,35 @@ def scatter_vector(index, local, dim):
     return out.reshape(dim, D)
 
 
+def gauss_mesh(space: TensorSplineSpace, n_quad: int):
+    """Tensor Gauss rule on the elements of a space.
+
+    Returns `points` (Ne, nq^2, 2), elements in row-major order, and
+    `weights`, the (nq^2,) tensor weights shared by every element, so a
+    quadrature sum over the square is `sum(weights * values)` for values
+    of shape (Ne, nq^2).
+    """
+    pu, wu = space.u.element_rule(n_quad)
+    pv, wv = space.v.element_rule(n_quad)
+    neu, nev = len(pu), len(pv)
+    shape = (neu * nev, n_quad * n_quad)
+    U = np.broadcast_to(pu[:, None, :, None], (neu, nev, n_quad, n_quad))
+    V = np.broadcast_to(pv[None, :, None, :], (neu, nev, n_quad, n_quad))
+    points = np.stack([U.reshape(shape), V.reshape(shape)], axis=-1)
+    return points, np.outer(wu, wv).ravel()
+
+
 class MeshTables:
     """Gauss mesh of a space: points, weights, basis tabulation, CSR pattern.
 
-    `points` is (Ne, nq^2, 2) with elements in row-major order and
-    `weights` the (nq^2,) tensor weights shared by every element, so a
-    quadrature sum over the square is `sum(weights * values)` for values
-    of shape (Ne, nq^2).
+    `points` and `weights` are those of `gauss_mesh`.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        pu, wu, fu, tu = space.u.element_tables(n_quad, nderiv=1)
-        pv, wv, fv, tv = space.v.element_tables(n_quad, nderiv=1)
+        _, _, fu, tu = space.u.element_tables(n_quad, nderiv=1)
+        _, _, fv, tv = space.v.element_tables(n_quad, nderiv=1)
         neu, nev = space.u.num_elements, space.v.num_elements
         du, dv = space.u.degree, space.v.degree
         self.num_elements = neu * nev
@@ -105,14 +126,7 @@ class MeshTables:
         counts = np.bincount(pairs // dim, minlength=dim)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
-        # quadrature points per element (Ne, nq2, 2)
-        U = np.broadcast_to(pu[:, None, :, None], (neu, nev, n_quad, n_quad))
-        V = np.broadcast_to(pv[None, :, None, :], (neu, nev, n_quad, n_quad))
-        self.points = np.stack(
-            [U.reshape(self.num_elements, nq2), V.reshape(self.num_elements, nq2)],
-            axis=-1,
-        )
-        self.weights = np.outer(wu, wv).ravel()  # (nq2,), same on every element
+        self.points, self.weights = gauss_mesh(space, n_quad)
 
         # basis values and parametric gradients (Ne, nq2, nloc[, 2])
         bu = tu[:, :, 0, :]  # (neu, nq, du+1)
@@ -288,136 +302,141 @@ def weingarten_energy(tables, geom, nu_coeffs):
 
 
 class BoundaryTables:
-    """Edge tabulations plus frozen boundary data of the initial surface.
+    """The four edges of the square as one stacked edge mesh, plus frozen data.
 
-    The boundary of the evolving surface is fixed in time, so the length
-    element, the interpolated tangent (raw and unit) and the boundary
-    curvature vector are all sampled once at the edge quadrature points
-    of the initial surface and reused by every assembly call.
+    Edges are stacked along the element axis in edge order 0..3
+    (`splines.edge_points`), `edge_slices[k]` selecting the elements of
+    edge k.  On each element the tables hold the edge parameters `s`
+    and the weights `weights` (E, nq) of the Gauss rule, and the values
+    and edge-parameter derivatives (E, nq, p+1) of the trace basis,
+    which is the running direction's univariate basis.  Three index
+    tables (E, p+1) name that basis: `flat`, its tensor flat index;
+    `local`, its row in a stacked per-edge coefficient array (edge k's
+    trace coefficients follow those of edges 0..k-1), which can hold
+    data that is discontinuous at the corners, such as the tangent;
+    and `rows`, its constraint row, numbering the distinct boundary
+    control points with the corners shared (`num_rows` of them).
+
+    The boundary of the evolving surface is fixed in time, so `freeze`
+    samples the length element, the interpolated tangent (raw and unit)
+    and the boundary curvature vector once at the edge quadrature points
+    of the initial surface for every later assembly call.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        self.traces = BoundaryTraceSpace(space)
-        self.edge_tabs = []
+        nu, nv = space.shape
+        ju, jv = np.arange(nu), np.arange(nv)
+        trace_flat = (
+            space.flat_index(ju, 0),
+            space.flat_index(nu - 1, jv),
+            space.flat_index(ju, nv - 1),
+            space.flat_index(0, jv),
+        )
+        runs = [d.element_tables(n_quad, nderiv=1) for d in (space.u, space.v)]
+        s, weights, local, values = [], [], [], []
+        self.edge_slices = []
+        start = offset = 0
         for edge in range(4):
-            uspace = self.traces.edge_spaces[edge]
-            pts, wts, first, vals = uspace.element_tables(n_quad, nderiv=1)
-            self.edge_tabs.append(
-                {
-                    "points": pts,  # (Ne, nq)
-                    "weights": wts,  # (nq,)
-                    "first": first,  # (Ne,)
-                    "values": vals[:, :, 0, :],  # (Ne, nq, p+1)
-                    "derivs": vals[:, :, 1, :],
-                    "degree": uspace.degree,
-                }
-            )
+            pts, wts, first, vals = runs[1 - EDGE_FIXED_COORD[edge]]
+            s.append(pts)
+            weights.append(np.broadcast_to(wts, pts.shape))
+            local.append(offset + first[:, None] + np.arange(vals.shape[-1]))
+            values.append(vals)
+            self.edge_slices.append(slice(start, start + len(pts)))
+            start += len(pts)
+            offset += len(trace_flat[edge])
+        self.s = np.concatenate(s)
+        self.weights = np.concatenate(weights)
+        tab = np.concatenate(values)
+        self.values, self.derivs = tab[:, :, 0, :], tab[:, :, 1, :]
+        self.local = np.concatenate(local)
+        self.flat = np.concatenate(trace_flat)[self.local]
+        self.num_rows = len(space.boundary_indices)
+        row_of_flat = np.full(space.dim, -1)
+        row_of_flat[space.boundary_indices] = np.arange(self.num_rows)
+        self.rows = row_of_flat[self.flat]
         self.frozen = None
 
-    def edge_local_indices(self, edge):
-        """Per-element trace DOF indices, (Ne, p+1)."""
-        tab = self.edge_tabs[edge]
-        return tab["first"][:, None] + np.arange(tab["degree"] + 1)[None, :]
+    def trace(self, loc, deriv=False):
+        """Field values (E, nq, D) at the edge points, or edge-parameter derivatives.
 
-    def edge_field_values(self, edge, edge_coeffs, deriv=False):
-        """Trace values (Ne, nq[, D]) from per-edge univariate coefficients."""
-        tab = self.edge_tabs[edge]
-        loc = np.asarray(edge_coeffs)[self.edge_local_indices(edge)]
-        key = "derivs" if deriv else "values"
-        if loc.ndim == 2:
-            return np.einsum("eqa,ea->eq", tab[key], loc)
-        return np.einsum("eqa,ead->eqd", tab[key], loc)
-
-    def trace_coeffs(self, edge, coeffs):
-        """Edge univariate coefficients of a tensor-space field."""
-        return np.asarray(coeffs)[self.traces.edge_flat_indices[edge]]
-
-    def freeze(self, x0_field: SplineField, boundary_data):
-        """Sample time-independent boundary quantities at the edge points.
-
-        `boundary_data` carries the per-edge interpolated tangent and
-        curvature-vector coefficients (see projections.BoundaryData).
+        `loc` (E, p+1, D) holds the field's coefficients on the trace basis
+        of each element: `coeffs[self.flat]` for a tensor-space field,
+        `coeffs[self.local]` for stacked per-edge coefficients.
         """
-        frozen = []
-        for edge in range(4):
-            dx = self.edge_field_values(
-                edge, self.trace_coeffs(edge, x0_field.coeffs), deriv=True
-            )
-            length = np.linalg.norm(dx, axis=2)  # (Ne, nq)
-            tau = self.edge_field_values(edge, boundary_data.tangent[edge])
-            tau_hat = tau / np.linalg.norm(tau, axis=2, keepdims=True)
-            kap = self.edge_field_values(edge, boundary_data.curvature[edge])
-            frozen.append(
-                {"length": length, "tau": tau, "tau_hat": tau_hat, "kappa": kap}
-            )
-        self.frozen = frozen
+        return np.einsum("eqa,ead->eqd", self.derivs if deriv else self.values, loc)
+
+    def freeze(self, x0, tangent, curvature):
+        """Sample the time-independent boundary quantities at the edge points.
+
+        `x0` holds the (dim, 3) position coefficients of the initial
+        surface; `tangent` and `curvature` the stacked per-edge
+        coefficients of the interpolated tangent and curvature vector
+        (`projections.boundary_quasi_interp`).
+        """
+        tau = self.trace(tangent[self.local])
+        self.frozen = {
+            "length": np.linalg.norm(self.trace(x0[self.flat], deriv=True), axis=2),
+            "tau": tau,
+            "tau_hat": tau / np.linalg.norm(tau, axis=2, keepdims=True),
+            "kappa": self.trace(curvature[self.local]),
+        }
         return self
 
 
 def assemble_constraint(btables: BoundaryTables):
     """Tangential-trace constraint matrix S, (n_boundary, 3*dim) CSR.
 
-    Requires frozen boundary data; rows follow the distinct boundary
-    control point numbering of the trace space.
+    Requires frozen boundary data; rows follow `btables.rows`.
     """
     assert btables.frozen is not None, "freeze boundary data first"
-    space = btables.space
-    traces = btables.traces
-    rows, cols, vals = [], [], []
-    for edge in range(4):
-        tab = btables.edge_tabs[edge]
-        fr = btables.frozen[edge]
-        loc = btables.edge_local_indices(edge)  # (Ne, p+1)
-        flat = traces.edge_flat_indices[edge][loc]  # tensor flat indices
-        brow = traces.row_of_flat(flat)  # boundary row numbers
-        dens = tab["weights"][None, :] * fr["length"]  # (Ne, nq)
-        p1 = loc.shape[1]
-        r = np.repeat(brow, p1, axis=1).ravel()
-        c0 = np.tile(flat, (1, p1)).ravel()
-        for k in range(3):
-            Sk = np.einsum(
-                "eq,eqa,eqb->eab",
-                dens * fr["tau_hat"][:, :, k],
-                tab["values"],
-                tab["values"],
-            )
-            rows.append(r)
-            cols.append(c0 + k * space.dim)
-            vals.append(Sk.ravel())
+    bt, fr = btables, btables.frozen
+    dim = bt.space.dim
+    dens = bt.weights * fr["length"]  # (E, nq)
+    p1 = bt.flat.shape[1]
+    rows = np.repeat(bt.rows, p1, axis=1).ravel()
+    cols = np.tile(bt.flat, (1, p1)).ravel()
+    B = bt.values
+    vals = [
+        np.einsum("eq,eqa,eqb->eab", dens * fr["tau_hat"][:, :, k], B, B).ravel()
+        for k in range(3)
+    ]
     S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(traces.num_rows, 3 * space.dim),
+        (
+            np.concatenate(vals),
+            (np.tile(rows, 3), np.concatenate([cols + k * dim for k in range(3)])),
+        ),
+        shape=(bt.num_rows, 3 * dim),
     )
     return S.tocsr()
+
+
+def conormal_load(btables: BoundaryTables, length, kappa_b, tau, nu):
+    """Edge integral of (kappa_b . nu)(nu x tau) against the vector basis, (dim, 3).
+
+    All arguments are sampled at the edge quadrature points: the length
+    element (E, nq) and the boundary curvature vector, tangent and
+    normal (E, nq, 3).
+    """
+    alpha = np.einsum("eqd,eqd->eq", kappa_b, nu)
+    mu = np.cross(nu, tau)
+    dens = btables.weights * length * alpha
+    local = np.einsum("eq,eqd,eqa->ead", dens, mu, btables.values)
+    return scatter_vector(btables.flat, local, btables.space.dim)
 
 
 def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     """Conormal boundary load for the normal equation, (dim, 3).
 
-    Integrates (kappa_b . nu)(nu x tau) against the vector basis traces
-    over the fixed initial boundary, with the interpolated tangent kept
-    unnormalized.
+    The `conormal_load` of the normal field over the fixed initial
+    boundary, with the interpolated tangent kept unnormalized.
     """
     assert btables.frozen is not None
-    rows, entries = [], []
-    for edge in range(4):
-        tab = btables.edge_tabs[edge]
-        fr = btables.frozen[edge]
-        nu = btables.edge_field_values(
-            edge, btables.trace_coeffs(edge, nu_coeffs)
-        )  # (Ne, nq, 3)
-        alpha = np.einsum("eqd,eqd->eq", fr["kappa"], nu)
-        mu = np.cross(nu, fr["tau"])
-        dens = tab["weights"][None, :] * fr["length"] * alpha
-        entries.append(np.einsum("eq,eqd,eqa->ead", dens, mu, tab["values"]))
-        rows.append(
-            btables.traces.edge_flat_indices[edge][btables.edge_local_indices(edge)]
-        )
-    return scatter_vector(
-        np.concatenate(rows), np.concatenate(entries), btables.space.dim
-    )
+    fr = btables.frozen
+    nu = btables.trace(np.asarray(nu_coeffs)[btables.flat])
+    return conormal_load(btables, fr["length"], fr["kappa"], fr["tau"], nu)
 
 
 def constraint_residual(S, nu_coeffs):

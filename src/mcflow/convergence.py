@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import MeshTables
+from .assembly import gauss_mesh
 from .config import ScenarioConfig
 from .flow import FlowProblem
 from .geometry import SplineField
@@ -38,10 +38,6 @@ class ConvergenceReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvergenceReport":
-        return cls(**json.loads(text))
 
 
 def _h1_errors(field_a: SplineField, field_b: SplineField, pts, weights):
@@ -85,9 +81,9 @@ def convergence_study(
         runs.append(result)
 
     finest = runs[-1]
-    tables = MeshTables(finest.problem.space, base.degree + 3)
-    pts = tables.points.reshape(-1, 2)
-    weights = np.tile(tables.weights, tables.num_elements)
+    points, weights = gauss_mesh(finest.problem.space, base.degree + 3)
+    pts = points.reshape(-1, 2)
+    weights = np.tile(weights, len(points))
 
     def fields(result):
         space = result.problem.space

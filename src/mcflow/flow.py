@@ -12,25 +12,19 @@ quasi-interpolant of -kappa * nu with exactly zero boundary
 coefficients, and the position update resets the boundary rows to their
 initial values so the Dirichlet data is preserved bit for bit.
 
-The BDF coefficients come from the generating polynomials
-
-    delta(z) = sum_{l=1..q} (1/l) (1 - z)^l,    gamma(z) = (1 - (1-z)^q) / z,
-
-evaluated exactly in rational arithmetic; orders 1 and 2 are supported.
-The history grows up to the scheme's order and each step uses the
-highest order it supports, so a q=2 run bootstraps with a single q=1
-step.  `FlowProblem` rejects a config with `ConfigError` before any
-set-up unless dt > 0 divides t_final >= 0 into whole steps, the
-snapshot stride is non-negative and degree, smoothness and elements per
-side make a spline space.
+BDF orders 1 and 2 are supported (`bdf_coefficients`).  The history
+grows up to the scheme's order and each step uses the highest order it
+supports, so a q=2 run bootstraps with a single q=1 step.
+`FlowProblem` rejects a config with `ConfigError` before any set-up
+unless dt > 0 divides t_final >= 0 into whole steps, the snapshot
+stride is non-negative and degree, smoothness and elements per side
+make a spline space.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -58,26 +52,27 @@ from .scenarios import get_scenario
 from .splines import build_quasi_interpolant, build_space
 
 
+# (delta, gamma) by order; every value is exact in binary floating point
+_BDF_COEFFICIENTS = {
+    1: ([1.0, -1.0], [1.0]),
+    2: ([1.5, -2.0, 0.5], [2.0, -1.0]),
+}
+
+
 def bdf_coefficients(order: int):
     """BDF derivative and extrapolation weights (delta, gamma).
 
-    delta has length order + 1 (newest first), gamma length order.
-    Exact rational values converted to float.
+    delta has length order + 1 (newest first), gamma length order.  They
+    are the coefficients of the generating polynomials
+
+        delta(z) = sum_{l=1..q} (1/l) (1 - z)^l,    gamma(z) = (1 - (1-z)^q) / z
+
+    for q = order.
     """
-    if order not in (1, 2):
+    if order not in _BDF_COEFFICIENTS:
         raise ValueError(f"BDF order must be 1 or 2, got {order}")
-    q = order
-    delta = [Fraction(0)] * (q + 1)
-    for l in range(1, q + 1):
-        for j in range(l + 1):
-            delta[j] += Fraction(1, l) * Fraction((-1) ** j * comb(l, j))
-    gamma = [Fraction(0)] * q
-    for j in range(1, q + 1):
-        gamma[j - 1] = -Fraction((-1) ** j * comb(q, j))
-    return (
-        np.array([float(d) for d in delta]),
-        np.array([float(g) for g in gamma]),
-    )
+    delta, gamma = _BDF_COEFFICIENTS[order]
+    return np.array(delta), np.array(gamma)
 
 
 @dataclass
@@ -173,7 +168,6 @@ class FlowProblem:
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
         # filled by initialize()
         self.S = None
-        self.boundary_data = None
         self.x0_boundary = None
         self.ritz_info = None
 
@@ -191,10 +185,11 @@ class FlowProblem:
         x_field = SplineField(self.space, x)
         self.x0_boundary = x[self.space.boundary_indices].copy()
 
-        self.boundary_data = boundary_quasi_interp(
-            self.btables, sc.boundary_tangent, sc.boundary_curvature
+        self.btables.freeze(
+            x,
+            boundary_quasi_interp(self.quasi, sc.boundary_tangent),
+            boundary_quasi_interp(self.quasi, sc.boundary_curvature),
         )
-        self.btables.freeze(x_field, self.boundary_data)
         self.S = assemble_constraint(self.btables)
 
         kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
@@ -296,24 +291,27 @@ class FlowProblem:
     def run(self, order: int = 2) -> RunResult:
         """March from t = 0 to t_final; emits per-step diagnostics.
 
-        A failed step (solver residual or degenerate geometry) aborts the
-        run after serializing the last good state when an output
-        directory is configured.
+        A failure (a Ritz projection that does not contract, a solver
+        residual or degenerate geometry) aborts the run.  When an output
+        directory is configured it first writes the diagnostics so far
+        and, once initialization has produced a state, the last good
+        state.
         """
         cfg = self.cfg
         num_steps = int(round(cfg.t_final / cfg.dt))
-        state = self.initialize()
-        diagnostics = [self.initial_diagnostics(state)]
-        snapshots = []
-        if cfg.snapshot_stride > 0:
-            snapshots.append((0, state.copy()))
-
-        if cfg.dump_matrices and cfg.output_dir:
-            self._dump_matrices(state)
-
-        scheme = BdfScheme(order)
-        scheme.push(state)
+        state, diagnostics = None, []
         try:
+            state = self.initialize()
+            diagnostics.append(self.initial_diagnostics(state))
+            snapshots = []
+            if cfg.snapshot_stride > 0:
+                snapshots.append((0, state.copy()))
+
+            if cfg.dump_matrices and cfg.output_dir:
+                self._dump_matrices(state)
+
+            scheme = BdfScheme(order)
+            scheme.push(state)
             for k in range(1, num_steps + 1):
                 state, diag = self.step(scheme, cfg.dt)
                 diagnostics.append(diag)
@@ -341,7 +339,8 @@ class FlowProblem:
 
         out = cfg_dir(self.cfg)
         write_diagnostics_csv(diagnostics, out / "diagnostics_abort.csv")
-        export_vtk(self, state, out / "last_good_state.vtk")
+        if state is not None:
+            export_vtk(self, state, out / "last_good_state.vtk")
 
 
 def _check_time_grid(cfg: ScenarioConfig):

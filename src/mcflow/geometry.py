@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .splines import TensorSplineSpace, edge_points
+from .splines import TensorSplineSpace
 
 DEGENERACY_EPS = 1e-14
 
@@ -78,15 +78,6 @@ class SplineField:
         if nderiv == 0:
             return values
         return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
-
-    def eval_edge(self, edge: int, s, nderiv: int = 0):
-        """Trace values (and edge-parameter derivatives) along an edge."""
-        pts = edge_points(edge, np.atleast_1d(s))
-        if nderiv == 0:
-            return self.eval(pts)
-        vals, jac = self.eval(pts, 1)
-        run = 0 if edge in (0, 2) else 1  # edges 0,2 run in u; 1,3 in v
-        return vals, jac[:, :, run]
 
 
 def metric_pieces(J):

@@ -26,8 +26,6 @@ surface is reproduced to solver precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .assembly import (
@@ -37,45 +35,33 @@ from .assembly import (
     MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
+    conormal_load,
     scatter_vector,
 )
 from .geometry import SplineField, metric_pieces
-from .splines import QuasiInterpolant, _dual_weights, edge_points
+from .splines import EDGE_FIXED_COORD, QuasiInterpolant, edge_points
 
 
 class NoContraction(Exception):
     """Raised when the normal projection exhausts its iteration budget."""
 
 
-@dataclass
-class BoundaryData:
-    """Per-edge interpolated boundary tangent and curvature vector.
-
-    `tangent[k]` and `curvature[k]` are (n_k, 3) univariate coefficient
-    arrays on the trace space of edge k.  The tangent is oriented so
-    that (normal x tangent) is the outward conormal.
-    """
-
-    tangent: list = field(default_factory=list)
-    curvature: list = field(default_factory=list)
-
-
-def boundary_quasi_interp(
-    btables: BoundaryTables, tangent_fn, curvature_fn
-) -> BoundaryData:
+def boundary_quasi_interp(quasi: QuasiInterpolant, fn):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
-    `tangent_fn(edge, s)` and `curvature_fn(edge, s)` return (n, 3)
-    samples by edge parameter; corners carry no quadrature points, so
-    the discontinuity of the tangent there never gets sampled.
+    `fn(edge, s)` returns (n, D) samples by edge parameter.  The
+    functionals of each edge are those of `quasi` in its running
+    direction; corners carry no quadrature points, so a discontinuity
+    of the data there (as of the tangent) never gets sampled.  Returns
+    the per-edge coefficients stacked in edge order, the layout
+    `BoundaryTables.local` indexes.
     """
-    data = BoundaryData()
+    duals = ((quasi.wu, quasi.points_u), (quasi.wv, quasi.points_v))
+    coeffs = []
     for edge in range(4):
-        uspace = btables.traces.edge_spaces[edge]
-        W, pts = _dual_weights(uspace, uspace.degree + 2)
-        data.tangent.append(W @ np.asarray(tangent_fn(edge, pts)))
-        data.curvature.append(W @ np.asarray(curvature_fn(edge, pts)))
-    return data
+        W, pts = duals[1 - EDGE_FIXED_COORD[edge]]
+        coeffs.append(W @ np.asarray(fn(edge, pts)))
+    return np.concatenate(coeffs)
 
 
 def project_velocity(
@@ -140,26 +126,26 @@ def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg
         return scatter_vector(tables.conn, local, dim)
 
     # analytic boundary term, moved to the right-hand side with minus sign
-    rows, entries = [], []
-    for edge in range(4):
-        uspace = btables.traces.edge_spaces[edge]
-        svals, wts, first, vals = uspace.element_tables(nq, nderiv=0)
-        s = svals.ravel()
-        vec = svals.shape + (3,)  # (Ne, nq, 3)
-        nu_b = scenario.normal(edge_points(edge, s)).reshape(vec)
-        kap_b = scenario.boundary_curvature(edge, s).reshape(vec)
-        mu = np.cross(nu_b, scenario.boundary_tangent(edge, s).reshape(vec))
-        speed = np.linalg.norm(scenario.edge_derivatives(edge, s)[0], axis=1)
-        dens = wts * speed.reshape(svals.shape) * np.einsum("eqd,eqd->eq", kap_b, nu_b)
-        basis = vals[:, :, 0, :]  # (Ne, nq, p+1)
-        local = first[:, None] + np.arange(uspace.degree + 1)[None, :]
-        flat = btables.traces.edge_flat_indices[edge][local]  # (Ne, p+1)
-        entries.append(dens[..., None, None] * mu[:, :, None, :] * basis[..., None])
-        rows.append(np.broadcast_to(flat[:, None, :], basis.shape))
-    rhs_b = scatter_vector(
-        np.concatenate([r.ravel() for r in rows]),
-        np.concatenate([e.reshape(-1, 3) for e in entries]),
-        dim,
+    bt = BoundaryTables(space, nq)
+
+    def on_edges(fn):
+        """fn(edge, s) at the edge quadrature points, stacked (E, nq, D)."""
+        return np.concatenate(
+            [
+                np.reshape(fn(edge, bt.s[sl].ravel()), bt.s[sl].shape + (-1,))
+                for edge, sl in enumerate(bt.edge_slices)
+            ]
+        )
+
+    speed = np.linalg.norm(
+        on_edges(lambda edge, s: scenario.edge_derivatives(edge, s)[0]), axis=2
+    )
+    rhs_b = conormal_load(
+        bt,
+        speed,
+        on_edges(scenario.boundary_curvature),
+        on_edges(scenario.boundary_tangent),
+        on_edges(lambda edge, s: scenario.normal(edge_points(edge, s))),
     )
     # (sign: the projection identity carries -boundary term on both sides)
 

@@ -14,10 +14,11 @@ operator is a projector onto the space and reproduces polynomials up to
 degree p.
 
 `UnivariateSpline.element_tables` tabulates one direction on its
-per-element Gauss grid; the tensor quadrature mesh built from two of
-them, with points, weights and basis values, is `assembly.MeshTables`,
-the one quadrature layer that assembly, area, error norms and
-calibration share.
+per-element Gauss grid.  `assembly.MeshTables` builds the tensor
+quadrature mesh of the square from two of them, with points, weights
+and basis values, and `assembly.BoundaryTables` stacks the four edges of
+the square into one edge mesh; with open knot vectors the trace of the
+space on an edge is the univariate space of its running direction.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ class UnivariateSpline:
         ders = _basis_derivatives(self.knots, self.degree, x, spans, nderiv)
         return spans - self.degree, ders
 
+    def element_rule(self, n_quad: int):
+        """Per-element Gauss rule.
+
+        Returns points (N, nq) in global coordinates and weights (nq,)
+        scaled to the element length.
+        """
+        xq, wq = gauss_rule(n_quad)
+        h = self.mesh_size
+        offsets = np.arange(self.num_elements)[:, None] * h
+        return offsets + xq[None, :] * h, wq * h
+
     def element_tables(self, n_quad: int, nderiv: int = 1):
         """Per-element Gauss tabulation.
 
@@ -154,11 +166,7 @@ class UnivariateSpline:
         first (N,) the first active basis index per element, and values
         (N, nq, nderiv + 1, p + 1).
         """
-        xq, wq = gauss_rule(n_quad)
-        h = self.mesh_size
-        offsets = np.arange(self.num_elements)[:, None] * h
-        points = offsets + xq[None, :] * h
-        weights = wq * h
+        points, weights = self.element_rule(n_quad)
         flat = points.ravel()
         spans = self.find_span(flat)
         ders = _basis_derivatives(self.knots, self.degree, flat, spans, nderiv)
@@ -350,37 +358,3 @@ def edge_points(edge: int, s):
     pts[..., fixed] = EDGE_FIXED_VALUE[edge]
     pts[..., 1 - fixed] = s
     return pts
-
-
-class BoundaryTraceSpace:
-    """Traces of a tensor spline space on the four edges of the square.
-
-    With open knot vectors only the first/last basis function of the
-    fixed direction is nonzero on an edge, so each edge trace is the
-    running-direction univariate space; `edge_flat_indices[k]` maps edge
-    k's trace DOFs to flat tensor indices.  `rows` numbers the distinct
-    boundary control points (corners shared), giving the multiplier /
-    trace DOF set of size 4n - 4 for equal factors of dimension n.
-    """
-
-    def __init__(self, space: TensorSplineSpace):
-        self.space = space
-        nu, nv = space.shape
-        ju = np.arange(nu)
-        jv = np.arange(nv)
-        self.edge_spaces = (space.u, space.v, space.u, space.v)
-        self.edge_flat_indices = (
-            space.flat_index(ju, 0),
-            space.flat_index(nu - 1, jv),
-            space.flat_index(ju, nv - 1),
-            space.flat_index(0, jv),
-        )
-        self.num_rows = len(space.boundary_indices)
-        self._row_of_flat = np.full(space.dim, -1, dtype=int)
-        self._row_of_flat[space.boundary_indices] = np.arange(self.num_rows)
-
-    def row_of_flat(self, flat):
-        """Boundary row index of boundary flat indices."""
-        rows = self._row_of_flat[np.asarray(flat)]
-        assert np.all(rows >= 0)
-        return rows

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mcflow.splines import build_quasi_interpolant, build_space
+from mcflow.geometry import SplineField
+from mcflow.projections import boundary_quasi_interp
+from mcflow.splines import build_quasi_interpolant, build_space, edge_points, gauss_rule
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,52 @@ def interior_grid(n: int = 33, margin: float = 0.1):
     g = np.linspace(margin, 1.0 - margin, n)
     U, V = np.meshgrid(g, g, indexing="ij")
     return np.column_stack([U.ravel(), V.ravel()])
+
+
+def dense_conormal_load(problem, state, nq=24):
+    """Edge integral of (kappa_b . nu)(nu x tau) b_i, nq Gauss points per element.
+
+    A reference for `assembly.assemble_boundary_load` that shares none of
+    its tables: each edge is evaluated point by point from its own
+    univariate basis and from the full surface, with the interpolated
+    tangent and curvature taken edge by edge from the stacked coefficients.
+    """
+    space = problem.space
+    sc = problem.scenario
+    tangent = boundary_quasi_interp(problem.quasi, sc.boundary_tangent)
+    curvature = boundary_quasi_interp(problem.quasi, sc.boundary_curvature)
+    NU = SplineField(space, state.nu)
+    X = SplineField(space, state.x)
+    nu_n, nv_n = space.shape
+    edges = (  # (running space, tensor flat index of each trace basis function)
+        (space.u, space.flat_index(np.arange(nu_n), 0)),
+        (space.v, space.flat_index(nu_n - 1, np.arange(nv_n))),
+        (space.u, space.flat_index(np.arange(nu_n), nv_n - 1)),
+        (space.v, space.flat_index(0, np.arange(nv_n))),
+    )
+    xg, wg = gauss_rule(nq)
+    out = np.zeros((space.dim, 3))
+    offset = 0
+    for edge, (uspace, flat) in enumerate(edges):
+        run = 0 if edge in (0, 2) else 1
+        h = uspace.mesh_size
+        p1 = uspace.degree + 1
+        tau_c = tangent[offset : offset + len(flat)]
+        kap_c = curvature[offset : offset + len(flat)]
+        offset += len(flat)
+        for e in range(uspace.num_elements):
+            s = e * h + xg * h
+            first, ders = uspace.eval_basis(s, 0)
+            idx = first[:, None] + np.arange(p1)[None, :]
+            tau = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_c[idx])
+            kap = np.einsum("nk,nkd->nd", ders[:, 0, :], kap_c[idx])
+            pts = edge_points(edge, s)
+            nuv = NU.eval(pts)
+            arc = np.linalg.norm(X.eval(pts, 1)[1][:, :, run], axis=1)
+            alpha = np.einsum("nd,nd->n", kap, nuv)
+            mu = np.cross(nuv, tau)
+            vals = wg * h * arc * alpha
+            for q in range(nq):
+                rows = flat[first[q] + np.arange(p1)]
+                out[rows] += vals[q] * ders[q, 0][:, None] * mu[q][None, :]
+    return out

@@ -18,13 +18,8 @@ from mcflow.convergence import convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
 from mcflow.scenarios import get_scenario
-from mcflow.splines import (
-    build_quasi_interpolant,
-    build_space,
-    edge_points,
-    gauss_rule,
-)
-from tests.conftest import interior_grid
+from mcflow.splines import build_quasi_interpolant, build_space
+from tests.conftest import dense_conormal_load, interior_grid
 
 
 @pytest.fixture(scope="module")
@@ -301,41 +296,8 @@ def test_criterion_8_projector_and_oracle_suite(example2):
     prob = example2.problem
     st0 = example2.snapshots[0][1]
     fb = assemble_boundary_load(prob.btables, st0.nu)
-    dense = _dense_boundary_load(prob, st0)
+    dense = dense_conormal_load(prob, st0)
     assert np.abs(fb - dense).max() <= 1e-10
-
-
-def _dense_boundary_load(prob, state, nq=24):
-    """Edge integral of (kappa_b . nu)(nu x tau) b_i, 24 Gauss points/element."""
-    space = prob.space
-    NU = SplineField(space, state.nu)
-    X = SplineField(space, state.x)
-    bd = prob.boundary_data
-    xg, wg = gauss_rule(nq)
-    out = np.zeros((space.dim, 3))
-    for edge in range(4):
-        uspace = prob.btables.traces.edge_spaces[edge]
-        h = uspace.mesh_size
-        flat = prob.btables.traces.edge_flat_indices[edge]
-        p1 = uspace.degree + 1
-        tau_c = np.asarray(bd.tangent[edge])
-        kap_c = np.asarray(bd.curvature[edge])
-        for e in range(uspace.num_elements):
-            s = e * h + xg * h
-            first, ders = uspace.eval_basis(s, 0)
-            idx = first[:, None] + np.arange(p1)[None, :]
-            tau = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_c[idx])
-            kap = np.einsum("nk,nkd->nd", ders[:, 0, :], kap_c[idx])
-            nuv = NU.eval(edge_points(edge, s))
-            _, dxs = X.eval_edge(edge, s, 1)
-            arc = np.linalg.norm(dxs, axis=1)
-            alpha = np.einsum("nd,nd->n", kap, nuv)
-            mu = np.cross(nuv, tau)
-            vals = wg * h * arc * alpha
-            for q in range(nq):
-                rows = flat[first[q] + np.arange(p1)]
-                out[rows] += vals[q] * ders[q, 0][:, None] * mu[q][None, :]
-    return out
 
 
 def test_criterion_9_bdf_identities():

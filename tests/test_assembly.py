@@ -24,13 +24,10 @@ from mcflow.assembly import (
 from mcflow.config import ScenarioConfig
 from mcflow.flow import initialize
 from mcflow.geometry import DegenerateSurface, SplineField
+from mcflow.projections import boundary_quasi_interp
 from mcflow.scenarios import get_scenario
-from mcflow.splines import (
-    build_quasi_interpolant,
-    build_space,
-    edge_points,
-    gauss_rule,
-)
+from mcflow.splines import build_quasi_interpolant, build_space, edge_points, gauss_rule
+from tests.conftest import dense_conormal_load
 
 
 @pytest.fixture(scope="module")
@@ -201,38 +198,8 @@ def test_normal_load_consistent_with_curvature_load(sphere_problem):
 def test_boundary_load_dense_oracle(sphere_problem):
     """Brute-force dense quadrature of the conormal load, 24 points/element."""
     prob, st = sphere_problem
-    space = prob.space
     fb = assemble_boundary_load(prob.btables, st.nu)
-
-    NU = SplineField(space, st.nu)
-    X = SplineField(space, st.x)
-    bd = prob.boundary_data
-    nq = 24
-    xg, wg = gauss_rule(nq)
-    dense = np.zeros((space.dim, 3))
-    for edge in range(4):
-        uspace = prob.btables.traces.edge_spaces[edge]
-        h = uspace.mesh_size
-        flat = prob.btables.traces.edge_flat_indices[edge]
-        p1 = uspace.degree + 1
-        tau_c = np.asarray(bd.tangent[edge])
-        kap_c = np.asarray(bd.curvature[edge])
-        for e in range(uspace.num_elements):
-            s = e * h + xg * h
-            first, ders = uspace.eval_basis(s, 0)
-            idx = first[:, None] + np.arange(p1)[None, :]
-            tau = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_c[idx])
-            kap = np.einsum("nk,nkd->nd", ders[:, 0, :], kap_c[idx])
-            nuv = NU.eval(edge_points(edge, s))
-            _, dxs = X.eval_edge(edge, s, 1)
-            arc = np.linalg.norm(dxs, axis=1)
-            alpha = np.einsum("nd,nd->n", kap, nuv)
-            mu = np.cross(nuv, tau)
-            vals = wg * h * arc * alpha
-            for q in range(nq):
-                rows = flat[first[q] + np.arange(p1)]
-                dense[rows] += vals[q] * ders[q, 0][:, None] * mu[q][None, :]
-    assert np.abs(fb - dense).max() < 1e-10
+    assert np.abs(fb - dense_conormal_load(prob, st)).max() < 1e-10
 
 
 def test_boundary_load_vanishes_for_straight_edges():
@@ -281,10 +248,10 @@ def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
     w[space.boundary_indices] = 0.0
     assert constraint_residual(prob.S, w) == 0.0
     # a trace along the interpolated tangent is maximally visible
+    bt = prob.btables
+    tangent = boundary_quasi_interp(prob.quasi, prob.scenario.boundary_tangent)
     wt = np.zeros((space.dim, 3))
-    for edge in range(4):
-        flat = prob.btables.traces.edge_flat_indices[edge]
-        wt[flat] = prob.boundary_data.tangent[edge]
+    wt[bt.flat] = tangent[bt.local]
     assert constraint_residual(prob.S, wt) > 1e-2
 
 
@@ -381,6 +348,32 @@ def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
     S0[0, :] = 0.0
     with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
         ConstrainedSolver(K, S0.tocsr(), space, 1e-9, "test solve")
+
+
+def test_boundary_tables_trace_layout(space_small, rng):
+    """4n - 4 constraint rows with shared corners; traces match the full field."""
+    bt = BoundaryTables(space_small, 3)
+    n = space_small.u.dim
+    assert bt.num_rows == 4 * n - 4
+    assert np.array_equal(np.unique(bt.rows), np.arange(4 * n - 4))
+    # each stacked coefficient belongs to one tensor basis function
+    flat_of_local = np.full(bt.local.max() + 1, -1)
+    flat_of_local[bt.local] = bt.flat
+    assert np.array_equal(flat_of_local[bt.local], bt.flat)
+    # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row
+    first = [bt.edge_slices[k].start for k in (0, 3)]
+    assert bt.flat[first[0], 0] == bt.flat[first[1], 0] == 0
+    assert bt.rows[first[0], 0] == bt.rows[first[1], 0]
+    assert bt.local[first[0], 0] != bt.local[first[1], 0]
+    coeffs = rng.normal(size=(space_small.dim, 2))
+    fld = SplineField(space_small, coeffs)
+    vals = bt.trace(coeffs[bt.flat])
+    ders = bt.trace(coeffs[bt.flat], deriv=True)
+    for edge, sl in enumerate(bt.edge_slices):
+        full, jac = fld.eval(edge_points(edge, bt.s[sl].ravel()), 1)
+        run = 0 if edge in (0, 2) else 1
+        assert np.abs(vals[sl].reshape(-1, 2) - full).max() < 1e-13
+        assert np.abs(ders[sl].reshape(-1, 2) - jac[:, :, run]).max() < 1e-12
 
 
 def test_boundary_tables_require_freeze(space_small):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,10 +211,8 @@ def test_cli_converge(tmp_path, capsys):
     assert cli_main(["converge", "--config", str(cfg_path), "--levels", "2,4,8"]) == 0
     report = tmp_path / "out" / "convergence.json"
     assert report.exists()
-    from mcflow.convergence import ConvergenceReport
-
-    rep = ConvergenceReport.from_json(report.read_text())
-    assert rep.levels == [2, 4, 8]
+    rep = json.loads(report.read_text())
+    assert rep["levels"] == [2, 4, 8]
     assert "H1 order" in capsys.readouterr().out
 
 

@@ -12,6 +12,8 @@ from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
 from mcflow.flow import BdfScheme, FlowProblem, bdf_coefficients, run
+from mcflow.geometry import DegenerateSurface
+from mcflow.projections import NoContraction
 
 
 def small_cfg(**kw):
@@ -200,6 +202,33 @@ def test_abort_serializes_diagnostics(tmp_path):
     assert (out / "last_good_state.vtk").exists()
     rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
     assert len(rows["t"]) >= 1
+
+
+def test_abort_record_when_the_normal_projection_fails(tmp_path):
+    """No state exists yet: a header-only diagnostics file and no VTK."""
+    out = tmp_path / "aborted"
+    with pytest.raises(NoContraction):
+        run(small_cfg(ritz_fp_max_iter=1, output_dir=str(out)))
+    rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
+    assert len(rows["t"]) == 0
+    assert not (out / "last_good_state.vtk").exists()
+
+
+def test_abort_record_on_degenerate_geometry(tmp_path, monkeypatch):
+    """A step on a collapsed surface aborts after recording t = 0."""
+    extrapolate = BdfScheme.extrapolate
+
+    def collapsed(self, attr):
+        value = extrapolate(self, attr)
+        return 0.0 * value if attr == "x" else value
+
+    monkeypatch.setattr(BdfScheme, "extrapolate", collapsed)
+    out = tmp_path / "aborted"
+    with pytest.raises(DegenerateSurface):
+        run(small_cfg(output_dir=str(out)))
+    rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
+    assert list(rows["t"]) == [0.0]
+    assert (out / "last_good_state.vtk").exists()
 
 
 def test_second_order_consistency():

@@ -39,20 +39,6 @@ def test_eval_derivatives_match_finite_differences(space_small, rng):
         assert np.abs((vp - vm) / (2 * eps) - jac[:, :, a]).max() < 1e-6
 
 
-def test_eval_edge_matches_full_eval(space_small, rng):
-    coeffs = rng.normal(size=(space_small.dim, 3))
-    fld = SplineField(space_small, coeffs)
-    s = np.linspace(0.0, 1.0, 17)
-    from mcflow.splines import edge_points
-
-    for edge in range(4):
-        vals, dtang = fld.eval_edge(edge, s, 1)
-        full, jac = fld.eval(edge_points(edge, s), 1)
-        run = 0 if edge in (0, 2) else 1
-        assert np.array_equal(vals, full)
-        assert np.array_equal(dtang, jac[:, :, run])
-
-
 def test_flat_square_geometry():
     """X(u,v) = (2u-1, 2v-1, 0): metric 4I, area element 4, area 4."""
     space = build_space(2, 1, 4)

@@ -49,9 +49,12 @@ def test_boundary_interp_reproduces_constant_tangent():
         )
     )
     sc = prob.scenario
-    bd = boundary_quasi_interp(prob.btables, sc.boundary_tangent, sc.boundary_curvature)
-    for edge in range(4):
-        tau = np.asarray(bd.tangent[edge])
+    tangent = boundary_quasi_interp(prob.quasi, sc.boundary_tangent)
+    curvature = boundary_quasi_interp(prob.quasi, sc.boundary_curvature)
+    assert np.abs(curvature).max() < 1e-13
+    bt = prob.btables
+    for sl in bt.edge_slices:
+        tau = tangent[np.unique(bt.local[sl])]
         assert np.abs(np.abs(tau).max(axis=0) - np.abs(tau[0])).max() < 1e-13
         assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-13
 
@@ -62,16 +65,16 @@ def test_boundary_interp_accuracy_on_sphere():
     sup = []
     for N in (8, 16):
         prob = _sphere_problem(N)
-        bd = boundary_quasi_interp(
-            prob.btables, sc.boundary_tangent, sc.boundary_curvature
-        )
+        tangent = boundary_quasi_interp(prob.quasi, sc.boundary_tangent)
+        bt = prob.btables
         worst = 0.0
         s = np.linspace(0.0, 1.0, 160)
-        for edge in range(4):
-            uspace = prob.btables.traces.edge_spaces[edge]
+        for edge, sl in enumerate(bt.edge_slices):
+            uspace = (prob.space.u, prob.space.v)[edge % 2]
             first, ders = uspace.eval_basis(s, 0)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
-            tau_h = np.einsum("nk,nkd->nd", ders[:, 0, :], np.asarray(bd.tangent[edge])[idx])
+            tau_edge = tangent[np.unique(bt.local[sl])]
+            tau_h = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_edge[idx])
             worst = max(worst, np.abs(tau_h - sc.boundary_tangent(edge, s)).max())
         sup.append(worst)
     assert sup[0] < 1e-3

@@ -11,7 +11,6 @@ from scipy.interpolate import BSpline
 from mcflow.assembly import MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
-    BoundaryTraceSpace,
     UnivariateSpline,
     build_quasi_interpolant,
     build_space,
@@ -204,23 +203,3 @@ def test_edge_points_layout():
     assert np.array_equal(edge_points(1, s)[:, 0], np.ones(3))
     assert np.array_equal(edge_points(2, s)[:, 0], s)
     assert np.array_equal(edge_points(3, s)[:, 1], s)
-
-
-def test_boundary_trace_space(space_small, rng):
-    traces = BoundaryTraceSpace(space_small)
-    n = space_small.u.dim
-    assert traces.num_rows == 4 * n - 4
-    # corners are shared between adjacent edges
-    corner = traces.row_of_flat([traces.edge_flat_indices[k][0] for k in (0, 3)])
-    assert corner[0] == corner[1]
-    coeffs = rng.normal(size=(space_small.dim, 2))
-    fld = SplineField(space_small, coeffs)
-    s = rng.uniform(0.0, 1.0, size=40)
-    for edge in range(4):
-        uspace = traces.edge_spaces[edge]
-        tr = coeffs[traces.edge_flat_indices[edge]]
-        first, ders = uspace.eval_basis(s, 0)
-        idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
-        uni = np.einsum("na,nad->nd", ders[:, 0, :], tr[idx])
-        full = fld.eval(edge_points(edge, s))
-        assert np.abs(uni - full).max() < 1e-13
