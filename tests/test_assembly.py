@@ -26,7 +26,7 @@ from mcflow.flow import initialize
 from mcflow.geometry import DegenerateSurface, SplineField
 from mcflow.projections import boundary_quasi_interp
 from mcflow.scenarios import get_scenario
-from mcflow.splines import build_quasi_interpolant, build_space, edge_points, gauss_rule
+from mcflow.splines import build_quasi_interpolant, build_space, gauss_rule
 from tests.conftest import dense_conormal_load
 
 
@@ -348,32 +348,6 @@ def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
     S0[0, :] = 0.0
     with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
         ConstrainedSolver(K, S0.tocsr(), space, 1e-9, "test solve")
-
-
-def test_boundary_tables_trace_layout(space_small, rng):
-    """4n - 4 constraint rows with shared corners; traces match the full field."""
-    bt = BoundaryTables(space_small, 3)
-    n = space_small.u.dim
-    assert bt.num_rows == 4 * n - 4
-    assert np.array_equal(np.unique(bt.rows), np.arange(4 * n - 4))
-    # each stacked coefficient belongs to one tensor basis function
-    flat_of_local = np.full(bt.local.max() + 1, -1)
-    flat_of_local[bt.local] = bt.flat
-    assert np.array_equal(flat_of_local[bt.local], bt.flat)
-    # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row
-    first = [bt.edge_slices[k].start for k in (0, 3)]
-    assert bt.flat[first[0], 0] == bt.flat[first[1], 0] == 0
-    assert bt.rows[first[0], 0] == bt.rows[first[1], 0]
-    assert bt.local[first[0], 0] != bt.local[first[1], 0]
-    coeffs = rng.normal(size=(space_small.dim, 2))
-    fld = SplineField(space_small, coeffs)
-    vals = bt.trace(coeffs[bt.flat])
-    ders = bt.trace(coeffs[bt.flat], deriv=True)
-    for edge, sl in enumerate(bt.edge_slices):
-        full, jac = fld.eval(edge_points(edge, bt.s[sl].ravel()), 1)
-        run = 0 if edge in (0, 2) else 1
-        assert np.abs(vals[sl].reshape(-1, 2) - full).max() < 1e-13
-        assert np.abs(ders[sl].reshape(-1, 2) - jac[:, :, run]).max() < 1e-12
 
 
 def test_boundary_tables_require_freeze(space_small):

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mcflow.assembly import ElementGeometry, MeshTables, weingarten_energy
+from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingarten_energy
 from mcflow.geometry import DegenerateSurface, SplineField, surface_area
 from mcflow.scenarios import get_scenario
-from mcflow.splines import build_quasi_interpolant, build_space
+from mcflow.splines import build_quasi_interpolant, build_space, edge_points
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,20 @@ def test_eval_derivatives_match_finite_differences(space_small, rng):
         vp = fld.eval(pts + d)
         vm = fld.eval(pts - d)
         assert np.abs((vp - vm) / (2 * eps) - jac[:, :, a]).max() < 1e-6
+
+
+def test_eval_edge_matches_full_eval(space_small, rng):
+    """Boundary traces and their running derivatives equal the full field's."""
+    coeffs = rng.normal(size=(space_small.dim, 3))
+    fld = SplineField(space_small, coeffs)
+    bt = BoundaryTables(space_small, 5)
+    vals = bt.trace(coeffs[bt.flat])
+    dtang = bt.trace(coeffs[bt.flat], deriv=True)
+    for edge, sl in enumerate(bt.edge_slices):
+        full, jac = fld.eval(edge_points(edge, bt.s[sl].ravel()), 1)
+        run = 0 if edge in (0, 2) else 1
+        assert np.abs(vals[sl].reshape(-1, 3) - full).max() < 1e-13
+        assert np.abs(dtang[sl].reshape(-1, 3) - jac[:, :, run]).max() < 1e-12
 
 
 def test_flat_square_geometry():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from mcflow.assembly import MeshTables
+from mcflow.assembly import BoundaryTables, MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
     UnivariateSpline,
@@ -203,3 +203,26 @@ def test_edge_points_layout():
     assert np.array_equal(edge_points(1, s)[:, 0], np.ones(3))
     assert np.array_equal(edge_points(2, s)[:, 0], s)
     assert np.array_equal(edge_points(3, s)[:, 1], s)
+
+
+def test_boundary_trace_space(space_small, rng):
+    """4n - 4 constraint rows with shared corners; traces match the full field."""
+    bt = BoundaryTables(space_small, 3)
+    n = space_small.u.dim
+    assert bt.num_rows == 4 * n - 4
+    assert np.array_equal(np.unique(bt.rows), np.arange(4 * n - 4))
+    # each stacked coefficient belongs to one tensor basis function
+    flat_of_local = np.full(bt.local.max() + 1, -1)
+    flat_of_local[bt.local] = bt.flat
+    assert np.array_equal(flat_of_local[bt.local], bt.flat)
+    # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row
+    first = [bt.edge_slices[k].start for k in (0, 3)]
+    assert bt.flat[first[0], 0] == bt.flat[first[1], 0] == 0
+    assert bt.rows[first[0], 0] == bt.rows[first[1], 0]
+    assert bt.local[first[0], 0] != bt.local[first[1], 0]
+    coeffs = rng.normal(size=(space_small.dim, 2))
+    fld = SplineField(space_small, coeffs)
+    vals = bt.trace(coeffs[bt.flat])
+    for edge, sl in enumerate(bt.edge_slices):
+        full = fld.eval(edge_points(edge, bt.s[sl].ravel()))
+        assert np.abs(vals[sl].reshape(-1, 2) - full).max() < 1e-13
