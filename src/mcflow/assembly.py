@@ -1,13 +1,18 @@
 """Galerkin assembly over the parametric mesh.
 
 Interior forms are integrated element by element with a tensor Gauss
-rule; all element loops are vectorized.  `MeshTables` is the one
-quadrature layer: it caches the Gauss points and weights of the N x N
-mesh, the basis tabulations and the CSR sparsity pattern of the space,
-so repeated assembly on a moving surface only re-does the
-coefficient-dependent contractions and then sums the element entries
-into the fixed pattern with one `np.bincount`.  Mass and stiffness
-share that pattern.
+rule.  `MeshTables` is the one quadrature layer: it caches the Gauss
+points and weights of the N x N mesh, the basis tabulations and the CSR
+sparsity pattern of the space, so repeated assembly on a moving surface
+only re-does the coefficient-dependent contractions and then sums the
+element entries into the fixed pattern with one `np.bincount`.  Mass
+and stiffness share that pattern.  The tabulations keep the local basis
+index last, so every contraction (field values and Jacobians, element
+matrices, loads, the Weingarten energy) is one batched BLAS product
+over the elements: small dense matrices per element, stacked, as in the
+sum-factorization view of tensor-product assembly (Antolin, Buffa,
+Calabro, Martinelli & Sangalli, CMAME 285, 2015).  `BoundaryTables`
+uses the same layout on the edges.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
@@ -95,7 +100,12 @@ def gauss_mesh(space: TensorSplineSpace, n_quad: int):
 class MeshTables:
     """Gauss mesh of a space: points, weights, basis tabulation, CSR pattern.
 
-    `points` and `weights` are those of `gauss_mesh`.
+    `points` and `weights` are those of `gauss_mesh`.  The basis values
+    `basis` (Ne, nq2, nloc) and parametric gradients `basis_grad`
+    (Ne, nq2, 2, nloc) keep the local basis index last; `grad_rows` is
+    `basis_grad` viewed as one (2 nq2, nloc) matrix per element.  So
+    every contraction with local coefficients or quadrature densities is
+    one batched matrix product over the elements.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -128,21 +138,16 @@ class MeshTables:
 
         self.points, self.weights = gauss_mesh(space, n_quad)
 
-        # basis values and parametric gradients (Ne, nq2, nloc[, 2])
-        bu = tu[:, :, 0, :]  # (neu, nq, du+1)
-        gu = tu[:, :, 1, :]
-        bv = tv[:, :, 0, :]
-        gv = tv[:, :, 1, :]
-        B = np.einsum("eqa,frb->efqrab", bu, bv)
-        self.basis = B.reshape(self.num_elements, nq2, self.nloc)
-        dB = np.stack(
-            [
-                np.einsum("eqa,frb->efqrab", gu, bv),
-                np.einsum("eqa,frb->efqrab", bu, gv),
-            ],
-            axis=-1,
-        )
-        self.basis_grad = dB.reshape(self.num_elements, nq2, self.nloc, 2)
+        def tensor(fu_tab, fv_tab):  # (neu, nq, du+1) x (nev, nq, dv+1)
+            B = fu_tab[:, None, :, None, :, None] * fv_tab[None, :, None, :, None, :]
+            return B.reshape(self.num_elements, nq2, self.nloc)
+
+        bu, gu = tu[:, :, 0, :], tu[:, :, 1, :]
+        bv, gv = tv[:, :, 0, :], tv[:, :, 1, :]
+        self.basis = tensor(bu, bv)
+        self.basis_grad = np.stack([tensor(gu, bv), tensor(bu, gv)], axis=2)
+        # the same memory as one (2 nq2, nloc) matrix per element
+        self.grad_rows = self.basis_grad.reshape(self.num_elements, 2 * nq2, self.nloc)
 
     def matrix(self, local):
         """Sum local matrices (Ne, nloc, nloc) into a CSR matrix on the pattern."""
@@ -154,15 +159,20 @@ class MeshTables:
         """Field values at all quadrature points, (Ne, nq2[, D])."""
         loc = coeffs[self.conn]
         if loc.ndim == 2:
-            return np.einsum("eql,el->eq", self.basis, loc)
-        return np.einsum("eql,eld->eqd", self.basis, loc)
+            return (self.basis @ loc[:, :, None])[:, :, 0]
+        return self.basis @ loc
 
     def field_jacobians(self, coeffs):
-        """Parametric Jacobians at quadrature points, (Ne, nq2, D, 2)."""
+        """Parametric Jacobians at quadrature points, (Ne, nq2, D, 2).
+
+        The result is the transposed view of a C-contiguous
+        (Ne, nq2, 2, D) array.
+        """
         loc = coeffs[self.conn]
         if loc.ndim == 2:
             loc = loc[:, :, None]
-        return np.einsum("eqla,eld->eqda", self.basis_grad, loc)
+        Jt = self.grad_rows @ loc
+        return Jt.reshape(self.basis_grad.shape[:3] + (-1,)).swapaxes(2, 3)
 
 
 class ElementGeometry:
@@ -170,7 +180,6 @@ class ElementGeometry:
 
     def __init__(self, tables: MeshTables, x_coeffs):
         J = tables.field_jacobians(np.asarray(x_coeffs))
-        self.jacobian = J
         self.metric, self.metric_inv, self.area_element = metric_pieces(J)
 
 
@@ -179,13 +188,12 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
 
     Returns (M, A) in CSR.
     """
-    w = tables.weights
-    q = geom.area_element
+    wq = tables.weights * geom.area_element  # (Ne, nq2)
     B = tables.basis
-    dB = tables.basis_grad
-    Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B, optimize=True)
-    t = np.einsum("eqab,eqjb->eqja", geom.metric_inv, dB)
-    Aloc = np.einsum("q,eq,eqia,eqja->eij", w, q, dB, t, optimize=True)
+    Mloc = B.swapaxes(1, 2) @ (wq[:, :, None] * B)
+    t = geom.metric_inv @ tables.basis_grad  # G^-1 grad, (Ne, nq2, 2, nloc)
+    t *= wq[:, :, None, None]
+    Aloc = tables.grad_rows.swapaxes(1, 2) @ t.reshape(tables.grad_rows.shape)
     return tables.matrix(Mloc), tables.matrix(Aloc)
 
 
@@ -273,7 +281,7 @@ def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):
     """
     kap = tables.field_values(np.asarray(kappa_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2 * kap
-    local = np.einsum("eq,eqi->ei", dens, tables.basis)
+    local = (dens[:, None, :] @ tables.basis)[:, 0, :]
     return scatter_vector(tables.conn, local, tables.space.dim)
 
 
@@ -284,17 +292,19 @@ def assemble_normal_load(tables, geom, nu_coeffs, frob2):
     """
     nu = tables.field_values(np.asarray(nu_coeffs))
     dens = tables.weights[None, :] * geom.area_element * frob2
-    local = np.einsum("eq,eqd,eqi->eid", dens, nu, tables.basis)
+    local = tables.basis.swapaxes(1, 2) @ (dens[:, :, None] * nu)
     return scatter_vector(tables.conn, local, tables.space.dim)
 
 
 def weingarten_energy(tables, geom, nu_coeffs):
-    """|grad_Gamma nu|_F^2 at the quadrature points, (Ne, nq2)."""
+    """|grad_Gamma nu|_F^2 at the quadrature points, (Ne, nq2).
+
+    With grad_Gamma nu = Jn G^-1 J^T and J^T J = G, this is
+    tr(Jn^T Jn G^-1).
+    """
     Jn = tables.field_jacobians(np.asarray(nu_coeffs))
-    A = np.einsum(
-        "eqda,eqab,eqcb->eqdc", Jn, geom.metric_inv, geom.jacobian, optimize=True
-    )
-    return np.einsum("eqdc,eqdc->eq", A, A)
+    H = Jn.swapaxes(2, 3) @ np.ascontiguousarray(Jn)  # see metric_pieces
+    return np.sum(H * geom.metric_inv.swapaxes(2, 3), axis=(2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +376,7 @@ class BoundaryTables:
         of each element: `coeffs[self.flat]` for a tensor-space field,
         `coeffs[self.local]` for stacked per-edge coefficients.
         """
-        return np.einsum("eqa,ead->eqd", self.derivs if deriv else self.values, loc)
+        return (self.derivs if deriv else self.values) @ loc
 
     def freeze(self, x0, tangent, curvature):
         """Sample the time-independent boundary quantities at the edge points.
@@ -400,7 +410,7 @@ def assemble_constraint(btables: BoundaryTables):
     cols = np.tile(bt.flat, (1, p1)).ravel()
     B = bt.values
     vals = [
-        np.einsum("eq,eqa,eqb->eab", dens * fr["tau_hat"][:, :, k], B, B).ravel()
+        (B.swapaxes(1, 2) @ ((dens * fr["tau_hat"][:, :, k])[:, :, None] * B)).ravel()
         for k in range(3)
     ]
     S = sp.coo_matrix(
@@ -420,10 +430,10 @@ def conormal_load(btables: BoundaryTables, length, kappa_b, tau, nu):
     element (E, nq) and the boundary curvature vector, tangent and
     normal (E, nq, 3).
     """
-    alpha = np.einsum("eqd,eqd->eq", kappa_b, nu)
+    alpha = np.sum(kappa_b * nu, axis=2)
     mu = np.cross(nu, tau)
     dens = btables.weights * length * alpha
-    local = np.einsum("eq,eqd,eqa->ead", dens, mu, btables.values)
+    local = btables.values.swapaxes(1, 2) @ (dens[:, :, None] * mu)
     return scatter_vector(btables.flat, local, btables.space.dim)
 
 

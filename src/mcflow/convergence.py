@@ -4,7 +4,8 @@ Each level runs the flow to a short final time with a step size
 proportional to the mesh size; errors of position, curvature and normal
 are measured against the finest level in the parametric H1 norm on a
 shared quadrature grid (the finest level's elements with a rule finer
-than either space), and orders are the least-squares slope of log2
+than either space, a tensor grid that each level evaluates with its
+`splines.TensorGrid`), and orders are the least-squares slope of log2
 error against log2 mesh size.
 """
 
@@ -16,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import gauss_mesh
 from .config import ScenarioConfig
 from .flow import FlowProblem
-from .geometry import SplineField
+from .splines import TensorGrid
 
 VARIABLES = ("position", "kappa", "nu")
 
@@ -40,11 +40,10 @@ class ConvergenceReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _h1_errors(field_a: SplineField, field_b: SplineField, pts, weights):
-    va, ja = field_a.eval(pts, 1)
-    vb, jb = field_b.eval(pts, 1)
-    dv = va - vb
-    dj = ja - jb
+def _h1_errors(sample_a, sample_b, weights):
+    """L2 and H1 norms of the difference of two (values, jac) samples."""
+    dv = sample_a[0] - sample_b[0]
+    dj = sample_a[1] - sample_b[1]
     l2 = np.sum(weights * np.sum(dv * dv, axis=1))
     h1 = l2 + np.sum(weights * np.sum(dj * dj, axis=(1, 2)))
     return float(np.sqrt(l2)), float(np.sqrt(h1))
@@ -80,27 +79,26 @@ def convergence_study(
         result = FlowProblem(cfg).run(order=order)
         runs.append(result)
 
-    finest = runs[-1]
-    points, weights = gauss_mesh(finest.problem.space, base.degree + 3)
-    pts = points.reshape(-1, 2)
-    weights = np.tile(weights, len(points))
+    finest = runs[-1].problem.space
+    pu, wu = finest.u.element_rule(base.degree + 3)
+    pv, wv = finest.v.element_rule(base.degree + 3)
+    weights = np.outer(np.tile(wu, len(pu)), np.tile(wv, len(pv))).ravel()
 
-    def fields(result):
-        space = result.problem.space
+    def samples(result):
+        grid = TensorGrid(result.problem.space, pu.ravel(), pv.ravel(), nderiv=1)
         s = result.final_state
         return {
-            "position": SplineField(space, s.x),
-            "kappa": SplineField(space, s.kappa[:, None]),
-            "nu": SplineField(space, s.nu),
+            var: grid.eval(c, 1)
+            for var, c in zip(VARIABLES, (s.x, s.kappa, s.nu))
         }
 
-    ref = fields(finest)
+    ref = samples(runs[-1])
     errors_l2 = {v: [] for v in VARIABLES}
     errors_h1 = {v: [] for v in VARIABLES}
     for result in runs[:-1]:
-        cur = fields(result)
+        cur = samples(result)
         for var in VARIABLES:
-            l2, h1 = _h1_errors(cur[var], ref[var], pts, weights)
+            l2, h1 = _h1_errors(cur[var], ref[var], weights)
             errors_l2[var].append(l2)
             errors_h1[var].append(h1)
 

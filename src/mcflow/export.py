@@ -56,17 +56,13 @@ def read_diagnostics_csv(path):
 
 def _sample_grid(problem, state, resolution: int):
     """Surface fields on a uniform (r*N+1)^2 parametric grid."""
-    from .geometry import SplineField
+    from .splines import TensorGrid
 
     n = problem.cfg.elements_per_side * resolution + 1
     g = np.linspace(0.0, 1.0, n)
-    U, V = np.meshgrid(g, g, indexing="ij")
-    pts = np.column_stack([U.ravel(), V.ravel()])
-    space = problem.space
-    pos = SplineField(space, state.x).eval(pts)
-    kap = SplineField(space, state.kappa).eval(pts)[:, 0]
-    nu = SplineField(space, state.nu).eval(pts)
-    vel = SplineField(space, state.v).eval(pts)
+    fields = np.column_stack([state.x, state.kappa, state.nu, state.v])
+    values = TensorGrid(problem.space, g, g).eval(fields)
+    pos, kap, nu, vel = values[:, :3], values[:, 3], values[:, 4:7], values[:, 7:]
 
     quads = []
     for i in range(n - 1):

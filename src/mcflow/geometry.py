@@ -57,17 +57,7 @@ class SplineField:
         pts = np.atleast_2d(points)
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("evaluation points must lie in the unit square")
-        out = self.eval_tabulated(self.space.active_basis(pts, nderiv), nderiv)
-        if single:
-            return out[0] if nderiv == 0 else tuple(a[0] for a in out)
-        return out
-
-    def eval_tabulated(self, basis, nderiv: int = 0):
-        """`eval` on an active basis (flat, du, dv) from `TensorSplineSpace.active_basis`.
-
-        `basis` must be tabulated with at least `nderiv` derivatives.
-        """
-        flat, du, dv = basis
+        flat, du, dv = self.space.active_basis(pts, nderiv)
         coeffs = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
         loc = coeffs[flat]  # (n, pu+1, pv+1, D)
 
@@ -75,9 +65,11 @@ class SplineField:
             return np.einsum("na,nabd,nb->nd", du[:, ku], loc, dv[:, kv])
 
         values = contract(0, 0)
-        if nderiv == 0:
-            return values
-        return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
+        if nderiv == 1:
+            values = values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
+        if single:
+            return values[0] if nderiv == 0 else tuple(a[0] for a in values)
+        return values
 
 
 def metric_pieces(J):
@@ -85,13 +77,16 @@ def metric_pieces(J):
 
     Returns the first fundamental form G = J^T J, its inverse and the
     area element sqrt(det G); raises DegenerateSurface when det G drops
-    to DEGENERACY_EPS or below anywhere.
+    to DEGENERACY_EPS or below anywhere, or is not a number.
     """
-    G = np.einsum("...da,...db->...ab", J, J)
+    # numpy multiplies stacks of small matrices several times faster when
+    # both operands are C-contiguous; one of J and J^T is a view
+    Jt = np.ascontiguousarray(np.swapaxes(J, -1, -2))
+    G = Jt @ np.ascontiguousarray(J)
     det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-    if np.any(det <= DEGENERACY_EPS):
+    if not np.all(det > DEGENERACY_EPS):
         raise DegenerateSurface(
-            f"metric determinant {det.min():.3e} at or below {DEGENERACY_EPS:.1e}"
+            f"metric determinant {det.min():.3e} not above {DEGENERACY_EPS:.1e}"
         )
     Ginv = np.empty_like(G)
     Ginv[..., 0, 0] = G[..., 1, 1]

@@ -2,8 +2,9 @@
 
 Quasi-interpolation onto a surface applies the parametric coefficient
 functionals to the pullback of the data; the velocity is the zero-trace
-quasi-interpolant of -kappa * nu, with kappa and nu evaluated on the
-basis the quasi-interpolant tabulated once at its fixed grid.
+quasi-interpolant of -kappa * nu, with kappa and nu evaluated at the
+quasi-interpolant's fixed tensor grid by its `splines.TensorGrid`, so
+evaluating and interpolating take two BLAS products each.
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
@@ -69,13 +70,13 @@ def project_velocity(
 ) -> np.ndarray:
     """Velocity coefficients: quasi-interpolant of -kappa * nu.
 
-    Boundary coefficients are set to exactly zero so the velocity lies
-    in the zero-trace subspace and the boundary stays put bit for bit.
+    kappa and nu are evaluated together at the quasi-interpolant's grid
+    by `Q.grid`, one collocation matrix per direction.  Boundary
+    coefficients are set to exactly zero so the velocity lies in the
+    zero-trace subspace and the boundary stays put bit for bit.
     """
-    basis = Q.grid_basis()
-    kap = kappa_field.eval_tabulated(basis)[:, 0]
-    nu = nu_field.eval_tabulated(basis)
-    coeffs = Q.apply_to_values(-kap[:, None] * nu)
+    kap_nu = Q.grid.eval(np.column_stack([kappa_field.coeffs, nu_field.coeffs]))
+    coeffs = Q.apply_to_values(-kap_nu[:, :1] * kap_nu[:, 1:])
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs
 
@@ -117,13 +118,13 @@ def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg
     q_s = q_s.reshape(ne, nq2)
     Nvals = scenario.normal(pts).reshape(ne, nq2, 3)
     Njac = scenario.normal_jacobian(pts).reshape(ne, nq2, 3, 2)
-    w = tables.weights
+    wq = (tables.weights * q_s)[:, :, None]
+    t = wq[:, :, :, None] * (Ginv_s @ Njac.swapaxes(2, 3))  # (Ne, nq2, 2, 3)
+    stiff_local = tables.grad_rows.swapaxes(1, 2) @ t.reshape(ne, 2 * nq2, 3)
+    mass_local = tables.basis.swapaxes(1, 2) @ (wq * Nvals)
 
     def interior_rhs(lam):
-        t = np.einsum("eqab,eqdb->eqda", Ginv_s, Njac)
-        local = np.einsum("q,eq,eqda,eqia->eid", w, q_s, t, tables.basis_grad)
-        local += lam * np.einsum("q,eq,eqd,eqi->eid", w, q_s, Nvals, tables.basis)
-        return scatter_vector(tables.conn, local, dim)
+        return scatter_vector(tables.conn, stiff_local + lam * mass_local, dim)
 
     # analytic boundary term, moved to the right-hand side with minus sign
     bt = BoundaryTables(space, nq)

@@ -19,6 +19,9 @@ quadrature mesh of the square from two of them, with points, weights
 and basis values, and `assembly.BoundaryTables` stacks the four edges of
 the square into one edge mesh; with open knot vectors the trace of the
 space on an edge is the univariate space of its running direction.
+`TensorGrid` evaluates fields on any tensor grid of points (the
+quasi-interpolant's grid, a Gauss grid, an export grid) with one dense
+collocation matrix per direction (`UnivariateSpline.collocation`).
 """
 
 from __future__ import annotations
@@ -147,6 +150,18 @@ class UnivariateSpline:
         ders = _basis_derivatives(self.knots, self.degree, x, spans, nderiv)
         return spans - self.degree, ders
 
+    def collocation(self, x, nderiv: int = 0):
+        """Dense collocation matrices (nderiv + 1, n, dim) at points in [0, 1].
+
+        Entry [k, i, j] is the k-th derivative of basis j at x[i].
+        """
+        first, ders = self.eval_basis(x, nderiv)
+        rows = np.arange(len(first))[:, None]
+        cols = first[:, None] + np.arange(self.degree + 1)
+        out = np.zeros((nderiv + 1, len(first), self.dim))
+        out[:, rows, cols] = ders.transpose(1, 0, 2)
+        return out
+
     def element_rule(self, n_quad: int):
         """Per-element Gauss rule.
 
@@ -218,10 +233,6 @@ class TensorSplineSpace:
         """
         fu, du = self.u.eval_basis(points[:, 0], nderiv)
         fv, dv = self.v.eval_basis(points[:, 1], nderiv)
-        return self.tensor_basis(fu, du, fv, dv)
-
-    def tensor_basis(self, fu, du, fv, dv):
-        """`active_basis` from the univariate tables (first, ders) at each point."""
         ju = fu[:, None] + np.arange(self.u.degree + 1)[None, :]
         jv = fv[:, None] + np.arange(self.v.degree + 1)[None, :]
         flat = ju[:, :, None] * self.v.dim + jv[:, None, :]
@@ -248,6 +259,51 @@ def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSpline
     )
 
 
+class TensorGrid:
+    """The tensor grid `points_u` x `points_v` of the unit square.
+
+    Evaluation of a field on the grid is the transpose of
+    `QuasiInterpolant.apply_to_values`: one dense collocation matrix per
+    direction and derivative order (`cu`, `cv`, see
+    `UnivariateSpline.collocation`), applied as two BLAS products.
+    Grid points are ordered u-major, as in `points`.
+    """
+
+    def __init__(self, space: TensorSplineSpace, points_u, points_v, nderiv: int = 0):
+        self.space = space
+        self.points_u = np.asarray(points_u, dtype=float)
+        self.points_v = np.asarray(points_v, dtype=float)
+        self.cu = space.u.collocation(self.points_u, nderiv)
+        self.cv = space.v.collocation(self.points_v, nderiv)
+
+    @property
+    def points(self):
+        """Grid points (mu * mv, 2)."""
+        U, V = np.meshgrid(self.points_u, self.points_v, indexing="ij")
+        return np.column_stack([U.ravel(), V.ravel()])
+
+    def eval(self, coeffs, nderiv: int = 0):
+        """`SplineField.eval` of the field with `coeffs` (dim[, D]) at `points`.
+
+        Returns `values` (n, D), or (values, jac) with `jac` (n, D, 2) if
+        nderiv == 1; the grid must be built with at least `nderiv`.
+        Scalar fields keep D = 1.
+        """
+        nu, nv = self.space.shape
+        grid = np.asarray(coeffs, dtype=float).reshape(nu, -1)
+        D = grid.shape[1] // nv
+        # cu along u, then cv along v: two BLAS products per derivative
+        t = [(cu @ grid).reshape(-1, nv, D) for cu in self.cu[: nderiv + 1]]
+
+        def contract(ku, kv):
+            return np.matmul(self.cv[kv], t[ku]).reshape(-1, D)
+
+        values = contract(0, 0)
+        if nderiv == 0:
+            return values
+        return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
+
+
 class QuasiInterpolant:
     """Coefficient functionals dual to the tensor-product basis.
 
@@ -255,9 +311,9 @@ class QuasiInterpolant:
     values on the global per-element Gauss grid; rows of `wu`/`wv` hold
     the weights (zero outside the support of the corresponding basis
     function).  Tensor functionals are products of univariate ones.
-    The grid is fixed and a tensor product, so the univariate basis is
-    tabulated once per direction (`grid_u`, `grid_v`); `grid_basis()`
-    expands it to `grid_points` for `SplineField.eval_tabulated`.
+    The grid is fixed and a tensor product: `grid` evaluates fields at
+    `grid_points` with one collocation matrix per direction, the
+    transpose of `apply_to_values`.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -265,16 +321,8 @@ class QuasiInterpolant:
         self.n_quad = n_quad
         self.wu, self.points_u = _dual_weights(space.u, n_quad)
         self.wv, self.points_v = _dual_weights(space.v, n_quad)
-        U, V = np.meshgrid(self.points_u, self.points_v, indexing="ij")
-        self.grid_points = np.column_stack([U.ravel(), V.ravel()])
-        self.grid_u = space.u.eval_basis(self.points_u)
-        self.grid_v = space.v.eval_basis(self.points_v)
-
-    def grid_basis(self):
-        """`space.active_basis(grid_points)`, from the per-direction tables."""
-        iu, iv = np.divmod(np.arange(len(self.grid_points)), len(self.points_v))
-        (fu, du), (fv, dv) = self.grid_u, self.grid_v
-        return self.space.tensor_basis(fu[iu], du[iu], fv[iv], dv[iv])
+        self.grid = TensorGrid(space, self.points_u, self.points_v)
+        self.grid_points = self.grid.points
 
     def apply_to_values(self, values):
         """Coefficients from values sampled at `grid_points`.

@@ -119,7 +119,7 @@ def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
         geom = ElementGeometry(tables, x)
         q = geom.area_element
         Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B)
-        Aloc = np.einsum("q,eq,eqia,eqab,eqjb->eij", w, q, dB, geom.metric_inv, dB)
+        Aloc = np.einsum("q,eq,eqai,eqab,eqbj->eij", w, q, dB, geom.metric_inv, dB)
         for got, loc in zip(assemble_mass_stiffness(tables, geom), (Mloc, Aloc)):
             ref = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=got.shape).tocsr()
             assert abs(got - ref).max() <= 1e-14 * abs(ref).max()

@@ -1,4 +1,8 @@
-"""The fast paths of a flow step agree with the plain computations they replace."""
+"""The fast paths of a flow step agree with the plain computations they replace.
+
+The quadrature kernels run as batched matrix products; each is checked
+against the `np.einsum` formula it replaced, kept here as the oracle.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,135 @@ import scipy.sparse.linalg
 
 import mcflow.assembly
 import mcflow.flow
-from mcflow.assembly import MeshTables
+from mcflow.assembly import (
+    ElementGeometry,
+    MeshTables,
+    assemble_curvature_load,
+    assemble_mass_stiffness,
+    assemble_normal_load,
+    scatter_vector,
+    weingarten_energy,
+)
 from mcflow.config import ScenarioConfig
 from mcflow.flow import BdfScheme, FlowProblem
-from mcflow.geometry import SplineField
-from mcflow.splines import build_quasi_interpolant, build_space
+from mcflow.geometry import SplineField, metric_pieces
+from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space
+
+KERNEL_RTOL = 1e-13
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= KERNEL_RTOL * np.abs(ref).max()
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(sc, p) for sc in ("perturbed_plane", "sphere_patch") for p in (2, 3)],
+    ids=lambda param: f"{param[0]}-p{param[1]}",
+)
+def kernel_setup(request):
+    """Flow tables and interpolated x, kappa, nu of a scenario at N=6."""
+    scenario, p = request.param
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        degree=p,
+        smoothness=p - 1,
+        elements_per_side=6,
+        dt=0.01,
+        t_final=0.01,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    sc = prob.scenario
+    x = prob.quasi(sc.position)
+    kappa = prob.quasi(sc.mean_curvature, zero_boundary=True)
+    nu = prob.quasi(sc.normal)
+    return prob, x, kappa, nu
+
+
+def test_field_kernels_match_einsum(kernel_setup):
+    prob, x, kappa, _ = kernel_setup
+    tables = prob.tables
+    for coeffs in (kappa, x):
+        loc = coeffs[tables.conn]
+        vals = tables.field_values(coeffs)
+        jacs = tables.field_jacobians(coeffs)
+        if coeffs.ndim == 1:
+            assert_close(vals, np.einsum("eql,el->eq", tables.basis, loc))
+            loc = loc[:, :, None]
+        else:
+            assert_close(vals, np.einsum("eql,eld->eqd", tables.basis, loc))
+        assert_close(jacs, np.einsum("eqal,eld->eqda", tables.basis_grad, loc))
+
+
+def test_metric_pieces_match_einsum(kernel_setup):
+    prob, x, _, _ = kernel_setup
+    pts = prob.tables.points.reshape(-1, 2)
+    for J in (prob.tables.field_jacobians(x), prob.scenario.jacobian(pts)):
+        G, Ginv, q = metric_pieces(J)
+        ref = np.einsum("...da,...db->...ab", J, J)
+        assert_close(G, ref)
+        assert_close(Ginv, np.linalg.inv(ref))
+        assert_close(q, np.sqrt(np.linalg.det(ref)))
+
+
+def test_assembly_kernels_match_einsum(kernel_setup):
+    prob, x, kappa, nu = kernel_setup
+    tables = prob.tables
+    geom = ElementGeometry(tables, x)
+    w, q = tables.weights, geom.area_element
+    B, dB = tables.basis, tables.basis_grad
+    dim = prob.space.dim
+
+    M, A = assemble_mass_stiffness(tables, geom)
+    Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B)
+    Aloc = np.einsum("q,eq,eqai,eqab,eqbj->eij", w, q, dB, geom.metric_inv, dB)
+    assert_close(M.toarray(), tables.matrix(Mloc).toarray())
+    assert_close(A.toarray(), tables.matrix(Aloc).toarray())
+
+    frob2 = weingarten_energy(tables, geom, nu)
+    Jn = tables.field_jacobians(nu)
+    J = tables.field_jacobians(x)
+    W = np.einsum("eqda,eqab,eqcb->eqdc", Jn, geom.metric_inv, J)
+    assert_close(frob2, np.einsum("eqdc,eqdc->eq", W, W))
+
+    dens = w * q * frob2
+    kap = np.einsum("eql,el->eq", B, kappa[tables.conn])
+    ref = np.einsum("eq,eqi->ei", dens * kap, B)
+    assert_close(
+        assemble_curvature_load(tables, geom, kappa, frob2),
+        scatter_vector(tables.conn, ref, dim),
+    )
+    nuq = np.einsum("eql,eld->eqd", B, nu[tables.conn])
+    ref = np.einsum("eq,eqd,eqi->eid", dens, nuq, B)
+    assert_close(
+        assemble_normal_load(tables, geom, nu, frob2),
+        scatter_vector(tables.conn, ref, dim),
+    )
+
+
+def test_tensor_grid_matches_spline_field_eval(kernel_setup):
+    """At the quasi-interpolant, Gauss and export grids, values and Jacobians."""
+    prob, x, kappa, _ = kernel_setup
+    space = prob.space
+    pu, _ = space.u.element_rule(space.u.degree + 3)
+    pv, _ = space.v.element_rule(space.v.degree + 3)
+    g = np.linspace(0.0, 1.0, 2 * space.u.num_elements + 1)
+    grids = (
+        (prob.quasi.points_u, prob.quasi.points_v),
+        (pu.ravel(), pv.ravel()),
+        (g, g),
+    )
+    for points_u, points_v in grids:
+        grid = TensorGrid(space, points_u, points_v, nderiv=1)
+        for coeffs in (kappa, x):
+            vals, jac = grid.eval(coeffs, 1)
+            ref_vals, ref_jac = SplineField(space, coeffs).eval(grid.points, 1)
+            assert_close(vals, ref_vals)
+            assert_close(jac, ref_jac)
+            assert_close(grid.eval(coeffs), ref_vals)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -122,3 +250,33 @@ def test_step_factors_one_sparse_matrix(monkeypatch):
         state, _ = prob.step(scheme, cfg.dt)
         assert len(calls) == 1
         scheme.push(state)
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_step_runs_no_einsum(monkeypatch, scenario):
+    """A BDF1 and a BDF2 step run every contraction as a matrix product."""
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        degree=2,
+        smoothness=1,
+        elements_per_side=6,
+        dt=0.0125,
+        t_final=0.025,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme(2)
+    scheme.push(prob.initialize())
+
+    calls = []
+    original = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    for _ in range(2):
+        state, _ = prob.step(scheme, cfg.dt)
+        scheme.push(state)
+    assert calls == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingarten_energy
-from mcflow.geometry import DegenerateSurface, SplineField, surface_area
+from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
 
@@ -108,3 +108,11 @@ def test_degenerate_surface_raises(space_small):
     X = SplineField(space_small, np.zeros((space_small.dim, 3)))
     with pytest.raises(DegenerateSurface):
         surface_area(X, MeshTables(space_small, 3))
+
+
+def test_nan_metric_raises():
+    """A Jacobian with a NaN entry has no metric; it must not give NaN areas."""
+    J = np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), (4, 1, 1))
+    J[2, 0, 1] = np.nan
+    with pytest.raises(DegenerateSurface):
+        metric_pieces(J)
