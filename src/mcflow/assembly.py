@@ -52,15 +52,20 @@ from .geometry import metric_pieces
 from .splines import EDGE_FIXED_COORD, TensorSplineSpace
 
 
+# Relative residual gate of every linear solve, flow steps and Ritz alike.
+SOLVER_RESIDUAL_TOL = 1e-9
+
+
 class SolverFailure(Exception):
     """Raised when a linear solve leaves too large a residual."""
 
 
-def check_residual(residual, b, tol, what):
-    """Relative residual |residual| / |b|; raises SolverFailure above tol."""
+def check_residual(residual, b, what):
+    """Relative residual |residual| / |b|; SolverFailure above SOLVER_RESIDUAL_TOL."""
     b_norm = np.linalg.norm(b)
     r_norm = np.linalg.norm(residual)
     rel = r_norm / b_norm if b_norm > 0.0 else r_norm
+    tol = SOLVER_RESIDUAL_TOL
     if not np.isfinite(rel) or rel > tol:
         raise SolverFailure(f"{what}: relative residual {rel:.3e} exceeds {tol:.1e}")
     return rel
@@ -234,12 +239,12 @@ class ConstrainedSolver:
     Cholesky-factors C and T.  Calling the solver with a (dim, 3) load f
     returns (w (dim, 3), multiplier, relative residual) with S w = 0; the
     residual is taken against the full saddle operator, applied block by
-    block, and gated by `check_residual(..., tol, what)`.
-    `solve_interior` solves with K_II alone.
+    block, and gated by `check_residual(..., what)` at
+    SOLVER_RESIDUAL_TOL.  `solve_interior` solves with K_II alone.
     """
 
-    def __init__(self, K, S, space: TensorSplineSpace, tol, what):
-        self.K, self.S, self.tol, self.what = K, S, tol, what
+    def __init__(self, K, S, space: TensorSplineSpace, what):
+        self.K, self.S, self.what = K, S, what
         self.interior = I = space.interior_indices
         self.boundary = B = space.boundary_indices
         K_I = K[I]
@@ -256,9 +261,9 @@ class ConstrainedSolver:
         self.T = _cholesky(T, what, "multiplier Schur complement")
 
     def solve_interior(self, b, what):
-        """Solve K_II x = b; returns (x, relative residual), gated at tol."""
+        """Solve K_II x = b; returns (x, relative residual), gated as above."""
         x = self.lu.solve(b)
-        return x, check_residual(self.K_II @ x - b, b, self.tol, what)
+        return x, check_residual(self.K_II @ x - b, b, what)
 
     def __call__(self, f):
         I, B = self.interior, self.boundary
@@ -271,7 +276,7 @@ class ConstrainedSolver:
         w[I] = u - self.Z @ w[B]
         r = self.K @ w + (self.S.T @ mu).reshape(3, -1).T - f
         r = np.concatenate([r.ravel(), self.S @ w.T.ravel()])
-        return w, mu, check_residual(r, f, self.tol, self.what)
+        return w, mu, check_residual(r, f, self.what)
 
 
 def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):

@@ -38,11 +38,6 @@ class ScenarioConfig:
     perturbation_amplitude: float = PLANE_AMPLITUDE
     patch_polar_extent: float = SPHERE_EXTENT
     patch_corner_temper: float = SPHERE_CORNER_TEMPER
-    ritz_lambda: float = 10.0
-    ritz_fp_tol: float = 1e-12
-    ritz_fp_max_iter: int = 100
-    ritz_lambda_growth: float = 4.0
-    solver_residual_tol: float = 1e-9
     dump_matrices: bool = False
 
     def scenario_params(self):

@@ -46,9 +46,10 @@ def write_diagnostics_csv(diagnostics, path):
 
 def read_diagnostics_csv(path):
     """Rows as a dict of numpy arrays keyed by column name."""
-    text = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text().strip().splitlines() or [""]  # empty: no header
     header = text[0].split(",")
-    assert header == CSV_HEADER.split(","), f"unexpected CSV header {text[0]!r}"
+    if header != CSV_HEADER.split(","):
+        raise ValueError(f"unexpected CSV header {text[0]!r}")
     data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
     data = data.reshape(-1, len(header))
     return {name: data[:, i] for i, name in enumerate(header)}

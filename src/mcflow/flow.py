@@ -42,7 +42,7 @@ from .assembly import (
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
-from .geometry import SplineField, surface_area
+from .geometry import surface_area
 from .projections import (
     boundary_quasi_interp,
     nonlinear_ritz_normal,
@@ -182,7 +182,6 @@ class FlowProblem:
         """
         sc = self.scenario
         x = self.quasi(sc.position)
-        x_field = SplineField(self.space, x)
         self.x0_boundary = x[self.space.boundary_indices].copy()
 
         self.btables.freeze(
@@ -193,16 +192,15 @@ class FlowProblem:
         self.S = assemble_constraint(self.btables)
 
         kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
-        nu_field, self.ritz_info = nonlinear_ritz_normal(
-            x_field, sc, self.btables, self.S, self.quasi, self.cfg
+        nu, self.ritz_info = nonlinear_ritz_normal(
+            x, sc, self.btables, self.S, self.quasi
         )
-        kappa_field = SplineField(self.space, kappa)
-        v = project_velocity(self.quasi, kappa_field, nu_field)
+        v = project_velocity(self.quasi, kappa, nu)
         return FlowState(
             time=0.0,
             x=x,
             kappa=kappa,
-            nu=nu_field.coeffs,
+            nu=nu,
             v=v,
             multiplier=np.zeros(self.S.shape[0]),
         )
@@ -213,7 +211,6 @@ class FlowProblem:
         """One linearly implicit BDF step; returns (state, diagnostics)."""
         d0 = scheme.coefficients()[0][0]
         t0 = _time.perf_counter()
-        tol = self.cfg.solver_residual_tol
         space = self.space
 
         x_ext = scheme.extrapolate("x")
@@ -228,7 +225,7 @@ class FlowProblem:
 
         # one LU of the interior block serves both systems
         Kb = (d0 / dt) * M + A
-        solver = ConstrainedSolver(Kb, self.S, space, tol, "normal solve")
+        solver = ConstrainedSolver(Kb, self.S, space, "normal solve")
 
         # curvature step (zero-trace space)
         f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
@@ -245,11 +242,7 @@ class FlowProblem:
         nu, multiplier, res_n = solver(f2 + fb - (M @ tail_n) / dt)
 
         # velocity on the extrapolated surface, then position update
-        v = project_velocity(
-            self.quasi,
-            SplineField(space, kappa),
-            SplineField(space, nu),
-        )
+        v = project_velocity(self.quasi, kappa, nu)
         tail_x = scheme.derivative_tail("x")
         x = (dt * v - tail_x) / d0
         x[space.boundary_indices] = self.x0_boundary
@@ -274,7 +267,7 @@ class FlowProblem:
 
     def area(self, x) -> float:
         """Quadrature area of the surface with position coefficients x."""
-        return surface_area(SplineField(self.space, x), self.tables)
+        return surface_area(x, self.tables)
 
     def initial_diagnostics(self, state: FlowState) -> StepDiagnostics:
         return StepDiagnostics(

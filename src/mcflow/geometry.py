@@ -97,7 +97,7 @@ def metric_pieces(J):
     return G, Ginv, np.sqrt(det)
 
 
-def surface_area(X: SplineField, tables) -> float:
-    """Quadrature area of the surface on an `assembly.MeshTables` mesh."""
-    _, _, q = metric_pieces(tables.field_jacobians(X.coeffs))
+def surface_area(x, tables) -> float:
+    """Quadrature area of the surface x (dim, 3) on an `assembly.MeshTables` mesh."""
+    _, _, q = metric_pieces(tables.field_jacobians(x))
     return float(np.sum(tables.weights * q))

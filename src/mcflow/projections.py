@@ -11,14 +11,12 @@ initial surface with the same form on the scenario's exact surface,
 which it samples directly.  It is nonlinear through an
 orientation-dependent boundary term and constrained to have boundary
 trace discretely orthogonal to the interpolated boundary tangent.  It
-is computed by a fixed-point iteration whose linear part, the
-constraint saddle of stiffness + lambda * mass, is one
-`assembly.ConstrainedSolver` per stabilization weight: one sparse LU of
-the interior block and a boundary Schur complement, as in a flow step.
-The weight and the iteration budget come from the run's
-`ScenarioConfig`.  When the H1 increments expand or contract too slowly
-to finish within the budget, lambda is multiplied by a growth factor
-and the iteration continues from the current iterate.
+is computed by a fixed-point iteration (as Kovacs, Li & Lubich,
+Numer. Math. 143 (2019), do for closed surfaces) whose linear part, the
+constraint saddle of stiffness + RITZ_LAMBDA * mass, is one
+`assembly.ConstrainedSolver`: one sparse LU of the interior block and a
+boundary Schur complement, as in a flow step.  The weight, the
+tolerance and the iteration budget are the module constants below.
 
 The projection integrates with a rule one order finer than flow-step
 assembly, on both sides, so data already in the space on the same
@@ -39,8 +37,16 @@ from .assembly import (
     conormal_load,
     scatter_vector,
 )
-from .geometry import SplineField, metric_pieces
+from .geometry import metric_pieces
 from .splines import EDGE_FIXED_COORD, QuasiInterpolant, edge_points
+
+
+# Weight, H1 tolerance and budget of the normal's fixed-point iteration.  At
+# this weight it contracts for both scenarios at N = 4..80 (p = 2) and 4..40
+# (p = 3), by a ratio of at most 0.55 and in at most 30 iterations.
+RITZ_LAMBDA = 10.0
+RITZ_TOL = 1e-12
+RITZ_MAX_ITER = 100
 
 
 class NoContraction(Exception):
@@ -65,17 +71,16 @@ def boundary_quasi_interp(quasi: QuasiInterpolant, fn):
     return np.concatenate(coeffs)
 
 
-def project_velocity(
-    Q: QuasiInterpolant, kappa_field: SplineField, nu_field: SplineField
-) -> np.ndarray:
+def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
     """Velocity coefficients: quasi-interpolant of -kappa * nu.
 
-    kappa and nu are evaluated together at the quasi-interpolant's grid
-    by `Q.grid`, one collocation matrix per direction.  Boundary
-    coefficients are set to exactly zero so the velocity lies in the
-    zero-trace subspace and the boundary stays put bit for bit.
+    `kappa` (dim,) and `nu` (dim, 3) are coefficient arrays, evaluated
+    together at the quasi-interpolant's grid by `Q.grid`, one
+    collocation matrix per direction.  Boundary coefficients are set to
+    exactly zero so the velocity lies in the zero-trace subspace and the
+    boundary stays put bit for bit.
     """
-    kap_nu = Q.grid.eval(np.column_stack([kappa_field.coeffs, nu_field.coeffs]))
+    kap_nu = Q.grid.eval(np.column_stack([kappa, nu]))
     coeffs = Q.apply_to_values(-kap_nu[:, :1] * kap_nu[:, 1:])
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs
@@ -85,30 +90,25 @@ def project_velocity(
 # nonlinear normal projection
 
 
-def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg):
+def nonlinear_ritz_normal(x, scenario, btables, S, quasi):
     """Constrained H1 projection of the normal of `scenario`.
 
-    The fixed-point iteration runs at the smallest stabilization weight
-    that contracts, starting from `cfg.ritz_lambda`: the weight grows by
-    `cfg.ritz_lambda_growth` only when the H1 increments expand or
-    contract too slowly to reach `cfg.ritz_fp_tol` within the remaining
-    budget of `cfg.ritz_fp_max_iter` iterations.  Large weights are
-    counterproductive (the roundoff floor of the increment scales with
-    the weight), so stagnation below 100 * ritz_fp_tol is accepted as
-    converged.
-
-    `quasi` is the (p + 2)-point quasi-interpolant of the space; the
-    starting guess is the constrained L2 projection of its interpolant
-    of the scenario normal.  Returns (SplineField, info) with info
-    recording the lambda used, iteration count and the H1 increments.
-    Raises NoContraction when the combined iteration budget is exhausted.
+    `x` holds the position coefficients of the discrete initial surface
+    and `quasi` is the quasi-interpolant of its space.  The fixed-point
+    iteration solves the saddle of A + RITZ_LAMBDA * M once per iterate,
+    starting from the quasi-interpolant of the scenario normal, until
+    the H1 increment reaches RITZ_TOL.  The roundoff floor of the
+    increment scales with the weight, so an increment that stops
+    shrinking below 100 * RITZ_TOL also counts as converged.  Returns
+    (coefficients (dim, 3), info) with info recording the iteration
+    count and the H1 increments.  Raises NoContraction when
+    RITZ_MAX_ITER iterations do not converge.
     """
-    space = x_field.space
+    space = quasi.space
     nq = max(space.degree) + 2
     tables = MeshTables(space, nq)
-    geom = ElementGeometry(tables, x_field.coeffs)
+    geom = ElementGeometry(tables, x)
     M, A = assemble_mass_stiffness(tables, geom)
-    dim = space.dim
 
     # right-hand side on the scenario surface (independent of the iterate)
     pts = tables.points.reshape(-1, 2)
@@ -122,9 +122,6 @@ def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg
     t = wq[:, :, :, None] * (Ginv_s @ Njac.swapaxes(2, 3))  # (Ne, nq2, 2, 3)
     stiff_local = tables.grad_rows.swapaxes(1, 2) @ t.reshape(ne, 2 * nq2, 3)
     mass_local = tables.basis.swapaxes(1, 2) @ (wq * Nvals)
-
-    def interior_rhs(lam):
-        return scatter_vector(tables.conn, stiff_local + lam * mass_local, dim)
 
     # analytic boundary term, moved to the right-hand side with minus sign
     bt = BoundaryTables(space, nq)
@@ -149,54 +146,23 @@ def nonlinear_ritz_normal(x_field: SplineField, scenario, btables, S, quasi, cfg
         on_edges(lambda edge, s: scenario.normal(edge_points(edge, s))),
     )
     # (sign: the projection identity carries -boundary term on both sides)
+    local = stiff_local + RITZ_LAMBDA * mass_local
+    rhs_fixed = scatter_vector(tables.conn, local, space.dim) - rhs_b
 
-    history = []
-    lam = cfg.ritz_lambda
-    total_iters = 0
+    solve = ConstrainedSolver(A + RITZ_LAMBDA * M, S, space, "normal projection solve")
     h1 = A + M  # Gram matrix of the increment norm
-
-    # starting guess: constrained L2 projection of the interpolated normal
-    current = ConstrainedSolver(M, S, space, 1e-9, "normal projection start")(
-        M @ quasi(scenario.normal)
-    )[0]
-
-    while total_iters < cfg.ritz_fp_max_iter:
-        # a fixed gate: the flow's solver_residual_tol governs steps only
-        solve = ConstrainedSolver(
-            A + lam * M, S, space, 1e-9, "normal projection solve"
-        )
-        rhs_fixed = interior_rhs(lam) - rhs_b
-        prev_inc = None
-        escalate = False
-        while total_iters < cfg.ritz_fp_max_iter and not escalate:
-            new = solve(rhs_fixed + assemble_boundary_load(btables, current))[0]
-            d = new - current
-            inc = float(np.sqrt(np.sum(d * (h1 @ d))))
-            history.append(inc)
-            current = new
-            total_iters += 1
-            converged = inc <= cfg.ritz_fp_tol
-            if prev_inc is not None and not converged:
-                ratio = inc / prev_inc
-                if ratio >= 1.0:
-                    # expanding, or stuck on the solver roundoff floor
-                    converged = inc <= 100.0 * cfg.ritz_fp_tol
-                    escalate = not converged
-                elif (
-                    np.log(cfg.ritz_fp_tol / inc) / np.log(ratio)
-                    > cfg.ritz_fp_max_iter - total_iters
-                ):
-                    escalate = True  # contraction too slow for the budget
-            if converged:
-                info = {
-                    "lambda": lam,
-                    "iterations": total_iters,
-                    "increments": history,
-                }
-                return SplineField(space, current), info
-            prev_inc = inc
-        lam *= cfg.ritz_lambda_growth
+    current = quasi(scenario.normal)
+    history = []
+    for _ in range(RITZ_MAX_ITER):
+        new = solve(rhs_fixed + assemble_boundary_load(btables, current))[0]
+        d = new - current
+        inc = float(np.sqrt(np.sum(d * (h1 @ d))))
+        current = new
+        # an increment that stops shrinking sits on the solver roundoff floor
+        stalled = bool(history) and history[-1] <= inc <= 100.0 * RITZ_TOL
+        history.append(inc)
+        if inc <= RITZ_TOL or stalled:
+            return current, {"iterations": len(history), "increments": history}
     raise NoContraction(
-        f"normal projection: no convergence within {cfg.ritz_fp_max_iter} "
-        f"iterations (last lambda {lam:g})"
+        f"normal projection: no convergence within {RITZ_MAX_ITER} iterations"
     )

@@ -404,7 +404,7 @@ def calibrate_plane_amplitude(
     a flow run reports at t = 0.
     """
     from .assembly import MeshTables
-    from .geometry import SplineField, surface_area
+    from .geometry import surface_area
     from .splines import build_quasi_interpolant, build_space
 
     space = build_space(degree, smoothness, num_elements)
@@ -413,8 +413,7 @@ def calibrate_plane_amplitude(
 
     def area_of(a):
         sc = scenario_perturbed_plane(a)
-        X = SplineField(space, Q(sc.position))
-        return surface_area(X, tables)
+        return surface_area(Q(sc.position), tables)
 
     lo, hi = 0.0, 1.0
     assert area_of(lo) < target < area_of(hi)

@@ -307,7 +307,7 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
     K, S, space = _initialized_saddle(scenario, p)
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
-    w, mult, res = ConstrainedSolver(K, S, space, 1e-9, "test solve")(f)
+    w, mult, res = ConstrainedSolver(K, S, space, "test solve")(f)
     assert w.shape == (dim, 3) and mult.shape == (nb,)
     assert res <= 1e-12
     saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
@@ -323,7 +323,7 @@ def test_constrained_solver_interior_solve(sphere_saddle, rng):
     idx = space.interior_indices
     K_II = K[idx][:, idx].tocsc()
     b = rng.normal(size=len(idx))
-    x, res = ConstrainedSolver(K, S, space, 1e-9, "test solve").solve_interior(
+    x, res = ConstrainedSolver(K, S, space, "test solve").solve_interior(
         b, "interior test solve"
     )
     assert res <= 1e-12
@@ -336,18 +336,18 @@ def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
     f = rng.normal(size=(K.shape[0], 3))
     f[3, 1] = np.nan
     with pytest.raises(SolverFailure, match="nan"):
-        ConstrainedSolver(K, S, space, 1e-9, "test solve")(f)
+        ConstrainedSolver(K, S, space, "test solve")(f)
 
 
 def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
     """A non-SPD block or a rank-deficient constraint is a named SolverFailure."""
     K, S, space = sphere_saddle
     with pytest.raises(SolverFailure, match="test solve: boundary Schur complement"):
-        ConstrainedSolver(-K, S, space, 1e-9, "test solve")
+        ConstrainedSolver(-K, S, space, "test solve")
     S0 = S.tolil()
     S0[0, :] = 0.0
     with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
-        ConstrainedSolver(K, S0.tocsr(), space, 1e-9, "test solve")
+        ConstrainedSolver(K, S0.tocsr(), space, "test solve")
 
 
 def test_boundary_tables_require_freeze(space_small):

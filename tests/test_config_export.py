@@ -65,6 +65,7 @@ def test_comments_and_blank_lines():
     "text,match",
     [
         ("no_such_key = 3", "unknown key"),
+        ("ritz_lambda = 10.0", "unknown key"),
         ("dt = fast", "bad value"),
         ("dt = 0.1\ndt = 0.2", "duplicate"),
         ("just words", "expected"),
@@ -119,9 +120,10 @@ def test_csv_roundtrip_values(tmp_path, rng):
 
 def test_csv_header_mismatch_detected(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("t,area\n0.0,4.0\n")
-    with pytest.raises(AssertionError):
-        read_diagnostics_csv(p)
+    for text in ("t,area\n0.0,4.0\n", ""):
+        p.write_text(text)
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_diagnostics_csv(p)
 
 
 # -- VTK ------------------------------------------------------------------------

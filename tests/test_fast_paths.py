@@ -222,6 +222,19 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _count_splu(monkeypatch):
+    """A list that gains one entry per `scipy.sparse.linalg.splu` call."""
+    calls = []
+    original = scipy.sparse.linalg.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return calls
+
+
 def test_step_factors_one_sparse_matrix(monkeypatch):
     """The curvature and the normal solve share one LU per step."""
     cfg = ScenarioConfig(
@@ -236,20 +249,30 @@ def test_step_factors_one_sparse_matrix(monkeypatch):
     prob = FlowProblem(cfg)
     scheme = BdfScheme(2)
     scheme.push(prob.initialize())
-
-    calls = []
-    original = scipy.sparse.linalg.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    calls = _count_splu(monkeypatch)
     for _ in range(2):
         calls.clear()
         state, _ = prob.step(scheme, cfg.dt)
         assert len(calls) == 1
         scheme.push(state)
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_setup_factors_one_sparse_matrix(monkeypatch, scenario):
+    """The Ritz projection of the normal runs at one weight on one LU."""
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        degree=2,
+        smoothness=1,
+        elements_per_side=6,
+        dt=0.0125,
+        t_final=0.025,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    calls = _count_splu(monkeypatch)
+    prob.initialize()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])

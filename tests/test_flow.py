@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import mcflow.assembly
 import mcflow.flow
+import mcflow.projections
 from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
@@ -189,12 +191,17 @@ def test_bdf1_vs_bdf2_startup():
     assert np.array_equal(s1.x, s2.x)
 
 
-def test_abort_serializes_diagnostics(tmp_path):
-    cfg = small_cfg(
-        t_final=0.05,
-        solver_residual_tol=1e-30,
-        output_dir=str(tmp_path / "aborted"),
-    )
+def test_abort_serializes_diagnostics(tmp_path, monkeypatch):
+    cfg = small_cfg(t_final=0.05, output_dir=str(tmp_path / "aborted"))
+    # initialization still solves; a step's residual fails the tighter gate
+    init = FlowProblem.initialize
+
+    def initialize_then_tighten(self):
+        state = init(self)
+        monkeypatch.setattr(mcflow.assembly, "SOLVER_RESIDUAL_TOL", 1e-30)
+        return state
+
+    monkeypatch.setattr(FlowProblem, "initialize", initialize_then_tighten)
     with pytest.raises(SolverFailure):
         run(cfg)
     out = tmp_path / "aborted"
@@ -204,11 +211,12 @@ def test_abort_serializes_diagnostics(tmp_path):
     assert len(rows["t"]) >= 1
 
 
-def test_abort_record_when_the_normal_projection_fails(tmp_path):
+def test_abort_record_when_the_normal_projection_fails(tmp_path, monkeypatch):
     """No state exists yet: a header-only diagnostics file and no VTK."""
+    monkeypatch.setattr(mcflow.projections, "RITZ_MAX_ITER", 1)
     out = tmp_path / "aborted"
     with pytest.raises(NoContraction):
-        run(small_cfg(ritz_fp_max_iter=1, output_dir=str(out)))
+        run(small_cfg(output_dir=str(out)))
     rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
     assert len(rows["t"]) == 0
     assert not (out / "last_good_state.vtk").exists()

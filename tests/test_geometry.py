@@ -58,13 +58,13 @@ def test_flat_square_geometry():
     space = build_space(2, 1, 4)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
-    X = SplineField(space, quasi(sc.position))
+    x = quasi(sc.position)
     tables = MeshTables(space, 3)
-    geom = ElementGeometry(tables, X.coeffs)
+    geom = ElementGeometry(tables, x)
     assert np.allclose(geom.metric, 4.0 * np.eye(2), atol=1e-12)
     assert np.allclose(geom.metric_inv, 0.25 * np.eye(2), atol=1e-13)
     assert np.abs(geom.area_element - 4.0).max() < 1e-12
-    assert abs(surface_area(X, tables) - 4.0) < 1e-12
+    assert abs(surface_area(x, tables) - 4.0) < 1e-12
 
 
 def test_surface_gradient_tangential_and_exact():
@@ -97,17 +97,17 @@ def test_surface_area_converges_to_analytic(sphere_surface):
     for N in (8, 16, 32):
         space = build_space(2, 1, N)
         quasi = build_quasi_interpolant(space)
-        X = SplineField(space, quasi(sc.position))
-        errs.append(abs(surface_area(X, MeshTables(space, 3)) - exact))
+        x = quasi(sc.position)
+        errs.append(abs(surface_area(x, MeshTables(space, 3)) - exact))
     # area error of the interpolated surface decays at order p + 1
     assert errs[2] < errs[1] < errs[0]
     assert errs[1] / errs[2] > 2.0 ** 2.5
 
 
 def test_degenerate_surface_raises(space_small):
-    X = SplineField(space_small, np.zeros((space_small.dim, 3)))
+    x = np.zeros((space_small.dim, 3))
     with pytest.raises(DegenerateSurface):
-        surface_area(X, MeshTables(space_small, 3))
+        surface_area(x, MeshTables(space_small, 3))
 
 
 def test_nan_metric_raises():

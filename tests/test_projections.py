@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mcflow.projections
 from mcflow.assembly import BoundaryTables, constraint_residual, assemble_constraint
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem, initialize
@@ -14,11 +15,11 @@ from mcflow.projections import (
     boundary_quasi_interp,
     project_velocity,
 )
-from mcflow.scenarios import get_scenario
-from mcflow.splines import build_quasi_interpolant, build_space, edge_points
+from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
+from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
 
 
-def _sphere_problem(N, p=2, l=None, **overrides):
+def _sphere_problem(N, p=2, l=None):
     cfg = ScenarioConfig(
         scenario="sphere_patch",
         degree=p,
@@ -27,7 +28,6 @@ def _sphere_problem(N, p=2, l=None, **overrides):
         dt=0.025,
         t_final=0.9,
         output_dir="",
-        **overrides,
     )
     return FlowProblem(cfg)
 
@@ -87,14 +87,15 @@ def test_boundary_interp_accuracy_on_sphere():
 def test_project_velocity_zero_trace_and_values(rng):
     space = build_space(2, 1, 6)
     quasi = build_quasi_interpolant(space)
-    kap = SplineField(space, rng.normal(size=space.dim))
-    nu = SplineField(space, rng.normal(size=(space.dim, 3)))
+    kap = rng.normal(size=space.dim)
+    nu = rng.normal(size=(space.dim, 3))
     v = project_velocity(quasi, kap, nu)
     assert np.all(v[space.boundary_indices] == 0.0)
     # interior coefficients are the plain interpolant of -kappa nu; the grid
     # evaluates through its collocation matrices, so up to roundoff
+    pts = quasi.grid_points
     direct = quasi.apply_to_values(
-        -kap.eval(quasi.grid_points)[:, [0]] * nu.eval(quasi.grid_points)
+        -SplineField(space, kap).eval(pts) * SplineField(space, nu).eval(pts)
     )
     idx = space.interior_indices
     assert np.abs(v[idx] - direct[idx]).max() < 1e-13
@@ -127,7 +128,6 @@ def test_sphere_normal_projection_converges(N, p):
     prob = _sphere_problem(N, p=p, l=p - 1)
     st = prob.initialize()
     info = prob.ritz_info
-    assert info["lambda"] == 10.0
     assert info["iterations"] < 40
     # increments contract geometrically after the first few
     inc = info["increments"]
@@ -139,8 +139,105 @@ def test_sphere_normal_projection_converges(N, p):
     assert constraint_residual(prob.S, nu) < 1e-12
 
 
-def test_normal_projection_iteration_budget():
+def test_normal_projection_iteration_budget(monkeypatch):
     """Exhausting the budget raises instead of silently returning."""
-    prob = _sphere_problem(8, ritz_fp_max_iter=3)
+    monkeypatch.setattr(mcflow.projections, "RITZ_MAX_ITER", 3)
+    prob = _sphere_problem(8)
     with pytest.raises(NoContraction):
         prob.initialize()
+
+
+# -- exact solution on a curved minimal surface ---------------------------------
+
+ENNEPER_HALF_WIDTH = 0.8
+
+
+def scenario_enneper():
+    """Enneper patch X(a, b) = (a - a^3/3 + ab^2, b - b^3/3 + ba^2, a^2 - b^2).
+
+    (a, b) = 0.8 (2u - 1, 2v - 1).  The surface has H = 0 but |A|^2 != 0
+    and curved edges, so under the fixed-boundary flow it stays put with
+    nu = n[X0]: an exact solution that exercises the reaction term, the
+    conormal boundary load, the constraint and the Ritz projection.
+    """
+    c = 2.0 * ENNEPER_HALF_WIDTH  # d(a)/du = d(b)/dv
+
+    def ab(pts):
+        return ENNEPER_HALF_WIDTH * (2.0 * pts.T - 1.0)
+
+    def position(pts):
+        a, b = ab(pts)
+        return np.column_stack(
+            [a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b]
+        )
+
+    def jacobian(pts):
+        a, b = ab(pts)
+        J = np.empty((len(pts), 3, 2))
+        J[:, :, 0] = c * np.column_stack([1 - a * a + b * b, 2 * a * b, 2 * a])
+        J[:, :, 1] = c * np.column_stack([2 * a * b, 1 - b * b + a * a, -2 * b])
+        return J
+
+    def hessian(pts):
+        a, b = ab(pts)
+        two = np.full_like(a, 2.0)
+        H = np.empty((len(pts), 3, 2, 2))
+        H[:, :, 0, 0] = c * c * np.column_stack([-2 * a, 2 * b, two])
+        H[:, :, 0, 1] = c * c * np.column_stack([2 * b, 2 * a, 0 * a])
+        H[:, :, 1, 0] = H[:, :, 0, 1]
+        H[:, :, 1, 1] = c * c * np.column_stack([2 * a, -2 * b, -two])
+        return H
+
+    return Scenario("enneper", position, jacobian, hessian)
+
+
+@pytest.fixture
+def enneper(monkeypatch):
+    """The Enneper patch, registered as a scenario for this test only."""
+    entry = ScenarioEntry(scenario_enneper, {}, None, None, "")
+    monkeypatch.setitem(SCENARIOS, "enneper", entry)
+    return "enneper"
+
+
+def _h1_error_to_exact_normal(prob, nu):
+    """Parametric H1 error of nu against the scenario normal, Gauss grid."""
+    p = max(prob.space.degree)
+    pu, wu = prob.space.u.element_rule(p + 3)
+    pv, wv = prob.space.v.element_rule(p + 3)
+    weights = np.outer(np.tile(wu, len(pu)), np.tile(wv, len(pv))).ravel()
+    values, jac = TensorGrid(prob.space, pu.ravel(), pv.ravel(), nderiv=1).eval(nu, 1)
+    U, V = np.meshgrid(pu.ravel(), pv.ravel(), indexing="ij")
+    pts = np.column_stack([U.ravel(), V.ravel()])
+    dv = values - prob.scenario.normal(pts)
+    dj = jac - prob.scenario.normal_jacobian(pts)
+    return np.sqrt(np.sum(weights * (np.sum(dv**2, 1) + np.sum(dj**2, (1, 2)))))
+
+
+@pytest.mark.parametrize("p, min_order", [(2, 1.8), (3, 2.8)])
+def test_ritz_normal_exact_on_enneper_patch(enneper, p, min_order):
+    """The stationary minimal surface keeps x, kappa = 0 and nu = n[X0].
+
+    Two steps at dt = 0.1 / N on N = 4, 8, 16: the H1 error of nu against
+    the exact normal converges at order p, kappa stays at roundoff, the
+    constraint holds and the surface does not move.
+    """
+    errors = []
+    for N in (4, 8, 16):
+        dt = 0.1 / N
+        cfg = ScenarioConfig(
+            scenario=enneper,
+            degree=p,
+            smoothness=p - 1,
+            elements_per_side=N,
+            dt=dt,
+            t_final=2 * dt,
+            output_dir="",
+        )
+        result = FlowProblem(cfg).run()
+        prob, state = result.problem, result.final_state
+        errors.append(_h1_error_to_exact_normal(prob, state.nu))
+        assert max(d.max_abs_kappa for d in result.diagnostics) <= 1e-14
+        assert max(d.constraint_residual for d in result.diagnostics) <= 1e-10
+        assert np.abs(state.x - prob.quasi(prob.scenario.position)).max() <= 1e-14
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= min_order), (errors, orders)

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` wraps each (owner, attribute) of its `TARGETS`
 by name, so a rename in `mcflow` would otherwise break traced benchmark
-runs without failing any test.
+runs without failing any test.  The Ritz result hook reads the return
+value of `nonlinear_ritz_normal`, so it is fed a real one.
 """
 
 from __future__ import annotations
@@ -11,13 +12,22 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from mcflow.config import ScenarioConfig
+from mcflow.flow import FlowProblem
+from mcflow.projections import nonlinear_ritz_normal
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_target_resolves():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_resolves():
+    tracing = _load_tracing()
     missing = []
     for _, owner, attr, _, _ in tracing.TARGETS:
         module, _, cls = owner.partition(":")
@@ -27,3 +37,18 @@ def test_every_traced_target_resolves():
         if obj is None or attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert not missing, f"tracer targets missing: {missing}"
+
+
+def test_ritz_result_hook_reads_a_real_return_value():
+    """The tracer's Ritz hook reads the shape `nonlinear_ritz_normal` returns."""
+    tracing = _load_tracing()
+    prob = FlowProblem(ScenarioConfig(elements_per_side=4))  # the plane
+    prob.initialize()  # builds the boundary tables and the constraint
+    result = nonlinear_ritz_normal(
+        prob.quasi(prob.scenario.position),
+        prob.scenario,
+        prob.btables,
+        prob.S,
+        prob.quasi,
+    )
+    assert tracing._ritz_result(result) == {"iterations": prob.ritz_info["iterations"]}
