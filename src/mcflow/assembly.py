@@ -18,12 +18,15 @@ Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
 multiplier enforces the boundary constraint.  `ConstrainedSolver` is the
 only code that solves it, and it never assembles it: S has nonzero
-columns only at boundary control points, so the interior block K_II is
-eliminated by its sparse LU and what remains is two small dense SPD
-Schur complements on the boundary, each Cholesky-factored (the block
+columns only at boundary control points, so the saddle reduces to the
+boundary Schur complement C = K_BB - K_BI K_II^-1 K_IB and the
+multiplier Schur complement T = sum_k S_kB C^-1 S_kB^T (the block
 elimination of Benzi, Golub & Liesen, Acta Numerica 14 (2005), Sec. 5).
-The same LU of K_II serves the zero-trace curvature system of a flow
-step, which is that interior block, so a step factors one sparse matrix.
+`SaddleLayout` orders the space once, interior by nested dissection and
+boundary last, so one sparse LU of the whole K carries C as its trailing
+block and T follows from that block by a dense triangular solve.  The
+same LU serves the zero-trace curvature system of a flow step, whose
+matrix is the interior block K_II, so a step factors one sparse matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
 component-major, i.e. [all x | all y | all z].
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .geometry import metric_pieces
 from .splines import EDGE_FIXED_COORD, TensorSplineSpace
@@ -160,6 +163,15 @@ class MeshTables:
         data = np.bincount(self.scatter, weights=local.ravel(), minlength=n)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
 
+    def combine(self, c, M, A):
+        """c M + A for M, A on the pattern, as a CSR matrix on the pattern.
+
+        Unlike sparse `+`, this keeps an entry that cancels to 0.0, so the
+        slots of `data` stay those of the pattern.
+        """
+        dim = self.space.dim
+        return sp.csr_matrix((c * M.data + A.data, self.indices, self.indptr), shape=(dim, dim))
+
     def field_values(self, coeffs):
         """Field values at all quadrature points, (Ne, nq2[, D])."""
         loc = coeffs[self.conn]
@@ -202,81 +214,188 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     return tables.matrix(Mloc), tables.matrix(Aloc)
 
 
-def factor_symmetric(K):
-    """Sparse LU of a symmetric CSC matrix.
+def boundary_last_order(space: TensorSplineSpace):
+    """Fill-reducing order of the coefficients: interior first, boundary last.
 
-    Every sparse factorization of the flow and the projections is the
-    interior block of a shifted stiffness matrix, which is SPD.  Ordering
-    on the structure of K^T + K and preferring diagonal pivots keeps the
-    factors structurally symmetric, which needs less fill and time than
-    the default column ordering.
+    The interior control-point grid is ordered by nested dissection: a
+    block is cut across its longer side by a separator of p grid lines,
+    which decouples the two parts since B-spline coefficients couple only
+    within p indices; each part is ordered the same way, then the
+    separator.  A block too small to cut keeps its order.  The boundary
+    follows in the order of `space.boundary_indices`.
     """
-    return spla.splu(
-        K,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+    p = max(space.degree)
+    parts = []
+
+    def dissect(block):  # a 2-d view of the flat indices, longer side first
+        if block.shape[0] < block.shape[1]:
+            block = block.T
+        n = block.shape[0]
+        if n < p + 2:
+            parts.append(block.ravel())
+            return
+        a = (n - p) // 2
+        dissect(block[:a])
+        dissect(block[a + p :])
+        parts.append(block[a : a + p].ravel())
+
+    dissect(np.arange(space.dim).reshape(space.shape)[1:-1, 1:-1])
+    return np.concatenate(parts + [space.boundary_indices])
 
 
-def _cholesky(matrix, what, name):
-    """Cholesky factor of a dense SPD matrix; SolverFailure if it is not SPD."""
-    try:
-        return cho_factor(matrix, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"{what}: {name} is not positive definite ({exc})") from exc
+class SaddleLayout:
+    """What every saddle solve of one problem shares, fixed from t = 0.
+
+    `perm` is `boundary_last_order` of the space of `tables`, its last
+    `num_boundary` entries the boundary indices.  `gather` takes the
+    `data` of a CSR matrix on the pattern of `tables` to the `data` of
+    the permuted matrix K[perm][:, perm] in CSC with `indices` and
+    `indptr`, so permuting K costs one array gather.  `S` is the frozen
+    constraint, `S_B` its three dense blocks S_kB on the boundary
+    columns of component k, and `S_Bt` their transposes side by side,
+    (nB, 3 nb).
+    """
+
+    def __init__(self, tables: MeshTables, S):
+        space = tables.space
+        dim = space.dim
+        self.interior = space.interior_indices
+        self.boundary = B = space.boundary_indices
+        self.num_boundary = len(B)
+        self.perm = boundary_last_order(space)
+        rank = np.empty(dim, dtype=np.int32)
+        rank[self.perm] = np.arange(dim, dtype=np.int32)
+        self.csr_indptr = tables.indptr
+        rows = np.repeat(rank, np.diff(tables.indptr))
+        cols = rank[tables.indices]
+        self.gather = np.lexsort((rows, cols))
+        self.indices = rows[self.gather]
+        counts = np.bincount(cols, minlength=dim)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        self.S = S
+        self.S_B = [S[:, k * dim + B].toarray() for k in range(3)]
+        self.S_Bt = np.hstack([Sk.T for Sk in self.S_B])
 
 
 class ConstrainedSolver:
     """The saddle system [[I3 (x) K, S^T], [S, 0]], factored once.
 
-    K is a dim x dim SPD block shared by the three components and S the
-    tangential-trace constraint, whose nonzero columns all belong to the
-    boundary indices of `space`.  With I the interior and B the boundary
-    indices, the set-up factors K_II (sparse LU), forms
-    Z = K_II^-1 K_IB, the boundary Schur complement C = K_BB - K_IB^T Z
-    and the multiplier Schur complement T = sum_k S_kB C^-1 S_kB^T, and
-    Cholesky-factors C and T.  Calling the solver with a (dim, 3) load f
-    returns (w (dim, 3), multiplier, relative residual) with S w = 0; the
-    residual is taken against the full saddle operator, applied block by
-    block, and gated by `check_residual(..., what)` at
-    SOLVER_RESIDUAL_TOL.  `solve_interior` solves with K_II alone.
+    K is a dim x dim SPD matrix shared by the three components, stored on
+    the pattern of the `SaddleLayout`, and S its tangential-trace
+    constraint.  The set-up makes one sparse LU of K in the layout's
+    boundary-last order; SuperLU keeps that order in symmetric mode, so
+    with U = D L^T every pivot must be positive (else K is not SPD), the
+    trailing block U_BB gives the boundary Schur complement
+    C = U_BB^T D_B^-1 U_BB, and W = U_BB^-T [S_0B^T S_1B^T S_2B^T] the
+    Cholesky-factored multiplier Schur complement T = sum_k W_k^T D_B W_k.
+
+    Calling the solver with a (dim, 3) load f returns (w (dim, 3),
+    multiplier, relative residual) with S w = 0: y = K^-1 f,
+    mu = T^-1 sum_k S_kB y_Bk and w = y - K^-1 [0; S_B^T mu], two solves
+    with three columns each.  The residual is taken against the full
+    saddle operator, applied block by block, and gated by
+    `check_residual(..., what)` at SOLVER_RESIDUAL_TOL.  `with_interior`
+    adds the zero-trace system K_II x_I = r_I as a fourth column.
     """
 
-    def __init__(self, K, S, space: TensorSplineSpace, what):
-        self.K, self.S, self.what = K, S, what
-        self.interior = I = space.interior_indices
-        self.boundary = B = space.boundary_indices
-        K_I = K[I]
-        self.K_II = K_I[:, I].tocsc()
-        self.lu = factor_symmetric(self.K_II)
-        self.K_IB = K_I[:, B]
-        self.Z = self.lu.solve(self.K_IB.toarray())
-        C = K[B][:, B].toarray() - self.K_IB.T @ self.Z
-        self.C = _cholesky(C, what, "boundary Schur complement")
-        dim = K.shape[0]
-        self.S_B = [S[:, k * dim + B].toarray() for k in range(3)]
-        self.X = [cho_solve(self.C, Sk.T, check_finite=False) for Sk in self.S_B]
-        T = sum(Sk @ Xk for Sk, Xk in zip(self.S_B, self.X))
-        self.T = _cholesky(T, what, "multiplier Schur complement")
-
-    def solve_interior(self, b, what):
-        """Solve K_II x = b; returns (x, relative residual), gated as above."""
-        x = self.lu.solve(b)
-        return x, check_residual(self.K_II @ x - b, b, what)
+    def __init__(self, K, layout: SaddleLayout, what):
+        self.K, self.layout, self.what = K, layout, what
+        if not np.array_equal(K.indptr, layout.csr_indptr):
+            raise SolverFailure(f"{what}: K is not stored on the mesh pattern")
+        n, nB = K.shape[0], layout.num_boundary
+        Kp = sp.csc_matrix((K.data[layout.gather], layout.indices, layout.indptr), shape=K.shape)
+        try:
+            self.lu = spla.splu(
+                Kp,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # an exactly singular K
+            raise SolverFailure(f"{what}: {exc}") from exc
+        natural = np.arange(n)
+        if not (
+            np.array_equal(self.lu.perm_c, natural)
+            and np.array_equal(self.lu.perm_r, natural)
+        ):
+            raise SolverFailure(f"{what}: the sparse LU left the boundary-last order")
+        U = self.lu.U
+        d = U.diagonal()
+        if not np.all(d > 0.0):
+            raise SolverFailure(
+                f"{what}: boundary Schur complement is not positive definite "
+                f"(smallest pivot of K {d.min():.3e})"
+            )
+        # the dense trailing block U_BB, read off the CSC columns of U
+        nI = n - nB
+        start = U.indptr[nI]
+        rows = U.indices[start:] - nI
+        cols = np.repeat(np.arange(nB), np.diff(U.indptr[nI:]))
+        keep = rows >= 0
+        U_BB = np.zeros((nB, nB))
+        U_BB[rows[keep], cols[keep]] = U.data[start:][keep]
+        d_B = d[nI:]
+        self.C = U_BB.T @ (U_BB / d_B[:, None])
+        W = solve_triangular(U_BB, layout.S_Bt, trans="T", check_finite=False)
+        W = W.reshape(nB, 3, -1)
+        T = sum(W[:, k].T @ (d_B[:, None] * W[:, k]) for k in range(3))
+        try:
+            self.T = cho_factor(T, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(
+                f"{what}: multiplier Schur complement is not positive definite ({exc})"
+            ) from exc
 
     def __call__(self, f):
-        I, B = self.interior, self.boundary
-        u = self.lu.solve(f[I])
-        Cg = cho_solve(self.C, f[B] - self.K_IB.T @ u, check_finite=False)
-        rhs = sum(Sk @ Cg[:, k] for k, Sk in enumerate(self.S_B))
+        return self._solve(f)[1]
+
+    def with_interior(self, r, f, what):
+        """Solve K_II x_I = r_I along with the saddle for f, in the same two solves.
+
+        `r` is a full-length vector whose boundary entries are ignored.
+        Returns ((x, relative residual), (w, multiplier, relative
+        residual)); x has exactly zero boundary entries and its residual
+        is that of the rows I of K x, gated by `check_residual(..., what)`.
+        """
+        x, saddle = self._solve(f, r)
+        I = self.layout.interior
+        return (x, check_residual((self.K @ x)[I] - r[I], r[I], what)), saddle
+
+    def _solve(self, f, r=None):
+        """Saddle solve of f; given r, also x = y - K^-1 [0; C y_B] for
+        y = K^-1 [r_I; 0], which is x_I = K_II^-1 r_I, x_B = 0.
+
+        Works in the permuted order, the boundary in the last nB rows, with
+        the x column (if any) first.  Returns (x or None, (w, mu, residual)).
+        """
+        lo = self.layout
+        perm, nB = lo.perm, lo.num_boundary
+        nI = len(perm) - nB
+        j = 0 if r is None else 1  # first column of the saddle
+        b = np.empty((len(perm), j + 3))
+        b[:, j:] = f[perm]
+        if j:
+            b[:nI, 0] = r[perm[:nI]]
+            b[nI:, 0] = 0.0
+        y = self.lu.solve(b)
+        rhs = sum(Sk @ y[nI:, j + k] for k, Sk in enumerate(lo.S_B))
         mu = cho_solve(self.T, rhs, check_finite=False)
-        w = np.empty(f.shape)
-        w[B] = Cg - np.column_stack([Xk @ mu for Xk in self.X])
-        w[I] = u - self.Z @ w[B]
-        r = self.K @ w + (self.S.T @ mu).reshape(3, -1).T - f
-        r = np.concatenate([r.ravel(), self.S @ w.T.ravel()])
-        return w, mu, check_residual(r, f, self.what)
+        load = np.zeros(b.shape)
+        load[nI:, j:] = np.column_stack([Sk.T @ mu for Sk in lo.S_B])
+        if j:
+            load[nI:, 0] = self.C @ y[nI:, 0]
+        y -= self.lu.solve(load)
+        out = np.empty(y.shape)
+        out[perm] = y
+        w = np.ascontiguousarray(out[:, j:])
+        res = self.K @ w + (lo.S.T @ mu).reshape(3, -1).T - f
+        res = np.concatenate([res.ravel(), lo.S @ w.T.ravel()])
+        saddle = (w, mu, check_residual(res, f, self.what))
+        if not j:
+            return None, saddle
+        x = out[:, 0].copy()
+        x[lo.boundary] = 0.0
+        return x, saddle
 
 
 def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):

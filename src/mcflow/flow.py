@@ -3,14 +3,15 @@
 Each step extrapolates surface, normal and curvature from the history,
 assembles mass/stiffness and the nonlinear loads on the extrapolated
 surface, then solves two linear systems with one sparse factorization:
-`assembly.ConstrainedSolver` LU-factors the interior block of
-(d0/dt) M + A, which is the zero-trace parabolic system of the
-curvature, and reuses that LU in a boundary Schur-complement solve of
-the saddle system for the normal, whose multiplier enforces discrete
-tangential orthogonality of the boundary trace.  The velocity is the
-quasi-interpolant of -kappa * nu with exactly zero boundary
-coefficients, and the position update resets the boundary rows to their
-initial values so the Dirichlet data is preserved bit for bit.
+`assembly.ConstrainedSolver` LU-factors the whole of K = (d0/dt) M + A
+with the boundary ordered last.  That LU solves both the zero-trace
+parabolic system of the curvature, whose matrix is the interior block
+of K, and, by a boundary Schur complement, the saddle system for the
+normal, whose multiplier enforces discrete tangential orthogonality of
+the boundary trace; the two share two LU solves of four columns each.
+The velocity is the quasi-interpolant of -kappa * nu with exactly zero
+boundary coefficients, and the position update resets the boundary rows
+to their initial values so the Dirichlet data is preserved bit for bit.
 
 BDF orders 1 and 2 are supported (`bdf_coefficients`).  The history
 grows up to the scheme's order and each step uses the highest order it
@@ -33,6 +34,7 @@ from .assembly import (
     ConstrainedSolver,
     ElementGeometry,
     MeshTables,
+    SaddleLayout,
     assemble_boundary_load,
     assemble_constraint,
     assemble_curvature_load,
@@ -168,6 +170,7 @@ class FlowProblem:
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
         # filled by initialize()
         self.S = None
+        self.saddle = None
         self.x0_boundary = None
         self.ritz_info = None
 
@@ -190,10 +193,11 @@ class FlowProblem:
             boundary_quasi_interp(self.quasi, sc.boundary_curvature),
         )
         self.S = assemble_constraint(self.btables)
+        self.saddle = SaddleLayout(self.tables, self.S)
 
         kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
         nu, self.ritz_info = nonlinear_ritz_normal(
-            x, sc, self.btables, self.S, self.quasi
+            x, sc, self.btables, self.saddle, self.quasi
         )
         v = project_velocity(self.quasi, kappa, nu)
         return FlowState(
@@ -211,7 +215,6 @@ class FlowProblem:
         """One linearly implicit BDF step; returns (state, diagnostics)."""
         d0 = scheme.coefficients()[0][0]
         t0 = _time.perf_counter()
-        space = self.space
 
         x_ext = scheme.extrapolate("x")
         nu_ext = scheme.extrapolate("nu")
@@ -219,33 +222,30 @@ class FlowProblem:
 
         geom = ElementGeometry(self.tables, x_ext)
         M, A = assemble_mass_stiffness(self.tables, geom)
-        idx = space.interior_indices
         # |A|^2 of the extrapolated normal, shared by both loads
         frob2 = weingarten_energy(self.tables, geom, nu_ext)
 
-        # one LU of the interior block serves both systems
-        Kb = (d0 / dt) * M + A
-        solver = ConstrainedSolver(Kb, self.S, space, "normal solve")
-
-        # curvature step (zero-trace space)
+        # curvature load (zero-trace space: boundary rows unused)
         f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
-        tail_k = scheme.derivative_tail("kappa")
-        rhs_k = f1[idx] - (M @ tail_k)[idx] / dt
-        sol_k, res_k = solver.solve_interior(rhs_k, "curvature solve")
-        kappa = np.zeros(space.dim)
-        kappa[idx] = sol_k
+        rhs_k = f1 - (M @ scheme.derivative_tail("kappa")) / dt
 
-        # normal step (saddle system with tangential boundary constraint)
+        # normal load (saddle system with tangential boundary constraint)
         f2 = assemble_normal_load(self.tables, geom, nu_ext, frob2)
         fb = assemble_boundary_load(self.btables, nu_ext)
-        tail_n = scheme.derivative_tail("nu")
-        nu, multiplier, res_n = solver(f2 + fb - (M @ tail_n) / dt)
+        rhs_n = f2 + fb - (M @ scheme.derivative_tail("nu")) / dt
+
+        # one LU of (d0/dt) M + A serves both systems
+        K = self.tables.combine(d0 / dt, M, A)
+        solver = ConstrainedSolver(K, self.saddle, "normal solve")
+        (kappa, res_k), (nu, multiplier, res_n) = solver.with_interior(
+            rhs_k, rhs_n, "curvature solve"
+        )
 
         # velocity on the extrapolated surface, then position update
         v = project_velocity(self.quasi, kappa, nu)
         tail_x = scheme.derivative_tail("x")
         x = (dt * v - tail_x) / d0
-        x[space.boundary_indices] = self.x0_boundary
+        x[self.space.boundary_indices] = self.x0_boundary
 
         state = FlowState(
             time=scheme.history[0].time + dt,

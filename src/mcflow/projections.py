@@ -14,9 +14,10 @@ trace discretely orthogonal to the interpolated boundary tangent.  It
 is computed by a fixed-point iteration (as Kovacs, Li & Lubich,
 Numer. Math. 143 (2019), do for closed surfaces) whose linear part, the
 constraint saddle of stiffness + RITZ_LAMBDA * mass, is one
-`assembly.ConstrainedSolver`: one sparse LU of the interior block and a
-boundary Schur complement, as in a flow step.  The weight, the
-tolerance and the iteration budget are the module constants below.
+`assembly.ConstrainedSolver`: one boundary-last sparse LU of the whole
+matrix and the boundary Schur complements read off it, as in a flow
+step.  The weight, the tolerance and the iteration budget are the
+module constants below.
 
 The projection integrates with a rule one order finer than flow-step
 assembly, on both sides, so data already in the space on the same
@@ -90,11 +91,12 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
 # nonlinear normal projection
 
 
-def nonlinear_ritz_normal(x, scenario, btables, S, quasi):
+def nonlinear_ritz_normal(x, scenario, btables, saddle, quasi):
     """Constrained H1 projection of the normal of `scenario`.
 
-    `x` holds the position coefficients of the discrete initial surface
-    and `quasi` is the quasi-interpolant of its space.  The fixed-point
+    `x` holds the position coefficients of the discrete initial surface,
+    `saddle` the `assembly.SaddleLayout` of its space and constraint, and
+    `quasi` is the quasi-interpolant of its space.  The fixed-point
     iteration solves the saddle of A + RITZ_LAMBDA * M once per iterate,
     starting from the quasi-interpolant of the scenario normal, until
     the H1 increment reaches RITZ_TOL.  The roundoff floor of the
@@ -149,7 +151,8 @@ def nonlinear_ritz_normal(x, scenario, btables, S, quasi):
     local = stiff_local + RITZ_LAMBDA * mass_local
     rhs_fixed = scatter_vector(tables.conn, local, space.dim) - rhs_b
 
-    solve = ConstrainedSolver(A + RITZ_LAMBDA * M, S, space, "normal projection solve")
+    K = tables.combine(RITZ_LAMBDA, M, A)
+    solve = ConstrainedSolver(K, saddle, "normal projection solve")
     h1 = A + M  # Gram matrix of the increment norm
     current = quasi(scenario.normal)
     history = []

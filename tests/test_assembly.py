@@ -12,17 +12,19 @@ from mcflow.assembly import (
     ConstrainedSolver,
     ElementGeometry,
     MeshTables,
+    SaddleLayout,
     SolverFailure,
     assemble_boundary_load,
     assemble_constraint,
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
+    boundary_last_order,
     constraint_residual,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
-from mcflow.flow import initialize
+from mcflow.flow import FlowProblem, initialize
 from mcflow.geometry import DegenerateSurface, SplineField
 from mcflow.projections import boundary_quasi_interp
 from mcflow.scenarios import get_scenario
@@ -272,20 +274,21 @@ def test_constraint_on_flat_square():
     assert constraint_residual(prob.S, ez) < 1e-12
 
 
-def _initialized_saddle(scenario, p):
-    """Shifted stiffness, constraint and space of an initialized N=8 patch."""
+def _initialized_saddle(scenario, p, n=8):
+    """Mass and stiffness on the initial surface of an initialized N=n
+    patch, the shifted stiffness on the mesh pattern, and the problem."""
     cfg = ScenarioConfig(
         scenario=scenario,
         degree=p,
         smoothness=p - 1,
-        elements_per_side=8,
+        elements_per_side=n,
         dt=0.025,
         t_final=0.9,
         output_dir="",
     )
     prob, st = initialize(cfg)
     M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, st.x))
-    return (1.5 / cfg.dt) * M + A, prob.S, prob.space
+    return M, A, prob.tables.combine(1.5 / cfg.dt, M, A), prob
 
 
 @pytest.fixture(scope="module")
@@ -304,10 +307,11 @@ def sphere_saddle():
 )
 def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
     """The Schur-complement solve equals a direct solve of the assembled saddle."""
-    K, S, space = _initialized_saddle(scenario, p)
+    _, _, K, prob = _initialized_saddle(scenario, p)
+    S = prob.S
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
-    w, mult, res = ConstrainedSolver(K, S, space, "test solve")(f)
+    w, mult, res = ConstrainedSolver(K, prob.saddle, "test solve")(f)
     assert w.shape == (dim, 3) and mult.shape == (nb,)
     assert res <= 1e-12
     saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
@@ -318,36 +322,111 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
 
 
 def test_constrained_solver_interior_solve(sphere_saddle, rng):
-    """`solve_interior` solves the zero-trace block K_II alone."""
-    K, S, space = sphere_saddle
-    idx = space.interior_indices
+    """`with_interior` solves the zero-trace block K_II beside the saddle."""
+    _, _, K, prob = sphere_saddle
+    idx, bnd = prob.space.interior_indices, prob.space.boundary_indices
     K_II = K[idx][:, idx].tocsc()
-    b = rng.normal(size=len(idx))
-    x, res = ConstrainedSolver(K, S, space, "test solve").solve_interior(
-        b, "interior test solve"
-    )
+    r = rng.normal(size=K.shape[0])
+    f = rng.normal(size=(K.shape[0], 3))
+    solver = ConstrainedSolver(K, prob.saddle, "test solve")
+    (x, res), (w, mult, _) = solver.with_interior(r, f, "interior test solve")
     assert res <= 1e-12
-    ref = spla.spsolve(K_II, b)
-    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = spla.spsolve(K_II, r[idx])
+    assert np.abs(x[idx] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(x[bnd] == 0.0)
+    w_alone, mult_alone, _ = solver(f)
+    assert np.abs(w - w_alone).max() <= 1e-13 * np.abs(w_alone).max()
+    assert np.abs(mult - mult_alone).max() <= 1e-13 * np.abs(mult_alone).max()
 
 
 def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
-    K, S, space = sphere_saddle
+    _, _, K, prob = sphere_saddle
     f = rng.normal(size=(K.shape[0], 3))
     f[3, 1] = np.nan
     with pytest.raises(SolverFailure, match="nan"):
-        ConstrainedSolver(K, S, space, "test solve")(f)
+        ConstrainedSolver(K, prob.saddle, "test solve")(f)
 
 
 def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
     """A non-SPD block or a rank-deficient constraint is a named SolverFailure."""
-    K, S, space = sphere_saddle
+    _, _, K, prob = sphere_saddle
+    S = prob.S
     with pytest.raises(SolverFailure, match="test solve: boundary Schur complement"):
-        ConstrainedSolver(-K, S, space, "test solve")
+        ConstrainedSolver(-K, prob.saddle, "test solve")
     S0 = S.tolil()
     S0[0, :] = 0.0
     with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
-        ConstrainedSolver(K, S0.tocsr(), space, "test solve")
+        ConstrainedSolver(K, SaddleLayout(prob.tables, S0.tocsr()), "test solve")
+
+
+def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
+    """With A = -c M, c M + A is zero on the whole pattern and the solver
+    rejects it as singular; sparse `+` would drop every entry."""
+    M, _, _, prob = sphere_saddle
+    c = 60.0
+    A = -c * M
+    K = prob.tables.combine(c, M, A)
+    assert K.nnz == len(prob.tables.indices)
+    assert not np.any(K.data)
+    with pytest.raises(SolverFailure, match="test solve: .*singular"):
+        ConstrainedSolver(K, prob.saddle, "test solve")
+    dropped = c * M + A
+    assert dropped.nnz < K.nnz
+    with pytest.raises(SolverFailure, match="test solve: K is not stored on the mesh pattern"):
+        ConstrainedSolver(dropped, prob.saddle, "test solve")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_schur_complement_read_off_the_factor(scenario, p):
+    """C from the boundary-last LU equals the dense K_BB - K_BI K_II^-1 K_IB,
+    and the order puts the interior, then the boundary, each index once."""
+    _, _, K, prob = _initialized_saddle(scenario, p, n=6)
+    space = prob.space
+    perm = prob.saddle.perm
+    I, B = space.interior_indices, space.boundary_indices
+    assert np.array_equal(np.sort(perm), np.arange(space.dim))
+    assert np.array_equal(perm[len(I) :], B)
+    assert np.array_equal(np.sort(perm[: len(I)]), I)
+    Kd = K.toarray()
+    C_ref = Kd[np.ix_(B, B)] - Kd[np.ix_(B, I)] @ np.linalg.solve(
+        Kd[np.ix_(I, I)], Kd[np.ix_(I, B)]
+    )
+    C = ConstrainedSolver(K, prob.saddle, "test solve").C
+    assert np.abs(C - C_ref).max() <= 1e-12 * np.abs(C_ref).max()
+
+
+@pytest.mark.parametrize("p, n", [(2, 20), (2, 40), (3, 16)])
+def test_dissection_fills_no_more_than_minimum_degree(p, n):
+    """nnz(L) + nnz(U) with `boundary_last_order` is at most that with
+    SuperLU's MMD_AT_PLUS_A order of the interior, boundary appended."""
+    cfg = ScenarioConfig(
+        scenario="perturbed_plane", degree=p, smoothness=p - 1, elements_per_side=n
+    )
+    prob = FlowProblem(cfg)
+    x = prob.quasi(prob.scenario.position)
+    M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, x))
+    K = prob.tables.combine(1.0 / cfg.dt, M, A)
+    I, B = prob.space.interior_indices, prob.space.boundary_indices
+    mmd = spla.splu(
+        K[I][:, I].tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    # SuperLU factors the columns of K_II in the order argsort(perm_c)
+    minimum_degree = np.concatenate([I[np.argsort(mmd.perm_c)], B])
+    fill = []
+    for perm in (boundary_last_order(prob.space), minimum_degree):
+        lu = spla.splu(
+            K[perm][:, perm].tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        assert np.array_equal(lu.perm_c, np.arange(len(perm)))
+        fill.append(lu.L.nnz + lu.U.nnz)
+    assert fill[0] <= fill[1]
 
 
 def test_boundary_tables_require_freeze(space_small):

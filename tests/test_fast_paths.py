@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 import mcflow.assembly
@@ -303,3 +304,99 @@ def test_step_runs_no_einsum(monkeypatch, scenario):
         state, _ = prob.step(scheme, cfg.dt)
         scheme.push(state)
     assert calls == []
+
+
+def _two_step_problem(scenario):
+    """An N=6 problem and a BDF2 scheme holding its initial state."""
+    cfg = ScenarioConfig(
+        scenario=scenario,
+        degree=2,
+        smoothness=1,
+        elements_per_side=6,
+        dt=0.0125,
+        t_final=0.025,
+        output_dir="",
+    )
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme(2)
+    return prob, scheme, cfg.dt
+
+
+def _count_sparse_indexing(monkeypatch):
+    """A list that gains one entry per `__getitem__` of any scipy sparse matrix."""
+    calls = []
+    # the class whose __getitem__ each sparse format runs
+    owners = {
+        next(k for k in cls.__mro__ if "__getitem__" in vars(k))
+        for cls in vars(scipy.sparse).values()
+        if isinstance(cls, type)
+        and issubclass(cls, scipy.sparse.sparray | scipy.sparse.spmatrix)
+        and hasattr(cls, "__getitem__")
+    }
+    for owner in owners:
+        original = vars(owner)["__getitem__"]
+
+        def counted(self, key, original=original):
+            calls.append(type(self).__name__)
+            return original(self, key)
+
+        monkeypatch.setattr(owner, "__getitem__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_step_slices_no_sparse_matrix(monkeypatch, scenario):
+    """The constraint blocks and the boundary-last order are frozen at set-up,
+    so a BDF1 and a BDF2 step index no sparse matrix."""
+    prob, scheme, dt = _two_step_problem(scenario)
+    scheme.push(prob.initialize())
+    calls = _count_sparse_indexing(monkeypatch)
+    for _ in range(2):
+        state, _ = prob.step(scheme, dt)
+        scheme.push(state)
+    assert calls == []
+
+
+class _CountedLU:
+    """A sparse LU that records the column count of every solve."""
+
+    def __init__(self, lu, widths):
+        self._lu, self._widths = lu, widths
+
+    def solve(self, b, *args, **kwargs):
+        self._widths.append(1 if b.ndim == 1 else b.shape[1])
+        return self._lu.solve(b, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def _count_solve_widths(monkeypatch):
+    """A list that gains, per `splu` call, the list of its solves' widths."""
+    factors = []
+    original = scipy.sparse.linalg.splu
+
+    def counted(*args, **kwargs):
+        factors.append([])
+        return _CountedLU(original(*args, **kwargs), factors[-1])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    return factors
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_no_wide_solve(monkeypatch, scenario):
+    """A step solves with its LU at most twice, at most 4 columns a time;
+    a Ritz iteration solves only the normal's 3 columns."""
+    prob, scheme, dt = _two_step_problem(scenario)
+    factors = _count_solve_widths(monkeypatch)
+    scheme.push(prob.initialize())
+    (ritz,) = factors
+    assert len(ritz) == 2 * prob.ritz_info["iterations"]
+    assert max(ritz) <= 3
+    for _ in range(2):
+        factors.clear()
+        state, _ = prob.step(scheme, dt)
+        scheme.push(state)
+        (widths,) = factors
+        assert len(widths) <= 2 and max(widths) <= 4

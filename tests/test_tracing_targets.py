@@ -43,12 +43,12 @@ def test_ritz_result_hook_reads_a_real_return_value():
     """The tracer's Ritz hook reads the shape `nonlinear_ritz_normal` returns."""
     tracing = _load_tracing()
     prob = FlowProblem(ScenarioConfig(elements_per_side=4))  # the plane
-    prob.initialize()  # builds the boundary tables and the constraint
+    prob.initialize()  # builds the boundary tables, the constraint and its layout
     result = nonlinear_ritz_normal(
         prob.quasi(prob.scenario.position),
         prob.scenario,
         prob.btables,
-        prob.S,
+        prob.saddle,
         prob.quasi,
     )
     assert tracing._ritz_result(result) == {"iterations": prob.ritz_info["iterations"]}
