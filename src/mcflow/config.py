@@ -102,7 +102,3 @@ def serialize_config(cfg: ScenarioConfig) -> str:
             value = repr(float(value))
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: ScenarioConfig, path):
-    Path(path).write_text(serialize_config(cfg))

@@ -49,6 +49,7 @@ from .projections import (
     boundary_quasi_interp,
     nonlinear_ritz_normal,
     project_velocity,
+    ritz_rhs,
 )
 from .scenarios import get_scenario
 from .splines import build_quasi_interpolant, build_space
@@ -182,24 +183,33 @@ class FlowProblem:
         Position and curvature are quasi-interpolants (curvature with
         zero boundary coefficients); the normal solves the constrained
         nonlinear projection; the velocity interpolates -kappa * nu.
+        All of them read one scenario sample on the quasi-interpolant's
+        grid and one per edge, released before the projection iterates.
         """
-        sc = self.scenario
-        x = self.quasi(sc.position)
-        self.x0_boundary = x[self.space.boundary_indices].copy()
+        sc, quasi, bidx = self.scenario, self.quasi, self.space.boundary_indices
+        grid = sc.sample(quasi.grid_points)
+        edges = [sc.sample(quasi.edge_points(k), k) for k in range(4)]
+        x = quasi.apply_to_values(grid.X)
+        self.x0_boundary = x[bidx].copy()
 
         self.btables.freeze(
             x,
-            boundary_quasi_interp(self.quasi, sc.boundary_tangent),
-            boundary_quasi_interp(self.quasi, sc.boundary_curvature),
+            boundary_quasi_interp(quasi, [e.edge_tangent for e in edges]),
+            boundary_quasi_interp(quasi, [e.edge_curvature for e in edges]),
         )
         self.S = assemble_constraint(self.btables)
         self.saddle = SaddleLayout(self.tables, self.S)
 
-        kappa = self.quasi(sc.mean_curvature, zero_boundary=True)
+        kappa = quasi.apply_to_values(grid.mean_curvature)
+        kappa[bidx] = 0.0
+        ritz_tables = MeshTables(self.space, quasi.n_quad)  # the grid's rule
+        rhs = ritz_rhs(ritz_tables, grid, edges)
+        start = quasi.apply_to_values(grid.normal)
+        del grid, edges
         nu, self.ritz_info = nonlinear_ritz_normal(
-            x, sc, self.btables, self.saddle, self.quasi
+            x, rhs, start, ritz_tables, self.btables, self.saddle
         )
-        v = project_velocity(self.quasi, kappa, nu)
+        v = project_velocity(quasi, kappa, nu)
         return FlowState(
             time=0.0,
             x=x,

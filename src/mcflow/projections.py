@@ -8,20 +8,19 @@ evaluating and interpolating take two BLAS products each.
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
-which it samples directly.  It is nonlinear through an
-orientation-dependent boundary term and constrained to have boundary
-trace discretely orthogonal to the interpolated boundary tangent.  It
-is computed by a fixed-point iteration (as Kovacs, Li & Lubich,
-Numer. Math. 143 (2019), do for closed surfaces) whose linear part, the
-constraint saddle of stiffness + RITZ_LAMBDA * mass, is one
-`assembly.ConstrainedSolver`: one boundary-last sparse LU of the whole
-matrix and the boundary Schur complements read off it, as in a flow
-step.  The weight, the tolerance and the iteration budget are the
-module constants below.
-
-The projection integrates with a rule one order finer than flow-step
-assembly, on both sides, so data already in the space on the same
-surface is reproduced to solver precision.
+which it reads off the one grid sample (`scenarios.Sample`) that also
+gives the interpolated initial data: it integrates with the
+quasi-interpolant's rule, one order finer than flow-step assembly, so
+data already in the space is reproduced to solver precision.  It is
+nonlinear through an orientation-dependent boundary term and
+constrained to have boundary trace discretely orthogonal to the
+interpolated boundary tangent.  `ritz_rhs` assembles the part of the
+right-hand side that no iterate changes; `nonlinear_ritz_normal` then
+runs a fixed-point iteration (as Kovacs, Li & Lubich, Numer. Math. 143
+(2019), do for closed surfaces) whose linear part, the constraint
+saddle of stiffness + RITZ_LAMBDA * mass, is one
+`assembly.ConstrainedSolver`, as in a flow step.  The weight, the
+tolerance and the iteration budget are the module constants below.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .assembly import (
     scatter_vector,
 )
 from .geometry import metric_pieces
-from .splines import EDGE_FIXED_COORD, QuasiInterpolant, edge_points
+from .splines import EDGE_FIXED_COORD, QuasiInterpolant
 
 
 # Weight, H1 tolerance and budget of the normal's fixed-point iteration.  At
@@ -54,22 +53,20 @@ class NoContraction(Exception):
     """Raised when the normal projection exhausts its iteration budget."""
 
 
-def boundary_quasi_interp(quasi: QuasiInterpolant, fn):
+def boundary_quasi_interp(quasi: QuasiInterpolant, values):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
-    `fn(edge, s)` returns (n, D) samples by edge parameter.  The
-    functionals of each edge are those of `quasi` in its running
+    `values[edge]` holds (n, D) samples at `quasi.edge_points(edge)`.
+    The functionals of each edge are those of `quasi` in its running
     direction; corners carry no quadrature points, so a discontinuity
     of the data there (as of the tangent) never gets sampled.  Returns
     the per-edge coefficients stacked in edge order, the layout
     `BoundaryTables.local` indexes.
     """
-    duals = ((quasi.wu, quasi.points_u), (quasi.wv, quasi.points_v))
-    coeffs = []
-    for edge in range(4):
-        W, pts = duals[1 - EDGE_FIXED_COORD[edge]]
-        coeffs.append(W @ np.asarray(fn(edge, pts)))
-    return np.concatenate(coeffs)
+    duals = (quasi.wu, quasi.wv)
+    return np.concatenate(
+        [duals[1 - EDGE_FIXED_COORD[edge]] @ v for edge, v in enumerate(values)]
+    )
 
 
 def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
@@ -91,35 +88,29 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
 # nonlinear normal projection
 
 
-def nonlinear_ritz_normal(x, scenario, btables, saddle, quasi):
-    """Constrained H1 projection of the normal of `scenario`.
+def ritz_rhs(tables: MeshTables, grid, edges):
+    """The iterate-independent right-hand side of the normal projection, (dim, 3).
 
-    `x` holds the position coefficients of the discrete initial surface,
-    `saddle` the `assembly.SaddleLayout` of its space and constraint, and
-    `quasi` is the quasi-interpolant of its space.  The fixed-point
-    iteration solves the saddle of A + RITZ_LAMBDA * M once per iterate,
-    starting from the quasi-interpolant of the scenario normal, until
-    the H1 increment reaches RITZ_TOL.  The roundoff floor of the
-    increment scales with the weight, so an increment that stops
-    shrinking below 100 * RITZ_TOL also counts as converged.  Returns
-    (coefficients (dim, 3), info) with info recording the iteration
-    count and the H1 increments.  Raises NoContraction when
-    RITZ_MAX_ITER iterations do not converge.
+    The form of stiffness + RITZ_LAMBDA * mass on the scenario surface
+    applied to its normal, minus the conormal term of its boundary.
+    `tables` holds the quasi-interpolant's rule; `grid` and `edges[k]`
+    are the scenario's `Sample`s at its `grid_points` (the points of
+    `tables` in tensor order) and its `edge_points(k)`.
     """
-    space = quasi.space
-    nq = max(space.degree) + 2
-    tables = MeshTables(space, nq)
-    geom = ElementGeometry(tables, x)
-    M, A = assemble_mass_stiffness(tables, geom)
-
-    # right-hand side on the scenario surface (independent of the iterate)
-    pts = tables.points.reshape(-1, 2)
-    _, Ginv_s, q_s = metric_pieces(scenario.jacobian(pts))
+    space = tables.space
+    nq = tables.n_quad
     ne, nq2 = tables.points.shape[:2]
-    Ginv_s = Ginv_s.reshape(ne, nq2, 2, 2)
-    q_s = q_s.reshape(ne, nq2)
-    Nvals = scenario.normal(pts).reshape(ne, nq2, 3)
-    Njac = scenario.normal_jacobian(pts).reshape(ne, nq2, 3, 2)
+    neu, nev = space.u.num_elements, space.v.num_elements
+
+    def by_element(values):
+        """Grid-ordered values (neu nq * nev nq, ...) as (Ne, nq2, ...)."""
+        shape = values.shape[1:]
+        blocks = values.reshape((neu, nq, nev, nq) + shape).swapaxes(1, 2)
+        return blocks.reshape((ne, nq2) + shape)
+
+    _, Ginv_s, q_s = metric_pieces(grid.J)
+    Ginv_s, q_s = by_element(Ginv_s), by_element(q_s)
+    Nvals, Njac = by_element(grid.normal), by_element(grid.normal_jacobian)
     wq = (tables.weights * q_s)[:, :, None]
     t = wq[:, :, :, None] * (Ginv_s @ Njac.swapaxes(2, 3))  # (Ne, nq2, 2, 3)
     stiff_local = tables.grad_rows.swapaxes(1, 2) @ t.reshape(ne, 2 * nq2, 3)
@@ -128,36 +119,45 @@ def nonlinear_ritz_normal(x, scenario, btables, saddle, quasi):
     # analytic boundary term, moved to the right-hand side with minus sign
     bt = BoundaryTables(space, nq)
 
-    def on_edges(fn):
-        """fn(edge, s) at the edge quadrature points, stacked (E, nq, D)."""
-        return np.concatenate(
-            [
-                np.reshape(fn(edge, bt.s[sl].ravel()), bt.s[sl].shape + (-1,))
-                for edge, sl in enumerate(bt.edge_slices)
-            ]
-        )
+    def on_edges(values):
+        """Per-edge samples (n[, D]) stacked as (E, nq[, D])."""
+        return np.concatenate(values).reshape(bt.s.shape + values[0].shape[1:])
 
-    speed = np.linalg.norm(
-        on_edges(lambda edge, s: scenario.edge_derivatives(edge, s)[0]), axis=2
-    )
     rhs_b = conormal_load(
         bt,
-        speed,
-        on_edges(scenario.boundary_curvature),
-        on_edges(scenario.boundary_tangent),
-        on_edges(lambda edge, s: scenario.normal(edge_points(edge, s))),
+        on_edges([e.edge_speed for e in edges]),
+        on_edges([e.edge_curvature for e in edges]),
+        on_edges([e.edge_tangent for e in edges]),
+        on_edges([e.normal for e in edges]),
     )
     # (sign: the projection identity carries -boundary term on both sides)
     local = stiff_local + RITZ_LAMBDA * mass_local
-    rhs_fixed = scatter_vector(tables.conn, local, space.dim) - rhs_b
+    return scatter_vector(tables.conn, local, space.dim) - rhs_b
 
+
+def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
+    """Constrained H1 projection of the scenario normal.
+
+    `x` holds the position coefficients of the discrete initial surface,
+    `rhs` the `ritz_rhs` on `tables`, `start` the first iterate and
+    `saddle` the `assembly.SaddleLayout` of the space and constraint.
+    The iteration solves the saddle of A + RITZ_LAMBDA * M on `tables`
+    once per iterate until the H1 increment reaches RITZ_TOL.
+    The roundoff floor of the increment scales with the weight, so an
+    increment that stops shrinking below 100 * RITZ_TOL also counts as
+    converged.  Returns (coefficients (dim, 3), info) with info
+    recording the iteration count and the H1 increments.  Raises
+    NoContraction when RITZ_MAX_ITER iterations do not converge.
+    """
+    geom = ElementGeometry(tables, x)
+    M, A = assemble_mass_stiffness(tables, geom)
     K = tables.combine(RITZ_LAMBDA, M, A)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
     h1 = A + M  # Gram matrix of the increment norm
-    current = quasi(scenario.normal)
+    current = start
     history = []
     for _ in range(RITZ_MAX_ITER):
-        new = solve(rhs_fixed + assemble_boundary_load(btables, current))[0]
+        new = solve(rhs + assemble_boundary_load(btables, current))[0]
         d = new - current
         inc = float(np.sqrt(np.sum(d * (h1 @ d))))
         current = new

@@ -1,12 +1,15 @@
 """Initial surfaces for the flow experiments.
 
-A scenario bundles the analytic parameterization X0 of the initial
-surface over the unit square together with its first and second
-parametric derivatives and an orientation sign for the unit normal
-(applied to the normalized cross product of the columns of the
-Jacobian).  Everything else -- normal field, mean curvature, boundary
-tangents and curvature vectors -- derives from these by closed-form
-differentiation, so scenario authors only supply X0, J and H.
+A scenario is one callable, the jet of the analytic parameterization X0
+of the initial surface over the unit square: its values with first and
+second parametric derivatives at a set of points, plus an orientation
+sign for the unit normal (applied to the normalized cross product of
+the columns of the Jacobian).  `Scenario.sample` wraps one jet
+evaluation in a `Sample`, which derives everything else by closed-form
+differentiation -- normal field and its Jacobian, mean curvature, and on
+an edge the speed, the oriented unit tangent and the curvature vector --
+so scenario authors supply one jet and every reader of a point set
+shares one evaluation.
 
 Two scenarios are provided, registered by name in ``SCENARIOS`` together
 with their config keys and calibration:
@@ -28,13 +31,14 @@ with their config keys and calibration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .geometry import metric_pieces
-from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points, gauss_rule
+from .geometry import DegenerateSurface, metric_pieces
+from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, gauss_rule
 
 # Calibrated constants; see calibrate_plane_amplitude / calibrate_sphere_extent.
 PLANE_AMPLITUDE = 0.16074835298468315
@@ -57,26 +61,30 @@ SPHERE_AREA_TARGET = 5.859
 
 
 @dataclass
-class Scenario:
-    """Analytic initial surface over the unit square."""
+class Sample:
+    """The jet of X0 at n points: X (n, 3), J (n, 3, 2), H (n, 3, 2, 2).
 
-    name: str
-    position: Callable  # (n, 2) -> (n, 3)
-    jacobian: Callable  # (n, 2) -> (n, 3, 2)
-    hessian: Callable  # (n, 2) -> (n, 3, 2, 2), axes (comp, du, dv)
+    H's axes are (comp, du, dv).  The normal and its Jacobian are derived
+    on first use and kept.  A sample on edge `edge` of the square
+    (`splines.edge_points`) also has the edge quantities, by edge parameter.
+    """
+
+    X: np.ndarray
+    J: np.ndarray
+    H: np.ndarray
     normal_sign: float = 1.0
-    params: dict = field(default_factory=dict)
+    edge: int | None = None
 
-    def normal(self, pts):
+    @cached_property
+    def normal(self):
         """Oriented unit normal."""
-        J = self.jacobian(pts)
-        raw = np.cross(J[:, :, 0], J[:, :, 1])
+        raw = np.cross(self.J[:, :, 0], self.J[:, :, 1])
         return self.normal_sign * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
-    def normal_jacobian(self, pts):
+    @cached_property
+    def normal_jacobian(self):
         """Parametric Jacobian of the oriented unit normal, (n, 3, 2)."""
-        J = self.jacobian(pts)
-        H = self.hessian(pts)
+        J, H = self.J, self.H
         raw = np.cross(J[:, :, 0], J[:, :, 1])
         norm = np.linalg.norm(raw, axis=1, keepdims=True)
         nu = raw / norm
@@ -90,52 +98,71 @@ class Scenario:
             out[:, :, a] = proj / norm
         return self.normal_sign * out
 
-    def mean_curvature(self, pts):
+    @property
+    def mean_curvature(self):
         """Trace of the Weingarten map for the oriented normal."""
-        J = self.jacobian(pts)
-        Jn = self.normal_jacobian(pts)
-        _, Ginv, _ = metric_pieces(J)
+        _, Ginv, _ = metric_pieces(self.J)
         # tr(Jn Ginv J^T) summed over surface components
-        return np.einsum("nda,nab,ndb->n", Jn, Ginv, J)
+        return np.einsum("nda,nab,ndb->n", self.normal_jacobian, Ginv, self.J)
 
-    # -- boundary data ------------------------------------------------
+    # -- on an edge ---------------------------------------------------
 
-    def edge_derivatives(self, edge: int, s):
-        """First and second derivatives of X0 along an edge, by edge parameter."""
-        pts = edge_points(edge, s)
-        run = 1 - EDGE_FIXED_COORD[edge]
-        J = self.jacobian(pts)
-        H = self.hessian(pts)
-        return J[:, :, run], H[:, :, run, run]
+    @property
+    def edge_speed(self):
+        """Length of dX0/ds, (n,)."""
+        return np.linalg.norm(self.J[:, :, 1 - EDGE_FIXED_COORD[self.edge]], axis=1)
 
-    def boundary_tangent(self, edge: int, s):
-        """Unit boundary tangent, oriented so nu x tau is the outward conormal."""
-        c1, _ = self.edge_derivatives(edge, s)
-        tau = c1 / np.linalg.norm(c1, axis=1, keepdims=True)
-        pts = edge_points(edge, s)
-        nu = self.normal(pts)
-        J = self.jacobian(pts)
-        n_out = np.array(EDGE_OUTWARD[edge])
-        leave = np.einsum("nda,a->nd", J, n_out)
+    @property
+    def edge_tangent(self):
+        """Unit boundary tangent, oriented so nu x tau is the outward conormal.
+
+        DegenerateSurface where the edge or the normal degenerates.
+        """
+        c1 = self.J[:, :, 1 - EDGE_FIXED_COORD[self.edge]]
+        with np.errstate(invalid="ignore"):  # 0/0 at degenerate points
+            tau = c1 / np.linalg.norm(c1, axis=1, keepdims=True)
+            nu = self.normal
+        leave = np.einsum("nda,a->nd", self.J, np.array(EDGE_OUTWARD[self.edge]))
         mu_dir = leave - tau * np.sum(tau * leave, axis=1, keepdims=True)
         sign = np.sign(np.sum(np.cross(nu, tau) * mu_dir, axis=1))
-        assert np.all(sign != 0.0)
+        bad = np.abs(sign) != 1.0  # zero, or NaN from a vanishing tangent or normal
+        if bad.any():
+            raise DegenerateSurface(
+                f"edge {self.edge}: no oriented tangent at {bad.sum()} of {bad.size}"
+            )
         return tau * sign[:, None]
 
-    def boundary_curvature(self, edge: int, s):
+    @property
+    def edge_curvature(self):
         """Curvature vector of the boundary curve (orientation independent)."""
-        c1, c2 = self.edge_derivatives(edge, s)
+        run = 1 - EDGE_FIXED_COORD[self.edge]
+        c1, c2 = self.J[:, :, run], self.H[:, :, run, run]
         speed2 = np.sum(c1 * c1, axis=1, keepdims=True)
         that = c1 / np.sqrt(speed2)
         return (c2 - that * np.sum(c2 * that, axis=1, keepdims=True)) / speed2
+
+
+@dataclass
+class Scenario:
+    """Analytic initial surface: `jet(pts (n, 2))` returns `Sample`'s (X, J, H).
+
+    `normal_sign` orients the normalized cross product of the columns of J.
+    """
+
+    jet: Callable
+    normal_sign: float = 1.0
+
+    def sample(self, pts, edge: int | None = None) -> Sample:
+        """One jet evaluation at `pts`, which lie on `edge` if one is given."""
+        return Sample(*self.jet(pts), self.normal_sign, edge)
 
 
 # ---------------------------------------------------------------------------
 # perturbed plane
 
 
-def _bump(u, nderiv=2):
-    """g(u) = sin(pi u)^3 with derivatives."""
+def _bump(u):
+    """g(u) = sin(pi u)^3 with its first two derivatives."""
     s = np.sin(np.pi * u)
     c = np.cos(np.pi * u)
     g = s ** 3
@@ -148,42 +175,24 @@ def scenario_perturbed_plane(amplitude: float | None = None) -> Scenario:
     """Square [-1, 1]^2 with a cubed-sine interior bump of given height."""
     a = PLANE_AMPLITUDE if amplitude is None else float(amplitude)
 
-    def position(pts):
+    def jet(pts):
         u, v = pts[:, 0], pts[:, 1]
-        gu, _, _ = _bump(u)
-        gv, _, _ = _bump(v)
-        return np.column_stack([2.0 * u - 1.0, 2.0 * v - 1.0, a * gu * gv])
-
-    def jacobian(pts):
-        u, v = pts[:, 0], pts[:, 1]
-        gu, gu1, _ = _bump(u)
-        gv, gv1, _ = _bump(v)
+        gu, gu1, gu2 = _bump(u)
+        gv, gv1, gv2 = _bump(v)
+        X = np.column_stack([2.0 * u - 1.0, 2.0 * v - 1.0, a * gu * gv])
         J = np.zeros((len(pts), 3, 2))
         J[:, 0, 0] = 2.0
         J[:, 1, 1] = 2.0
         J[:, 2, 0] = a * gu1 * gv
         J[:, 2, 1] = a * gu * gv1
-        return J
-
-    def hessian(pts):
-        u, v = pts[:, 0], pts[:, 1]
-        gu, gu1, gu2 = _bump(u)
-        gv, gv1, gv2 = _bump(v)
         H = np.zeros((len(pts), 3, 2, 2))
         H[:, 2, 0, 0] = a * gu2 * gv
         H[:, 2, 0, 1] = a * gu1 * gv1
         H[:, 2, 1, 0] = H[:, 2, 0, 1]
         H[:, 2, 1, 1] = a * gu * gv2
-        return H
+        return X, J, H
 
-    return Scenario(
-        name="perturbed_plane",
-        position=position,
-        jacobian=jacobian,
-        hessian=hessian,
-        normal_sign=1.0,  # cross product points upward already
-        params={"amplitude": a},
-    )
+    return Scenario(jet, normal_sign=1.0)  # cross product points upward already
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +279,14 @@ def scenario_sphere_patch(
             "b_vv": 4.0 * c * (2.0 * m_t + t * m_tt),
         }
 
-    def _exp_derivs(a, b):
-        """First and second partials of the exponential map w.r.t. (a, b)."""
+    def jet(pts):
+        p = _plane(pts)
+        a, b = p["a"], p["b"]
         rho = a * a + b * b
         g, g1, g2, h, h1, h2 = _sinc_family(rho)
+        X = np.column_stack([a * g, b * g, h])
+
+        # first and second partials of the exponential map w.r.t. (a, b)
         Fa = np.stack([g + 2.0 * a * a * g1, 2.0 * a * b * g1, 2.0 * a * h1], axis=1)
         Fb = np.stack([2.0 * a * b * g1, g + 2.0 * b * b * g1, 2.0 * b * h1], axis=1)
         Faa = np.stack(
@@ -300,27 +313,11 @@ def scenario_sphere_patch(
             ],
             axis=1,
         )
-        return Fa, Fb, Faa, Fab, Fbb
 
-    def position(pts):
-        p = _plane(pts)
-        a, b = p["a"], p["b"]
-        rho = a * a + b * b
-        g, _, _, h, _, _ = _sinc_family(rho)
-        return np.column_stack([a * g, b * g, h])
-
-    def jacobian(pts):
-        p = _plane(pts)
-        Fa, Fb, _, _, _ = _exp_derivs(p["a"], p["b"])
-        J = np.empty((len(pts), 3, 2))
-        J[:, :, 0] = Fa * p["a_u"][:, None] + Fb * p["b_u"][:, None]
-        J[:, :, 1] = Fa * p["a_v"][:, None] + Fb * p["b_v"][:, None]
-        return J
-
-    def hessian(pts):
-        p = _plane(pts)
-        Fa, Fb, Faa, Fab, Fbb = _exp_derivs(p["a"], p["b"])
         a_u, a_v, b_u, b_v = p["a_u"], p["a_v"], p["b_u"], p["b_v"]
+        J = np.empty((len(pts), 3, 2))
+        J[:, :, 0] = Fa * a_u[:, None] + Fb * b_u[:, None]
+        J[:, :, 1] = Fa * a_v[:, None] + Fb * b_v[:, None]
         H = np.empty((len(pts), 3, 2, 2))
         H[:, :, 0, 0] = (
             Faa * (a_u * a_u)[:, None]
@@ -344,16 +341,10 @@ def scenario_sphere_patch(
             + Fa * p["a_vv"][:, None]
             + Fb * p["b_vv"][:, None]
         )
-        return H
+        return X, J, H
 
-    return Scenario(
-        name="sphere_patch",
-        position=position,
-        jacobian=jacobian,
-        hessian=hessian,
-        normal_sign=-1.0,  # cross product is outward; flow uses the inward normal
-        params={"extent": c, "temper": gam},
-    )
+    # the cross product is outward; the flow uses the inward normal
+    return Scenario(jet, normal_sign=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +359,7 @@ def sphere_patch_area(
     x, w = gauss_rule(n_quad)
     U, V = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
-    J = sc.jacobian(pts)
+    J = sc.jet(pts)[1]
     dens = np.linalg.norm(np.cross(J[:, :, 0], J[:, :, 1]), axis=1)
     return float(np.sum(np.outer(w, w).ravel() * dens))
 
@@ -413,7 +404,7 @@ def calibrate_plane_amplitude(
 
     def area_of(a):
         sc = scenario_perturbed_plane(a)
-        return surface_area(Q(sc.position), tables)
+        return surface_area(Q.apply_to_values(sc.jet(Q.grid_points)[0]), tables)
 
     lo, hi = 0.0, 1.0
     assert area_of(lo) < target < area_of(hi)

@@ -313,7 +313,8 @@ class QuasiInterpolant:
     function).  Tensor functionals are products of univariate ones.
     The grid is fixed and a tensor product: `grid` evaluates fields at
     `grid_points` with one collocation matrix per direction, the
-    transpose of `apply_to_values`.
+    transpose of `apply_to_values`; it is the point set of the
+    `assembly.MeshTables` with `n_quad` points, in tensor order.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -338,13 +339,10 @@ class QuasiInterpolant:
         coeffs = np.matmul(self.wv, t).reshape(self.space.dim, -1)
         return coeffs[:, 0] if scalar else coeffs
 
-    def __call__(self, f, zero_boundary: bool = False):
-        """Apply to a callable f(points (npts, 2)) -> (npts,) or (npts, D)."""
-        coeffs = self.apply_to_values(np.asarray(f(self.grid_points), dtype=float))
-        if zero_boundary:
-            coeffs = coeffs.copy()
-            coeffs[self.space.boundary_indices] = 0.0
-        return coeffs
+    def edge_points(self, edge: int):
+        """Points on `edge` at which its univariate functionals sample."""
+        running = (self.points_u, self.points_v)[1 - EDGE_FIXED_COORD[edge]]
+        return edge_points(edge, running)
 
 
 def _dual_weights(uspace: UnivariateSpline, n_quad: int):

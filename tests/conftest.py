@@ -33,6 +33,27 @@ def interior_grid(n: int = 33, margin: float = 0.1):
     return np.column_stack([U.ravel(), V.ravel()])
 
 
+def interpolate(quasi, scenario, field="X"):
+    """Quasi-interpolant of one field of the scenario's sample on the quasi grid.
+
+    `field` names a `scenarios.Sample` attribute: "X", "normal" or
+    "mean_curvature".
+    """
+    return quasi.apply_to_values(getattr(scenario.sample(quasi.grid_points), field))
+
+
+def boundary_data(quasi, scenario):
+    """Stacked per-edge coefficients of the interpolated tangent and curvature.
+
+    The data `FlowProblem.initialize` freezes, from one sample per edge.
+    """
+    edges = [scenario.sample(quasi.edge_points(k), k) for k in range(4)]
+    return (
+        boundary_quasi_interp(quasi, [e.edge_tangent for e in edges]),
+        boundary_quasi_interp(quasi, [e.edge_curvature for e in edges]),
+    )
+
+
 def dense_conormal_load(problem, state, nq=24):
     """Edge integral of (kappa_b . nu)(nu x tau) b_i, nq Gauss points per element.
 
@@ -42,9 +63,7 @@ def dense_conormal_load(problem, state, nq=24):
     tangent and curvature taken edge by edge from the stacked coefficients.
     """
     space = problem.space
-    sc = problem.scenario
-    tangent = boundary_quasi_interp(problem.quasi, sc.boundary_tangent)
-    curvature = boundary_quasi_interp(problem.quasi, sc.boundary_curvature)
+    tangent, curvature = boundary_data(problem.quasi, problem.scenario)
     NU = SplineField(space, state.nu)
     X = SplineField(space, state.x)
     nu_n, nv_n = space.shape

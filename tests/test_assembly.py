@@ -26,10 +26,9 @@ from mcflow.assembly import (
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem, initialize
 from mcflow.geometry import DegenerateSurface, SplineField
-from mcflow.projections import boundary_quasi_interp
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, gauss_rule
-from tests.conftest import dense_conormal_load
+from tests.conftest import boundary_data, dense_conormal_load, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +51,7 @@ def flat_setup():
     space = build_space(2, 1, 5)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
-    x = quasi(sc.position)
+    x = interpolate(quasi, sc)
     tables = MeshTables(space, 3)
     geom = ElementGeometry(tables, x)
     return space, tables, geom, x
@@ -164,8 +163,8 @@ def test_curvature_load_oracle():
     idx = prob.space.interior_indices
 
     sc = prob.scenario
-    kap_exact = prob.quasi(sc.mean_curvature)
-    nu_exact = prob.quasi(sc.normal)
+    kap_exact = interpolate(prob.quasi, sc, "mean_curvature")
+    nu_exact = interpolate(prob.quasi, sc, "normal")
     frob2_exact = weingarten_energy(prob.tables, geom, nu_exact)
     f1 = assemble_curvature_load(prob.tables, geom, kap_exact, frob2_exact)
     assert np.abs(f1 - ref).max() < 1e-13
@@ -251,7 +250,7 @@ def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
     assert constraint_residual(prob.S, w) == 0.0
     # a trace along the interpolated tangent is maximally visible
     bt = prob.btables
-    tangent = boundary_quasi_interp(prob.quasi, prob.scenario.boundary_tangent)
+    tangent, _ = boundary_data(prob.quasi, prob.scenario)
     wt = np.zeros((space.dim, 3))
     wt[bt.flat] = tangent[bt.local]
     assert constraint_residual(prob.S, wt) > 1e-2
@@ -404,7 +403,7 @@ def test_dissection_fills_no_more_than_minimum_degree(p, n):
         scenario="perturbed_plane", degree=p, smoothness=p - 1, elements_per_side=n
     )
     prob = FlowProblem(cfg)
-    x = prob.quasi(prob.scenario.position)
+    x = interpolate(prob.quasi, prob.scenario)
     M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, x))
     K = prob.tables.combine(1.0 / cfg.dt, M, A)
     I, B = prob.space.interior_indices, prob.space.boundary_indices

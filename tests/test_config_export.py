@@ -15,7 +15,6 @@ from mcflow.config import (
     ScenarioConfig,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from mcflow.export import (
@@ -33,7 +32,7 @@ from mcflow.flow import FlowProblem
 def test_roundtrip_default_config(tmp_path):
     cfg = ScenarioConfig()
     p = tmp_path / "run.cfg"
-    save_config(cfg, p)
+    p.write_text(serialize_config(cfg))
     assert load_config(p) == cfg
 
 
@@ -172,7 +171,7 @@ def test_cli_solve(tmp_path, capsys):
         output_dir=str(tmp_path / "out"),
     )
     cfg_path = tmp_path / "run.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(serialize_config(cfg))
     assert cli_main(["solve", "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
     assert (out / "diagnostics.csv").exists()
@@ -192,7 +191,7 @@ def test_cli_solve_dump_matrices(tmp_path, capsys):
         output_dir=str(tmp_path / "out"),
     )
     cfg_path = tmp_path / "run.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(serialize_config(cfg))
     assert cli_main(["solve", "--config", str(cfg_path), "--dump-matrices"]) == 0
     for name in ("mass", "stiffness", "constraint"):
         assert (tmp_path / "out" / f"{name}.mtx").exists()
@@ -209,7 +208,7 @@ def test_cli_converge(tmp_path, capsys):
         output_dir=str(tmp_path / "out"),
     )
     cfg_path = tmp_path / "run.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(serialize_config(cfg))
     assert cli_main(["converge", "--config", str(cfg_path), "--levels", "2,4,8"]) == 0
     report = tmp_path / "out" / "convergence.json"
     assert report.exists()
@@ -237,6 +236,6 @@ def test_cli_snapshot_stride_override(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     cfg_path = tmp_path / "run.cfg"
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(serialize_config(cfg))
     assert cli_main(["solve", "--config", str(cfg_path), "--snapshot-stride", "1"]) == 0
     assert (tmp_path / "out" / "snapshot_000002.vtk").exists()

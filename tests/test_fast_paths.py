@@ -26,6 +26,7 @@ from mcflow.config import ScenarioConfig
 from mcflow.flow import BdfScheme, FlowProblem
 from mcflow.geometry import SplineField, metric_pieces
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space
+from tests.conftest import interpolate
 
 KERNEL_RTOL = 1e-13
 
@@ -55,9 +56,10 @@ def kernel_setup(request):
     )
     prob = FlowProblem(cfg)
     sc = prob.scenario
-    x = prob.quasi(sc.position)
-    kappa = prob.quasi(sc.mean_curvature, zero_boundary=True)
-    nu = prob.quasi(sc.normal)
+    x = interpolate(prob.quasi, sc)
+    kappa = interpolate(prob.quasi, sc, "mean_curvature")
+    kappa[prob.space.boundary_indices] = 0.0
+    nu = interpolate(prob.quasi, sc, "normal")
     return prob, x, kappa, nu
 
 
@@ -79,7 +81,7 @@ def test_field_kernels_match_einsum(kernel_setup):
 def test_metric_pieces_match_einsum(kernel_setup):
     prob, x, _, _ = kernel_setup
     pts = prob.tables.points.reshape(-1, 2)
-    for J in (prob.tables.field_jacobians(x), prob.scenario.jacobian(pts)):
+    for J in (prob.tables.field_jacobians(x), prob.scenario.sample(pts).J):
         G, Ginv, q = metric_pieces(J)
         ref = np.einsum("...da,...db->...ab", J, J)
         assert_close(G, ref)
@@ -173,7 +175,7 @@ def test_flow_area_matches_surface_area(scenario):
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    x = prob.quasi(prob.scenario.position)
+    x = interpolate(prob.quasi, prob.scenario)
     tables = MeshTables(prob.space, p + 1)
     _, J = SplineField(prob.space, x).eval(tables.points.reshape(-1, 2), 1)
     dens = np.sqrt(np.linalg.det(np.einsum("nda,ndb->nab", J, J)))

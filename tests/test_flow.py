@@ -78,6 +78,38 @@ def test_bdf_order_validation():
         FlowProblem(small_cfg()).step(scheme, 0.01)
 
 
+# -- initial data ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_initialize_samples_each_point_set_once(scenario):
+    """One jet call on the quasi-interpolant's grid and one per edge, no point twice."""
+    prob = FlowProblem(small_cfg(scenario=scenario))
+    jet, calls = prob.scenario.jet, []
+
+    def counted(pts):
+        calls.append(np.array(pts))
+        return jet(pts)
+
+    prob.scenario.jet = counted
+    prob.initialize()
+    assert len(calls) <= 5
+    pts = np.concatenate(calls)
+    assert len(np.unique(pts, axis=0)) == len(pts)
+
+
+def test_initial_curvature_has_zero_trace():
+    """kappa(0) interpolates the mean curvature, boundary coefficients zeroed.
+
+    The sphere patch has constant mean curvature -2, which the
+    quasi-interpolant reproduces in every interior coefficient.
+    """
+    prob = FlowProblem(small_cfg())
+    kappa = prob.initialize().kappa
+    assert np.all(kappa[prob.space.boundary_indices] == 0.0)
+    assert np.allclose(kappa[prob.space.interior_indices], -2.0)
+
+
 # -- invariants over short runs -------------------------------------------------
 
 

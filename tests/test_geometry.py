@@ -9,6 +9,7 @@ from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingar
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
+from tests.conftest import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +18,7 @@ def sphere_surface():
     space = build_space(2, 1, 16)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("sphere_patch")
-    return sc, SplineField(space, quasi(sc.position))
+    return sc, SplineField(space, interpolate(quasi, sc))
 
 
 def test_field_shape_validation(space_small):
@@ -58,7 +59,7 @@ def test_flat_square_geometry():
     space = build_space(2, 1, 4)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
-    x = quasi(sc.position)
+    x = interpolate(quasi, sc)
     tables = MeshTables(space, 3)
     geom = ElementGeometry(tables, x)
     assert np.allclose(geom.metric, 4.0 * np.eye(2), atol=1e-12)
@@ -77,27 +78,28 @@ def test_surface_gradient_tangential_and_exact():
     space = build_space(2, 1, 5)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
-    x = quasi(sc.position)
+    x = interpolate(quasi, sc)
 
     def f(p):
         xs, ys = 2 * p[:, 0] - 1, 2 * p[:, 1] - 1
         return np.column_stack([3.0 * xs - 2.0 * ys, xs + 4.0 * ys])
 
     tables = MeshTables(space, 3)
-    frob2 = weingarten_energy(tables, ElementGeometry(tables, x), quasi(f))
+    f_coeffs = quasi.apply_to_values(f(quasi.grid_points))
+    frob2 = weingarten_energy(tables, ElementGeometry(tables, x), f_coeffs)
     assert np.abs(frob2 - 30.0).max() < 1e-11
 
 
 def test_surface_area_converges_to_analytic(sphere_surface):
-    from mcflow.scenarios import sphere_patch_area
+    from mcflow.scenarios import SPHERE_CORNER_TEMPER, SPHERE_EXTENT, sphere_patch_area
 
     sc, _ = sphere_surface
-    exact = sphere_patch_area(sc.params["extent"], sc.params["temper"])
+    exact = sphere_patch_area(SPHERE_EXTENT, SPHERE_CORNER_TEMPER)
     errs = []
     for N in (8, 16, 32):
         space = build_space(2, 1, N)
         quasi = build_quasi_interpolant(space)
-        x = quasi(sc.position)
+        x = interpolate(quasi, sc)
         errs.append(abs(surface_area(x, MeshTables(space, 3)) - exact))
     # area error of the interpolated surface decays at order p + 1
     assert errs[2] < errs[1] < errs[0]

@@ -9,14 +9,11 @@ import mcflow.projections
 from mcflow.assembly import BoundaryTables, constraint_residual, assemble_constraint
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem, initialize
-from mcflow.geometry import SplineField
-from mcflow.projections import (
-    NoContraction,
-    boundary_quasi_interp,
-    project_velocity,
-)
+from mcflow.geometry import DegenerateSurface, SplineField
+from mcflow.projections import NoContraction, project_velocity
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
+from tests.conftest import boundary_data, interpolate
 
 
 def _sphere_problem(N, p=2, l=None):
@@ -48,9 +45,7 @@ def test_boundary_interp_reproduces_constant_tangent():
             output_dir="",
         )
     )
-    sc = prob.scenario
-    tangent = boundary_quasi_interp(prob.quasi, sc.boundary_tangent)
-    curvature = boundary_quasi_interp(prob.quasi, sc.boundary_curvature)
+    tangent, curvature = boundary_data(prob.quasi, prob.scenario)
     assert np.abs(curvature).max() < 1e-13
     bt = prob.btables
     for sl in bt.edge_slices:
@@ -65,7 +60,7 @@ def test_boundary_interp_accuracy_on_sphere():
     sup = []
     for N in (8, 16):
         prob = _sphere_problem(N)
-        tangent = boundary_quasi_interp(prob.quasi, sc.boundary_tangent)
+        tangent, _ = boundary_data(prob.quasi, sc)
         bt = prob.btables
         worst = 0.0
         s = np.linspace(0.0, 1.0, 160)
@@ -75,7 +70,8 @@ def test_boundary_interp_accuracy_on_sphere():
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
             tau_edge = tangent[np.unique(bt.local[sl])]
             tau_h = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_edge[idx])
-            worst = max(worst, np.abs(tau_h - sc.boundary_tangent(edge, s)).max())
+            tau = sc.sample(edge_points(edge, s), edge).edge_tangent
+            worst = max(worst, np.abs(tau_h - tau).max())
         sup.append(worst)
     assert sup[0] < 1e-3
     assert sup[1] < sup[0] / 2.0 ** 2.5
@@ -134,7 +130,7 @@ def test_sphere_normal_projection_converges(N, p):
     assert inc[-1] <= 1e-12 or inc[-1] <= 100.0 * 1e-12
     nu = st.nu.reshape(-1, 3)
     pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
-    err = SplineField(prob.space, nu).eval(pts) - prob.scenario.normal(pts)
+    err = SplineField(prob.space, nu).eval(pts) - prob.scenario.sample(pts).normal
     assert np.abs(err).max() < 5e-3
     assert constraint_residual(prob.S, nu) < 1e-12
 
@@ -165,30 +161,23 @@ def scenario_enneper():
     def ab(pts):
         return ENNEPER_HALF_WIDTH * (2.0 * pts.T - 1.0)
 
-    def position(pts):
+    def jet(pts):
         a, b = ab(pts)
-        return np.column_stack(
+        X = np.column_stack(
             [a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b]
         )
-
-    def jacobian(pts):
-        a, b = ab(pts)
         J = np.empty((len(pts), 3, 2))
         J[:, :, 0] = c * np.column_stack([1 - a * a + b * b, 2 * a * b, 2 * a])
         J[:, :, 1] = c * np.column_stack([2 * a * b, 1 - b * b + a * a, -2 * b])
-        return J
-
-    def hessian(pts):
-        a, b = ab(pts)
         two = np.full_like(a, 2.0)
         H = np.empty((len(pts), 3, 2, 2))
         H[:, :, 0, 0] = c * c * np.column_stack([-2 * a, 2 * b, two])
         H[:, :, 0, 1] = c * c * np.column_stack([2 * b, 2 * a, 0 * a])
         H[:, :, 1, 0] = H[:, :, 0, 1]
         H[:, :, 1, 1] = c * c * np.column_stack([2 * a, -2 * b, -two])
-        return H
+        return X, J, H
 
-    return Scenario("enneper", position, jacobian, hessian)
+    return Scenario(jet)
 
 
 @pytest.fixture
@@ -197,6 +186,49 @@ def enneper(monkeypatch):
     entry = ScenarioEntry(scenario_enneper, {}, None, None, "")
     monkeypatch.setitem(SCENARIOS, "enneper", entry)
     return "enneper"
+
+
+def scenario_pinched_edge():
+    """The flat square with its edge v=0 pinched to the point (0, -1, 0).
+
+    X(u, v) = ((2u - 1) v, 2v - 1, 0) is a regular flat triangle inside
+    the square, but dX/du vanishes on v = 0, so the boundary tangent and
+    the normal are undefined along that edge.
+    """
+
+    def jet(pts):
+        u, v = pts[:, 0], pts[:, 1]
+        X = np.column_stack([(2 * u - 1) * v, 2 * v - 1, 0 * u])
+        J = np.zeros((len(pts), 3, 2))
+        J[:, 0, 0] = 2 * v
+        J[:, 0, 1] = 2 * u - 1
+        J[:, 1, 1] = 2.0
+        H = np.zeros((len(pts), 3, 2, 2))
+        H[:, 0, 0, 1] = H[:, 0, 1, 0] = 2.0
+        return X, J, H
+
+    return Scenario(jet)
+
+
+def test_pinched_edge_raises_degenerate_surface(monkeypatch, tmp_path):
+    """A boundary edge that collapses to a point fails as DegenerateSurface.
+
+    The edge sample finds no oriented tangent there; the run stops in
+    initialization and leaves an abort record instead of reaching a
+    solver with NaN boundary data.
+    """
+    entry = ScenarioEntry(scenario_pinched_edge, {}, None, None, "")
+    monkeypatch.setitem(SCENARIOS, "pinched", entry)
+    cfg = ScenarioConfig(
+        scenario="pinched",
+        elements_per_side=4,
+        dt=0.01,
+        t_final=0.01,
+        output_dir=str(tmp_path),
+    )
+    with pytest.raises(DegenerateSurface, match="edge 0"):
+        FlowProblem(cfg).run()
+    assert (tmp_path / "diagnostics_abort.csv").exists()
 
 
 def _h1_error_to_exact_normal(prob, nu):
@@ -208,8 +240,9 @@ def _h1_error_to_exact_normal(prob, nu):
     values, jac = TensorGrid(prob.space, pu.ravel(), pv.ravel(), nderiv=1).eval(nu, 1)
     U, V = np.meshgrid(pu.ravel(), pv.ravel(), indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
-    dv = values - prob.scenario.normal(pts)
-    dj = jac - prob.scenario.normal_jacobian(pts)
+    exact = prob.scenario.sample(pts)
+    dv = values - exact.normal
+    dj = jac - exact.normal_jacobian
     return np.sqrt(np.sum(weights * (np.sum(dv**2, 1) + np.sum(dj**2, (1, 2)))))
 
 
@@ -238,6 +271,6 @@ def test_ritz_normal_exact_on_enneper_patch(enneper, p, min_order):
         errors.append(_h1_error_to_exact_normal(prob, state.nu))
         assert max(d.max_abs_kappa for d in result.diagnostics) <= 1e-14
         assert max(d.constraint_residual for d in result.diagnostics) <= 1e-10
-        assert np.abs(state.x - prob.quasi(prob.scenario.position)).max() <= 1e-14
+        assert np.abs(state.x - interpolate(prob.quasi, prob.scenario)).max() <= 1e-14
     orders = np.log2(np.array(errors[:-1]) / errors[1:])
     assert np.all(orders >= min_order), (errors, orders)

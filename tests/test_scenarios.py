@@ -17,7 +17,7 @@ from mcflow.scenarios import (
     scenario_sphere_patch,
     sphere_patch_area,
 )
-from mcflow.splines import edge_points
+from mcflow.splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points
 from tests.conftest import interior_grid
 
 
@@ -31,34 +31,36 @@ def scenario(request):
 
 def test_jacobian_matches_finite_differences(scenario):
     pts = interior_grid(9, margin=0.02)
-    J = scenario.jacobian(pts)
+    J = scenario.sample(pts).J
     eps = 1e-6
     for a in range(2):
         d = np.zeros(2)
         d[a] = eps
-        fd = (scenario.position(pts + d) - scenario.position(pts - d)) / (2 * eps)
+        fd = (scenario.sample(pts + d).X - scenario.sample(pts - d).X) / (2 * eps)
         assert np.abs(J[:, :, a] - fd).max() < 1e-8
 
 
 def test_hessian_matches_finite_differences(scenario):
     pts = interior_grid(9, margin=0.02)
-    H = scenario.hessian(pts)
+    H = scenario.sample(pts).H
     eps = 1e-5
     for a in range(2):
         d = np.zeros(2)
         d[a] = eps
-        fd = (scenario.jacobian(pts + d) - scenario.jacobian(pts - d)) / (2 * eps)
+        fd = (scenario.sample(pts + d).J - scenario.sample(pts - d).J) / (2 * eps)
         assert np.abs(H[:, :, :, a] - fd).max() < 1e-6
 
 
 def test_normal_jacobian_matches_finite_differences(scenario):
     pts = interior_grid(7, margin=0.05)
-    Jn = scenario.normal_jacobian(pts)
+    Jn = scenario.sample(pts).normal_jacobian
     eps = 1e-6
     for a in range(2):
         d = np.zeros(2)
         d[a] = eps
-        fd = (scenario.normal(pts + d) - scenario.normal(pts - d)) / (2 * eps)
+        fd = (scenario.sample(pts + d).normal - scenario.sample(pts - d).normal) / (
+            2 * eps
+        )
         assert np.abs(Jn[:, :, a] - fd).max() < 1e-7
 
 
@@ -73,13 +75,13 @@ def test_boundary_curvature_matches_tangent_derivative(scenario):
     eps = 1e-6
 
     def unit_tangent(edge, sv):
-        c1, _ = scenario.edge_derivatives(edge, sv)
+        c1 = scenario.sample(edge_points(edge, sv)).J[:, :, 1 - EDGE_FIXED_COORD[edge]]
         return c1 / np.linalg.norm(c1, axis=1, keepdims=True)
 
     for edge in range(4):
-        kap = scenario.boundary_curvature(edge, s)
-        c1, _ = scenario.edge_derivatives(edge, s)
-        speed = np.linalg.norm(c1, axis=1, keepdims=True)
+        on_edge = scenario.sample(edge_points(edge, s), edge)
+        kap = on_edge.edge_curvature
+        speed = on_edge.edge_speed[:, None]
         fd = (unit_tangent(edge, s + eps) - unit_tangent(edge, s - eps)) / (2 * eps)
         assert np.abs(kap - fd / speed).max() < 1e-7
 
@@ -91,10 +93,9 @@ def test_plane_boundary_is_straight():
     sc = get_scenario("perturbed_plane")
     s = np.linspace(0.0, 1.0, 21)
     for edge in range(4):
-        kap = sc.boundary_curvature(edge, s)
-        assert np.abs(kap).max() < 1e-13
-        X = sc.position(edge_points(edge, s))
-        assert np.abs(X[:, 2]).max() < 1e-15
+        on_edge = sc.sample(edge_points(edge, s), edge)
+        assert np.abs(on_edge.edge_curvature).max() < 1e-13
+        assert np.abs(on_edge.X[:, 2]).max() < 1e-15
 
 
 def test_plane_compatible_initial_curvature():
@@ -102,8 +103,8 @@ def test_plane_compatible_initial_curvature():
     sc = get_scenario("perturbed_plane")
     s = np.linspace(0.0, 1.0, 21)
     for edge in range(4):
-        assert np.abs(sc.mean_curvature(edge_points(edge, s))).max() < 1e-12
-    assert np.abs(sc.mean_curvature(interior_grid(7))).max() > 0.1
+        assert np.abs(sc.sample(edge_points(edge, s)).mean_curvature).max() < 1e-12
+    assert np.abs(sc.sample(interior_grid(7)).mean_curvature).max() > 0.1
 
 
 def test_plane_amplitude_is_calibrated():
@@ -117,24 +118,25 @@ def test_plane_amplitude_is_calibrated():
 def test_sphere_patch_lies_on_unit_sphere():
     sc = get_scenario("sphere_patch")
     pts = interior_grid(21, margin=0.0)
-    X = sc.position(pts)
+    sample = sc.sample(pts)
+    X = sample.X
     assert np.abs(np.linalg.norm(X, axis=1) - 1.0).max() < 1e-13
     # inward normal: nu = -X
-    assert np.abs(sc.normal(pts) + X).max() < 1e-12
+    assert np.abs(sample.normal + X).max() < 1e-12
 
 
 def test_sphere_patch_mean_curvature_is_minus_two():
     sc = get_scenario("sphere_patch")
     pts = interior_grid(21, margin=0.0)
-    assert np.abs(sc.mean_curvature(pts) + 2.0).max() < 1e-11
+    assert np.abs(sc.sample(pts).mean_curvature + 2.0).max() < 1e-11
 
 
 def test_sphere_patch_second_fundamental_form_energy():
     """|A|^2 = tr(W^2) = 2 for the unit sphere."""
     sc = get_scenario("sphere_patch")
     pts = interior_grid(11, margin=0.0)
-    J = sc.jacobian(pts)
-    Jn = sc.normal_jacobian(pts)
+    sample = sc.sample(pts)
+    J, Jn = sample.J, sample.normal_jacobian
     G = np.einsum("nda,ndb->nab", J, J)
     B = np.einsum("nda,ndb->nab", Jn, J)
     W = np.linalg.solve(G, B)
@@ -146,11 +148,11 @@ def test_sphere_patch_symmetry():
     """The patch is symmetric under the dihedral group of the square."""
     sc = get_scenario("sphere_patch")
     pts = interior_grid(7, margin=0.1)
-    X = sc.position(pts)
-    refl = sc.position(np.column_stack([1.0 - pts[:, 0], pts[:, 1]]))
+    X = sc.sample(pts).X
+    refl = sc.sample(np.column_stack([1.0 - pts[:, 0], pts[:, 1]])).X
     assert np.abs(refl[:, 0] + X[:, 0]).max() < 1e-14
     assert np.abs(refl[:, 1:] - X[:, 1:]).max() < 1e-14
-    swap = sc.position(pts[:, ::-1])
+    swap = sc.sample(pts[:, ::-1]).X
     assert np.abs(swap - X[:, [1, 0, 2]]).max() < 1e-14
 
 
@@ -177,7 +179,7 @@ def test_corner_temper_keeps_map_injective():
     """Jacobian determinant of the calibrated map stays positive at the corner."""
     sc = get_scenario("sphere_patch")
     corner = np.array([[1e-9, 1e-9], [0.5, 0.5], [1.0 - 1e-9, 1.0 - 1e-9]])
-    J = sc.jacobian(corner)
+    J = sc.sample(corner).J
     G = np.einsum("nda,ndb->nab", J, J)
     assert np.linalg.det(G).min() > 1e-4
 
@@ -189,17 +191,16 @@ def test_boundary_tangent_orientation(scenario):
     """nu x tau is the outward conormal: it points out of the surface."""
     s = np.linspace(0.05, 0.95, 9)
     eps = 1e-6
-    from mcflow.splines import EDGE_OUTWARD
 
     for edge in range(4):
-        tau = scenario.boundary_tangent(edge, s)
-        assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-12
         pts = edge_points(edge, s)
-        nu = scenario.normal(pts)
-        mu = np.cross(nu, tau)
+        on_edge = scenario.sample(pts, edge)
+        tau = on_edge.edge_tangent
+        assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-12
+        mu = np.cross(on_edge.normal, tau)
         # step outward in the parametric domain; X moves along +mu
         step = pts + eps * np.array(EDGE_OUTWARD[edge])
-        dX = scenario.position(step) - scenario.position(pts)
+        dX = scenario.sample(step).X - on_edge.X
         assert np.einsum("nd,nd->n", mu, dX).min() > 0.0
 
 

@@ -138,7 +138,7 @@ def test_polynomial_reproduction(p, l, rng):
     def f(pts):
         return np.polyval(cu, pts[:, 0]) * np.polyval(cv, pts[:, 1])
 
-    fld = SplineField(space, quasi(f))
+    fld = SplineField(space, quasi.apply_to_values(f(quasi.grid_points)))
     pts = rng.uniform(size=(60, 2))
     assert np.abs(fld.eval(pts)[:, 0] - f(pts)).max() < 1e-11
 
@@ -154,7 +154,7 @@ def test_quasi_interpolant_l2_order(p, l, gate):
     for N in (4, 8, 16, 32):
         space = build_space(p, l, N)
         quasi = build_quasi_interpolant(space)
-        fld = SplineField(space, quasi(f))
+        fld = SplineField(space, quasi.apply_to_values(f(quasi.grid_points)))
         tables = MeshTables(space, p + 2)
         pts = tables.points.reshape(-1, 2)
         w = np.tile(tables.weights, tables.num_elements)
@@ -162,12 +162,6 @@ def test_quasi_interpolant_l2_order(p, l, gate):
         errs.append(np.sqrt(np.sum(w * d * d)))
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert eocs.min() >= gate
-
-
-def test_zero_boundary_interpolation(space_small, quasi_small):
-    coeffs = quasi_small(lambda pts: np.ones(len(pts)), zero_boundary=True)
-    assert np.all(coeffs[space_small.boundary_indices] == 0.0)
-    assert np.allclose(coeffs[space_small.interior_indices], 1.0)
 
 
 def test_functional_support_is_local(space_small, quasi_small):

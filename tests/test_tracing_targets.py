@@ -3,7 +3,7 @@
 `perfbench/tracing.py` wraps each (owner, attribute) of its `TARGETS`
 by name, so a rename in `mcflow` would otherwise break traced benchmark
 runs without failing any test.  The Ritz result hook reads the return
-value of `nonlinear_ritz_normal`, so it is fed a real one.
+value of `nonlinear_ritz_normal`, so it is fed the one `initialize` gets.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import mcflow.flow
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem
 from mcflow.projections import nonlinear_ritz_normal
@@ -39,16 +40,17 @@ def test_every_traced_target_resolves():
     assert not missing, f"tracer targets missing: {missing}"
 
 
-def test_ritz_result_hook_reads_a_real_return_value():
+def test_ritz_result_hook_reads_a_real_return_value(monkeypatch):
     """The tracer's Ritz hook reads the shape `nonlinear_ritz_normal` returns."""
     tracing = _load_tracing()
+    results = []
+
+    def recorded(*args):
+        results.append(nonlinear_ritz_normal(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mcflow.flow, "nonlinear_ritz_normal", recorded)
     prob = FlowProblem(ScenarioConfig(elements_per_side=4))  # the plane
-    prob.initialize()  # builds the boundary tables, the constraint and its layout
-    result = nonlinear_ritz_normal(
-        prob.quasi(prob.scenario.position),
-        prob.scenario,
-        prob.btables,
-        prob.saddle,
-        prob.quasi,
-    )
+    prob.initialize()
+    (result,) = results
     assert tracing._ritz_result(result) == {"iterations": prob.ritz_info["iterations"]}
