@@ -2,17 +2,18 @@
 
 Interior forms are integrated element by element with a tensor Gauss
 rule.  `MeshTables` is the one quadrature layer: it caches the Gauss
-points and weights of the N x N mesh, the basis tabulations and the CSR
-sparsity pattern of the space, so repeated assembly on a moving surface
-only re-does the coefficient-dependent contractions and then sums the
-element entries into the fixed pattern with one `np.bincount`.  Mass
-and stiffness share that pattern.  The tabulations keep the local basis
-index last, so every contraction (field values and Jacobians, element
-matrices, loads, the Weingarten energy) is one batched BLAS product
-over the elements: small dense matrices per element, stacked, as in the
-sum-factorization view of tensor-product assembly (Antolin, Buffa,
-Calabro, Martinelli & Sangalli, CMAME 285, 2015).  `BoundaryTables`
-uses the same layout on the edges.
+points and weights of the N x N mesh and the basis tabulations, and
+holds the CSR sparsity pattern that the space computes once for all
+its tables (`TensorSplineSpace.element_pattern`).  So repeated assembly
+on a moving surface only re-does the coefficient-dependent contractions
+and then sums the element entries into the fixed pattern with one
+`np.bincount`.  Mass and stiffness share that pattern.  The tabulations
+keep the local basis index last, so every contraction (field values
+and Jacobians, element matrices, loads, the Weingarten energy) is one
+batched BLAS product over the elements: small dense matrices per
+element, stacked, as in the sum-factorization view of tensor-product
+assembly (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285,
+2015).  `BoundaryTables` uses the same layout on the edges.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
@@ -119,30 +120,15 @@ class MeshTables:
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        _, _, fu, tu = space.u.element_tables(n_quad, nderiv=1)
-        _, _, fv, tv = space.v.element_tables(n_quad, nderiv=1)
+        _, _, _, tu = space.u.element_tables(n_quad, nderiv=1)
+        _, _, _, tv = space.v.element_tables(n_quad, nderiv=1)
         neu, nev = space.u.num_elements, space.v.num_elements
-        du, dv = space.u.degree, space.v.degree
         self.num_elements = neu * nev
-        self.nloc = (du + 1) * (dv + 1)
+        self.nloc = (space.u.degree + 1) * (space.v.degree + 1)
         nq2 = n_quad * n_quad
-
-        # connectivity (Ne, nloc): flat indices of active basis functions
-        au = fu[:, None] + np.arange(du + 1)[None, :]  # (neu, du+1)
-        av = fv[:, None] + np.arange(dv + 1)[None, :]
-        conn = (
-            au[:, None, :, None] * space.v.dim + av[None, :, None, :]
-        )  # (neu, nev, du+1, dv+1)
-        self.conn = conn.reshape(self.num_elements, self.nloc)
-
-        # CSR pattern of the space, sorted and without duplicates, and the
-        # slot in `data` of every local entry (Ne, nloc, nloc), row-major
-        dim = space.dim
-        keys = (self.conn[:, :, None] * dim + self.conn[:, None, :]).ravel()
-        pairs, self.scatter = np.unique(keys, return_inverse=True)
-        self.indices = (pairs % dim).astype(np.int32)
-        counts = np.bincount(pairs // dim, minlength=dim)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        # the space's connectivity (Ne, nloc) and CSR pattern, shared by
+        # every table of the space (`TensorSplineSpace.element_pattern`)
+        self.conn, self.indices, self.indptr, self.scatter = space.element_pattern
 
         self.points, self.weights = gauss_mesh(space, n_quad)
 

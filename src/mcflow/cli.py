@@ -7,14 +7,6 @@ import sys
 from pathlib import Path
 
 
-def _add_common(p):
-    p.add_argument("--snapshot-stride", type=int, default=None,
-                   help="override the config snapshot stride")
-    p.add_argument("--dump-matrices", action="store_true",
-                   help="dump the mass, stiffness and constraint matrices "
-                        "in MatrixMarket format")
-
-
 def build_parser():
     from .scenarios import SCENARIOS
 
@@ -26,35 +18,34 @@ def build_parser():
 
     s = sub.add_parser("solve", help="run a flow configuration")
     s.add_argument("--config", required=True, help="path to a config file")
-    _add_common(s)
+    s.add_argument("--snapshot-stride", type=int, default=None,
+                   help="override the config snapshot stride")
+    s.add_argument("--dump-matrices", action="store_true",
+                   help="dump the mass, stiffness and constraint matrices "
+                        "in MatrixMarket format")
 
     c = sub.add_parser("converge", help="self-convergence study")
     c.add_argument("--config", required=True)
     c.add_argument("--levels", default="4,8,16,32",
                    help="comma-separated elements-per-side, nested")
-    _add_common(c)
 
     k = sub.add_parser("calibrate", help="re-derive a scenario constant")
     k.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     return parser
 
 
-def _apply_overrides(cfg, args):
+def cmd_solve(args):
     from dataclasses import replace
 
-    if getattr(args, "snapshot_stride", None) is not None:
-        cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
-    if getattr(args, "dump_matrices", False):
-        cfg = replace(cfg, dump_matrices=True)
-    return cfg
-
-
-def cmd_solve(args):
     from .config import load_config
     from .export import export_vtk, write_diagnostics_csv
     from .flow import FlowProblem, cfg_dir
 
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
+    if args.snapshot_stride is not None:
+        cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
+    if args.dump_matrices:
+        cfg = replace(cfg, dump_matrices=True)
     result = FlowProblem(cfg).run()
     out = cfg_dir(cfg) if cfg.output_dir else Path(".")
     csv_path = write_diagnostics_csv(result.diagnostics, out / "diagnostics.csv")
@@ -75,7 +66,7 @@ def cmd_converge(args):
     from .convergence import convergence_study, save_report
     from .flow import cfg_dir
 
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     levels = [int(v) for v in args.levels.split(",")]
     report = convergence_study(cfg, levels, t_final=cfg.t_final)
     out = cfg_dir(cfg) if cfg.output_dir else Path(".")

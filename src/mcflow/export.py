@@ -6,6 +6,12 @@ files in every column except the wallclock.  VTK snapshots sample the
 spline surface on a uniform parametric grid and write an unstructured
 quad mesh with point data for curvature, normal and velocity, as
 legacy ASCII VTK.
+
+Each section (the CSV rows, the POINTS, CELLS, kappa, nu and velocity
+blocks) is formatted as one block by `_format_rows`: a single `%` over
+a template holding one `%.17g` per value.  For every float64, nan, inf
+and -0.0 included, `"%.17g" % v` is `format(v, ".17g")`, so the bytes
+are those of formatting value by value, in a fraction of the time.
 """
 
 from __future__ import annotations
@@ -17,30 +23,34 @@ import numpy as np
 CSV_HEADER = "t,area,max_abs_kappa,constraint_residual,solver_residual,wallclock_s"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _format_rows(a, fmt="%.17g", sep=" "):
+    """The rows of `a` (n[, k]) as n lines of k `fmt` values joined by `sep`.
+
+    One `%` formats the whole block; an empty `a` gives "".
+    """
+    a = np.asarray(a)
+    rows = a if a.ndim == 2 else a[:, None]
+    line = sep.join([fmt] * rows.shape[1])
+    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _write_lines(path, lines):
+    """Write the non-empty `lines`, each ended by a newline."""
+    Path(path).write_text("\n".join(filter(None, lines)) + "\n")
 
 
 def write_diagnostics_csv(diagnostics, path):
     """Write per-step diagnostics rows; returns the path."""
     path = Path(path)
-    lines = [CSV_HEADER]
-    for d in diagnostics:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    d.time,
-                    d.area,
-                    d.max_abs_kappa,
-                    d.constraint_residual,
-                    d.solver_residual,
-                    d.wallclock,
-                )
-            )
-        )
+    rows = np.array(
+        [
+            (d.time, d.area, d.max_abs_kappa, d.constraint_residual, d.solver_residual, d.wallclock)
+            for d in diagnostics
+        ],
+        dtype=float,
+    ).reshape(-1, 6)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, [CSV_HEADER, _format_rows(rows, sep=",")])
     return path
 
 
@@ -65,12 +75,10 @@ def _sample_grid(problem, state, resolution: int):
     values = TensorGrid(problem.space, g, g).eval(fields)
     pos, kap, nu, vel = values[:, :3], values[:, 3], values[:, 4:7], values[:, 7:]
 
-    quads = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            a = i * n + j
-            quads.append((a, a + n, a + n + 1, a + 1))
-    return pos, kap, nu, vel, np.array(quads, dtype=int)
+    # cell (i, j) has corners a, a + n, a + n + 1, a + 1 with a = i n + j
+    a = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+    quads = a[:, None] + np.array([0, n, n + 1, 1])
+    return pos, kap, nu, vel, quads
 
 
 def export_vtk(problem, state, path, resolution: int = 2):
@@ -85,24 +93,27 @@ def export_vtk(problem, state, path, resolution: int = 2):
 def _write_legacy_vtk(path, pos, kap, nu, vel, quads):
     npts = len(pos)
     ncell = len(quads)
-    out = [
-        "# vtk DataFile Version 3.0",
-        "mcflow surface snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {npts} double",
-    ]
-    out += [" ".join(_fmt(c) for c in p) for p in pos]
-    out.append(f"CELLS {ncell} {5 * ncell}")
-    out += ["4 " + " ".join(str(i) for i in q) for q in quads]
-    out.append(f"CELL_TYPES {ncell}")
-    out += ["9"] * ncell
-    out.append(f"POINT_DATA {npts}")
-    out.append("SCALARS kappa double 1")
-    out.append("LOOKUP_TABLE default")
-    out += [_fmt(k) for k in kap]
-    out.append("VECTORS nu double")
-    out += [" ".join(_fmt(c) for c in p) for p in nu]
-    out.append("VECTORS velocity double")
-    out += [" ".join(_fmt(c) for c in p) for p in vel]
-    Path(path).write_text("\n".join(out) + "\n")
+    cells = np.column_stack([np.full(ncell, 4), quads])
+    _write_lines(
+        path,
+        [
+            "# vtk DataFile Version 3.0",
+            "mcflow surface snapshot",
+            "ASCII",
+            "DATASET UNSTRUCTURED_GRID",
+            f"POINTS {npts} double",
+            _format_rows(pos),
+            f"CELLS {ncell} {5 * ncell}",
+            _format_rows(cells, "%d"),
+            f"CELL_TYPES {ncell}",
+            "\n".join(["9"] * ncell),
+            f"POINT_DATA {npts}",
+            "SCALARS kappa double 1",
+            "LOOKUP_TABLE default",
+            _format_rows(kap),
+            "VECTORS nu double",
+            _format_rows(nu),
+            "VECTORS velocity double",
+            _format_rows(vel),
+        ],
+    )

@@ -26,6 +26,8 @@ collocation matrix per direction (`UnivariateSpline.collocation`).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -162,6 +164,11 @@ class UnivariateSpline:
         out[:, rows, cols] = ders.transpose(1, 0, 2)
         return out
 
+    def element_first(self):
+        """Index of the first basis function active on each element, (N,)."""
+        midpoints = (np.arange(self.num_elements) + 0.5) * self.mesh_size
+        return self.find_span(midpoints) - self.degree
+
     def element_rule(self, n_quad: int):
         """Per-element Gauss rule.
 
@@ -186,7 +193,7 @@ class UnivariateSpline:
         spans = self.find_span(flat)
         ders = _basis_derivatives(self.knots, self.degree, flat, spans, nderiv)
         values = ders.reshape(self.num_elements, n_quad, nderiv + 1, self.degree + 1)
-        first = (spans - self.degree).reshape(self.num_elements, n_quad)[:, 0]
+        first = self.element_first()
         # sanity: one span per element
         assert np.all(
             (spans - self.degree).reshape(self.num_elements, n_quad)
@@ -218,6 +225,30 @@ class TensorSplineSpace:
     @property
     def degree(self):
         return (self.u.degree, self.v.degree)
+
+    @cached_property
+    def element_pattern(self):
+        """Element connectivity and CSR pattern, computed once per space.
+
+        Returns (conn, indices, indptr, scatter): `conn` (Ne, nloc) holds
+        the flat indices of the basis functions active on each element,
+        elements row-major; `indices` and `indptr` the CSR pattern of
+        every coupling, sorted and without duplicates; `scatter` the slot
+        in the CSR data of every local entry (Ne, nloc, nloc), row-major.
+        No quadrature rule enters, so every `assembly.MeshTables` of the
+        space shares it.
+        """
+        pu, pv = self.degree
+        au = self.u.element_first()[:, None] + np.arange(pu + 1)  # (neu, pu+1)
+        av = self.v.element_first()[:, None] + np.arange(pv + 1)
+        conn = au[:, None, :, None] * self.v.dim + av[None, :, None, :]
+        conn = conn.reshape(-1, (pu + 1) * (pv + 1))
+        keys = (conn[:, :, None] * self.dim + conn[:, None, :]).ravel()
+        pairs, scatter = np.unique(keys, return_inverse=True)
+        indices = (pairs % self.dim).astype(np.int32)
+        counts = np.bincount(pairs // self.dim, minlength=self.dim)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        return conn, indices, indptr, scatter
 
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.v.dim + np.asarray(j2)

@@ -239,3 +239,15 @@ def test_cli_snapshot_stride_override(tmp_path):
     cfg_path.write_text(serialize_config(cfg))
     assert cli_main(["solve", "--config", str(cfg_path), "--snapshot-stride", "1"]) == 0
     assert (tmp_path / "out" / "snapshot_000002.vtk").exists()
+
+
+@pytest.mark.parametrize("flag", [["--dump-matrices"], ["--snapshot-stride", "1"]])
+def test_cli_converge_rejects_solve_flags(tmp_path, capsys, flag):
+    """`converge` writes no snapshots or matrices, so it offers neither flag."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(ScenarioConfig(output_dir=str(tmp_path / "out"))))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--config", str(cfg_path), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

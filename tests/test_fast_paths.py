@@ -402,3 +402,52 @@ def test_no_wide_solve(monkeypatch, scenario):
         scheme.push(state)
         (widths,) = factors
         assert len(widths) <= 2 and max(widths) <= 4
+
+
+def _pattern_per_table(space, n_quad):
+    """The CSR pattern as each `MeshTables` used to build it, from its Gauss points."""
+    du, dv = space.degree
+    fu = space.u.find_span(space.u.element_rule(n_quad)[0][:, 0]) - du
+    fv = space.v.find_span(space.v.element_rule(n_quad)[0][:, 0]) - dv
+    au = fu[:, None] + np.arange(du + 1)[None, :]
+    av = fv[:, None] + np.arange(dv + 1)[None, :]
+    conn = (au[:, None, :, None] * space.v.dim + av[None, :, None, :]).reshape(
+        -1, (du + 1) * (dv + 1)
+    )
+    dim = space.dim
+    keys = (conn[:, :, None] * dim + conn[:, None, :]).ravel()
+    pairs, scatter = np.unique(keys, return_inverse=True)
+    counts = np.bincount(pairs // dim, minlength=dim)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    return conn, (pairs % dim).astype(np.int32), indptr, scatter
+
+
+@pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
+def test_element_pattern_matches_per_table_build(p, l, N):
+    space = build_space(p, l, N)
+    for n_quad in (p + 1, p + 2):
+        ref = _pattern_per_table(space, n_quad)
+        for got, want in zip(space.element_pattern, ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def test_ritz_tables_share_the_flow_pattern(monkeypatch):
+    """Both `MeshTables` of a set-up hold the one pattern of their space."""
+    built = []
+
+    class Recorded(MeshTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mcflow.flow, "MeshTables", Recorded)
+    prob = FlowProblem(ScenarioConfig(scenario="sphere_patch", elements_per_side=4))
+    prob.initialize()
+    flow_tables, ritz_tables = built
+    assert ritz_tables.n_quad != flow_tables.n_quad
+    assert flow_tables is prob.tables
+    for name in ("conn", "indices", "indptr", "scatter"):
+        assert getattr(ritz_tables, name) is getattr(flow_tables, name)
+    assert np.array_equal(ritz_tables.indptr, flow_tables.indptr)
+    assert np.array_equal(ritz_tables.indices, flow_tables.indices)
