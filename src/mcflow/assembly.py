@@ -20,14 +20,18 @@ projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
 multiplier enforces the boundary constraint.  `ConstrainedSolver` is the
 only code that solves it, and it never assembles it: S has nonzero
 columns only at boundary control points, so the saddle reduces to the
-boundary Schur complement C = K_BB - K_BI K_II^-1 K_IB and the
-multiplier Schur complement T = sum_k S_kB C^-1 S_kB^T (the block
-elimination of Benzi, Golub & Liesen, Acta Numerica 14 (2005), Sec. 5).
-`SaddleLayout` orders the space once, interior by nested dissection and
-boundary last, so one sparse LU of the whole K carries C as its trailing
-block and T follows from that block by a dense triangular solve.  The
-same LU serves the zero-trace curvature system of a flow step, whose
-matrix is the interior block K_II, so a step factors one sparse matrix.
+multiplier Schur complement T = sum_k S_kB G S_kB^T with G = (K^-1)_BB,
+the inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
+(the block elimination of Benzi, Golub & Liesen, Acta Numerica 14
+(2005), Sec. 5).  In the natural flat order of a tensor space K is a
+band of half-width p (n_v + 1), so one LAPACK banded Cholesky factors
+it, which beats nested dissection on grids of the sizes run here
+(George & Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981).  `SaddleLayout` maps the pattern into band storage once
+per problem; G comes from a blocked forward substitution with the
+factor on the boundary columns.  The same factor serves the zero-trace
+curvature system of a flow step, whose matrix is the interior block
+K_II, by a capacitance correction with G, so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
 component-major, i.e. [all x | all y | all z].
 
@@ -49,8 +53,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import blas, cho_factor, cho_solve, lapack
 
 from .geometry import metric_pieces
 from .splines import EDGE_FIXED_COORD, TensorSplineSpace
@@ -200,46 +204,21 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     return tables.matrix(Mloc), tables.matrix(Aloc)
 
 
-def boundary_last_order(space: TensorSplineSpace):
-    """Fill-reducing order of the coefficients: interior first, boundary last.
-
-    The interior control-point grid is ordered by nested dissection: a
-    block is cut across its longer side by a separator of p grid lines,
-    which decouples the two parts since B-spline coefficients couple only
-    within p indices; each part is ordered the same way, then the
-    separator.  A block too small to cut keeps its order.  The boundary
-    follows in the order of `space.boundary_indices`.
-    """
-    p = max(space.degree)
-    parts = []
-
-    def dissect(block):  # a 2-d view of the flat indices, longer side first
-        if block.shape[0] < block.shape[1]:
-            block = block.T
-        n = block.shape[0]
-        if n < p + 2:
-            parts.append(block.ravel())
-            return
-        a = (n - p) // 2
-        dissect(block[:a])
-        dissect(block[a + p :])
-        parts.append(block[a : a + p].ravel())
-
-    dissect(np.arange(space.dim).reshape(space.shape)[1:-1, 1:-1])
-    return np.concatenate(parts + [space.boundary_indices])
-
-
 class SaddleLayout:
     """What every saddle solve of one problem shares, fixed from t = 0.
 
-    `perm` is `boundary_last_order` of the space of `tables`, its last
-    `num_boundary` entries the boundary indices.  `gather` takes the
-    `data` of a CSR matrix on the pattern of `tables` to the `data` of
-    the permuted matrix K[perm][:, perm] in CSC with `indices` and
-    `indptr`, so permuting K costs one array gather.  `S` is the frozen
-    constraint, `S_B` its three dense blocks S_kB on the boundary
-    columns of component k, and `S_Bt` their transposes side by side,
-    (nB, 3 nb).
+    K is factored as a band in the natural flat order of the space.  Its
+    half-bandwidth `kd` is the largest row - column offset of the CSR
+    pattern of `tables`, p (n_v + 1) for degree p and n_v coefficients
+    along v, at any smoothness.  `band_index` maps the lower-triangle
+    slots `lower` of the pattern to their positions in LAPACK lower band
+    storage, column after column with kd + 1 entries each, so filling
+    the band is one scatter of `K.data[lower]`.  `started[j]` counts
+    the boundary indices (sorted, as `boundary`) below (j + 1) kd: the
+    columns of L^-1 E_B that the forward substitution has started by
+    the end of row block j.  `S` is the frozen constraint and `S_B`
+    its three sparse blocks S_kB on the boundary columns of component
+    k, (nb, nB) each.
     """
 
     def __init__(self, tables: MeshTables, S):
@@ -248,19 +227,65 @@ class SaddleLayout:
         self.interior = space.interior_indices
         self.boundary = B = space.boundary_indices
         self.num_boundary = len(B)
-        self.perm = boundary_last_order(space)
-        rank = np.empty(dim, dtype=np.int32)
-        rank[self.perm] = np.arange(dim, dtype=np.int32)
         self.csr_indptr = tables.indptr
-        rows = np.repeat(rank, np.diff(tables.indptr))
-        cols = rank[tables.indices]
-        self.gather = np.lexsort((rows, cols))
-        self.indices = rows[self.gather]
-        counts = np.bincount(cols, minlength=dim)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        rows = np.repeat(np.arange(dim), np.diff(tables.indptr))
+        self.lower = np.flatnonzero(rows >= tables.indices)
+        cols = tables.indices[self.lower]
+        offset = rows[self.lower] - cols
+        self.kd = kd = int(offset.max())
+        self.band_index = offset + cols * (kd + 1)
+        num_blocks = -(-dim // kd)
+        self.started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
         self.S = S
-        self.S_B = [S[:, k * dim + B].toarray() for k in range(3)]
-        self.S_Bt = np.hstack([Sk.T for Sk in self.S_B])
+        self.S_B = [S[:, k * dim + B].tocsr() for k in range(3)]
+
+
+def _band_block(band, kd, start):
+    """The (kd, kd) block of a banded Cholesky factor L whose entry (0, 0)
+    sits at `band[start]`.
+
+    `band` is the flat lower band storage of L, kd + 1 entries per
+    column, so entry (r, q) of L with r - q in [0, kd] sits at r + q kd:
+    a block is a column-major view with leading dimension kd.  It is
+    arbitrary where r - q leaves [0, kd], so a diagonal block L_jj is
+    right on and below its diagonal, and the block L_{j,j-1} left of it,
+    which is upper triangular, on and above it.
+    """
+    return as_strided(band[start:], (kd, kd), (band.itemsize, kd * band.itemsize))
+
+
+def boundary_inverse(band, layout: SaddleLayout):
+    """G = (K^-1)_BB = Y^T Y with Y = L^-1 E_B, for K = L L^T.
+
+    Forward substitution in row blocks of kd rows, on the boundary
+    columns started so far only: block j of Y is
+    Y_j = L_jj^-1 (E_B - L_{j,j-1} Y_{j-1}), kept transposed, so it
+    costs one `dtrmm` and one `dtrsm` from the right, and adds
+    Y_j^T Y_j to G by one `dsyrk`.  Only the last block of Y is kept.
+    """
+    kd, B = layout.kd, layout.boundary
+    G = np.zeros((layout.num_boundary,) * 2)
+    Yt, done = None, 0
+    for j, upto in enumerate(layout.started):
+        start = j * kd * (kd + 1)  # of L_jj; L_{j,j-1} starts kd^2 before
+        Zt = np.zeros((upto, kd), order="F")
+        if done:
+            L_below = _band_block(band, kd, start - kd * kd)  # upper triangular
+            Zt[:done] = blas.dtrmm(-1.0, L_below, Yt, side=1, trans_a=1, overwrite_b=1)
+        Zt[np.arange(done, upto), B[done:upto] - j * kd] = 1.0
+        L_jj = _band_block(band, kd, start)
+        Yt = blas.dtrsm(1.0, L_jj, Zt, side=1, lower=1, trans_a=1, overwrite_b=1)
+        G[:upto, :upto] += blas.dsyrk(1.0, Yt, lower=1)
+        done = upto
+    return G + np.tril(G, -1).T
+
+
+def _cholesky(a, what, name):
+    """`cho_factor(a)`; SolverFailure naming `name` if a is not positive definite."""
+    try:
+        return cho_factor(a, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{what}: {name} is not positive definite ({exc})") from exc
 
 
 class ConstrainedSolver:
@@ -268,18 +293,18 @@ class ConstrainedSolver:
 
     K is a dim x dim SPD matrix shared by the three components, stored on
     the pattern of the `SaddleLayout`, and S its tangential-trace
-    constraint.  The set-up makes one sparse LU of K in the layout's
-    boundary-last order; SuperLU keeps that order in symmetric mode, so
-    with U = D L^T every pivot must be positive (else K is not SPD), the
-    trailing block U_BB gives the boundary Schur complement
-    C = U_BB^T D_B^-1 U_BB, and W = U_BB^-T [S_0B^T S_1B^T S_2B^T] the
-    Cholesky-factored multiplier Schur complement T = sum_k W_k^T D_B W_k.
+    constraint.  The set-up makes one banded Cholesky K = L L^T
+    (LAPACK `dpbtrf`) in the natural order; a leading minor that is not
+    positive raises SolverFailure.  From L it forms G = (K^-1)_BB, the
+    inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
+    (`boundary_inverse`), and the multiplier Schur complement
+    T = sum_k S_kB G S_kB^T, and Cholesky-factors both.
 
     Calling the solver with a (dim, 3) load f returns (w (dim, 3),
     multiplier, relative residual) with S w = 0: y = K^-1 f,
     mu = T^-1 sum_k S_kB y_Bk and w = y - K^-1 [0; S_B^T mu], two solves
-    with three columns each.  The residual is taken against the full
-    saddle operator, applied block by block, and gated by
+    (`dpbtrs`) with three columns each.  The residual is taken against
+    the full saddle operator, applied block by block, and gated by
     `check_residual(..., what)` at SOLVER_RESIDUAL_TOL.  `with_interior`
     adds the zero-trace system K_II x_I = r_I as a fourth column.
     """
@@ -288,49 +313,21 @@ class ConstrainedSolver:
         self.K, self.layout, self.what = K, layout, what
         if not np.array_equal(K.indptr, layout.csr_indptr):
             raise SolverFailure(f"{what}: K is not stored on the mesh pattern")
-        n, nB = K.shape[0], layout.num_boundary
-        Kp = sp.csc_matrix((K.data[layout.gather], layout.indices, layout.indptr), shape=K.shape)
-        try:
-            self.lu = spla.splu(
-                Kp,
-                permc_spec="NATURAL",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:  # an exactly singular K
-            raise SolverFailure(f"{what}: {exc}") from exc
-        natural = np.arange(n)
-        if not (
-            np.array_equal(self.lu.perm_c, natural)
-            and np.array_equal(self.lu.perm_r, natural)
-        ):
-            raise SolverFailure(f"{what}: the sparse LU left the boundary-last order")
-        U = self.lu.U
-        d = U.diagonal()
-        if not np.all(d > 0.0):
+        n, kd = K.shape[0], layout.kd
+        band = np.zeros((kd + 1) * kd * len(layout.started))
+        band[layout.band_index] = K.data[layout.lower]
+        band[(kd + 1) * n :: kd + 1] = 1.0  # the padding is an identity block
+        self.band = band[: (kd + 1) * n].reshape(n, kd + 1).T
+        _, info = lapack.dpbtrf(self.band, lower=1, overwrite_ab=1)
+        if info != 0:
             raise SolverFailure(
-                f"{what}: boundary Schur complement is not positive definite "
-                f"(smallest pivot of K {d.min():.3e})"
+                f"{what}: K is not positive definite "
+                f"(its leading minor of order {info} is not positive)"
             )
-        # the dense trailing block U_BB, read off the CSC columns of U
-        nI = n - nB
-        start = U.indptr[nI]
-        rows = U.indices[start:] - nI
-        cols = np.repeat(np.arange(nB), np.diff(U.indptr[nI:]))
-        keep = rows >= 0
-        U_BB = np.zeros((nB, nB))
-        U_BB[rows[keep], cols[keep]] = U.data[start:][keep]
-        d_B = d[nI:]
-        self.C = U_BB.T @ (U_BB / d_B[:, None])
-        W = solve_triangular(U_BB, layout.S_Bt, trans="T", check_finite=False)
-        W = W.reshape(nB, 3, -1)
-        T = sum(W[:, k].T @ (d_B[:, None] * W[:, k]) for k in range(3))
-        try:
-            self.T = cho_factor(T, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(
-                f"{what}: multiplier Schur complement is not positive definite ({exc})"
-            ) from exc
+        G = boundary_inverse(band, layout)
+        T = sum(Sk @ (Sk @ G).T for Sk in layout.S_B)
+        self.G = _cholesky(G, what, "the boundary block of K^-1")
+        self.T = _cholesky(T, what, "multiplier Schur complement")
 
     def __call__(self, f):
         return self._solve(f)[1]
@@ -347,40 +344,40 @@ class ConstrainedSolver:
         I = self.layout.interior
         return (x, check_residual((self.K @ x)[I] - r[I], r[I], what)), saddle
 
+    def _band_solve(self, b):
+        return lapack.dpbtrs(self.band, b, lower=1, overwrite_b=1)[0]
+
     def _solve(self, f, r=None):
-        """Saddle solve of f; given r, also x = y - K^-1 [0; C y_B] for
+        """Saddle solve of f; given r, also x = y - K^-1 E_B G^-1 y_B for
         y = K^-1 [r_I; 0], which is x_I = K_II^-1 r_I, x_B = 0.
 
-        Works in the permuted order, the boundary in the last nB rows, with
-        the x column (if any) first.  Returns (x or None, (w, mu, residual)).
+        The x column (if any) comes first.  Returns (x or None,
+        (w, mu, residual)).
         """
         lo = self.layout
-        perm, nB = lo.perm, lo.num_boundary
-        nI = len(perm) - nB
+        B = lo.boundary
         j = 0 if r is None else 1  # first column of the saddle
-        b = np.empty((len(perm), j + 3))
-        b[:, j:] = f[perm]
+        b = np.empty((len(f), j + 3), order="F")
+        b[:, j:] = f
         if j:
-            b[:nI, 0] = r[perm[:nI]]
-            b[nI:, 0] = 0.0
-        y = self.lu.solve(b)
-        rhs = sum(Sk @ y[nI:, j + k] for k, Sk in enumerate(lo.S_B))
+            b[:, 0] = r
+            b[B, 0] = 0.0
+        y = self._band_solve(b)
+        rhs = sum(Sk @ y[B, j + k] for k, Sk in enumerate(lo.S_B))
         mu = cho_solve(self.T, rhs, check_finite=False)
-        load = np.zeros(b.shape)
-        load[nI:, j:] = np.column_stack([Sk.T @ mu for Sk in lo.S_B])
+        load = np.zeros(b.shape, order="F")
+        load[B, j:] = np.column_stack([Sk.T @ mu for Sk in lo.S_B])
         if j:
-            load[nI:, 0] = self.C @ y[nI:, 0]
-        y -= self.lu.solve(load)
-        out = np.empty(y.shape)
-        out[perm] = y
-        w = np.ascontiguousarray(out[:, j:])
+            load[B, 0] = cho_solve(self.G, y[B, 0], check_finite=False)
+        y -= self._band_solve(load)
+        w = np.ascontiguousarray(y[:, j:])
         res = self.K @ w + (lo.S.T @ mu).reshape(3, -1).T - f
         res = np.concatenate([res.ravel(), lo.S @ w.T.ravel()])
         saddle = (w, mu, check_residual(res, f, self.what))
         if not j:
             return None, saddle
-        x = out[:, 0].copy()
-        x[lo.boundary] = 0.0
+        x = y[:, 0].copy()
+        x[B] = 0.0
         return x, saddle
 
 

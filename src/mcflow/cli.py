@@ -7,6 +7,16 @@ import sys
 from pathlib import Path
 
 
+def _levels(text):
+    """The --levels list, checked as `convergence_study` checks it."""
+    from .convergence import check_levels
+
+    try:
+        return check_levels(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser():
     from .scenarios import SCENARIOS
 
@@ -26,7 +36,7 @@ def build_parser():
 
     c = sub.add_parser("converge", help="self-convergence study")
     c.add_argument("--config", required=True)
-    c.add_argument("--levels", default="4,8,16,32",
+    c.add_argument("--levels", default="4,8,16,32", type=_levels,
                    help="comma-separated elements-per-side, nested")
 
     k = sub.add_parser("calibrate", help="re-derive a scenario constant")
@@ -67,8 +77,7 @@ def cmd_converge(args):
     from .flow import cfg_dir
 
     cfg = load_config(args.config)
-    levels = [int(v) for v in args.levels.split(",")]
-    report = convergence_study(cfg, levels, t_final=cfg.t_final)
+    report = convergence_study(cfg, args.levels, t_final=cfg.t_final)
     out = cfg_dir(cfg) if cfg.output_dir else Path(".")
     path = save_report(report, out / "convergence.json")
     print(f"wrote {path}")

@@ -49,22 +49,30 @@ def _h1_errors(sample_a, sample_b, weights):
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
+def check_levels(levels):
+    """`levels` as a list of ints; ValueError unless there are at least 3,
+    positive, strictly increasing, each dividing the next."""
+    levels = [int(n) for n in levels]
+    if len(levels) < 3:
+        raise ValueError(f"need at least 3 levels, got {levels}")
+    if levels[0] < 1:
+        raise ValueError(f"levels must be positive, got {levels}")
+    for a, b in zip(levels, levels[1:]):
+        if b <= a or b % a != 0:
+            raise ValueError(f"levels must be nested and increasing, got {levels}")
+    return levels
+
+
 def convergence_study(
     base: ScenarioConfig, levels, t_final: float = 0.05, order: int = 2
 ) -> ConvergenceReport:
     """Run the flow on each level and fit self-convergence orders.
 
     `base.dt` is the step size of the coarsest level; finer levels scale
-    it by the mesh ratio.  Levels must be strictly increasing with each
-    dividing the next so the spaces are nested.
+    it by the mesh ratio.  Levels must pass `check_levels`: strictly
+    increasing with each dividing the next, so the spaces are nested.
     """
-    levels = [int(n) for n in levels]
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels")
-    for a, b in zip(levels, levels[1:]):
-        if b <= a or b % a != 0:
-            raise ValueError(f"levels must be nested and increasing, got {levels}")
-
+    levels = check_levels(levels)
     runs = []
     for n in levels:
         cfg = replace(

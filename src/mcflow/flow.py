@@ -2,13 +2,13 @@
 
 Each step extrapolates surface, normal and curvature from the history,
 assembles mass/stiffness and the nonlinear loads on the extrapolated
-surface, then solves two linear systems with one sparse factorization:
-`assembly.ConstrainedSolver` LU-factors the whole of K = (d0/dt) M + A
-with the boundary ordered last.  That LU solves both the zero-trace
-parabolic system of the curvature, whose matrix is the interior block
-of K, and, by a boundary Schur complement, the saddle system for the
-normal, whose multiplier enforces discrete tangential orthogonality of
-the boundary trace; the two share two LU solves of four columns each.
+surface, then solves two linear systems with one factorization:
+`assembly.ConstrainedSolver` factors the whole of K = (d0/dt) M + A by
+one banded Cholesky.  That factor solves both the zero-trace parabolic
+system of the curvature, whose matrix is the interior block of K, and,
+by a boundary Schur complement, the saddle system for the normal, whose
+multiplier enforces discrete tangential orthogonality of the boundary
+trace; the two share two banded solves of four columns each.
 The velocity is the quasi-interpolant of -kappa * nu with exactly zero
 boundary coefficients, and the position update resets the boundary rows
 to their initial values so the Dirichlet data is preserved bit for bit.
@@ -244,7 +244,7 @@ class FlowProblem:
         fb = assemble_boundary_load(self.btables, nu_ext)
         rhs_n = f2 + fb - (M @ scheme.derivative_tail("nu")) / dt
 
-        # one LU of (d0/dt) M + A serves both systems
+        # one factor of (d0/dt) M + A serves both systems
         K = self.tables.combine(d0 / dt, M, A)
         solver = ConstrainedSolver(K, self.saddle, "normal solve")
         (kappa, res_k), (nu, multiplier, res_n) = solver.with_interior(

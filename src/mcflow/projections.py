@@ -19,7 +19,8 @@ right-hand side that no iterate changes; `nonlinear_ritz_normal` then
 runs a fixed-point iteration (as Kovacs, Li & Lubich, Numer. Math. 143
 (2019), do for closed surfaces) whose linear part, the constraint
 saddle of stiffness + RITZ_LAMBDA * mass, is one
-`assembly.ConstrainedSolver`, as in a flow step.  The weight, the
+`assembly.ConstrainedSolver`, so one banded Cholesky serves every
+iterate, as one serves a flow step.  The weight, the
 tolerance and the iteration budget are the module constants below.
 """
 

@@ -19,7 +19,6 @@ from mcflow.assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    boundary_last_order,
     constraint_residual,
     weingarten_energy,
 )
@@ -273,13 +272,14 @@ def test_constraint_on_flat_square():
     assert constraint_residual(prob.S, ez) < 1e-12
 
 
-def _initialized_saddle(scenario, p, n=8):
+def _initialized_saddle(scenario, p, n=8, smoothness=None):
     """Mass and stiffness on the initial surface of an initialized N=n
-    patch, the shifted stiffness on the mesh pattern, and the problem."""
+    patch (C^{p-1} unless `smoothness` is given), the shifted stiffness
+    on the mesh pattern, and the problem."""
     cfg = ScenarioConfig(
         scenario=scenario,
         degree=p,
-        smoothness=p - 1,
+        smoothness=p - 1 if smoothness is None else smoothness,
         elements_per_side=n,
         dt=0.025,
         t_final=0.9,
@@ -296,17 +296,18 @@ def sphere_saddle():
 
 
 @pytest.mark.parametrize(
-    "scenario, p",
+    "scenario, p, smoothness",
     [
-        pytest.param("sphere_patch", 2, id="sphere_patch-2"),
+        pytest.param("sphere_patch", 2, 1, id="sphere_patch-2"),
         # the flat boundary makes the z block of S numerically zero
-        pytest.param("perturbed_plane", 2, id="perturbed_plane-2"),
-        pytest.param("sphere_patch", 3, id="sphere_patch-3"),
+        pytest.param("perturbed_plane", 2, 1, id="perturbed_plane-2"),
+        pytest.param("sphere_patch", 3, 2, id="sphere_patch-3"),
+        pytest.param("sphere_patch", 2, 0, id="sphere_patch-2-C0"),
     ],
 )
-def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
+def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness, rng):
     """The Schur-complement solve equals a direct solve of the assembled saddle."""
-    _, _, K, prob = _initialized_saddle(scenario, p)
+    _, _, K, prob = _initialized_saddle(scenario, p, smoothness=smoothness)
     S = prob.S
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
@@ -320,9 +321,9 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, rng):
     assert constraint_residual(S, w) <= 1e-12
 
 
-def test_constrained_solver_interior_solve(sphere_saddle, rng):
-    """`with_interior` solves the zero-trace block K_II beside the saddle."""
-    _, _, K, prob = sphere_saddle
+def _check_interior_solve(K, prob, rng):
+    """`with_interior` against a direct solve of K_II, and its saddle
+    against the saddle solved alone."""
     idx, bnd = prob.space.interior_indices, prob.space.boundary_indices
     K_II = K[idx][:, idx].tocsc()
     r = rng.normal(size=K.shape[0])
@@ -338,6 +339,18 @@ def test_constrained_solver_interior_solve(sphere_saddle, rng):
     assert np.abs(mult - mult_alone).max() <= 1e-13 * np.abs(mult_alone).max()
 
 
+def test_constrained_solver_interior_solve(sphere_saddle, rng):
+    """`with_interior` solves the zero-trace block K_II beside the saddle."""
+    _, _, K, prob = sphere_saddle
+    _check_interior_solve(K, prob, rng)
+
+
+def test_constrained_solver_interior_solve_on_c0_space(rng):
+    """The same on a C^0 space, whose band holds repeated knots."""
+    _, _, K, prob = _initialized_saddle("sphere_patch", 2, smoothness=0)
+    _check_interior_solve(K, prob, rng)
+
+
 def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
     _, _, K, prob = sphere_saddle
     f = rng.normal(size=(K.shape[0], 3))
@@ -347,10 +360,10 @@ def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
 
 
 def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
-    """A non-SPD block or a rank-deficient constraint is a named SolverFailure."""
+    """A non-SPD K or a rank-deficient constraint is a named SolverFailure."""
     _, _, K, prob = sphere_saddle
     S = prob.S
-    with pytest.raises(SolverFailure, match="test solve: boundary Schur complement"):
+    with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):
         ConstrainedSolver(-K, prob.saddle, "test solve")
     S0 = S.tolil()
     S0[0, :] = 0.0
@@ -360,14 +373,14 @@ def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
 
 def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
     """With A = -c M, c M + A is zero on the whole pattern and the solver
-    rejects it as singular; sparse `+` would drop every entry."""
+    rejects it as not positive definite; sparse `+` would drop every entry."""
     M, _, _, prob = sphere_saddle
     c = 60.0
     A = -c * M
     K = prob.tables.combine(c, M, A)
     assert K.nnz == len(prob.tables.indices)
     assert not np.any(K.data)
-    with pytest.raises(SolverFailure, match="test solve: .*singular"):
+    with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):
         ConstrainedSolver(K, prob.saddle, "test solve")
     dropped = c * M + A
     assert dropped.nnz < K.nnz
@@ -378,54 +391,36 @@ def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_schur_complement_read_off_the_factor(scenario, p):
-    """C from the boundary-last LU equals the dense K_BB - K_BI K_II^-1 K_IB,
-    and the order puts the interior, then the boundary, each index once."""
+    """G = (K^-1)_BB from the banded Cholesky, the inverse of the boundary
+    Schur complement, equals the dense inverse's boundary block."""
     _, _, K, prob = _initialized_saddle(scenario, p, n=6)
-    space = prob.space
-    perm = prob.saddle.perm
-    I, B = space.interior_indices, space.boundary_indices
-    assert np.array_equal(np.sort(perm), np.arange(space.dim))
-    assert np.array_equal(perm[len(I) :], B)
-    assert np.array_equal(np.sort(perm[: len(I)]), I)
+    B = prob.space.boundary_indices
+    G_ref = np.linalg.inv(K.toarray())[np.ix_(B, B)]
+    U = np.triu(ConstrainedSolver(K, prob.saddle, "test solve").G[0])
+    G = U.T @ U
+    assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+
+
+@pytest.mark.parametrize("p, smoothness", [(2, 1), (3, 2), (2, 0)])
+def test_band_plan_holds_each_lower_entry_once(p, smoothness):
+    """Every lower-triangle slot of the mesh pattern has its own place in
+    the band, and scattering K.data there gives the band of the dense K."""
+    _, _, K, prob = _initialized_saddle("sphere_patch", p, n=5, smoothness=smoothness)
+    lo, space = prob.saddle, prob.space
+    kd = lo.kd
+    assert kd == p * (space.v.dim + 1)
+    rows = np.repeat(np.arange(space.dim), np.diff(K.indptr))
+    assert np.array_equal(lo.lower, np.flatnonzero(rows >= K.indices))
+    col, offset = np.divmod(lo.band_index, kd + 1)
+    assert np.array_equal(col, K.indices[lo.lower])
+    assert np.array_equal(offset, rows[lo.lower] - col)
+    assert len(np.unique(lo.band_index)) == len(lo.band_index)
+    band = np.zeros((kd + 1) * space.dim)
+    band[lo.band_index] = K.data[lo.lower]
     Kd = K.toarray()
-    C_ref = Kd[np.ix_(B, B)] - Kd[np.ix_(B, I)] @ np.linalg.solve(
-        Kd[np.ix_(I, I)], Kd[np.ix_(I, B)]
-    )
-    C = ConstrainedSolver(K, prob.saddle, "test solve").C
-    assert np.abs(C - C_ref).max() <= 1e-12 * np.abs(C_ref).max()
-
-
-@pytest.mark.parametrize("p, n", [(2, 20), (2, 40), (3, 16)])
-def test_dissection_fills_no_more_than_minimum_degree(p, n):
-    """nnz(L) + nnz(U) with `boundary_last_order` is at most that with
-    SuperLU's MMD_AT_PLUS_A order of the interior, boundary appended."""
-    cfg = ScenarioConfig(
-        scenario="perturbed_plane", degree=p, smoothness=p - 1, elements_per_side=n
-    )
-    prob = FlowProblem(cfg)
-    x = interpolate(prob.quasi, prob.scenario)
-    M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, x))
-    K = prob.tables.combine(1.0 / cfg.dt, M, A)
-    I, B = prob.space.interior_indices, prob.space.boundary_indices
-    mmd = spla.splu(
-        K[I][:, I].tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    # SuperLU factors the columns of K_II in the order argsort(perm_c)
-    minimum_degree = np.concatenate([I[np.argsort(mmd.perm_c)], B])
-    fill = []
-    for perm in (boundary_last_order(prob.space), minimum_degree):
-        lu = spla.splu(
-            K[perm][:, perm].tocsc(),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-        assert np.array_equal(lu.perm_c, np.arange(len(perm)))
-        fill.append(lu.L.nnz + lu.U.nnz)
-    assert fill[0] <= fill[1]
+    i, j = np.nonzero(np.tri(space.dim, dtype=bool) & ~np.tri(space.dim, k=-kd - 1, dtype=bool))
+    assert np.array_equal(band[i - j + j * (kd + 1)], Kd[i, j])
+    assert not np.any(np.tril(Kd, -kd - 1))
 
 
 def test_boundary_tables_require_freeze(space_small):

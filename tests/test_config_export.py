@@ -251,3 +251,19 @@ def test_cli_converge_rejects_solve_flags(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [("4,x", "invalid literal for int"), ("4,6,8", "nested and increasing")],
+)
+def test_cli_converge_rejects_bad_levels(tmp_path, capsys, levels, message):
+    """A level list that is not all integers, or not nested, is a usage error."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(ScenarioConfig(output_dir=str(tmp_path / "out"))))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["converge", "--config", str(cfg_path), "--levels", levels])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --levels" in err and message in err
+    assert not (tmp_path / "out").exists()

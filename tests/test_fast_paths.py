@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 import mcflow.assembly
 import mcflow.flow
@@ -225,21 +225,21 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_splu(monkeypatch):
-    """A list that gains one entry per `scipy.sparse.linalg.splu` call."""
+def _count_factorizations(monkeypatch):
+    """A list that gains one entry per `scipy.linalg.lapack.dpbtrf` call."""
     calls = []
-    original = scipy.sparse.linalg.splu
+    original = scipy.linalg.lapack.dpbtrf
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted)
     return calls
 
 
 def test_step_factors_one_sparse_matrix(monkeypatch):
-    """The curvature and the normal solve share one LU per step."""
+    """The curvature and the normal solve share one banded Cholesky per step."""
     cfg = ScenarioConfig(
         scenario="sphere_patch",
         degree=2,
@@ -252,7 +252,7 @@ def test_step_factors_one_sparse_matrix(monkeypatch):
     prob = FlowProblem(cfg)
     scheme = BdfScheme(2)
     scheme.push(prob.initialize())
-    calls = _count_splu(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     for _ in range(2):
         calls.clear()
         state, _ = prob.step(scheme, cfg.dt)
@@ -262,7 +262,7 @@ def test_step_factors_one_sparse_matrix(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_setup_factors_one_sparse_matrix(monkeypatch, scenario):
-    """The Ritz projection of the normal runs at one weight on one LU."""
+    """The Ritz projection of the normal runs at one weight on one factor."""
     cfg = ScenarioConfig(
         scenario=scenario,
         degree=2,
@@ -273,7 +273,7 @@ def test_setup_factors_one_sparse_matrix(monkeypatch, scenario):
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factorizations(monkeypatch)
     prob.initialize()
     assert len(calls) == 1
 
@@ -348,7 +348,7 @@ def _count_sparse_indexing(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_step_slices_no_sparse_matrix(monkeypatch, scenario):
-    """The constraint blocks and the boundary-last order are frozen at set-up,
+    """The constraint blocks and the band plan are frozen at set-up,
     so a BDF1 and a BDF2 step index no sparse matrix."""
     prob, scheme, dt = _two_step_problem(scenario)
     scheme.push(prob.initialize())
@@ -359,43 +359,34 @@ def test_step_slices_no_sparse_matrix(monkeypatch, scenario):
     assert calls == []
 
 
-class _CountedLU:
-    """A sparse LU that records the column count of every solve."""
-
-    def __init__(self, lu, widths):
-        self._lu, self._widths = lu, widths
-
-    def solve(self, b, *args, **kwargs):
-        self._widths.append(1 if b.ndim == 1 else b.shape[1])
-        return self._lu.solve(b, *args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
 def _count_solve_widths(monkeypatch):
-    """A list that gains, per `splu` call, the list of its solves' widths."""
+    """A list that gains, per `dpbtrf` call, the list of the column counts
+    of the `dpbtrs` solves that follow it."""
     factors = []
-    original = scipy.sparse.linalg.splu
+    factor, solve = scipy.linalg.lapack.dpbtrf, scipy.linalg.lapack.dpbtrs
 
-    def counted(*args, **kwargs):
+    def counted_factor(*args, **kwargs):
         factors.append([])
-        return _CountedLU(original(*args, **kwargs), factors[-1])
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    def counted_solve(ab, b, *args, **kwargs):
+        factors[-1].append(b.shape[1])
+        return solve(ab, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", counted_solve)
     return factors
 
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_no_wide_solve(monkeypatch, scenario):
-    """A step solves with its LU at most twice, at most 4 columns a time;
-    a Ritz iteration solves only the normal's 3 columns."""
+    """A step solves with its factor at most twice, at most 4 columns a time;
+    a Ritz iteration solves only the normal's 3 columns, twice."""
     prob, scheme, dt = _two_step_problem(scenario)
     factors = _count_solve_widths(monkeypatch)
     scheme.push(prob.initialize())
     (ritz,) = factors
-    assert len(ritz) == 2 * prob.ritz_info["iterations"]
-    assert max(ritz) <= 3
+    assert ritz == [3] * (2 * prob.ritz_info["iterations"])
     for _ in range(2):
         factors.clear()
         state, _ = prob.step(scheme, dt)
