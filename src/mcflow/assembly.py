@@ -102,12 +102,10 @@ def gauss_mesh(space: TensorSplineSpace, n_quad: int):
     """
     pu, wu = space.u.element_rule(n_quad)
     pv, wv = space.v.element_rule(n_quad)
-    neu, nev = len(pu), len(pv)
-    shape = (neu * nev, n_quad * n_quad)
-    U = np.broadcast_to(pu[:, None, :, None], (neu, nev, n_quad, n_quad))
-    V = np.broadcast_to(pv[None, :, None, :], (neu, nev, n_quad, n_quad))
-    points = np.stack([U.reshape(shape), V.reshape(shape)], axis=-1)
-    return points, np.outer(wu, wv).ravel()
+    points = np.empty((len(pu), len(pv), n_quad, n_quad, 2))
+    points[..., 0] = pu[:, None, :, None]
+    points[..., 1] = pv[None, :, None, :]
+    return points.reshape(-1, n_quad * n_quad, 2), np.outer(wu, wv).ravel()
 
 
 class MeshTables:
@@ -118,14 +116,19 @@ class MeshTables:
     (Ne, nq2, 2, nloc) keep the local basis index last; `grad_rows` is
     `basis_grad` viewed as one (2 nq2, nloc) matrix per element.  So
     every contraction with local coefficients or quadrature densities is
-    one batched matrix product over the elements.
+    one batched matrix product over the elements.  Each tabulation is
+    the product of the two univariate tabulations of the rule
+    (`UnivariateSpline.element_tables`, built once per factor), written
+    into a preallocated array: `basis_grad` is allocated as
+    (neu, nev, nq, nq, 2, pu+1, pv+1), so its two parametric directions
+    are slices of one array and no stacking copies them.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        _, _, _, tu = space.u.element_tables(n_quad, nderiv=1)
-        _, _, _, tv = space.v.element_tables(n_quad, nderiv=1)
+        tu = space.u.element_tables(n_quad)[3]
+        tv = space.v.element_tables(n_quad)[3]
         neu, nev = space.u.num_elements, space.v.num_elements
         self.num_elements = neu * nev
         self.nloc = (space.u.degree + 1) * (space.v.degree + 1)
@@ -136,14 +139,23 @@ class MeshTables:
 
         self.points, self.weights = gauss_mesh(space, n_quad)
 
-        def tensor(fu_tab, fv_tab):  # (neu, nq, du+1) x (nev, nq, dv+1)
-            B = fu_tab[:, None, :, None, :, None] * fv_tab[None, :, None, :, None, :]
-            return B.reshape(self.num_elements, nq2, self.nloc)
+        grid = (neu, nev, n_quad, n_quad)
+        local = (space.u.degree + 1, space.v.degree + 1)
+        basis = np.empty(grid + local)
+        grad = np.empty(grid + (2,) + local)
+
+        def tensor(fu_tab, fv_tab, out):  # (neu, nq, pu+1) x (nev, nq, pv+1)
+            np.multiply(
+                fu_tab[:, None, :, None, :, None], fv_tab[None, :, None, :, None, :], out=out
+            )
 
         bu, gu = tu[:, :, 0, :], tu[:, :, 1, :]
         bv, gv = tv[:, :, 0, :], tv[:, :, 1, :]
-        self.basis = tensor(bu, bv)
-        self.basis_grad = np.stack([tensor(gu, bv), tensor(bu, gv)], axis=2)
+        tensor(bu, bv, basis)
+        tensor(gu, bv, grad[..., 0, :, :])
+        tensor(bu, gv, grad[..., 1, :, :])
+        self.basis = basis.reshape(self.num_elements, nq2, self.nloc)
+        self.basis_grad = grad.reshape(self.num_elements, nq2, 2, self.nloc)
         # the same memory as one (2 nq2, nloc) matrix per element
         self.grad_rows = self.basis_grad.reshape(self.num_elements, 2 * nq2, self.nloc)
 
@@ -218,7 +230,9 @@ class SaddleLayout:
     columns of L^-1 E_B that the forward substitution has started by
     the end of row block j.  `S` is the frozen constraint and `S_B`
     its three sparse blocks S_kB on the boundary columns of component
-    k, (nb, nB) each.
+    k, (nb, nB) each; `S_T` and `S_BT` hold S^T and each S_kB^T as CSR
+    matrices, built once, so a solve applies the transposes without
+    constructing any.
     """
 
     def __init__(self, tables: MeshTables, S):
@@ -238,6 +252,8 @@ class SaddleLayout:
         self.started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
         self.S = S
         self.S_B = [S[:, k * dim + B].tocsr() for k in range(3)]
+        self.S_T = S.T.tocsr()
+        self.S_BT = [Sk.T.tocsr() for Sk in self.S_B]
 
 
 def _band_block(band, kd, start):
@@ -366,12 +382,12 @@ class ConstrainedSolver:
         rhs = sum(Sk @ y[B, j + k] for k, Sk in enumerate(lo.S_B))
         mu = cho_solve(self.T, rhs, check_finite=False)
         load = np.zeros(b.shape, order="F")
-        load[B, j:] = np.column_stack([Sk.T @ mu for Sk in lo.S_B])
+        load[B, j:] = np.column_stack([SkT @ mu for SkT in lo.S_BT])
         if j:
             load[B, 0] = cho_solve(self.G, y[B, 0], check_finite=False)
         y -= self._band_solve(load)
         w = np.ascontiguousarray(y[:, j:])
-        res = self.K @ w + (lo.S.T @ mu).reshape(3, -1).T - f
+        res = self.K @ w + (lo.S_T @ mu).reshape(3, -1).T - f
         res = np.concatenate([res.ravel(), lo.S @ w.T.ravel()])
         saddle = (w, mu, check_residual(res, f, self.what))
         if not j:

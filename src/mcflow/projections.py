@@ -17,11 +17,11 @@ constrained to have boundary trace discretely orthogonal to the
 interpolated boundary tangent.  `ritz_rhs` assembles the part of the
 right-hand side that no iterate changes; `nonlinear_ritz_normal` then
 runs a fixed-point iteration (as Kovacs, Li & Lubich, Numer. Math. 143
-(2019), do for closed surfaces) whose linear part, the constraint
-saddle of stiffness + RITZ_LAMBDA * mass, is one
+(2019), do for closed surfaces), Anderson mixed, whose linear part, the
+constraint saddle of stiffness + RITZ_LAMBDA * mass, is one
 `assembly.ConstrainedSolver`, so one banded Cholesky serves every
-iterate, as one serves a flow step.  The weight, the
-tolerance and the iteration budget are the module constants below.
+iterate, as one serves a flow step.  The weight, the tolerance, the
+iteration budget and the mixing depth are the module constants below.
 """
 
 from __future__ import annotations
@@ -43,11 +43,14 @@ from .splines import EDGE_FIXED_COORD, QuasiInterpolant
 
 
 # Weight, H1 tolerance and budget of the normal's fixed-point iteration.  At
-# this weight it contracts for both scenarios at N = 4..80 (p = 2) and 4..40
-# (p = 3), by a ratio of at most 0.55 and in at most 30 iterations.
+# this weight the plain iteration contracts for both scenarios at N = 4..80
+# (p = 2) and 4..40 (p = 3), by a ratio of at most 0.55 and in at most 30
+# iterations; Anderson mixing at depth ANDERSON_DEPTH, the number of earlier
+# iterates it combines, takes at most 16 there (2 on the plane).
 RITZ_LAMBDA = 10.0
 RITZ_TOL = 1e-12
 RITZ_MAX_ITER = 100
+ANDERSON_DEPTH = 4
 
 
 class NoContraction(Exception):
@@ -142,31 +145,44 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     `x` holds the position coefficients of the discrete initial surface,
     `rhs` the `ritz_rhs` on `tables`, `start` the first iterate and
     `saddle` the `assembly.SaddleLayout` of the space and constraint.
-    The iteration solves the saddle of A + RITZ_LAMBDA * M on `tables`
-    once per iterate until the H1 increment reaches RITZ_TOL.
-    The roundoff floor of the increment scales with the weight, so an
-    increment that stops shrinking below 100 * RITZ_TOL also counts as
+    The fixed-point map g solves the saddle of A + RITZ_LAMBDA * M on
+    `tables` for the boundary load of its argument, once per iterate,
+    until the H1 norm of the residual g(x_k) - x_k reaches RITZ_TOL;
+    it then returns g(x_k).  The iterates are Anderson mixed (Walker &
+    Ni, SIAM J. Numer. Anal. 49(4), 2011) at depth ANDERSON_DEPTH: the
+    next iterate is g(x_k) - dG gamma, where the columns of dG and dF
+    are the differences of the last map values and residuals and gamma
+    minimizes |f_k - dF gamma| in the Euclidean norm of the
+    coefficients.  Every map value satisfies the constraint and the
+    mixed iterate is an affine combination of them, so it does too.
+    The roundoff floor of the residual scales with the weight, so a
+    residual that stops shrinking below 100 * RITZ_TOL also counts as
     converged.  Returns (coefficients (dim, 3), info) with info
-    recording the iteration count and the H1 increments.  Raises
+    recording the iteration count and the H1 residuals.  Raises
     NoContraction when RITZ_MAX_ITER iterations do not converge.
     """
     geom = ElementGeometry(tables, x)
     M, A = assemble_mass_stiffness(tables, geom)
     K = tables.combine(RITZ_LAMBDA, M, A)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
-    h1 = A + M  # Gram matrix of the increment norm
+    h1 = A + M  # Gram matrix of the residual norm
     current = start
-    history = []
+    history, gs, fs = [], [], []  # gs, fs: the last map values and residuals
     for _ in range(RITZ_MAX_ITER):
-        new = solve(rhs + assemble_boundary_load(btables, current))[0]
-        d = new - current
-        inc = float(np.sqrt(np.sum(d * (h1 @ d))))
-        current = new
-        # an increment that stops shrinking sits on the solver roundoff floor
+        g = solve(rhs + assemble_boundary_load(btables, current))[0]
+        f = g - current
+        inc = float(np.sqrt(np.sum(f * (h1 @ f))))
+        # a residual that stops shrinking sits on the solver roundoff floor
         stalled = bool(history) and history[-1] <= inc <= 100.0 * RITZ_TOL
         history.append(inc)
         if inc <= RITZ_TOL or stalled:
-            return current, {"iterations": len(history), "increments": history}
+            return g, {"iterations": len(history), "increments": history}
+        gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
+        current = g
+        if len(fs) > 1:
+            dF = np.diff(np.stack(fs, axis=-1)).reshape(f.size, -1)
+            gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
+            current = g - np.diff(np.stack(gs, axis=-1)) @ gamma
     raise NoContraction(
         f"normal projection: no convergence within {RITZ_MAX_ITER} iterations"
     )

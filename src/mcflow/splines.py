@@ -14,7 +14,9 @@ operator is a projector onto the space and reproduces polynomials up to
 degree p.
 
 `UnivariateSpline.element_tables` tabulates one direction on its
-per-element Gauss grid.  `assembly.MeshTables` builds the tensor
+per-element Gauss grid.  The factor keeps each rule and tabulation it
+builds, and `build_space` gives both directions one factor, so a space
+computes each Gauss rule once.  `assembly.MeshTables` builds the tensor
 quadrature mesh of the square from two of them, with points, weights
 and basis values, and `assembly.BoundaryTables` stacks the four edges of
 the square into one edge mesh; with open knot vectors the trace of the
@@ -125,6 +127,8 @@ class UnivariateSpline:
         )
         self.dim = len(self.knots) - degree - 1
         assert self.dim == num_elements * mult + smoothness + 1
+        self._rules = {}  # n_quad -> element_rule
+        self._tables = {}  # (n_quad, nderiv) -> element_tables
 
     def __repr__(self):
         return (
@@ -164,21 +168,44 @@ class UnivariateSpline:
         out[:, rows, cols] = ders.transpose(1, 0, 2)
         return out
 
+    @cached_property
     def element_first(self):
         """Index of the first basis function active on each element, (N,)."""
         midpoints = (np.arange(self.num_elements) + 0.5) * self.mesh_size
         return self.find_span(midpoints) - self.degree
 
+    @cached_property
+    def supports(self):
+        """(first, last): the first and last element of the support of each
+        basis function, (dim,) each."""
+        j = np.arange(self.dim)
+        first = self.element_first
+        return (
+            np.searchsorted(first, j - self.degree, side="left"),
+            np.searchsorted(first, j, side="right") - 1,
+        )
+
+    @cached_property
+    def band(self):
+        """(start, width): the basis functions that share an element with
+        basis j are start[j] .. start[j] + width[j] - 1, (dim,) each."""
+        lo, hi = self.supports
+        start = self.element_first[lo]
+        return start, self.element_first[hi] + self.degree + 1 - start
+
     def element_rule(self, n_quad: int):
         """Per-element Gauss rule.
 
         Returns points (N, nq) in global coordinates and weights (nq,)
-        scaled to the element length.
+        scaled to the element length.  Each rule is built once per space
+        and returned read-only.
         """
-        xq, wq = gauss_rule(n_quad)
-        h = self.mesh_size
-        offsets = np.arange(self.num_elements)[:, None] * h
-        return offsets + xq[None, :] * h, wq * h
+        if n_quad not in self._rules:
+            xq, wq = gauss_rule(n_quad)
+            h = self.mesh_size
+            offsets = np.arange(self.num_elements)[:, None] * h
+            self._rules[n_quad] = _read_only(offsets + xq[None, :] * h, wq * h)
+        return self._rules[n_quad]
 
     def element_tables(self, n_quad: int, nderiv: int = 1):
         """Per-element Gauss tabulation.
@@ -186,20 +213,31 @@ class UnivariateSpline:
         Returns (points, weights, first, values) with points (N, nq) in
         global coordinates, weights (nq,) scaled to the element length,
         first (N,) the first active basis index per element, and values
-        (N, nq, nderiv + 1, p + 1).
+        (N, nq, nderiv + 1, p + 1).  Each tabulation is built once per
+        space and returned read-only.
         """
-        points, weights = self.element_rule(n_quad)
-        flat = points.ravel()
-        spans = self.find_span(flat)
-        ders = _basis_derivatives(self.knots, self.degree, flat, spans, nderiv)
-        values = ders.reshape(self.num_elements, n_quad, nderiv + 1, self.degree + 1)
-        first = self.element_first()
-        # sanity: one span per element
-        assert np.all(
-            (spans - self.degree).reshape(self.num_elements, n_quad)
-            == first[:, None]
-        )
-        return points, weights, first, values
+        key = (n_quad, nderiv)
+        if key not in self._tables:
+            points, weights = self.element_rule(n_quad)
+            flat = points.ravel()
+            spans = self.find_span(flat)
+            ders = _basis_derivatives(self.knots, self.degree, flat, spans, nderiv)
+            values = ders.reshape(self.num_elements, n_quad, nderiv + 1, self.degree + 1)
+            first = self.element_first
+            # sanity: one span per element
+            assert np.all(
+                (spans - self.degree).reshape(self.num_elements, n_quad)
+                == first[:, None]
+            )
+            self._tables[key] = (points, weights) + _read_only(first, values)
+        return self._tables[key]
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: a cached table must not change under its users."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class TensorSplineSpace:
@@ -234,21 +272,34 @@ class TensorSplineSpace:
         the flat indices of the basis functions active on each element,
         elements row-major; `indices` and `indptr` the CSR pattern of
         every coupling, sorted and without duplicates; `scatter` the slot
-        in the CSR data of every local entry (Ne, nloc, nloc), row-major.
-        No quadrature rule enters, so every `assembly.MeshTables` of the
-        space shares it.
+        in the CSR data of every local entry (Ne, nloc, nloc), row-major,
+        flattened.  No quadrature rule enters, so every
+        `assembly.MeshTables` of the space shares it.
+
+        Basis (i1, i2) couples to (j1, j2) when j1 lies in the univariate
+        band of i1 and j2 in that of i2 (`UnivariateSpline.band`), so row
+        i1 nv + i2 holds wu[i1] wv[i2] columns, j1-major, and every slot
+        is integer arithmetic on the two bands.
         """
         pu, pv = self.degree
-        au = self.u.element_first()[:, None] + np.arange(pu + 1)  # (neu, pu+1)
-        av = self.v.element_first()[:, None] + np.arange(pv + 1)
-        conn = au[:, None, :, None] * self.v.dim + av[None, :, None, :]
+        nv = self.v.dim
+        au = self.u.element_first[:, None] + np.arange(pu + 1)  # (neu, pu+1)
+        av = self.v.element_first[:, None] + np.arange(pv + 1)
+        conn = au[:, None, :, None] * nv + av[None, :, None, :]
         conn = conn.reshape(-1, (pu + 1) * (pv + 1))
-        keys = (conn[:, :, None] * self.dim + conn[:, None, :]).ravel()
-        pairs, scatter = np.unique(keys, return_inverse=True)
-        indices = (pairs % self.dim).astype(np.int32)
-        counts = np.bincount(pairs // self.dim, minlength=self.dim)
+
+        (su, wu), (sv, wv) = self.u.band, self.v.band
+        counts = (wu[:, None] * wv[None, :]).ravel()
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        return conn, indices, indptr, scatter
+        ku, kv = np.arange(wu.max()), np.arange(wv.max())
+        cols = (su[:, None] + ku)[:, None, :, None] * nv + (sv[:, None] + kv)[None, :, None, :]
+        keep = (ku < wu[:, None])[:, None, :, None] & (kv < wv[:, None])[None, :, None, :]
+        indices = cols[np.broadcast_to(keep, cols.shape)].astype(np.int32)
+
+        i1, i2 = np.divmod(conn[:, :, None], nv)  # row of each local entry
+        j1, j2 = np.divmod(conn[:, None, :], nv)  # and its column
+        scatter = indptr[conn][:, :, None] + (j1 - su[i1]) * wv[i2] + (j2 - sv[i2])
+        return conn, indices, indptr, scatter.ravel()
 
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.v.dim + np.asarray(j2)
@@ -283,11 +334,9 @@ class TensorSplineSpace:
 
 
 def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSplineSpace:
-    """Tensor spline space with equal factors in both directions."""
-    return TensorSplineSpace(
-        UnivariateSpline(degree, smoothness, num_elements),
-        UnivariateSpline(degree, smoothness, num_elements),
-    )
+    """Tensor spline space whose two directions share one univariate factor."""
+    factor = UnivariateSpline(degree, smoothness, num_elements)
+    return TensorSplineSpace(factor, factor)
 
 
 class TensorGrid:
@@ -352,7 +401,10 @@ class QuasiInterpolant:
         self.space = space
         self.n_quad = n_quad
         self.wu, self.points_u = _dual_weights(space.u, n_quad)
-        self.wv, self.points_v = _dual_weights(space.v, n_quad)
+        if space.v is space.u:
+            self.wv, self.points_v = self.wu, self.points_u
+        else:
+            self.wv, self.points_v = _dual_weights(space.v, n_quad)
         self.grid = TensorGrid(space, self.points_u, self.points_v)
         self.grid_points = self.grid.points
 
@@ -382,34 +434,50 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
     Row j of the returned matrix W satisfies sum_q W[j, q] * f(x_q) =
     (local L2 projection of f onto the active basis over supp(b_j))_j,
     which is exactly dual: W @ B(x)^T = identity for basis values B.
-    """
-    p = uspace.degree
-    N = uspace.num_elements
-    points, weights, first, values = uspace.element_tables(n_quad, nderiv=0)
-    vals = values[:, :, 0, :]  # (N, nq, p+1)
 
-    W = np.zeros((uspace.dim, N * n_quad))
-    for j in range(uspace.dim):
-        elems = np.nonzero((first <= j) & (j <= first + p))[0]
-        active = np.unique(
-            np.concatenate([first[e] + np.arange(p + 1) for e in elems])
-        )
-        na = len(active)
-        pos = {g: a for a, g in enumerate(active)}
-        gram = np.zeros((na, na))
-        rhs_rows = np.zeros((na, N * n_quad))
-        for e in elems:
-            cols = e * n_quad + np.arange(n_quad)
-            loc = [pos[first[e] + a] for a in range(p + 1)]
-            be = vals[e]  # (nq, p+1)
-            wbe = weights[:, None] * be
-            gram_e = be.T @ wbe
-            for a, ga in enumerate(loc):
-                for b, gb in enumerate(loc):
-                    gram[ga, gb] += gram_e[a, b]
-                rhs_rows[ga, cols] += wbe[:, a]
-        sol = np.linalg.solve(gram, rhs_rows)
-        W[j] = sol[pos[j]]
+    The local system of b_j couples the `width[j]` basis functions of
+    its band (`UnivariateSpline.band`) over the elements of its support
+    (`UnivariateSpline.supports`).  All systems are laid out on a window
+    of `ne` consecutive elements, the widest support, so one scatter of
+    the element Gram matrices assembles every Gram matrix and one the
+    right-hand sides, each summed over the elements in element order.
+    Systems of one size are solved by one batched `np.linalg.solve`,
+    one batch per distinct width (at most p + 1 of them): LAPACK's LU
+    rounds differently at a padded size, so this keeps W bit-identical
+    to a solve per basis function.  Row j of W is row j - start[j] of
+    its solution, on the window's points.
+    """
+    p, N, dim = uspace.degree, uspace.num_elements, uspace.dim
+    points, weights, first, values = uspace.element_tables(n_quad)
+    vals = values[:, :, 0, :]  # (N, nq, p+1)
+    wvals = weights[:, None] * vals
+    gram_e = vals.swapaxes(1, 2) @ wvals  # (N, p+1, p+1)
+
+    lo, hi = uspace.supports
+    start, width = uspace.band
+    ne, na = int((hi - lo).max()) + 1, int(width.max())
+    window = np.minimum(lo, N - ne)[:, None] + np.arange(ne)  # (dim, ne)
+    inside = (lo[:, None] <= window) & (window <= hi[:, None])
+    # rows of each window element's basis in the system of b_j, (dim, ne, p+1)
+    rows = np.where(inside, first[window] - start[:, None], 0)[..., None] + np.arange(p + 1)
+    mask = inside[:, :, None, None]
+    j = np.arange(dim)[:, None, None, None]
+    k = np.arange(ne)[None, :, None, None]
+
+    gram = np.zeros((dim, ne, na, na))
+    gram[j, k, rows[..., None], rows[..., None, :]] = np.where(mask, gram_e[window], 0.0)
+    gram = gram.sum(axis=1)
+    rhs = np.zeros((dim, na, ne, n_quad))
+    q = np.arange(n_quad)
+    rhs[j, rows[..., None], k, q] = np.where(mask, wvals[window].swapaxes(2, 3), 0.0)
+    rhs = rhs.reshape(dim, na, ne * n_quad)
+
+    W = np.zeros((dim, N * n_quad))
+    cols = window[:, :1] * n_quad + np.arange(ne * n_quad)
+    for n in np.unique(width):
+        sel = np.flatnonzero(width == n)
+        sol = np.linalg.solve(gram[sel, :n, :n], rhs[sel, :n])
+        W[sel[:, None], cols[sel]] = sol[np.arange(len(sel)), sel - start[sel]]
     return W, points.ravel()
 
 

@@ -423,6 +423,60 @@ def test_element_pattern_matches_per_table_build(p, l, N):
             assert np.array_equal(got, want)
 
 
+def _tabulation_by_broadcast(space, n_quad):
+    """Points, basis and gradients as `MeshTables` used to build them:
+    broadcast products of the univariate tables, stacked."""
+    _, _, _, tu = space.u.element_tables(n_quad, nderiv=1)
+    _, _, _, tv = space.v.element_tables(n_quad, nderiv=1)
+    ne = space.u.num_elements * space.v.num_elements
+    nq2, nloc = n_quad * n_quad, (space.u.degree + 1) * (space.v.degree + 1)
+
+    def tensor(fu_tab, fv_tab):
+        B = fu_tab[:, None, :, None, :, None] * fv_tab[None, :, None, :, None, :]
+        return B.reshape(ne, nq2, nloc)
+
+    bu, gu = tu[:, :, 0, :], tu[:, :, 1, :]
+    bv, gv = tv[:, :, 0, :], tv[:, :, 1, :]
+    pu, _ = space.u.element_rule(n_quad)
+    pv, _ = space.v.element_rule(n_quad)
+    shape = (len(pu), len(pv), n_quad, n_quad)
+    U = np.broadcast_to(pu[:, None, :, None], shape).reshape(ne, nq2)
+    V = np.broadcast_to(pv[None, :, None, :], shape).reshape(ne, nq2)
+    points = np.stack([U, V], axis=-1)
+    return points, tensor(bu, bv), np.stack([tensor(gu, bv), tensor(bu, gv)], axis=2)
+
+
+@pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
+def test_mesh_tables_match_the_broadcast_tabulation(p, l, N):
+    space = build_space(p, l, N)
+    for n_quad in (p + 1, p + 2, 3 * p):
+        tables = MeshTables(space, n_quad)
+        got = (tables.points, tables.basis, tables.basis_grad)
+        for g, want in zip(got, _tabulation_by_broadcast(space, n_quad)):
+            assert g.shape == want.shape
+            assert np.array_equal(g, want)
+        assert np.shares_memory(tables.grad_rows, tables.basis_grad)
+
+
+def test_flow_step_builds_no_sparse_transpose(monkeypatch):
+    """The saddle solves apply the transposes `SaddleLayout` keeps."""
+    prob, scheme, dt = _two_step_problem("sphere_patch")
+    scheme.push(prob.initialize())
+    assert np.array_equal(prob.saddle.S_T.toarray(), prob.S.toarray().T)
+    for Sk, SkT in zip(prob.saddle.S_B, prob.saddle.S_BT):
+        assert np.array_equal(SkT.toarray(), Sk.toarray().T)
+    calls = []
+    original = scipy.sparse.csr_matrix.transpose
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", counted)
+    prob.step(scheme, dt)
+    assert calls == []
+
+
 def test_ritz_tables_share_the_flow_pattern(monkeypatch):
     """Both `MeshTables` of a set-up hold the one pattern of their space."""
     built = []

@@ -5,12 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import mcflow.flow
 import mcflow.projections
-from mcflow.assembly import BoundaryTables, constraint_residual, assemble_constraint
+from mcflow.assembly import (
+    BoundaryTables,
+    ConstrainedSolver,
+    ElementGeometry,
+    assemble_boundary_load,
+    assemble_constraint,
+    assemble_mass_stiffness,
+    constraint_residual,
+)
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem, initialize
 from mcflow.geometry import DegenerateSurface, SplineField
-from mcflow.projections import NoContraction, project_velocity
+from mcflow.projections import (
+    RITZ_LAMBDA,
+    RITZ_MAX_ITER,
+    RITZ_TOL,
+    NoContraction,
+    project_velocity,
+)
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
 from tests.conftest import boundary_data, interpolate
@@ -141,6 +156,53 @@ def test_normal_projection_iteration_budget(monkeypatch):
     prob = _sphere_problem(8)
     with pytest.raises(NoContraction):
         prob.initialize()
+
+
+def _plain_fixed_point(x, rhs, start, tables, btables, saddle):
+    """The Ritz fixed point without mixing, run until the H1 increment
+    reaches RITZ_TOL (no roundoff-floor exit)."""
+    geom = ElementGeometry(tables, x)
+    M, A = assemble_mass_stiffness(tables, geom)
+    solve = ConstrainedSolver(tables.combine(RITZ_LAMBDA, M, A), saddle, "plain")
+    h1 = A + M
+    current = start
+    for _ in range(RITZ_MAX_ITER):
+        new = solve(rhs + assemble_boundary_load(btables, current))[0]
+        d = new - current
+        current = new
+        if np.sqrt(np.sum(d * (h1 @ d))) <= RITZ_TOL:
+            return current
+    raise AssertionError("the plain fixed point did not reach RITZ_TOL")
+
+
+@pytest.mark.parametrize("N, max_iterations", [(20, 12), (4, 16)])
+def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, max_iterations):
+    """Anderson mixing cuts the sphere's iterations and lands on the plain fixed point."""
+    calls = []
+    original = mcflow.flow.nonlinear_ritz_normal
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mcflow.flow, "nonlinear_ritz_normal", recorded)
+    prob = _sphere_problem(N)
+    nu = prob.initialize().nu
+    assert prob.ritz_info["iterations"] <= max_iterations
+    (args,) = calls
+    ref = _plain_fixed_point(*args)
+    assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert constraint_residual(prob.S, nu) <= 1e-10
+
+
+def test_plane_normal_projection_stays_at_two_iterations():
+    """The plane's straight edges load nothing, so the map is constant."""
+    prob = FlowProblem(
+        ScenarioConfig(scenario="perturbed_plane", elements_per_side=8, output_dir="")
+    )
+    prob.initialize()
+    assert prob.ritz_info["iterations"] == 2
+    assert prob.ritz_info["increments"][1] == 0.0
 
 
 # -- exact solution on a curved minimal surface ---------------------------------

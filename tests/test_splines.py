@@ -12,6 +12,7 @@ from mcflow.assembly import BoundaryTables, MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
     UnivariateSpline,
+    _dual_weights,
     build_quasi_interpolant,
     build_space,
     edge_points,
@@ -118,6 +119,60 @@ def test_dual_basis_identity(space_small, quasi_small):
         B[i, idx] = vals
     C = quasi_small.apply_to_values(B)
     assert np.abs(C - np.eye(space_small.dim)).max() < 1e-10
+
+
+def _dual_weights_by_loop(uspace, n_quad):
+    """The dual weights by one local least-squares solve per basis function.
+
+    Oracle of the batched `_dual_weights`: for each b_j, gather the
+    elements of its support and the basis functions active there, add
+    up their local Gram matrix and right-hand side element by element,
+    solve, and keep the row of b_j.
+    """
+    p = uspace.degree
+    N = uspace.num_elements
+    points, weights, first, values = uspace.element_tables(n_quad, nderiv=0)
+    vals = values[:, :, 0, :]  # (N, nq, p+1)
+
+    W = np.zeros((uspace.dim, N * n_quad))
+    for j in range(uspace.dim):
+        elems = np.nonzero((first <= j) & (j <= first + p))[0]
+        active = np.unique(
+            np.concatenate([first[e] + np.arange(p + 1) for e in elems])
+        )
+        na = len(active)
+        pos = {g: a for a, g in enumerate(active)}
+        gram = np.zeros((na, na))
+        rhs_rows = np.zeros((na, N * n_quad))
+        for e in elems:
+            cols = e * n_quad + np.arange(n_quad)
+            loc = [pos[first[e] + a] for a in range(p + 1)]
+            be = vals[e]  # (nq, p+1)
+            wbe = weights[:, None] * be
+            gram_e = be.T @ wbe
+            for a, ga in enumerate(loc):
+                for b, gb in enumerate(loc):
+                    gram[ga, gb] += gram_e[a, b]
+                rhs_rows[ga, cols] += wbe[:, a]
+        sol = np.linalg.solve(gram, rhs_rows)
+        W[j] = sol[pos[j]]
+    return W, points.ravel()
+
+
+@pytest.mark.parametrize("n_quad_extra", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+@pytest.mark.parametrize("p,l", [(p, l) for p in (2, 3, 4) for l in (0, p - 1)])
+def test_dual_weights_match_the_per_function_solve(p, l, N, n_quad_extra):
+    """The batched dual weights equal one solve per basis function, and are dual."""
+    u = UnivariateSpline(p, l, N)
+    n_quad = p + n_quad_extra
+    W, points = _dual_weights(u, n_quad)
+    ref, ref_points = _dual_weights_by_loop(u, n_quad)
+    assert np.array_equal(points, ref_points)
+    assert W.shape == ref.shape
+    assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
+    B = u.collocation(points)[0]  # (N nq, dim)
+    assert np.abs(W @ B - np.eye(u.dim)).max() <= 1e-13
 
 
 def test_projector_on_spline_data(space_small, quasi_small, rng):
