@@ -155,11 +155,17 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     minimizes |f_k - dF gamma| in the Euclidean norm of the
     coefficients.  Every map value satisfies the constraint and the
     mixed iterate is an affine combination of them, so it does too.
-    The roundoff floor of the residual scales with the weight, so a
-    residual that stops shrinking below 100 * RITZ_TOL also counts as
-    converged.  Returns (coefficients (dim, 3), info) with info
-    recording the iteration count and the H1 residuals.  Raises
-    NoContraction when RITZ_MAX_ITER iterations do not converge.
+    Near the fixed point g is nearly affine, with linear part G, and the
+    next residual is about G applied to the mixed residual, which is no
+    larger than the smallest of the last ANDERSON_DEPTH + 1 residuals
+    in the coefficient norm; the H1 residual may still rise from one
+    iterate to the next.  The roundoff floor of the residual scales
+    with the weight, so a residual below 100 * RITZ_TOL that is no
+    smaller than all of the last ANDERSON_DEPTH + 1 also counts as
+    converged.  Returns (coefficients (dim, 3), info) with
+    info["iterations"] the iteration count and info["residuals"] the
+    H1 residuals.  Raises NoContraction when RITZ_MAX_ITER iterations
+    do not converge.
     """
     geom = ElementGeometry(tables, x)
     M, A = assemble_mass_stiffness(tables, geom)
@@ -171,12 +177,13 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     for _ in range(RITZ_MAX_ITER):
         g = solve(rhs + assemble_boundary_load(btables, current))[0]
         f = g - current
-        inc = float(np.sqrt(np.sum(f * (h1 @ f))))
-        # a residual that stops shrinking sits on the solver roundoff floor
-        stalled = bool(history) and history[-1] <= inc <= 100.0 * RITZ_TOL
-        history.append(inc)
-        if inc <= RITZ_TOL or stalled:
-            return g, {"iterations": len(history), "increments": history}
+        res = float(np.sqrt(np.sum(f * (h1 @ f))))
+        # a residual that beats none of the window sits on the roundoff floor
+        window = history[-ANDERSON_DEPTH - 1 :]
+        stalled = bool(window) and min(window) <= res <= 100.0 * RITZ_TOL
+        history.append(res)
+        if res <= RITZ_TOL or stalled:
+            return g, {"iterations": len(history), "residuals": history}
         gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
         current = g
         if len(fs) > 1:

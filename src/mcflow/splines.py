@@ -401,10 +401,7 @@ class QuasiInterpolant:
         self.space = space
         self.n_quad = n_quad
         self.wu, self.points_u = _dual_weights(space.u, n_quad)
-        if space.v is space.u:
-            self.wv, self.points_v = self.wu, self.points_u
-        else:
-            self.wv, self.points_v = _dual_weights(space.v, n_quad)
+        self.wv, self.points_v = _dual_weights(space.v, n_quad)
         self.grid = TensorGrid(space, self.points_u, self.points_v)
         self.grid_points = self.grid.points
 

@@ -140,9 +140,9 @@ def test_sphere_normal_projection_converges(N, p):
     st = prob.initialize()
     info = prob.ritz_info
     assert info["iterations"] < 40
-    # increments contract geometrically after the first few
-    inc = info["increments"]
-    assert inc[-1] <= 1e-12 or inc[-1] <= 100.0 * 1e-12
+    # the last residual reaches RITZ_TOL, or the roundoff floor below 100 RITZ_TOL
+    res = info["residuals"]
+    assert res[-1] <= 1e-12 or res[-1] <= 100.0 * 1e-12
     nu = st.nu.reshape(-1, 3)
     pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
     err = SplineField(prob.space, nu).eval(pts) - prob.scenario.sample(pts).normal
@@ -175,9 +175,8 @@ def _plain_fixed_point(x, rhs, start, tables, btables, saddle):
     raise AssertionError("the plain fixed point did not reach RITZ_TOL")
 
 
-@pytest.mark.parametrize("N, max_iterations", [(20, 12), (4, 16)])
-def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, max_iterations):
-    """Anderson mixing cuts the sphere's iterations and lands on the plain fixed point."""
+def _initialize_recording_ritz(monkeypatch, prob):
+    """Initialize `prob`; return nu0 and the arguments of its Ritz projection."""
     calls = []
     original = mcflow.flow.nonlinear_ritz_normal
 
@@ -186,13 +185,35 @@ def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, max_iterati
         return original(*args)
 
     monkeypatch.setattr(mcflow.flow, "nonlinear_ritz_normal", recorded)
-    prob = _sphere_problem(N)
     nu = prob.initialize().nu
-    assert prob.ritz_info["iterations"] <= max_iterations
     (args,) = calls
+    return nu, args
+
+
+@pytest.mark.parametrize(
+    "N, p, max_iterations",
+    [(20, 2, 12), (4, 2, 16), (8, 2, 16), (40, 2, 12), (16, 3, 14)],
+)
+def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, p, max_iterations):
+    """Anderson mixing cuts the sphere's iterations and lands on the plain fixed point."""
+    prob = _sphere_problem(N, p=p)
+    nu, args = _initialize_recording_ritz(monkeypatch, prob)
+    assert prob.ritz_info["iterations"] <= max_iterations
     ref = _plain_fixed_point(*args)
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
     assert constraint_residual(prob.S, nu) <= 1e-10
+
+
+def test_ritz_stops_on_the_roundoff_floor(monkeypatch):
+    """Below the floor of about 1e-15 the stall exit ends the mixed iteration."""
+    monkeypatch.setattr(mcflow.projections, "RITZ_TOL", 3e-16)
+    prob = _sphere_problem(20)
+    nu, args = _initialize_recording_ritz(monkeypatch, prob)
+    res = prob.ritz_info["residuals"]
+    assert 3e-16 < res[-1] <= 3e-14
+    assert len(res) < RITZ_MAX_ITER
+    ref = _plain_fixed_point(*args)  # to the module's RITZ_TOL, 1e-12
+    assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_plane_normal_projection_stays_at_two_iterations():
@@ -202,7 +223,7 @@ def test_plane_normal_projection_stays_at_two_iterations():
     )
     prob.initialize()
     assert prob.ritz_info["iterations"] == 2
-    assert prob.ritz_info["increments"][1] == 0.0
+    assert prob.ritz_info["residuals"][1] == 0.0
 
 
 # -- exact solution on a curved minimal surface ---------------------------------
