@@ -24,14 +24,15 @@ multiplier Schur complement T = sum_k S_kB G S_kB^T with G = (K^-1)_BB,
 the inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
 (the block elimination of Benzi, Golub & Liesen, Acta Numerica 14
 (2005), Sec. 5).  In the natural flat order of a tensor space K is a
-band of half-width p (n_v + 1), so one LAPACK banded Cholesky factors
-it, which beats nested dissection on grids of the sizes run here
-(George & Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981).  `SaddleLayout` maps the pattern into band storage once
-per problem; G comes from a blocked forward substitution with the
-factor on the boundary columns.  The same factor serves the zero-trace
-curvature system of a flow step, whose matrix is the interior block
-K_II, by a capacitance correction with G, so a step factors one matrix.
+band of half-width p (n + 1) for n coefficients per direction, so one
+LAPACK banded Cholesky factors it, which beats nested dissection on
+grids of the sizes run here (George & Liu, Computer Solution of Large
+Sparse Positive Definite Systems, 1981).  `SaddleLayout` maps the
+pattern into band storage once per problem; G comes from a blocked
+forward substitution with the factor on the boundary columns.  The same
+factor serves the zero-trace curvature system of a flow step, whose
+matrix is the interior block K_II, by a capacitance correction with G,
+so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
 component-major, i.e. [all x | all y | all z].
 
@@ -57,7 +58,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import blas, cho_factor, cho_solve, lapack
 
 from .geometry import metric_pieces
-from .splines import EDGE_FIXED_COORD, TensorSplineSpace
+from .splines import TensorSplineSpace
 
 
 # Relative residual gate of every linear solve, flow steps and Ritz alike.
@@ -100,12 +101,11 @@ def gauss_mesh(space: TensorSplineSpace, n_quad: int):
     quadrature sum over the square is `sum(weights * values)` for values
     of shape (Ne, nq^2).
     """
-    pu, wu = space.u.element_rule(n_quad)
-    pv, wv = space.v.element_rule(n_quad)
-    points = np.empty((len(pu), len(pv), n_quad, n_quad, 2))
-    points[..., 0] = pu[:, None, :, None]
-    points[..., 1] = pv[None, :, None, :]
-    return points.reshape(-1, n_quad * n_quad, 2), np.outer(wu, wv).ravel()
+    pts, w = space.factor.element_rule(n_quad)
+    points = np.empty((len(pts), len(pts), n_quad, n_quad, 2))
+    points[..., 0] = pts[:, None, :, None]
+    points[..., 1] = pts[None, :, None, :]
+    return points.reshape(-1, n_quad * n_quad, 2), np.outer(w, w).ravel()
 
 
 class MeshTables:
@@ -117,21 +117,20 @@ class MeshTables:
     `basis_grad` viewed as one (2 nq2, nloc) matrix per element.  So
     every contraction with local coefficients or quadrature densities is
     one batched matrix product over the elements.  Each tabulation is
-    the product of the two univariate tabulations of the rule
-    (`UnivariateSpline.element_tables`, built once per factor), written
-    into a preallocated array: `basis_grad` is allocated as
-    (neu, nev, nq, nq, 2, pu+1, pv+1), so its two parametric directions
-    are slices of one array and no stacking copies them.
+    a product of the factor's tabulation of the rule
+    (`UnivariateSpline.element_tables`) with itself, written into a
+    preallocated array: `basis_grad` is allocated as
+    (ne, ne, nq, nq, 2, p+1, p+1), so its two parametric directions are
+    slices of one array and no stacking copies them.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        tu = space.u.element_tables(n_quad)[3]
-        tv = space.v.element_tables(n_quad)[3]
-        neu, nev = space.u.num_elements, space.v.num_elements
-        self.num_elements = neu * nev
-        self.nloc = (space.u.degree + 1) * (space.v.degree + 1)
+        tab = space.factor.element_tables(n_quad)[3]
+        ne, p1 = space.factor.num_elements, space.degree + 1
+        self.num_elements = ne * ne
+        self.nloc = p1 * p1
         nq2 = n_quad * n_quad
         # the space's connectivity (Ne, nloc) and CSR pattern, shared by
         # every table of the space (`TensorSplineSpace.element_pattern`)
@@ -139,21 +138,19 @@ class MeshTables:
 
         self.points, self.weights = gauss_mesh(space, n_quad)
 
-        grid = (neu, nev, n_quad, n_quad)
-        local = (space.u.degree + 1, space.v.degree + 1)
-        basis = np.empty(grid + local)
-        grad = np.empty(grid + (2,) + local)
+        grid = (ne, ne, n_quad, n_quad)
+        basis = np.empty(grid + (p1, p1))
+        grad = np.empty(grid + (2, p1, p1))
 
-        def tensor(fu_tab, fv_tab, out):  # (neu, nq, pu+1) x (nev, nq, pv+1)
+        def tensor(fu_tab, fv_tab, out):  # (ne, nq, p+1) x (ne, nq, p+1)
             np.multiply(
                 fu_tab[:, None, :, None, :, None], fv_tab[None, :, None, :, None, :], out=out
             )
 
-        bu, gu = tu[:, :, 0, :], tu[:, :, 1, :]
-        bv, gv = tv[:, :, 0, :], tv[:, :, 1, :]
-        tensor(bu, bv, basis)
-        tensor(gu, bv, grad[..., 0, :, :])
-        tensor(bu, gv, grad[..., 1, :, :])
+        b, g = tab[:, :, 0, :], tab[:, :, 1, :]
+        tensor(b, b, basis)
+        tensor(g, b, grad[..., 0, :, :])
+        tensor(b, g, grad[..., 1, :, :])
         self.basis = basis.reshape(self.num_elements, nq2, self.nloc)
         self.basis_grad = grad.reshape(self.num_elements, nq2, 2, self.nloc)
         # the same memory as one (2 nq2, nloc) matrix per element
@@ -221,8 +218,8 @@ class SaddleLayout:
 
     K is factored as a band in the natural flat order of the space.  Its
     half-bandwidth `kd` is the largest row - column offset of the CSR
-    pattern of `tables`, p (n_v + 1) for degree p and n_v coefficients
-    along v, at any smoothness.  `band_index` maps the lower-triangle
+    pattern of `tables`, p (n + 1) for degree p and n coefficients per
+    direction, at any smoothness.  `band_index` maps the lower-triangle
     slots `lower` of the pattern to their positions in LAPACK lower band
     storage, column after column with kd + 1 entries each, so filling
     the band is one scatter of `K.data[lower]`.  `started[j]` counts
@@ -230,9 +227,8 @@ class SaddleLayout:
     columns of L^-1 E_B that the forward substitution has started by
     the end of row block j.  `S` is the frozen constraint and `S_B`
     its three sparse blocks S_kB on the boundary columns of component
-    k, (nb, nB) each; `S_T` and `S_BT` hold S^T and each S_kB^T as CSR
-    matrices, built once, so a solve applies the transposes without
-    constructing any.
+    k, (nb, nB) each; `S_BT` holds each S_kB^T as a CSR matrix, built
+    once, so a solve applies the transposes without constructing any.
     """
 
     def __init__(self, tables: MeshTables, S):
@@ -252,7 +248,6 @@ class SaddleLayout:
         self.started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
         self.S = S
         self.S_B = [S[:, k * dim + B].tocsr() for k in range(3)]
-        self.S_T = S.T.tocsr()
         self.S_BT = [Sk.T.tocsr() for Sk in self.S_B]
 
 
@@ -381,14 +376,16 @@ class ConstrainedSolver:
         y = self._band_solve(b)
         rhs = sum(Sk @ y[B, j + k] for k, Sk in enumerate(lo.S_B))
         mu = cho_solve(self.T, rhs, check_finite=False)
+        St_mu = np.column_stack([SkT @ mu for SkT in lo.S_BT])  # rows B of S^T mu
         load = np.zeros(b.shape, order="F")
-        load[B, j:] = np.column_stack([SkT @ mu for SkT in lo.S_BT])
+        load[B, j:] = St_mu
         if j:
             load[B, 0] = cho_solve(self.G, y[B, 0], check_finite=False)
         y -= self._band_solve(load)
         w = np.ascontiguousarray(y[:, j:])
-        res = self.K @ w + (lo.S_T @ mu).reshape(3, -1).T - f
-        res = np.concatenate([res.ravel(), lo.S @ w.T.ravel()])
+        res = self.K @ w
+        res[B] += St_mu
+        res = np.concatenate([(res - f).ravel(), lo.S @ w.T.ravel()])
         saddle = (w, mu, check_residual(res, f, self.what))
         if not j:
             return None, saddle
@@ -442,7 +439,7 @@ class BoundaryTables:
     edge k.  On each element the tables hold the edge parameters `s`
     and the weights `weights` (E, nq) of the Gauss rule, and the values
     and edge-parameter derivatives (E, nq, p+1) of the trace basis,
-    which is the running direction's univariate basis.  Three index
+    which is the space's univariate factor on every edge.  Three index
     tables (E, p+1) name that basis: `flat`, its tensor flat index;
     `local`, its row in a stacked per-edge coefficient array (edge k's
     trace coefficients follow those of edges 0..k-1), which can hold
@@ -459,33 +456,20 @@ class BoundaryTables:
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        nu, nv = space.shape
-        ju, jv = np.arange(nu), np.arange(nv)
-        trace_flat = (
-            space.flat_index(ju, 0),
-            space.flat_index(nu - 1, jv),
-            space.flat_index(ju, nv - 1),
-            space.flat_index(0, jv),
-        )
-        runs = [d.element_tables(n_quad, nderiv=1) for d in (space.u, space.v)]
-        s, weights, local, values = [], [], [], []
-        self.edge_slices = []
-        start = offset = 0
-        for edge in range(4):
-            pts, wts, first, vals = runs[1 - EDGE_FIXED_COORD[edge]]
-            s.append(pts)
-            weights.append(np.broadcast_to(wts, pts.shape))
-            local.append(offset + first[:, None] + np.arange(vals.shape[-1]))
-            values.append(vals)
-            self.edge_slices.append(slice(start, start + len(pts)))
-            start += len(pts)
-            offset += len(trace_flat[edge])
-        self.s = np.concatenate(s)
-        self.weights = np.concatenate(weights)
-        tab = np.concatenate(values)
+        n = space.factor.dim
+        j = np.arange(n)
+        edges = (j, 0), (n - 1, j), (j, n - 1), (0, j)
+        trace_flat = np.concatenate([space.flat_index(*e) for e in edges])
+        # every edge runs along the factor, so all four share its tabulation
+        pts, wts, first, vals = space.factor.element_tables(n_quad)
+        ne, active = len(pts), first[:, None] + np.arange(space.degree + 1)
+        self.edge_slices = [slice(k * ne, (k + 1) * ne) for k in range(4)]
+        self.s = np.tile(pts, (4, 1))
+        self.weights = np.tile(wts, (4 * ne, 1))
+        tab = np.tile(vals, (4, 1, 1, 1))
         self.values, self.derivs = tab[:, :, 0, :], tab[:, :, 1, :]
-        self.local = np.concatenate(local)
-        self.flat = np.concatenate(trace_flat)[self.local]
+        self.local = np.concatenate([k * n + active for k in range(4)])
+        self.flat = trace_flat[self.local]
         self.num_rows = len(space.boundary_indices)
         row_of_flat = np.full(space.dim, -1)
         row_of_flat[space.boundary_indices] = np.arange(self.num_rows)

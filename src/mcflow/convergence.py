@@ -87,13 +87,12 @@ def convergence_study(
         result = FlowProblem(cfg).run(order=order)
         runs.append(result)
 
-    finest = runs[-1].problem.space
-    pu, wu = finest.u.element_rule(base.degree + 3)
-    pv, wv = finest.v.element_rule(base.degree + 3)
-    weights = np.outer(np.tile(wu, len(pu)), np.tile(wv, len(pv))).ravel()
+    points, w = runs[-1].problem.space.factor.element_rule(base.degree + 3)
+    w = np.tile(w, len(points))
+    weights = np.outer(w, w).ravel()
 
     def samples(result):
-        grid = TensorGrid(result.problem.space, pu.ravel(), pv.ravel(), nderiv=1)
+        grid = TensorGrid(result.problem.space, points.ravel(), nderiv=1)
         s = result.final_state
         return {
             var: grid.eval(c, 1)
@@ -113,11 +112,7 @@ def convergence_study(
     hs = np.log2([1.0 / n for n in levels[:-1]])
 
     def fit(errs):
-        e = np.log2(np.maximum(errs, 1e-300))
-        if len(e) == 1:
-            return float("nan")
-        slope = np.polyfit(hs, e, 1)[0]
-        return float(slope)
+        return float(np.polyfit(hs, np.log2(np.maximum(errs, 1e-300)), 1)[0])
 
     def pairwise(errs):
         out = []

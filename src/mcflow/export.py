@@ -72,7 +72,7 @@ def _sample_grid(problem, state, resolution: int):
     n = problem.cfg.elements_per_side * resolution + 1
     g = np.linspace(0.0, 1.0, n)
     fields = np.column_stack([state.x, state.kappa, state.nu, state.v])
-    values = TensorGrid(problem.space, g, g).eval(fields)
+    values = TensorGrid(problem.space, g).eval(fields)
     pos, kap, nu, vel = values[:, :3], values[:, 3], values[:, 4:7], values[:, 7:]
 
     # cell (i, j) has corners a, a + n, a + n + 1, a + 1 with a = i n + j

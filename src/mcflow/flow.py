@@ -265,28 +265,25 @@ class FlowProblem:
             v=v,
             multiplier=multiplier,
         )
-        diag = StepDiagnostics(
-            time=state.time,
-            area=self.area(x),
-            max_abs_kappa=float(np.abs(kappa).max()),
-            constraint_residual=constraint_residual(self.S, nu),
-            solver_residuals=(res_k, res_n),
-            wallclock=_time.perf_counter() - t0,
-        )
-        return state, diag
+        return state, self._diagnostics(state, (res_k, res_n), t0)
 
     def area(self, x) -> float:
         """Quadrature area of the surface with position coefficients x."""
         return surface_area(x, self.tables)
 
     def initial_diagnostics(self, state: FlowState) -> StepDiagnostics:
+        return self._diagnostics(state, (), None)
+
+    def _diagnostics(self, state, solver_residuals, started):
+        """Diagnostics of `state`, timed from `started` (a `perf_counter`
+        reading; None records 0.0) to after the other fields."""
         return StepDiagnostics(
             time=state.time,
             area=self.area(state.x),
             max_abs_kappa=float(np.abs(state.kappa).max()),
             constraint_residual=constraint_residual(self.S, state.nu),
-            solver_residuals=(),
-            wallclock=0.0,
+            solver_residuals=solver_residuals,
+            wallclock=0.0 if started is None else _time.perf_counter() - started,
         )
 
     # -- full run ---------------------------------------------------------

@@ -39,7 +39,7 @@ from .assembly import (
     scatter_vector,
 )
 from .geometry import metric_pieces
-from .splines import EDGE_FIXED_COORD, QuasiInterpolant
+from .splines import QuasiInterpolant
 
 
 # Weight, H1 tolerance and budget of the normal's fixed-point iteration.  At
@@ -61,16 +61,13 @@ def boundary_quasi_interp(quasi: QuasiInterpolant, values):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
     `values[edge]` holds (n, D) samples at `quasi.edge_points(edge)`.
-    The functionals of each edge are those of `quasi` in its running
-    direction; corners carry no quadrature points, so a discontinuity
+    The functionals of each edge are the univariate ones of `quasi`;
+    corners carry no quadrature points, so a discontinuity
     of the data there (as of the tangent) never gets sampled.  Returns
     the per-edge coefficients stacked in edge order, the layout
     `BoundaryTables.local` indexes.
     """
-    duals = (quasi.wu, quasi.wv)
-    return np.concatenate(
-        [duals[1 - EDGE_FIXED_COORD[edge]] @ v for edge, v in enumerate(values)]
-    )
+    return np.concatenate([quasi.w @ v for v in values])
 
 
 def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
@@ -78,9 +75,9 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
 
     `kappa` (dim,) and `nu` (dim, 3) are coefficient arrays, evaluated
     together at the quasi-interpolant's grid by `Q.grid`, one
-    collocation matrix per direction.  Boundary coefficients are set to
-    exactly zero so the velocity lies in the zero-trace subspace and the
-    boundary stays put bit for bit.
+    collocation matrix applied along each direction.  Boundary
+    coefficients are set to exactly zero so the velocity lies in the
+    zero-trace subspace and the boundary stays put bit for bit.
     """
     kap_nu = Q.grid.eval(np.column_stack([kappa, nu]))
     coeffs = Q.apply_to_values(-kap_nu[:, :1] * kap_nu[:, 1:])
@@ -104,12 +101,12 @@ def ritz_rhs(tables: MeshTables, grid, edges):
     space = tables.space
     nq = tables.n_quad
     ne, nq2 = tables.points.shape[:2]
-    neu, nev = space.u.num_elements, space.v.num_elements
+    n = space.factor.num_elements
 
     def by_element(values):
-        """Grid-ordered values (neu nq * nev nq, ...) as (Ne, nq2, ...)."""
+        """Grid-ordered values (n nq * n nq, ...) as (Ne, nq2, ...)."""
         shape = values.shape[1:]
-        blocks = values.reshape((neu, nq, nev, nq) + shape).swapaxes(1, 2)
+        blocks = values.reshape((n, nq, n, nq) + shape).swapaxes(1, 2)
         return blocks.reshape((ne, nq2) + shape)
 
     _, Ginv_s, q_s = metric_pieces(grid.J)

@@ -2,8 +2,11 @@
 
 Univariate spaces use an open uniform knot vector on [0, 1] with degree p,
 N elements and interior smoothness C^l (interior knot multiplicity p - l),
-giving dimension N*(p - l) + l + 1.  Tensor spaces combine two univariate
-factors; basis indices are flattened row-major, (j1, j2) -> j1*nv + j2.
+giving dimension N*(p - l) + l + 1.  A tensor space is the square of one
+univariate factor: both directions share it, so every per-direction
+table (Gauss rule, tabulation, dual weights, collocation matrix) exists
+once and serves u and v alike.  Basis indices are flattened row-major,
+(j1, j2) -> j1*n + j2.
 
 The quasi-interpolant realizes dual functionals by local least squares:
 the functional for basis b_j is the j-th coefficient of the L2 projection
@@ -13,17 +16,16 @@ involved.  This makes the functionals exactly dual to the basis, so the
 operator is a projector onto the space and reproduces polynomials up to
 degree p.
 
-`UnivariateSpline.element_tables` tabulates one direction on its
-per-element Gauss grid.  The factor keeps each rule and tabulation it
-builds, and `build_space` gives both directions one factor, so a space
-computes each Gauss rule once.  `assembly.MeshTables` builds the tensor
-quadrature mesh of the square from two of them, with points, weights
-and basis values, and `assembly.BoundaryTables` stacks the four edges of
-the square into one edge mesh; with open knot vectors the trace of the
-space on an edge is the univariate space of its running direction.
-`TensorGrid` evaluates fields on any tensor grid of points (the
-quasi-interpolant's grid, a Gauss grid, an export grid) with one dense
-collocation matrix per direction (`UnivariateSpline.collocation`).
+`UnivariateSpline.element_tables` tabulates the factor on its
+per-element Gauss grid, and keeps each rule and tabulation it builds, so
+a space computes each Gauss rule once.  `assembly.MeshTables` builds the
+tensor quadrature mesh of the square from one of them, with points,
+weights and basis values, and `assembly.BoundaryTables` stacks the four
+edges of the square into one edge mesh; with open knot vectors the trace
+of the space on an edge is the factor.  `TensorGrid` evaluates fields on
+the square of any 1-D point set (the quasi-interpolant's grid, a Gauss
+grid, an export grid) with one dense collocation matrix
+(`UnivariateSpline.collocation`), applied along u and then along v.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class UnivariateSpline:
         self.dim = len(self.knots) - degree - 1
         assert self.dim == num_elements * mult + smoothness + 1
         self._rules = {}  # n_quad -> element_rule
-        self._tables = {}  # (n_quad, nderiv) -> element_tables
+        self._tables = {}  # n_quad -> element_tables
 
     def __repr__(self):
         return (
@@ -207,30 +209,29 @@ class UnivariateSpline:
             self._rules[n_quad] = _read_only(offsets + xq[None, :] * h, wq * h)
         return self._rules[n_quad]
 
-    def element_tables(self, n_quad: int, nderiv: int = 1):
-        """Per-element Gauss tabulation.
+    def element_tables(self, n_quad: int):
+        """Per-element Gauss tabulation of values and first derivatives.
 
         Returns (points, weights, first, values) with points (N, nq) in
         global coordinates, weights (nq,) scaled to the element length,
         first (N,) the first active basis index per element, and values
-        (N, nq, nderiv + 1, p + 1).  Each tabulation is built once per
-        space and returned read-only.
+        (N, nq, 2, p + 1), derivative order before basis index.  Each
+        tabulation is built once per space and returned read-only.
         """
-        key = (n_quad, nderiv)
-        if key not in self._tables:
+        if n_quad not in self._tables:
             points, weights = self.element_rule(n_quad)
             flat = points.ravel()
             spans = self.find_span(flat)
-            ders = _basis_derivatives(self.knots, self.degree, flat, spans, nderiv)
-            values = ders.reshape(self.num_elements, n_quad, nderiv + 1, self.degree + 1)
+            ders = _basis_derivatives(self.knots, self.degree, flat, spans, 1)
+            values = ders.reshape(self.num_elements, n_quad, 2, self.degree + 1)
             first = self.element_first
             # sanity: one span per element
             assert np.all(
                 (spans - self.degree).reshape(self.num_elements, n_quad)
                 == first[:, None]
             )
-            self._tables[key] = (points, weights) + _read_only(first, values)
-        return self._tables[key]
+            self._tables[n_quad] = (points, weights) + _read_only(first, values)
+        return self._tables[n_quad]
 
 
 def _read_only(*arrays):
@@ -241,16 +242,21 @@ def _read_only(*arrays):
 
 
 class TensorSplineSpace:
-    """Tensor product of two univariate spline spaces on the unit square."""
+    """Tensor square of one univariate spline space on the unit square.
 
-    def __init__(self, u_space: UnivariateSpline, v_space: UnivariateSpline):
-        self.u = u_space
-        self.v = v_space
-        self.shape = (u_space.dim, v_space.dim)
-        self.dim = u_space.dim * v_space.dim
+    Both directions use `factor`, so the space has degree `degree`,
+    `shape` (n, n) for the factor's dimension n and flat index
+    j1 n + j2 for basis (j1, j2).
+    """
 
-        nu, nv = self.shape
-        mask = np.zeros((nu, nv), dtype=bool)
+    def __init__(self, factor: UnivariateSpline):
+        self.factor = factor
+        self.degree = factor.degree
+        n = factor.dim
+        self.shape = (n, n)
+        self.dim = n * n
+
+        mask = np.zeros(self.shape, dtype=bool)
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         self.boundary_mask = mask.ravel()
@@ -259,10 +265,6 @@ class TensorSplineSpace:
 
     def __repr__(self):
         return f"TensorSplineSpace(shape={self.shape}, dim={self.dim})"
-
-    @property
-    def degree(self):
-        return (self.u.degree, self.v.degree)
 
     @cached_property
     def element_pattern(self):
@@ -278,88 +280,79 @@ class TensorSplineSpace:
 
         Basis (i1, i2) couples to (j1, j2) when j1 lies in the univariate
         band of i1 and j2 in that of i2 (`UnivariateSpline.band`), so row
-        i1 nv + i2 holds wu[i1] wv[i2] columns, j1-major, and every slot
-        is integer arithmetic on the two bands.
+        i1 n + i2 holds w[i1] w[i2] columns, j1-major, and every slot is
+        integer arithmetic on the band.
         """
-        pu, pv = self.degree
-        nv = self.v.dim
-        au = self.u.element_first[:, None] + np.arange(pu + 1)  # (neu, pu+1)
-        av = self.v.element_first[:, None] + np.arange(pv + 1)
-        conn = au[:, None, :, None] * nv + av[None, :, None, :]
-        conn = conn.reshape(-1, (pu + 1) * (pv + 1))
+        p, n = self.degree, self.factor.dim
+        a = self.factor.element_first[:, None] + np.arange(p + 1)  # (ne, p+1)
+        conn = (a[:, None, :, None] * n + a[None, :, None, :]).reshape(-1, (p + 1) ** 2)
 
-        (su, wu), (sv, wv) = self.u.band, self.v.band
-        counts = (wu[:, None] * wv[None, :]).ravel()
+        s, w = self.factor.band
+        counts = np.outer(w, w).ravel()
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        ku, kv = np.arange(wu.max()), np.arange(wv.max())
-        cols = (su[:, None] + ku)[:, None, :, None] * nv + (sv[:, None] + kv)[None, :, None, :]
-        keep = (ku < wu[:, None])[:, None, :, None] & (kv < wv[:, None])[None, :, None, :]
+        k = np.arange(w.max())
+        b = s[:, None] + k  # the band of each row, padded to the widest
+        cols = b[:, None, :, None] * n + b[None, :, None, :]
+        inside = k < w[:, None]
+        keep = inside[:, None, :, None] & inside[None, :, None, :]
         indices = cols[np.broadcast_to(keep, cols.shape)].astype(np.int32)
 
-        i1, i2 = np.divmod(conn[:, :, None], nv)  # row of each local entry
-        j1, j2 = np.divmod(conn[:, None, :], nv)  # and its column
-        scatter = indptr[conn][:, :, None] + (j1 - su[i1]) * wv[i2] + (j2 - sv[i2])
+        i1, i2 = np.divmod(conn[:, :, None], n)  # row of each local entry
+        j1, j2 = np.divmod(conn[:, None, :], n)  # and its column
+        scatter = indptr[conn][:, :, None] + (j1 - s[i1]) * w[i2] + (j2 - s[i2])
         return conn, indices, indptr, scatter.ravel()
 
     def flat_index(self, j1, j2):
-        return np.asarray(j1) * self.v.dim + np.asarray(j2)
+        return np.asarray(j1) * self.factor.dim + np.asarray(j2)
 
     def active_basis(self, points, nderiv: int = 0):
         """Active basis at each of the points (n, 2) of the unit square.
 
         Returns (flat, du, dv): `flat[i, a, b]` is the flat index of the
         tensor basis function whose univariate factors are active basis a
-        in u and b in v at point i, and du (n, nderiv + 1, pu + 1) and
-        dv (n, nderiv + 1, pv + 1) are their values and derivatives
-        (see `UnivariateSpline.eval_basis`).
+        in u and b in v at point i, and du and dv (n, nderiv + 1, p + 1)
+        are their values and derivatives (see
+        `UnivariateSpline.eval_basis`).
         """
-        fu, du = self.u.eval_basis(points[:, 0], nderiv)
-        fv, dv = self.v.eval_basis(points[:, 1], nderiv)
-        ju = fu[:, None] + np.arange(self.u.degree + 1)[None, :]
-        jv = fv[:, None] + np.arange(self.v.degree + 1)[None, :]
-        flat = ju[:, :, None] * self.v.dim + jv[:, None, :]
-        return flat, du, dv
+        fu, du = self.factor.eval_basis(points[:, 0], nderiv)
+        fv, dv = self.factor.eval_basis(points[:, 1], nderiv)
+        local = np.arange(self.degree + 1)
+        ju, jv = fu[:, None] + local, fv[:, None] + local
+        return self.flat_index(ju[:, :, None], jv[:, None, :]), du, dv
 
     def eval_basis(self, point):
         """Flat indices and values of the active basis at one parametric point."""
         u, v = float(point[0]), float(point[1])
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise ValueError(f"point {(u, v)} outside the unit square")
-        fu, du = self.u.eval_basis(np.array([u]))
-        fv, dv = self.v.eval_basis(np.array([v]))
-        ju = fu[0] + np.arange(self.u.degree + 1)
-        jv = fv[0] + np.arange(self.v.degree + 1)
-        indices = (ju[:, None] * self.v.dim + jv[None, :]).ravel()
-        return indices, np.outer(du[0, 0], dv[0, 0]).ravel()
+        flat, du, dv = self.active_basis(np.array([[u, v]]))
+        return flat[0].ravel(), np.outer(du[0, 0], dv[0, 0]).ravel()
 
 
 def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSplineSpace:
-    """Tensor spline space whose two directions share one univariate factor."""
-    factor = UnivariateSpline(degree, smoothness, num_elements)
-    return TensorSplineSpace(factor, factor)
+    """Tensor spline space, the square of one univariate factor."""
+    return TensorSplineSpace(UnivariateSpline(degree, smoothness, num_elements))
 
 
 class TensorGrid:
-    """The tensor grid `points_u` x `points_v` of the unit square.
+    """The tensor grid `points_1d` x `points_1d` of the unit square.
 
     Evaluation of a field on the grid is the transpose of
     `QuasiInterpolant.apply_to_values`: one dense collocation matrix per
-    direction and derivative order (`cu`, `cv`, see
-    `UnivariateSpline.collocation`), applied as two BLAS products.
-    Grid points are ordered u-major, as in `points`.
+    derivative order (`c`, see `UnivariateSpline.collocation`), applied
+    along u and then along v as two BLAS products.  Grid points are
+    ordered u-major, as in `points`.
     """
 
-    def __init__(self, space: TensorSplineSpace, points_u, points_v, nderiv: int = 0):
+    def __init__(self, space: TensorSplineSpace, points_1d, nderiv: int = 0):
         self.space = space
-        self.points_u = np.asarray(points_u, dtype=float)
-        self.points_v = np.asarray(points_v, dtype=float)
-        self.cu = space.u.collocation(self.points_u, nderiv)
-        self.cv = space.v.collocation(self.points_v, nderiv)
+        self.points_1d = np.asarray(points_1d, dtype=float)
+        self.c = space.factor.collocation(self.points_1d, nderiv)
 
     @property
     def points(self):
-        """Grid points (mu * mv, 2)."""
-        U, V = np.meshgrid(self.points_u, self.points_v, indexing="ij")
+        """Grid points (m * m, 2)."""
+        U, V = np.meshgrid(self.points_1d, self.points_1d, indexing="ij")
         return np.column_stack([U.ravel(), V.ravel()])
 
     def eval(self, coeffs, nderiv: int = 0):
@@ -369,14 +362,14 @@ class TensorGrid:
         nderiv == 1; the grid must be built with at least `nderiv`.
         Scalar fields keep D = 1.
         """
-        nu, nv = self.space.shape
-        grid = np.asarray(coeffs, dtype=float).reshape(nu, -1)
-        D = grid.shape[1] // nv
-        # cu along u, then cv along v: two BLAS products per derivative
-        t = [(cu @ grid).reshape(-1, nv, D) for cu in self.cu[: nderiv + 1]]
+        n = self.space.factor.dim
+        grid = np.asarray(coeffs, dtype=float).reshape(n, -1)
+        D = grid.shape[1] // n
+        # c along u, then c along v: two BLAS products per derivative
+        t = [(c @ grid).reshape(-1, n, D) for c in self.c[: nderiv + 1]]
 
         def contract(ku, kv):
-            return np.matmul(self.cv[kv], t[ku]).reshape(-1, D)
+            return np.matmul(self.c[kv], t[ku]).reshape(-1, D)
 
         values = contract(0, 0)
         if nderiv == 0:
@@ -388,21 +381,21 @@ class QuasiInterpolant:
     """Coefficient functionals dual to the tensor-product basis.
 
     Each univariate functional is realized as a weighted sum of point
-    values on the global per-element Gauss grid; rows of `wu`/`wv` hold
-    the weights (zero outside the support of the corresponding basis
-    function).  Tensor functionals are products of univariate ones.
-    The grid is fixed and a tensor product: `grid` evaluates fields at
-    `grid_points` with one collocation matrix per direction, the
-    transpose of `apply_to_values`; it is the point set of the
-    `assembly.MeshTables` with `n_quad` points, in tensor order.
+    values on the global per-element Gauss grid `points_1d`; rows of `w`
+    hold the weights (zero outside the support of the corresponding
+    basis function).  Tensor functionals are products of univariate
+    ones, the same in both directions.  The grid is fixed and a tensor
+    product: `grid` evaluates fields at `grid_points` with one
+    collocation matrix, the transpose of `apply_to_values`; it is the
+    point set of the `assembly.MeshTables` with `n_quad` points, in
+    tensor order.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        self.wu, self.points_u = _dual_weights(space.u, n_quad)
-        self.wv, self.points_v = _dual_weights(space.v, n_quad)
-        self.grid = TensorGrid(space, self.points_u, self.points_v)
+        self.w, self.points_1d = _dual_weights(space.factor, n_quad)
+        self.grid = TensorGrid(space, self.points_1d)
         self.grid_points = self.grid.points
 
     def apply_to_values(self, values):
@@ -411,18 +404,17 @@ class QuasiInterpolant:
         `values` has shape (npts,) or (npts, D); returns (dim,) or (dim, D).
         """
         values = np.asarray(values, dtype=float)
-        mu, mv = len(self.points_u), len(self.points_v)
+        m = len(self.points_1d)
         scalar = values.ndim == 1
-        grid = values.reshape(mu, mv, -1)
-        # wu along u, then wv along v: two BLAS products
-        t = (self.wu @ grid.reshape(mu, -1)).reshape(-1, mv, grid.shape[-1])
-        coeffs = np.matmul(self.wv, t).reshape(self.space.dim, -1)
+        grid = values.reshape(m, m, -1)
+        # w along u, then w along v: two BLAS products
+        t = (self.w @ grid.reshape(m, -1)).reshape(-1, m, grid.shape[-1])
+        coeffs = np.matmul(self.w, t).reshape(self.space.dim, -1)
         return coeffs[:, 0] if scalar else coeffs
 
     def edge_points(self, edge: int):
         """Points on `edge` at which its univariate functionals sample."""
-        running = (self.points_u, self.points_v)[1 - EDGE_FIXED_COORD[edge]]
-        return edge_points(edge, running)
+        return edge_points(edge, self.points_1d)
 
 
 def _dual_weights(uspace: UnivariateSpline, n_quad: int):
@@ -480,7 +472,7 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
 
 def build_quasi_interpolant(space: TensorSplineSpace):
     """Quasi-interpolant with the standard (p + 2)-point functional rule."""
-    return QuasiInterpolant(space, max(space.degree) + 2)
+    return QuasiInterpolant(space, space.degree + 2)
 
 
 # Edge conventions for the boundary of the unit square: the running

@@ -66,17 +66,19 @@ def dense_conormal_load(problem, state, nq=24):
     tangent, curvature = boundary_data(problem.quasi, problem.scenario)
     NU = SplineField(space, state.nu)
     X = SplineField(space, state.x)
-    nu_n, nv_n = space.shape
-    edges = (  # (running space, tensor flat index of each trace basis function)
-        (space.u, space.flat_index(np.arange(nu_n), 0)),
-        (space.v, space.flat_index(nu_n - 1, np.arange(nv_n))),
-        (space.u, space.flat_index(np.arange(nu_n), nv_n - 1)),
-        (space.v, space.flat_index(0, np.arange(nv_n))),
+    uspace = space.factor  # every edge runs along it
+    n = uspace.dim
+    j = np.arange(n)
+    edges = (  # tensor flat index of each trace basis function
+        space.flat_index(j, 0),
+        space.flat_index(n - 1, j),
+        space.flat_index(j, n - 1),
+        space.flat_index(0, j),
     )
     xg, wg = gauss_rule(nq)
     out = np.zeros((space.dim, 3))
     offset = 0
-    for edge, (uspace, flat) in enumerate(edges):
+    for edge, flat in enumerate(edges):
         run = 0 if edge in (0, 2) else 1
         h = uspace.mesh_size
         p1 = uspace.degree + 1

@@ -56,7 +56,7 @@ def example2():
 def test_criterion_1_space_dimension():
     """p=2, C^1, 20 elements per side: 400 elements and exactly 484 DOFs."""
     space = build_space(2, 1, 20)
-    assert space.u.num_elements * space.v.num_elements == 400
+    assert space.factor.num_elements**2 == 400
     assert space.dim == 484
 
 

@@ -89,7 +89,7 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
     """
     space, tables, geom, x = flat_setup
     M, _ = assemble_mass_stiffness(tables, geom)
-    N = space.u.num_elements
+    N = space.factor.num_elements
     h = 1.0 / N
     xg, wg = gauss_rule(8)
     dense = np.zeros((space.dim, space.dim))
@@ -408,7 +408,7 @@ def test_band_plan_holds_each_lower_entry_once(p, smoothness):
     _, _, K, prob = _initialized_saddle("sphere_patch", p, n=5, smoothness=smoothness)
     lo, space = prob.saddle, prob.space
     kd = lo.kd
-    assert kd == p * (space.v.dim + 1)
+    assert kd == p * (space.factor.dim + 1)
     rows = np.repeat(np.arange(space.dim), np.diff(K.indptr))
     assert np.array_equal(lo.lower, np.flatnonzero(rows >= K.indices))
     col, offset = np.divmod(lo.band_index, kd + 1)

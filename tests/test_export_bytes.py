@@ -183,6 +183,6 @@ def test_vtk_points_read_back_bit_for_bit(tiny_sphere, tmp_path):
     start = lines.index("POINTS 81 double") + 1
     points = np.array([[float(c) for c in line.split()] for line in lines[start : start + 81]])
     g = np.linspace(0.0, 1.0, 9)
-    want = TensorGrid(prob.space, g, g).eval(res.final_state.x)
+    want = TensorGrid(prob.space, g).eval(res.final_state.x)
     assert points.shape == want.shape
     assert np.array_equal(points.view(np.int64), want.view(np.int64))

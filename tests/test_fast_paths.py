@@ -128,16 +128,10 @@ def test_tensor_grid_matches_spline_field_eval(kernel_setup):
     """At the quasi-interpolant, Gauss and export grids, values and Jacobians."""
     prob, x, kappa, _ = kernel_setup
     space = prob.space
-    pu, _ = space.u.element_rule(space.u.degree + 3)
-    pv, _ = space.v.element_rule(space.v.degree + 3)
-    g = np.linspace(0.0, 1.0, 2 * space.u.num_elements + 1)
-    grids = (
-        (prob.quasi.points_u, prob.quasi.points_v),
-        (pu.ravel(), pv.ravel()),
-        (g, g),
-    )
-    for points_u, points_v in grids:
-        grid = TensorGrid(space, points_u, points_v, nderiv=1)
+    gauss, _ = space.factor.element_rule(space.degree + 3)
+    g = np.linspace(0.0, 1.0, 2 * space.factor.num_elements + 1)
+    for points_1d in (prob.quasi.points_1d, gauss.ravel(), g):
+        grid = TensorGrid(space, points_1d, nderiv=1)
         for coeffs in (kappa, x):
             vals, jac = grid.eval(coeffs, 1)
             ref_vals, ref_jac = SplineField(space, coeffs).eval(grid.points, 1)
@@ -150,13 +144,13 @@ def test_tensor_grid_matches_spline_field_eval(kernel_setup):
 @pytest.mark.parametrize("N", [4, 8, 20])
 def test_apply_to_values_matches_einsum(p, N, rng):
     quasi = build_quasi_interpolant(build_space(p, p - 1, N))
-    mu, mv = len(quasi.points_u), len(quasi.points_v)
-    for shape in ((mu * mv,), (mu * mv, 3)):
+    m = len(quasi.points_1d)
+    for shape in ((m * m,), (m * m, 3)):
         values = rng.normal(size=shape)
         got = quasi.apply_to_values(values)
         assert got.shape == (quasi.space.dim,) + shape[1:]
-        grid = values.reshape(mu, mv, -1)
-        ref = np.einsum("aq,qrd,br->abd", quasi.wu, grid, quasi.wv)
+        grid = values.reshape(m, m, -1)
+        ref = np.einsum("aq,qrd,br->abd", quasi.w, grid, quasi.w)
         ref = ref.reshape(got.shape)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -188,7 +182,7 @@ def test_all_points_matches_element_loop(N, nq):
     """MeshTables points and weights equal a per-element tensor loop."""
     space = build_space(2, 1, N)
     tables = MeshTables(space, nq)
-    points_1d, weights_1d, _, _ = space.u.element_tables(nq)
+    points_1d, weights_1d, _, _ = space.factor.element_tables(nq)
     blocks = []
     for eu in range(N):
         for ev in range(N):
@@ -397,14 +391,10 @@ def test_no_wide_solve(monkeypatch, scenario):
 
 def _pattern_per_table(space, n_quad):
     """The CSR pattern as each `MeshTables` used to build it, from its Gauss points."""
-    du, dv = space.degree
-    fu = space.u.find_span(space.u.element_rule(n_quad)[0][:, 0]) - du
-    fv = space.v.find_span(space.v.element_rule(n_quad)[0][:, 0]) - dv
-    au = fu[:, None] + np.arange(du + 1)[None, :]
-    av = fv[:, None] + np.arange(dv + 1)[None, :]
-    conn = (au[:, None, :, None] * space.v.dim + av[None, :, None, :]).reshape(
-        -1, (du + 1) * (dv + 1)
-    )
+    p, f = space.degree, space.factor
+    first = f.find_span(f.element_rule(n_quad)[0][:, 0]) - p
+    a = first[:, None] + np.arange(p + 1)[None, :]
+    conn = (a[:, None, :, None] * f.dim + a[None, :, None, :]).reshape(-1, (p + 1) ** 2)
     dim = space.dim
     keys = (conn[:, :, None] * dim + conn[:, None, :]).ravel()
     pairs, scatter = np.unique(keys, return_inverse=True)
@@ -426,24 +416,21 @@ def test_element_pattern_matches_per_table_build(p, l, N):
 def _tabulation_by_broadcast(space, n_quad):
     """Points, basis and gradients as `MeshTables` used to build them:
     broadcast products of the univariate tables, stacked."""
-    _, _, _, tu = space.u.element_tables(n_quad, nderiv=1)
-    _, _, _, tv = space.v.element_tables(n_quad, nderiv=1)
-    ne = space.u.num_elements * space.v.num_elements
-    nq2, nloc = n_quad * n_quad, (space.u.degree + 1) * (space.v.degree + 1)
+    f = space.factor
+    pts, _, _, tab = f.element_tables(n_quad)
+    ne = f.num_elements**2
+    nq2, nloc = n_quad * n_quad, (f.degree + 1) ** 2
 
     def tensor(fu_tab, fv_tab):
         B = fu_tab[:, None, :, None, :, None] * fv_tab[None, :, None, :, None, :]
         return B.reshape(ne, nq2, nloc)
 
-    bu, gu = tu[:, :, 0, :], tu[:, :, 1, :]
-    bv, gv = tv[:, :, 0, :], tv[:, :, 1, :]
-    pu, _ = space.u.element_rule(n_quad)
-    pv, _ = space.v.element_rule(n_quad)
-    shape = (len(pu), len(pv), n_quad, n_quad)
-    U = np.broadcast_to(pu[:, None, :, None], shape).reshape(ne, nq2)
-    V = np.broadcast_to(pv[None, :, None, :], shape).reshape(ne, nq2)
+    b, g = tab[:, :, 0, :], tab[:, :, 1, :]
+    shape = (len(pts), len(pts), n_quad, n_quad)
+    U = np.broadcast_to(pts[:, None, :, None], shape).reshape(ne, nq2)
+    V = np.broadcast_to(pts[None, :, None, :], shape).reshape(ne, nq2)
     points = np.stack([U, V], axis=-1)
-    return points, tensor(bu, bv), np.stack([tensor(gu, bv), tensor(bu, gv)], axis=2)
+    return points, tensor(b, b), np.stack([tensor(g, b), tensor(b, g)], axis=2)
 
 
 @pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
@@ -462,7 +449,6 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
     """The saddle solves apply the transposes `SaddleLayout` keeps."""
     prob, scheme, dt = _two_step_problem("sphere_patch")
     scheme.push(prob.initialize())
-    assert np.array_equal(prob.saddle.S_T.toarray(), prob.S.toarray().T)
     for Sk, SkT in zip(prob.saddle.S_B, prob.saddle.S_BT):
         assert np.array_equal(SkT.toarray(), Sk.toarray().T)
     calls = []

@@ -80,7 +80,7 @@ def test_boundary_interp_accuracy_on_sphere():
         worst = 0.0
         s = np.linspace(0.0, 1.0, 160)
         for edge, sl in enumerate(bt.edge_slices):
-            uspace = (prob.space.u, prob.space.v)[edge % 2]
+            uspace = prob.space.factor
             first, ders = uspace.eval_basis(s, 0)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
             tau_edge = tangent[np.unique(bt.local[sl])]
@@ -316,13 +316,12 @@ def test_pinched_edge_raises_degenerate_surface(monkeypatch, tmp_path):
 
 def _h1_error_to_exact_normal(prob, nu):
     """Parametric H1 error of nu against the scenario normal, Gauss grid."""
-    p = max(prob.space.degree)
-    pu, wu = prob.space.u.element_rule(p + 3)
-    pv, wv = prob.space.v.element_rule(p + 3)
-    weights = np.outer(np.tile(wu, len(pu)), np.tile(wv, len(pv))).ravel()
-    values, jac = TensorGrid(prob.space, pu.ravel(), pv.ravel(), nderiv=1).eval(nu, 1)
-    U, V = np.meshgrid(pu.ravel(), pv.ravel(), indexing="ij")
-    pts = np.column_stack([U.ravel(), V.ravel()])
+    points, w = prob.space.factor.element_rule(prob.space.degree + 3)
+    w = np.tile(w, len(points))
+    weights = np.outer(w, w).ravel()
+    grid = TensorGrid(prob.space, points.ravel(), nderiv=1)
+    values, jac = grid.eval(nu, 1)
+    pts = grid.points
     exact = prob.scenario.sample(pts)
     dv = values - exact.normal
     dj = jac - exact.normal_jacobian

@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse
 
 import mcflow
+from mcflow import splines
 from mcflow.config import ScenarioConfig
 from mcflow.flow import FlowProblem
 
@@ -78,7 +79,7 @@ def test_two_problems_of_one_config_share_no_table(p):
     b = _arrays([getattr(second, name) for name in owned])
     # the univariate caches and the pattern are reached through the space
     assert any(x is first.space.element_pattern[0] for x in a)
-    assert any(x is first.space.u.element_tables(p + 1)[3] for x in a)
+    assert any(x is first.space.factor.element_tables(p + 1)[3] for x in a)
     assert not [(x.shape, y.shape) for x in a for y in b if np.may_share_memory(x, y)]
 
 
@@ -95,3 +96,25 @@ def test_set_up_computes_each_gauss_rule_once(monkeypatch, p):
     _initialized(ScenarioConfig(degree=p, smoothness=p - 1, elements_per_side=4))
     # flow assembly, the quasi-interpolant and Ritz grid, the boundary rule
     assert calls == Counter({p + 1: 1, p + 2: 1, 3 * p: 1})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_set_up_builds_one_dual_weights_and_one_collocation(monkeypatch, p):
+    """Both directions share the factor's dual weights and collocation matrix."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(splines, "_dual_weights", counted("dual", splines._dual_weights))
+    monkeypatch.setattr(
+        splines.UnivariateSpline,
+        "collocation",
+        counted("collocation", splines.UnivariateSpline.collocation),
+    )
+    _initialized(ScenarioConfig(degree=p, smoothness=p - 1, elements_per_side=4))
+    assert calls == Counter({"dual": 1, "collocation": 1})

@@ -100,7 +100,7 @@ def test_eval_outside_domain_rejected():
 
 def test_element_tables_consistency():
     u = UnivariateSpline(2, 1, 5)
-    points, weights, first, values = u.element_tables(4, nderiv=1)
+    points, weights, first, values = u.element_tables(4)
     assert abs(weights.sum() - u.mesh_size) < 1e-15
     # tabulated values agree with pointwise evaluation
     f2, d2 = u.eval_basis(points.ravel(), 1)
@@ -131,8 +131,8 @@ def _dual_weights_by_loop(uspace, n_quad):
     """
     p = uspace.degree
     N = uspace.num_elements
-    points, weights, first, values = uspace.element_tables(n_quad, nderiv=0)
-    vals = values[:, :, 0, :]  # (N, nq, p+1)
+    points, weights, first, values = uspace.element_tables(n_quad)
+    vals = values[:, :, 0, :]  # derivative row 0: the values, (N, nq, p+1)
 
     W = np.zeros((uspace.dim, N * n_quad))
     for j in range(uspace.dim):
@@ -221,19 +221,14 @@ def test_quasi_interpolant_l2_order(p, l, gate):
 
 def test_functional_support_is_local(space_small, quasi_small):
     """Dual functionals only sample inside the support of their basis function."""
-    h = space_small.u.mesh_size
-    p = space_small.u.degree
-    factors = (
-        (space_small.u, quasi_small.wu, quasi_small.points_u),
-        (space_small.v, quasi_small.wv, quasi_small.points_v),
-    )
-    for uspace, W, points in factors:
-        for j in (0, uspace.dim // 2, uspace.dim - 1):
-            pts = points[np.nonzero(W[j])[0]]
-            # support of b_j plus the elements overlapping it
-            lo, hi = uspace.knots[j] - p * h, uspace.knots[j + p + 1] + p * h
-            assert len(pts) > 0
-            assert pts.min() >= lo and pts.max() <= hi
+    uspace, W, points = space_small.factor, quasi_small.w, quasi_small.points_1d
+    h, p = uspace.mesh_size, uspace.degree
+    for j in (0, uspace.dim // 2, uspace.dim - 1):
+        pts = points[np.nonzero(W[j])[0]]
+        # support of b_j plus the elements overlapping it
+        lo, hi = uspace.knots[j] - p * h, uspace.knots[j + p + 1] + p * h
+        assert len(pts) > 0
+        assert pts.min() >= lo and pts.max() <= hi
 
 
 # -- quadrature and edges ----------------------------------------------------
@@ -257,7 +252,7 @@ def test_edge_points_layout():
 def test_boundary_trace_space(space_small, rng):
     """4n - 4 constraint rows with shared corners; traces match the full field."""
     bt = BoundaryTables(space_small, 3)
-    n = space_small.u.dim
+    n = space_small.factor.dim
     assert bt.num_rows == 4 * n - 4
     assert np.array_equal(np.unique(bt.rows), np.arange(4 * n - 4))
     # each stacked coefficient belongs to one tensor basis function
