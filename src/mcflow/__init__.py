@@ -13,6 +13,7 @@ from .flow import (
     BdfScheme,
     FlowProblem,
     FlowState,
+    NormalDrift,
     StepDiagnostics,
     bdf_coefficients,
     initialize,

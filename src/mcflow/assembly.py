@@ -8,12 +8,19 @@ its tables (`TensorSplineSpace.element_pattern`).  So repeated assembly
 on a moving surface only re-does the coefficient-dependent contractions
 and then sums the element entries into the fixed pattern with one
 `np.bincount`.  Mass and stiffness share that pattern.  The tabulations
-keep the local basis index last, so every contraction (field values
-and Jacobians, element matrices, loads, the Weingarten energy) is one
-batched BLAS product over the elements: small dense matrices per
-element, stacked, as in the sum-factorization view of tensor-product
-assembly (Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285,
-2015).  `BoundaryTables` uses the same layout on the edges.
+keep the local basis index last, so every contraction with the basis
+(field values and Jacobians, element matrices, loads) is one batched
+BLAS product over the elements: small dense matrices per element,
+stacked, as in the sum-factorization view of tensor-product assembly
+(Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285, 2015).
+`BoundaryTables` uses the same layout on the edges.  What happens per
+quadrature point, the metric (`geometry.metric_pieces`), the
+Weingarten energy and the conormal density, is formed from
+multiply-adds of the u- and v-columns of the Jacobians, not from
+stacks of tiny matrix products.  A load that carries a BDF tail takes
+it into its density, since the integral of tail * phi is M tail: the
+step evaluates the extrapolated field and its tail by one product and
+needs no mass-matrix product.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
@@ -28,8 +35,10 @@ band of half-width p (n + 1) for n coefficients per direction, so one
 LAPACK banded Cholesky factors it, which beats nested dissection on
 grids of the sizes run here (George & Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981).  `SaddleLayout` maps the
-pattern into band storage once per problem; G comes from a blocked
-forward substitution with the factor on the boundary columns.  The same
+pattern into band storage, plans the row blocks of the forward
+substitution that gives G from the factor on the boundary columns, and
+stacks the three constraint blocks S_kB into one, all once per
+problem; G and T are Cholesky-factored by LAPACK `dpotrf`.  The same
 factor serves the zero-trace curvature system of a flow step, whose
 matrix is the interior block K_II, by a capacitance correction with G,
 so a step factors one matrix.
@@ -54,10 +63,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import blas, cho_factor, cho_solve, lapack
+from scipy.linalg import blas, lapack
 
-from .geometry import metric_pieces
+from .geometry import cross3, inner, metric_pieces
 from .splines import TensorSplineSpace
 
 
@@ -173,7 +181,7 @@ class MeshTables:
 
     def field_values(self, coeffs):
         """Field values at all quadrature points, (Ne, nq2[, D])."""
-        loc = coeffs[self.conn]
+        loc = np.take(coeffs, self.conn, axis=0)  # faster than coeffs[self.conn]
         if loc.ndim == 2:
             return (self.basis @ loc[:, :, None])[:, :, 0]
         return self.basis @ loc
@@ -184,7 +192,7 @@ class MeshTables:
         The result is the transposed view of a C-contiguous
         (Ne, nq2, 2, D) array.
         """
-        loc = coeffs[self.conn]
+        loc = np.take(coeffs, self.conn, axis=0)  # faster than coeffs[self.conn]
         if loc.ndim == 2:
             loc = loc[:, :, None]
         Jt = self.grad_rows @ loc
@@ -207,8 +215,7 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
     wq = tables.weights * geom.area_element  # (Ne, nq2)
     B = tables.basis
     Mloc = B.swapaxes(1, 2) @ (wq[:, :, None] * B)
-    t = geom.metric_inv @ tables.basis_grad  # G^-1 grad, (Ne, nq2, 2, nloc)
-    t *= wq[:, :, None, None]
+    t = (wq[:, :, None, None] * geom.metric_inv) @ tables.basis_grad  # (Ne, nq2, 2, nloc)
     Aloc = tables.grad_rows.swapaxes(1, 2) @ t.reshape(tables.grad_rows.shape)
     return tables.matrix(Mloc), tables.matrix(Aloc)
 
@@ -222,13 +229,21 @@ class SaddleLayout:
     direction, at any smoothness.  `band_index` maps the lower-triangle
     slots `lower` of the pattern to their positions in LAPACK lower band
     storage, column after column with kd + 1 entries each, so filling
-    the band is one scatter of `K.data[lower]`.  `started[j]` counts
-    the boundary indices (sorted, as `boundary`) below (j + 1) kd: the
-    columns of L^-1 E_B that the forward substitution has started by
-    the end of row block j.  `S` is the frozen constraint and `S_B`
-    its three sparse blocks S_kB on the boundary columns of component
-    k, (nb, nB) each; `S_BT` holds each S_kB^T as a CSR matrix, built
-    once, so a solve applies the transposes without constructing any.
+    the band is one scatter of `K.data[lower]`; the band has room for
+    `band_size` entries, whole row blocks of kd rows.
+
+    `blocks` is the row-block plan of `boundary_inverse`: per block j of
+    kd rows, the position of L_jj in the band, the number `done` of
+    boundary columns of L^-1 E_B started before it and `upto` by its
+    end, and the places of the ones that start the new columns in its
+    (upto, kd) right-hand side, as flat indices in column-major order.
+
+    `S` is the frozen constraint.  `S_B` is its boundary block
+    [S_0B S_1B S_2B] (nb, 3 nB), the columns of the boundary indices of
+    each component, and `S_BT` that block transposed, as CSR, so a
+    solve applies S_B and S_B^T once each and builds no transpose.
+    `S_B_rows` holds the same blocks stacked by rows, (3 nb, nB), so
+    the multiplier Schur complement takes two sparse products.
     """
 
     def __init__(self, tables: MeshTables, S):
@@ -245,10 +260,18 @@ class SaddleLayout:
         self.kd = kd = int(offset.max())
         self.band_index = offset + cols * (kd + 1)
         num_blocks = -(-dim // kd)
-        self.started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
+        self.band_size = (kd + 1) * kd * num_blocks
+        started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
+        self.blocks, done = [], 0
+        for j, upto in enumerate(started.tolist()):
+            ones = np.arange(done, upto) + (B[done:upto] - j * kd) * upto
+            self.blocks.append((j * kd * (kd + 1), done, upto, ones))
+            done = upto
         self.S = S
-        self.S_B = [S[:, k * dim + B].tocsr() for k in range(3)]
-        self.S_BT = [Sk.T.tocsr() for Sk in self.S_B]
+        S_k = [S[:, k * dim + B] for k in range(3)]
+        self.S_B = sp.hstack(S_k, format="csr")
+        self.S_BT = self.S_B.T.tocsr()
+        self.S_B_rows = sp.vstack(S_k, format="csr")
 
 
 def _band_block(band, kd, start):
@@ -262,41 +285,51 @@ def _band_block(band, kd, start):
     right on and below its diagonal, and the block L_{j,j-1} left of it,
     which is upper triangular, on and above it.
     """
-    return as_strided(band[start:], (kd, kd), (band.itemsize, kd * band.itemsize))
+    step = band.itemsize
+    return np.ndarray((kd, kd), band.dtype, band, start * step, (step, kd * step))
 
 
 def boundary_inverse(band, layout: SaddleLayout):
     """G = (K^-1)_BB = Y^T Y with Y = L^-1 E_B, for K = L L^T.
 
-    Forward substitution in row blocks of kd rows, on the boundary
-    columns started so far only: block j of Y is
+    Forward substitution in row blocks of kd rows (`layout.blocks`), on
+    the boundary columns started so far only: block j of Y is
     Y_j = L_jj^-1 (E_B - L_{j,j-1} Y_{j-1}), kept transposed, so it
     costs one `dtrmm` and one `dtrsm` from the right, and adds
     Y_j^T Y_j to G by one `dsyrk`.  Only the last block of Y is kept.
     """
-    kd, B = layout.kd, layout.boundary
+    kd = layout.kd
     G = np.zeros((layout.num_boundary,) * 2)
-    Yt, done = None, 0
-    for j, upto in enumerate(layout.started):
-        start = j * kd * (kd + 1)  # of L_jj; L_{j,j-1} starts kd^2 before
+    Yt = None
+    for start, done, upto, ones in layout.blocks:  # L_{j,j-1} starts kd^2 before L_jj
         Zt = np.zeros((upto, kd), order="F")
         if done:
             L_below = _band_block(band, kd, start - kd * kd)  # upper triangular
             Zt[:done] = blas.dtrmm(-1.0, L_below, Yt, side=1, trans_a=1, overwrite_b=1)
-        Zt[np.arange(done, upto), B[done:upto] - j * kd] = 1.0
+        Zt.T.reshape(-1)[ones] = 1.0  # a view: Zt is column-major
         L_jj = _band_block(band, kd, start)
         Yt = blas.dtrsm(1.0, L_jj, Zt, side=1, lower=1, trans_a=1, overwrite_b=1)
         G[:upto, :upto] += blas.dsyrk(1.0, Yt, lower=1)
-        done = upto
-    return G + np.tril(G, -1).T
+    full = G + G.T  # G is lower triangular
+    full.flat[:: len(G) + 1] = G.diagonal()
+    return full
 
 
 def _cholesky(a, what, name):
-    """`cho_factor(a)`; SolverFailure naming `name` if a is not positive definite."""
-    try:
-        return cho_factor(a, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"{what}: {name} is not positive definite ({exc})") from exc
+    """Upper Cholesky factor of a (LAPACK `dpotrf`, the lower triangle left
+    as it was); SolverFailure naming `name` if a is not positive definite."""
+    c, info = lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SolverFailure(
+            f"{what}: {name} is not positive definite "
+            f"({info}-th leading minor of the array is not positive definite)"
+        )
+    return c
+
+
+def _cholesky_solve(c, b):
+    """a^-1 b for the upper Cholesky factor c of a (`_cholesky`)."""
+    return lapack.dpotrs(c, b, lower=0)[0]
 
 
 class ConstrainedSolver:
@@ -309,13 +342,16 @@ class ConstrainedSolver:
     positive raises SolverFailure.  From L it forms G = (K^-1)_BB, the
     inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
     (`boundary_inverse`), and the multiplier Schur complement
-    T = sum_k S_kB G S_kB^T, and Cholesky-factors both.
+    T = sum_k S_kB G S_kB^T, as S_B applied to the blocks of
+    `S_B_rows` G, and Cholesky-factors both (`dpotrf`); `G` and `T` hold
+    their upper factors.
 
     Calling the solver with a (dim, 3) load f returns (w (dim, 3),
     multiplier, relative residual) with S w = 0: y = K^-1 f,
-    mu = T^-1 sum_k S_kB y_Bk and w = y - K^-1 [0; S_B^T mu], two solves
-    (`dpbtrs`) with three columns each.  The residual is taken against
-    the full saddle operator, applied block by block, and gated by
+    mu = T^-1 S_B y_B and w = y - K^-1 [0; S_B^T mu], two solves
+    (`dpbtrs`) with three columns each, where y_B stacks the boundary
+    rows of the three components.  The residual is taken against the
+    full saddle operator, applied block by block, and gated by
     `check_residual(..., what)` at SOLVER_RESIDUAL_TOL.  `with_interior`
     adds the zero-trace system K_II x_I = r_I as a fourth column.
     """
@@ -325,7 +361,7 @@ class ConstrainedSolver:
         if not np.array_equal(K.indptr, layout.csr_indptr):
             raise SolverFailure(f"{what}: K is not stored on the mesh pattern")
         n, kd = K.shape[0], layout.kd
-        band = np.zeros((kd + 1) * kd * len(layout.started))
+        band = np.zeros(layout.band_size)
         band[layout.band_index] = K.data[layout.lower]
         band[(kd + 1) * n :: kd + 1] = 1.0  # the padding is an identity block
         self.band = band[: (kd + 1) * n].reshape(n, kd + 1).T
@@ -336,7 +372,9 @@ class ConstrainedSolver:
                 f"(its leading minor of order {info} is not positive)"
             )
         G = boundary_inverse(band, layout)
-        T = sum(Sk @ (Sk @ G).T for Sk in layout.S_B)
+        nb, nB = layout.S_B.shape[0], layout.num_boundary
+        SG = (layout.S_B_rows @ G).reshape(3, nb, nB)  # the blocks S_kB G
+        T = layout.S_B @ SG.transpose(0, 2, 1).reshape(3 * nB, nb)
         self.G = _cholesky(G, what, "the boundary block of K^-1")
         self.T = _cholesky(T, what, "multiplier Schur complement")
 
@@ -374,13 +412,13 @@ class ConstrainedSolver:
             b[:, 0] = r
             b[B, 0] = 0.0
         y = self._band_solve(b)
-        rhs = sum(Sk @ y[B, j + k] for k, Sk in enumerate(lo.S_B))
-        mu = cho_solve(self.T, rhs, check_finite=False)
-        St_mu = np.column_stack([SkT @ mu for SkT in lo.S_BT])  # rows B of S^T mu
+        yB = np.take(y, B, axis=0)
+        mu = _cholesky_solve(self.T, lo.S_B @ yB[:, j:].ravel(order="F"))
+        St_mu = (lo.S_BT @ mu).reshape(3, -1).T  # rows B of S^T mu
         load = np.zeros(b.shape, order="F")
         load[B, j:] = St_mu
         if j:
-            load[B, 0] = cho_solve(self.G, y[B, 0], check_finite=False)
+            load[B, 0] = _cholesky_solve(self.G, yB[:, 0])
         y -= self._band_solve(load)
         w = np.ascontiguousarray(y[:, j:])
         res = self.K @ w
@@ -394,37 +432,51 @@ class ConstrainedSolver:
         return x, saddle
 
 
-def assemble_curvature_load(tables, geom, kappa_coeffs, frob2):
-    """Load |A|^2 kappa against the scalar basis (full-length vector).
+def assemble_curvature_load(tables, geom, kappa_coeffs, frob2, tail):
+    """Load |A|^2 kappa against the scalar basis, less M tail (full-length vector).
 
-    `frob2` is `weingarten_energy` of the normal on the same geometry.
+    `frob2` is `weingarten_energy` of the normal on the same geometry and
+    `tail` (dim,) the coefficients of a field whose mass product the load
+    subtracts: the integral of tail * phi is M tail, so the tail folds
+    into the density, and kappa and tail are evaluated by one product.
     """
-    kap = tables.field_values(np.asarray(kappa_coeffs))
-    dens = tables.weights[None, :] * geom.area_element * frob2 * kap
+    vals = tables.field_values(np.column_stack([kappa_coeffs, tail]))
+    dens = tables.weights * geom.area_element * (frob2 * vals[:, :, 0] - vals[:, :, 1])
     local = (dens[:, None, :] @ tables.basis)[:, 0, :]
     return scatter_vector(tables.conn, local, tables.space.dim)
 
 
-def assemble_normal_load(tables, geom, nu_coeffs, frob2):
-    """Load |A|^2 nu against the vector basis, (dim, 3).
+def assemble_normal_load(tables, geom, nu_coeffs, frob2, tail):
+    """Load |A|^2 nu against the vector basis, less M tail, (dim, 3).
 
-    `frob2` is `weingarten_energy` of `nu_coeffs` on the same geometry.
+    `frob2` is `weingarten_energy` of `nu_coeffs` on the same geometry;
+    `tail` (dim, 3) folds into the density as in `assemble_curvature_load`.
+    Returns (load, the values of nu at the quadrature points
+    (Ne, nq2, 3)), the values that the normal's length is read from.
     """
-    nu = tables.field_values(np.asarray(nu_coeffs))
-    dens = tables.weights[None, :] * geom.area_element * frob2
-    local = tables.basis.swapaxes(1, 2) @ (dens[:, :, None] * nu)
-    return scatter_vector(tables.conn, local, tables.space.dim)
+    vals = tables.field_values(np.column_stack([nu_coeffs, tail]))
+    nu = vals[:, :, :3]
+    dens = (tables.weights * geom.area_element)[:, :, None]
+    integrand = dens * (frob2[:, :, None] * nu - vals[:, :, 3:])
+    local = tables.basis.swapaxes(1, 2) @ integrand
+    return scatter_vector(tables.conn, local, tables.space.dim), nu
 
 
 def weingarten_energy(tables, geom, nu_coeffs):
     """|grad_Gamma nu|_F^2 at the quadrature points, (Ne, nq2).
 
     With grad_Gamma nu = Jn G^-1 J^T and J^T J = G, this is
-    tr(Jn^T Jn G^-1).
+    tr(Jn^T Jn G^-1), formed from the dot products of the u- and
+    v-columns of Jn and the entries of the symmetric G^-1.
     """
     Jn = tables.field_jacobians(np.asarray(nu_coeffs))
-    H = Jn.swapaxes(2, 3) @ np.ascontiguousarray(Jn)  # see metric_pieces
-    return np.sum(H * geom.metric_inv.swapaxes(2, 3), axis=(2, 3))
+    a, b = Jn[..., 0], Jn[..., 1]
+    Ginv = geom.metric_inv
+    return (
+        inner(a, a) * Ginv[..., 0, 0]
+        + 2.0 * inner(a, b) * Ginv[..., 0, 1]
+        + inner(b, b) * Ginv[..., 1, 1]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +487,9 @@ class BoundaryTables:
     """The four edges of the square as one stacked edge mesh, plus frozen data.
 
     Edges are stacked along the element axis in edge order 0..3
-    (`splines.edge_points`), `edge_slices[k]` selecting the elements of
-    edge k.  On each element the tables hold the edge parameters `s`
-    and the weights `weights` (E, nq) of the Gauss rule, and the values
+    (`splines.edge_points`), each with the elements of the space's
+    univariate factor in order.  On each element the tables hold the
+    weights `weights` (E, nq) of the Gauss rule, and the values
     and edge-parameter derivatives (E, nq, p+1) of the trace basis,
     which is the space's univariate factor on every edge.  Three index
     tables (E, p+1) name that basis: `flat`, its tensor flat index;
@@ -463,8 +515,6 @@ class BoundaryTables:
         # every edge runs along the factor, so all four share its tabulation
         pts, wts, first, vals = space.factor.element_tables(n_quad)
         ne, active = len(pts), first[:, None] + np.arange(space.degree + 1)
-        self.edge_slices = [slice(k * ne, (k + 1) * ne) for k in range(4)]
-        self.s = np.tile(pts, (4, 1))
         self.weights = np.tile(wts, (4 * ne, 1))
         tab = np.tile(vals, (4, 1, 1, 1))
         self.values, self.derivs = tab[:, :, 0, :], tab[:, :, 1, :]
@@ -537,9 +587,8 @@ def conormal_load(btables: BoundaryTables, length, kappa_b, tau, nu):
     element (E, nq) and the boundary curvature vector, tangent and
     normal (E, nq, 3).
     """
-    alpha = np.sum(kappa_b * nu, axis=2)
-    mu = np.cross(nu, tau)
-    dens = btables.weights * length * alpha
+    dens = btables.weights * length * inner(kappa_b, nu)
+    mu = cross3(nu, tau)
     local = btables.values.swapaxes(1, 2) @ (dens[:, :, None] * mu)
     return scatter_vector(btables.flat, local, btables.space.dim)
 
@@ -552,7 +601,7 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     """
     assert btables.frozen is not None
     fr = btables.frozen
-    nu = btables.trace(np.asarray(nu_coeffs)[btables.flat])
+    nu = btables.trace(np.take(nu_coeffs, btables.flat, axis=0))
     return conormal_load(btables, fr["length"], fr["kappa"], fr["tau"], nu)
 
 

@@ -1,8 +1,12 @@
 """Linearly implicit BDF time stepping for the constrained flow.
 
-Each step extrapolates surface, normal and curvature from the history,
-assembles mass/stiffness and the nonlinear loads on the extrapolated
-surface, then solves two linear systems with one factorization:
+Each step extrapolates surface, normal and curvature and forms their
+BDF derivative tails in one pass over the history
+(`BdfScheme.extrapolate_with_tails`), assembles mass/stiffness and the
+nonlinear loads on the extrapolated surface, with the curvature and
+normal tails folded into the load densities (the integral of
+tail * phi is M tail, so no mass-matrix product is needed), then
+solves two linear systems with one factorization:
 `assembly.ConstrainedSolver` factors the whole of K = (d0/dt) M + A by
 one banded Cholesky.  That factor solves both the zero-trace parabolic
 system of the curvature, whose matrix is the interior block of K, and,
@@ -12,6 +16,13 @@ trace; the two share two banded solves of four columns each.
 The velocity is the quasi-interpolant of -kappa * nu with exactly zero
 boundary coefficients, and the position update resets the boundary rows
 to their initial values so the Dirichlet data is preserved bit for bit.
+
+A step raises `NormalDrift` when the extrapolated normal's length is off
+1 by more than NORMAL_DRIFT_TOL at a quadrature point, read off the
+values the normal load evaluates, or when the new normal's constraint
+residual |S nu|_inf exceeds CONSTRAINT_TOL; a run that diverges after
+it reaches the minimal surface stops there instead of reporting areas
+that grow without bound.
 
 BDF orders 1 and 2 are supported (`bdf_coefficients`).  The history
 grows up to the scheme's order and each step uses the highest order it
@@ -44,7 +55,7 @@ from .assembly import (
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
-from .geometry import surface_area
+from .geometry import inner, surface_area
 from .projections import (
     boundary_quasi_interp,
     nonlinear_ritz_normal,
@@ -53,6 +64,18 @@ from .projections import (
 )
 from .scenarios import get_scenario
 from .splines import build_quasi_interpolant, build_space
+
+
+# Bounds of the drifting-normal guard of a step.  The reference runs stay
+# far below both: at the quadrature points max||nu| - 1| peaks at 0.213 on
+# the 36-step sphere patch and stays at most 0.0019 on the plane, both at
+# the first BDF2 step.
+NORMAL_DRIFT_TOL = 0.5
+CONSTRAINT_TOL = 1e-10
+
+
+class NormalDrift(Exception):
+    """Raised when the evolved normal leaves unit length or its constraint."""
 
 
 # (delta, gamma) by order; every value is exact in binary floating point
@@ -132,15 +155,25 @@ class BdfScheme:
             raise ValueError("BDF history is empty")
         return self._coefficients[len(self.history) - 1]
 
-    def extrapolate(self, attr: str):
-        """gamma-weighted combination of history coefficients."""
-        gamma = self.coefficients()[1]
-        return sum(g * getattr(s, attr) for g, s in zip(gamma, self.history))
+    def extrapolate_with_tails(self):
+        """x, nu and kappa extrapolated, and their derivative tails.
 
-    def derivative_tail(self, attr: str):
-        """sum_{j>=1} delta_j * (history coefficients)."""
-        delta = self.coefficients()[0]
-        return sum(d * getattr(s, attr) for d, s in zip(delta[1:], self.history))
+        From one pass over the history (newest first): the extrapolation
+        sum_j gamma_j (state j) and the tail sum_{j>=1} delta_j (state j-1)
+        of each.  Returns ((x, nu, kappa), (tail_x, tail_nu, tail_kappa)).
+        """
+        delta, gamma = self.coefficients()
+        ext, tail = None, None
+        for g, d, s in zip(gamma, delta[1:], self.history):
+            fields = (s.x, s.nu, s.kappa)
+            if ext is None:
+                ext = [g * a for a in fields]
+                tail = [d * a for a in fields]
+            else:
+                for e, t, a in zip(ext, tail, fields):
+                    e += g * a
+                    t += d * a
+        return tuple(ext), tuple(tail)
 
 
 @dataclass
@@ -226,23 +259,28 @@ class FlowProblem:
         d0 = scheme.coefficients()[0][0]
         t0 = _time.perf_counter()
 
-        x_ext = scheme.extrapolate("x")
-        nu_ext = scheme.extrapolate("nu")
-        kap_ext = scheme.extrapolate("kappa")
+        (x_ext, nu_ext, kap_ext), (tail_x, tail_nu, tail_kap) = (
+            scheme.extrapolate_with_tails()
+        )
 
         geom = ElementGeometry(self.tables, x_ext)
         M, A = assemble_mass_stiffness(self.tables, geom)
         # |A|^2 of the extrapolated normal, shared by both loads
         frob2 = weingarten_energy(self.tables, geom, nu_ext)
 
-        # curvature load (zero-trace space: boundary rows unused)
-        f1 = assemble_curvature_load(self.tables, geom, kap_ext, frob2)
-        rhs_k = f1 - (M @ scheme.derivative_tail("kappa")) / dt
+        # curvature load (zero-trace space: boundary rows unused); the BDF
+        # tails fold into the load densities, as M tail / dt
+        rhs_k = assemble_curvature_load(self.tables, geom, kap_ext, frob2, tail_kap / dt)
 
         # normal load (saddle system with tangential boundary constraint)
-        f2 = assemble_normal_load(self.tables, geom, nu_ext, frob2)
-        fb = assemble_boundary_load(self.btables, nu_ext)
-        rhs_n = f2 + fb - (M @ scheme.derivative_tail("nu")) / dt
+        f_n, nu_q = assemble_normal_load(self.tables, geom, nu_ext, frob2, tail_nu / dt)
+        drift = float(np.abs(np.sqrt(inner(nu_q, nu_q)) - 1.0).max())
+        if drift > NORMAL_DRIFT_TOL:
+            raise NormalDrift(
+                f"step to t = {scheme.history[0].time + dt:.6g}: extrapolated normal "
+                f"length off 1 by {drift:.3e}, above {NORMAL_DRIFT_TOL}"
+            )
+        rhs_n = f_n + assemble_boundary_load(self.btables, nu_ext)
 
         # one factor of (d0/dt) M + A serves both systems
         K = self.tables.combine(d0 / dt, M, A)
@@ -253,7 +291,6 @@ class FlowProblem:
 
         # velocity on the extrapolated surface, then position update
         v = project_velocity(self.quasi, kappa, nu)
-        tail_x = scheme.derivative_tail("x")
         x = (dt * v - tail_x) / d0
         x[self.space.boundary_indices] = self.x0_boundary
 
@@ -265,7 +302,13 @@ class FlowProblem:
             v=v,
             multiplier=multiplier,
         )
-        return state, self._diagnostics(state, (res_k, res_n), t0)
+        diag = self._diagnostics(state, (res_k, res_n), t0)
+        if diag.constraint_residual > CONSTRAINT_TOL:
+            raise NormalDrift(
+                f"step to t = {state.time:.6g}: normal constraint residual "
+                f"{diag.constraint_residual:.3e} exceeds {CONSTRAINT_TOL:.0e}"
+            )
+        return state, diag
 
     def area(self, x) -> float:
         """Quadrature area of the surface with position coefficients x."""
@@ -292,10 +335,10 @@ class FlowProblem:
         """March from t = 0 to t_final; emits per-step diagnostics.
 
         A failure (a Ritz projection that does not contract, a solver
-        residual or degenerate geometry) aborts the run.  When an output
-        directory is configured it first writes the diagnostics so far
-        and, once initialization has produced a state, the last good
-        state.
+        residual, degenerate geometry or a drifting normal) aborts the
+        run.  When an output directory is configured it first writes the
+        diagnostics so far and, once initialization has produced a state,
+        the last good state.
         """
         cfg = self.cfg
         num_steps = int(round(cfg.t_final / cfg.dt))

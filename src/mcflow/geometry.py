@@ -14,7 +14,13 @@ second-fundamental-form energy (Frobenius norm squared).
 
 `metric_pieces` is the one place that forms G, its inverse and the area
 element; the quadrature-point geometry of `assembly`, the analytic
-source surfaces and the scenarios all go through it.
+source surfaces and the scenarios all go through it, and
+`surface_area` reads det G from the same entries.  Both work from
+multiply-adds of the u- and v-columns of the Jacobians (`inner`,
+`cross3`), not from stacks of 2 x 2 and 3 x 2 matrix products: at the
+few thousand quadrature points of a flow step, a stacked product of
+tiny matrices costs several times the handful of elementwise passes
+that form the same entries.
 """
 
 from __future__ import annotations
@@ -72,6 +78,40 @@ class SplineField:
         return values
 
 
+def inner(a, b):
+    """Inner products over the last axis, by components."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def cross3(a, b):
+    """Cross products over the last axis, of length 3, by components."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+    return out
+
+
+def _first_form(J):
+    """The entries E = Ju.Ju, F = Ju.Jv, H = Jv.Jv of G and det G, from
+    the u- and v-columns of Jacobians J (..., 3, 2).
+
+    Raises DegenerateSurface when det G drops to DEGENERACY_EPS or below
+    anywhere, or is not a number.
+    """
+    u, v = J[..., 0], J[..., 1]
+    E, F, H = inner(u, u), inner(u, v), inner(v, v)
+    det = E * H - F * F
+    if not np.all(det > DEGENERACY_EPS):
+        raise DegenerateSurface(
+            f"metric determinant {det.min():.3e} not above {DEGENERACY_EPS:.1e}"
+        )
+    return E, F, H, det
+
+
 def metric_pieces(J):
     """Metric data from Jacobians of shape (..., 3, 2).
 
@@ -79,25 +119,18 @@ def metric_pieces(J):
     area element sqrt(det G); raises DegenerateSurface when det G drops
     to DEGENERACY_EPS or below anywhere, or is not a number.
     """
-    # numpy multiplies stacks of small matrices several times faster when
-    # both operands are C-contiguous; one of J and J^T is a view
-    Jt = np.ascontiguousarray(np.swapaxes(J, -1, -2))
-    G = Jt @ np.ascontiguousarray(J)
-    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-    if not np.all(det > DEGENERACY_EPS):
-        raise DegenerateSurface(
-            f"metric determinant {det.min():.3e} not above {DEGENERACY_EPS:.1e}"
-        )
+    E, F, H, det = _first_form(J)
+    G = np.empty(det.shape + (2, 2))
+    G[..., 0, 0], G[..., 1, 1] = E, H
+    G[..., 0, 1] = G[..., 1, 0] = F
     Ginv = np.empty_like(G)
-    Ginv[..., 0, 0] = G[..., 1, 1]
-    Ginv[..., 1, 1] = G[..., 0, 0]
-    Ginv[..., 0, 1] = -G[..., 0, 1]
-    Ginv[..., 1, 0] = -G[..., 1, 0]
-    Ginv /= det[..., None, None]
+    np.divide(H, det, out=Ginv[..., 0, 0])
+    np.divide(E, det, out=Ginv[..., 1, 1])
+    Ginv[..., 0, 1] = Ginv[..., 1, 0] = -F / det
     return G, Ginv, np.sqrt(det)
 
 
 def surface_area(x, tables) -> float:
     """Quadrature area of the surface x (dim, 3) on an `assembly.MeshTables` mesh."""
-    _, _, q = metric_pieces(tables.field_jacobians(x))
-    return float(np.sum(tables.weights * q))
+    det = _first_form(tables.field_jacobians(x))[3]
+    return float(np.sum(tables.weights * np.sqrt(det)))

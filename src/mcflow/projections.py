@@ -38,7 +38,6 @@ from .assembly import (
     conormal_load,
     scatter_vector,
 )
-from .geometry import metric_pieces
 from .splines import QuasiInterpolant
 
 
@@ -109,7 +108,7 @@ def ritz_rhs(tables: MeshTables, grid, edges):
         blocks = values.reshape((n, nq, n, nq) + shape).swapaxes(1, 2)
         return blocks.reshape((ne, nq2) + shape)
 
-    _, Ginv_s, q_s = metric_pieces(grid.J)
+    Ginv_s, q_s = grid.metric
     Ginv_s, q_s = by_element(Ginv_s), by_element(q_s)
     Nvals, Njac = by_element(grid.normal), by_element(grid.normal_jacobian)
     wq = (tables.weights * q_s)[:, :, None]
@@ -122,7 +121,7 @@ def ritz_rhs(tables: MeshTables, grid, edges):
 
     def on_edges(values):
         """Per-edge samples (n[, D]) stacked as (E, nq[, D])."""
-        return np.concatenate(values).reshape(bt.s.shape + values[0].shape[1:])
+        return np.concatenate(values).reshape(bt.weights.shape + values[0].shape[1:])
 
     rhs_b = conormal_load(
         bt,

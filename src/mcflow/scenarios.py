@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DegenerateSurface, metric_pieces
+from .geometry import DegenerateSurface, cross3, inner, metric_pieces
 from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, gauss_rule
 
 # Calibrated constants; see calibrate_plane_amplitude / calibrate_sphere_extent.
@@ -64,8 +64,10 @@ SPHERE_AREA_TARGET = 5.859
 class Sample:
     """The jet of X0 at n points: X (n, 3), J (n, 3, 2), H (n, 3, 2, 2).
 
-    H's axes are (comp, du, dv).  The normal and its Jacobian are derived
-    on first use and kept.  A sample on edge `edge` of the square
+    H's axes are (comp, du, dv).  The metric (`geometry.metric_pieces`),
+    the normal and its Jacobian are derived on first use and kept; the
+    normal keeps the length of the cross product Ju x Jv it normalizes,
+    which its Jacobian reads again.  A sample on edge `edge` of the square
     (`splines.edge_points`) also has the edge quantities, by edge parameter.
     """
 
@@ -76,34 +78,43 @@ class Sample:
     edge: int | None = None
 
     @cached_property
+    def metric(self):
+        """G^-1 and the area element of `geometry.metric_pieces(J)`; G
+        itself is not kept."""
+        return metric_pieces(self.J)[1:]
+
+    @cached_property
     def normal(self):
         """Oriented unit normal."""
-        raw = np.cross(self.J[:, :, 0], self.J[:, :, 1])
-        return self.normal_sign * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        raw = cross3(self.J[:, :, 0], self.J[:, :, 1])
+        self._normal_length = np.sqrt(inner(raw, raw))[:, None]  # (n, 1)
+        return self.normal_sign * raw / self._normal_length
 
     @cached_property
     def normal_jacobian(self):
         """Parametric Jacobian of the oriented unit normal, (n, 3, 2)."""
         J, H = self.J, self.H
-        raw = np.cross(J[:, :, 0], J[:, :, 1])
-        norm = np.linalg.norm(raw, axis=1, keepdims=True)
-        nu = raw / norm
+        nu = self.normal_sign * self.normal  # Ju x Jv / |Ju x Jv|, exactly
+        norm = self._normal_length
         out = np.empty_like(J)
         for a in range(2):
-            draw = np.cross(H[:, :, 0, a], J[:, :, 1]) + np.cross(
-                J[:, :, 0], H[:, :, 1, a]
-            )
+            draw = cross3(H[:, :, 0, a], J[:, :, 1]) + cross3(J[:, :, 0], H[:, :, 1, a])
             # derivative of raw/|raw|: project out the radial part
-            proj = draw - nu * np.sum(nu * draw, axis=1, keepdims=True)
+            proj = draw - nu * inner(nu, draw)[:, None]
             out[:, :, a] = proj / norm
         return self.normal_sign * out
 
     @property
     def mean_curvature(self):
         """Trace of the Weingarten map for the oriented normal."""
-        _, Ginv, _ = metric_pieces(self.J)
-        # tr(Jn Ginv J^T) summed over surface components
-        return np.einsum("nda,nab,ndb->n", self.normal_jacobian, Ginv, self.J)
+        Ginv = self.metric[0]
+        # tr(Jn Ginv J^T) = sum_ab (Jn_a . J_b) Ginv_ab, Ginv symmetric
+        Jn, J = self.normal_jacobian, self.J
+        return (
+            inner(Jn[:, :, 0], J[:, :, 0]) * Ginv[:, 0, 0]
+            + (inner(Jn[:, :, 0], J[:, :, 1]) + inner(Jn[:, :, 1], J[:, :, 0])) * Ginv[:, 0, 1]
+            + inner(Jn[:, :, 1], J[:, :, 1]) * Ginv[:, 1, 1]
+        )
 
     # -- on an edge ---------------------------------------------------
 

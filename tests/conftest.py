@@ -54,6 +54,18 @@ def boundary_data(quasi, scenario):
     )
 
 
+def edge_slices(btables):
+    """The elements of each edge of a `BoundaryTables`, in edge order 0..3."""
+    ne = btables.space.factor.num_elements
+    return [slice(k * ne, (k + 1) * ne) for k in range(4)]
+
+
+def edge_parameters(btables):
+    """The Gauss points (ne, nq) of a `BoundaryTables` along one edge, by
+    edge parameter; all four edges share them."""
+    return btables.space.factor.element_tables(btables.n_quad)[0]
+
+
 def dense_conormal_load(problem, state, nq=24):
     """Edge integral of (kappa_b . nu)(nu x tau) b_i, nq Gauss points per element.
 

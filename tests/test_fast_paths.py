@@ -1,7 +1,9 @@
 """The fast paths of a flow step agree with the plain computations they replace.
 
-The quadrature kernels run as batched matrix products; each is checked
-against the `np.einsum` formula it replaced, kept here as the oracle.
+The quadrature kernels run as batched matrix products and componentwise
+multiply-adds; each is checked against the `np.einsum` formula, and the
+stacked matrix products, `np.cross` and mass products that it replaced,
+kept here as oracles.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import scipy.sparse
 import mcflow.assembly
 import mcflow.flow
 from mcflow.assembly import (
+    ConstrainedSolver,
     ElementGeometry,
     MeshTables,
+    assemble_boundary_load,
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
@@ -24,7 +28,7 @@ from mcflow.assembly import (
 )
 from mcflow.config import ScenarioConfig
 from mcflow.flow import BdfScheme, FlowProblem
-from mcflow.geometry import SplineField, metric_pieces
+from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space
 from tests.conftest import interpolate
 
@@ -43,7 +47,8 @@ def assert_close(got, ref):
     ids=lambda param: f"{param[0]}-p{param[1]}",
 )
 def kernel_setup(request):
-    """Flow tables and interpolated x, kappa, nu of a scenario at N=6."""
+    """An initialized problem at N=6 (frozen boundary data) and the
+    interpolated x, kappa, nu of its scenario."""
     scenario, p = request.param
     cfg = ScenarioConfig(
         scenario=scenario,
@@ -55,6 +60,7 @@ def kernel_setup(request):
         output_dir="",
     )
     prob = FlowProblem(cfg)
+    prob.initialize()
     sc = prob.scenario
     x = interpolate(prob.quasi, sc)
     kappa = interpolate(prob.quasi, sc, "mean_curvature")
@@ -78,6 +84,19 @@ def test_field_kernels_match_einsum(kernel_setup):
         assert_close(jacs, np.einsum("eqal,eld->eqda", tables.basis_grad, loc))
 
 
+def stacked_metric_pieces(J):
+    """The metric as `metric_pieces` formed it before it went by components:
+    G by a stacked 2 x 3 by 3 x 2 matrix product, G^-1 by the adjugate."""
+    G = np.ascontiguousarray(np.swapaxes(J, -1, -2)) @ np.ascontiguousarray(J)
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+    Ginv = np.empty_like(G)
+    Ginv[..., 0, 0] = G[..., 1, 1]
+    Ginv[..., 1, 1] = G[..., 0, 0]
+    Ginv[..., 0, 1] = -G[..., 0, 1]
+    Ginv[..., 1, 0] = -G[..., 1, 0]
+    return G, Ginv / det[..., None, None], np.sqrt(det)
+
+
 def test_metric_pieces_match_einsum(kernel_setup):
     prob, x, _, _ = kernel_setup
     pts = prob.tables.points.reshape(-1, 2)
@@ -87,6 +106,44 @@ def test_metric_pieces_match_einsum(kernel_setup):
         assert_close(G, ref)
         assert_close(Ginv, np.linalg.inv(ref))
         assert_close(q, np.sqrt(np.linalg.det(ref)))
+        for got, want in zip((G, Ginv, q), stacked_metric_pieces(J)):
+            assert_close(got, want)
+
+
+def test_metric_of_a_nan_jacobian_raises(kernel_setup):
+    """A NaN anywhere in J fails the determinant check, in both the metric
+    and the area."""
+    prob, x, _, _ = kernel_setup
+    J = prob.tables.field_jacobians(x).copy()
+    J[3, 1, 2, 0] = np.nan
+    with pytest.raises(DegenerateSurface, match="nan"):
+        metric_pieces(J)
+    x = x.copy()
+    x[prob.space.interior_indices[0], 1] = np.nan
+    with pytest.raises(DegenerateSurface, match="nan"):
+        surface_area(x, prob.tables)
+
+
+def test_area_weingarten_and_boundary_kernels_match_the_replaced_ones(kernel_setup):
+    """`surface_area`, `weingarten_energy` and the conormal boundary load
+    against the stacked matrix products and `np.cross` they replaced."""
+    prob, x, _, nu = kernel_setup
+    tables = prob.tables
+    _, Ginv, q = stacked_metric_pieces(tables.field_jacobians(x))
+    ref = float(np.sum(tables.weights * q))
+    assert abs(surface_area(x, tables) - ref) <= KERNEL_RTOL * ref
+
+    Jn = tables.field_jacobians(nu)
+    H = Jn.swapaxes(2, 3) @ np.ascontiguousarray(Jn)
+    ref = np.sum(H * Ginv.swapaxes(2, 3), axis=(2, 3))
+    assert_close(weingarten_energy(tables, ElementGeometry(tables, x), nu), ref)
+
+    bt, fr = prob.btables, prob.btables.frozen
+    nu_b = bt.trace(nu[bt.flat])
+    alpha = np.sum(fr["kappa"] * nu_b, axis=2)
+    dens = bt.weights * fr["length"] * alpha
+    local = bt.values.swapaxes(1, 2) @ (dens[:, :, None] * np.cross(nu_b, fr["tau"]))
+    assert_close(assemble_boundary_load(bt, nu), scatter_vector(bt.flat, local, prob.space.dim))
 
 
 def test_assembly_kernels_match_einsum(kernel_setup):
@@ -113,15 +170,58 @@ def test_assembly_kernels_match_einsum(kernel_setup):
     kap = np.einsum("eql,el->eq", B, kappa[tables.conn])
     ref = np.einsum("eq,eqi->ei", dens * kap, B)
     assert_close(
-        assemble_curvature_load(tables, geom, kappa, frob2),
+        assemble_curvature_load(tables, geom, kappa, frob2, np.zeros(dim)),
         scatter_vector(tables.conn, ref, dim),
     )
     nuq = np.einsum("eql,eld->eqd", B, nu[tables.conn])
     ref = np.einsum("eq,eqd,eqi->eid", dens, nuq, B)
-    assert_close(
-        assemble_normal_load(tables, geom, nu, frob2),
-        scatter_vector(tables.conn, ref, dim),
-    )
+    load, nu_q = assemble_normal_load(tables, geom, nu, frob2, np.zeros((dim, 3)))
+    assert_close(load, scatter_vector(tables.conn, ref, dim))
+    assert_close(nu_q, nuq)
+
+
+def test_loads_fold_their_tails(kernel_setup):
+    """A load with a BDF tail folded in equals the load less M tail / dt,
+    the mass product it replaced."""
+    prob, x, kappa, nu = kernel_setup
+    tables, dim = prob.tables, prob.space.dim
+    geom = ElementGeometry(tables, x)
+    M, _ = assemble_mass_stiffness(tables, geom)
+    frob2 = weingarten_energy(tables, geom, nu)
+    dt = 0.0125
+    tail_k, tail_n = -2.0 * kappa + 0.25 * x[:, 0], 0.5 * nu - 3.0 * x
+    for got, f, tail in (
+        (
+            assemble_curvature_load(tables, geom, kappa, frob2, tail_k / dt),
+            assemble_curvature_load(tables, geom, kappa, frob2, np.zeros(dim)),
+            tail_k,
+        ),
+        (
+            assemble_normal_load(tables, geom, nu, frob2, tail_n / dt)[0],
+            assemble_normal_load(tables, geom, nu, frob2, np.zeros((dim, 3)))[0],
+            tail_n,
+        ),
+    ):
+        assert_close(got, f - (M @ tail) / dt)
+
+
+def test_solver_schur_complements_match_dense_ones(kernel_setup):
+    """G = (K^-1)_BB against the dense inverse, and T against
+    sum_k S_kB G S_kB^T from the dense constraint, both from the factors
+    the solver keeps."""
+    prob, x, _, _ = kernel_setup
+    tables, dim = prob.tables, prob.space.dim
+    M, A = assemble_mass_stiffness(tables, ElementGeometry(tables, x))
+    K = tables.combine(1.5 / 0.0125, M, A)
+    solver = ConstrainedSolver(K, prob.saddle, "test solve")
+    B = prob.space.boundary_indices
+    U = np.triu(solver.G)
+    G = U.T @ U
+    assert_close(G, np.linalg.inv(K.toarray())[B][:, B])
+    S = prob.S.toarray()
+    T_ref = sum(S[:, k * dim + B] @ G @ S[:, k * dim + B].T for k in range(3))
+    U = np.triu(solver.T)
+    assert_close(U.T @ U, T_ref)
 
 
 def test_tensor_grid_matches_spline_field_eval(kernel_setup):
@@ -446,11 +546,14 @@ def test_mesh_tables_match_the_broadcast_tabulation(p, l, N):
 
 
 def test_flow_step_builds_no_sparse_transpose(monkeypatch):
-    """The saddle solves apply the transposes `SaddleLayout` keeps."""
+    """The saddle solves apply the transpose `SaddleLayout` keeps."""
     prob, scheme, dt = _two_step_problem("sphere_patch")
     scheme.push(prob.initialize())
-    for Sk, SkT in zip(prob.saddle.S_B, prob.saddle.S_BT):
-        assert np.array_equal(SkT.toarray(), Sk.toarray().T)
+    lo, dim = prob.saddle, prob.space.dim
+    blocks = [prob.S.toarray()[:, k * dim + lo.boundary] for k in range(3)]
+    assert np.array_equal(lo.S_B.toarray(), np.hstack(blocks))
+    assert np.array_equal(lo.S_BT.toarray(), np.hstack(blocks).T)
+    assert np.array_equal(lo.S_B_rows.toarray(), np.vstack(blocks))
     calls = []
     original = scipy.sparse.csr_matrix.transpose
 

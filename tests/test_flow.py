@@ -13,7 +13,7 @@ import mcflow.projections
 from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
-from mcflow.flow import BdfScheme, FlowProblem, bdf_coefficients, run
+from mcflow.flow import BdfScheme, FlowProblem, NormalDrift, bdf_coefficients, run
 from mcflow.geometry import DegenerateSurface
 from mcflow.projections import NoContraction
 
@@ -256,19 +256,30 @@ def test_abort_record_when_the_normal_projection_fails(tmp_path, monkeypatch):
 
 def test_abort_record_on_degenerate_geometry(tmp_path, monkeypatch):
     """A step on a collapsed surface aborts after recording t = 0."""
-    extrapolate = BdfScheme.extrapolate
+    extrapolate = BdfScheme.extrapolate_with_tails
 
-    def collapsed(self, attr):
-        value = extrapolate(self, attr)
-        return 0.0 * value if attr == "x" else value
+    def collapsed(self):
+        (x, nu, kappa), tails = extrapolate(self)
+        return (0.0 * x, nu, kappa), tails
 
-    monkeypatch.setattr(BdfScheme, "extrapolate", collapsed)
+    monkeypatch.setattr(BdfScheme, "extrapolate_with_tails", collapsed)
     out = tmp_path / "aborted"
     with pytest.raises(DegenerateSurface):
         run(small_cfg(output_dir=str(out)))
     rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
     assert list(rows["t"]) == [0.0]
     assert (out / "last_good_state.vtk").exists()
+
+
+def test_constraint_residual_gate_stops_the_run(tmp_path, monkeypatch):
+    """A new normal whose |S nu|_inf exceeds CONSTRAINT_TOL raises NormalDrift
+    after its step's diagnostics are taken, and leaves the steps before it."""
+    monkeypatch.setattr(mcflow.flow, "CONSTRAINT_TOL", 0.0)
+    out = tmp_path / "aborted"
+    with pytest.raises(NormalDrift, match="step to t = 0.01: normal constraint residual"):
+        run(small_cfg(output_dir=str(out)))
+    rows = read_diagnostics_csv(out / "diagnostics_abort.csv")
+    assert list(rows["t"]) == [0.0]
 
 
 def test_second_order_consistency():

@@ -9,7 +9,7 @@ from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingar
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
-from tests.conftest import interpolate
+from tests.conftest import edge_parameters, edge_slices, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,8 @@ def test_eval_edge_matches_full_eval(space_small, rng):
     bt = BoundaryTables(space_small, 5)
     vals = bt.trace(coeffs[bt.flat])
     dtang = bt.trace(coeffs[bt.flat], deriv=True)
-    for edge, sl in enumerate(bt.edge_slices):
-        full, jac = fld.eval(edge_points(edge, bt.s[sl].ravel()), 1)
+    for edge, sl in enumerate(edge_slices(bt)):
+        full, jac = fld.eval(edge_points(edge, edge_parameters(bt).ravel()), 1)
         run = 0 if edge in (0, 2) else 1
         assert np.abs(vals[sl].reshape(-1, 3) - full).max() < 1e-13
         assert np.abs(dtang[sl].reshape(-1, 3) - jac[:, :, run]).max() < 1e-12

@@ -17,7 +17,8 @@ from mcflow.assembly import (
     constraint_residual,
 )
 from mcflow.config import ScenarioConfig
-from mcflow.flow import FlowProblem, initialize
+from mcflow.export import read_diagnostics_csv
+from mcflow.flow import NORMAL_DRIFT_TOL, FlowProblem, NormalDrift, initialize, run
 from mcflow.geometry import DegenerateSurface, SplineField
 from mcflow.projections import (
     RITZ_LAMBDA,
@@ -28,7 +29,7 @@ from mcflow.projections import (
 )
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
-from tests.conftest import boundary_data, interpolate
+from tests.conftest import boundary_data, edge_slices, interpolate
 
 
 def _sphere_problem(N, p=2, l=None):
@@ -63,7 +64,7 @@ def test_boundary_interp_reproduces_constant_tangent():
     tangent, curvature = boundary_data(prob.quasi, prob.scenario)
     assert np.abs(curvature).max() < 1e-13
     bt = prob.btables
-    for sl in bt.edge_slices:
+    for sl in edge_slices(bt):
         tau = tangent[np.unique(bt.local[sl])]
         assert np.abs(np.abs(tau).max(axis=0) - np.abs(tau[0])).max() < 1e-13
         assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-13
@@ -79,7 +80,7 @@ def test_boundary_interp_accuracy_on_sphere():
         bt = prob.btables
         worst = 0.0
         s = np.linspace(0.0, 1.0, 160)
-        for edge, sl in enumerate(bt.edge_slices):
+        for edge, sl in enumerate(edge_slices(bt)):
             uspace = prob.space.factor
             first, ders = uspace.eval_basis(s, 0)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
@@ -269,6 +270,36 @@ def enneper(monkeypatch):
     entry = ScenarioEntry(scenario_enneper, {}, None, None, "")
     monkeypatch.setitem(SCENARIOS, "enneper", entry)
     return "enneper"
+
+
+def test_drifting_normal_stops_the_run(enneper, tmp_path):
+    """On the Enneper patch the surface stays put, but the length of the
+    discrete normal drifts; the step whose extrapolated normal is off unit
+    length by more than NORMAL_DRIFT_TOL raises NormalDrift.
+
+    At N=8, p=2, dt=0.0125 that is the step to t = 1.55, the 124th.  The
+    abort record holds t = 0 and the 123 steps before it, each with the
+    same area and the constraint kept.
+    """
+    dt = 0.0125
+    cfg = ScenarioConfig(
+        scenario=enneper,
+        degree=2,
+        smoothness=1,
+        elements_per_side=8,
+        dt=dt,
+        t_final=4.0,
+        output_dir=str(tmp_path),
+    )
+    with pytest.raises(NormalDrift, match="step to t = 1.55: extrapolated normal length"):
+        run(cfg)
+    rows = read_diagnostics_csv(tmp_path / "diagnostics_abort.csv")
+    assert np.allclose(rows["t"], dt * np.arange(124), rtol=0, atol=1e-12)
+    assert np.all(rows["area"] == rows["area"][0])
+    assert abs(rows["area"][0] - 5.397371046564217) <= 1e-12
+    assert np.all(rows["constraint_residual"] <= 1e-10)
+    assert (tmp_path / "last_good_state.vtk").exists()
+    assert NORMAL_DRIFT_TOL == 0.5
 
 
 def scenario_pinched_edge():

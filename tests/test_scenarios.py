@@ -51,6 +51,30 @@ def test_hessian_matches_finite_differences(scenario):
         assert np.abs(H[:, :, :, a] - fd).max() < 1e-6
 
 
+def test_sample_normal_and_curvature_match_the_replaced_formulas(scenario):
+    """The normal, its Jacobian and the mean curvature, formed by components
+    from one cross product, against the `np.cross` and `np.einsum`
+    formulas they replaced."""
+    sample = scenario.sample(interior_grid(9, margin=0.0))
+    J, H = sample.J, sample.H
+    raw = np.cross(J[:, :, 0], J[:, :, 1])
+    norm = np.linalg.norm(raw, axis=1, keepdims=True)
+    nu = raw / norm
+    Jn = np.empty_like(J)
+    for a in range(2):
+        draw = np.cross(H[:, :, 0, a], J[:, :, 1]) + np.cross(J[:, :, 0], H[:, :, 1, a])
+        Jn[:, :, a] = (draw - nu * np.sum(nu * draw, axis=1, keepdims=True)) / norm
+    nu, Jn = sample.normal_sign * nu, sample.normal_sign * Jn
+    Ginv = np.linalg.inv(np.einsum("nda,ndb->nab", J, J))
+    kappa = np.einsum("nda,nab,ndb->n", Jn, Ginv, J)
+    for got, want in (
+        (sample.normal, nu),
+        (sample.normal_jacobian, Jn),
+        (sample.mean_curvature, kappa),
+    ):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_normal_jacobian_matches_finite_differences(scenario):
     pts = interior_grid(7, margin=0.05)
     Jn = scenario.sample(pts).normal_jacobian

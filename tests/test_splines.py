@@ -18,6 +18,7 @@ from mcflow.splines import (
     edge_points,
     gauss_rule,
 )
+from tests.conftest import edge_parameters, edge_slices
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -260,13 +261,13 @@ def test_boundary_trace_space(space_small, rng):
     flat_of_local[bt.local] = bt.flat
     assert np.array_equal(flat_of_local[bt.local], bt.flat)
     # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row
-    first = [bt.edge_slices[k].start for k in (0, 3)]
+    first = [edge_slices(bt)[k].start for k in (0, 3)]
     assert bt.flat[first[0], 0] == bt.flat[first[1], 0] == 0
     assert bt.rows[first[0], 0] == bt.rows[first[1], 0]
     assert bt.local[first[0], 0] != bt.local[first[1], 0]
     coeffs = rng.normal(size=(space_small.dim, 2))
     fld = SplineField(space_small, coeffs)
     vals = bt.trace(coeffs[bt.flat])
-    for edge, sl in enumerate(bt.edge_slices):
-        full = fld.eval(edge_points(edge, bt.s[sl].ravel()))
+    for edge, sl in enumerate(edge_slices(bt)):
+        full = fld.eval(edge_points(edge, edge_parameters(bt).ravel()))
         assert np.abs(vals[sl].reshape(-1, 2) - full).max() < 1e-13
