@@ -204,7 +204,7 @@ class ElementGeometry:
 
     def __init__(self, tables: MeshTables, x_coeffs):
         J = tables.field_jacobians(np.asarray(x_coeffs))
-        self.metric, self.metric_inv, self.area_element = metric_pieces(J)
+        self.metric_inv, self.area_element = metric_pieces(J)
 
 
 def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):

@@ -17,6 +17,17 @@ def _levels(text):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _config(path):
+    """The --config file, read and parsed; an unreadable or malformed
+    file is a usage error."""
+    from .config import ConfigError, load_config
+
+    try:
+        return load_config(path)
+    except (OSError, ConfigError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser():
     from .scenarios import SCENARIOS
 
@@ -27,7 +38,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("solve", help="run a flow configuration")
-    s.add_argument("--config", required=True, help="path to a config file")
+    s.add_argument("--config", required=True, type=_config, help="path to a config file")
     s.add_argument("--snapshot-stride", type=int, default=None,
                    help="override the config snapshot stride")
     s.add_argument("--dump-matrices", action="store_true",
@@ -35,7 +46,7 @@ def build_parser():
                         "in MatrixMarket format")
 
     c = sub.add_parser("converge", help="self-convergence study")
-    c.add_argument("--config", required=True)
+    c.add_argument("--config", required=True, type=_config)
     c.add_argument("--levels", default="4,8,16,32", type=_levels,
                    help="comma-separated elements-per-side, nested")
 
@@ -47,11 +58,10 @@ def build_parser():
 def cmd_solve(args):
     from dataclasses import replace
 
-    from .config import load_config
     from .export import export_vtk, write_diagnostics_csv
     from .flow import FlowProblem, cfg_dir
 
-    cfg = load_config(args.config)
+    cfg = args.config
     if args.snapshot_stride is not None:
         cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
     if args.dump_matrices:
@@ -72,11 +82,10 @@ def cmd_solve(args):
 
 
 def cmd_converge(args):
-    from .config import load_config
     from .convergence import convergence_study, save_report
     from .flow import cfg_dir
 
-    cfg = load_config(args.config)
+    cfg = args.config
     report = convergence_study(cfg, args.levels, t_final=cfg.t_final)
     out = cfg_dir(cfg) if cfg.output_dir else Path(".")
     path = save_report(report, out / "convergence.json")
@@ -99,11 +108,17 @@ def cmd_calibrate(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    if args.command == "converge":
-        return cmd_converge(args)
+    from .config import ConfigError
+
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "solve":
+            return cmd_solve(args)
+        if args.command == "converge":
+            return cmd_converge(args)
+    except ConfigError as exc:  # raised by FlowProblem before any set-up or output
+        parser.error(f"argument --config: {exc}")
     return cmd_calibrate(args)
 
 

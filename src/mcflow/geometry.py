@@ -12,15 +12,15 @@ gradients; the Weingarten map of a (discrete) normal field is the matrix
 of component surface gradients and provides mean curvature (trace) and
 second-fundamental-form energy (Frobenius norm squared).
 
-`metric_pieces` is the one place that forms G, its inverse and the area
-element; the quadrature-point geometry of `assembly`, the analytic
-source surfaces and the scenarios all go through it, and
-`surface_area` reads det G from the same entries.  Both work from
-multiply-adds of the u- and v-columns of the Jacobians (`inner`,
-`cross3`), not from stacks of 2 x 2 and 3 x 2 matrix products: at the
-few thousand quadrature points of a flow step, a stacked product of
-tiny matrices costs several times the handful of elementwise passes
-that form the same entries.
+`metric_pieces` is the one place that forms G^{-1} and the area
+element, the only metric data the flow reads; G itself lives only as
+its three entries.  The quadrature-point geometry of `assembly` and the
+scenarios' samples go through it, and `surface_area` reads det G from
+the same entries.  Both work from multiply-adds of the u- and v-columns
+of the Jacobians (`inner`, `cross3`), not from stacks of 2 x 2 and
+3 x 2 matrix products: at the few thousand quadrature points of a flow
+step, a stacked product of tiny matrices costs several times the
+handful of elementwise passes that form the same entries.
 """
 
 from __future__ import annotations
@@ -115,19 +115,17 @@ def _first_form(J):
 def metric_pieces(J):
     """Metric data from Jacobians of shape (..., 3, 2).
 
-    Returns the first fundamental form G = J^T J, its inverse and the
-    area element sqrt(det G); raises DegenerateSurface when det G drops
-    to DEGENERACY_EPS or below anywhere, or is not a number.
+    Returns the inverse G^{-1} of the first fundamental form G = J^T J,
+    (..., 2, 2), and the area element sqrt(det G); raises
+    DegenerateSurface when det G drops to DEGENERACY_EPS or below
+    anywhere, or is not a number.
     """
     E, F, H, det = _first_form(J)
-    G = np.empty(det.shape + (2, 2))
-    G[..., 0, 0], G[..., 1, 1] = E, H
-    G[..., 0, 1] = G[..., 1, 0] = F
-    Ginv = np.empty_like(G)
+    Ginv = np.empty(det.shape + (2, 2))
     np.divide(H, det, out=Ginv[..., 0, 0])
     np.divide(E, det, out=Ginv[..., 1, 1])
     Ginv[..., 0, 1] = Ginv[..., 1, 0] = -F / det
-    return G, Ginv, np.sqrt(det)
+    return Ginv, np.sqrt(det)
 
 
 def surface_area(x, tables) -> float:

@@ -79,9 +79,8 @@ class Sample:
 
     @cached_property
     def metric(self):
-        """G^-1 and the area element of `geometry.metric_pieces(J)`; G
-        itself is not kept."""
-        return metric_pieces(self.J)[1:]
+        """G^-1 and the area element, `geometry.metric_pieces(J)`."""
+        return metric_pieces(self.J)
 
     @cached_property
     def normal(self):
@@ -133,9 +132,9 @@ class Sample:
         with np.errstate(invalid="ignore"):  # 0/0 at degenerate points
             tau = c1 / np.linalg.norm(c1, axis=1, keepdims=True)
             nu = self.normal
-        leave = np.einsum("nda,a->nd", self.J, np.array(EDGE_OUTWARD[self.edge]))
-        mu_dir = leave - tau * np.sum(tau * leave, axis=1, keepdims=True)
-        sign = np.sign(np.sum(np.cross(nu, tau) * mu_dir, axis=1))
+        leave = self.J @ np.array(EDGE_OUTWARD[self.edge])
+        mu_dir = leave - tau * inner(tau, leave)[:, None]
+        sign = np.sign(inner(cross3(nu, tau), mu_dir))
         bad = np.abs(sign) != 1.0  # zero, or NaN from a vanishing tangent or normal
         if bad.any():
             raise DegenerateSurface(
@@ -371,7 +370,8 @@ def sphere_patch_area(
     U, V = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
     J = sc.jet(pts)[1]
-    dens = np.linalg.norm(np.cross(J[:, :, 0], J[:, :, 1]), axis=1)
+    raw = cross3(J[:, :, 0], J[:, :, 1])
+    dens = np.sqrt(inner(raw, raw))
     return float(np.sum(np.outer(w, w).ravel() * dens))
 
 

@@ -8,13 +8,17 @@ table (Gauss rule, tabulation, dual weights, collocation matrix) exists
 once and serves u and v alike.  Basis indices are flattened row-major,
 (j1, j2) -> j1*n + j2.
 
+The flow reads the basis and its first derivatives only, so the basis
+evaluation stops there: values by the Cox-de Boor recurrence, first
+derivatives from the degree p - 1 values by de Boor's difference formula.
+
 The quasi-interpolant realizes dual functionals by local least squares:
 the functional for basis b_j is the j-th coefficient of the L2 projection
 of the argument onto the span of all basis functions overlapping supp(b_j),
 integrated with a per-element Gauss rule that is exact for the products
-involved.  This makes the functionals exactly dual to the basis, so the
-operator is a projector onto the space and reproduces polynomials up to
-degree p.
+involved, one small solve per basis function.  This makes the
+functionals exactly dual to the basis, so the operator is a projector
+onto the space and reproduces polynomials up to degree p.
 
 `UnivariateSpline.element_tables` tabulates the factor on its
 per-element Gauss grid, and keeps each rule and tabulation it builds, so
@@ -25,7 +29,9 @@ edges of the square into one edge mesh; with open knot vectors the trace
 of the space on an edge is the factor.  `TensorGrid` evaluates fields on
 the square of any 1-D point set (the quasi-interpolant's grid, a Gauss
 grid, an export grid) with one dense collocation matrix
-(`UnivariateSpline.collocation`), applied along u and then along v.
+(`UnivariateSpline.collocation`).  Both it and the quasi-interpolant
+apply their 1-D matrix along u and then along v by one helper,
+`_tensor_apply`.
 """
 
 from __future__ import annotations
@@ -42,16 +48,23 @@ def gauss_rule(n: int):
 
 
 def _basis_derivatives(knots, degree, x, spans, nderiv):
-    """All nonzero basis functions and derivatives at each point.
+    """The nonzero basis functions at each point, and with nderiv == 1
+    their first derivatives; any other nderiv raises ValueError.
 
     Returns an array of shape (npts, nderiv + 1, degree + 1); row k holds
     the k-th derivatives of the degree + 1 basis functions active on the
-    span of each point, in index order span - degree .. span.
+    span of each point, in index order span - degree .. span.  The
+    Cox-de Boor table `ndu` (Piegl & Tiller, The NURBS Book, A2.2) gives
+    the values, the degree p - 1 values N_r and the lengths d_r of their
+    supports; the derivatives follow by de Boor's difference formula
+    B'_r = p (N_{r-1} / d_{r-1} - N_r / d_r), formed operation by
+    operation as the first-order pass of A2.3.
     """
+    if nderiv not in (0, 1):
+        raise ValueError(f"nderiv must be 0 or 1, got {nderiv}")
     p = degree
     x = np.asarray(x, dtype=float)
     npts = x.shape[0]
-    n = min(nderiv, p)
 
     ndu = np.empty((npts, p + 1, p + 1))
     ndu[:, 0, 0] = 1.0
@@ -72,35 +85,11 @@ def _basis_derivatives(knots, degree, x, spans, nderiv):
 
     ders = np.zeros((npts, nderiv + 1, p + 1))
     ders[:, 0, :] = ndu[:, :, p]
-
-    a = np.empty((npts, 2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[:, 0, :] = 0.0
-        a[:, 1, :] = 0.0
-        a[:, 0, 0] = 1.0
-        for k in range(1, n + 1):
-            d = np.zeros(npts)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[:, s2, 0] = a[:, s1, 0] / ndu[:, pk + 1, rk]
-                d = a[:, s2, 0] * ndu[:, rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[:, s2, j] = (a[:, s1, j] - a[:, s1, j - 1]) / ndu[:, pk + 1, rk + j]
-                d = d + a[:, s2, j] * ndu[:, rk + j, pk]
-            if r <= pk:
-                a[:, s2, k] = -a[:, s1, k - 1] / ndu[:, pk + 1, r]
-                d = d + a[:, s2, k] * ndu[:, r, pk]
-            ders[:, k, r] = d
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for k in range(1, n + 1):
-        ders[:, k, :] *= fac
-        fac *= p - k
+    if nderiv:
+        ratio = (1.0 / ndu[:, p, :p]) * ndu[:, :p, p - 1]  # N_r / d_r
+        ders[:, 1, :p] -= ratio
+        ders[:, 1, 1:] += ratio
+        ders[:, 1, :] *= float(p)
     return ders
 
 
@@ -145,7 +134,8 @@ class UnivariateSpline:
         return np.clip(span, self.degree, self.dim - 1)
 
     def eval_basis(self, x, nderiv: int = 0):
-        """Nonzero basis values/derivatives at points in [0, 1].
+        """Nonzero basis values, and first derivatives if nderiv == 1, at
+        points in [0, 1].
 
         Returns (first, ders): `first[i]` is the index of the first active
         basis function at x[i], `ders[i, k, a]` the k-th derivative of
@@ -220,16 +210,11 @@ class UnivariateSpline:
         """
         if n_quad not in self._tables:
             points, weights = self.element_rule(n_quad)
-            flat = points.ravel()
-            spans = self.find_span(flat)
-            ders = _basis_derivatives(self.knots, self.degree, flat, spans, 1)
+            spans_first, ders = self.eval_basis(points.ravel(), 1)
             values = ders.reshape(self.num_elements, n_quad, 2, self.degree + 1)
             first = self.element_first
             # sanity: one span per element
-            assert np.all(
-                (spans - self.degree).reshape(self.num_elements, n_quad)
-                == first[:, None]
-            )
+            assert np.all(spans_first.reshape(values.shape[:2]) == first[:, None])
             self._tables[n_quad] = (points, weights) + _read_only(first, values)
         return self._tables[n_quad]
 
@@ -362,19 +347,26 @@ class TensorGrid:
         nderiv == 1; the grid must be built with at least `nderiv`.
         Scalar fields keep D = 1.
         """
-        n = self.space.factor.dim
-        grid = np.asarray(coeffs, dtype=float).reshape(n, -1)
-        D = grid.shape[1] // n
-        # c along u, then c along v: two BLAS products per derivative
-        t = [(c @ grid).reshape(-1, n, D) for c in self.c[: nderiv + 1]]
+        coeffs = np.asarray(coeffs, dtype=float)
 
         def contract(ku, kv):
-            return np.matmul(self.c[kv], t[ku]).reshape(-1, D)
+            return _tensor_apply(self.c[ku], self.c[kv], coeffs)
 
         values = contract(0, 0)
         if nderiv == 0:
             return values
         return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
+
+
+def _tensor_apply(a, b, values):
+    """(a x b) values: the matrix a applied along u, then b along v.
+
+    `values` (n * n[, D]) lie on an n x n tensor index set, u-major, and
+    a and b have n columns; returns (len(a) * len(b), D), u-major, in two
+    BLAS products.  Scalar values keep D = 1.
+    """
+    t = (a @ values.reshape(a.shape[1], -1)).reshape(len(a), a.shape[1], -1)
+    return np.matmul(b, t).reshape(-1, t.shape[-1])
 
 
 class QuasiInterpolant:
@@ -404,13 +396,8 @@ class QuasiInterpolant:
         `values` has shape (npts,) or (npts, D); returns (dim,) or (dim, D).
         """
         values = np.asarray(values, dtype=float)
-        m = len(self.points_1d)
-        scalar = values.ndim == 1
-        grid = values.reshape(m, m, -1)
-        # w along u, then w along v: two BLAS products
-        t = (self.w @ grid.reshape(m, -1)).reshape(-1, m, grid.shape[-1])
-        coeffs = np.matmul(self.w, t).reshape(self.space.dim, -1)
-        return coeffs[:, 0] if scalar else coeffs
+        coeffs = _tensor_apply(self.w, self.w, values)
+        return coeffs[:, 0] if values.ndim == 1 else coeffs
 
     def edge_points(self, edge: int):
         """Points on `edge` at which its univariate functionals sample."""
@@ -426,17 +413,13 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
 
     The local system of b_j couples the `width[j]` basis functions of
     its band (`UnivariateSpline.band`) over the elements of its support
-    (`UnivariateSpline.supports`).  All systems are laid out on a window
-    of `ne` consecutive elements, the widest support, so one scatter of
-    the element Gram matrices assembles every Gram matrix and one the
-    right-hand sides, each summed over the elements in element order.
-    Systems of one size are solved by one batched `np.linalg.solve`,
-    one batch per distinct width (at most p + 1 of them): LAPACK's LU
-    rounds differently at a padded size, so this keeps W bit-identical
-    to a solve per basis function.  Row j of W is row j - start[j] of
-    its solution, on the window's points.
+    (`UnivariateSpline.supports`).  Its Gram matrix sums the element
+    Gram matrices, in element order, into slices of the band, and its
+    right-hand side holds the weighted basis values of each element; one
+    `np.linalg.solve` per basis function gives the projection, and row
+    j - start[j] of the solution is row j of W on the support's points.
     """
-    p, N, dim = uspace.degree, uspace.num_elements, uspace.dim
+    p, N = uspace.degree, uspace.num_elements
     points, weights, first, values = uspace.element_tables(n_quad)
     vals = values[:, :, 0, :]  # (N, nq, p+1)
     wvals = weights[:, None] * vals
@@ -444,29 +427,16 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
 
     lo, hi = uspace.supports
     start, width = uspace.band
-    ne, na = int((hi - lo).max()) + 1, int(width.max())
-    window = np.minimum(lo, N - ne)[:, None] + np.arange(ne)  # (dim, ne)
-    inside = (lo[:, None] <= window) & (window <= hi[:, None])
-    # rows of each window element's basis in the system of b_j, (dim, ne, p+1)
-    rows = np.where(inside, first[window] - start[:, None], 0)[..., None] + np.arange(p + 1)
-    mask = inside[:, :, None, None]
-    j = np.arange(dim)[:, None, None, None]
-    k = np.arange(ne)[None, :, None, None]
-
-    gram = np.zeros((dim, ne, na, na))
-    gram[j, k, rows[..., None], rows[..., None, :]] = np.where(mask, gram_e[window], 0.0)
-    gram = gram.sum(axis=1)
-    rhs = np.zeros((dim, na, ne, n_quad))
-    q = np.arange(n_quad)
-    rhs[j, rows[..., None], k, q] = np.where(mask, wvals[window].swapaxes(2, 3), 0.0)
-    rhs = rhs.reshape(dim, na, ne * n_quad)
-
-    W = np.zeros((dim, N * n_quad))
-    cols = window[:, :1] * n_quad + np.arange(ne * n_quad)
-    for n in np.unique(width):
-        sel = np.flatnonzero(width == n)
-        sol = np.linalg.solve(gram[sel, :n, :n], rhs[sel, :n])
-        W[sel[:, None], cols[sel]] = sol[np.arange(len(sel)), sel - start[sel]]
+    W = np.zeros((uspace.dim, N * n_quad))
+    for j in range(uspace.dim):
+        gram = np.zeros((width[j], width[j]))
+        rhs = np.zeros((width[j], hi[j] + 1 - lo[j], n_quad))
+        for k, e in enumerate(range(lo[j], hi[j] + 1)):
+            rows = slice(first[e] - start[j], first[e] - start[j] + p + 1)
+            gram[rows, rows] += gram_e[e]
+            rhs[rows, k] = wvals[e].T
+        sol = np.linalg.solve(gram, rhs.reshape(width[j], -1))
+        W[j, lo[j] * n_quad : (hi[j] + 1) * n_quad] = sol[j - start[j]]
     return W, points.ravel()
 
 

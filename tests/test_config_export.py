@@ -267,3 +267,38 @@ def test_cli_converge_rejects_bad_levels(tmp_path, capsys, levels, message):
     err = capsys.readouterr().err
     assert "argument --levels" in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["converge", "--levels", "2,4,8"]])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("foo = 1", "unknown key 'foo'"),
+        ("dt = abc", "bad value for 'dt'"),
+        ("degree = 1", "bad spline space: degree must be >= 2"),
+        (None, "No such file"),
+    ],
+)
+def test_cli_rejects_bad_config(tmp_path, capsys, command, text, message):
+    """A config file that is missing or malformed, or whose space cannot be
+    built, is a usage error, reported before anything is written."""
+    cfg_path = tmp_path / "run.cfg"
+    if text is not None:
+        cfg_path.write_text(f"{text}\noutput_dir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command[0], "--config", str(cfg_path), *command[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --config" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solve_does_not_hide_output_errors(tmp_path):
+    """An output directory that cannot be made is an I/O error, not a usage error."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = ScenarioConfig(elements_per_side=2, dt=0.01, t_final=0.01, output_dir=str(blocker))
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    with pytest.raises(FileExistsError):
+        cli_main(["solve", "--config", str(cfg_path)])

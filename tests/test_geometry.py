@@ -55,14 +55,13 @@ def test_eval_edge_matches_full_eval(space_small, rng):
 
 
 def test_flat_square_geometry():
-    """X(u,v) = (2u-1, 2v-1, 0): metric 4I, area element 4, area 4."""
+    """X(u,v) = (2u-1, 2v-1, 0): inverse metric I/4, area element 4, area 4."""
     space = build_space(2, 1, 4)
     quasi = build_quasi_interpolant(space)
     sc = get_scenario("perturbed_plane", amplitude=0.0)
     x = interpolate(quasi, sc)
     tables = MeshTables(space, 3)
     geom = ElementGeometry(tables, x)
-    assert np.allclose(geom.metric, 4.0 * np.eye(2), atol=1e-12)
     assert np.allclose(geom.metric_inv, 0.25 * np.eye(2), atol=1e-13)
     assert np.abs(geom.area_element - 4.0).max() < 1e-12
     assert abs(surface_area(x, tables) - 4.0) < 1e-12
