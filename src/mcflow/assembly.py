@@ -1,26 +1,30 @@
 """Galerkin assembly over the parametric mesh.
 
-Interior forms are integrated element by element with a tensor Gauss
-rule.  `MeshTables` is the one quadrature layer: it caches the Gauss
-points and weights of the N x N mesh and the basis tabulations, and
-holds the CSR sparsity pattern that the space computes once for all
-its tables (`TensorSplineSpace.element_pattern`).  So repeated assembly
-on a moving surface only re-does the coefficient-dependent contractions
-and then sums the element entries into the fixed pattern with one
-`np.bincount`.  Mass and stiffness share that pattern.  The tabulations
-keep the local basis index last, so every contraction with the basis
-(field values and Jacobians, element matrices, loads) is one batched
-BLAS product over the elements: small dense matrices per element,
-stacked, as in the sum-factorization view of tensor-product assembly
-(Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME 285, 2015).
-`BoundaryTables` uses the same layout on the edges.  What happens per
-quadrature point, the metric (`geometry.metric_pieces`), the
-Weingarten energy and the conormal density, is formed from
-multiply-adds of the u- and v-columns of the Jacobians, not from
-stacks of tiny matrix products.  A load that carries a BDF tail takes
-it into its density, since the integral of tail * phi is M tail: the
-step evaluates the extrapolated field and its tail by one product and
-needs no mass-matrix product.
+Interior forms are integrated on the tensor Gauss grid of the square,
+and every integral factors into a pass along u and a pass along v (sum
+factorization; Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
+285, 2015).  `MeshTables` is the one quadrature layer.  It holds the
+1-D data of a rule: the factor's collocation matrices C0, C1 at the
+m = N n_quad Gauss points, the tensor weights, the pair tables of
+products of two basis functions along one direction, and the CSR
+pattern of the space with the place of each slot in the band the
+matrix kernel forms (`TensorSplineSpace.csr_pattern`).  A field on the
+grid is a stack of (m, m) planes, one per component, from two passes
+of C0 and C1 along u and one along v per plane stack
+(`MeshTables.evaluate`); the metric, the Weingarten energy and the load
+densities are elementwise multiply-adds of whole planes; a load is the
+transposed tensor product of its density planes
+(`MeshTables.integrate`); and c M + A is five m x m by m x n (2p + 1)
+products of density planes with pair tables, one product of the stacked
+pair tables with their results and one gather into the CSR data of the
+pattern (`MeshTables.matrix`), with no separate M and A.  Every slot of
+the pattern is kept, so all matrices of a space share it.  The 1-D
+tables are banded, so past BLOCK_ELEMENTS elements each product runs
+block by block and skips the zero blocks.  A load that
+carries a BDF tail takes it into its density, since the integral of
+tail * phi is M tail: the step evaluates the extrapolated fields and
+their tails in one evaluation and needs no mass-matrix product.
+`BoundaryTables` keeps per-element tables on the four edges.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
@@ -65,7 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .geometry import cross3, inner, metric_pieces
+from .geometry import cross3, dot, inner, metric_pieces
 from .splines import TensorSplineSpace
 
 
@@ -89,135 +93,219 @@ def check_residual(residual, b, what):
 
 
 def scatter_vector(index, local, dim):
-    """Sum entries `local` (..., [D]) into rows `index` (...) of a (dim[, D]) array.
+    """Sum entries `local` (..., D) into rows `index` (...) of a (dim, D) array.
 
     Entries are summed one at a time in their flattened order.
     """
-    if local.ndim == index.ndim:
-        return np.bincount(index.ravel(), weights=local.ravel(), minlength=dim)
     D = local.shape[-1]
     rows = (index[..., None] * D + np.arange(D)).ravel()
     out = np.bincount(rows, weights=local.ravel(), minlength=dim * D)
     return out.reshape(dim, D)
 
 
-def gauss_mesh(space: TensorSplineSpace, n_quad: int):
-    """Tensor Gauss rule on the elements of a space.
-
-    Returns `points` (Ne, nq^2, 2), elements in row-major order, and
-    `weights`, the (nq^2,) tensor weights shared by every element, so a
-    quadrature sum over the square is `sum(weights * values)` for values
-    of shape (Ne, nq^2).
-    """
-    pts, w = space.factor.element_rule(n_quad)
-    points = np.empty((len(pts), len(pts), n_quad, n_quad, 2))
-    points[..., 0] = pts[:, None, :, None]
-    points[..., 1] = pts[None, :, None, :]
-    return points.reshape(-1, n_quad * n_quad, 2), np.outer(w, w).ravel()
+# Elements per block of the banded 1-D products of `MeshTables`.  Dense
+# products over all N elements waste (N - p - 1) / N of their work; blocks
+# of 8 made the products too thin for BLAS at N = 80, where 16 was the
+# fastest of 8, 12, 16 and 24 at p = 2 and within noise of the best at
+# p = 3 (evaluation plus matrix, BLAS on 1 thread).
+BLOCK_ELEMENTS = 16
 
 
 class MeshTables:
-    """Gauss mesh of a space: points, weights, basis tabulation, CSR pattern.
+    """The tensor Gauss grid of a space and the 1-D tables of its rule.
 
-    `points` and `weights` are those of `gauss_mesh`.  The basis values
-    `basis` (Ne, nq2, nloc) and parametric gradients `basis_grad`
-    (Ne, nq2, 2, nloc) keep the local basis index last; `grad_rows` is
-    `basis_grad` viewed as one (2 nq2, nloc) matrix per element.  So
-    every contraction with local coefficients or quadrature densities is
-    one batched matrix product over the elements.  Each tabulation is
-    a product of the factor's tabulation of the rule
-    (`UnivariateSpline.element_tables`) with itself, written into a
-    preallocated array: `basis_grad` is allocated as
-    (ne, ne, nq, nq, 2, p+1, p+1), so its two parametric directions are
-    slices of one array and no stacking copies them.
+    The factor's `n_quad`-point Gauss rule on each of its N elements
+    gives m = N n_quad points `points_1d`; the grid is their tensor
+    square, u-major, with tensor weights `weights` (m, m).  `c` holds
+    the factor's collocation matrices C0 and C1 (2, m, n) at the points
+    (`UnivariateSpline.collocation`); every quadrature kernel applies
+    them along u and along v, so a field, a load or a matrix costs a few
+    BLAS products over the whole grid.
+    Fields live on the grid as planes, one (m, m) array per component,
+    indexed [u point, v point].
+
+    `pairs` (m, 4, n (2p + 1)) holds the pair tables
+    P_ab[q, (i, d)] = C_a[q, i] C_b[q, i + d - p] of P00, P11, P10, P01,
+    zero where i + d - p leaves the basis: every product of two basis
+    functions or derivatives along one direction that the matrix kernel
+    integrates.  `indices`, `indptr` and `band_entry` are the CSR
+    pattern of the space and the place of each of its slots in the band
+    array the kernel forms (`TensorSplineSpace.csr_pattern`).
+
+    C0, C1 and the pair tables are banded: basis i is nonzero only at
+    the points of the p + 1 elements of its support.  So every product
+    with them runs in blocks of BLOCK_ELEMENTS elements and skips the
+    zero blocks: `point_blocks` pairs the points of each block of
+    elements with the basis functions active on them, and
+    `basis_blocks` splits the basis into as many consecutive runs, each
+    with the points of its support.  A mesh of at most BLOCK_ELEMENTS
+    elements is one block.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         self.space = space
         self.n_quad = n_quad
-        tab = space.factor.element_tables(n_quad)[3]
-        ne, p1 = space.factor.num_elements, space.degree + 1
-        self.num_elements = ne * ne
-        self.nloc = p1 * p1
-        nq2 = n_quad * n_quad
-        # the space's connectivity (Ne, nloc) and CSR pattern, shared by
-        # every table of the space (`TensorSplineSpace.element_pattern`)
-        self.conn, self.indices, self.indptr, self.scatter = space.element_pattern
+        f, p = space.factor, space.degree
+        pts, w = f.element_rule(n_quad)
+        self.points_1d = pts.ravel()
+        weights_1d = np.tile(w, f.num_elements)
+        self.weights = np.outer(weights_1d, weights_1d)
+        self.c = f.collocation(self.points_1d, 1)
+        self.indices, self.indptr, self.band_entry = space.csr_pattern
 
-        self.points, self.weights = gauss_mesh(space, n_quad)
+        m, n = self.c.shape[1:]
+        padded = np.zeros((2, m, n + 2 * p))
+        padded[:, :, p : p + n] = self.c
+        window = np.lib.stride_tricks.sliding_window_view(padded, 2 * p + 1, axis=2)
+        pairs = np.empty((m, 4, n, 2 * p + 1))
+        for k, (a, b) in enumerate(((0, 0), (1, 1), (1, 0), (0, 1))):
+            np.multiply(self.c[a][:, :, None], window[b], out=pairs[:, k])
+        self.pairs = pairs.reshape(m, 4, -1)
 
-        grid = (ne, ne, n_quad, n_quad)
-        basis = np.empty(grid + (p1, p1))
-        grad = np.empty(grid + (2, p1, p1))
+        starts = list(range(0, f.num_elements, BLOCK_ELEMENTS))
+        first, (lo, hi) = f.element_first, f.supports
+        self.point_blocks = [
+            (slice(e * n_quad, e1 * n_quad), slice(first[e], first[e1 - 1] + p + 1))
+            for e, e1 in zip(starts, starts[1:] + [f.num_elements])
+        ]
+        runs = [first[e] for e in starts] + [n]
+        self.basis_blocks = [
+            (slice(lo[a] * n_quad, (hi[b - 1] + 1) * n_quad), slice(a, b))
+            for a, b in zip(runs, runs[1:])
+        ]
 
-        def tensor(fu_tab, fv_tab, out):  # (ne, nq, p+1) x (ne, nq, p+1)
-            np.multiply(
-                fu_tab[:, None, :, None, :, None], fv_tab[None, :, None, :, None, :], out=out
-            )
+    def _to_points(self, c, x):
+        """c (m, n) applied to the middle axis of x (K, n, r): (K, m, r)."""
+        out = np.empty((len(x), c.shape[0], x.shape[2]))
+        for q, i in self.point_blocks:
+            np.matmul(c[q, i], x[:, i], out=out[:, q])
+        return out
 
-        b, g = tab[:, :, 0, :], tab[:, :, 1, :]
-        tensor(b, b, basis)
-        tensor(g, b, grad[..., 0, :, :])
-        tensor(b, g, grad[..., 1, :, :])
-        self.basis = basis.reshape(self.num_elements, nq2, self.nloc)
-        self.basis_grad = grad.reshape(self.num_elements, nq2, 2, self.nloc)
-        # the same memory as one (2 nq2, nloc) matrix per element
-        self.grad_rows = self.basis_grad.reshape(self.num_elements, 2 * nq2, self.nloc)
+    def _to_basis(self, c, x):
+        """c^T (n, m) applied to the middle axis of x (K, m, r): (K, n, r)."""
+        out = np.empty((len(x), c.shape[1], x.shape[2]))
+        for q, i in self.basis_blocks:
+            np.matmul(c[q, i].T, x[:, q], out=out[:, i])
+        return out
 
-    def matrix(self, local):
-        """Sum local matrices (Ne, nloc, nloc) into a CSR matrix on the pattern."""
-        n, dim = len(self.indices), self.space.dim
-        data = np.bincount(self.scatter, weights=local.ravel(), minlength=n)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+    def evaluate(self, rows, values=slice(None), jac=slice(0)):
+        """Planes at the grid points of the fields with coefficient rows `rows`.
 
-    def combine(self, c, M, A):
-        """c M + A for M, A on the pattern, as a CSR matrix on the pattern.
-
-        Unlike sparse `+`, this keeps an entry that cancels to 0.0, so the
-        slots of `data` stay those of the pattern.
+        `rows` (D, dim) holds one scalar field per row.  Returns the
+        values (Dv, m, m) of the rows `values` and the u- and
+        v-derivatives (Dj, m, m) each of the rows `jac` (slices), or
+        None for both if `jac` is empty: C0 and C1 applied along u, then
+        C0 or C1 along v, one product per block of points.
         """
+        c0, c1 = self.c
+        m, n = c0.shape
+        X = np.asarray(rows).reshape(-1, n, n)
+
+        def along_v(W, c):
+            W = W.reshape(-1, n)
+            out = np.empty((len(W), m))
+            for q, i in self.point_blocks:
+                np.matmul(W[:, i], c[q, i].T, out=out[:, q])
+            return out.reshape(-1, m, m)
+
+        W0 = self._to_points(c0, X)
+        Xj = X[jac]
+        if not len(Xj):
+            return along_v(W0[values], c0), None, None
+        du = along_v(self._to_points(c1, Xj), c0)
+        return along_v(W0[values], c0), du, along_v(W0[jac], c1)
+
+    def integrate(self, dens, du=None, dv=None):
+        """sum_q (dens phi_i + du d_u phi_i + dv d_v phi_i)(q) for density planes.
+
+        `dens`, and the optional `du` and `dv`, are (k, m, m) stacks of
+        density planes already weighted by the rule; the transposed
+        tensor products integrate them against every basis function,
+        along v and then along u.  Returns (dim, k).
+        """
+        c0, c1 = self.c
+        m, n = c0.shape
+        k = len(dens)
+
+        def along_v(d, c):  # (k, m, m) -> (k, m, n)
+            d = d.reshape(-1, m)
+            t = np.empty((len(d), n))
+            for q, i in self.basis_blocks:
+                np.matmul(d[:, q], c[q, i], out=t[:, i])
+            return t.reshape(k, m, n)
+
+        t = along_v(dens, c0)
+        if dv is not None:
+            t += along_v(dv, c1)
+        res = self._to_basis(c0, t)
+        if du is not None:
+            res += self._to_basis(c1, along_v(du, c0))
+        return res.reshape(k, -1).T
+
+    def matrix(self, mass, g00, g01, g11):
+        """sum_q mass phi_i phi_j + grad phi_i^T [[g00, g01], [g01, g11]] grad phi_j
+        as a CSR matrix on the pattern, for density planes (m, m).
+
+        By sum factorization: the integral over v of each of the five
+        products of derivative pairs is a density plane times a pair
+        table (the mass and the g11 term share P00 along u and add up),
+        the integral over u is one product of the four stacked pair
+        tables with those results, which gives the band array of
+        `TensorSplineSpace.csr_pattern`, and the band entries of the
+        pattern are gathered into the CSR data.  Both passes run per
+        block of `basis_blocks`.  Every slot of the pattern is kept,
+        also one whose value is 0.0.
+        """
+        P = self.pairs
+        m, _, L = P.shape
+        width = L // self.c.shape[2]
+        T = np.empty((m, 4, L))
+        for q, i in self.basis_blocks:
+            b = slice(i.start * width, i.stop * width)
+            np.matmul(mass[:, q], P[q, 0, b], out=T[:, 0, b])
+            T[:, 0, b] += g11[:, q] @ P[q, 1, b]
+            np.matmul(g00[:, q], P[q, 0, b], out=T[:, 1, b])
+            np.matmul(g01[:, q], P[q, 3, b], out=T[:, 2, b])  # d_u phi_i d_v phi_j
+            np.matmul(g01[:, q], P[q, 2, b], out=T[:, 3, b])  # d_v phi_i d_u phi_j
+        band = np.empty((L, L))
+        for q, i in self.basis_blocks:
+            b = slice(i.start * width, i.stop * width)
+            U = P[q, :, b].reshape(-1, b.stop - b.start)
+            np.matmul(U.T, T[q].reshape(-1, L), out=band[b])
+        data = np.take(band, self.band_entry)
         dim = self.space.dim
-        return sp.csr_matrix((c * M.data + A.data, self.indices, self.indptr), shape=(dim, dim))
-
-    def field_values(self, coeffs):
-        """Field values at all quadrature points, (Ne, nq2[, D])."""
-        loc = np.take(coeffs, self.conn, axis=0)  # faster than coeffs[self.conn]
-        if loc.ndim == 2:
-            return (self.basis @ loc[:, :, None])[:, :, 0]
-        return self.basis @ loc
-
-    def field_jacobians(self, coeffs):
-        """Parametric Jacobians at quadrature points, (Ne, nq2, D, 2).
-
-        The result is the transposed view of a C-contiguous
-        (Ne, nq2, 2, D) array.
-        """
-        loc = np.take(coeffs, self.conn, axis=0)  # faster than coeffs[self.conn]
-        if loc.ndim == 2:
-            loc = loc[:, :, None]
-        Jt = self.grad_rows @ loc
-        return Jt.reshape(self.basis_grad.shape[:3] + (-1,)).swapaxes(2, 3)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
 
 
 class ElementGeometry:
-    """First-order geometry of a surface at the quadrature points."""
+    """First-order geometry of a surface on the grid of a `MeshTables`,
+    and the fields that the forms on it read, from one evaluation.
 
-    def __init__(self, tables: MeshTables, x_coeffs):
-        J = tables.field_jacobians(np.asarray(x_coeffs))
-        self.metric_inv, self.area_element = metric_pieces(J)
-
-
-def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry):
-    """Surface mass and stiffness matrices on the given geometry.
-
-    Returns (M, A) in CSR.
+    `x_coeffs` (dim, 3) is the surface; `fields` (D, dim), if given,
+    holds more scalar fields by rows, and the Jacobians of the first
+    `num_jac` of them are evaluated too.  Holds the entries of G^-1
+    `metric_inv` (3, m, m) and the area element `area_element` (m, m)
+    (`geometry.metric_pieces`), the rule's weight times the area element
+    `weight` (m, m), and the planes of the fields: `values` (D, m, m)
+    and the derivatives `du`, `dv` (num_jac, m, m).
     """
-    wq = tables.weights * geom.area_element  # (Ne, nq2)
-    B = tables.basis
-    Mloc = B.swapaxes(1, 2) @ (wq[:, :, None] * B)
-    t = (wq[:, :, None, None] * geom.metric_inv) @ tables.basis_grad  # (Ne, nq2, 2, nloc)
-    Aloc = tables.grad_rows.swapaxes(1, 2) @ t.reshape(tables.grad_rows.shape)
-    return tables.matrix(Mloc), tables.matrix(Aloc)
+
+    def __init__(self, tables: MeshTables, x_coeffs, fields=None, num_jac=0):
+        x = np.asarray(x_coeffs).T
+        rows = x if fields is None else np.concatenate([x, fields])
+        self.values, du, dv = tables.evaluate(rows, slice(3, None), slice(3 + num_jac))
+        self.metric_inv, self.area_element = metric_pieces(du[:3], dv[:3])
+        self.weight = tables.weights * self.area_element
+        self.du, self.dv = du[3:], dv[3:]
+
+
+def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass, stiffness=1.0):
+    """mass M + stiffness A on the given geometry, as one CSR matrix on
+    the pattern, for the surface mass M and stiffness A."""
+    wq = geom.weight
+    s = stiffness * wq
+    g = geom.metric_inv
+    return tables.matrix(mass * wq, s * g[0], s * g[1], s * g[2])
 
 
 class SaddleLayout:
@@ -432,51 +520,39 @@ class ConstrainedSolver:
         return x, saddle
 
 
-def assemble_curvature_load(tables, geom, kappa_coeffs, frob2, tail):
-    """Load |A|^2 kappa against the scalar basis, less M tail (full-length vector).
+def assemble_curvature_load(tables, geom, kappa, tail, frob2):
+    """Load |A|^2 kappa against the scalar basis, less M tail, (dim,).
 
-    `frob2` is `weingarten_energy` of the normal on the same geometry and
-    `tail` (dim,) the coefficients of a field whose mass product the load
-    subtracts: the integral of tail * phi is M tail, so the tail folds
-    into the density, and kappa and tail are evaluated by one product.
+    `kappa` and `tail` are planes (m, m) of the curvature and of a field
+    whose mass product the load subtracts: the integral of tail * phi
+    is M tail, so the tail folds into the density.  `frob2` is
+    `weingarten_energy` on the same geometry.
     """
-    vals = tables.field_values(np.column_stack([kappa_coeffs, tail]))
-    dens = tables.weights * geom.area_element * (frob2 * vals[:, :, 0] - vals[:, :, 1])
-    local = (dens[:, None, :] @ tables.basis)[:, 0, :]
-    return scatter_vector(tables.conn, local, tables.space.dim)
+    dens = geom.weight * (frob2 * kappa - tail)
+    return tables.integrate(dens[None])[:, 0]
 
 
-def assemble_normal_load(tables, geom, nu_coeffs, frob2, tail):
+def assemble_normal_load(tables, geom, nu, tail, frob2):
     """Load |A|^2 nu against the vector basis, less M tail, (dim, 3).
 
-    `frob2` is `weingarten_energy` of `nu_coeffs` on the same geometry;
-    `tail` (dim, 3) folds into the density as in `assemble_curvature_load`.
-    Returns (load, the values of nu at the quadrature points
-    (Ne, nq2, 3)), the values that the normal's length is read from.
+    `nu` and `tail` are stacks (3, m, m) of component planes and `frob2`
+    is `weingarten_energy` of nu on the same geometry; the tail folds
+    into the density as in `assemble_curvature_load`.
     """
-    vals = tables.field_values(np.column_stack([nu_coeffs, tail]))
-    nu = vals[:, :, :3]
-    dens = (tables.weights * geom.area_element)[:, :, None]
-    integrand = dens * (frob2[:, :, None] * nu - vals[:, :, 3:])
-    local = tables.basis.swapaxes(1, 2) @ integrand
-    return scatter_vector(tables.conn, local, tables.space.dim), nu
+    dens = geom.weight * (frob2 * nu - tail)
+    return tables.integrate(dens)
 
 
-def weingarten_energy(tables, geom, nu_coeffs):
-    """|grad_Gamma nu|_F^2 at the quadrature points, (Ne, nq2).
+def weingarten_energy(geom, du, dv):
+    """|grad_Gamma nu|_F^2 on the grid, (m, m), of the field whose
+    derivative planes are du, dv (3, m, m).
 
     With grad_Gamma nu = Jn G^-1 J^T and J^T J = G, this is
     tr(Jn^T Jn G^-1), formed from the dot products of the u- and
     v-columns of Jn and the entries of the symmetric G^-1.
     """
-    Jn = tables.field_jacobians(np.asarray(nu_coeffs))
-    a, b = Jn[..., 0], Jn[..., 1]
-    Ginv = geom.metric_inv
-    return (
-        inner(a, a) * Ginv[..., 0, 0]
-        + 2.0 * inner(a, b) * Ginv[..., 0, 1]
-        + inner(b, b) * Ginv[..., 1, 1]
-    )
+    g = geom.metric_inv
+    return dot(du, du) * g[0] + 2.0 * dot(du, dv) * g[1] + dot(dv, dv) * g[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Flat key-value run configuration.
 
 The on-disk format is one `key = value` pair per line; blank lines and
-`#` comments are ignored.  Unknown keys are an error.  `serialize`
+`#` comments are ignored.  Unknown keys, and float values that are not
+finite numbers, are an error.  `serialize`
 produces a canonical form (fixed key order, shortest round-trip float
 representation) so equal configs serialize identically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -58,7 +60,10 @@ def _parse_value(key: str, text: str):
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+            return value
         if kind == "bool":
             if text.lower() in ("true", "1", "yes"):
                 return True

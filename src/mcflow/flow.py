@@ -2,11 +2,12 @@
 
 Each step extrapolates surface, normal and curvature and forms their
 BDF derivative tails in one pass over the history
-(`BdfScheme.extrapolate_with_tails`), assembles mass/stiffness and the
-nonlinear loads on the extrapolated surface, with the curvature and
-normal tails folded into the load densities (the integral of
-tail * phi is M tail, so no mass-matrix product is needed), then
-solves two linear systems with one factorization:
+(`BdfScheme.extrapolate_with_tails`), evaluates all of them on the
+tensor Gauss grid at once (`assembly.ElementGeometry`), assembles
+K = (d0/dt) M + A and the nonlinear loads on the extrapolated surface,
+with the curvature and normal tails folded into the load densities (the
+integral of tail * phi is M tail, so no mass-matrix product is needed),
+then solves two linear systems with one factorization:
 `assembly.ConstrainedSolver` factors the whole of K = (d0/dt) M + A by
 one banded Cholesky.  That factor solves both the zero-trace parabolic
 system of the curvature, whose matrix is the interior block of K, and,
@@ -19,18 +20,18 @@ to their initial values so the Dirichlet data is preserved bit for bit.
 
 A step raises `NormalDrift` when the extrapolated normal's length is off
 1 by more than NORMAL_DRIFT_TOL at a quadrature point, read off the
-values the normal load evaluates, or when the new normal's constraint
-residual |S nu|_inf exceeds CONSTRAINT_TOL; a run that diverges after
-it reaches the minimal surface stops there instead of reporting areas
-that grow without bound.
+planes of the normal that the normal load integrates, or when the new
+normal's constraint residual |S nu|_inf exceeds CONSTRAINT_TOL; a run
+that diverges after it reaches the minimal surface stops there instead
+of reporting areas that grow without bound.
 
 BDF orders 1 and 2 are supported (`bdf_coefficients`).  The history
 grows up to the scheme's order and each step uses the highest order it
 supports, so a q=2 run bootstraps with a single q=1 step.
 `FlowProblem` rejects a config with `ConfigError` before any set-up
 unless dt > 0 divides t_final >= 0 into whole steps, the snapshot
-stride is non-negative and degree, smoothness and elements per side
-make a spline space.
+stride is non-negative, degree, smoothness and elements per side
+make a spline space and the scenario parameters make a scenario.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .assembly import (
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
-from .geometry import inner, surface_area
+from .geometry import dot, surface_area
 from .projections import (
     boundary_quasi_interp,
     nonlinear_ritz_normal,
@@ -195,7 +196,10 @@ class FlowProblem:
         except ValueError as exc:
             raise ConfigError(f"bad spline space: {exc}") from exc
         self.cfg = cfg
-        self.scenario = get_scenario(cfg.scenario, **cfg.scenario_params())
+        try:
+            self.scenario = get_scenario(cfg.scenario, **cfg.scenario_params())
+        except ValueError as exc:
+            raise ConfigError(f"bad scenario parameters: {exc}") from exc
         self.quasi = build_quasi_interpolant(self.space)
         n_quad = cfg.degree + 1
         self.tables = MeshTables(self.space, n_quad)
@@ -263,18 +267,22 @@ class FlowProblem:
             scheme.extrapolate_with_tails()
         )
 
-        geom = ElementGeometry(self.tables, x_ext)
-        M, A = assemble_mass_stiffness(self.tables, geom)
+        # x, nu, kappa and the tails on the grid, from one evaluation
+        fields = np.concatenate([nu_ext.T, kap_ext[None], tail_kap[None] / dt, tail_nu.T / dt])
+        geom = ElementGeometry(self.tables, x_ext, fields, num_jac=3)
+        nu_q, kap_q, tail_kap_q, tail_nu_q = np.split(geom.values, [3, 4, 5])
+        # one matrix (d0/dt) M + A serves both systems
+        K = assemble_mass_stiffness(self.tables, geom, d0 / dt)
         # |A|^2 of the extrapolated normal, shared by both loads
-        frob2 = weingarten_energy(self.tables, geom, nu_ext)
+        frob2 = weingarten_energy(geom, geom.du, geom.dv)
 
         # curvature load (zero-trace space: boundary rows unused); the BDF
         # tails fold into the load densities, as M tail / dt
-        rhs_k = assemble_curvature_load(self.tables, geom, kap_ext, frob2, tail_kap / dt)
+        rhs_k = assemble_curvature_load(self.tables, geom, kap_q[0], tail_kap_q[0], frob2)
 
         # normal load (saddle system with tangential boundary constraint)
-        f_n, nu_q = assemble_normal_load(self.tables, geom, nu_ext, frob2, tail_nu / dt)
-        drift = float(np.abs(np.sqrt(inner(nu_q, nu_q)) - 1.0).max())
+        f_n = assemble_normal_load(self.tables, geom, nu_q, tail_nu_q, frob2)
+        drift = float(np.abs(np.sqrt(dot(nu_q, nu_q)) - 1.0).max())
         if drift > NORMAL_DRIFT_TOL:
             raise NormalDrift(
                 f"step to t = {scheme.history[0].time + dt:.6g}: extrapolated normal "
@@ -282,8 +290,6 @@ class FlowProblem:
             )
         rhs_n = f_n + assemble_boundary_load(self.btables, nu_ext)
 
-        # one factor of (d0/dt) M + A serves both systems
-        K = self.tables.combine(d0 / dt, M, A)
         solver = ConstrainedSolver(K, self.saddle, "normal solve")
         (kappa, res_k), (nu, multiplier, res_n) = solver.with_interior(
             rhs_k, rhs_n, "curvature solve"
@@ -373,7 +379,8 @@ class FlowProblem:
         from .assembly import dump_matrix_market
 
         geom = ElementGeometry(self.tables, state.x)
-        M, A = assemble_mass_stiffness(self.tables, geom)
+        M = assemble_mass_stiffness(self.tables, geom, 1.0, 0.0)
+        A = assemble_mass_stiffness(self.tables, geom, 0.0)
         for name, mat in (("mass", M), ("stiffness", A), ("constraint", self.S)):
             dump_matrix_market(cfg_dir(self.cfg), name, mat)
 

@@ -14,13 +14,14 @@ second-fundamental-form energy (Frobenius norm squared).
 
 `metric_pieces` is the one place that forms G^{-1} and the area
 element, the only metric data the flow reads; G itself lives only as
-its three entries.  The quadrature-point geometry of `assembly` and the
-scenarios' samples go through it, and `surface_area` reads det G from
-the same entries.  Both work from multiply-adds of the u- and v-columns
-of the Jacobians (`inner`, `cross3`), not from stacks of 2 x 2 and
-3 x 2 matrix products: at the few thousand quadrature points of a flow
-step, a stacked product of tiny matrices costs several times the
-handful of elementwise passes that form the same entries.
+its three entries, and G^{-1} as the three entries (00, 01, 11) of the
+symmetric matrix.  It takes the u- and v-columns of the Jacobians with
+the ambient component first, which is how the quadrature layer of
+`assembly` keeps them: one (m, m) plane per component on its tensor
+Gauss grid.  The scenarios' samples pass the columns of their (n, 3, 2)
+Jacobians transposed.  `surface_area` reads det G from the same entries.
+Every entry is a handful of elementwise multiply-adds over whole
+planes, not a stack of 2 x 2 and 3 x 2 matrix products.
 """
 
 from __future__ import annotations
@@ -95,15 +96,22 @@ def cross3(a, b):
     return out
 
 
-def _first_form(J):
+def dot(a, b):
+    """Inner products over the first axis, by components."""
+    out = a[0] * b[0]
+    for k in range(1, len(a)):
+        out += a[k] * b[k]
+    return out
+
+
+def _first_form(u, v):
     """The entries E = Ju.Ju, F = Ju.Jv, H = Jv.Jv of G and det G, from
-    the u- and v-columns of Jacobians J (..., 3, 2).
+    the u- and v-columns u, v (3, ...) of Jacobians, component first.
 
     Raises DegenerateSurface when det G drops to DEGENERACY_EPS or below
     anywhere, or is not a number.
     """
-    u, v = J[..., 0], J[..., 1]
-    E, F, H = inner(u, u), inner(u, v), inner(v, v)
+    E, F, H = dot(u, u), dot(u, v), dot(v, v)
     det = E * H - F * F
     if not np.all(det > DEGENERACY_EPS):
         raise DegenerateSurface(
@@ -112,23 +120,26 @@ def _first_form(J):
     return E, F, H, det
 
 
-def metric_pieces(J):
-    """Metric data from Jacobians of shape (..., 3, 2).
+def metric_pieces(u, v):
+    """Metric data from the u- and v-columns u, v (3, ...) of Jacobians.
 
-    Returns the inverse G^{-1} of the first fundamental form G = J^T J,
-    (..., 2, 2), and the area element sqrt(det G); raises
-    DegenerateSurface when det G drops to DEGENERACY_EPS or below
-    anywhere, or is not a number.
+    Returns the entries (00, 01, 11) of the inverse G^{-1} of the first
+    fundamental form G = J^T J, stacked as (3, ...), and the area
+    element sqrt(det G); raises DegenerateSurface when det G drops to
+    DEGENERACY_EPS or below anywhere, or is not a number.
     """
-    E, F, H, det = _first_form(J)
-    Ginv = np.empty(det.shape + (2, 2))
-    np.divide(H, det, out=Ginv[..., 0, 0])
-    np.divide(E, det, out=Ginv[..., 1, 1])
-    Ginv[..., 0, 1] = Ginv[..., 1, 0] = -F / det
-    return Ginv, np.sqrt(det)
+    E, F, H, det = _first_form(u, v)
+    ginv = np.empty((3,) + det.shape)
+    np.divide(H, det, out=ginv[0])
+    np.divide(F, det, out=ginv[1])
+    np.negative(ginv[1], out=ginv[1])
+    np.divide(E, det, out=ginv[2])
+    return ginv, np.sqrt(det)
 
 
 def surface_area(x, tables) -> float:
-    """Quadrature area of the surface x (dim, 3) on an `assembly.MeshTables` mesh."""
-    det = _first_form(tables.field_jacobians(x))[3]
+    """Quadrature area of the surface x (dim, 3) on the grid of an
+    `assembly.MeshTables`, from the Jacobian planes of x."""
+    _, du, dv = tables.evaluate(np.asarray(x).T, values=slice(0), jac=slice(None))
+    det = _first_form(du, dv)[3]
     return float(np.sum(tables.weights * np.sqrt(det)))

@@ -9,9 +9,12 @@ evaluating and interpolating take two BLAS products each.
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
 which it reads off the one grid sample (`scenarios.Sample`) that also
-gives the interpolated initial data: it integrates with the
-quasi-interpolant's rule, one order finer than flow-step assembly, so
-data already in the space is reproduced to solver precision.  It is
+gives the interpolated initial data: it integrates on the tensor Gauss
+grid of the quasi-interpolant's rule (an `assembly.MeshTables`), one
+order finer than flow-step assembly, so data already in the space is
+reproduced to solver precision, and the sample's values are already
+planes of that grid.  A + RITZ_LAMBDA M and the Gram matrix A + M come
+from the same matrix kernel as a flow step's.  It is
 nonlinear through an orientation-dependent boundary term and
 constrained to have boundary trace discretely orthogonal to the
 interpolated boundary tangent.  `ritz_rhs` assembles the part of the
@@ -36,7 +39,6 @@ from .assembly import (
     assemble_boundary_load,
     assemble_mass_stiffness,
     conormal_load,
-    scatter_vector,
 )
 from .splines import QuasiInterpolant
 
@@ -95,29 +97,27 @@ def ritz_rhs(tables: MeshTables, grid, edges):
     applied to its normal, minus the conormal term of its boundary.
     `tables` holds the quasi-interpolant's rule; `grid` and `edges[k]`
     are the scenario's `Sample`s at its `grid_points` (the points of
-    `tables` in tensor order) and its `edge_points(k)`.
+    `tables`, in the same order) and its `edge_points(k)`.  The interior
+    part is the transposed tensor product of the sample's density planes.
     """
-    space = tables.space
-    nq = tables.n_quad
-    ne, nq2 = tables.points.shape[:2]
-    n = space.factor.num_elements
+    m = len(tables.points_1d)
 
-    def by_element(values):
-        """Grid-ordered values (n nq * n nq, ...) as (Ne, nq2, ...)."""
-        shape = values.shape[1:]
-        blocks = values.reshape((n, nq, n, nq) + shape).swapaxes(1, 2)
-        return blocks.reshape((ne, nq2) + shape)
+    def planes(values):
+        """Grid-ordered values (m * m, ...) as planes (..., m, m)."""
+        return np.moveaxis(values, 0, -1).reshape(values.shape[1:] + (m, m))
 
-    Ginv_s, q_s = grid.metric
-    Ginv_s, q_s = by_element(Ginv_s), by_element(q_s)
-    Nvals, Njac = by_element(grid.normal), by_element(grid.normal_jacobian)
-    wq = (tables.weights * q_s)[:, :, None]
-    t = wq[:, :, :, None] * (Ginv_s @ Njac.swapaxes(2, 3))  # (Ne, nq2, 2, 3)
-    stiff_local = tables.grad_rows.swapaxes(1, 2) @ t.reshape(ne, 2 * nq2, 3)
-    mass_local = tables.basis.swapaxes(1, 2) @ (wq * Nvals)
+    ginv, q = grid.metric
+    g00, g01, g11 = ginv.reshape(3, m, m)
+    wq = tables.weights * q.reshape(m, m)
+    Nu, Nv = np.moveaxis(planes(grid.normal_jacobian), 1, 0)  # (3, m, m) each
+    interior = tables.integrate(
+        RITZ_LAMBDA * wq * planes(grid.normal),
+        du=wq * (g00 * Nu + g01 * Nv),
+        dv=wq * (g01 * Nu + g11 * Nv),
+    )
 
     # analytic boundary term, moved to the right-hand side with minus sign
-    bt = BoundaryTables(space, nq)
+    bt = BoundaryTables(tables.space, tables.n_quad)
 
     def on_edges(values):
         """Per-edge samples (n[, D]) stacked as (E, nq[, D])."""
@@ -131,8 +131,7 @@ def ritz_rhs(tables: MeshTables, grid, edges):
         on_edges([e.normal for e in edges]),
     )
     # (sign: the projection identity carries -boundary term on both sides)
-    local = stiff_local + RITZ_LAMBDA * mass_local
-    return scatter_vector(tables.conn, local, space.dim) - rhs_b
+    return interior - rhs_b
 
 
 def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
@@ -164,10 +163,9 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     do not converge.
     """
     geom = ElementGeometry(tables, x)
-    M, A = assemble_mass_stiffness(tables, geom)
-    K = tables.combine(RITZ_LAMBDA, M, A)
+    K = assemble_mass_stiffness(tables, geom, RITZ_LAMBDA)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
-    h1 = A + M  # Gram matrix of the residual norm
+    h1 = assemble_mass_stiffness(tables, geom, 1.0)  # Gram matrix of the residual norm
     current = start
     history, gs, fs = [], [], []  # gs, fs: the last map values and residuals
     for _ in range(RITZ_MAX_ITER):

@@ -79,8 +79,9 @@ class Sample:
 
     @cached_property
     def metric(self):
-        """G^-1 and the area element, `geometry.metric_pieces(J)`."""
-        return metric_pieces(self.J)
+        """The entries (00, 01, 11) of G^-1, (3, n), and the area element,
+        `geometry.metric_pieces` of the columns of J."""
+        return metric_pieces(self.J[:, :, 0].T, self.J[:, :, 1].T)
 
     @cached_property
     def normal(self):
@@ -106,13 +107,13 @@ class Sample:
     @property
     def mean_curvature(self):
         """Trace of the Weingarten map for the oriented normal."""
-        Ginv = self.metric[0]
+        ginv = self.metric[0]
         # tr(Jn Ginv J^T) = sum_ab (Jn_a . J_b) Ginv_ab, Ginv symmetric
         Jn, J = self.normal_jacobian, self.J
         return (
-            inner(Jn[:, :, 0], J[:, :, 0]) * Ginv[:, 0, 0]
-            + (inner(Jn[:, :, 0], J[:, :, 1]) + inner(Jn[:, :, 1], J[:, :, 0])) * Ginv[:, 0, 1]
-            + inner(Jn[:, :, 1], J[:, :, 1]) * Ginv[:, 1, 1]
+            inner(Jn[:, :, 0], J[:, :, 0]) * ginv[0]
+            + (inner(Jn[:, :, 0], J[:, :, 1]) + inner(Jn[:, :, 1], J[:, :, 0])) * ginv[1]
+            + inner(Jn[:, :, 1], J[:, :, 1]) * ginv[2]
         )
 
     # -- on an edge ---------------------------------------------------

@@ -20,11 +20,11 @@ involved, one small solve per basis function.  This makes the
 functionals exactly dual to the basis, so the operator is a projector
 onto the space and reproduces polynomials up to degree p.
 
-`UnivariateSpline.element_tables` tabulates the factor on its
-per-element Gauss grid, and keeps each rule and tabulation it builds, so
-a space computes each Gauss rule once.  `assembly.MeshTables` builds the
-tensor quadrature mesh of the square from one of them, with points,
-weights and basis values, and `assembly.BoundaryTables` stacks the four
+`UnivariateSpline.element_rule` and `element_tables` keep each
+per-element Gauss rule and tabulation they build, so a space computes
+each Gauss rule once.  `assembly.MeshTables` builds the tensor Gauss
+grid of the square from one rule, with the factor's collocation
+matrices at its points, and `assembly.BoundaryTables` stacks the four
 edges of the square into one edge mesh; with open knot vectors the trace
 of the space on an edge is the factor.  `TensorGrid` evaluates fields on
 the square of any 1-D point set (the quasi-interpolant's grid, a Gauss
@@ -252,26 +252,24 @@ class TensorSplineSpace:
         return f"TensorSplineSpace(shape={self.shape}, dim={self.dim})"
 
     @cached_property
-    def element_pattern(self):
-        """Element connectivity and CSR pattern, computed once per space.
+    def csr_pattern(self):
+        """CSR pattern of every coupling, computed once per space.
 
-        Returns (conn, indices, indptr, scatter): `conn` (Ne, nloc) holds
-        the flat indices of the basis functions active on each element,
-        elements row-major; `indices` and `indptr` the CSR pattern of
-        every coupling, sorted and without duplicates; `scatter` the slot
-        in the CSR data of every local entry (Ne, nloc, nloc), row-major,
-        flattened.  No quadrature rule enters, so every
-        `assembly.MeshTables` of the space shares it.
+        Returns (indices, indptr, band_entry): `indices` and `indptr`
+        the CSR pattern, sorted and without duplicates, and `band_entry`
+        the place of each slot in a band array B[(i1, d1), (i2, d2)]
+        of shape (n (2p + 1), n (2p + 1)), flattened, that holds the
+        coupling of basis (i1, i2) with (i1 + d1 - p, i2 + d2 - p).  No
+        quadrature rule enters, so every `assembly.MeshTables` of the
+        space shares it.
 
         Basis (i1, i2) couples to (j1, j2) when j1 lies in the univariate
         band of i1 and j2 in that of i2 (`UnivariateSpline.band`), so row
-        i1 n + i2 holds w[i1] w[i2] columns, j1-major, and every slot is
-        integer arithmetic on the band.
+        i1 n + i2 holds w[i1] w[i2] columns, j1-major.  Below C^(p-1)
+        a band can be narrower than 2p + 1: basis functions that share
+        no element do not couple, and the pattern omits them.
         """
         p, n = self.degree, self.factor.dim
-        a = self.factor.element_first[:, None] + np.arange(p + 1)  # (ne, p+1)
-        conn = (a[:, None, :, None] * n + a[None, :, None, :]).reshape(-1, (p + 1) ** 2)
-
         s, w = self.factor.band
         counts = np.outer(w, w).ravel()
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
@@ -282,10 +280,12 @@ class TensorSplineSpace:
         keep = inside[:, None, :, None] & inside[None, :, None, :]
         indices = cols[np.broadcast_to(keep, cols.shape)].astype(np.int32)
 
-        i1, i2 = np.divmod(conn[:, :, None], n)  # row of each local entry
-        j1, j2 = np.divmod(conn[:, None, :], n)  # and its column
-        scatter = indptr[conn][:, :, None] + (j1 - s[i1]) * w[i2] + (j2 - s[i2])
-        return conn, indices, indptr, scatter.ravel()
+        i1, i2 = np.divmod(np.repeat(np.arange(self.dim), counts), n)
+        j1, j2 = np.divmod(indices, n)
+        width = 2 * p + 1
+        row = i1 * width + j1 - i1 + p
+        band_entry = row * (n * width) + i2 * width + j2 - i2 + p
+        return indices, indptr, band_entry
 
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.factor.dim + np.asarray(j2)

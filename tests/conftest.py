@@ -33,6 +33,13 @@ def interior_grid(n: int = 33, margin: float = 0.1):
     return np.column_stack([U.ravel(), V.ravel()])
 
 
+def grid_points(points_1d):
+    """The tensor grid of a 1-D point set, (m * m, 2), u-major: the
+    points of an `assembly.MeshTables` with these `points_1d`."""
+    U, V = np.meshgrid(points_1d, points_1d, indexing="ij")
+    return np.column_stack([U.ravel(), V.ravel()])
+
+
 def interpolate(quasi, scenario, field="X"):
     """Quasi-interpolant of one field of the scenario's sample on the quasi grid.
 

@@ -18,7 +18,7 @@ from mcflow.convergence import convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
 from mcflow.splines import build_quasi_interpolant, build_space
-from tests.conftest import dense_conormal_load, interior_grid
+from tests.conftest import dense_conormal_load, grid_points, interior_grid
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +194,8 @@ def test_criterion_6_constraint_and_boundary_invariants(example1, example2):
         pytest.param("sphere_patch", 0.025, 16, 3, id="sphere_patch-16-3"),
         pytest.param("perturbed_plane", 0.0015625, 80, 2, id="80-2"),
         pytest.param("sphere_patch", 0.025, 80, 2, id="sphere_patch-80-2"),
+        pytest.param("perturbed_plane", 0.0015625, 80, 3, id="80-3"),
+        pytest.param("sphere_patch", 0.025, 80, 3, id="sphere_patch-80-3"),
     ],
 )
 def test_criterion_6_invariants_on_scale_ladder(scenario, dt, N, p):
@@ -281,8 +283,8 @@ def test_criterion_8_projector_and_oracle_suite(example2):
             q_n = build_quasi_interpolant(sp_n)
             f_n = SplineField(sp_n, q_n.apply_to_values(smooth(q_n.grid_points)))
             tables = MeshTables(sp_n, p + 2)
-            mpts = tables.points.reshape(-1, 2)
-            w = np.tile(tables.weights, tables.num_elements)
+            mpts = grid_points(tables.points_1d)
+            w = tables.weights.ravel()
             d = f_n.eval(mpts)[:, 0] - smooth(mpts)
             errs.append(np.sqrt(np.sum(w * d * d)))
         eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

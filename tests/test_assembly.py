@@ -27,7 +27,8 @@ from mcflow.flow import FlowProblem, initialize
 from mcflow.geometry import DegenerateSurface, SplineField
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, gauss_rule
-from tests.conftest import boundary_data, dense_conormal_load, interpolate
+from tests import element_oracle as oracle
+from tests.conftest import boundary_data, dense_conormal_load, grid_points, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +61,24 @@ def test_mesh_tables_field_values(space_small, rng):
     tables = MeshTables(space_small, 3)
     coeffs = rng.normal(size=(space_small.dim, 3))
     fld = SplineField(space_small, coeffs)
-    vals = tables.field_values(coeffs)
-    jacs = tables.field_jacobians(coeffs)
-    pts = tables.points.reshape(-1, 2)
-    ref_v, ref_j = fld.eval(pts, 1)
-    assert np.abs(vals.reshape(-1, 3) - ref_v).max() < 1e-13
-    assert np.abs(jacs.reshape(-1, 3, 2) - ref_j).max() < 1e-12
+    vals, du, dv = tables.evaluate(coeffs.T, jac=slice(None))
+    ref_v, ref_j = fld.eval(grid_points(tables.points_1d), 1)
+    assert np.abs(vals.reshape(3, -1).T - ref_v).max() < 1e-13
+    jacs = np.stack([du, dv], axis=-1).reshape(3, -1, 2).transpose(1, 0, 2)
+    assert np.abs(jacs - ref_j).max() < 1e-12
+
+
+def _mass(tables, geom):
+    return assemble_mass_stiffness(tables, geom, 1.0, 0.0)
+
+
+def _stiffness(tables, geom):
+    return assemble_mass_stiffness(tables, geom, 0.0)
 
 
 def test_mass_stiffness_structure(flat_setup):
     space, tables, geom, _ = flat_setup
-    M, A = assemble_mass_stiffness(tables, geom)
+    M, A = _mass(tables, geom), _stiffness(tables, geom)
     assert (M - M.T).nnz == 0 or abs((M - M.T)).max() < 1e-14
     assert abs((A - A.T)).max() < 1e-13
     ones = np.ones(space.dim)
@@ -79,6 +87,10 @@ def test_mass_stiffness_structure(flat_setup):
     assert np.abs(A @ ones).max() < 1e-12
     evals = np.linalg.eigvalsh(M.toarray())
     assert evals.min() > 0.0
+    # the weighted sum is one matrix on the same pattern
+    K = assemble_mass_stiffness(tables, geom, 3.0, 0.5)
+    assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+    assert np.abs(K.data - (3.0 * M.data + 0.5 * A.data)).max() < 1e-13 * np.abs(K.data).max()
 
 
 def test_flat_mass_matches_dense_quadrature(flat_setup):
@@ -88,7 +100,7 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
     2p = 4, exact for both rules, so agreement is to roundoff.
     """
     space, tables, geom, x = flat_setup
-    M, _ = assemble_mass_stiffness(tables, geom)
+    M = _mass(tables, geom)
     N = space.factor.num_elements
     h = 1.0 / N
     xg, wg = gauss_rule(8)
@@ -105,22 +117,24 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
 
 
 def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
-    """Summing into the fixed CSR pattern equals a COO -> CSR assembly.
+    """Gathering into the fixed CSR pattern equals a COO -> CSR assembly
+    of the per-element matrices.
 
     M and A of two different geometries all carry the same canonical
     pattern (sorted column indices, no duplicates) as the reference.
     """
     prob, st = sphere_problem
     tables = prob.tables
-    rows = np.repeat(tables.conn, tables.nloc, axis=1).ravel()
-    cols = np.tile(tables.conn, (1, tables.nloc)).ravel()
-    w, B, dB = tables.weights, tables.basis, tables.basis_grad
+    et = oracle.ElementTables(prob.space, tables.n_quad)
+    rows = np.repeat(et.conn, et.nloc, axis=1).ravel()
+    cols = np.tile(et.conn, (1, et.nloc)).ravel()
+    w, B, dB = et.weights, et.basis, et.basis_grad
     for x in (st.x, st.x + 0.01 * rng.normal(size=st.x.shape)):
         geom = ElementGeometry(tables, x)
-        q = geom.area_element
+        Ginv, q = oracle.metric(et.field_jacobians(x))
         Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B)
-        Aloc = np.einsum("q,eq,eqai,eqab,eqbj->eij", w, q, dB, geom.metric_inv, dB)
-        for got, loc in zip(assemble_mass_stiffness(tables, geom), (Mloc, Aloc)):
+        Aloc = np.einsum("q,eq,eqai,eqab,eqbj->eij", w, q, dB, Ginv, dB)
+        for got, loc in zip((_mass(tables, geom), _stiffness(tables, geom)), (Mloc, Aloc)):
             ref = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=got.shape).tocsr()
             assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
             assert got.has_canonical_format
@@ -128,11 +142,17 @@ def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
             assert np.array_equal(got.indices, ref.indices)
 
 
+def _with_normal(tables, x, nu):
+    """Geometry of x carrying the values and Jacobians of nu, and the
+    Weingarten energy of nu on it."""
+    geom = ElementGeometry(tables, x, np.asarray(nu).T, num_jac=3)
+    return geom, weingarten_energy(geom, geom.du, geom.dv)
+
+
 def test_weingarten_energy_on_sphere(sphere_problem):
     """|A|^2 = 2 on the interpolated unit sphere patch."""
     prob, st = sphere_problem
-    geom = ElementGeometry(prob.tables, st.x)
-    frob2 = weingarten_energy(prob.tables, geom, st.nu)
+    _, frob2 = _with_normal(prob.tables, st.x, st.nu)
     assert np.abs(frob2 - 2.0).max() < 0.08
 
 
@@ -156,41 +176,42 @@ def test_curvature_load_oracle():
         output_dir="",
     )
     prob, st = initialize(cfg)
-    geom = ElementGeometry(prob.tables, st.x)
-    M, _ = assemble_mass_stiffness(prob.tables, geom)
+    tables = prob.tables
+    M = _mass(tables, ElementGeometry(tables, st.x))
     ref = M @ np.full(prob.space.dim, -4.0)
     idx = prob.space.interior_indices
 
     sc = prob.scenario
     kap_exact = interpolate(prob.quasi, sc, "mean_curvature")
     nu_exact = interpolate(prob.quasi, sc, "normal")
-    frob2_exact = weingarten_energy(prob.tables, geom, nu_exact)
-    no_tail = np.zeros(prob.space.dim)
-    f1 = assemble_curvature_load(prob.tables, geom, kap_exact, frob2_exact, no_tail)
+    no_tail = np.zeros(tables.weights.shape)
+    geom, frob2_exact = _with_normal(tables, st.x, nu_exact)
+    kap_q = tables.evaluate(kap_exact[None])[0][0]
+    f1 = assemble_curvature_load(tables, geom, kap_q, no_tail, frob2_exact)
     assert np.abs(f1 - ref).max() < 1e-13
 
-    frob2_init = weingarten_energy(prob.tables, geom, st.nu)
-    f1_init = assemble_curvature_load(prob.tables, geom, st.kappa, frob2_init, no_tail)
+    geom, frob2_init = _with_normal(tables, st.x, st.nu)
+    kap_q = tables.evaluate(st.kappa[None])[0][0]
+    f1_init = assemble_curvature_load(tables, geom, kap_q, no_tail, frob2_init)
     rel = np.linalg.norm(f1_init[idx] - ref[idx]) / np.linalg.norm(ref[idx])
     assert rel < 0.05
 
 
 def test_normal_load_consistent_with_curvature_load(sphere_problem):
-    """f2 = |A|^2 nu: on the sphere nu ~ -x, and f1/kappa = f2 . (nu/|nu|^2)."""
+    """f2 = |A|^2 nu against a brute-force per-element contraction."""
     prob, st = sphere_problem
-    geom = ElementGeometry(prob.tables, st.x)
-    frob2 = weingarten_energy(prob.tables, geom, st.nu)
-    f2, nu_q = assemble_normal_load(prob.tables, geom, st.nu, frob2, np.zeros_like(st.nu))
+    tables = prob.tables
+    geom, frob2 = _with_normal(tables, st.x, st.nu)
+    nu_q = geom.values
+    f2 = assemble_normal_load(tables, geom, nu_q, np.zeros_like(nu_q), frob2)
     # against a brute-force contraction at quadrature points
-    nu = prob.tables.field_values(st.nu)
-    assert np.array_equal(nu_q, nu)
-    dens = prob.tables.weights[None, :] * geom.area_element * frob2
+    et = oracle.ElementTables(prob.space, tables.n_quad)
+    nu = et.field_values(st.nu)
+    assert np.abs(nu_q - et.to_grid(nu)).max() < 1e-14
+    _, q = oracle.metric(et.field_jacobians(st.x))
+    dens = et.weights[None, :] * q * oracle.weingarten_energy(et, st.x, st.nu)
     ref = np.zeros((prob.space.dim, 3))
-    np.add.at(
-        ref,
-        prob.tables.conn,
-        np.einsum("eq,eqd,eqi->eid", dens, nu, prob.tables.basis),
-    )
+    np.add.at(ref, et.conn, np.einsum("eq,eqd,eqi->eid", dens, nu, et.basis))
     assert np.abs(f2 - ref).max() < 1e-14
 
 
@@ -288,8 +309,9 @@ def _initialized_saddle(scenario, p, n=8, smoothness=None):
         output_dir="",
     )
     prob, st = initialize(cfg)
-    M, A = assemble_mass_stiffness(prob.tables, ElementGeometry(prob.tables, st.x))
-    return M, A, prob.tables.combine(1.5 / cfg.dt, M, A), prob
+    geom = ElementGeometry(prob.tables, st.x)
+    K = assemble_mass_stiffness(prob.tables, geom, 1.5 / cfg.dt)
+    return _mass(prob.tables, geom), _stiffness(prob.tables, geom), K, prob
 
 
 @pytest.fixture(scope="module")
@@ -374,17 +396,18 @@ def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
 
 
 def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
-    """With A = -c M, c M + A is zero on the whole pattern and the solver
-    rejects it as not positive definite; sparse `+` would drop every entry."""
+    """With both weights zero, mass M + stiffness A is zero on the whole
+    pattern and the solver rejects it as not positive definite; sparse
+    `+` of c M and -c M would drop every entry."""
     M, _, _, prob = sphere_saddle
     c = 60.0
-    A = -c * M
-    K = prob.tables.combine(c, M, A)
+    geom = ElementGeometry(prob.tables, interpolate(prob.quasi, prob.scenario))
+    K = assemble_mass_stiffness(prob.tables, geom, 0.0, 0.0)
     assert K.nnz == len(prob.tables.indices)
     assert not np.any(K.data)
     with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):
         ConstrainedSolver(K, prob.saddle, "test solve")
-    dropped = c * M + A
+    dropped = c * M + (-c * M)
     assert dropped.nnz < K.nnz
     with pytest.raises(SolverFailure, match="test solve: K is not stored on the mesh pattern"):
         ConstrainedSolver(dropped, prob.saddle, "test solve")

@@ -277,11 +277,21 @@ def test_cli_converge_rejects_bad_levels(tmp_path, capsys, levels, message):
         ("dt = abc", "bad value for 'dt'"),
         ("degree = 1", "bad spline space: degree must be >= 2"),
         (None, "No such file"),
+        (
+            "scenario = sphere_patch\npatch_polar_extent = 3.5",
+            "bad scenario parameters: extent must lie in (0, pi/sqrt(2)), got 3.5",
+        ),
+        (
+            "scenario = sphere_patch\npatch_corner_temper = 0.5",
+            "bad scenario parameters: temper must lie in [0, 1/3), got 0.5",
+        ),
+        ("perturbation_amplitude = nan", "bad value for 'perturbation_amplitude': 'nan'"),
     ],
 )
 def test_cli_rejects_bad_config(tmp_path, capsys, command, text, message):
-    """A config file that is missing or malformed, or whose space cannot be
-    built, is a usage error, reported before anything is written."""
+    """A config file that is missing or malformed, or whose space or
+    scenario cannot be built, is a usage error, reported before anything
+    is written."""
     cfg_path = tmp_path / "run.cfg"
     if text is not None:
         cfg_path.write_text(f"{text}\noutput_dir = {tmp_path / 'out'}\n")

@@ -1,9 +1,11 @@
 """The fast paths of a flow step agree with the plain computations they replace.
 
-The quadrature kernels run as batched matrix products and componentwise
-multiply-adds; each is checked against the `np.einsum` formula, and the
-stacked matrix products, `np.cross` and mass products that it replaced,
-kept here as oracles.
+The quadrature kernels run on the tensor Gauss grid, as 1-D collocation
+passes along u and v, sum-factorized matrices and componentwise
+multiply-adds on planes; each is checked against the per-element route
+it replaced (`tests.element_oracle`: per-element tabulations, `np.einsum`
+formulas, `np.bincount` assembly), and against the stacked matrix
+products, `np.cross` and mass products kept here as oracles.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from mcflow.assembly import (
 from mcflow.config import ScenarioConfig
 from mcflow.flow import BdfScheme, FlowProblem
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
+from mcflow.projections import RITZ_LAMBDA, ritz_rhs
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space
-from tests.conftest import interpolate
+from tests import element_oracle as oracle
+from tests.conftest import grid_points, interpolate
 
 KERNEL_RTOL = 1e-13
 
@@ -47,8 +51,9 @@ def assert_close(got, ref):
     ids=lambda param: f"{param[0]}-p{param[1]}",
 )
 def kernel_setup(request):
-    """An initialized problem at N=6 (frozen boundary data) and the
-    interpolated x, kappa, nu of its scenario."""
+    """An initialized problem at N=6 (frozen boundary data), the
+    interpolated x, kappa, nu of its scenario and the per-element tables
+    of its rule."""
     scenario, p = request.param
     cfg = ScenarioConfig(
         scenario=scenario,
@@ -66,22 +71,22 @@ def kernel_setup(request):
     kappa = interpolate(prob.quasi, sc, "mean_curvature")
     kappa[prob.space.boundary_indices] = 0.0
     nu = interpolate(prob.quasi, sc, "normal")
-    return prob, x, kappa, nu
+    return prob, x, kappa, nu, oracle.ElementTables(prob.space, p + 1)
 
 
 def test_field_kernels_match_einsum(kernel_setup):
-    prob, x, kappa, _ = kernel_setup
-    tables = prob.tables
-    for coeffs in (kappa, x):
-        loc = coeffs[tables.conn]
-        vals = tables.field_values(coeffs)
-        jacs = tables.field_jacobians(coeffs)
-        if coeffs.ndim == 1:
-            assert_close(vals, np.einsum("eql,el->eq", tables.basis, loc))
-            loc = loc[:, :, None]
-        else:
-            assert_close(vals, np.einsum("eql,eld->eqd", tables.basis, loc))
-        assert_close(jacs, np.einsum("eqal,eld->eqda", tables.basis_grad, loc))
+    """Values and Jacobians on the grid against the per-element einsum."""
+    prob, x, kappa, nu, et = kernel_setup
+    rows = np.concatenate([x.T, kappa[None], nu.T])
+    vals, du, dv = prob.tables.evaluate(rows, jac=slice(None))
+    ref = et.field_values(np.column_stack([x, kappa, nu]))
+    assert_close(vals, et.to_grid(ref))
+    ref = et.to_grid(et.field_jacobians(np.column_stack([x, kappa, nu])))
+    assert_close(du, ref[:, 0])
+    assert_close(dv, ref[:, 1])
+    vals, du, dv = prob.tables.evaluate(rows, values=slice(3, 5))
+    assert du is None and dv is None
+    assert_close(vals, et.to_grid(et.field_values(np.column_stack([kappa, nu[:, 0]]))))
 
 
 def stacked_metric_pieces(J):
@@ -97,26 +102,42 @@ def stacked_metric_pieces(J):
     return G, Ginv / det[..., None, None], np.sqrt(det)
 
 
+def entries(G):
+    """The entries (00, 01, 11) of stacked symmetric matrices (..., 2, 2), as (3, ...)."""
+    return np.stack([G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]])
+
+
 def test_metric_pieces_match_einsum(kernel_setup):
-    prob, x, _, _ = kernel_setup
-    pts = prob.tables.points.reshape(-1, 2)
-    for J in (prob.tables.field_jacobians(x), prob.scenario.sample(pts).J):
-        Ginv, q = metric_pieces(J)
-        ref = np.einsum("...da,...db->...ab", J, J)
-        assert_close(Ginv, np.linalg.inv(ref))
-        assert_close(q, np.sqrt(np.linalg.det(ref)))
-        for got, want in zip((Ginv, q), stacked_metric_pieces(J)[1:]):
-            assert_close(got, want)
+    """On the grid's Jacobian planes and on a scenario sample's Jacobians."""
+    prob, x, _, _, et = kernel_setup
+    J = et.field_jacobians(x)
+    _, du, dv = prob.tables.evaluate(x.T, jac=slice(None))
+    ginv, q = metric_pieces(du, dv)
+    G = np.einsum("...da,...db->...ab", J, J)
+    assert_close(ginv, et.to_grid(np.moveaxis(entries(np.linalg.inv(G)), 0, -1)))
+    assert_close(q, et.to_grid(np.sqrt(np.linalg.det(G))))
+    _, Ginv, q_ref = stacked_metric_pieces(J)
+    assert_close(ginv, et.to_grid(np.moveaxis(entries(Ginv), 0, -1)))
+    assert_close(q, et.to_grid(q_ref))
+
+    J = prob.scenario.sample(grid_points(prob.tables.points_1d)).J
+    ginv, q = metric_pieces(J[:, :, 0].T, J[:, :, 1].T)
+    G = np.einsum("nda,ndb->nab", J, J)
+    assert_close(ginv, entries(np.linalg.inv(G)))
+    assert_close(q, np.sqrt(np.linalg.det(G)))
+    _, Ginv, q_ref = stacked_metric_pieces(J)
+    assert_close(ginv, entries(Ginv))
+    assert_close(q, q_ref)
 
 
 def test_metric_of_a_nan_jacobian_raises(kernel_setup):
     """A NaN anywhere in J fails the determinant check, in both the metric
     and the area."""
-    prob, x, _, _ = kernel_setup
-    J = prob.tables.field_jacobians(x).copy()
-    J[3, 1, 2, 0] = np.nan
+    prob, x, _, _, _ = kernel_setup
+    _, du, dv = prob.tables.evaluate(x.T, jac=slice(None))
+    dv[2, 3, 1] = np.nan
     with pytest.raises(DegenerateSurface, match="nan"):
-        metric_pieces(J)
+        metric_pieces(du, dv)
     x = x.copy()
     x[prob.space.interior_indices[0], 1] = np.nan
     with pytest.raises(DegenerateSurface, match="nan"):
@@ -126,16 +147,17 @@ def test_metric_of_a_nan_jacobian_raises(kernel_setup):
 def test_area_weingarten_and_boundary_kernels_match_the_replaced_ones(kernel_setup):
     """`surface_area`, `weingarten_energy` and the conormal boundary load
     against the stacked matrix products and `np.cross` they replaced."""
-    prob, x, _, nu = kernel_setup
-    tables = prob.tables
-    _, Ginv, q = stacked_metric_pieces(tables.field_jacobians(x))
-    ref = float(np.sum(tables.weights * q))
-    assert abs(surface_area(x, tables) - ref) <= KERNEL_RTOL * ref
+    prob, x, _, nu, et = kernel_setup
+    _, Ginv, q = stacked_metric_pieces(et.field_jacobians(x))
+    ref = float(np.sum(et.weights * q))
+    assert abs(surface_area(x, prob.tables) - ref) <= KERNEL_RTOL * ref
+    assert abs(surface_area(x, prob.tables) - oracle.area(et, x)) <= KERNEL_RTOL * ref
 
-    Jn = tables.field_jacobians(nu)
+    Jn = et.field_jacobians(nu)
     H = Jn.swapaxes(2, 3) @ np.ascontiguousarray(Jn)
-    ref = np.sum(H * Ginv.swapaxes(2, 3), axis=(2, 3))
-    assert_close(weingarten_energy(tables, ElementGeometry(tables, x), nu), ref)
+    ref = et.to_grid(np.sum(H * Ginv.swapaxes(2, 3), axis=(2, 3)))
+    geom = ElementGeometry(prob.tables, x, nu.T, num_jac=3)
+    assert_close(weingarten_energy(geom, geom.du, geom.dv), ref)
 
     bt, fr = prob.btables, prob.btables.frozen
     nu_b = bt.trace(nu[bt.flat])
@@ -146,58 +168,60 @@ def test_area_weingarten_and_boundary_kernels_match_the_replaced_ones(kernel_set
 
 
 def test_assembly_kernels_match_einsum(kernel_setup):
-    prob, x, kappa, nu = kernel_setup
+    """M, A, c M + A, the Weingarten energy and both loads against the
+    per-element einsum and `np.bincount` route."""
+    prob, x, kappa, nu, et = kernel_setup
     tables = prob.tables
-    geom = ElementGeometry(tables, x)
-    w, q = tables.weights, geom.area_element
-    B, dB = tables.basis, tables.basis_grad
-    dim = prob.space.dim
+    M_ref, A_ref = oracle.mass_stiffness(et, x)
+    geom = ElementGeometry(tables, x, np.concatenate([nu.T, kappa[None]]), num_jac=3)
+    c = 1.5 / 0.0125
+    for got, ref in (
+        (assemble_mass_stiffness(tables, geom, 1.0, 0.0), M_ref),
+        (assemble_mass_stiffness(tables, geom, 0.0), A_ref),
+        (assemble_mass_stiffness(tables, geom, c), c * M_ref + A_ref),
+    ):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert_close(got.data, ref.data)
 
-    M, A = assemble_mass_stiffness(tables, geom)
-    Mloc = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B)
-    Aloc = np.einsum("q,eq,eqai,eqab,eqbj->eij", w, q, dB, geom.metric_inv, dB)
-    assert_close(M.toarray(), tables.matrix(Mloc).toarray())
-    assert_close(A.toarray(), tables.matrix(Aloc).toarray())
+    frob2 = weingarten_energy(geom, geom.du, geom.dv)
+    frob2_ref = oracle.weingarten_energy(et, x, nu)
+    assert_close(frob2, et.to_grid(frob2_ref))
+    nu_q, kap_q = geom.values[:3], geom.values[3]
+    assert_close(nu_q, et.to_grid(et.field_values(nu)))
 
-    frob2 = weingarten_energy(tables, geom, nu)
-    Jn = tables.field_jacobians(nu)
-    J = tables.field_jacobians(x)
-    W = np.einsum("eqda,eqab,eqcb->eqdc", Jn, geom.metric_inv, J)
-    assert_close(frob2, np.einsum("eqdc,eqdc->eq", W, W))
-
-    dens = w * q * frob2
-    kap = np.einsum("eql,el->eq", B, kappa[tables.conn])
-    ref = np.einsum("eq,eqi->ei", dens * kap, B)
+    zero = np.zeros(tables.weights.shape)
     assert_close(
-        assemble_curvature_load(tables, geom, kappa, frob2, np.zeros(dim)),
-        scatter_vector(tables.conn, ref, dim),
+        assemble_curvature_load(tables, geom, kap_q, zero, frob2),
+        oracle.load(et, x, kappa, frob2_ref),
     )
-    nuq = np.einsum("eql,eld->eqd", B, nu[tables.conn])
-    ref = np.einsum("eq,eqd,eqi->eid", dens, nuq, B)
-    load, nu_q = assemble_normal_load(tables, geom, nu, frob2, np.zeros((dim, 3)))
-    assert_close(load, scatter_vector(tables.conn, ref, dim))
-    assert_close(nu_q, nuq)
+    assert_close(
+        assemble_normal_load(tables, geom, nu_q, np.zeros_like(nu_q), frob2),
+        oracle.load(et, x, nu, frob2_ref),
+    )
 
 
 def test_loads_fold_their_tails(kernel_setup):
     """A load with a BDF tail folded in equals the load less M tail / dt,
     the mass product it replaced."""
-    prob, x, kappa, nu = kernel_setup
-    tables, dim = prob.tables, prob.space.dim
-    geom = ElementGeometry(tables, x)
-    M, _ = assemble_mass_stiffness(tables, geom)
-    frob2 = weingarten_energy(tables, geom, nu)
+    prob, x, kappa, nu, _ = kernel_setup
+    tables = prob.tables
     dt = 0.0125
     tail_k, tail_n = -2.0 * kappa + 0.25 * x[:, 0], 0.5 * nu - 3.0 * x
+    fields = np.concatenate([nu.T, kappa[None], tail_k[None] / dt, tail_n.T / dt])
+    geom = ElementGeometry(tables, x, fields, num_jac=3)
+    M = assemble_mass_stiffness(tables, geom, 1.0, 0.0)
+    frob2 = weingarten_energy(geom, geom.du, geom.dv)
+    nu_q, kap_q, tk, tn = np.split(geom.values, [3, 4, 5])
     for got, f, tail in (
         (
-            assemble_curvature_load(tables, geom, kappa, frob2, tail_k / dt),
-            assemble_curvature_load(tables, geom, kappa, frob2, np.zeros(dim)),
+            assemble_curvature_load(tables, geom, kap_q[0], tk[0], frob2),
+            assemble_curvature_load(tables, geom, kap_q[0], 0.0 * tk[0], frob2),
             tail_k,
         ),
         (
-            assemble_normal_load(tables, geom, nu, frob2, tail_n / dt)[0],
-            assemble_normal_load(tables, geom, nu, frob2, np.zeros((dim, 3)))[0],
+            assemble_normal_load(tables, geom, nu_q, tn, frob2),
+            assemble_normal_load(tables, geom, nu_q, 0.0 * tn, frob2),
             tail_n,
         ),
     ):
@@ -208,10 +232,9 @@ def test_solver_schur_complements_match_dense_ones(kernel_setup):
     """G = (K^-1)_BB against the dense inverse, and T against
     sum_k S_kB G S_kB^T from the dense constraint, both from the factors
     the solver keeps."""
-    prob, x, _, _ = kernel_setup
+    prob, x, _, _, _ = kernel_setup
     tables, dim = prob.tables, prob.space.dim
-    M, A = assemble_mass_stiffness(tables, ElementGeometry(tables, x))
-    K = tables.combine(1.5 / 0.0125, M, A)
+    K = assemble_mass_stiffness(tables, ElementGeometry(tables, x), 1.5 / 0.0125)
     solver = ConstrainedSolver(K, prob.saddle, "test solve")
     B = prob.space.boundary_indices
     U = np.triu(solver.G)
@@ -225,7 +248,7 @@ def test_solver_schur_complements_match_dense_ones(kernel_setup):
 
 def test_tensor_grid_matches_spline_field_eval(kernel_setup):
     """At the quasi-interpolant, Gauss and export grids, values and Jacobians."""
-    prob, x, kappa, _ = kernel_setup
+    prob, x, kappa, _, _ = kernel_setup
     space = prob.space
     gauss, _ = space.factor.element_rule(space.degree + 3)
     g = np.linspace(0.0, 1.0, 2 * space.factor.num_elements + 1)
@@ -237,6 +260,134 @@ def test_tensor_grid_matches_spline_field_eval(kernel_setup):
             assert_close(vals, ref_vals)
             assert_close(jac, ref_jac)
             assert_close(grid.eval(coeffs), ref_vals)
+
+
+def _oracle_setup(p, l, N, scenario="sphere_patch"):
+    """A problem, interpolated x, kappa, nu and a smooth tail on it."""
+    cfg = ScenarioConfig(scenario=scenario, degree=p, smoothness=l, elements_per_side=N)
+    prob = FlowProblem(cfg)
+    sc = prob.scenario
+    x = interpolate(prob.quasi, sc)
+    nu = interpolate(prob.quasi, sc, "normal")
+    kappa = interpolate(prob.quasi, sc, "mean_curvature")
+    return prob, x, kappa, nu
+
+
+SPACES = [(p, l) for p in (2, 3, 4) for l in range(p)]
+
+
+@pytest.fixture(params=[None, 2], ids=["one-block", "blocks-of-2"])
+def block_elements(request, monkeypatch):
+    """The tables' default blocking (one block at N=5), or blocks of two
+    elements, the last one short."""
+    if request.param is not None:
+        monkeypatch.setattr(mcflow.assembly, "BLOCK_ELEMENTS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
+def test_tensor_kernels_match_the_element_oracle(p, l, block_elements):
+    """Every tensor-grid kernel against the per-element route, at every
+    smoothness and in one block or several: values and Jacobians, the
+    metric, M, A and K, both loads with tails, the area and the
+    Weingarten energy, on the flow's rule and on the quasi-interpolant's."""
+    prob, x, kappa, nu = _oracle_setup(p, l, 5)
+    rng = np.random.default_rng(p * 10 + l)
+    tail = rng.normal(size=(prob.space.dim, 4))
+    for n_quad in (p + 1, p + 2):
+        tables = MeshTables(prob.space, n_quad)
+        assert len(tables.basis_blocks) == (1 if block_elements is None else 3)
+        et = oracle.ElementTables(prob.space, n_quad)
+        fields = np.concatenate([nu.T, kappa[None], tail.T])
+        geom = ElementGeometry(tables, x, fields, num_jac=3)
+        assert_close(geom.values, et.to_grid(et.field_values(fields.T)))
+        jac = et.to_grid(et.field_jacobians(nu))
+        assert_close(geom.du, jac[:, 0])
+        assert_close(geom.dv, jac[:, 1])
+        Ginv, q = oracle.metric(et.field_jacobians(x))
+        assert_close(geom.metric_inv, et.to_grid(np.moveaxis(entries(Ginv), 0, -1)))
+        assert_close(geom.area_element, et.to_grid(q))
+
+        M, A = oracle.mass_stiffness(et, x)
+        K = assemble_mass_stiffness(tables, geom, 7.5)
+        assert K.has_canonical_format
+        assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+        assert_close(K.data, 7.5 * M.data + A.data)
+        assert_close(assemble_mass_stiffness(tables, geom, 1.0, 0.0).data, M.data)
+        assert_close(assemble_mass_stiffness(tables, geom, 0.0).data, A.data)
+
+        frob2 = weingarten_energy(geom, geom.du, geom.dv)
+        frob2_ref = oracle.weingarten_energy(et, x, nu)
+        assert_close(frob2, et.to_grid(frob2_ref))
+        vals = geom.values
+        assert_close(
+            assemble_curvature_load(tables, geom, vals[3], vals[4], frob2),
+            oracle.load(et, x, kappa, frob2_ref) - M @ tail[:, 0],
+        )
+        assert_close(
+            assemble_normal_load(tables, geom, vals[:3], vals[5:], frob2),
+            oracle.load(et, x, nu, frob2_ref) - M @ tail[:, 1:],
+        )
+        ref = oracle.area(et, x)
+        assert abs(surface_area(x, tables) - ref) <= KERNEL_RTOL * ref
+
+
+@pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
+def test_band_entries_drop_exactly_the_structural_zeros(p, l, block_elements):
+    """The slots of the pattern sit at distinct band entries, and the band
+    entries they leave out are zero in a dense per-element assembly: so
+    the gather drops exactly the couplings of basis functions that share
+    no element, which below C^(p-1) the band holds and the pattern omits."""
+    prob, x, _, _ = _oracle_setup(p, l, 4)
+    space, n = prob.space, prob.space.factor.dim
+    _, _, band_entry = space.csr_pattern
+    assert len(np.unique(band_entry)) == len(band_entry)
+    et = oracle.ElementTables(space, p + 1)
+    Ginv, q = oracle.metric(et.field_jacobians(x))
+    w, B, dB = et.weights, et.basis, et.basis_grad
+    local = np.einsum("q,eq,eqi,eqj->eij", w, q, B, B) + np.einsum(
+        "q,eq,eqai,eqab,eqbj->eij", w, q, dB, Ginv, dB
+    )
+    dense = np.zeros((space.dim, space.dim))
+    np.add.at(dense, (et.conn[:, :, None], et.conn[:, None, :]), local)
+    tables = MeshTables(space, p + 1)
+    K = assemble_mass_stiffness(tables, ElementGeometry(tables, x), 1.0)
+    assert_close(K.toarray(), dense)
+    # every in-range band entry that no slot takes couples nothing
+    width = 2 * p + 1
+    i1, d1, i2, d2 = np.meshgrid(*(np.arange(n), np.arange(width)) * 2, indexing="ij")
+    j1, j2 = i1 + d1 - p, i2 + d2 - p
+    inside = (j1 >= 0) & (j1 < n) & (j2 >= 0) & (j2 < n)
+    taken = np.zeros(inside.shape, dtype=bool)
+    taken.reshape(-1)[band_entry] = True
+    assert np.all(inside[taken])
+    left = inside & ~taken
+    assert not np.any(dense[(i1 * n + i2)[left], (j1 * n + j2)[left]])
+    if l == p - 1:
+        assert not left.any()
+    else:
+        assert left.any()
+
+
+@pytest.mark.parametrize("p, l", [(2, 1), (3, 2), (3, 0), (4, 1)])
+@pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
+def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elements):
+    """The Ritz projection's A + RITZ_LAMBDA M, its Gram matrix A + M and
+    its right-hand side against the per-element route on the
+    quasi-interpolant's rule."""
+    prob, x, _, _ = _oracle_setup(p, l, 5, scenario)
+    quasi = prob.quasi
+    tables = MeshTables(prob.space, quasi.n_quad)
+    et = oracle.ElementTables(prob.space, quasi.n_quad)
+    M, A = oracle.mass_stiffness(et, x)
+    geom = ElementGeometry(tables, x)
+    K = assemble_mass_stiffness(tables, geom, RITZ_LAMBDA)
+    assert_close(K.data, A.data + RITZ_LAMBDA * M.data)
+    assert_close(assemble_mass_stiffness(tables, geom, 1.0).data, A.data + M.data)
+    sc = prob.scenario
+    grid = sc.sample(quasi.grid_points)
+    edges = [sc.sample(quasi.edge_points(k), k) for k in range(4)]
+    assert_close(ritz_rhs(tables, grid, edges), oracle.ritz_rhs(et, grid, edges))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -256,7 +407,7 @@ def test_apply_to_values_matches_einsum(p, N, rng):
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_flow_area_matches_surface_area(scenario):
-    """The area on the tables' Jacobians equals a pointwise evaluation."""
+    """The area on the tables' Jacobian planes equals a pointwise evaluation."""
     p, N = 2, 8
     cfg = ScenarioConfig(
         scenario=scenario,
@@ -270,25 +421,33 @@ def test_flow_area_matches_surface_area(scenario):
     prob = FlowProblem(cfg)
     x = interpolate(prob.quasi, prob.scenario)
     tables = MeshTables(prob.space, p + 1)
-    _, J = SplineField(prob.space, x).eval(tables.points.reshape(-1, 2), 1)
+    _, J = SplineField(prob.space, x).eval(grid_points(tables.points_1d), 1)
     dens = np.sqrt(np.linalg.det(np.einsum("nda,ndb->nab", J, J)))
-    ref = np.sum(np.tile(tables.weights, tables.num_elements) * dens)
+    ref = np.sum(tables.weights.ravel() * dens)
     assert abs(prob.area(x) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("N, nq", [(1, 3), (5, 3), (7, 4)])
 def test_all_points_matches_element_loop(N, nq):
-    """MeshTables points and weights equal a per-element tensor loop."""
+    """The grid points and weights of MeshTables equal a per-element
+    tensor loop, read in grid order."""
     space = build_space(2, 1, N)
     tables = MeshTables(space, nq)
     points_1d, weights_1d, _, _ = space.factor.element_tables(nq)
-    blocks = []
+    m = N * nq
+    points = np.empty((m, m, 2))
+    weights = np.empty((m, m))
     for eu in range(N):
         for ev in range(N):
             U, V = np.meshgrid(points_1d[eu], points_1d[ev], indexing="ij")
-            blocks.append(np.column_stack([U.ravel(), V.ravel()]))
-    assert np.array_equal(tables.points.reshape(-1, 2), np.vstack(blocks))
-    assert np.array_equal(tables.weights, np.outer(weights_1d, weights_1d).ravel())
+            block = (slice(eu * nq, (eu + 1) * nq), slice(ev * nq, (ev + 1) * nq))
+            points[block] = np.stack([U, V], axis=-1)
+            weights[block] = np.outer(weights_1d, weights_1d)
+    assert np.array_equal(grid_points(tables.points_1d), points.reshape(-1, 2))
+    assert np.array_equal(tables.weights, weights)
+    pts, _ = oracle.gauss_mesh(space, nq)
+    in_grid_order = oracle.ElementTables(space, nq).to_grid(pts).reshape(2, -1).T
+    assert np.array_equal(in_grid_order, grid_points(tables.points_1d))
 
 
 def test_step_evaluates_weingarten_energy_once(monkeypatch):
@@ -530,10 +689,14 @@ def _pattern_per_table(space, n_quad):
 
 @pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
 def test_element_pattern_matches_per_table_build(p, l, N):
+    """The space's CSR pattern, and the element connectivity and scatter
+    of the per-element route, against a build from Gauss points."""
     space = build_space(p, l, N)
+    indices, indptr, _ = space.csr_pattern
+    conn, scatter = oracle.element_pattern(space)
     for n_quad in (p + 1, p + 2):
         ref = _pattern_per_table(space, n_quad)
-        for got, want in zip(space.element_pattern, ref):
+        for got, want in zip((conn, indices, indptr, scatter), ref):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -560,14 +723,34 @@ def _tabulation_by_broadcast(space, n_quad):
 
 @pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
 def test_mesh_tables_match_the_broadcast_tabulation(p, l, N):
+    """The per-element tables of the oracle, and the collocation matrices
+    and pair tables of `MeshTables` read on each element, equal the
+    broadcast products of the univariate tabulation."""
     space = build_space(p, l, N)
+    first, n = space.factor.element_first, space.factor.dim
     for n_quad in (p + 1, p + 2, 3 * p):
-        tables = MeshTables(space, n_quad)
-        got = (tables.points, tables.basis, tables.basis_grad)
-        for g, want in zip(got, _tabulation_by_broadcast(space, n_quad)):
+        et = oracle.ElementTables(space, n_quad)
+        ref = _tabulation_by_broadcast(space, n_quad)
+        for g, want in zip((et.points, et.basis, et.basis_grad), ref):
             assert g.shape == want.shape
             assert np.array_equal(g, want)
-        assert np.shares_memory(tables.grad_rows, tables.basis_grad)
+        assert np.shares_memory(et.grad_rows, et.basis_grad)
+
+        tables = MeshTables(space, n_quad)
+        tab = space.factor.element_tables(n_quad)[3]
+        for e in range(N):
+            rows = slice(e * n_quad, (e + 1) * n_quad)
+            active = slice(first[e], first[e] + p + 1)
+            for k in range(2):
+                assert np.array_equal(tables.c[k][rows, active], tab[e, :, k])
+                assert not np.any(np.delete(tables.c[k][rows], np.r_[active], axis=1))
+        pairs = tables.pairs.reshape(len(tables.points_1d), 4, n, 2 * p + 1)
+        for k, (a, b) in enumerate(((0, 0), (1, 1), (1, 0), (0, 1))):
+            for d in range(-p, p + 1):
+                ref = np.zeros((len(tables.points_1d), n))
+                i = np.arange(max(0, -d), min(n, n - d))
+                ref[:, i] = tables.c[a][:, i] * tables.c[b][:, i + d]
+                assert np.array_equal(pairs[:, k, :, d + p], ref)
 
 
 def test_flow_step_builds_no_sparse_transpose(monkeypatch):
@@ -606,7 +789,7 @@ def test_ritz_tables_share_the_flow_pattern(monkeypatch):
     flow_tables, ritz_tables = built
     assert ritz_tables.n_quad != flow_tables.n_quad
     assert flow_tables is prob.tables
-    for name in ("conn", "indices", "indptr", "scatter"):
+    for name in ("indices", "indptr", "band_entry"):
         assert getattr(ritz_tables, name) is getattr(flow_tables, name)
     assert np.array_equal(ritz_tables.indptr, flow_tables.indptr)
     assert np.array_equal(ritz_tables.indices, flow_tables.indices)

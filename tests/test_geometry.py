@@ -62,7 +62,9 @@ def test_flat_square_geometry():
     x = interpolate(quasi, sc)
     tables = MeshTables(space, 3)
     geom = ElementGeometry(tables, x)
-    assert np.allclose(geom.metric_inv, 0.25 * np.eye(2), atol=1e-13)
+    g00, g01, g11 = geom.metric_inv
+    assert np.allclose(g00, 0.25, atol=1e-13) and np.allclose(g11, 0.25, atol=1e-13)
+    assert np.allclose(g01, 0.0, atol=1e-13)
     assert np.abs(geom.area_element - 4.0).max() < 1e-12
     assert abs(surface_area(x, tables) - 4.0) < 1e-12
 
@@ -85,7 +87,8 @@ def test_surface_gradient_tangential_and_exact():
 
     tables = MeshTables(space, 3)
     f_coeffs = quasi.apply_to_values(f(quasi.grid_points))
-    frob2 = weingarten_energy(tables, ElementGeometry(tables, x), f_coeffs)
+    geom = ElementGeometry(tables, x, f_coeffs.T, num_jac=2)
+    frob2 = weingarten_energy(geom, geom.du, geom.dv)
     assert np.abs(frob2 - 30.0).max() < 1e-11
 
 
@@ -116,4 +119,4 @@ def test_nan_metric_raises():
     J = np.tile(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), (4, 1, 1))
     J[2, 0, 1] = np.nan
     with pytest.raises(DegenerateSurface):
-        metric_pieces(J)
+        metric_pieces(J[:, :, 0].T, J[:, :, 1].T)

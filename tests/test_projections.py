@@ -163,9 +163,8 @@ def _plain_fixed_point(x, rhs, start, tables, btables, saddle):
     """The Ritz fixed point without mixing, run until the H1 increment
     reaches RITZ_TOL (no roundoff-floor exit)."""
     geom = ElementGeometry(tables, x)
-    M, A = assemble_mass_stiffness(tables, geom)
-    solve = ConstrainedSolver(tables.combine(RITZ_LAMBDA, M, A), saddle, "plain")
-    h1 = A + M
+    solve = ConstrainedSolver(assemble_mass_stiffness(tables, geom, RITZ_LAMBDA), saddle, "plain")
+    h1 = assemble_mass_stiffness(tables, geom, 1.0)
     current = start
     for _ in range(RITZ_MAX_ITER):
         new = solve(rhs + assemble_boundary_load(btables, current))[0]

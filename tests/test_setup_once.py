@@ -78,8 +78,8 @@ def test_two_problems_of_one_config_share_no_table(p):
     a = _arrays([getattr(first, name) for name in owned])
     b = _arrays([getattr(second, name) for name in owned])
     # the univariate caches and the pattern are reached through the space
-    assert any(x is first.space.element_pattern[0] for x in a)
-    assert any(x is first.space.factor.element_tables(p + 1)[3] for x in a)
+    assert any(x is first.space.csr_pattern[0] for x in a)
+    assert any(x is first.space.factor.element_rule(p + 1)[0] for x in a)
     assert not [(x.shape, y.shape) for x in a for y in b if np.may_share_memory(x, y)]
 
 
@@ -100,7 +100,9 @@ def test_set_up_computes_each_gauss_rule_once(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_set_up_builds_one_dual_weights_and_one_collocation(monkeypatch, p):
-    """Both directions share the factor's dual weights and collocation matrix."""
+    """Both directions share the factor's dual weights and each grid's
+    collocation matrices: one collocation per tensor grid, those of the
+    flow's rule, of the Ritz projection's rule and of the quasi-interpolant."""
     calls = Counter()
 
     def counted(name, original):
@@ -117,4 +119,4 @@ def test_set_up_builds_one_dual_weights_and_one_collocation(monkeypatch, p):
         counted("collocation", splines.UnivariateSpline.collocation),
     )
     _initialized(ScenarioConfig(degree=p, smoothness=p - 1, elements_per_side=4))
-    assert calls == Counter({"dual": 1, "collocation": 1})
+    assert calls == Counter({"dual": 1, "collocation": 3})

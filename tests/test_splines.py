@@ -18,7 +18,7 @@ from mcflow.splines import (
     edge_points,
     gauss_rule,
 )
-from tests.conftest import edge_parameters, edge_slices
+from tests.conftest import edge_parameters, edge_slices, grid_points
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -217,8 +217,8 @@ def test_quasi_interpolant_l2_order(p, l, gate):
         quasi = build_quasi_interpolant(space)
         fld = SplineField(space, quasi.apply_to_values(f(quasi.grid_points)))
         tables = MeshTables(space, p + 2)
-        pts = tables.points.reshape(-1, 2)
-        w = np.tile(tables.weights, tables.num_elements)
+        pts = grid_points(tables.points_1d)
+        w = tables.weights.ravel()
         d = fld.eval(pts)[:, 0] - f(pts)
         errs.append(np.sqrt(np.sum(w * d * d)))
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
