@@ -3,8 +3,8 @@
 Runs the perturbed-plane relaxation to a short final time on a mesh
 hierarchy, compares each level against the finest in the H1 and L2
 norms, and prints the fitted orders for the position, the mean
-curvature and the normal.  With quadratic C^1 splines the H1 orders
-sit near 2.
+curvature, the normal and the velocity.  With quadratic C^1 splines the
+H1 orders sit near 2.
 """
 
 from mcflow.config import ScenarioConfig
@@ -23,7 +23,7 @@ base = ScenarioConfig(
 report = convergence_study(base, [4, 8, 16, 32], t_final=0.05)
 
 print(f"levels: {report.levels}")
-for var in ("position", "kappa", "nu"):
+for var in ("position", "kappa", "nu", "velocity"):
     h1 = "  ".join(f"{e:.3e}" for e in report.errors_h1[var])
     print(f"{var:9s} H1 errors: {h1}")
     print(

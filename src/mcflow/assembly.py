@@ -3,24 +3,23 @@
 Interior forms are integrated on the tensor Gauss grid of the square,
 and every integral factors into a pass along u and a pass along v (sum
 factorization; Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
-285, 2015).  `MeshTables` is the one quadrature layer.  It holds the
-1-D data of a rule: the factor's collocation matrices C0, C1 at the
-m = N n_quad Gauss points, the tensor weights, the pair tables of
-products of two basis functions along one direction, and the CSR
+285, 2015).  `MeshTables` is the one quadrature layer.  It is the
+`splines.TensorGrid` of the m = N n_quad Gauss points of a rule, which
+holds the factor's collocation matrices C0, C1 there and runs every
+banded 1-D product by blocks, plus the tensor weights, the pair tables
+of products of two basis functions along one direction, and the CSR
 pattern of the space with the place of each slot in the band the
 matrix kernel forms (`TensorSplineSpace.csr_pattern`).  A field on the
 grid is a stack of (m, m) planes, one per component, from two passes
 of C0 and C1 along u and one along v per plane stack
-(`MeshTables.evaluate`); the metric, the Weingarten energy and the load
+(`TensorGrid.evaluate`); the metric, the Weingarten energy and the load
 densities are elementwise multiply-adds of whole planes; a load is the
 transposed tensor product of its density planes
 (`MeshTables.integrate`); and c M + A is five m x m by m x n (2p + 1)
 products of density planes with pair tables, one product of the stacked
 pair tables with their results and one gather into the CSR data of the
 pattern (`MeshTables.matrix`), with no separate M and A.  Every slot of
-the pattern is kept, so all matrices of a space share it.  The 1-D
-tables are banded, so past BLOCK_ELEMENTS elements each product runs
-block by block and skips the zero blocks.  A load that
+the pattern is kept, so all matrices of a space share it.  A load that
 carries a BDF tail takes it into its density, since the integral of
 tail * phi is M tail: the step evaluates the extrapolated fields and
 their tails in one evaluation and needs no mass-matrix product.
@@ -70,7 +69,7 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 from .geometry import cross3, dot, inner, metric_pieces
-from .splines import TensorSplineSpace
+from .splines import TensorGrid, TensorSplineSpace
 
 
 # Relative residual gate of every linear solve, flow steps and Ritz alike.
@@ -103,54 +102,33 @@ def scatter_vector(index, local, dim):
     return out.reshape(dim, D)
 
 
-# Elements per block of the banded 1-D products of `MeshTables`.  Dense
-# products over all N elements waste (N - p - 1) / N of their work; blocks
-# of 8 made the products too thin for BLAS at N = 80, where 16 was the
-# fastest of 8, 12, 16 and 24 at p = 2 and within noise of the best at
-# p = 3 (evaluation plus matrix, BLAS on 1 thread).
-BLOCK_ELEMENTS = 16
-
-
-class MeshTables:
+class MeshTables(TensorGrid):
     """The tensor Gauss grid of a space and the 1-D tables of its rule.
 
     The factor's `n_quad`-point Gauss rule on each of its N elements
     gives m = N n_quad points `points_1d`; the grid is their tensor
-    square, u-major, with tensor weights `weights` (m, m).  `c` holds
-    the factor's collocation matrices C0 and C1 (2, m, n) at the points
-    (`UnivariateSpline.collocation`); every quadrature kernel applies
-    them along u and along v, so a field, a load or a matrix costs a few
-    BLAS products over the whole grid.
-    Fields live on the grid as planes, one (m, m) array per component,
-    indexed [u point, v point].
+    square, a `splines.TensorGrid`, with tensor weights `weights`
+    (m, m).  Every quadrature kernel applies the grid's collocation
+    matrices C0 and C1 along u and along v, block by block, so a field,
+    a load or a matrix costs a few BLAS products over the whole grid.
 
     `pairs` (m, 4, n (2p + 1)) holds the pair tables
     P_ab[q, (i, d)] = C_a[q, i] C_b[q, i + d - p] of P00, P11, P10, P01,
     zero where i + d - p leaves the basis: every product of two basis
     functions or derivatives along one direction that the matrix kernel
-    integrates.  `indices`, `indptr` and `band_entry` are the CSR
-    pattern of the space and the place of each of its slots in the band
-    array the kernel forms (`TensorSplineSpace.csr_pattern`).
-
-    C0, C1 and the pair tables are banded: basis i is nonzero only at
-    the points of the p + 1 elements of its support.  So every product
-    with them runs in blocks of BLOCK_ELEMENTS elements and skips the
-    zero blocks: `point_blocks` pairs the points of each block of
-    elements with the basis functions active on them, and
-    `basis_blocks` splits the basis into as many consecutive runs, each
-    with the points of its support.  A mesh of at most BLOCK_ELEMENTS
-    elements is one block.
+    integrates.  They are banded like C0 and C1, so the kernel runs on
+    the grid's `basis_blocks` too.  `indices`, `indptr` and `band_entry`
+    are the CSR pattern of the space and the place of each of its slots
+    in the band array the kernel forms (`TensorSplineSpace.csr_pattern`).
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
-        self.space = space
-        self.n_quad = n_quad
         f, p = space.factor, space.degree
         pts, w = f.element_rule(n_quad)
-        self.points_1d = pts.ravel()
+        super().__init__(space, pts.ravel())
+        self.n_quad = n_quad
         weights_1d = np.tile(w, f.num_elements)
         self.weights = np.outer(weights_1d, weights_1d)
-        self.c = f.collocation(self.points_1d, 1)
         self.indices, self.indptr, self.band_entry = space.csr_pattern
 
         m, n = self.c.shape[1:]
@@ -162,59 +140,6 @@ class MeshTables:
             np.multiply(self.c[a][:, :, None], window[b], out=pairs[:, k])
         self.pairs = pairs.reshape(m, 4, -1)
 
-        starts = list(range(0, f.num_elements, BLOCK_ELEMENTS))
-        first, (lo, hi) = f.element_first, f.supports
-        self.point_blocks = [
-            (slice(e * n_quad, e1 * n_quad), slice(first[e], first[e1 - 1] + p + 1))
-            for e, e1 in zip(starts, starts[1:] + [f.num_elements])
-        ]
-        runs = [first[e] for e in starts] + [n]
-        self.basis_blocks = [
-            (slice(lo[a] * n_quad, (hi[b - 1] + 1) * n_quad), slice(a, b))
-            for a, b in zip(runs, runs[1:])
-        ]
-
-    def _to_points(self, c, x):
-        """c (m, n) applied to the middle axis of x (K, n, r): (K, m, r)."""
-        out = np.empty((len(x), c.shape[0], x.shape[2]))
-        for q, i in self.point_blocks:
-            np.matmul(c[q, i], x[:, i], out=out[:, q])
-        return out
-
-    def _to_basis(self, c, x):
-        """c^T (n, m) applied to the middle axis of x (K, m, r): (K, n, r)."""
-        out = np.empty((len(x), c.shape[1], x.shape[2]))
-        for q, i in self.basis_blocks:
-            np.matmul(c[q, i].T, x[:, q], out=out[:, i])
-        return out
-
-    def evaluate(self, rows, values=slice(None), jac=slice(0)):
-        """Planes at the grid points of the fields with coefficient rows `rows`.
-
-        `rows` (D, dim) holds one scalar field per row.  Returns the
-        values (Dv, m, m) of the rows `values` and the u- and
-        v-derivatives (Dj, m, m) each of the rows `jac` (slices), or
-        None for both if `jac` is empty: C0 and C1 applied along u, then
-        C0 or C1 along v, one product per block of points.
-        """
-        c0, c1 = self.c
-        m, n = c0.shape
-        X = np.asarray(rows).reshape(-1, n, n)
-
-        def along_v(W, c):
-            W = W.reshape(-1, n)
-            out = np.empty((len(W), m))
-            for q, i in self.point_blocks:
-                np.matmul(W[:, i], c[q, i].T, out=out[:, q])
-            return out.reshape(-1, m, m)
-
-        W0 = self._to_points(c0, X)
-        Xj = X[jac]
-        if not len(Xj):
-            return along_v(W0[values], c0), None, None
-        du = along_v(self._to_points(c1, Xj), c0)
-        return along_v(W0[values], c0), du, along_v(W0[jac], c1)
-
     def integrate(self, dens, du=None, dv=None):
         """sum_q (dens phi_i + du d_u phi_i + dv d_v phi_i)(q) for density planes.
 
@@ -224,23 +149,13 @@ class MeshTables:
         along v and then along u.  Returns (dim, k).
         """
         c0, c1 = self.c
-        m, n = c0.shape
-        k = len(dens)
-
-        def along_v(d, c):  # (k, m, m) -> (k, m, n)
-            d = d.reshape(-1, m)
-            t = np.empty((len(d), n))
-            for q, i in self.basis_blocks:
-                np.matmul(d[:, q], c[q, i], out=t[:, i])
-            return t.reshape(k, m, n)
-
-        t = along_v(dens, c0)
+        t = self._to_basis_last(dens, c0)
         if dv is not None:
-            t += along_v(dv, c1)
+            t += self._to_basis_last(dv, c1)
         res = self._to_basis(c0, t)
         if du is not None:
-            res += self._to_basis(c1, along_v(du, c0))
-        return res.reshape(k, -1).T
+            res += self._to_basis(c1, self._to_basis_last(du, c0))
+        return res.reshape(len(dens), -1).T
 
     def matrix(self, mass, g00, g01, g11):
         """sum_q mass phi_i phi_j + grad phi_i^T [[g00, g01], [g01, g11]] grad phi_j

@@ -1,12 +1,12 @@
 """Self-convergence study across nested refinement levels.
 
 Each level runs the flow to a short final time with a step size
-proportional to the mesh size; errors of position, curvature and normal
-are measured against the finest level in the parametric H1 norm on a
-shared quadrature grid (the finest level's elements with a rule finer
-than either space, a tensor grid that each level evaluates with its
-`splines.TensorGrid`), and orders are the least-squares slope of log2
-error against log2 mesh size.
+proportional to the mesh size; errors of position, curvature, normal
+and velocity are measured against the finest level in the parametric H1
+norm on a shared quadrature grid (the finest level's elements with a
+rule finer than either space), on which each level evaluates all four
+fields as planes in one call of its `splines.TensorGrid`; orders are
+the least-squares slope of log2 error against log2 mesh size.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .config import ScenarioConfig
 from .flow import FlowProblem
 from .splines import TensorGrid
 
-VARIABLES = ("position", "kappa", "nu")
+VARIABLES = ("position", "kappa", "nu", "velocity")
+# the evaluated rows of each variable: x, kappa, nu and v of the final state
+ROWS = (slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 10))
 
 
 @dataclass
@@ -40,12 +42,12 @@ class ConvergenceReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _h1_errors(sample_a, sample_b, weights):
-    """L2 and H1 norms of the difference of two (values, jac) samples."""
-    dv = sample_a[0] - sample_b[0]
-    dj = sample_a[1] - sample_b[1]
-    l2 = np.sum(weights * np.sum(dv * dv, axis=1))
-    h1 = l2 + np.sum(weights * np.sum(dj * dj, axis=(1, 2)))
+def _h1_errors(planes_a, planes_b, weights):
+    """L2 and H1 norms of the difference of two fields, each given as its
+    (values, du, dv) plane stacks (D, m, m), with weight planes (m, m)."""
+    sq = [np.sum((a - b) ** 2, axis=0) for a, b in zip(planes_a, planes_b)]
+    l2 = np.sum(weights * sq[0])
+    h1 = l2 + np.sum(weights * (sq[1] + sq[2]))
     return float(np.sqrt(l2)), float(np.sqrt(h1))
 
 
@@ -89,15 +91,15 @@ def convergence_study(
 
     points, w = runs[-1].problem.space.factor.element_rule(base.degree + 3)
     w = np.tile(w, len(points))
-    weights = np.outer(w, w).ravel()
+    weights = np.outer(w, w)
 
     def samples(result):
-        grid = TensorGrid(result.problem.space, points.ravel(), nderiv=1)
+        """Each variable's (values, du, dv) planes, from one evaluation."""
         s = result.final_state
-        return {
-            var: grid.eval(c, 1)
-            for var, c in zip(VARIABLES, (s.x, s.kappa, s.nu))
-        }
+        rows = np.concatenate([s.x.T, s.kappa[None], s.nu.T, s.v.T])
+        grid = TensorGrid(result.problem.space, points.ravel())
+        planes = grid.evaluate(rows, jac=slice(None))
+        return {var: tuple(a[k] for a in planes) for var, k in zip(VARIABLES, ROWS)}
 
     ref = samples(runs[-1])
     errors_l2 = {v: [] for v in VARIABLES}

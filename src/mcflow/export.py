@@ -3,9 +3,10 @@
 The CSV uses a fixed header and 17-significant-digit formatting, enough
 for float64 round trips, so two identical runs produce byte-identical
 files in every column except the wallclock.  VTK snapshots sample the
-spline surface on a uniform parametric grid and write an unstructured
-quad mesh with point data for curvature, normal and velocity, as
-legacy ASCII VTK.
+spline surface on a uniform parametric grid, a `splines.TensorGrid`
+whose planes the writer reads as point-major views, and write an
+unstructured quad mesh with point data for curvature, normal and
+velocity, as legacy ASCII VTK.
 
 Each section (the CSV rows, the POINTS, CELLS, kappa, nu and velocity
 blocks) is formatted as one block by `_format_rows`: a single `%` over
@@ -19,6 +20,8 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+
+from .splines import TensorGrid
 
 CSV_HEADER = "t,area,max_abs_kappa,constraint_residual,solver_residual,wallclock_s"
 
@@ -67,13 +70,11 @@ def read_diagnostics_csv(path):
 
 def _sample_grid(problem, state, resolution: int):
     """Surface fields on a uniform (r*N+1)^2 parametric grid."""
-    from .splines import TensorGrid
-
     n = problem.cfg.elements_per_side * resolution + 1
-    g = np.linspace(0.0, 1.0, n)
-    fields = np.column_stack([state.x, state.kappa, state.nu, state.v])
-    values = TensorGrid(problem.space, g).eval(fields)
-    pos, kap, nu, vel = values[:, :3], values[:, 3], values[:, 4:7], values[:, 7:]
+    grid = TensorGrid(problem.space, np.linspace(0.0, 1.0, n))
+    rows = np.concatenate([state.x.T, state.kappa[None], state.nu.T, state.v.T])
+    planes = grid.evaluate(rows)[0].reshape(len(rows), -1)  # point-major columns
+    pos, kap, nu, vel = planes[:3].T, planes[3], planes[4:7].T, planes[7:].T
 
     # cell (i, j) has corners a, a + n, a + n + 1, a + 1 with a = i n + j
     a = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()

@@ -2,9 +2,10 @@
 
 Quasi-interpolation onto a surface applies the parametric coefficient
 functionals to the pullback of the data; the velocity is the zero-trace
-quasi-interpolant of -kappa * nu, with kappa and nu evaluated at the
-quasi-interpolant's fixed tensor grid by its `splines.TensorGrid`, so
-evaluating and interpolating take two BLAS products each.
+quasi-interpolant of -kappa * nu.  Its `splines.TensorGrid` evaluates
+kappa and nu as planes of the quasi-interpolant's fixed tensor grid,
+they are multiplied plane by plane, and the grid's transposed product
+applies the dual weights: each is a blocked pass along u and one along v.
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
@@ -75,13 +76,15 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
     """Velocity coefficients: quasi-interpolant of -kappa * nu.
 
     `kappa` (dim,) and `nu` (dim, 3) are coefficient arrays, evaluated
-    together at the quasi-interpolant's grid by `Q.grid`, one
-    collocation matrix applied along each direction.  Boundary
-    coefficients are set to exactly zero so the velocity lies in the
-    zero-trace subspace and the boundary stays put bit for bit.
+    together as planes of the quasi-interpolant's grid by `Q.grid` and
+    multiplied plane by plane.  Boundary coefficients are set to exactly
+    zero so the velocity lies in the zero-trace subspace and the
+    boundary stays put bit for bit.
     """
-    kap_nu = Q.grid.eval(np.column_stack([kappa, nu]))
-    coeffs = Q.apply_to_values(-kap_nu[:, :1] * kap_nu[:, 1:])
+    kap, *nu_q = Q.grid.evaluate(np.concatenate([kappa[None], nu.T]))[0]
+    np.negative(kap, out=kap)
+    v = np.stack([kap * c for c in nu_q], axis=-1)  # -kappa nu in grid order
+    coeffs = Q.apply_to_values(v.reshape(-1, 3))
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs
 

@@ -22,16 +22,18 @@ onto the space and reproduces polynomials up to degree p.
 
 `UnivariateSpline.element_rule` and `element_tables` keep each
 per-element Gauss rule and tabulation they build, so a space computes
-each Gauss rule once.  `assembly.MeshTables` builds the tensor Gauss
-grid of the square from one rule, with the factor's collocation
-matrices at its points, and `assembly.BoundaryTables` stacks the four
-edges of the square into one edge mesh; with open knot vectors the trace
-of the space on an edge is the factor.  `TensorGrid` evaluates fields on
-the square of any 1-D point set (the quasi-interpolant's grid, a Gauss
-grid, an export grid) with one dense collocation matrix
-(`UnivariateSpline.collocation`).  Both it and the quasi-interpolant
-apply their 1-D matrix along u and then along v by one helper,
-`_tensor_apply`.
+each Gauss rule once.  `TensorGrid` is the one tensor-product kernel:
+on the square of a sorted 1-D point set (a Gauss grid, the
+quasi-interpolant's grid, an export grid) it holds the factor's
+collocation matrices and moves fields between coefficients and planes
+of grid values by 1-D products along u and along v.  The matrices are
+banded, so the products run per block of BLOCK_ELEMENTS elements and
+skip the zero blocks.  `assembly.MeshTables` is the grid of a Gauss
+rule with the quadrature tables on top; the quasi-interpolant applies
+its dual weights by the grid's transposed product; and
+`assembly.BoundaryTables` stacks the four edges of the square into one
+edge mesh, since with open knot vectors the trace of the space on an
+edge is the factor.
 """
 
 from __future__ import annotations
@@ -305,68 +307,119 @@ class TensorSplineSpace:
         ju, jv = fu[:, None] + local, fv[:, None] + local
         return self.flat_index(ju[:, :, None], jv[:, None, :]), du, dv
 
-    def eval_basis(self, point):
-        """Flat indices and values of the active basis at one parametric point."""
-        u, v = float(point[0]), float(point[1])
-        if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-            raise ValueError(f"point {(u, v)} outside the unit square")
-        flat, du, dv = self.active_basis(np.array([[u, v]]))
-        return flat[0].ravel(), np.outer(du[0, 0], dv[0, 0]).ravel()
-
 
 def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSplineSpace:
     """Tensor spline space, the square of one univariate factor."""
     return TensorSplineSpace(UnivariateSpline(degree, smoothness, num_elements))
 
 
-class TensorGrid:
-    """The tensor grid `points_1d` x `points_1d` of the unit square.
+# Elements per block of the banded 1-D products of `TensorGrid`.  Dense
+# products over all N elements waste (N - p - 1) / N of their work; blocks
+# of 8 made the products too thin for BLAS at N = 80, where 16 was the
+# fastest of 8, 12, 16 and 24 at p = 2 and within noise of the best at
+# p = 3 (evaluation plus matrix, BLAS on 1 thread).
+BLOCK_ELEMENTS = 16
 
-    Evaluation of a field on the grid is the transpose of
-    `QuasiInterpolant.apply_to_values`: one dense collocation matrix per
-    derivative order (`c`, see `UnivariateSpline.collocation`), applied
-    along u and then along v as two BLAS products.  Grid points are
-    ordered u-major, as in `points`.
+
+class TensorGrid:
+    """The tensor grid `points_1d` x `points_1d` of the unit square and
+    the banded 1-D products between coefficients and the grid.
+
+    `points_1d` (m,) is a sorted point set in [0, 1]; `c` holds the
+    factor's collocation matrices C0 and C1 (2, m, n) at its points
+    (`UnivariateSpline.collocation`).  Fields live on the grid as planes,
+    one (m, m) array per component, indexed [u point, v point].
+
+    A point sees only the p + 1 basis functions of its element: a point
+    on a knot lies in the element to its right and x = 1 in the last
+    one, as in `UnivariateSpline.eval_basis`.  So C0, C1 and any (m, n)
+    matrix that is zero where they are, such as the transposed dual
+    weights of a `QuasiInterpolant`, are banded, and every product with
+    them runs in blocks of BLOCK_ELEMENTS elements and skips the zero
+    blocks: `point_blocks` pairs the points of each block of elements
+    with the basis functions active on them, and `basis_blocks` splits
+    the basis into as many consecutive runs, each with the points in its
+    support, which may be none.  A mesh of at most BLOCK_ELEMENTS
+    elements is one block.
     """
 
-    def __init__(self, space: TensorSplineSpace, points_1d, nderiv: int = 0):
+    def __init__(self, space: TensorSplineSpace, points_1d):
         self.space = space
         self.points_1d = np.asarray(points_1d, dtype=float)
-        self.c = space.factor.collocation(self.points_1d, nderiv)
+        if np.any(np.diff(self.points_1d) < 0.0):
+            raise ValueError("grid points must be sorted")
+        f, p = space.factor, space.degree
+        self.c = f.collocation(self.points_1d, 1)
 
-    @property
-    def points(self):
-        """Grid points (m * m, 2)."""
-        U, V = np.meshgrid(self.points_1d, self.points_1d, indexing="ij")
-        return np.column_stack([U.ravel(), V.ravel()])
+        # the element of each point, and the first point of each element
+        first, (lo, hi) = f.element_first, f.supports
+        element = np.searchsorted(first, f.find_span(self.points_1d) - p)
+        at = np.searchsorted(element, np.arange(f.num_elements + 1))
+        starts = list(range(0, f.num_elements, BLOCK_ELEMENTS))
+        self.point_blocks = [
+            (slice(at[e], at[e1]), slice(first[e], first[e1 - 1] + p + 1))
+            for e, e1 in zip(starts, starts[1:] + [f.num_elements])
+        ]
+        runs = [first[e] for e in starts] + [f.dim]
+        self.basis_blocks = [
+            (slice(at[lo[a]], at[hi[b - 1] + 1]), slice(a, b))
+            for a, b in zip(runs, runs[1:])
+        ]
 
-    def eval(self, coeffs, nderiv: int = 0):
-        """`SplineField.eval` of the field with `coeffs` (dim[, D]) at `points`.
+    def _to_points(self, c, x):
+        """c (m, n) applied to the middle axis of x (K, n, r): (K, m, r)."""
+        out = np.empty((len(x), c.shape[0], x.shape[2]))
+        for q, i in self.point_blocks:
+            np.matmul(c[q, i], x[:, i], out=out[:, q])
+        return out
 
-        Returns `values` (n, D), or (values, jac) with `jac` (n, D, 2) if
-        nderiv == 1; the grid must be built with at least `nderiv`.
-        Scalar fields keep D = 1.
+    def _to_basis(self, c, x):
+        """c^T (n, m) applied to the middle axis of x (K, m, r): (K, n, r).
+
+        A run of basis functions with no point in its support gets rows
+        of zeros, from a product over no points.
         """
-        coeffs = np.asarray(coeffs, dtype=float)
+        out = np.empty((len(x), c.shape[1], x.shape[2]))
+        for q, i in self.basis_blocks:
+            np.matmul(c[q, i].T, x[:, q], out=out[:, i])
+        return out
 
-        def contract(ku, kv):
-            return _tensor_apply(self.c[ku], self.c[kv], coeffs)
+    def _to_points_last(self, x, c):
+        """c (m, n) applied to the last axis of x (..., n): (..., m)."""
+        m, n = c.shape
+        x2 = x.reshape(-1, n)
+        out = np.empty((len(x2), m))
+        for q, i in self.point_blocks:
+            np.matmul(x2[:, i], c[q, i].T, out=out[:, q])
+        return out.reshape(x.shape[:-1] + (m,))
 
-        values = contract(0, 0)
-        if nderiv == 0:
-            return values
-        return values, np.stack([contract(1, 0), contract(0, 1)], axis=-1)
+    def _to_basis_last(self, x, c):
+        """c^T (n, m) applied to the last axis of x (..., m): (..., n)."""
+        m, n = c.shape
+        x2 = x.reshape(-1, m)
+        out = np.empty((len(x2), n))
+        for q, i in self.basis_blocks:
+            np.matmul(x2[:, q], c[q, i], out=out[:, i])
+        return out.reshape(x.shape[:-1] + (n,))
 
+    def evaluate(self, rows, values=slice(None), jac=slice(0)):
+        """Planes at the grid points of the fields with coefficient rows `rows`.
 
-def _tensor_apply(a, b, values):
-    """(a x b) values: the matrix a applied along u, then b along v.
-
-    `values` (n * n[, D]) lie on an n x n tensor index set, u-major, and
-    a and b have n columns; returns (len(a) * len(b), D), u-major, in two
-    BLAS products.  Scalar values keep D = 1.
-    """
-    t = (a @ values.reshape(a.shape[1], -1)).reshape(len(a), a.shape[1], -1)
-    return np.matmul(b, t).reshape(-1, t.shape[-1])
+        `rows` (D, dim) holds one scalar field per row.  Returns the
+        values (Dv, m, m) of the rows `values` and the u- and
+        v-derivatives (Dj, m, m) each of the rows `jac` (slices), or
+        None for both if `jac` is empty: C0 and C1 applied along u, then
+        C0 or C1 along v, one product per block of points.
+        """
+        c0, c1 = self.c
+        n = c0.shape[1]
+        X = np.asarray(rows).reshape(-1, n, n)
+        W0 = self._to_points(c0, X)
+        Xj = X[jac]
+        if not len(Xj):
+            return self._to_points_last(W0[values], c0), None, None
+        du = self._to_points_last(self._to_points(c1, Xj), c0)
+        return self._to_points_last(W0[values], c0), du, self._to_points_last(W0[jac], c1)
 
 
 class QuasiInterpolant:
@@ -377,10 +430,12 @@ class QuasiInterpolant:
     hold the weights (zero outside the support of the corresponding
     basis function).  Tensor functionals are products of univariate
     ones, the same in both directions.  The grid is fixed and a tensor
-    product: `grid` evaluates fields at `grid_points` with one
-    collocation matrix, the transpose of `apply_to_values`; it is the
-    point set of the `assembly.MeshTables` with `n_quad` points, in
-    tensor order.
+    product, the point set of the `assembly.MeshTables` with `n_quad`
+    points: `grid_points` lists it u-major, and `grid`, its
+    `TensorGrid`, evaluates fields on it.  On the grid the dual weights
+    are zero wherever the collocation matrix C0 is, so
+    `apply_to_values` is the transposed blocked product of `grid` with
+    w^T in place of C0.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -388,15 +443,20 @@ class QuasiInterpolant:
         self.n_quad = n_quad
         self.w, self.points_1d = _dual_weights(space.factor, n_quad)
         self.grid = TensorGrid(space, self.points_1d)
-        self.grid_points = self.grid.points
+        U, V = np.meshgrid(self.points_1d, self.points_1d, indexing="ij")
+        self.grid_points = np.column_stack([U.ravel(), V.ravel()])
 
     def apply_to_values(self, values):
         """Coefficients from values sampled at `grid_points`.
 
-        `values` has shape (npts,) or (npts, D); returns (dim,) or (dim, D).
+        `values` has shape (npts,) or (npts, D); returns (dim,) or (dim, D):
+        w applied along u, then along v.
         """
         values = np.asarray(values, dtype=float)
-        coeffs = _tensor_apply(self.w, self.w, values)
+        m, n = len(self.points_1d), self.space.factor.dim
+        wt = self.w.T
+        t = self.grid._to_basis(wt, values.reshape(1, m, -1))
+        coeffs = self.grid._to_basis(wt, t.reshape(n, m, -1)).reshape(n * n, -1)
         return coeffs[:, 0] if values.ndim == 1 else coeffs
 
     def edge_points(self, edge: int):

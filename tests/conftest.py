@@ -40,6 +40,16 @@ def grid_points(points_1d):
     return np.column_stack([U.ravel(), V.ravel()])
 
 
+def eval_basis(space, point):
+    """Flat indices and values of the active tensor basis of `space` at one
+    parametric point; ValueError outside the unit square."""
+    u, v = float(point[0]), float(point[1])
+    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+        raise ValueError(f"point {(u, v)} outside the unit square")
+    flat, du, dv = space.active_basis(np.array([[u, v]]))
+    return flat[0].ravel(), np.outer(du[0, 0], dv[0, 0]).ravel()
+
+
 def interpolate(quasi, scenario, field="X"):
     """Quasi-interpolant of one field of the scenario's sample on the quasi grid.
 

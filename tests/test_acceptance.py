@@ -18,7 +18,7 @@ from mcflow.convergence import convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
 from mcflow.splines import build_quasi_interpolant, build_space
-from tests.conftest import dense_conormal_load, grid_points, interior_grid
+from tests.conftest import dense_conormal_load, eval_basis, grid_points, interior_grid
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,8 @@ def test_criterion_4_sphere_patch_run(example2):
 
 
 def test_criterion_5_self_convergence_orders():
-    """H1 self-convergence orders >= 1.8 for position, curvature, normal."""
+    """H1 self-convergence orders >= 1.8 for position, curvature, normal
+    and velocity."""
     base = ScenarioConfig(
         scenario="perturbed_plane",
         degree=2,
@@ -154,12 +155,12 @@ def test_criterion_5_self_convergence_orders():
         output_dir="",
     )
     report = convergence_study(base, [4, 8, 16, 32], t_final=0.05)
-    for var in ("position", "kappa", "nu"):
+    for var in ("position", "kappa", "nu", "velocity"):
         assert report.eoc_h1[var] >= 1.8, (var, report.eoc_h1)
 
 
 def test_criterion_5_self_convergence_orders_p3():
-    """At p=3, C^2 on levels 4, 8, 16: H1 orders >= 2.5 for all three fields."""
+    """At p=3, C^2 on levels 4, 8, 16: H1 orders >= 2.5 for all four fields."""
     base = ScenarioConfig(
         scenario="perturbed_plane",
         degree=3,
@@ -170,7 +171,7 @@ def test_criterion_5_self_convergence_orders_p3():
         output_dir="",
     )
     report = convergence_study(base, [4, 8, 16], t_final=0.05)
-    for var in ("position", "kappa", "nu"):
+    for var in ("position", "kappa", "nu", "velocity"):
         assert report.eoc_h1[var] >= 2.5, (var, report.eoc_h1)
 
 
@@ -257,7 +258,7 @@ def test_criterion_8_projector_and_oracle_suite(example2):
     quasi = build_quasi_interpolant(space)
     B = np.zeros((len(quasi.grid_points), space.dim))
     for i, pt in enumerate(quasi.grid_points):
-        idx, vals = space.eval_basis(pt)
+        idx, vals = eval_basis(space, pt)
         B[i, idx] = vals
     assert np.abs(quasi.apply_to_values(B) - np.eye(space.dim)).max() <= 1e-10
 

@@ -10,6 +10,8 @@ products, `np.cross` and mass products kept here as oracles.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -17,6 +19,7 @@ import scipy.sparse
 
 import mcflow.assembly
 import mcflow.flow
+import mcflow.splines
 from mcflow.assembly import (
     ConstrainedSolver,
     ElementGeometry,
@@ -29,10 +32,12 @@ from mcflow.assembly import (
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
+from mcflow.convergence import VARIABLES, convergence_study
+from mcflow.export import _sample_grid
 from mcflow.flow import BdfScheme, FlowProblem
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
-from mcflow.projections import RITZ_LAMBDA, ritz_rhs
-from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space
+from mcflow.projections import RITZ_LAMBDA, project_velocity, ritz_rhs
+from mcflow.splines import BLOCK_ELEMENTS, TensorGrid, build_quasi_interpolant, build_space
 from tests import element_oracle as oracle
 from tests.conftest import grid_points, interpolate
 
@@ -246,22 +251,6 @@ def test_solver_schur_complements_match_dense_ones(kernel_setup):
     assert_close(U.T @ U, T_ref)
 
 
-def test_tensor_grid_matches_spline_field_eval(kernel_setup):
-    """At the quasi-interpolant, Gauss and export grids, values and Jacobians."""
-    prob, x, kappa, _, _ = kernel_setup
-    space = prob.space
-    gauss, _ = space.factor.element_rule(space.degree + 3)
-    g = np.linspace(0.0, 1.0, 2 * space.factor.num_elements + 1)
-    for points_1d in (prob.quasi.points_1d, gauss.ravel(), g):
-        grid = TensorGrid(space, points_1d, nderiv=1)
-        for coeffs in (kappa, x):
-            vals, jac = grid.eval(coeffs, 1)
-            ref_vals, ref_jac = SplineField(space, coeffs).eval(grid.points, 1)
-            assert_close(vals, ref_vals)
-            assert_close(jac, ref_jac)
-            assert_close(grid.eval(coeffs), ref_vals)
-
-
 def _oracle_setup(p, l, N, scenario="sphere_patch"):
     """A problem, interpolated x, kappa, nu and a smooth tail on it."""
     cfg = ScenarioConfig(scenario=scenario, degree=p, smoothness=l, elements_per_side=N)
@@ -278,11 +267,92 @@ SPACES = [(p, l) for p in (2, 3, 4) for l in range(p)]
 
 @pytest.fixture(params=[None, 2], ids=["one-block", "blocks-of-2"])
 def block_elements(request, monkeypatch):
-    """The tables' default blocking (one block at N=5), or blocks of two
+    """The grids' default blocking (one block at N=5), or blocks of two
     elements, the last one short."""
     if request.param is not None:
-        monkeypatch.setattr(mcflow.assembly, "BLOCK_ELEMENTS", request.param)
+        monkeypatch.setattr(mcflow.splines, "BLOCK_ELEMENTS", request.param)
     return request.param
+
+
+def _point_sets(space, quasi):
+    """Sorted 1-D point sets a `TensorGrid` is built on, by name."""
+    f = space.factor
+    return {
+        "quasi": quasi.points_1d,
+        "gauss": f.element_rule(space.degree + 3)[0].ravel(),
+        "export": np.linspace(0.0, 1.0, 2 * f.num_elements + 1),
+        # every knot, 0 and 1 included, bit for bit as the knot vector has it
+        "knots": np.linspace(0.0, 1.0, f.num_elements + 1),
+        # whole elements without a point
+        "sparse": np.array([0.0, 0.5, 1.0]),
+    }
+
+
+# below C^(p-1) and at C^(p-1), in one block and in three, the last short
+GRID_SPACES = [
+    (p, l, N) for p, l in ((2, 0), (2, 1), (3, 0), (3, 2)) for N in (6, 2 * BLOCK_ELEMENTS + 3)
+] + [(2, 1, 40)]
+
+
+@pytest.mark.parametrize("points", ["quasi", "gauss", "export", "knots", "sparse"])
+@pytest.mark.parametrize("p, l, N", GRID_SPACES, ids=[f"p{p}-C{l}-N{N}" for p, l, N in GRID_SPACES])
+def test_tensor_grid_matches_spline_field_eval(p, l, N, points, block_elements):
+    """The blocked grid products against dense ones and a pointwise
+    evaluation: values and both derivatives against the dense
+    collocation products and `SplineField.eval`, and the
+    quasi-interpolant's transposed product against the dense product of
+    its dual weights, at the quasi-interpolant's, a Gauss and the export
+    grid, at the knots, and on [0, 0.5, 1], which leaves whole elements
+    without a point."""
+    space = build_space(p, l, N)
+    quasi = build_quasi_interpolant(space)
+    pts = _point_sets(space, quasi)[points]
+    grid = TensorGrid(space, pts)
+    blocks = -(-N // (block_elements or BLOCK_ELEMENTS))
+    assert len(grid.point_blocks) == len(grid.basis_blocks) == blocks
+    rng = np.random.default_rng(100 * p + 10 * l + N)
+    rows = rng.normal(size=(4, space.dim))
+    vals, du, dv = grid.evaluate(rows, jac=slice(None))
+
+    n, m = space.factor.dim, len(pts)
+    C0, C1 = space.factor.collocation(pts, 1)
+    X = rows.reshape(-1, n, n)
+    for got, (a, b) in zip((vals, du, dv), ((C0, C0), (C1, C0), (C0, C1))):
+        assert_close(got, a @ X @ b.T)
+    ref_vals, ref_jac = SplineField(space, rows.T).eval(grid_points(pts), 1)
+    assert_close(vals, ref_vals.T.reshape(-1, m, m))
+    assert_close(du, ref_jac[:, :, 0].T.reshape(-1, m, m))
+    assert_close(dv, ref_jac[:, :, 1].T.reshape(-1, m, m))
+
+    if points == "quasi":
+        values = rng.normal(size=(m, m, 3))
+        ref = np.einsum("aq,qrd,br->abd", quasi.w, values, quasi.w, optimize=True)
+        assert_close(quasi.apply_to_values(values.reshape(-1, 3)), ref.reshape(-1, 3))
+        assert_close(quasi.apply_to_values(values[:, :, 0].ravel()), ref[:, :, 0].ravel())
+
+
+def test_velocity_errors_and_export_match_one_block(monkeypatch):
+    """The velocity, the convergence study's errors and the export sample
+    in blocks of two elements against one block."""
+    base = ScenarioConfig(
+        scenario="sphere_patch", degree=2, smoothness=1, elements_per_side=2, dt=0.0125
+    )
+
+    def outputs():
+        prob = FlowProblem(replace(base, elements_per_side=8))
+        state = prob.initialize()
+        velocity = project_velocity(prob.quasi, state.kappa, state.nu)
+        report = convergence_study(base, [2, 4, 8], t_final=2 * base.dt)
+        return velocity, report, _sample_grid(prob, state, 2)
+
+    one = outputs()
+    monkeypatch.setattr(mcflow.splines, "BLOCK_ELEMENTS", 2)
+    blocked = outputs()
+    assert_close(blocked[0], one[0])
+    for var in VARIABLES:
+        assert_close(blocked[1].errors_h1[var], one[1].errors_h1[var])
+    for got, want in zip(blocked[2], one[2]):
+        assert_close(got, want)
 
 
 @pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])

@@ -29,7 +29,7 @@ from mcflow.projections import (
 )
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
-from tests.conftest import boundary_data, edge_slices, interpolate
+from tests.conftest import boundary_data, edge_slices, grid_points, interpolate
 
 
 def _sphere_problem(N, p=2, l=None):
@@ -349,13 +349,12 @@ def _h1_error_to_exact_normal(prob, nu):
     points, w = prob.space.factor.element_rule(prob.space.degree + 3)
     w = np.tile(w, len(points))
     weights = np.outer(w, w).ravel()
-    grid = TensorGrid(prob.space, points.ravel(), nderiv=1)
-    values, jac = grid.eval(nu, 1)
-    pts = grid.points
-    exact = prob.scenario.sample(pts)
-    dv = values - exact.normal
-    dj = jac - exact.normal_jacobian
-    return np.sqrt(np.sum(weights * (np.sum(dv**2, 1) + np.sum(dj**2, (1, 2)))))
+    planes = TensorGrid(prob.space, points.ravel()).evaluate(nu.T, jac=slice(None))
+    values, du, dv = (a.reshape(3, -1).T for a in planes)  # grid order
+    exact = prob.scenario.sample(grid_points(points.ravel()))
+    err = values - exact.normal
+    err_jac = np.stack([du, dv], axis=-1) - exact.normal_jacobian
+    return np.sqrt(np.sum(weights * (np.sum(err**2, 1) + np.sum(err_jac**2, (1, 2)))))
 
 
 @pytest.mark.parametrize("p, min_order", [(2, 1.8), (3, 2.8)])

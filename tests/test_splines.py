@@ -11,6 +11,7 @@ from scipy.interpolate import BSpline
 from mcflow.assembly import BoundaryTables, MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
+    TensorGrid,
     UnivariateSpline,
     _dual_weights,
     build_quasi_interpolant,
@@ -18,7 +19,7 @@ from mcflow.splines import (
     edge_points,
     gauss_rule,
 )
-from tests.conftest import edge_parameters, edge_slices, grid_points
+from tests.conftest import edge_parameters, edge_slices, eval_basis, grid_points
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -83,7 +84,7 @@ def test_univariate_basis_matches_scipy(rng, p, l, N):
 @given(u=UNIT, v=UNIT)
 def test_partition_of_unity(u, v):
     space = build_space(2, 1, 5)
-    _, vals = space.eval_basis((u, v))
+    _, vals = eval_basis(space, (u, v))
     assert vals.min() >= -1e-15
     assert abs(vals.sum() - 1.0) < 1e-12
 
@@ -102,7 +103,11 @@ def test_eval_outside_domain_rejected():
         u.eval_basis(np.array([-0.01]))
     space = build_space(2, 1, 4)
     with pytest.raises(ValueError):
-        space.eval_basis((0.5, 1.01))
+        eval_basis(space, (0.5, 1.01))
+    with pytest.raises(ValueError):
+        TensorGrid(space, [0.0, 1.01])
+    with pytest.raises(ValueError, match="sorted"):
+        TensorGrid(space, [0.5, 0.25])
 
 
 def test_element_tables_consistency():
@@ -122,7 +127,7 @@ def test_dual_basis_identity(space_small, quasi_small):
     """The coefficient functionals are exactly dual to the basis."""
     B = np.zeros((len(quasi_small.grid_points), space_small.dim))
     for i, pt in enumerate(quasi_small.grid_points):
-        idx, vals = space_small.eval_basis(pt)
+        idx, vals = eval_basis(space_small, pt)
         B[i, idx] = vals
     C = quasi_small.apply_to_values(B)
     assert np.abs(C - np.eye(space_small.dim)).max() < 1e-10
