@@ -4,7 +4,7 @@ Interior forms are integrated on the tensor Gauss grid of the square,
 and every integral factors into a pass along u and a pass along v (sum
 factorization; Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
 285, 2015).  `MeshTables` is the one quadrature layer.  It is the
-`splines.TensorGrid` of the m = N n_quad Gauss points of a rule, which
+`splines.GaussGrid` of the m = N n_quad Gauss points of a rule, which
 holds the factor's collocation matrices C0, C1 there and runs every
 banded 1-D product by blocks, plus the tensor weights, the pair tables
 of products of two basis functions along one direction, and the CSR
@@ -23,7 +23,6 @@ the pattern is kept, so all matrices of a space share it.  A load that
 carries a BDF tail takes it into its density, since the integral of
 tail * phi is M tail: the step evaluates the extrapolated fields and
 their tails in one evaluation and needs no mass-matrix product.
-`BoundaryTables` keeps per-element tables on the four edges.
 
 Every linear system for the normal, in the flow step and in the Ritz
 projection, is the saddle [[I3 (x) K, S^T], [S, 0]] whose Lagrange
@@ -48,15 +47,18 @@ so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
 component-major, i.e. [all x | all y | all z].
 
-Boundary terms live on the four edges of the parametric square.
-`BoundaryTables` is the one edge layer: it stacks the four edges along
-one element axis, so every boundary form is a single contraction over
-all edges.  The constraint matrix S has one row per distinct boundary
-control point and columns for all 3 * dim vector coefficients; its
-entries integrate (trace basis) * (trace basis) * (unit tangent
-component) against the fixed initial boundary length element, so
-S w = 0 expresses discrete L2-orthogonality of the trace of w to the
-boundary tangent.  `conormal_load` integrates the conormal term
+Boundary terms live on the four edges of the parametric square, where
+the trace of the space is its univariate factor, so a Gauss grid used
+along one axis serves all four edges: a trace is C0 or C1 applied to
+(4, n, D) coefficients on the trace bases, and an edge integral is C0^T
+applied to a (4, m, D) density and one scatter that adds up the shared
+corners.  `BoundaryTables` is that grid on the edge rule; the Ritz
+projection uses the grid of its own rule.  The constraint matrix S has
+one row per distinct boundary control point and columns for all 3 * dim
+vector coefficients; its entries integrate (trace basis) * (trace basis)
+* (unit tangent component) against the fixed initial boundary length
+element, so S w = 0 expresses discrete L2-orthogonality of the trace of
+w to the boundary tangent.  `conormal_load` integrates the conormal term
 (kappa_b . nu)(nu x tau) of the normal equation from sampled edge data;
 the flow samples the frozen discrete boundary, the Ritz projection the
 scenario's exact one.
@@ -69,7 +71,7 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 from .geometry import cross3, dot, inner, metric_pieces
-from .splines import TensorGrid, TensorSplineSpace
+from .splines import GaussGrid, TensorSplineSpace
 
 
 # Relative residual gate of every linear solve, flow steps and Ritz alike.
@@ -102,12 +104,12 @@ def scatter_vector(index, local, dim):
     return out.reshape(dim, D)
 
 
-class MeshTables(TensorGrid):
+class MeshTables(GaussGrid):
     """The tensor Gauss grid of a space and the 1-D tables of its rule.
 
     The factor's `n_quad`-point Gauss rule on each of its N elements
     gives m = N n_quad points `points_1d`; the grid is their tensor
-    square, a `splines.TensorGrid`, with tensor weights `weights`
+    square, a `splines.GaussGrid`, with tensor weights `weights`
     (m, m).  Every quadrature kernel applies the grid's collocation
     matrices C0 and C1 along u and along v, block by block, so a field,
     a load or a matrix costs a few BLAS products over the whole grid.
@@ -123,12 +125,9 @@ class MeshTables(TensorGrid):
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
-        f, p = space.factor, space.degree
-        pts, w = f.element_rule(n_quad)
-        super().__init__(space, pts.ravel())
-        self.n_quad = n_quad
-        weights_1d = np.tile(w, f.num_elements)
-        self.weights = np.outer(weights_1d, weights_1d)
+        super().__init__(space, n_quad)
+        p = space.degree
+        self.weights = np.outer(self.weights_1d, self.weights_1d)
         self.indices, self.indptr, self.band_entry = space.csr_pattern
 
         m, n = self.c.shape[1:]
@@ -474,21 +473,22 @@ def weingarten_energy(geom, du, dv):
 # boundary assembly
 
 
-class BoundaryTables:
-    """The four edges of the square as one stacked edge mesh, plus frozen data.
+class BoundaryTables(GaussGrid):
+    """The four edges of the square on the Gauss grid of the edge rule,
+    used along one axis, plus frozen data.
 
-    Edges are stacked along the element axis in edge order 0..3
-    (`splines.edge_points`), each with the elements of the space's
-    univariate factor in order.  On each element the tables hold the
-    weights `weights` (E, nq) of the Gauss rule, and the values
-    and edge-parameter derivatives (E, nq, p+1) of the trace basis,
-    which is the space's univariate factor on every edge.  Three index
-    tables (E, p+1) name that basis: `flat`, its tensor flat index;
-    `local`, its row in a stacked per-edge coefficient array (edge k's
-    trace coefficients follow those of edges 0..k-1), which can hold
-    data that is discontinuous at the corners, such as the tangent;
-    and `rows`, its constraint row, numbering the distinct boundary
-    control points with the corners shared (`num_rows` of them).
+    With open knot vectors the trace of the space on every edge is its
+    univariate factor, so the grid's collocation matrices C0 and C1
+    (2, m, n) at the m = N n_quad points of the rule serve all four
+    edges.  Boundary data live as (4, n, D) coefficients on the trace
+    basis of each edge, in `splines.edge_points` order: a tensor-space
+    field gives `coeffs[space.edge_indices]`, and per-edge data that are
+    discontinuous at the corners, such as the tangent, have their own.
+    A trace is C0, or C1 for the derivative along the edge, applied to
+    them (`trace`), (4, m, D) on the edge points.  `rows` (4, n) numbers
+    the constraint row of each trace basis function: the distinct
+    boundary control points, with the corners shared (`num_rows` of
+    them).
 
     The boundary of the evolving surface is fixed in time, so `freeze`
     samples the length element, the interpolated tangent (raw and unit)
@@ -497,49 +497,31 @@ class BoundaryTables:
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
-        self.space = space
-        self.n_quad = n_quad
-        n = space.factor.dim
-        j = np.arange(n)
-        edges = (j, 0), (n - 1, j), (j, n - 1), (0, j)
-        trace_flat = np.concatenate([space.flat_index(*e) for e in edges])
-        # every edge runs along the factor, so all four share its tabulation
-        pts, wts, first, vals = space.factor.element_tables(n_quad)
-        ne, active = len(pts), first[:, None] + np.arange(space.degree + 1)
-        self.weights = np.tile(wts, (4 * ne, 1))
-        tab = np.tile(vals, (4, 1, 1, 1))
-        self.values, self.derivs = tab[:, :, 0, :], tab[:, :, 1, :]
-        self.local = np.concatenate([k * n + active for k in range(4)])
-        self.flat = trace_flat[self.local]
+        super().__init__(space, n_quad)
         self.num_rows = len(space.boundary_indices)
-        row_of_flat = np.full(space.dim, -1)
-        row_of_flat[space.boundary_indices] = np.arange(self.num_rows)
-        self.rows = row_of_flat[self.flat]
+        self.rows = np.searchsorted(space.boundary_indices, space.edge_indices)
         self.frozen = None
 
-    def trace(self, loc, deriv=False):
-        """Field values (E, nq, D) at the edge points, or edge-parameter derivatives.
-
-        `loc` (E, p+1, D) holds the field's coefficients on the trace basis
-        of each element: `coeffs[self.flat]` for a tensor-space field,
-        `coeffs[self.local]` for stacked per-edge coefficients.
-        """
-        return (self.derivs if deriv else self.values) @ loc
+    def trace(self, coeffs, deriv=False):
+        """Values (4, m, D) at the edge points, or edge-parameter
+        derivatives, of the (4, n, D) coefficients on the trace basis."""
+        return self._to_points(self.c[int(deriv)], coeffs)
 
     def freeze(self, x0, tangent, curvature):
         """Sample the time-independent boundary quantities at the edge points.
 
         `x0` holds the (dim, 3) position coefficients of the initial
-        surface; `tangent` and `curvature` the stacked per-edge
+        surface; `tangent` and `curvature` the (4, n, 3) per-edge
         coefficients of the interpolated tangent and curvature vector
         (`projections.boundary_quasi_interp`).
         """
-        tau = self.trace(tangent[self.local])
+        tau = self.trace(tangent)
+        x_s = self.trace(x0[self.space.edge_indices], deriv=True)
         self.frozen = {
-            "length": np.linalg.norm(self.trace(x0[self.flat], deriv=True), axis=2),
+            "length": np.linalg.norm(x_s, axis=2),
             "tau": tau,
             "tau_hat": tau / np.linalg.norm(tau, axis=2, keepdims=True),
-            "kappa": self.trace(curvature[self.local]),
+            "kappa": self.trace(curvature),
         }
         return self
 
@@ -547,41 +529,41 @@ class BoundaryTables:
 def assemble_constraint(btables: BoundaryTables):
     """Tangential-trace constraint matrix S, (n_boundary, 3*dim) CSR.
 
-    Requires frozen boundary data; rows follow `btables.rows`.
+    Requires frozen boundary data; rows follow `btables.rows`.  Edge k
+    and component d give C0^T diag(w |x_s| tau_hat_d) C0, of which the
+    entries of basis pairs that share an element are kept
+    (`UnivariateSpline.band`): the pattern of S, one slot for each.
     """
     assert btables.frozen is not None, "freeze boundary data first"
     bt, fr = btables, btables.frozen
-    dim = bt.space.dim
-    dens = bt.weights * fr["length"]  # (E, nq)
-    p1 = bt.flat.shape[1]
-    rows = np.repeat(bt.rows, p1, axis=1).ravel()
-    cols = np.tile(bt.flat, (1, p1)).ravel()
-    B = bt.values
-    vals = [
-        (B.swapaxes(1, 2) @ ((dens * fr["tau_hat"][:, :, k])[:, :, None] * B)).ravel()
-        for k in range(3)
-    ]
+    space = bt.space
+    n, dim = space.factor.dim, space.dim
+    dens = (bt.weights_1d * fr["length"])[:, None] * np.moveaxis(fr["tau_hat"], 2, 1)
+    c0 = bt.c[0]
+    blocks = bt._to_basis(c0, dens.reshape(12, -1, 1) * c0).reshape(4, 3, n, n)
+    start, width = space.factor.band
+    offset = np.arange(n) - start[:, None]
+    i, j = np.nonzero((offset >= 0) & (offset < width[:, None]))
+    rows = np.broadcast_to(bt.rows[:, None, i], (4, 3, len(i)))
+    cols = space.edge_indices[:, None, j] + dim * np.arange(3)[:, None]
     S = sp.coo_matrix(
-        (
-            np.concatenate(vals),
-            (np.tile(rows, 3), np.concatenate([cols + k * dim for k in range(3)])),
-        ),
+        (blocks[:, :, i, j].ravel(), (rows.ravel(), cols.ravel())),
         shape=(bt.num_rows, 3 * dim),
     )
     return S.tocsr()
 
 
-def conormal_load(btables: BoundaryTables, length, kappa_b, tau, nu):
+def conormal_load(grid: GaussGrid, length, kappa_b, tau, nu):
     """Edge integral of (kappa_b . nu)(nu x tau) against the vector basis, (dim, 3).
 
-    All arguments are sampled at the edge quadrature points: the length
-    element (E, nq) and the boundary curvature vector, tangent and
-    normal (E, nq, 3).
+    All arguments are sampled at the points of `grid` on each edge: the
+    length element (4, m) and the boundary curvature vector, tangent and
+    normal (4, m, 3).  C0^T integrates the density against the trace
+    basis of each edge, and one scatter adds up the shared corners.
     """
-    dens = btables.weights * length * inner(kappa_b, nu)
-    mu = cross3(nu, tau)
-    local = btables.values.swapaxes(1, 2) @ (dens[:, :, None] * mu)
-    return scatter_vector(btables.flat, local, btables.space.dim)
+    dens = grid.weights_1d * length * inner(kappa_b, nu)
+    local = grid._to_basis(grid.c[0], dens[:, :, None] * cross3(nu, tau))
+    return scatter_vector(grid.space.edge_indices, local, grid.space.dim)
 
 
 def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
@@ -592,7 +574,7 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     """
     assert btables.frozen is not None
     fr = btables.frozen
-    nu = btables.trace(np.take(nu_coeffs, btables.flat, axis=0))
+    nu = btables.trace(np.take(nu_coeffs, btables.space.edge_indices, axis=0))
     return conormal_load(btables, fr["length"], fr["kappa"], fr["tau"], nu)
 
 

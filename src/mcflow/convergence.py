@@ -3,9 +3,9 @@
 Each level runs the flow to a short final time with a step size
 proportional to the mesh size; errors of position, curvature, normal
 and velocity are measured against the finest level in the parametric H1
-norm on a shared quadrature grid (the finest level's elements with a
-rule finer than either space), on which each level evaluates all four
-fields as planes in one call of its `splines.TensorGrid`; orders are
+norm on a shared quadrature grid (the `splines.GaussGrid` of the finest
+level's elements, with a rule finer than either space), on which each
+level evaluates all four fields as planes in one call; orders are
 the least-squares slope of log2 error against log2 mesh size.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .flow import FlowProblem
-from .splines import TensorGrid
+from .splines import GaussGrid, TensorGrid
 
 VARIABLES = ("position", "kappa", "nu", "velocity")
 # the evaluated rows of each variable: x, kappa, nu and v of the final state
@@ -89,23 +89,21 @@ def convergence_study(
         result = FlowProblem(cfg).run(order=order)
         runs.append(result)
 
-    points, w = runs[-1].problem.space.factor.element_rule(base.degree + 3)
-    w = np.tile(w, len(points))
-    weights = np.outer(w, w)
+    fine = GaussGrid(runs[-1].problem.space, base.degree + 3)
+    weights = np.outer(fine.weights_1d, fine.weights_1d)
 
-    def samples(result):
+    def samples(result, grid):
         """Each variable's (values, du, dv) planes, from one evaluation."""
         s = result.final_state
         rows = np.concatenate([s.x.T, s.kappa[None], s.nu.T, s.v.T])
-        grid = TensorGrid(result.problem.space, points.ravel())
         planes = grid.evaluate(rows, jac=slice(None))
         return {var: tuple(a[k] for a in planes) for var, k in zip(VARIABLES, ROWS)}
 
-    ref = samples(runs[-1])
+    ref = samples(runs[-1], fine)
     errors_l2 = {v: [] for v in VARIABLES}
     errors_h1 = {v: [] for v in VARIABLES}
     for result in runs[:-1]:
-        cur = samples(result)
+        cur = samples(result, TensorGrid(result.problem.space, fine.points_1d))
         for var in VARIABLES:
             l2, h1 = _h1_errors(cur[var], ref[var], weights)
             errors_l2[var].append(l2)

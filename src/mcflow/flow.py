@@ -64,7 +64,7 @@ from .projections import (
     ritz_rhs,
 )
 from .scenarios import get_scenario
-from .splines import build_quasi_interpolant, build_space
+from .splines import QuasiInterpolant, build_space
 
 
 # Bounds of the drifting-normal guard of a step.  The reference runs stay
@@ -200,9 +200,10 @@ class FlowProblem:
             self.scenario = get_scenario(cfg.scenario, **cfg.scenario_params())
         except ValueError as exc:
             raise ConfigError(f"bad scenario parameters: {exc}") from exc
-        self.quasi = build_quasi_interpolant(self.space)
-        n_quad = cfg.degree + 1
-        self.tables = MeshTables(self.space, n_quad)
+        self.tables = MeshTables(self.space, cfg.degree + 1)
+        # the quasi-interpolant's standard (p + 2)-point rule; the Ritz
+        # projection integrates on the same grid
+        self.quasi = QuasiInterpolant(MeshTables(self.space, cfg.degree + 2))
         # The conormal load integrand stacks five spline factors, so the
         # boundary rule is sized for degree 5p rather than 2p.
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
@@ -231,20 +232,19 @@ class FlowProblem:
 
         self.btables.freeze(
             x,
-            boundary_quasi_interp(quasi, [e.edge_tangent for e in edges]),
-            boundary_quasi_interp(quasi, [e.edge_curvature for e in edges]),
+            boundary_quasi_interp(quasi, np.stack([e.edge_tangent for e in edges])),
+            boundary_quasi_interp(quasi, np.stack([e.edge_curvature for e in edges])),
         )
         self.S = assemble_constraint(self.btables)
         self.saddle = SaddleLayout(self.tables, self.S)
 
         kappa = quasi.apply_to_values(grid.mean_curvature)
         kappa[bidx] = 0.0
-        ritz_tables = MeshTables(self.space, quasi.n_quad)  # the grid's rule
-        rhs = ritz_rhs(ritz_tables, grid, edges)
+        rhs = ritz_rhs(quasi.grid, grid, edges)
         start = quasi.apply_to_values(grid.normal)
         del grid, edges
         nu, self.ritz_info = nonlinear_ritz_normal(
-            x, rhs, start, ritz_tables, self.btables, self.saddle
+            x, rhs, start, quasi.grid, self.btables, self.saddle
         )
         v = project_velocity(quasi, kappa, nu)
         return FlowState(

@@ -10,8 +10,9 @@ applies the dual weights: each is a blocked pass along u and one along v.
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
 which it reads off the one grid sample (`scenarios.Sample`) that also
-gives the interpolated initial data: it integrates on the tensor Gauss
-grid of the quasi-interpolant's rule (an `assembly.MeshTables`), one
+gives the interpolated initial data: it integrates, in the interior
+and on the edges, on the quasi-interpolant's own Gauss grid, which a
+flow problem builds as an `assembly.MeshTables`.  That rule is one
 order finer than flow-step assembly, so data already in the space is
 reproduced to solver precision, and the sample's values are already
 planes of that grid.  A + RITZ_LAMBDA M and the Gram matrix A + M come
@@ -33,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import (
-    BoundaryTables,
     ConstrainedSolver,
     ElementGeometry,
     MeshTables,
@@ -62,14 +62,14 @@ class NoContraction(Exception):
 def boundary_quasi_interp(quasi: QuasiInterpolant, values):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
-    `values[edge]` holds (n, D) samples at `quasi.edge_points(edge)`.
-    The functionals of each edge are the univariate ones of `quasi`;
-    corners carry no quadrature points, so a discontinuity
-    of the data there (as of the tangent) never gets sampled.  Returns
-    the per-edge coefficients stacked in edge order, the layout
-    `BoundaryTables.local` indexes.
+    `values` (4, m, D) holds samples at `quasi.edge_points(edge)` for
+    each edge.  The functionals of each edge are the univariate ones of
+    `quasi`; corners carry no quadrature points, so a discontinuity of
+    the data there (as of the tangent) never gets sampled.  Returns the
+    (4, n, D) coefficients on the trace basis of each edge, the layout
+    `assembly.BoundaryTables.trace` reads.
     """
-    return np.concatenate([quasi.w @ v for v in values])
+    return quasi.w @ values
 
 
 def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
@@ -98,10 +98,12 @@ def ritz_rhs(tables: MeshTables, grid, edges):
 
     The form of stiffness + RITZ_LAMBDA * mass on the scenario surface
     applied to its normal, minus the conormal term of its boundary.
-    `tables` holds the quasi-interpolant's rule; `grid` and `edges[k]`
-    are the scenario's `Sample`s at its `grid_points` (the points of
+    `tables` is the quasi-interpolant's grid; `grid` and `edges[k]` are
+    the scenario's `Sample`s at its `grid_points` (the points of
     `tables`, in the same order) and its `edge_points(k)`.  The interior
-    part is the transposed tensor product of the sample's density planes.
+    part is the transposed tensor product of the sample's density
+    planes, the boundary part the `conormal_load` of the edge samples
+    on the same grid.
     """
     m = len(tables.points_1d)
 
@@ -119,20 +121,10 @@ def ritz_rhs(tables: MeshTables, grid, edges):
         dv=wq * (g01 * Nu + g11 * Nv),
     )
 
-    # analytic boundary term, moved to the right-hand side with minus sign
-    bt = BoundaryTables(tables.space, tables.n_quad)
-
-    def on_edges(values):
-        """Per-edge samples (n[, D]) stacked as (E, nq[, D])."""
-        return np.concatenate(values).reshape(bt.weights.shape + values[0].shape[1:])
-
-    rhs_b = conormal_load(
-        bt,
-        on_edges([e.edge_speed for e in edges]),
-        on_edges([e.edge_curvature for e in edges]),
-        on_edges([e.edge_tangent for e in edges]),
-        on_edges([e.normal for e in edges]),
-    )
+    # analytic boundary term, moved to the right-hand side with minus sign,
+    # on the edges of the same grid
+    names = ("edge_speed", "edge_curvature", "edge_tangent", "normal")
+    rhs_b = conormal_load(tables, *(np.stack([getattr(e, k) for e in edges]) for k in names))
     # (sign: the projection identity carries -boundary term on both sides)
     return interior - rhs_b
 

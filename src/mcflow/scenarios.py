@@ -250,6 +250,11 @@ def scenario_sphere_patch(
     the corners by 1/(1 + g*s^2*t^2), and then onto the sphere by the
     exponential map at the north pole.  With temper g = 0 this is the
     exact geodesic square.
+
+    Its data are incompatible: H = -2 up to the fixed boundary, where the
+    flow needs H = 0 for t > 0, since a fixed boundary has zero velocity.
+    The scheme gives kappa_0 zero trace, and near the boundary the errors
+    converge below the paper's orders.
     """
     c = SPHERE_EXTENT if extent is None else float(extent)
     gam = SPHERE_CORNER_TEMPER if temper is None else float(temper)

@@ -20,19 +20,20 @@ involved, one small solve per basis function.  This makes the
 functionals exactly dual to the basis, so the operator is a projector
 onto the space and reproduces polynomials up to degree p.
 
-`UnivariateSpline.element_rule` and `element_tables` keep each
-per-element Gauss rule and tabulation they build, so a space computes
-each Gauss rule once.  `TensorGrid` is the one tensor-product kernel:
-on the square of a sorted 1-D point set (a Gauss grid, the
-quasi-interpolant's grid, an export grid) it holds the factor's
-collocation matrices and moves fields between coefficients and planes
-of grid values by 1-D products along u and along v.  The matrices are
-banded, so the products run per block of BLOCK_ELEMENTS elements and
-skip the zero blocks.  `assembly.MeshTables` is the grid of a Gauss
-rule with the quadrature tables on top; the quasi-interpolant applies
-its dual weights by the grid's transposed product; and
-`assembly.BoundaryTables` stacks the four edges of the square into one
-edge mesh, since with open knot vectors the trace of the space on an
+`UnivariateSpline.element_rule` keeps each per-element Gauss rule it
+builds, so a space computes each rule once.  `TensorGrid` is the one
+tensor-product kernel and the one tabulation of the basis: on the square
+of a sorted 1-D point set (a Gauss grid, an export grid) it holds the
+factor's collocation matrices and moves fields between coefficients and
+planes of grid values by 1-D products along u and along v.  The matrices
+are banded, so the products run per block of BLOCK_ELEMENTS elements and
+skip the zero blocks.  `GaussGrid` is the grid of a per-element Gauss
+rule with its 1-D weights.  `assembly.MeshTables` is a Gauss grid with
+the quadrature tables on top; the quasi-interpolant takes the element
+blocks of its dual functionals from the collocation matrix of its Gauss
+grid and applies them by the grid's transposed product; and
+`assembly.BoundaryTables` is the Gauss grid of the edge rule used along
+one axis, since with open knot vectors the trace of the space on an
 edge is the factor.
 """
 
@@ -121,7 +122,6 @@ class UnivariateSpline:
         self.dim = len(self.knots) - degree - 1
         assert self.dim == num_elements * mult + smoothness + 1
         self._rules = {}  # n_quad -> element_rule
-        self._tables = {}  # n_quad -> element_tables
 
     def __repr__(self):
         return (
@@ -201,25 +201,6 @@ class UnivariateSpline:
             self._rules[n_quad] = _read_only(offsets + xq[None, :] * h, wq * h)
         return self._rules[n_quad]
 
-    def element_tables(self, n_quad: int):
-        """Per-element Gauss tabulation of values and first derivatives.
-
-        Returns (points, weights, first, values) with points (N, nq) in
-        global coordinates, weights (nq,) scaled to the element length,
-        first (N,) the first active basis index per element, and values
-        (N, nq, 2, p + 1), derivative order before basis index.  Each
-        tabulation is built once per space and returned read-only.
-        """
-        if n_quad not in self._tables:
-            points, weights = self.element_rule(n_quad)
-            spans_first, ders = self.eval_basis(points.ravel(), 1)
-            values = ders.reshape(self.num_elements, n_quad, 2, self.degree + 1)
-            first = self.element_first
-            # sanity: one span per element
-            assert np.all(spans_first.reshape(values.shape[:2]) == first[:, None])
-            self._tables[n_quad] = (points, weights) + _read_only(first, values)
-        return self._tables[n_quad]
-
 
 def _read_only(*arrays):
     """The arrays, made read-only: a cached table must not change under its users."""
@@ -233,7 +214,10 @@ class TensorSplineSpace:
 
     Both directions use `factor`, so the space has degree `degree`,
     `shape` (n, n) for the factor's dimension n and flat index
-    j1 n + j2 for basis (j1, j2).
+    j1 n + j2 for basis (j1, j2).  With open knot vectors the trace of
+    the space on an edge of the square is the factor: `edge_indices`
+    (4, n) holds the flat index of trace basis function j of edge k
+    (edges in `edge_points` order), so the corners appear twice.
     """
 
     def __init__(self, factor: UnivariateSpline):
@@ -243,10 +227,11 @@ class TensorSplineSpace:
         self.shape = (n, n)
         self.dim = n * n
 
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        self.boundary_mask = mask.ravel()
+        j = np.arange(n)
+        edges = (j, 0), (n - 1, j), (j, n - 1), (0, j)
+        self.edge_indices = np.stack([self.flat_index(*e) for e in edges])
+        self.boundary_mask = np.zeros(self.dim, dtype=bool)
+        self.boundary_mask[self.edge_indices] = True
         self.boundary_indices = np.nonzero(self.boundary_mask)[0]
         self.interior_indices = np.nonzero(~self.boundary_mask)[0]
 
@@ -422,27 +407,40 @@ class TensorGrid:
         return self._to_points_last(W0[values], c0), du, self._to_points_last(W0[jac], c1)
 
 
+class GaussGrid(TensorGrid):
+    """The `TensorGrid` of the factor's `n_quad`-point Gauss rule on each
+    of its N elements: m = N n_quad points `points_1d`, in element order,
+    with their 1-D weights `weights_1d` (m,), scaled to the element
+    length."""
+
+    def __init__(self, space: TensorSplineSpace, n_quad: int):
+        f = space.factor
+        points, weights = f.element_rule(n_quad)
+        super().__init__(space, points.ravel())
+        self.n_quad = n_quad
+        self.weights_1d = np.tile(weights, f.num_elements)
+
+
 class QuasiInterpolant:
     """Coefficient functionals dual to the tensor-product basis.
 
     Each univariate functional is realized as a weighted sum of point
-    values on the global per-element Gauss grid `points_1d`; rows of `w`
-    hold the weights (zero outside the support of the corresponding
+    values on the points `points_1d` of `grid`, a `GaussGrid`; rows of
+    `w` hold the weights (zero outside the support of the corresponding
     basis function).  Tensor functionals are products of univariate
-    ones, the same in both directions.  The grid is fixed and a tensor
-    product, the point set of the `assembly.MeshTables` with `n_quad`
-    points: `grid_points` lists it u-major, and `grid`, its
-    `TensorGrid`, evaluates fields on it.  On the grid the dual weights
-    are zero wherever the collocation matrix C0 is, so
+    ones, the same in both directions.  `grid_points` lists the grid
+    u-major, and `grid` evaluates fields on it.  On the grid the dual
+    weights are zero wherever the collocation matrix C0 is, so
     `apply_to_values` is the transposed blocked product of `grid` with
     w^T in place of C0.
     """
 
-    def __init__(self, space: TensorSplineSpace, n_quad: int):
-        self.space = space
-        self.n_quad = n_quad
-        self.w, self.points_1d = _dual_weights(space.factor, n_quad)
-        self.grid = TensorGrid(space, self.points_1d)
+    def __init__(self, grid: GaussGrid):
+        self.grid = grid
+        self.space = grid.space
+        self.n_quad = grid.n_quad
+        self.points_1d = grid.points_1d
+        self.w = _dual_weights(grid)
         U, V = np.meshgrid(self.points_1d, self.points_1d, indexing="ij")
         self.grid_points = np.column_stack([U.ravel(), V.ravel()])
 
@@ -464,25 +462,30 @@ class QuasiInterpolant:
         return edge_points(edge, self.points_1d)
 
 
-def _dual_weights(uspace: UnivariateSpline, n_quad: int):
-    """Univariate dual functional weights on the per-element Gauss grid.
+def _dual_weights(grid: GaussGrid):
+    """Univariate dual functional weights on the points of a Gauss grid.
 
     Row j of the returned matrix W satisfies sum_q W[j, q] * f(x_q) =
     (local L2 projection of f onto the active basis over supp(b_j))_j,
     which is exactly dual: W @ B(x)^T = identity for basis values B.
 
-    The local system of b_j couples the `width[j]` basis functions of
-    its band (`UnivariateSpline.band`) over the elements of its support
-    (`UnivariateSpline.supports`).  Its Gram matrix sums the element
-    Gram matrices, in element order, into slices of the band, and its
-    right-hand side holds the weighted basis values of each element; one
-    `np.linalg.solve` per basis function gives the projection, and row
-    j - start[j] of the solution is row j of W on the support's points.
+    The basis values on each element are its block of the grid's
+    collocation matrix C0: the points of the element against the p + 1
+    basis functions active on it.  The local system of b_j couples the
+    `width[j]` basis functions of its band (`UnivariateSpline.band`)
+    over the elements of its support (`UnivariateSpline.supports`).  Its
+    Gram matrix sums the element Gram matrices, in element order, into
+    slices of the band, and its right-hand side holds the weighted basis
+    values of each element; one `np.linalg.solve` per basis function
+    gives the projection, and row j - start[j] of the solution is row j
+    of W on the support's points.
     """
+    uspace, n_quad = grid.space.factor, grid.n_quad
     p, N = uspace.degree, uspace.num_elements
-    points, weights, first, values = uspace.element_tables(n_quad)
-    vals = values[:, :, 0, :]  # (N, nq, p+1)
-    wvals = weights[:, None] * vals
+    first = uspace.element_first
+    active = first[:, None, None] + np.arange(p + 1)  # (N, 1, p+1)
+    vals = np.take_along_axis(grid.c[0].reshape(N, n_quad, -1), active, axis=2)
+    wvals = grid.weights_1d.reshape(N, n_quad, 1) * vals
     gram_e = vals.swapaxes(1, 2) @ wvals  # (N, p+1, p+1)
 
     lo, hi = uspace.supports
@@ -497,12 +500,12 @@ def _dual_weights(uspace: UnivariateSpline, n_quad: int):
             rhs[rows, k] = wvals[e].T
         sol = np.linalg.solve(gram, rhs.reshape(width[j], -1))
         W[j, lo[j] * n_quad : (hi[j] + 1) * n_quad] = sol[j - start[j]]
-    return W, points.ravel()
+    return W
 
 
 def build_quasi_interpolant(space: TensorSplineSpace):
     """Quasi-interpolant with the standard (p + 2)-point functional rule."""
-    return QuasiInterpolant(space, space.degree + 2)
+    return QuasiInterpolant(GaussGrid(space, space.degree + 2))
 
 
 # Edge conventions for the boundary of the unit square: the running

@@ -7,6 +7,7 @@ import pytest
 
 from mcflow.geometry import SplineField
 from mcflow.projections import boundary_quasi_interp
+from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, scenario_perturbed_plane
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points, gauss_rule
 
 
@@ -60,27 +61,15 @@ def interpolate(quasi, scenario, field="X"):
 
 
 def boundary_data(quasi, scenario):
-    """Stacked per-edge coefficients of the interpolated tangent and curvature.
+    """Per-edge coefficients (4, n, 3) of the interpolated tangent and curvature.
 
     The data `FlowProblem.initialize` freezes, from one sample per edge.
     """
     edges = [scenario.sample(quasi.edge_points(k), k) for k in range(4)]
     return (
-        boundary_quasi_interp(quasi, [e.edge_tangent for e in edges]),
-        boundary_quasi_interp(quasi, [e.edge_curvature for e in edges]),
+        boundary_quasi_interp(quasi, np.stack([e.edge_tangent for e in edges])),
+        boundary_quasi_interp(quasi, np.stack([e.edge_curvature for e in edges])),
     )
-
-
-def edge_slices(btables):
-    """The elements of each edge of a `BoundaryTables`, in edge order 0..3."""
-    ne = btables.space.factor.num_elements
-    return [slice(k * ne, (k + 1) * ne) for k in range(4)]
-
-
-def edge_parameters(btables):
-    """The Gauss points (ne, nq) of a `BoundaryTables` along one edge, by
-    edge parameter; all four edges share them."""
-    return btables.space.factor.element_tables(btables.n_quad)[0]
 
 
 def dense_conormal_load(problem, state, nq=24):
@@ -89,7 +78,7 @@ def dense_conormal_load(problem, state, nq=24):
     A reference for `assembly.assemble_boundary_load` that shares none of
     its tables: each edge is evaluated point by point from its own
     univariate basis and from the full surface, with the interpolated
-    tangent and curvature taken edge by edge from the stacked coefficients.
+    tangent and curvature taken edge by edge from the per-edge coefficients.
     """
     space = problem.space
     tangent, curvature = boundary_data(problem.quasi, problem.scenario)
@@ -106,14 +95,11 @@ def dense_conormal_load(problem, state, nq=24):
     )
     xg, wg = gauss_rule(nq)
     out = np.zeros((space.dim, 3))
-    offset = 0
     for edge, flat in enumerate(edges):
         run = 0 if edge in (0, 2) else 1
         h = uspace.mesh_size
         p1 = uspace.degree + 1
-        tau_c = tangent[offset : offset + len(flat)]
-        kap_c = curvature[offset : offset + len(flat)]
-        offset += len(flat)
+        tau_c, kap_c = tangent[edge], curvature[edge]
         for e in range(uspace.num_elements):
             s = e * h + xg * h
             first, ders = uspace.eval_basis(s, 0)
@@ -130,3 +116,67 @@ def dense_conormal_load(problem, state, nq=24):
                 rows = flat[first[q] + np.arange(p1)]
                 out[rows] += vals[q] * ders[q, 0][:, None] * mu[q][None, :]
     return out
+
+
+# -- the Enneper patch: a minimal surface with curved edges -------------------
+
+
+def scenario_enneper(half_width=0.8, bump=0.0):
+    """Enneper patch X(a, b) = (a - a^3/3 + ab^2, b - b^3/3 + ba^2, a^2 - b^2),
+    plus bump * (sin pi u sin pi v)^3 in z.
+
+    (a, b) = half_width (2u - 1, 2v - 1).  Without the bump the surface
+    has H = 0 but |A|^2 != 0 and curved edges, so under the
+    fixed-boundary flow it stays put with nu = n[X0]: an exact solution
+    that exercises the reaction term, the conormal boundary load, the
+    constraint and the Ritz projection.  The bump is the perturbed
+    plane's: it vanishes with its first two derivatives on the boundary,
+    so the boundary data stay Enneper's, the data are compatible
+    (H = 0 on the boundary) and the flow tends to the Enneper patch.
+    """
+    c = 2.0 * half_width  # d(a)/du = d(b)/dv
+    bumped = scenario_perturbed_plane(bump)
+
+    def jet(pts):
+        a, b = half_width * (2.0 * pts.T - 1.0)
+        X = np.column_stack(
+            [a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b]
+        )
+        J = np.empty((len(pts), 3, 2))
+        J[:, :, 0] = c * np.column_stack([1 - a * a + b * b, 2 * a * b, 2 * a])
+        J[:, :, 1] = c * np.column_stack([2 * a * b, 1 - b * b + a * a, -2 * b])
+        two = np.full_like(a, 2.0)
+        H = np.empty((len(pts), 3, 2, 2))
+        H[:, :, 0, 0] = c * c * np.column_stack([-2 * a, 2 * b, two])
+        H[:, :, 0, 1] = c * c * np.column_stack([2 * b, 2 * a, 0 * a])
+        H[:, :, 1, 0] = H[:, :, 0, 1]
+        H[:, :, 1, 1] = c * c * np.column_stack([2 * a, -2 * b, -two])
+        if bump:
+            Xb, Jb, Hb = bumped.jet(pts)
+            X[:, 2] += Xb[:, 2]
+            J[:, 2] += Jb[:, 2]
+            H[:, 2] += Hb[:, 2]
+        return X, J, H
+
+    return Scenario(jet)
+
+
+def _registered(monkeypatch, name, build):
+    """Register `build` as scenario `name` for one test."""
+    monkeypatch.setitem(SCENARIOS, name, ScenarioEntry(build, {}, None, None, ""))
+    return name
+
+
+@pytest.fixture
+def enneper(monkeypatch):
+    """The Enneper patch of half-width 0.8, registered as a scenario."""
+    return _registered(monkeypatch, "enneper", scenario_enneper)
+
+
+@pytest.fixture
+def perturbed_enneper(monkeypatch):
+    """The Enneper patch of half-width 0.5 with the bump 0.05 (sin pi u
+    sin pi v)^3 in z, registered as a scenario."""
+    return _registered(
+        monkeypatch, "perturbed_enneper", lambda: scenario_enneper(0.5, 0.05)
+    )

@@ -1,15 +1,21 @@
 """The per-element quadrature route, kept as the oracle of the tensor-grid kernels.
 
 The quadrature layer used to tabulate the basis on every element of the
-mesh: `ElementTables` holds those stacks, values `basis` (Ne, nq2, nloc)
-and parametric gradients `basis_grad` (Ne, nq2, 2, nloc) with the local
-basis index last, the element connectivity `conn` and the slot `scatter`
-of every local matrix entry in the CSR pattern of the space
-(`element_pattern`).  Matrices and interior loads are summed from
-element contributions by `np.bincount`, and every contraction is the
-plain `np.einsum` formula.  Tests compare the tensor-grid kernels of
-`mcflow.assembly` against it; `to_grid` reorders element-ordered values
-(Ne, nq2, ...) into the planes (..., m, m) of the tensor grid.
+mesh (`element_tables`): `ElementTables` holds those stacks, values
+`basis` (Ne, nq2, nloc) and parametric gradients `basis_grad`
+(Ne, nq2, 2, nloc) with the local basis index last, the element
+connectivity `conn` and the slot `scatter` of every local matrix entry
+in the CSR pattern of the space (`element_pattern`).  Matrices and
+interior loads are summed from element contributions by `np.bincount`,
+and every contraction is the plain `np.einsum` formula.
+
+The edge layer used to stack the four edges of the square along one
+element axis: `EdgeTables` holds the per-element tabulation of the trace
+basis on every edge element and three (E, p+1) index maps, `flat`,
+`local` and `rows`; `conormal_load`, `boundary_load` and `constraint`
+are the boundary forms on them.  Tests compare the tensor-grid kernels
+of `mcflow.assembly` against both; `to_grid` reorders element-ordered
+values (Ne, nq2, ...) into the planes (..., m, m) of the tensor grid.
 """
 
 from __future__ import annotations
@@ -17,8 +23,24 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from mcflow.assembly import BoundaryTables, conormal_load, scatter_vector
+from mcflow.assembly import scatter_vector
 from mcflow.projections import RITZ_LAMBDA
+
+
+def element_tables(uspace, n_quad):
+    """Per-element Gauss tabulation of values and first derivatives.
+
+    Returns (points, weights, first, values) with points (N, nq) in
+    global coordinates, weights (nq,) scaled to the element length,
+    first (N,) the first active basis index per element, and values
+    (N, nq, 2, p + 1), derivative order before basis index.
+    """
+    points, weights = uspace.element_rule(n_quad)
+    first, ders = uspace.eval_basis(points.ravel(), 1)
+    values = ders.reshape(uspace.num_elements, n_quad, 2, uspace.degree + 1)
+    # sanity: one span per element
+    assert np.all(first.reshape(values.shape[:2]) == uspace.element_first[:, None])
+    return points, weights, uspace.element_first, values
 
 
 def gauss_mesh(space, n_quad):
@@ -55,7 +77,7 @@ class ElementTables:
     def __init__(self, space, n_quad):
         self.space = space
         self.n_quad = n_quad
-        tab = space.factor.element_tables(n_quad)[3]
+        tab = element_tables(space.factor, n_quad)[3]
         ne, p1 = space.factor.num_elements, space.degree + 1
         self.num_elements = ne * ne
         self.nloc = p1 * p1
@@ -177,17 +199,86 @@ def ritz_rhs(tables, grid, edges):
     wq = tables.weights * q
     stiff = np.einsum("eq,eqai,eqab,eqdb->eid", wq, tables.basis_grad, Ginv, N_jac)
     mass = np.einsum("eq,eqi,eqd->eid", wq, tables.basis, N_vals)
-    bt = BoundaryTables(tables.space, tables.n_quad)
-
-    def on_edges(values):
-        return np.concatenate(values).reshape(bt.weights.shape + values[0].shape[1:])
-
-    rhs_b = conormal_load(
-        bt,
-        on_edges([e.edge_speed for e in edges]),
-        on_edges([e.edge_curvature for e in edges]),
-        on_edges([e.edge_tangent for e in edges]),
-        on_edges([e.normal for e in edges]),
-    )
+    bt = EdgeTables(tables.space, tables.n_quad)
+    names = ("edge_speed", "edge_curvature", "edge_tangent", "normal")
+    rhs_b = conormal_load(bt, *(bt.on_edges(getattr(e, k) for e in edges) for k in names))
     local = stiff + RITZ_LAMBDA * mass
     return scatter_vector(tables.conn, local, tables.space.dim) - rhs_b
+
+
+class EdgeTables:
+    """The four edges of the square as one stacked edge mesh, element by element.
+
+    Edges are stacked along the element axis in edge order 0..3, each
+    with the elements of the space's univariate factor in order.  Each
+    element holds the weights `weights` (E, nq) of the Gauss rule, and
+    the values `values` and edge-parameter derivatives `derivs`
+    (E, nq, p+1) of the trace basis.  Three index tables (E, p+1) name
+    that basis: `flat`, its tensor flat index; `local`, its row in the
+    (4 n, D) per-edge coefficients, edge after edge; and `rows`, its
+    constraint row, numbering the distinct boundary control points.
+    """
+
+    def __init__(self, space, n_quad):
+        self.space = space
+        n, p = space.factor.dim, space.degree
+        pts, wts, first, vals = element_tables(space.factor, n_quad)
+        ne, active = len(pts), first[:, None] + np.arange(p + 1)
+        self.points = pts
+        self.weights = np.tile(wts, (4 * ne, 1))
+        tab = np.tile(vals, (4, 1, 1, 1))
+        self.values, self.derivs = tab[:, :, 0, :], tab[:, :, 1, :]
+        self.local = np.concatenate([k * n + active for k in range(4)])
+        self.flat = space.edge_indices.ravel()[self.local]
+        row_of_flat = np.full(space.dim, -1)
+        row_of_flat[space.boundary_indices] = np.arange(len(space.boundary_indices))
+        self.rows = row_of_flat[self.flat]
+
+    def trace(self, loc, deriv=False):
+        """Values (E, nq, D), or edge-parameter derivatives, of the
+        coefficients `loc` (E, p+1, D) on each element's trace basis."""
+        return np.einsum("eqa,ead->eqd", self.derivs if deriv else self.values, loc)
+
+    def on_edges(self, values):
+        """Per-edge samples (4, N nq[, D]) as (E, nq[, D])."""
+        values = np.asarray(list(values))
+        return values.reshape(self.weights.shape + values.shape[2:])
+
+    def frozen(self, x0, tangent, curvature):
+        """Length element, tangent and curvature vector at the edge points
+        of the surface x0 (dim, 3), from per-edge coefficients (4, n, 3)."""
+        length = np.linalg.norm(self.trace(x0[self.flat], deriv=True), axis=2)
+        tau = self.trace(tangent.reshape(-1, 3)[self.local])
+        return length, tau, self.trace(curvature.reshape(-1, 3)[self.local])
+
+
+def conormal_load(bt, length, kappa_b, tau, nu):
+    """Edge integral of (kappa_b . nu)(nu x tau) against the vector basis,
+    element by element, from samples (E, nq[, 3]) at the edge points."""
+    dens = bt.weights * length * np.einsum("eqd,eqd->eq", kappa_b, nu)
+    local = np.einsum("eqa,eq,eqd->ead", bt.values, dens, np.cross(nu, tau))
+    return scatter_vector(bt.flat, local, bt.space.dim)
+
+
+def boundary_load(bt, x0, tangent, curvature, nu):
+    """The flow's conormal load of the normal nu (dim, 3) on the boundary
+    of x0 with the interpolated tangent and curvature (4, n, 3)."""
+    length, tau, kappa = bt.frozen(x0, tangent, curvature)
+    return conormal_load(bt, length, kappa, tau, bt.trace(nu[bt.flat]))
+
+
+def constraint(bt, x0, tangent):
+    """The tangential-trace constraint S (n_boundary, 3 dim), CSR, summed
+    from local matrices of every edge element and component."""
+    length, tau, _ = bt.frozen(x0, tangent, tangent)
+    tau_hat = tau / np.linalg.norm(tau, axis=2, keepdims=True)
+    dim, p1 = bt.space.dim, bt.flat.shape[1]
+    rows = np.repeat(bt.rows, p1, axis=1).ravel()
+    cols = np.tile(bt.flat, (1, p1)).ravel()
+    dens = bt.weights[:, :, None] * length[:, :, None] * tau_hat
+    vals = np.einsum("eqa,eqk,eqb->keab", bt.values, dens, bt.values).reshape(3, -1)
+    S = sp.coo_matrix(
+        (vals.ravel(), (np.tile(rows, 3), np.concatenate([cols + k * dim for k in range(3)]))),
+        shape=(len(bt.space.boundary_indices), 3 * dim),
+    )
+    return S.tocsr()

@@ -277,10 +277,10 @@ def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
     w[space.boundary_indices] = 0.0
     assert constraint_residual(prob.S, w) == 0.0
     # a trace along the interpolated tangent is maximally visible
-    bt = prob.btables
+    bt = oracle.EdgeTables(space, prob.btables.n_quad)
     tangent, _ = boundary_data(prob.quasi, prob.scenario)
     wt = np.zeros((space.dim, 3))
-    wt[bt.flat] = tangent[bt.local]
+    wt[bt.flat] = tangent.reshape(-1, 3)[bt.local]
     assert constraint_residual(prob.S, wt) > 1e-2
 
 

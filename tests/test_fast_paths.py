@@ -21,14 +21,15 @@ import mcflow.assembly
 import mcflow.flow
 import mcflow.splines
 from mcflow.assembly import (
+    BoundaryTables,
     ConstrainedSolver,
     ElementGeometry,
     MeshTables,
     assemble_boundary_load,
+    assemble_constraint,
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    scatter_vector,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
@@ -39,7 +40,7 @@ from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surfa
 from mcflow.projections import RITZ_LAMBDA, project_velocity, ritz_rhs
 from mcflow.splines import BLOCK_ELEMENTS, TensorGrid, build_quasi_interpolant, build_space
 from tests import element_oracle as oracle
-from tests.conftest import grid_points, interpolate
+from tests.conftest import boundary_data, grid_points, interpolate
 
 KERNEL_RTOL = 1e-13
 
@@ -164,12 +165,11 @@ def test_area_weingarten_and_boundary_kernels_match_the_replaced_ones(kernel_set
     geom = ElementGeometry(prob.tables, x, nu.T, num_jac=3)
     assert_close(weingarten_energy(geom, geom.du, geom.dv), ref)
 
-    bt, fr = prob.btables, prob.btables.frozen
-    nu_b = bt.trace(nu[bt.flat])
-    alpha = np.sum(fr["kappa"] * nu_b, axis=2)
-    dens = bt.weights * fr["length"] * alpha
-    local = bt.values.swapaxes(1, 2) @ (dens[:, :, None] * np.cross(nu_b, fr["tau"]))
-    assert_close(assemble_boundary_load(bt, nu), scatter_vector(bt.flat, local, prob.space.dim))
+    bt = prob.btables
+    et_b = oracle.EdgeTables(prob.space, bt.n_quad)
+    tangent, curvature = boundary_data(prob.quasi, prob.scenario)
+    ref = oracle.boundary_load(et_b, x, tangent, curvature, nu)
+    assert_close(assemble_boundary_load(bt, nu), ref)
 
 
 def test_assembly_kernels_match_einsum(kernel_setup):
@@ -460,6 +460,23 @@ def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elem
     assert_close(ritz_rhs(tables, grid, edges), oracle.ritz_rhs(et, grid, edges))
 
 
+@pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
+def test_boundary_forms_match_the_element_oracle(p, l, block_elements):
+    """The constraint S, slot for slot, and the conormal load against the
+    per-element edge route, at every smoothness and in one block or
+    several."""
+    prob, x, _, nu = _oracle_setup(p, l, 5)
+    tangent, curvature = boundary_data(prob.quasi, prob.scenario)
+    bt = BoundaryTables(prob.space, 3 * p).freeze(x, tangent, curvature)
+    et = oracle.EdgeTables(prob.space, 3 * p)
+    S, S_ref = assemble_constraint(bt), oracle.constraint(et, x, tangent)
+    assert np.array_equal(S.indptr, S_ref.indptr)
+    assert np.array_equal(S.indices, S_ref.indices)
+    assert_close(S.data, S_ref.data)
+    ref = oracle.boundary_load(et, x, tangent, curvature, nu)
+    assert_close(assemble_boundary_load(bt, nu), ref)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("N", [4, 8, 20])
 def test_apply_to_values_matches_einsum(p, N, rng):
@@ -503,7 +520,7 @@ def test_all_points_matches_element_loop(N, nq):
     tensor loop, read in grid order."""
     space = build_space(2, 1, N)
     tables = MeshTables(space, nq)
-    points_1d, weights_1d, _, _ = space.factor.element_tables(nq)
+    points_1d, weights_1d, _, _ = oracle.element_tables(space.factor, nq)
     m = N * nq
     points = np.empty((m, m, 2))
     weights = np.empty((m, m))
@@ -775,7 +792,7 @@ def _tabulation_by_broadcast(space, n_quad):
     """Points, basis and gradients as `MeshTables` used to build them:
     broadcast products of the univariate tables, stacked."""
     f = space.factor
-    pts, _, _, tab = f.element_tables(n_quad)
+    pts, _, _, tab = oracle.element_tables(f, n_quad)
     ne = f.num_elements**2
     nq2, nloc = n_quad * n_quad, (f.degree + 1) ** 2
 
@@ -807,7 +824,7 @@ def test_mesh_tables_match_the_broadcast_tabulation(p, l, N):
         assert np.shares_memory(et.grad_rows, et.basis_grad)
 
         tables = MeshTables(space, n_quad)
-        tab = space.factor.element_tables(n_quad)[3]
+        tab = oracle.element_tables(space.factor, n_quad)[3]
         for e in range(N):
             rows = slice(e * n_quad, (e + 1) * n_quad)
             active = slice(first[e], first[e] + p + 1)

@@ -9,7 +9,7 @@ from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingar
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
-from tests.conftest import edge_parameters, edge_slices, interpolate
+from tests.conftest import interpolate
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +45,14 @@ def test_eval_edge_matches_full_eval(space_small, rng):
     coeffs = rng.normal(size=(space_small.dim, 3))
     fld = SplineField(space_small, coeffs)
     bt = BoundaryTables(space_small, 5)
-    vals = bt.trace(coeffs[bt.flat])
-    dtang = bt.trace(coeffs[bt.flat], deriv=True)
-    for edge, sl in enumerate(edge_slices(bt)):
-        full, jac = fld.eval(edge_points(edge, edge_parameters(bt).ravel()), 1)
+    on_edges = coeffs[space_small.edge_indices]
+    vals = bt.trace(on_edges)
+    dtang = bt.trace(on_edges, deriv=True)
+    for edge in range(4):
+        full, jac = fld.eval(edge_points(edge, bt.points_1d), 1)
         run = 0 if edge in (0, 2) else 1
-        assert np.abs(vals[sl].reshape(-1, 3) - full).max() < 1e-13
-        assert np.abs(dtang[sl].reshape(-1, 3) - jac[:, :, run]).max() < 1e-12
+        assert np.abs(vals[edge] - full).max() < 1e-13
+        assert np.abs(dtang[edge] - jac[:, :, run]).max() < 1e-12
 
 
 def test_flat_square_geometry():

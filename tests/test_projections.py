@@ -8,11 +8,9 @@ import pytest
 import mcflow.flow
 import mcflow.projections
 from mcflow.assembly import (
-    BoundaryTables,
     ConstrainedSolver,
     ElementGeometry,
     assemble_boundary_load,
-    assemble_constraint,
     assemble_mass_stiffness,
     constraint_residual,
 )
@@ -28,8 +26,8 @@ from mcflow.projections import (
     project_velocity,
 )
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
-from mcflow.splines import TensorGrid, build_quasi_interpolant, build_space, edge_points
-from tests.conftest import boundary_data, edge_slices, grid_points, interpolate
+from mcflow.splines import GaussGrid, build_quasi_interpolant, build_space, edge_points
+from tests.conftest import boundary_data, grid_points, interpolate
 
 
 def _sphere_problem(N, p=2, l=None):
@@ -63,9 +61,7 @@ def test_boundary_interp_reproduces_constant_tangent():
     )
     tangent, curvature = boundary_data(prob.quasi, prob.scenario)
     assert np.abs(curvature).max() < 1e-13
-    bt = prob.btables
-    for sl in edge_slices(bt):
-        tau = tangent[np.unique(bt.local[sl])]
+    for tau in tangent:
         assert np.abs(np.abs(tau).max(axis=0) - np.abs(tau[0])).max() < 1e-13
         assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-13
 
@@ -77,14 +73,12 @@ def test_boundary_interp_accuracy_on_sphere():
     for N in (8, 16):
         prob = _sphere_problem(N)
         tangent, _ = boundary_data(prob.quasi, sc)
-        bt = prob.btables
         worst = 0.0
         s = np.linspace(0.0, 1.0, 160)
-        for edge, sl in enumerate(edge_slices(bt)):
+        for edge, tau_edge in enumerate(tangent):
             uspace = prob.space.factor
             first, ders = uspace.eval_basis(s, 0)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
-            tau_edge = tangent[np.unique(bt.local[sl])]
             tau_h = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_edge[idx])
             tau = sc.sample(edge_points(edge, s), edge).edge_tangent
             worst = max(worst, np.abs(tau_h - tau).max())
@@ -228,48 +222,6 @@ def test_plane_normal_projection_stays_at_two_iterations():
 
 # -- exact solution on a curved minimal surface ---------------------------------
 
-ENNEPER_HALF_WIDTH = 0.8
-
-
-def scenario_enneper():
-    """Enneper patch X(a, b) = (a - a^3/3 + ab^2, b - b^3/3 + ba^2, a^2 - b^2).
-
-    (a, b) = 0.8 (2u - 1, 2v - 1).  The surface has H = 0 but |A|^2 != 0
-    and curved edges, so under the fixed-boundary flow it stays put with
-    nu = n[X0]: an exact solution that exercises the reaction term, the
-    conormal boundary load, the constraint and the Ritz projection.
-    """
-    c = 2.0 * ENNEPER_HALF_WIDTH  # d(a)/du = d(b)/dv
-
-    def ab(pts):
-        return ENNEPER_HALF_WIDTH * (2.0 * pts.T - 1.0)
-
-    def jet(pts):
-        a, b = ab(pts)
-        X = np.column_stack(
-            [a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b]
-        )
-        J = np.empty((len(pts), 3, 2))
-        J[:, :, 0] = c * np.column_stack([1 - a * a + b * b, 2 * a * b, 2 * a])
-        J[:, :, 1] = c * np.column_stack([2 * a * b, 1 - b * b + a * a, -2 * b])
-        two = np.full_like(a, 2.0)
-        H = np.empty((len(pts), 3, 2, 2))
-        H[:, :, 0, 0] = c * c * np.column_stack([-2 * a, 2 * b, two])
-        H[:, :, 0, 1] = c * c * np.column_stack([2 * b, 2 * a, 0 * a])
-        H[:, :, 1, 0] = H[:, :, 0, 1]
-        H[:, :, 1, 1] = c * c * np.column_stack([2 * a, -2 * b, -two])
-        return X, J, H
-
-    return Scenario(jet)
-
-
-@pytest.fixture
-def enneper(monkeypatch):
-    """The Enneper patch, registered as a scenario for this test only."""
-    entry = ScenarioEntry(scenario_enneper, {}, None, None, "")
-    monkeypatch.setitem(SCENARIOS, "enneper", entry)
-    return "enneper"
-
 
 def test_drifting_normal_stops_the_run(enneper, tmp_path):
     """On the Enneper patch the surface stays put, but the length of the
@@ -346,12 +298,11 @@ def test_pinched_edge_raises_degenerate_surface(monkeypatch, tmp_path):
 
 def _h1_error_to_exact_normal(prob, nu):
     """Parametric H1 error of nu against the scenario normal, Gauss grid."""
-    points, w = prob.space.factor.element_rule(prob.space.degree + 3)
-    w = np.tile(w, len(points))
-    weights = np.outer(w, w).ravel()
-    planes = TensorGrid(prob.space, points.ravel()).evaluate(nu.T, jac=slice(None))
+    grid = GaussGrid(prob.space, prob.space.degree + 3)
+    weights = np.outer(grid.weights_1d, grid.weights_1d).ravel()
+    planes = grid.evaluate(nu.T, jac=slice(None))
     values, du, dv = (a.reshape(3, -1).T for a in planes)  # grid order
-    exact = prob.scenario.sample(grid_points(points.ravel()))
+    exact = prob.scenario.sample(grid_points(grid.points_1d))
     err = values - exact.normal
     err_jac = np.stack([du, dv], axis=-1) - exact.normal_jacobian
     return np.sqrt(np.sum(weights * (np.sum(err**2, 1) + np.sum(err_jac**2, (1, 2)))))

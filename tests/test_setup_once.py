@@ -1,8 +1,8 @@
 """Set-up builds each table once per problem, and nothing outlives a problem.
 
-A space's univariate factor keeps its Gauss rules and tabulations per
-rule, and the space keeps its CSR pattern, so a `FlowProblem` builds
-each of them once.  These caches must live on objects the problem owns:
+A space's univariate factor keeps its Gauss rules, the space keeps its
+CSR pattern, and each 1-D point set gets one grid, so a `FlowProblem`
+builds each of them once.  These caches must live on objects the problem owns:
 a cache at module level, or keyed on config values, would let a second
 problem of the same config skip its set-up.
 """
@@ -10,6 +10,7 @@ problem of the same config skip its set-up.
 from __future__ import annotations
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import scipy.sparse
 import mcflow
 from mcflow import splines
 from mcflow.config import ScenarioConfig
-from mcflow.flow import FlowProblem
+from mcflow.flow import BdfScheme, FlowProblem
 
 SOURCES = sorted(Path(mcflow.__file__).parent.glob("*.py"))
 FORBIDDEN = {"cache", "lru_cache"}
@@ -101,22 +102,46 @@ def test_set_up_computes_each_gauss_rule_once(monkeypatch, p):
 @pytest.mark.parametrize("p", [2, 3])
 def test_set_up_builds_one_dual_weights_and_one_collocation(monkeypatch, p):
     """Both directions share the factor's dual weights and each grid's
-    collocation matrices: one collocation per tensor grid, those of the
-    flow's rule, of the Ritz projection's rule and of the quasi-interpolant."""
-    calls = Counter()
+    collocation matrices, and the quasi-interpolant, the Ritz interior
+    and the Ritz edges share one grid: one collocation per 1-D point
+    set, those of the flow's rule, of the (p + 2)-point rule and of the
+    edge rule."""
+    calls, sizes = Counter(), Counter()
+    dual_weights = splines._dual_weights
+    collocation = splines.UnivariateSpline.collocation
 
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+    def counted_dual(*args):
+        calls["dual"] += 1
+        return dual_weights(*args)
 
-        return wrapper
+    def counted_collocation(self, x, *args):
+        calls["collocation"] += 1
+        sizes[len(x) // self.num_elements] += 1  # points per element
+        return collocation(self, x, *args)
 
-    monkeypatch.setattr(splines, "_dual_weights", counted("dual", splines._dual_weights))
-    monkeypatch.setattr(
-        splines.UnivariateSpline,
-        "collocation",
-        counted("collocation", splines.UnivariateSpline.collocation),
-    )
+    monkeypatch.setattr(splines, "_dual_weights", counted_dual)
+    monkeypatch.setattr(splines.UnivariateSpline, "collocation", counted_collocation)
     _initialized(ScenarioConfig(degree=p, smoothness=p - 1, elements_per_side=4))
     assert calls == Counter({"dual": 1, "collocation": 3})
+    assert sizes == Counter({p + 1: 1, p + 2: 1, 3 * p: 1})
+
+
+def test_basis_is_tabulated_only_by_collocation(monkeypatch):
+    """Set-up and a step reach `UnivariateSpline.eval_basis` only through
+    `collocation`: the grids' collocation matrices are the one
+    tabulation of the basis."""
+    callers = Counter()
+    eval_basis = splines.UnivariateSpline.eval_basis
+
+    def recorded(self, *args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return eval_basis(self, *args)
+
+    monkeypatch.setattr(splines.UnivariateSpline, "eval_basis", recorded)
+    cfg = ScenarioConfig(scenario="sphere_patch", elements_per_side=4, dt=0.025)
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme(2)
+    scheme.push(prob.initialize())
+    for _ in range(2):
+        scheme.push(prob.step(scheme, cfg.dt)[0])
+    assert callers == Counter({"collocation": 3})

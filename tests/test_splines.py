@@ -11,7 +11,9 @@ from scipy.interpolate import BSpline
 from mcflow.assembly import BoundaryTables, MeshTables
 from mcflow.geometry import SplineField
 from mcflow.splines import (
+    GaussGrid,
     TensorGrid,
+    TensorSplineSpace,
     UnivariateSpline,
     _dual_weights,
     build_quasi_interpolant,
@@ -19,7 +21,8 @@ from mcflow.splines import (
     edge_points,
     gauss_rule,
 )
-from tests.conftest import edge_parameters, edge_slices, eval_basis, grid_points
+from tests import element_oracle as oracle
+from tests.conftest import eval_basis, grid_points
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -112,7 +115,7 @@ def test_eval_outside_domain_rejected():
 
 def test_element_tables_consistency():
     u = UnivariateSpline(2, 1, 5)
-    points, weights, first, values = u.element_tables(4)
+    points, weights, first, values = oracle.element_tables(u, 4)
     assert abs(weights.sum() - u.mesh_size) < 1e-15
     # tabulated values agree with pointwise evaluation
     f2, d2 = u.eval_basis(points.ravel(), 1)
@@ -143,7 +146,7 @@ def _dual_weights_by_loop(uspace, n_quad):
     """
     p = uspace.degree
     N = uspace.num_elements
-    points, weights, first, values = uspace.element_tables(n_quad)
+    points, weights, first, values = oracle.element_tables(uspace, n_quad)
     vals = values[:, :, 0, :]  # derivative row 0: the values, (N, nq, p+1)
 
     W = np.zeros((uspace.dim, N * n_quad))
@@ -178,7 +181,8 @@ def test_dual_weights_match_the_per_function_solve(p, l, N, n_quad_extra):
     """The dual weights equal the oracle's bit for bit, and are dual."""
     u = UnivariateSpline(p, l, N)
     n_quad = p + n_quad_extra
-    W, points = _dual_weights(u, n_quad)
+    grid = GaussGrid(TensorSplineSpace(u), n_quad)
+    W, points = _dual_weights(grid), grid.points_1d
     ref, ref_points = _dual_weights_by_loop(u, n_quad)
     assert np.array_equal(points, ref_points)
     assert np.array_equal(W, ref)
@@ -264,20 +268,25 @@ def test_boundary_trace_space(space_small, rng):
     """4n - 4 constraint rows with shared corners; traces match the full field."""
     bt = BoundaryTables(space_small, 3)
     n = space_small.factor.dim
+    edge_indices = space_small.edge_indices
+    assert edge_indices.shape == bt.rows.shape == (4, n)
     assert bt.num_rows == 4 * n - 4
     assert np.array_equal(np.unique(bt.rows), np.arange(4 * n - 4))
-    # each stacked coefficient belongs to one tensor basis function
-    flat_of_local = np.full(bt.local.max() + 1, -1)
-    flat_of_local[bt.local] = bt.flat
-    assert np.array_equal(flat_of_local[bt.local], bt.flat)
-    # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row
-    first = [edge_slices(bt)[k].start for k in (0, 3)]
-    assert bt.flat[first[0], 0] == bt.flat[first[1], 0] == 0
-    assert bt.rows[first[0], 0] == bt.rows[first[1], 0]
-    assert bt.local[first[0], 0] != bt.local[first[1], 0]
+    # each per-edge coefficient belongs to one tensor basis function and
+    # one row: those the per-element route names for it
+    et = oracle.EdgeTables(space_small, 3)
+    assert np.array_equal(edge_indices.ravel()[et.local], et.flat)
+    assert np.array_equal(bt.rows.ravel()[et.local], et.rows)
+    # the corner (u, v) = (0, 0) starts edges 0 and 3 and has one row,
+    # but a coefficient on each edge
+    first = [k * space_small.factor.num_elements for k in (0, 3)]
+    assert edge_indices[0, 0] == edge_indices[3, 0] == 0
+    assert et.flat[first[0], 0] == et.flat[first[1], 0] == 0
+    assert bt.rows[0, 0] == bt.rows[3, 0]
+    assert et.local[first[0], 0] != et.local[first[1], 0]
     coeffs = rng.normal(size=(space_small.dim, 2))
     fld = SplineField(space_small, coeffs)
-    vals = bt.trace(coeffs[bt.flat])
-    for edge, sl in enumerate(edge_slices(bt)):
-        full = fld.eval(edge_points(edge, edge_parameters(bt).ravel()))
-        assert np.abs(vals[sl].reshape(-1, 2) - full).max() < 1e-13
+    vals = bt.trace(coeffs[edge_indices])
+    for edge in range(4):
+        full = fld.eval(edge_points(edge, bt.points_1d))
+        assert np.abs(vals[edge] - full).max() < 1e-13
