@@ -7,20 +7,23 @@ factorization; Antolin, Buffa, Calabro, Martinelli & Sangalli, CMAME
 `splines.GaussGrid` of the m = N n_quad Gauss points of a rule, which
 holds the factor's collocation matrices C0, C1 there and runs every
 banded 1-D product by blocks, plus the tensor weights, the pair tables
-of products of two basis functions along one direction, and the CSR
-pattern of the space with the place of each slot in the band the
-matrix kernel forms (`TensorSplineSpace.csr_pattern`).  A field on the
-grid is a stack of (m, m) planes, one per component, from two passes
-of C0 and C1 along u and one along v per plane stack
+of products of two basis functions along one direction, and the
+diagonals of the space with the place of each of their entries in the
+band the matrix kernel forms (`TensorSplineSpace.diagonals`).  A field
+on the grid is a stack of (m, m) planes, one per component, from two
+passes of C0 and C1 along u and one along v per plane stack
 (`TensorGrid.evaluate`); the metric, the Weingarten energy and the load
 densities are elementwise multiply-adds of whole planes; a load is the
 transposed tensor product of its density planes
 (`MeshTables.integrate`); and c M + A is five m x m by m x n (2p + 1)
 products of density planes with pair tables, one product of the stacked
-pair tables with their results and one gather into the CSR data of the
-pattern (`MeshTables.matrix`), with no separate M and A.  Every slot of
-the pattern is kept, so all matrices of a space share it.  A load that
-carries a BDF tail takes it into its density, since the integral of
+pair tables with their results and one gather of its diagonals
+(`MeshTables.matrix`), with no separate M and A.  In the flat order
+every coupling lies on one of at most (2p + 1)^2 fixed diagonals, so
+every matrix of a space is a `scipy.sparse.dia_matrix` on all of them
+(the DIA format; Saad, Iterative Methods for Sparse Linear Systems,
+2nd ed., Sec. 3.4), whose compiled product serves the residuals.  A
+load that carries a BDF tail takes it into its density, since the integral of
 tail * phi is M tail: the step evaluates the extrapolated fields and
 their tails in one evaluation and needs no mass-matrix product.
 
@@ -36,12 +39,12 @@ the inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
 band of half-width p (n + 1) for n coefficients per direction, so one
 LAPACK banded Cholesky factors it, which beats nested dissection on
 grids of the sizes run here (George & Liu, Computer Solution of Large
-Sparse Positive Definite Systems, 1981).  `SaddleLayout` maps the
-pattern into band storage, plans the row blocks of the forward
-substitution that gives G from the factor on the boundary columns, and
-stacks the three constraint blocks S_kB into one, all once per
-problem; G and T are Cholesky-factored by LAPACK `dpotrf`.  The same
-factor serves the zero-trace curvature system of a flow step, whose
+Sparse Positive Definite Systems, 1981), whose lower band storage is
+the diagonals of offset <= 0.  `SaddleLayout` plans the row blocks of
+the forward substitution that gives G from the factor on the boundary
+columns, and stacks the three constraint blocks S_kB into one, all once
+per problem; G and T are Cholesky-factored by LAPACK `dpotrf`.  The
+same factor serves the zero-trace curvature system of a flow step, whose
 matrix is the interior block K_II, by a capacitance correction with G,
 so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
@@ -119,16 +122,16 @@ class MeshTables(GaussGrid):
     zero where i + d - p leaves the basis: every product of two basis
     functions or derivatives along one direction that the matrix kernel
     integrates.  They are banded like C0 and C1, so the kernel runs on
-    the grid's `basis_blocks` too.  `indices`, `indptr` and `band_entry`
-    are the CSR pattern of the space and the place of each of its slots
-    in the band array the kernel forms (`TensorSplineSpace.csr_pattern`).
+    the grid's `basis_blocks` too.  `offsets` and `gather` are the
+    diagonals of the space and the place of each of their entries in
+    the band array the kernel forms (`TensorSplineSpace.diagonals`).
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         super().__init__(space, n_quad)
         p = space.degree
         self.weights = np.outer(self.weights_1d, self.weights_1d)
-        self.indices, self.indptr, self.band_entry = space.csr_pattern
+        self.offsets, self.gather = space.diagonals
 
         m, n = self.c.shape[1:]
         padded = np.zeros((2, m, n + 2 * p))
@@ -158,17 +161,17 @@ class MeshTables(GaussGrid):
 
     def matrix(self, mass, g00, g01, g11):
         """sum_q mass phi_i phi_j + grad phi_i^T [[g00, g01], [g01, g11]] grad phi_j
-        as a CSR matrix on the pattern, for density planes (m, m).
+        on the diagonals of the space, for density planes (m, m).
 
         By sum factorization: the integral over v of each of the five
         products of derivative pairs is a density plane times a pair
         table (the mass and the g11 term share P00 along u and add up),
         the integral over u is one product of the four stacked pair
         tables with those results, which gives the band array of
-        `TensorSplineSpace.csr_pattern`, and the band entries of the
-        pattern are gathered into the CSR data.  Both passes run per
-        block of `basis_blocks`.  Every slot of the pattern is kept,
-        also one whose value is 0.0.
+        `TensorSplineSpace.diagonals`, and one `np.take` gathers its
+        diagonals into a `scipy.sparse.dia_matrix`.  Both passes run per
+        block of `basis_blocks`.  Every diagonal is kept, also one whose
+        values are 0.0; an entry that couples nothing is exactly 0.0.
         """
         P = self.pairs
         m, _, L = P.shape
@@ -181,14 +184,15 @@ class MeshTables(GaussGrid):
             np.matmul(g00[:, q], P[q, 0, b], out=T[:, 1, b])
             np.matmul(g01[:, q], P[q, 3, b], out=T[:, 2, b])  # d_u phi_i d_v phi_j
             np.matmul(g01[:, q], P[q, 2, b], out=T[:, 3, b])  # d_v phi_i d_u phi_j
-        band = np.empty((L, L))
+        flat = np.empty(L * L + 1)  # the band, then the zero of `gather`
+        flat[-1] = 0.0
+        band = flat[:-1].reshape(L, L)
         for q, i in self.basis_blocks:
             b = slice(i.start * width, i.stop * width)
             U = P[q, :, b].reshape(-1, b.stop - b.start)
             np.matmul(U.T, T[q].reshape(-1, L), out=band[b])
-        data = np.take(band, self.band_entry)
         dim = self.space.dim
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+        return sp.dia_matrix((np.take(flat, self.gather), self.offsets), shape=(dim, dim))
 
 
 class ElementGeometry:
@@ -214,8 +218,8 @@ class ElementGeometry:
 
 
 def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass, stiffness=1.0):
-    """mass M + stiffness A on the given geometry, as one CSR matrix on
-    the pattern, for the surface mass M and stiffness A."""
+    """mass M + stiffness A on the given geometry, one `dia_matrix` on
+    the diagonals of the space, for the surface mass M and stiffness A."""
     wq = geom.weight
     s = stiffness * wq
     g = geom.metric_inv
@@ -225,14 +229,14 @@ def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass, sti
 class SaddleLayout:
     """What every saddle solve of one problem shares, fixed from t = 0.
 
-    K is factored as a band in the natural flat order of the space.  Its
-    half-bandwidth `kd` is the largest row - column offset of the CSR
-    pattern of `tables`, p (n + 1) for degree p and n coefficients per
-    direction, at any smoothness.  `band_index` maps the lower-triangle
-    slots `lower` of the pattern to their positions in LAPACK lower band
-    storage, column after column with kd + 1 entries each, so filling
-    the band is one scatter of `K.data[lower]`; the band has room for
-    `band_size` entries, whole row blocks of kd rows.
+    K is factored as a band in the natural flat order of the space.
+    LAPACK lower band storage, kd + 1 entries per column, holds the
+    diagonal of offset o <= 0 of `offsets` as its row -o: `band_rows`
+    holds those rows, for the first diagonals of K, so filling the band
+    is one copy.  The half-bandwidth `kd` is minus the smallest offset,
+    p (n + 1) for degree p and n coefficients per direction, at any
+    smoothness; the band has room for `band_size` entries, whole row
+    blocks of kd rows.
 
     `blocks` is the row-block plan of `boundary_inverse`: per block j of
     kd rows, the position of L_jj in the band, the number `done` of
@@ -254,13 +258,9 @@ class SaddleLayout:
         self.interior = space.interior_indices
         self.boundary = B = space.boundary_indices
         self.num_boundary = len(B)
-        self.csr_indptr = tables.indptr
-        rows = np.repeat(np.arange(dim), np.diff(tables.indptr))
-        self.lower = np.flatnonzero(rows >= tables.indices)
-        cols = tables.indices[self.lower]
-        offset = rows[self.lower] - cols
-        self.kd = kd = int(offset.max())
-        self.band_index = offset + cols * (kd + 1)
+        self.offsets = tables.offsets
+        self.band_rows = -self.offsets[self.offsets <= 0]
+        self.kd = kd = int(self.band_rows[0])
         num_blocks = -(-dim // kd)
         self.band_size = (kd + 1) * kd * num_blocks
         started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
@@ -337,11 +337,12 @@ def _cholesky_solve(c, b):
 class ConstrainedSolver:
     """The saddle system [[I3 (x) K, S^T], [S, 0]], factored once.
 
-    K is a dim x dim SPD matrix shared by the three components, stored on
-    the pattern of the `SaddleLayout`, and S its tangential-trace
-    constraint.  The set-up makes one banded Cholesky K = L L^T
-    (LAPACK `dpbtrf`) in the natural order; a leading minor that is not
-    positive raises SolverFailure.  From L it forms G = (K^-1)_BB, the
+    K is a dim x dim SPD `dia_matrix` on the diagonals of the
+    `SaddleLayout` (else SolverFailure), shared by the three components,
+    and S its tangential-trace constraint.  The set-up copies the
+    diagonals of offset <= 0 into LAPACK band storage and makes one
+    banded Cholesky K = L L^T (LAPACK `dpbtrf`) in the natural order; a
+    leading minor that is not positive raises SolverFailure.  From L it forms G = (K^-1)_BB, the
     inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
     (`boundary_inverse`), and the multiplier Schur complement
     T = sum_k S_kB G S_kB^T, as S_B applied to the blocks of
@@ -360,13 +361,13 @@ class ConstrainedSolver:
 
     def __init__(self, K, layout: SaddleLayout, what):
         self.K, self.layout, self.what = K, layout, what
-        if not np.array_equal(K.indptr, layout.csr_indptr):
-            raise SolverFailure(f"{what}: K is not stored on the mesh pattern")
+        if K.format != "dia" or not np.array_equal(K.offsets, layout.offsets):
+            raise SolverFailure(f"{what}: K is not stored on the diagonals of the space")
         n, kd = K.shape[0], layout.kd
         band = np.zeros(layout.band_size)
-        band[layout.band_index] = K.data[layout.lower]
         band[(kd + 1) * n :: kd + 1] = 1.0  # the padding is an identity block
         self.band = band[: (kd + 1) * n].reshape(n, kd + 1).T
+        self.band[layout.band_rows] = K.data[: len(layout.band_rows)]
         _, info = lapack.dpbtrf(self.band, lower=1, overwrite_ab=1)
         if info != 0:
             raise SolverFailure(
@@ -584,11 +585,12 @@ def constraint_residual(S, nu_coeffs):
 
 
 def dump_matrix_market(path, name, matrix):
-    """Write a sparse matrix in MatrixMarket coordinate format."""
+    """Write a sparse matrix in MatrixMarket coordinate format, converted
+    to COO once; a `dia_matrix` leaves its zero entries out."""
     from pathlib import Path
 
     from scipy.io import mmwrite
 
     target = Path(path) / f"{name}.mtx"
-    mmwrite(str(target), sp.coo_matrix(matrix))
+    mmwrite(str(target), matrix.tocoo())
     return target

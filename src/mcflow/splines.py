@@ -239,40 +239,32 @@ class TensorSplineSpace:
         return f"TensorSplineSpace(shape={self.shape}, dim={self.dim})"
 
     @cached_property
-    def csr_pattern(self):
-        """CSR pattern of every coupling, computed once per space.
+    def diagonals(self):
+        """(offsets, gather): the diagonals of every matrix of the space,
+        computed once per space, so every `assembly.MeshTables` shares them.
 
-        Returns (indices, indptr, band_entry): `indices` and `indptr`
-        the CSR pattern, sorted and without duplicates, and `band_entry`
-        the place of each slot in a band array B[(i1, d1), (i2, d2)]
-        of shape (n (2p + 1), n (2p + 1)), flattened, that holds the
-        coupling of basis (i1, i2) with (i1 + d1 - p, i2 + d2 - p).  No
-        quadrature rule enters, so every `assembly.MeshTables` of the
-        space shares it.
-
-        Basis (i1, i2) couples to (j1, j2) when j1 lies in the univariate
-        band of i1 and j2 in that of i2 (`UnivariateSpline.band`), so row
-        i1 n + i2 holds w[i1] w[i2] columns, j1-major.  Below C^(p-1)
-        a band can be narrower than 2p + 1: basis functions that share
-        no element do not couple, and the pattern omits them.
+        Basis (i1, i2) couples to (i1 + e1, i2 + e2) when both univariate
+        pairs share an element (`UnivariateSpline.band`), so couplings lie
+        on the diagonals of flat offset e1 n + e2, |e1|, |e2| <= p, held
+        ascending and without repeats by `offsets`; for n <= 2p two pairs
+        (e1, e2) share one, but never an entry.  Entry (j - offsets[k], j)
+        is entry [k, j] of the diagonals, as `scipy.sparse.dia_matrix`
+        keeps them.  `gather` (len(offsets), dim) holds its place in a
+        band array B[(i1, e1 + p), (i2, e2 + p)] of shape
+        (n (2p + 1), n (2p + 1)), flattened, or for an entry that couples
+        nothing the place just past B, which holds a zero.
         """
         p, n = self.degree, self.factor.dim
         s, w = self.factor.band
-        counts = np.outer(w, w).ravel()
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        k = np.arange(w.max())
-        b = s[:, None] + k  # the band of each row, padded to the widest
-        cols = b[:, None, :, None] * n + b[None, :, None, :]
-        inside = k < w[:, None]
-        keep = inside[:, None, :, None] & inside[None, :, None, :]
-        indices = cols[np.broadcast_to(keep, cols.shape)].astype(np.int32)
-
-        i1, i2 = np.divmod(np.repeat(np.arange(self.dim), counts), n)
-        j1, j2 = np.divmod(indices, n)
-        width = 2 * p + 1
-        row = i1 * width + j1 - i1 + p
-        band_entry = row * (n * width) + i2 * width + j2 - i2 + p
-        return indices, indptr, band_entry
+        e = np.arange(-p, p + 1)
+        j = np.arange(n)[:, None] + e
+        couples = (j >= s[:, None]) & (j < (s + w)[:, None])  # [i, e + p]
+        i1, d1, i2, d2 = np.nonzero(couples[:, :, None, None] & couples)
+        row = i1 * n + i2
+        offsets, k = np.unique(e[d1] * n + e[d2], return_inverse=True)
+        gather = np.full((len(offsets), self.dim), couples.size**2)
+        gather[k, row + offsets[k]] = np.ravel_multi_index((i1, d1, i2, d2), couples.shape * 2)
+        return offsets.astype(np.int32), gather
 
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.factor.dim + np.asarray(j2)

@@ -5,9 +5,10 @@ mesh (`element_tables`): `ElementTables` holds those stacks, values
 `basis` (Ne, nq2, nloc) and parametric gradients `basis_grad`
 (Ne, nq2, 2, nloc) with the local basis index last, the element
 connectivity `conn` and the slot `scatter` of every local matrix entry
-in the CSR pattern of the space (`element_pattern`).  Matrices and
-interior loads are summed from element contributions by `np.bincount`,
-and every contraction is the plain `np.einsum` formula.
+in the CSR pattern of the space (`csr_pattern`, `element_pattern`).
+Matrices and interior loads are summed from element contributions by
+`np.bincount`, and every contraction is the plain `np.einsum` formula;
+`diagonals` reads a matrix by the diagonals that `mcflow` stores.
 
 The edge layer used to stack the four edges of the square along one
 element axis: `EdgeTables` holds the per-element tabulation of the trace
@@ -56,6 +57,47 @@ def gauss_mesh(space, n_quad):
     return points.reshape(-1, n_quad * n_quad, 2), np.outer(w, w).ravel()
 
 
+def csr_pattern(space):
+    """(indices, indptr): the CSR pattern of every coupling of the space,
+    sorted and without duplicates.
+
+    Basis (i1, i2) couples to (j1, j2) when j1 lies in the univariate
+    band of i1 and j2 in that of i2 (`UnivariateSpline.band`), so row
+    i1 n + i2 holds w[i1] w[i2] columns, j1-major.  Below C^(p-1) a band
+    can be narrower than 2p + 1: basis functions that share no element
+    do not couple, and the pattern omits them.
+    """
+    n = space.factor.dim
+    s, w = space.factor.band
+    counts = np.outer(w, w).ravel()
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    k = np.arange(w.max())
+    b = s[:, None] + k  # the band of each row, padded to the widest
+    cols = b[:, None, :, None] * n + b[None, :, None, :]
+    inside = k < w[:, None]
+    keep = inside[:, None, :, None] & inside[None, :, None, :]
+    return cols[np.broadcast_to(keep, cols.shape)].astype(np.int32), indptr
+
+
+def diagonals(matrix):
+    """(offsets, data, held): a sparse matrix by its diagonals.
+
+    `offsets` are the distinct offsets j - i of its stored entries,
+    ascending; `data` (len(offsets), dim) holds entry
+    (j - offsets[k], j) at [k, j], as `scipy.sparse.dia_matrix` keeps
+    it, zero where the matrix stores nothing; `held` marks the entries
+    it stores.
+    """
+    coo = matrix.tocoo()
+    offsets = np.unique(coo.col - coo.row)
+    k = np.searchsorted(offsets, coo.col - coo.row)
+    data = np.zeros((len(offsets), matrix.shape[1]))
+    data[k, coo.col] = coo.data
+    held = np.zeros(data.shape, dtype=bool)
+    held[k, coo.col] = True
+    return offsets, data, held
+
+
 def element_pattern(space):
     """(conn, scatter): the flat indices (Ne, nloc) of the basis functions
     active on each element, elements row-major, and the slot in the
@@ -63,7 +105,7 @@ def element_pattern(space):
     p, n = space.degree, space.factor.dim
     a = space.factor.element_first[:, None] + np.arange(p + 1)  # (ne, p+1)
     conn = (a[:, None, :, None] * n + a[None, :, None, :]).reshape(-1, (p + 1) ** 2)
-    _, indptr, _ = space.csr_pattern
+    _, indptr = csr_pattern(space)
     s, w = space.factor.band
     i1, i2 = np.divmod(conn[:, :, None], n)  # row of each local entry
     j1, j2 = np.divmod(conn[:, None, :], n)  # and its column
@@ -82,7 +124,7 @@ class ElementTables:
         self.num_elements = ne * ne
         self.nloc = p1 * p1
         nq2 = n_quad * n_quad
-        self.indices, self.indptr, _ = space.csr_pattern
+        self.indices, self.indptr = csr_pattern(space)
         self.conn, self.scatter = element_pattern(space)
         self.points, self.weights = gauss_mesh(space, n_quad)
 

@@ -16,10 +16,11 @@ import pytest
 
 from mcflow.assembly import MeshTables, assemble_boundary_load
 from mcflow.config import ScenarioConfig
-from mcflow.convergence import convergence_study
+import mcflow.convergence
+from mcflow.convergence import VARIABLES, convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
-from mcflow.splines import build_quasi_interpolant, build_space
+from mcflow.splines import GaussGrid, build_quasi_interpolant, build_space
 from tests.conftest import dense_conormal_load, eval_basis, grid_points, interior_grid
 
 
@@ -200,6 +201,47 @@ def test_criterion_5_self_convergence_orders_on_a_curved_boundary(perturbed_enne
     print(f"p=2 H1 orders {report.eoc_h1}\np=3 H1 orders {p3.eoc_h1}")
     for var in ("position", "kappa", "nu", "velocity"):
         assert report.eoc_h1[var] >= 1.8, (var, report.eoc_h1)
+
+
+def test_sphere_patch_interior_self_convergence_orders(monkeypatch):
+    """H1 self-convergence orders >= 1.8 for position, curvature, normal
+    and velocity on the sphere patch at p=2, levels 8-64, away from the
+    boundary: on u, v in (1/8, 7/8) of the study's reference Gauss grid.
+
+    The patch has H = -2 up to its fixed boundary, where the flow has
+    H = 0 for t > 0, so its data are incompatible there and the orders
+    over the whole domain fall short in a layer along the boundary;
+    they are printed and not asserted.  The masked errors are taken
+    from the planes the study evaluates, as `_h1_errors` receives them.
+    """
+    base = ScenarioConfig(
+        scenario="sphere_patch",
+        degree=2,
+        smoothness=1,
+        elements_per_side=8,
+        dt=0.00625,
+        t_final=0.05,
+        output_dir="",
+    )
+    levels = [8, 16, 32, 64]
+    points = GaussGrid(build_space(2, 1, levels[-1]), base.degree + 3).points_1d
+    inside = (points > 1 / 8) & (points < 7 / 8)
+    mask = np.outer(inside, inside)
+    original = mcflow.convergence._h1_errors
+    interior = []  # H1 errors on the mask, level after level, VARIABLES in order
+
+    def recorded(planes_a, planes_b, weights):
+        interior.append(original(planes_a, planes_b, weights * mask)[1])
+        return original(planes_a, planes_b, weights)
+
+    monkeypatch.setattr(mcflow.convergence, "_h1_errors", recorded)
+    report = convergence_study(base, levels, t_final=0.05)
+    errors = np.reshape(interior, (len(levels) - 1, len(VARIABLES))).T
+    hs = np.log2([1.0 / n for n in levels[:-1]])
+    orders = {v: float(np.polyfit(hs, np.log2(e), 1)[0]) for v, e in zip(VARIABLES, errors)}
+    print(f"interior H1 orders {orders}\nfull-domain H1 orders {report.eoc_h1}")
+    for var in VARIABLES:
+        assert orders[var] >= 1.8, (var, orders)
 
 
 def test_criterion_6_constraint_and_boundary_invariants(example1, example2):

@@ -85,17 +85,18 @@ def _stiffness(tables, geom):
 def test_mass_stiffness_structure(flat_setup):
     space, tables, geom, _ = flat_setup
     M, A = _mass(tables, geom), _stiffness(tables, geom)
-    assert (M - M.T).nnz == 0 or abs((M - M.T)).max() < 1e-14
-    assert abs((A - A.T)).max() < 1e-13
+    # the DIA format has no max: read the differences as CSR
+    assert (M - M.T).tocsr().nnz == 0 or abs((M - M.T).tocsr()).max() < 1e-14
+    assert abs((A - A.T).tocsr()).max() < 1e-13
     ones = np.ones(space.dim)
     # partition of unity: total mass is the area, constants are stiffness kernel
     assert abs(ones @ (M @ ones) - 4.0) < 1e-12
     assert np.abs(A @ ones).max() < 1e-12
     evals = np.linalg.eigvalsh(M.toarray())
     assert evals.min() > 0.0
-    # the weighted sum is one matrix on the same pattern
+    # the weighted sum is one matrix on the same diagonals
     K = assemble_mass_stiffness(tables, geom, 3.0, 0.5)
-    assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+    assert np.array_equal(K.offsets, M.offsets) and K.data.shape == M.data.shape
     assert np.abs(K.data - (3.0 * M.data + 0.5 * A.data)).max() < 1e-13 * np.abs(K.data).max()
 
 
@@ -123,11 +124,12 @@ def test_flat_mass_matches_dense_quadrature(flat_setup):
 
 
 def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
-    """Gathering into the fixed CSR pattern equals a COO -> CSR assembly
-    of the per-element matrices.
+    """Gathering the diagonals of the space equals a COO -> CSR assembly
+    of the per-element matrices, read by its diagonals.
 
-    M and A of two different geometries all carry the same canonical
-    pattern (sorted column indices, no duplicates) as the reference.
+    M and A of two different geometries all carry the diagonals of the
+    reference, each entry of them in full, and are exactly zero at every
+    entry of them that the reference does not store.
     """
     prob, st = sphere_problem
     tables = prob.tables
@@ -143,9 +145,10 @@ def test_fixed_pattern_matches_coo_assembly(sphere_problem, rng):
         for got, loc in zip((_mass(tables, geom), _stiffness(tables, geom)), (Mloc, Aloc)):
             ref = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=got.shape).tocsr()
             assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
-            assert got.has_canonical_format
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
+            assert got.format == "dia" and got.data.shape == (len(got.offsets), got.shape[1])
+            offsets, _, held = oracle.diagonals(ref)
+            assert np.array_equal(got.offsets, offsets)
+            assert not np.any(got.data[~held])
 
 
 def _with_normal(tables, x, nu):
@@ -304,7 +307,7 @@ def test_constraint_on_flat_square():
 def _initialized_saddle(scenario, p, n=8, smoothness=None):
     """Mass and stiffness on the initial surface of an initialized N=n
     patch (C^{p-1} unless `smoothness` is given), the shifted stiffness
-    on the mesh pattern, and the problem."""
+    on the diagonals of the space, and the problem."""
     cfg = ScenarioConfig(
         scenario=scenario,
         degree=p,
@@ -326,18 +329,24 @@ def sphere_saddle():
 
 
 @pytest.mark.parametrize(
-    "scenario, p, smoothness",
+    "scenario, p, smoothness, n",
     [
-        pytest.param("sphere_patch", 2, 1, id="sphere_patch-2"),
+        pytest.param("sphere_patch", 2, 1, 8, id="sphere_patch-2"),
         # the flat boundary makes the z block of S numerically zero
-        pytest.param("perturbed_plane", 2, 1, id="perturbed_plane-2"),
-        pytest.param("sphere_patch", 3, 2, id="sphere_patch-3"),
-        pytest.param("sphere_patch", 2, 0, id="sphere_patch-2-C0"),
+        pytest.param("perturbed_plane", 2, 1, 8, id="perturbed_plane-2"),
+        pytest.param("sphere_patch", 3, 2, 8, id="sphere_patch-3"),
+        pytest.param("sphere_patch", 2, 0, 8, id="sphere_patch-2-C0"),
+        # n <= 2p coefficients per direction: two pairs (e1, e2) share a
+        # flat diagonal e1 n + e2
+        pytest.param("sphere_patch", 2, 1, 1, id="sphere_patch-2-N1"),
+        pytest.param("sphere_patch", 3, 2, 1, id="sphere_patch-3-N1"),
+        pytest.param("sphere_patch", 2, 1, 2, id="sphere_patch-2-N2"),
+        pytest.param("sphere_patch", 3, 2, 2, id="sphere_patch-3-N2"),
     ],
 )
-def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness, rng):
+def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness, n, rng):
     """The Schur-complement solve equals a direct solve of the assembled saddle."""
-    _, _, K, prob = _initialized_saddle(scenario, p, smoothness=smoothness)
+    _, _, K, prob = _initialized_saddle(scenario, p, n=n, smoothness=smoothness)
     S = prob.S
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
@@ -355,7 +364,7 @@ def _check_interior_solve(K, prob, rng):
     """`with_interior` against a direct solve of K_II, and its saddle
     against the saddle solved alone."""
     idx, bnd = prob.space.interior_indices, prob.space.boundary_indices
-    K_II = K[idx][:, idx].tocsc()
+    K_II = K.tocsr()[idx][:, idx].tocsc()
     r = rng.normal(size=K.shape[0])
     f = rng.normal(size=(K.shape[0], 3))
     solver = ConstrainedSolver(K, prob.saddle, "test solve")
@@ -402,21 +411,24 @@ def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
 
 
 def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
-    """With both weights zero, mass M + stiffness A is zero on the whole
-    pattern and the solver rejects it as not positive definite; sparse
-    `+` of c M and -c M would drop every entry."""
+    """With both weights zero, mass M + stiffness A is zero on every
+    diagonal of the space and the solver rejects it as not positive
+    definite; a matrix not stored on those diagonals, such as the CSR
+    sum of c M and -c M, which drops every entry, is rejected by name."""
     M, _, _, prob = sphere_saddle
     c = 60.0
     geom = ElementGeometry(prob.tables, interpolate(prob.quasi, prob.scenario))
     K = assemble_mass_stiffness(prob.tables, geom, 0.0, 0.0)
-    assert K.nnz == len(prob.tables.indices)
+    assert K.data.shape == (len(prob.tables.offsets), prob.space.dim)
     assert not np.any(K.data)
     with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):
         ConstrainedSolver(K, prob.saddle, "test solve")
-    dropped = c * M + (-c * M)
+    dropped = (c * M).tocsr() + (-c * M).tocsr()
     assert dropped.nnz < K.nnz
-    with pytest.raises(SolverFailure, match="test solve: K is not stored on the mesh pattern"):
-        ConstrainedSolver(dropped, prob.saddle, "test solve")
+    shifted = sp.dia_matrix((M.data[1:], M.offsets[1:]), shape=M.shape)
+    for matrix in (dropped, shifted):
+        with pytest.raises(SolverFailure, match="test solve: K is not stored on the diagonals"):
+            ConstrainedSolver(matrix, prob.saddle, "test solve")
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -434,20 +446,20 @@ def test_schur_complement_read_off_the_factor(scenario, p):
 
 @pytest.mark.parametrize("p, smoothness", [(2, 1), (3, 2), (2, 0)])
 def test_band_plan_holds_each_lower_entry_once(p, smoothness):
-    """Every lower-triangle slot of the mesh pattern has its own place in
-    the band, and scattering K.data there gives the band of the dense K."""
+    """Every diagonal of offset <= 0 has its own row of the band, and
+    copying K.data there gives the band of the dense K."""
     _, _, K, prob = _initialized_saddle("sphere_patch", p, n=5, smoothness=smoothness)
     lo, space = prob.saddle, prob.space
     kd = lo.kd
     assert kd == p * (space.factor.dim + 1)
-    rows = np.repeat(np.arange(space.dim), np.diff(K.indptr))
-    assert np.array_equal(lo.lower, np.flatnonzero(rows >= K.indices))
-    col, offset = np.divmod(lo.band_index, kd + 1)
-    assert np.array_equal(col, K.indices[lo.lower])
-    assert np.array_equal(offset, rows[lo.lower] - col)
-    assert len(np.unique(lo.band_index)) == len(lo.band_index)
-    band = np.zeros((kd + 1) * space.dim)
-    band[lo.band_index] = K.data[lo.lower]
+    lower = K.offsets <= 0
+    assert np.array_equal(lo.band_rows, -K.offsets[lower])
+    assert lo.band_rows.max() == kd and lo.band_rows.min() == 0
+    assert np.all(lower[: len(lo.band_rows)])  # the diagonals of offset <= 0 come first
+    assert len(np.unique(lo.band_rows)) == len(lo.band_rows)
+    band = np.zeros((kd + 1, space.dim))
+    band[lo.band_rows] = K.data[: len(lo.band_rows)]
+    band = band.T.ravel()
     Kd = K.toarray()
     i, j = np.nonzero(np.tri(space.dim, dtype=bool) & ~np.tri(space.dim, k=-kd - 1, dtype=bool))
     assert np.array_equal(band[i - j + j * (kd + 1)], Kd[i, j])

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import mmread
 
+from mcflow.assembly import ElementGeometry, assemble_mass_stiffness
 from mcflow.cli import main as cli_main
 from mcflow.config import (
     ConfigError,
@@ -181,20 +183,33 @@ def test_cli_solve(tmp_path, capsys):
 
 
 def test_cli_solve_dump_matrices(tmp_path, capsys):
-    cfg = ScenarioConfig(
-        scenario="perturbed_plane",
-        degree=2,
-        smoothness=1,
-        elements_per_side=4,
-        dt=0.01,
-        t_final=0.01,
-        output_dir=str(tmp_path / "out"),
-    )
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(serialize_config(cfg))
-    assert cli_main(["solve", "--config", str(cfg_path), "--dump-matrices"]) == 0
-    for name in ("mass", "stiffness", "constraint"):
-        assert (tmp_path / "out" / f"{name}.mtx").exists()
+    """The dumps read back as the M, A and S of the initial surface, entry
+    for entry, with the stored entries of a C^1 and a C^0 space."""
+    for smoothness, counts in ((1, (576, 576, 276)), (0, (1089, 1089, 384))):
+        out = tmp_path / f"out{smoothness}"
+        cfg = ScenarioConfig(
+            scenario="perturbed_plane",
+            degree=2,
+            smoothness=smoothness,
+            elements_per_side=4,
+            dt=0.01,
+            t_final=0.01,
+            output_dir=str(out),
+        )
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(serialize_config(cfg))
+        assert cli_main(["solve", "--config", str(cfg_path), "--dump-matrices"]) == 0
+        prob = FlowProblem(cfg)
+        geom = ElementGeometry(prob.tables, prob.initialize().x)
+        matrices = (
+            assemble_mass_stiffness(prob.tables, geom, 1.0, 0.0),
+            assemble_mass_stiffness(prob.tables, geom, 0.0),
+            prob.S,
+        )
+        for name, matrix, count in zip(("mass", "stiffness", "constraint"), matrices, counts):
+            dumped = mmread(out / f"{name}.mtx")
+            assert dumped.nnz == count, name
+            assert np.array_equal(dumped.toarray(), matrix.toarray()), name
 
 
 def test_cli_converge(tmp_path, capsys):

@@ -51,6 +51,17 @@ def assert_close(got, ref):
     assert np.abs(got - ref).max() <= KERNEL_RTOL * np.abs(ref).max()
 
 
+def assert_same_matrix(got, ref):
+    """`got`, on the diagonals of its space, against the oracle's CSR
+    `ref`: the same diagonals, entries close, and exactly zero wherever
+    `ref` stores nothing."""
+    offsets, data, held = oracle.diagonals(ref)
+    assert got.format == "dia"
+    assert np.array_equal(got.offsets, offsets)
+    assert_close(got.data, data)
+    assert not np.any(got.data[~held])
+
+
 @pytest.fixture(
     scope="module",
     params=[(sc, p) for sc in ("perturbed_plane", "sphere_patch") for p in (2, 3)],
@@ -185,9 +196,7 @@ def test_assembly_kernels_match_einsum(kernel_setup):
         (assemble_mass_stiffness(tables, geom, 0.0), A_ref),
         (assemble_mass_stiffness(tables, geom, c), c * M_ref + A_ref),
     ):
-        assert np.array_equal(got.indptr, ref.indptr)
-        assert np.array_equal(got.indices, ref.indices)
-        assert_close(got.data, ref.data)
+        assert_same_matrix(got, ref)
 
     frob2 = weingarten_energy(geom, geom.du, geom.dv)
     frob2_ref = oracle.weingarten_energy(et, x, nu)
@@ -355,18 +364,27 @@ def test_velocity_errors_and_export_match_one_block(monkeypatch):
         assert_close(got, want)
 
 
-@pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
-def test_tensor_kernels_match_the_element_oracle(p, l, block_elements):
+# N = 5 at every smoothness, and meshes with n <= 2p coefficients per
+# direction, on which two pairs (e1, e2) share a flat diagonal e1 n + e2
+KERNEL_MESHES = [(p, l, 5) for p, l in SPACES] + [(2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "p, l, N",
+    KERNEL_MESHES,
+    ids=[f"p{p}-C{l}" + ("" if N == 5 else f"-N{N}") for p, l, N in KERNEL_MESHES],
+)
+def test_tensor_kernels_match_the_element_oracle(p, l, N, block_elements):
     """Every tensor-grid kernel against the per-element route, at every
     smoothness and in one block or several: values and Jacobians, the
     metric, M, A and K, both loads with tails, the area and the
     Weingarten energy, on the flow's rule and on the quasi-interpolant's."""
-    prob, x, kappa, nu = _oracle_setup(p, l, 5)
+    prob, x, kappa, nu = _oracle_setup(p, l, N)
     rng = np.random.default_rng(p * 10 + l)
     tail = rng.normal(size=(prob.space.dim, 4))
     for n_quad in (p + 1, p + 2):
         tables = MeshTables(prob.space, n_quad)
-        assert len(tables.basis_blocks) == (1 if block_elements is None else 3)
+        assert len(tables.basis_blocks) == -(-N // (block_elements or BLOCK_ELEMENTS))
         et = oracle.ElementTables(prob.space, n_quad)
         fields = np.concatenate([nu.T, kappa[None], tail.T])
         geom = ElementGeometry(tables, x, fields, num_jac=3)
@@ -379,12 +397,9 @@ def test_tensor_kernels_match_the_element_oracle(p, l, block_elements):
         assert_close(geom.area_element, et.to_grid(q))
 
         M, A = oracle.mass_stiffness(et, x)
-        K = assemble_mass_stiffness(tables, geom, 7.5)
-        assert K.has_canonical_format
-        assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
-        assert_close(K.data, 7.5 * M.data + A.data)
-        assert_close(assemble_mass_stiffness(tables, geom, 1.0, 0.0).data, M.data)
-        assert_close(assemble_mass_stiffness(tables, geom, 0.0).data, A.data)
+        assert_same_matrix(assemble_mass_stiffness(tables, geom, 7.5), 7.5 * M + A)
+        assert_same_matrix(assemble_mass_stiffness(tables, geom, 1.0, 0.0), M)
+        assert_same_matrix(assemble_mass_stiffness(tables, geom, 0.0), A)
 
         frob2 = weingarten_energy(geom, geom.du, geom.dv)
         frob2_ref = oracle.weingarten_energy(et, x, nu)
@@ -404,13 +419,16 @@ def test_tensor_kernels_match_the_element_oracle(p, l, block_elements):
 
 @pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
 def test_band_entries_drop_exactly_the_structural_zeros(p, l, block_elements):
-    """The slots of the pattern sit at distinct band entries, and the band
-    entries they leave out are zero in a dense per-element assembly: so
-    the gather drops exactly the couplings of basis functions that share
-    no element, which below C^(p-1) the band holds and the pattern omits."""
+    """The entries of the diagonals that hold a coupling sit at distinct
+    band entries, and the band entries they leave out are zero in a
+    dense per-element assembly: so the gather drops exactly the
+    couplings of basis functions that share no element, which below
+    C^(p-1) the band holds and the diagonals keep as exact zeros."""
     prob, x, _, _ = _oracle_setup(p, l, 4)
     space, n = prob.space, prob.space.factor.dim
-    _, _, band_entry = space.csr_pattern
+    offsets, gather = space.diagonals
+    width = 2 * p + 1
+    band_entry = gather[gather < (n * width) ** 2]
     assert len(np.unique(band_entry)) == len(band_entry)
     et = oracle.ElementTables(space, p + 1)
     Ginv, q = oracle.metric(et.field_jacobians(x))
@@ -423,8 +441,8 @@ def test_band_entries_drop_exactly_the_structural_zeros(p, l, block_elements):
     tables = MeshTables(space, p + 1)
     K = assemble_mass_stiffness(tables, ElementGeometry(tables, x), 1.0)
     assert_close(K.toarray(), dense)
-    # every in-range band entry that no slot takes couples nothing
-    width = 2 * p + 1
+    assert np.array_equal(K.offsets, offsets)
+    # every in-range band entry that no entry of the diagonals takes couples nothing
     i1, d1, i2, d2 = np.meshgrid(*(np.arange(n), np.arange(width)) * 2, indexing="ij")
     j1, j2 = i1 + d1 - p, i2 + d2 - p
     inside = (j1 >= 0) & (j1 < n) & (j2 >= 0) & (j2 < n)
@@ -451,9 +469,8 @@ def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elem
     et = oracle.ElementTables(prob.space, quasi.n_quad)
     M, A = oracle.mass_stiffness(et, x)
     geom = ElementGeometry(tables, x)
-    K = assemble_mass_stiffness(tables, geom, RITZ_LAMBDA)
-    assert_close(K.data, A.data + RITZ_LAMBDA * M.data)
-    assert_close(assemble_mass_stiffness(tables, geom, 1.0).data, A.data + M.data)
+    assert_same_matrix(assemble_mass_stiffness(tables, geom, RITZ_LAMBDA), A + RITZ_LAMBDA * M)
+    assert_same_matrix(assemble_mass_stiffness(tables, geom, 1.0), A + M)
     sc = prob.scenario
     grid = sc.sample(quasi.grid_points)
     edges = [sc.sample(quasi.edge_points(k), k) for k in range(4)]
@@ -776,16 +793,25 @@ def _pattern_per_table(space, n_quad):
 
 @pytest.mark.parametrize("p,l,N", [(2, 1, 1), (2, 0, 3), (2, 1, 8), (3, 2, 5), (3, 0, 4)])
 def test_element_pattern_matches_per_table_build(p, l, N):
-    """The space's CSR pattern, and the element connectivity and scatter
-    of the per-element route, against a build from Gauss points."""
+    """The diagonals of the space hold exactly the couplings of a CSR
+    pattern built from Gauss points, and the oracle's CSR pattern, element
+    connectivity and scatter equal that build."""
     space = build_space(p, l, N)
-    indices, indptr, _ = space.csr_pattern
+    offsets, gather = space.diagonals
+    width = 2 * p + 1
+    indices, indptr = oracle.csr_pattern(space)
     conn, scatter = oracle.element_pattern(space)
     for n_quad in (p + 1, p + 2):
         ref = _pattern_per_table(space, n_quad)
         for got, want in zip((conn, indices, indptr, scatter), ref):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        coupled = scipy.sparse.csr_matrix(
+            (np.ones(len(ref[1])), ref[1], ref[2]), shape=(space.dim, space.dim)
+        )
+        ref_offsets, _, held = oracle.diagonals(coupled)
+        assert np.array_equal(offsets, ref_offsets)
+        assert np.array_equal(gather < (space.factor.dim * width) ** 2, held)
 
 
 def _tabulation_by_broadcast(space, n_quad):
@@ -861,8 +887,28 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
     assert calls == []
 
 
+def test_flow_step_builds_no_csr_of_k(monkeypatch):
+    """K lives as its diagonals: a BDF1 and a BDF2 step build no
+    `scipy.sparse.csr_matrix` of shape (dim, dim)."""
+    prob, scheme, dt = _two_step_problem("sphere_patch")
+    scheme.push(prob.initialize())
+    dim = prob.space.dim
+    calls = []
+    original = scipy.sparse.csr_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        calls.append(self.shape)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", counted)
+    for _ in range(2):
+        state, _ = prob.step(scheme, dt)
+        scheme.push(state)
+    assert (dim, dim) not in calls
+
+
 def test_ritz_tables_share_the_flow_pattern(monkeypatch):
-    """Both `MeshTables` of a set-up hold the one pattern of their space."""
+    """Both `MeshTables` of a set-up hold the one set of diagonals of their space."""
     built = []
 
     class Recorded(MeshTables):
@@ -876,7 +922,7 @@ def test_ritz_tables_share_the_flow_pattern(monkeypatch):
     flow_tables, ritz_tables = built
     assert ritz_tables.n_quad != flow_tables.n_quad
     assert flow_tables is prob.tables
-    for name in ("indices", "indptr", "band_entry"):
+    for name in ("offsets", "gather"):
         assert getattr(ritz_tables, name) is getattr(flow_tables, name)
-    assert np.array_equal(ritz_tables.indptr, flow_tables.indptr)
-    assert np.array_equal(ritz_tables.indices, flow_tables.indices)
+    assert np.array_equal(ritz_tables.offsets, flow_tables.offsets)
+    assert np.array_equal(ritz_tables.gather, flow_tables.gather)

@@ -78,8 +78,8 @@ def test_two_problems_of_one_config_share_no_table(p):
     owned = ("space", "quasi", "tables", "btables", "saddle")
     a = _arrays([getattr(first, name) for name in owned])
     b = _arrays([getattr(second, name) for name in owned])
-    # the univariate caches and the pattern are reached through the space
-    assert any(x is first.space.csr_pattern[0] for x in a)
+    # the univariate caches and the diagonals are reached through the space
+    assert any(x is first.space.diagonals[1] for x in a)
     assert any(x is first.space.factor.element_rule(p + 1)[0] for x in a)
     assert not [(x.shape, y.shape) for x in a for y in b if np.may_share_memory(x, y)]
 
