@@ -42,23 +42,26 @@ grids of the sizes run here (George & Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981), whose lower band storage is
 the diagonals of offset <= 0.  `SaddleLayout` plans the row blocks of
 the forward substitution that gives G from the factor on the boundary
-columns, and stacks the three constraint blocks S_kB into one, all once
-per problem; G and T are Cholesky-factored by LAPACK `dpotrf`.  The
-same factor serves the zero-trace curvature system of a flow step, whose
-matrix is the interior block K_II, by a capacitance correction with G,
-so a step factors one matrix.
+columns, and keeps the boundary block of the constraint as one matrix,
+C = S_B^T, all once per problem; G and T are Cholesky-factored by
+LAPACK `dpotrf`.  The same factor serves the zero-trace curvature
+system of a flow step, whose matrix is the interior block K_II, by a
+capacitance correction with G, so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S acts on them stacked
-component-major, i.e. [all x | all y | all z].
+component-major, i.e. [all x | all y | all z].  Values on points are
+component first, as everywhere (`geometry`): the planes of the grid are
+(D, m, m) and edge values (D, 4, m).
 
 Boundary terms live on the four edges of the parametric square, where
 the trace of the space is its univariate factor, so a Gauss grid used
 along one axis serves all four edges: a trace is C0 or C1 applied to
-(4, n, D) coefficients on the trace bases, and an edge integral is C0^T
-applied to a (4, m, D) density and one scatter that adds up the shared
-corners.  `BoundaryTables` is that grid on the edge rule; the Ritz
-projection uses the grid of its own rule.  The constraint matrix S has
-one row per distinct boundary control point and columns for all 3 * dim
-vector coefficients; its entries integrate (trace basis) * (trace basis)
+(4, n, D) coefficients on the trace bases, giving (D, 4, m) values on
+the edge points, and an edge integral is C0^T applied to a (D, 4, m)
+density and one scatter that adds up the shared corners.
+`BoundaryTables` is that grid on the edge rule; the Ritz projection
+uses the grid of its own rule.  The constraint matrix S has one row per
+distinct boundary control point and columns for all 3 * dim vector
+coefficients; its entries integrate (trace basis) * (trace basis)
 * (unit tangent component) against the fixed initial boundary length
 element, so S w = 0 expresses discrete L2-orthogonality of the trace of
 w to the boundary tangent.  `conormal_load` integrates the conormal term
@@ -73,7 +76,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .geometry import cross3, dot, inner, metric_pieces
+from .geometry import cross3, dot, metric_pieces
 from .splines import GaussGrid, TensorSplineSpace
 
 
@@ -97,14 +100,12 @@ def check_residual(residual, b, what):
 
 
 def scatter_vector(index, local, dim):
-    """Sum entries `local` (..., D) into rows `index` (...) of a (dim, D) array.
+    """Sum entries `local` (D, ...) into rows `index` (...) of a (dim, D) array.
 
     Entries are summed one at a time in their flattened order.
     """
-    D = local.shape[-1]
-    rows = (index[..., None] * D + np.arange(D)).ravel()
-    out = np.bincount(rows, weights=local.ravel(), minlength=dim * D)
-    return out.reshape(dim, D)
+    index = index.ravel()
+    return np.stack([np.bincount(index, c.ravel(), dim) for c in local], axis=1)
 
 
 class MeshTables(GaussGrid):
@@ -239,17 +240,17 @@ class SaddleLayout:
     blocks of kd rows.
 
     `blocks` is the row-block plan of `boundary_inverse`: per block j of
-    kd rows, the position of L_jj in the band, the number `done` of
-    boundary columns of L^-1 E_B started before it and `upto` by its
-    end, and the places of the ones that start the new columns in its
-    (upto, kd) right-hand side, as flat indices in column-major order.
+    kd rows, the position of L_jj in the band, and the number `done` of
+    boundary columns of L^-1 E_B started before it and `upto` by its end.
 
-    `S` is the frozen constraint.  `S_B` is its boundary block
-    [S_0B S_1B S_2B] (nb, 3 nB), the columns of the boundary indices of
-    each component, and `S_BT` that block transposed, as CSR, so a
-    solve applies S_B and S_B^T once each and builds no transpose.
-    `S_B_rows` holds the same blocks stacked by rows, (3 nb, nB), so
-    the multiplier Schur complement takes two sparse products.
+    The frozen constraint S is nonzero only on the boundary columns of
+    each component, its boundary block S_B = [S_0B S_1B S_2B] (nb, 3 nB),
+    with one row per boundary control point, so nb = nB.  `C` is S_B^T,
+    (3 nB, nb) as CSR, and `C @ mu` gives the boundary rows of S^T mu.
+    `S_B` is its transpose, a CSC view of the same arrays taken once,
+    since building even a view costs more than a product with it.  Each
+    S_kB integrates products of two trace basis functions, so it is
+    symmetric, and `C @ G` stacks the blocks S_kB G.
     """
 
     def __init__(self, tables: MeshTables, S):
@@ -266,14 +267,10 @@ class SaddleLayout:
         started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
         self.blocks, done = [], 0
         for j, upto in enumerate(started.tolist()):
-            ones = np.arange(done, upto) + (B[done:upto] - j * kd) * upto
-            self.blocks.append((j * kd * (kd + 1), done, upto, ones))
+            self.blocks.append((j * kd * (kd + 1), done, upto))
             done = upto
-        self.S = S
-        S_k = [S[:, k * dim + B] for k in range(3)]
-        self.S_B = sp.hstack(S_k, format="csr")
-        self.S_BT = self.S_B.T.tocsr()
-        self.S_B_rows = sp.vstack(S_k, format="csr")
+        self.C = S[:, (B + dim * np.arange(3)[:, None]).ravel()].T.tocsr()
+        self.S_B = self.C.T
 
 
 def _band_block(band, kd, start):
@@ -300,15 +297,15 @@ def boundary_inverse(band, layout: SaddleLayout):
     costs one `dtrmm` and one `dtrsm` from the right, and adds
     Y_j^T Y_j to G by one `dsyrk`.  Only the last block of Y is kept.
     """
-    kd = layout.kd
+    kd, B = layout.kd, layout.boundary
     G = np.zeros((layout.num_boundary,) * 2)
     Yt = None
-    for start, done, upto, ones in layout.blocks:  # L_{j,j-1} starts kd^2 before L_jj
+    for j, (start, done, upto) in enumerate(layout.blocks):
         Zt = np.zeros((upto, kd), order="F")
-        if done:
+        if done:  # L_{j,j-1} starts kd^2 before L_jj
             L_below = _band_block(band, kd, start - kd * kd)  # upper triangular
             Zt[:done] = blas.dtrmm(-1.0, L_below, Yt, side=1, trans_a=1, overwrite_b=1)
-        Zt.T.reshape(-1)[ones] = 1.0  # a view: Zt is column-major
+        Zt[np.arange(done, upto), B[done:upto] - j * kd] = 1.0
         L_jj = _band_block(band, kd, start)
         Yt = blas.dtrsm(1.0, L_jj, Zt, side=1, lower=1, trans_a=1, overwrite_b=1)
         G[:upto, :upto] += blas.dsyrk(1.0, Yt, lower=1)
@@ -345,9 +342,9 @@ class ConstrainedSolver:
     leading minor that is not positive raises SolverFailure.  From L it forms G = (K^-1)_BB, the
     inverse of the boundary Schur complement K_BB - K_BI K_II^-1 K_IB
     (`boundary_inverse`), and the multiplier Schur complement
-    T = sum_k S_kB G S_kB^T, as S_B applied to the blocks of
-    `S_B_rows` G, and Cholesky-factors both (`dpotrf`); `G` and `T` hold
-    their upper factors.
+    T = sum_k S_kB G S_kB^T, as S_B applied to the blocks C G of
+    `SaddleLayout.C` = S_B^T, and Cholesky-factors both (`dpotrf`); `G` and
+    `T` hold their upper factors.
 
     Calling the solver with a (dim, 3) load f returns (w (dim, 3),
     multiplier, relative residual) with S w = 0: y = K^-1 f,
@@ -375,9 +372,9 @@ class ConstrainedSolver:
                 f"(its leading minor of order {info} is not positive)"
             )
         G = boundary_inverse(band, layout)
-        nb, nB = layout.S_B.shape[0], layout.num_boundary
-        SG = (layout.S_B_rows @ G).reshape(3, nb, nB)  # the blocks S_kB G
-        T = layout.S_B @ SG.transpose(0, 2, 1).reshape(3 * nB, nb)
+        nB = layout.num_boundary
+        SG = (layout.C @ G).reshape(3, nB, nB)  # the blocks S_kB G
+        T = layout.S_B @ SG.transpose(0, 2, 1).reshape(3 * nB, nB)
         self.G = _cholesky(G, what, "the boundary block of K^-1")
         self.T = _cholesky(T, what, "multiplier Schur complement")
 
@@ -417,7 +414,7 @@ class ConstrainedSolver:
         y = self._band_solve(b)
         yB = np.take(y, B, axis=0)
         mu = _cholesky_solve(self.T, lo.S_B @ yB[:, j:].ravel(order="F"))
-        St_mu = (lo.S_BT @ mu).reshape(3, -1).T  # rows B of S^T mu
+        St_mu = (lo.C @ mu).reshape(3, -1).T  # rows B of S^T mu
         load = np.zeros(b.shape, order="F")
         load[B, j:] = St_mu
         if j:
@@ -426,7 +423,8 @@ class ConstrainedSolver:
         w = np.ascontiguousarray(y[:, j:])
         res = self.K @ w
         res[B] += St_mu
-        res = np.concatenate([(res - f).ravel(), lo.S @ w.T.ravel()])
+        Sw = lo.S_B @ np.take(w, B, axis=0).ravel(order="F")
+        res = np.concatenate([(res - f).ravel(), Sw])
         saddle = (w, mu, check_residual(res, f, self.what))
         if not j:
             return None, saddle
@@ -486,7 +484,7 @@ class BoundaryTables(GaussGrid):
     field gives `coeffs[space.edge_indices]`, and per-edge data that are
     discontinuous at the corners, such as the tangent, have their own.
     A trace is C0, or C1 for the derivative along the edge, applied to
-    them (`trace`), (4, m, D) on the edge points.  `rows` (4, n) numbers
+    them (`trace`), (D, 4, m) on the edge points.  `rows` (4, n) numbers
     the constraint row of each trace basis function: the distinct
     boundary control points, with the corners shared (`num_rows` of
     them).
@@ -504,9 +502,9 @@ class BoundaryTables(GaussGrid):
         self.frozen = None
 
     def trace(self, coeffs, deriv=False):
-        """Values (4, m, D) at the edge points, or edge-parameter
+        """Values (D, 4, m) at the edge points, or edge-parameter
         derivatives, of the (4, n, D) coefficients on the trace basis."""
-        return self._to_points(self.c[int(deriv)], coeffs)
+        return self._to_points_last(np.moveaxis(coeffs, -1, 0), self.c[int(deriv)])
 
     def freeze(self, x0, tangent, curvature):
         """Sample the time-independent boundary quantities at the edge points.
@@ -519,9 +517,9 @@ class BoundaryTables(GaussGrid):
         tau = self.trace(tangent)
         x_s = self.trace(x0[self.space.edge_indices], deriv=True)
         self.frozen = {
-            "length": np.linalg.norm(x_s, axis=2),
+            "length": np.sqrt(dot(x_s, x_s)),
             "tau": tau,
-            "tau_hat": tau / np.linalg.norm(tau, axis=2, keepdims=True),
+            "tau_hat": tau / np.sqrt(dot(tau, tau)),
             "kappa": self.trace(curvature),
         }
         return self
@@ -539,14 +537,14 @@ def assemble_constraint(btables: BoundaryTables):
     bt, fr = btables, btables.frozen
     space = bt.space
     n, dim = space.factor.dim, space.dim
-    dens = (bt.weights_1d * fr["length"])[:, None] * np.moveaxis(fr["tau_hat"], 2, 1)
+    dens = bt.weights_1d * fr["length"] * fr["tau_hat"]  # (3, 4, m)
     c0 = bt.c[0]
-    blocks = bt._to_basis(c0, dens.reshape(12, -1, 1) * c0).reshape(4, 3, n, n)
+    blocks = bt._to_basis(c0, dens.reshape(12, -1, 1) * c0).reshape(3, 4, n, n)
     start, width = space.factor.band
     offset = np.arange(n) - start[:, None]
     i, j = np.nonzero((offset >= 0) & (offset < width[:, None]))
-    rows = np.broadcast_to(bt.rows[:, None, i], (4, 3, len(i)))
-    cols = space.edge_indices[:, None, j] + dim * np.arange(3)[:, None]
+    rows = np.broadcast_to(bt.rows[:, i], (3, 4, len(i)))
+    cols = space.edge_indices[:, j] + dim * np.arange(3)[:, None, None]
     S = sp.coo_matrix(
         (blocks[:, :, i, j].ravel(), (rows.ravel(), cols.ravel())),
         shape=(bt.num_rows, 3 * dim),
@@ -559,11 +557,11 @@ def conormal_load(grid: GaussGrid, length, kappa_b, tau, nu):
 
     All arguments are sampled at the points of `grid` on each edge: the
     length element (4, m) and the boundary curvature vector, tangent and
-    normal (4, m, 3).  C0^T integrates the density against the trace
+    normal (3, 4, m).  C0^T integrates the density against the trace
     basis of each edge, and one scatter adds up the shared corners.
     """
-    dens = grid.weights_1d * length * inner(kappa_b, nu)
-    local = grid._to_basis(grid.c[0], dens[:, :, None] * cross3(nu, tau))
+    dens = grid.weights_1d * length * dot(kappa_b, nu)
+    local = grid._to_basis_last(dens * cross3(nu, tau), grid.c[0])
     return scatter_vector(grid.space.edge_indices, local, grid.space.dim)
 
 

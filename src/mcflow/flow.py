@@ -230,10 +230,10 @@ class FlowProblem:
         x = quasi.apply_to_values(grid.X)
         self.x0_boundary = x[bidx].copy()
 
+        tangent = np.stack([e.edge_tangent for e in edges], axis=1)  # (3, 4, m)
+        curvature = np.stack([e.edge_curvature for e in edges], axis=1)
         self.btables.freeze(
-            x,
-            boundary_quasi_interp(quasi, np.stack([e.edge_tangent for e in edges])),
-            boundary_quasi_interp(quasi, np.stack([e.edge_curvature for e in edges])),
+            x, boundary_quasi_interp(quasi, tangent), boundary_quasi_interp(quasi, curvature)
         )
         self.S = assemble_constraint(self.btables)
         self.saddle = SaddleLayout(self.tables, self.S)

@@ -12,16 +12,19 @@ gradients; the Weingarten map of a (discrete) normal field is the matrix
 of component surface gradients and provides mean curvature (trace) and
 second-fundamental-form energy (Frobenius norm squared).
 
-`metric_pieces` is the one place that forms G^{-1} and the area
-element, the only metric data the flow reads; G itself lives only as
-its three entries, and G^{-1} as the three entries (00, 01, 11) of the
-symmetric matrix.  It takes the u- and v-columns of the Jacobians with
-the ambient component first, which is how the quadrature layer of
-`assembly` keeps them: one (m, m) plane per component on its tensor
-Gauss grid.  The scenarios' samples pass the columns of their (n, 3, 2)
-Jacobians transposed.  `surface_area` reads det G from the same entries.
-Every entry is a handful of elementwise multiply-adds over whole
-planes, not a stack of 2 x 2 and 3 x 2 matrix products.
+Values on points live component first: a vector field at n points is
+(3, n), and on a tensor grid (3, m, m), one plane per component; the
+derivative along parameter a of a field is its own such stack.  The
+quadrature layer of `assembly` keeps its planes so, and the scenarios'
+samples and the edge layer keep their points so too; only the
+pointwise `SplineField.eval` returns (n, D).  `dot` and `cross3` act
+on that first axis.  `metric_pieces` is the one place
+that forms G^{-1} and the area element, the only metric data the flow
+reads; G itself lives only as its three entries, and G^{-1} as the
+three entries (00, 01, 11) of the symmetric matrix, from the u- and
+v-columns of the Jacobians.  `surface_area` reads det G from the same
+entries.  Every entry is a handful of elementwise multiply-adds over
+whole arrays, not a stack of 2 x 2 and 3 x 2 matrix products.
 """
 
 from __future__ import annotations
@@ -79,20 +82,12 @@ class SplineField:
         return values
 
 
-def inner(a, b):
-    """Inner products over the last axis, by components."""
-    out = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
-        out += a[..., k] * b[..., k]
-    return out
-
-
 def cross3(a, b):
-    """Cross products over the last axis, of length 3, by components."""
+    """Cross products over the first axis, of length 3, by components."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+        np.subtract(a[i] * b[j], a[j] * b[i], out=out[k])
     return out
 
 

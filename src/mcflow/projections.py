@@ -6,6 +6,8 @@ quasi-interpolant of -kappa * nu.  Its `splines.TensorGrid` evaluates
 kappa and nu as planes of the quasi-interpolant's fixed tensor grid,
 they are multiplied plane by plane, and the grid's transposed product
 applies the dual weights: each is a blocked pass along u and one along v.
+Values on points are component first here as everywhere (`geometry`):
+planes (D, m, m), samples (D, m * m) in grid order, edge values (D, 4, m).
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
@@ -62,14 +64,14 @@ class NoContraction(Exception):
 def boundary_quasi_interp(quasi: QuasiInterpolant, values):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
-    `values` (4, m, D) holds samples at `quasi.edge_points(edge)` for
+    `values` (D, 4, m) holds samples at `quasi.edge_points(edge)` for
     each edge.  The functionals of each edge are the univariate ones of
     `quasi`; corners carry no quadrature points, so a discontinuity of
     the data there (as of the tangent) never gets sampled.  Returns the
     (4, n, D) coefficients on the trace basis of each edge, the layout
     `assembly.BoundaryTables.trace` reads.
     """
-    return quasi.w @ values
+    return np.moveaxis(values @ quasi.w.T, 0, -1)
 
 
 def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
@@ -81,10 +83,8 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
     zero so the velocity lies in the zero-trace subspace and the
     boundary stays put bit for bit.
     """
-    kap, *nu_q = Q.grid.evaluate(np.concatenate([kappa[None], nu.T]))[0]
-    np.negative(kap, out=kap)
-    v = np.stack([kap * c for c in nu_q], axis=-1)  # -kappa nu in grid order
-    coeffs = Q.apply_to_values(v.reshape(-1, 3))
+    planes = Q.grid.evaluate(np.concatenate([kappa[None], nu.T]))[0]
+    coeffs = Q.apply_to_values(-planes[0] * planes[1:])  # -kappa nu
     coeffs[Q.space.boundary_indices] = 0.0
     return coeffs
 
@@ -106,17 +106,12 @@ def ritz_rhs(tables: MeshTables, grid, edges):
     on the same grid.
     """
     m = len(tables.points_1d)
-
-    def planes(values):
-        """Grid-ordered values (m * m, ...) as planes (..., m, m)."""
-        return np.moveaxis(values, 0, -1).reshape(values.shape[1:] + (m, m))
-
     ginv, q = grid.metric
     g00, g01, g11 = ginv.reshape(3, m, m)
     wq = tables.weights * q.reshape(m, m)
-    Nu, Nv = np.moveaxis(planes(grid.normal_jacobian), 1, 0)  # (3, m, m) each
+    Nu, Nv = grid.normal_jacobian.reshape(2, 3, m, m)
     interior = tables.integrate(
-        RITZ_LAMBDA * wq * planes(grid.normal),
+        RITZ_LAMBDA * wq * grid.normal.reshape(3, m, m),
         du=wq * (g00 * Nu + g01 * Nv),
         dv=wq * (g01 * Nu + g11 * Nv),
     )
@@ -124,7 +119,8 @@ def ritz_rhs(tables: MeshTables, grid, edges):
     # analytic boundary term, moved to the right-hand side with minus sign,
     # on the edges of the same grid
     names = ("edge_speed", "edge_curvature", "edge_tangent", "normal")
-    rhs_b = conormal_load(tables, *(np.stack([getattr(e, k) for e in edges]) for k in names))
+    on_edges = (np.stack([getattr(e, k) for e in edges], axis=-2) for k in names)
+    rhs_b = conormal_load(tables, *on_edges)
     # (sign: the projection identity carries -boundary term on both sides)
     return interior - rhs_b
 

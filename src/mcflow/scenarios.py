@@ -4,12 +4,13 @@ A scenario is one callable, the jet of the analytic parameterization X0
 of the initial surface over the unit square: its values with first and
 second parametric derivatives at a set of points, plus an orientation
 sign for the unit normal (applied to the normalized cross product of
-the columns of the Jacobian).  `Scenario.sample` wraps one jet
-evaluation in a `Sample`, which derives everything else by closed-form
-differentiation -- normal field and its Jacobian, mean curvature, and on
-an edge the speed, the oriented unit tangent and the curvature vector --
-so scenario authors supply one jet and every reader of a point set
-shares one evaluation.
+the columns of the Jacobian).  Like all values on points (`geometry`),
+the jet is component first: X (3, n), J (2, 3, n) and H (2, 2, 3, n).
+`Scenario.sample` wraps one jet evaluation in a `Sample`, which derives
+everything else by closed-form differentiation -- normal field and its
+Jacobian, mean curvature, and on an edge the speed, the oriented unit
+tangent and the curvature vector -- so scenario authors supply one jet
+and every reader of a point set shares one evaluation.
 
 Two scenarios are provided, registered by name in ``SCENARIOS`` together
 with their config keys and calibration:
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import DegenerateSurface, cross3, inner, metric_pieces
+from .geometry import DegenerateSurface, cross3, dot, metric_pieces
 from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, gauss_rule
 
 # Calibrated constants; see calibrate_plane_amplitude / calibrate_sphere_extent.
@@ -62,13 +63,14 @@ SPHERE_AREA_TARGET = 5.859
 
 @dataclass
 class Sample:
-    """The jet of X0 at n points: X (n, 3), J (n, 3, 2), H (n, 3, 2, 2).
+    """The jet of X0 at n points: X (3, n), J[a] = d_a X0 and H[a, b] = d_a d_b X0.
 
-    H's axes are (comp, du, dv).  The metric (`geometry.metric_pieces`),
-    the normal and its Jacobian are derived on first use and kept; the
-    normal keeps the length of the cross product Ju x Jv it normalizes,
-    which its Jacobian reads again.  A sample on edge `edge` of the square
-    (`splines.edge_points`) also has the edge quantities, by edge parameter.
+    Every field, given or derived, is component first.  The metric
+    (`geometry.metric_pieces`), the normal and its Jacobian are derived
+    on first use and kept; the normal keeps the length of the cross
+    product Ju x Jv it normalizes, which its Jacobian reads again.  A
+    sample on edge `edge` of the square (`splines.edge_points`) also has
+    the edge quantities, by edge parameter.
     """
 
     X: np.ndarray
@@ -81,39 +83,39 @@ class Sample:
     def metric(self):
         """The entries (00, 01, 11) of G^-1, (3, n), and the area element,
         `geometry.metric_pieces` of the columns of J."""
-        return metric_pieces(self.J[:, :, 0].T, self.J[:, :, 1].T)
+        return metric_pieces(*self.J)
 
     @cached_property
     def normal(self):
-        """Oriented unit normal."""
-        raw = cross3(self.J[:, :, 0], self.J[:, :, 1])
-        self._normal_length = np.sqrt(inner(raw, raw))[:, None]  # (n, 1)
+        """Oriented unit normal, (3, n)."""
+        raw = cross3(*self.J)
+        self._normal_length = np.sqrt(dot(raw, raw))  # (n,)
         return self.normal_sign * raw / self._normal_length
 
     @cached_property
     def normal_jacobian(self):
-        """Parametric Jacobian of the oriented unit normal, (n, 3, 2)."""
+        """Parametric Jacobian of the oriented unit normal, (2, 3, n) like J."""
         J, H = self.J, self.H
         nu = self.normal_sign * self.normal  # Ju x Jv / |Ju x Jv|, exactly
         norm = self._normal_length
         out = np.empty_like(J)
         for a in range(2):
-            draw = cross3(H[:, :, 0, a], J[:, :, 1]) + cross3(J[:, :, 0], H[:, :, 1, a])
+            draw = cross3(H[0, a], J[1]) + cross3(J[0], H[1, a])
             # derivative of raw/|raw|: project out the radial part
-            proj = draw - nu * inner(nu, draw)[:, None]
-            out[:, :, a] = proj / norm
+            proj = draw - nu * dot(nu, draw)
+            out[a] = proj / norm
         return self.normal_sign * out
 
     @property
     def mean_curvature(self):
-        """Trace of the Weingarten map for the oriented normal."""
+        """Trace of the Weingarten map for the oriented normal, (n,)."""
         ginv = self.metric[0]
         # tr(Jn Ginv J^T) = sum_ab (Jn_a . J_b) Ginv_ab, Ginv symmetric
         Jn, J = self.normal_jacobian, self.J
         return (
-            inner(Jn[:, :, 0], J[:, :, 0]) * ginv[0]
-            + (inner(Jn[:, :, 0], J[:, :, 1]) + inner(Jn[:, :, 1], J[:, :, 0])) * ginv[1]
-            + inner(Jn[:, :, 1], J[:, :, 1]) * ginv[2]
+            dot(Jn[0], J[0]) * ginv[0]
+            + (dot(Jn[0], J[1]) + dot(Jn[1], J[0])) * ginv[1]
+            + dot(Jn[1], J[1]) * ginv[2]
         )
 
     # -- on an edge ---------------------------------------------------
@@ -121,36 +123,38 @@ class Sample:
     @property
     def edge_speed(self):
         """Length of dX0/ds, (n,)."""
-        return np.linalg.norm(self.J[:, :, 1 - EDGE_FIXED_COORD[self.edge]], axis=1)
+        c1 = self.J[1 - EDGE_FIXED_COORD[self.edge]]
+        return np.sqrt(dot(c1, c1))
 
     @property
     def edge_tangent(self):
-        """Unit boundary tangent, oriented so nu x tau is the outward conormal.
+        """Unit boundary tangent (3, n), oriented so nu x tau is the outward conormal.
 
         DegenerateSurface where the edge or the normal degenerates.
         """
-        c1 = self.J[:, :, 1 - EDGE_FIXED_COORD[self.edge]]
+        c1 = self.J[1 - EDGE_FIXED_COORD[self.edge]]
         with np.errstate(invalid="ignore"):  # 0/0 at degenerate points
-            tau = c1 / np.linalg.norm(c1, axis=1, keepdims=True)
+            tau = c1 / np.sqrt(dot(c1, c1))
             nu = self.normal
-        leave = self.J @ np.array(EDGE_OUTWARD[self.edge])
-        mu_dir = leave - tau * inner(tau, leave)[:, None]
-        sign = np.sign(inner(cross3(nu, tau), mu_dir))
+        out_u, out_v = EDGE_OUTWARD[self.edge]
+        leave = out_u * self.J[0] + out_v * self.J[1]
+        mu_dir = leave - tau * dot(tau, leave)
+        sign = np.sign(dot(cross3(nu, tau), mu_dir))
         bad = np.abs(sign) != 1.0  # zero, or NaN from a vanishing tangent or normal
         if bad.any():
             raise DegenerateSurface(
                 f"edge {self.edge}: no oriented tangent at {bad.sum()} of {bad.size}"
             )
-        return tau * sign[:, None]
+        return tau * sign
 
     @property
     def edge_curvature(self):
-        """Curvature vector of the boundary curve (orientation independent)."""
+        """Curvature vector of the boundary curve (orientation independent), (3, n)."""
         run = 1 - EDGE_FIXED_COORD[self.edge]
-        c1, c2 = self.J[:, :, run], self.H[:, :, run, run]
-        speed2 = np.sum(c1 * c1, axis=1, keepdims=True)
+        c1, c2 = self.J[run], self.H[run, run]
+        speed2 = dot(c1, c1)
         that = c1 / np.sqrt(speed2)
-        return (c2 - that * np.sum(c2 * that, axis=1, keepdims=True)) / speed2
+        return (c2 - that * dot(c2, that)) / speed2
 
 
 @dataclass
@@ -187,20 +191,20 @@ def scenario_perturbed_plane(amplitude: float | None = None) -> Scenario:
     a = PLANE_AMPLITUDE if amplitude is None else float(amplitude)
 
     def jet(pts):
-        u, v = pts[:, 0], pts[:, 1]
+        u, v = pts.T
         gu, gu1, gu2 = _bump(u)
         gv, gv1, gv2 = _bump(v)
-        X = np.column_stack([2.0 * u - 1.0, 2.0 * v - 1.0, a * gu * gv])
-        J = np.zeros((len(pts), 3, 2))
-        J[:, 0, 0] = 2.0
-        J[:, 1, 1] = 2.0
-        J[:, 2, 0] = a * gu1 * gv
-        J[:, 2, 1] = a * gu * gv1
-        H = np.zeros((len(pts), 3, 2, 2))
-        H[:, 2, 0, 0] = a * gu2 * gv
-        H[:, 2, 0, 1] = a * gu1 * gv1
-        H[:, 2, 1, 0] = H[:, 2, 0, 1]
-        H[:, 2, 1, 1] = a * gu * gv2
+        X = np.stack([2.0 * u - 1.0, 2.0 * v - 1.0, a * gu * gv])
+        J = np.zeros((2, 3, len(pts)))
+        J[0, 0] = 2.0
+        J[1, 1] = 2.0
+        J[0, 2] = a * gu1 * gv
+        J[1, 2] = a * gu * gv1
+        H = np.zeros((2, 2, 3, len(pts)))
+        H[0, 0, 2] = a * gu2 * gv
+        H[0, 1, 2] = a * gu1 * gv1
+        H[1, 0] = H[0, 1]
+        H[1, 1, 2] = a * gu * gv2
         return X, J, H
 
     return Scenario(jet, normal_sign=1.0)  # cross product points upward already
@@ -300,62 +304,59 @@ def scenario_sphere_patch(
         a, b = p["a"], p["b"]
         rho = a * a + b * b
         g, g1, g2, h, h1, h2 = _sinc_family(rho)
-        X = np.column_stack([a * g, b * g, h])
+        X = np.stack([a * g, b * g, h])
 
         # first and second partials of the exponential map w.r.t. (a, b)
-        Fa = np.stack([g + 2.0 * a * a * g1, 2.0 * a * b * g1, 2.0 * a * h1], axis=1)
-        Fb = np.stack([2.0 * a * b * g1, g + 2.0 * b * b * g1, 2.0 * b * h1], axis=1)
+        Fa = np.stack([g + 2.0 * a * a * g1, 2.0 * a * b * g1, 2.0 * a * h1])
+        Fb = np.stack([2.0 * a * b * g1, g + 2.0 * b * b * g1, 2.0 * b * h1])
         Faa = np.stack(
             [
                 6.0 * a * g1 + 4.0 * a ** 3 * g2,
                 2.0 * b * g1 + 4.0 * a * a * b * g2,
                 2.0 * h1 + 4.0 * a * a * h2,
-            ],
-            axis=1,
+            ]
         )
         Fab = np.stack(
             [
                 2.0 * b * g1 + 4.0 * a * a * b * g2,
                 2.0 * a * g1 + 4.0 * a * b * b * g2,
                 4.0 * a * b * h2,
-            ],
-            axis=1,
+            ]
         )
         Fbb = np.stack(
             [
                 2.0 * a * g1 + 4.0 * a * b * b * g2,
                 6.0 * b * g1 + 4.0 * b ** 3 * g2,
                 2.0 * h1 + 4.0 * b * b * h2,
-            ],
-            axis=1,
+            ]
         )
 
         a_u, a_v, b_u, b_v = p["a_u"], p["a_v"], p["b_u"], p["b_v"]
-        J = np.empty((len(pts), 3, 2))
-        J[:, :, 0] = Fa * a_u[:, None] + Fb * b_u[:, None]
-        J[:, :, 1] = Fa * a_v[:, None] + Fb * b_v[:, None]
-        H = np.empty((len(pts), 3, 2, 2))
-        H[:, :, 0, 0] = (
-            Faa * (a_u * a_u)[:, None]
-            + 2.0 * Fab * (a_u * b_u)[:, None]
-            + Fbb * (b_u * b_u)[:, None]
-            + Fa * p["a_uu"][:, None]
-            + Fb * p["b_uu"][:, None]
+        J = np.empty((2, 3, len(pts)))
+        J[0] = Fa * a_u + Fb * b_u
+        J[1] = Fa * a_v + Fb * b_v
+        H = np.empty((2, 2, 3, len(pts)))
+        H[0, 0] = (
+            Faa * (a_u * a_u)
+            + 2.0 * Fab * (a_u * b_u)
+            + Fbb * (b_u * b_u)
+            + Fa * p["a_uu"]
+            + Fb * p["b_uu"]
         )
-        H[:, :, 0, 1] = (
-            Faa * (a_u * a_v)[:, None]
-            + Fab * (a_u * b_v + a_v * b_u)[:, None]
-            + Fbb * (b_u * b_v)[:, None]
-            + Fa * p["a_uv"][:, None]
-            + Fb * p["b_uv"][:, None]
+        H[0, 1] = (
+            Faa * (a_u * a_v)
+            + Fab * (a_u * b_v + a_v * b_u)
+            + Fbb * (b_u * b_v)
+            + Fa * p["a_uv"]
+            + Fb * p["b_uv"]
         )
-        H[:, :, 1, 0] = H[:, :, 0, 1]
-        H[:, :, 1, 1] = (
-            Faa * (a_v * a_v)[:, None]
-            + 2.0 * Fab * (a_v * b_v)[:, None]
-            + Fbb * (b_v * b_v)[:, None]
-            + Fa * p["a_vv"][:, None]
-            + Fb * p["b_vv"][:, None]
+        H[1, 0] = H[0, 1]
+        H[1, 1] = (
+            Faa * (a_v * a_v)
+            + 2.0 * Fab * (a_v * b_v)
+            + Fbb * (b_v * b_v)
+            + Fa * p["a_vv"]
+            + Fb * p["b_vv"]
         )
         return X, J, H
 
@@ -375,9 +376,8 @@ def sphere_patch_area(
     x, w = gauss_rule(n_quad)
     U, V = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
-    J = sc.jet(pts)[1]
-    raw = cross3(J[:, :, 0], J[:, :, 1])
-    dens = np.sqrt(inner(raw, raw))
+    raw = cross3(*sc.jet(pts)[1])
+    dens = np.sqrt(dot(raw, raw))
     return float(np.sum(np.outer(w, w).ravel() * dens))
 
 

@@ -437,17 +437,25 @@ class QuasiInterpolant:
         self.grid_points = np.column_stack([U.ravel(), V.ravel()])
 
     def apply_to_values(self, values):
-        """Coefficients from values sampled at `grid_points`.
+        """Coefficients from values on the grid, component first.
 
-        `values` has shape (npts,) or (npts, D); returns (dim,) or (dim, D):
-        w applied along u, then along v.
+        `values` has shape (..., m, m), planes indexed [u point, v point],
+        or (..., m * m), listed like `grid_points`; returns (dim, ...):
+        w applied along u, then along v.  ValueError for any other
+        trailing shape.
         """
         values = np.asarray(values, dtype=float)
         m, n = len(self.points_1d), self.space.factor.dim
+        if values.shape[-2:] == (m, m):
+            lead = values.shape[:-2]
+        elif values.shape[-1:] == (m * m,):
+            lead = values.shape[:-1]
+        else:
+            raise ValueError(f"values of shape {values.shape} are off the {m} x {m} grid")
         wt = self.w.T
-        t = self.grid._to_basis(wt, values.reshape(1, m, -1))
-        coeffs = self.grid._to_basis(wt, t.reshape(n, m, -1)).reshape(n * n, -1)
-        return coeffs[:, 0] if values.ndim == 1 else coeffs
+        t = self.grid._to_basis(wt, values.reshape(-1, m, m))
+        coeffs = self.grid._to_basis_last(t, wt).reshape(-1, n * n)
+        return np.ascontiguousarray(coeffs.T).reshape((n * n,) + lead)
 
     def edge_points(self, edge: int):
         """Points on `edge` at which its univariate functionals sample."""

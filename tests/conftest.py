@@ -1,6 +1,17 @@
-"""Shared fixtures: small spaces and cheap scenario discretizations."""
+"""Shared fixtures: small spaces and cheap scenario discretizations.
+
+The suite runs BLAS on one thread unless the caller sets the thread
+count: on a machine with few cores the threads of the dense products
+oversubscribe it, which made the suite twice as slow on two cores.
+The variables are read when numpy loads, so they are set before it does.
+"""
 
 from __future__ import annotations
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest
@@ -66,9 +77,9 @@ def boundary_data(quasi, scenario):
     The data `FlowProblem.initialize` freezes, from one sample per edge.
     """
     edges = [scenario.sample(quasi.edge_points(k), k) for k in range(4)]
-    return (
-        boundary_quasi_interp(quasi, np.stack([e.edge_tangent for e in edges])),
-        boundary_quasi_interp(quasi, np.stack([e.edge_curvature for e in edges])),
+    return tuple(
+        boundary_quasi_interp(quasi, np.stack([getattr(e, k) for e in edges], axis=1))
+        for k in ("edge_tangent", "edge_curvature")
     )
 
 
@@ -139,23 +150,21 @@ def scenario_enneper(half_width=0.8, bump=0.0):
 
     def jet(pts):
         a, b = half_width * (2.0 * pts.T - 1.0)
-        X = np.column_stack(
-            [a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b]
-        )
-        J = np.empty((len(pts), 3, 2))
-        J[:, :, 0] = c * np.column_stack([1 - a * a + b * b, 2 * a * b, 2 * a])
-        J[:, :, 1] = c * np.column_stack([2 * a * b, 1 - b * b + a * a, -2 * b])
+        X = np.stack([a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b])
+        J = np.empty((2, 3, len(pts)))
+        J[0] = c * np.stack([1 - a * a + b * b, 2 * a * b, 2 * a])
+        J[1] = c * np.stack([2 * a * b, 1 - b * b + a * a, -2 * b])
         two = np.full_like(a, 2.0)
-        H = np.empty((len(pts), 3, 2, 2))
-        H[:, :, 0, 0] = c * c * np.column_stack([-2 * a, 2 * b, two])
-        H[:, :, 0, 1] = c * c * np.column_stack([2 * b, 2 * a, 0 * a])
-        H[:, :, 1, 0] = H[:, :, 0, 1]
-        H[:, :, 1, 1] = c * c * np.column_stack([2 * a, -2 * b, -two])
+        H = np.empty((2, 2, 3, len(pts)))
+        H[0, 0] = c * c * np.stack([-2 * a, 2 * b, two])
+        H[0, 1] = c * c * np.stack([2 * b, 2 * a, 0 * a])
+        H[1, 0] = H[0, 1]
+        H[1, 1] = c * c * np.stack([2 * a, -2 * b, -two])
         if bump:
             Xb, Jb, Hb = bumped.jet(pts)
-            X[:, 2] += Xb[:, 2]
+            X[2] += Xb[2]
             J[:, 2] += Jb[:, 2]
-            H[:, 2] += Hb[:, 2]
+            H[:, :, 2] += Hb[:, :, 2]
         return X, J, H
 
     return Scenario(jet)

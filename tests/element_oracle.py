@@ -17,6 +17,8 @@ basis on every edge element and three (E, p+1) index maps, `flat`,
 are the boundary forms on them.  Tests compare the tensor-grid kernels
 of `mcflow.assembly` against both; `to_grid` reorders element-ordered
 values (Ne, nq2, ...) into the planes (..., m, m) of the tensor grid.
+Both routes keep their values element by element, point first; they
+take the scenarios' samples component first, as `mcflow` keeps them.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ def load(tables, x, field, density):
     if vals.ndim == 2:
         local = np.einsum("eq,eqi->ei", dens * vals, tables.basis)
         return np.bincount(tables.conn.ravel(), weights=local.ravel(), minlength=dim)
-    local = np.einsum("eq,eqd,eqi->eid", dens, vals, tables.basis)
+    local = np.einsum("eq,eqd,eqi->dei", dens, vals, tables.basis)
     return scatter_vector(tables.conn, local, dim)
 
 
@@ -226,8 +228,8 @@ def ritz_rhs(tables, grid, edges):
     """The right-hand side of the normal projection, element by element:
     `tables` on the quasi-interpolant's rule, `grid` the scenario's
     sample at its grid points, `edges` those at its edge points."""
-    Ginv = np.linalg.inv(np.einsum("nda,ndb->nab", grid.J, grid.J))
-    q = np.sqrt(np.linalg.det(np.einsum("nda,ndb->nab", grid.J, grid.J)))
+    G = np.einsum("adn,bdn->nab", grid.J, grid.J)
+    Ginv, q = np.linalg.inv(G), np.sqrt(np.linalg.det(G))
 
     def by_element(values):
         """Grid-ordered values (m * m, ...) as (Ne, nq2, ...)."""
@@ -237,10 +239,11 @@ def ritz_rhs(tables, grid, edges):
         return blocks.reshape((N * N, nq * nq) + shape)
 
     Ginv, q = by_element(Ginv), by_element(q)
-    N_vals, N_jac = by_element(grid.normal), by_element(grid.normal_jacobian)
+    N_vals = by_element(grid.normal.T)  # (Ne, nq2, 3)
+    N_jac = by_element(grid.normal_jacobian.transpose(2, 0, 1))  # (Ne, nq2, 2, 3)
     wq = tables.weights * q
-    stiff = np.einsum("eq,eqai,eqab,eqdb->eid", wq, tables.basis_grad, Ginv, N_jac)
-    mass = np.einsum("eq,eqi,eqd->eid", wq, tables.basis, N_vals)
+    stiff = np.einsum("eq,eqai,eqab,eqbd->dei", wq, tables.basis_grad, Ginv, N_jac)
+    mass = np.einsum("eq,eqi,eqd->dei", wq, tables.basis, N_vals)
     bt = EdgeTables(tables.space, tables.n_quad)
     names = ("edge_speed", "edge_curvature", "edge_tangent", "normal")
     rhs_b = conormal_load(bt, *(bt.on_edges(getattr(e, k) for e in edges) for k in names))
@@ -282,8 +285,8 @@ class EdgeTables:
         return np.einsum("eqa,ead->eqd", self.derivs if deriv else self.values, loc)
 
     def on_edges(self, values):
-        """Per-edge samples (4, N nq[, D]) as (E, nq[, D])."""
-        values = np.asarray(list(values))
+        """Per-edge samples, four of shape ([D,] N nq), as (E, nq[, D])."""
+        values = np.moveaxis(np.asarray(list(values)), 1, -1)  # (4, N nq[, D])
         return values.reshape(self.weights.shape + values.shape[2:])
 
     def frozen(self, x0, tangent, curvature):
@@ -298,7 +301,7 @@ def conormal_load(bt, length, kappa_b, tau, nu):
     """Edge integral of (kappa_b . nu)(nu x tau) against the vector basis,
     element by element, from samples (E, nq[, 3]) at the edge points."""
     dens = bt.weights * length * np.einsum("eqd,eqd->eq", kappa_b, nu)
-    local = np.einsum("eqa,eq,eqd->ead", bt.values, dens, np.cross(nu, tau))
+    local = np.einsum("eqa,eq,eqd->dea", bt.values, dens, np.cross(nu, tau))
     return scatter_vector(bt.flat, local, bt.space.dim)
 
 

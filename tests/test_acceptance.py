@@ -329,7 +329,7 @@ def test_criterion_8_projector_and_oracle_suite(example2):
     for i, pt in enumerate(quasi.grid_points):
         idx, vals = eval_basis(space, pt)
         B[i, idx] = vals
-    assert np.abs(quasi.apply_to_values(B) - np.eye(space.dim)).max() <= 1e-10
+    assert np.abs(quasi.apply_to_values(B.T) - np.eye(space.dim)).max() <= 1e-10
 
     # polynomial reproduction at degree p
     rng = np.random.default_rng(3)

@@ -138,11 +138,11 @@ def test_metric_pieces_match_einsum(kernel_setup):
     assert_close(q, et.to_grid(q_ref))
 
     J = prob.scenario.sample(grid_points(prob.tables.points_1d)).J
-    ginv, q = metric_pieces(J[:, :, 0].T, J[:, :, 1].T)
-    G = np.einsum("nda,ndb->nab", J, J)
+    ginv, q = metric_pieces(*J)
+    G = np.einsum("adn,bdn->nab", J, J)
     assert_close(ginv, entries(np.linalg.inv(G)))
     assert_close(q, np.sqrt(np.linalg.det(G)))
-    _, Ginv, q_ref = stacked_metric_pieces(J)
+    _, Ginv, q_ref = stacked_metric_pieces(J.transpose(2, 1, 0))
     assert_close(ginv, entries(Ginv))
     assert_close(q, q_ref)
 
@@ -334,10 +334,10 @@ def test_tensor_grid_matches_spline_field_eval(p, l, N, points, block_elements):
     assert_close(dv, ref_jac[:, :, 1].T.reshape(-1, m, m))
 
     if points == "quasi":
-        values = rng.normal(size=(m, m, 3))
-        ref = np.einsum("aq,qrd,br->abd", quasi.w, values, quasi.w, optimize=True)
-        assert_close(quasi.apply_to_values(values.reshape(-1, 3)), ref.reshape(-1, 3))
-        assert_close(quasi.apply_to_values(values[:, :, 0].ravel()), ref[:, :, 0].ravel())
+        values = rng.normal(size=(3, m, m))
+        ref = np.einsum("aq,dqr,br->abd", quasi.w, values, quasi.w, optimize=True)
+        assert_close(quasi.apply_to_values(values), ref.reshape(-1, 3))
+        assert_close(quasi.apply_to_values(values[0].ravel()), ref[:, :, 0].ravel())
 
 
 def test_velocity_errors_and_export_match_one_block(monkeypatch):
@@ -499,14 +499,30 @@ def test_boundary_forms_match_the_element_oracle(p, l, block_elements):
 def test_apply_to_values_matches_einsum(p, N, rng):
     quasi = build_quasi_interpolant(build_space(p, p - 1, N))
     m = len(quasi.points_1d)
-    for shape in ((m * m,), (m * m, 3)):
+    for shape in ((m * m,), (3, m * m), (m, m), (3, m, m), (2, 3, m, m)):
         values = rng.normal(size=shape)
         got = quasi.apply_to_values(values)
-        assert got.shape == (quasi.space.dim,) + shape[1:]
-        grid = values.reshape(m, m, -1)
-        ref = np.einsum("aq,qrd,br->abd", quasi.w, grid, quasi.w)
+        lead = shape[:-1] if shape[-1] == m * m else shape[:-2]
+        assert got.shape == (quasi.space.dim,) + lead
+        grid = values.reshape(-1, m, m)
+        ref = np.einsum("aq,dqr,br->abd", quasi.w, grid, quasi.w)
         ref = ref.reshape(got.shape)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_apply_to_values_checks_the_grid_shape(quasi_small, rng):
+    """Values must end in (m, m) or (m * m,): two stacked scalar samples
+    and the point-major (m * m, 3) layout raise, while the component-first
+    (3, m * m) layout gives each component's coefficients."""
+    m = len(quasi_small.points_1d)
+    for shape in ((2 * m * m,), (m * m, 3), (m, m * m + 1)):
+        with pytest.raises(ValueError, match="off the"):
+            quasi_small.apply_to_values(np.zeros(shape))
+    values = rng.normal(size=(3, m * m))
+    got = quasi_small.apply_to_values(values)
+    assert got.shape == (quasi_small.space.dim, 3)
+    for d in range(3):
+        assert_close(got[:, d], quasi_small.apply_to_values(values[d]))
 
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
@@ -867,14 +883,18 @@ def test_mesh_tables_match_the_broadcast_tabulation(p, l, N):
 
 
 def test_flow_step_builds_no_sparse_transpose(monkeypatch):
-    """The saddle solves apply the transpose `SaddleLayout` keeps."""
+    """The saddle solves keep one matrix of the constraint, C = S_B^T as
+    CSR, and apply S_B by its CSC view, which shares C's arrays and is
+    taken once per problem: a step builds no transpose."""
     prob, scheme, dt = _two_step_problem("sphere_patch")
     scheme.push(prob.initialize())
     lo, dim = prob.saddle, prob.space.dim
     blocks = [prob.S.toarray()[:, k * dim + lo.boundary] for k in range(3)]
+    assert lo.C.format == "csr"
+    assert np.array_equal(lo.C.toarray(), np.hstack(blocks).T)
     assert np.array_equal(lo.S_B.toarray(), np.hstack(blocks))
-    assert np.array_equal(lo.S_BT.toarray(), np.hstack(blocks).T)
-    assert np.array_equal(lo.S_B_rows.toarray(), np.vstack(blocks))
+    for a in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(lo.S_B, a), getattr(lo.C, a))
     calls = []
     original = scipy.sparse.csr_matrix.transpose
 
@@ -885,6 +905,24 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", counted)
     prob.step(scheme, dt)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "scenario, p, l, N",
+    [("sphere_patch", 2, 1, 20), ("perturbed_plane", 3, 2, 8), ("sphere_patch", 3, 0, 5)],
+)
+def test_constraint_blocks_are_symmetric(scenario, p, l, N):
+    """Each component block S_kB of the constraint integrates products of
+    two trace basis functions, so it is symmetric: `SaddleLayout.C`,
+    which is S_B^T, stacks the blocks S_kB, and `C @ G` gives S_kB G."""
+    cfg = ScenarioConfig(scenario=scenario, degree=p, smoothness=l, elements_per_side=N)
+    prob = FlowProblem(cfg)
+    prob.initialize()
+    S, B, dim = prob.S.toarray(), prob.space.boundary_indices, prob.space.dim
+    for k in range(3):
+        S_kB = S[:, k * dim + B]
+        assert S_kB.shape[0] == S_kB.shape[1]
+        assert np.abs(S_kB - S_kB.T).max() <= 1e-14 * np.abs(S_kB).max()
 
 
 def test_flow_step_builds_no_csr_of_k(monkeypatch):

@@ -51,8 +51,8 @@ def test_eval_edge_matches_full_eval(space_small, rng):
     for edge in range(4):
         full, jac = fld.eval(edge_points(edge, bt.points_1d), 1)
         run = 0 if edge in (0, 2) else 1
-        assert np.abs(vals[edge] - full).max() < 1e-13
-        assert np.abs(dtang[edge] - jac[:, :, run]).max() < 1e-12
+        assert np.abs(vals[:, edge] - full.T).max() < 1e-13
+        assert np.abs(dtang[:, edge] - jac[:, :, run].T).max() < 1e-12
 
 
 def test_flat_square_geometry():
@@ -84,7 +84,7 @@ def test_surface_gradient_tangential_and_exact():
 
     def f(p):
         xs, ys = 2 * p[:, 0] - 1, 2 * p[:, 1] - 1
-        return np.column_stack([3.0 * xs - 2.0 * ys, xs + 4.0 * ys])
+        return np.stack([3.0 * xs - 2.0 * ys, xs + 4.0 * ys])
 
     tables = MeshTables(space, 3)
     f_coeffs = quasi.apply_to_values(f(quasi.grid_points))

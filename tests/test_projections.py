@@ -79,7 +79,7 @@ def test_boundary_interp_accuracy_on_sphere():
             uspace = prob.space.factor
             first, ders = uspace.eval_basis(s, 0)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
-            tau_h = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_edge[idx])
+            tau_h = np.einsum("nk,nkd->dn", ders[:, 0, :], tau_edge[idx])
             tau = sc.sample(edge_points(edge, s), edge).edge_tangent
             worst = max(worst, np.abs(tau_h - tau).max())
         sup.append(worst)
@@ -101,7 +101,7 @@ def test_project_velocity_zero_trace_and_values(rng):
     # evaluates through its collocation matrices, so up to roundoff
     pts = quasi.grid_points
     direct = quasi.apply_to_values(
-        -SplineField(space, kap).eval(pts) * SplineField(space, nu).eval(pts)
+        (-SplineField(space, kap).eval(pts) * SplineField(space, nu).eval(pts)).T
     )
     idx = space.interior_indices
     assert np.abs(v[idx] - direct[idx]).max() < 1e-13
@@ -140,7 +140,7 @@ def test_sphere_normal_projection_converges(N, p):
     assert res[-1] <= 1e-12 or res[-1] <= 100.0 * 1e-12
     nu = st.nu.reshape(-1, 3)
     pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
-    err = SplineField(prob.space, nu).eval(pts) - prob.scenario.sample(pts).normal
+    err = SplineField(prob.space, nu).eval(pts).T - prob.scenario.sample(pts).normal
     assert np.abs(err).max() < 5e-3
     assert constraint_residual(prob.S, nu) < 1e-12
 
@@ -262,14 +262,14 @@ def scenario_pinched_edge():
     """
 
     def jet(pts):
-        u, v = pts[:, 0], pts[:, 1]
-        X = np.column_stack([(2 * u - 1) * v, 2 * v - 1, 0 * u])
-        J = np.zeros((len(pts), 3, 2))
-        J[:, 0, 0] = 2 * v
-        J[:, 0, 1] = 2 * u - 1
-        J[:, 1, 1] = 2.0
-        H = np.zeros((len(pts), 3, 2, 2))
-        H[:, 0, 0, 1] = H[:, 0, 1, 0] = 2.0
+        u, v = pts.T
+        X = np.stack([(2 * u - 1) * v, 2 * v - 1, 0 * u])
+        J = np.zeros((2, 3, len(pts)))
+        J[0, 0] = 2 * v
+        J[1, 0] = 2 * u - 1
+        J[1, 1] = 2.0
+        H = np.zeros((2, 2, 3, len(pts)))
+        H[0, 1, 0] = H[1, 0, 0] = 2.0
         return X, J, H
 
     return Scenario(jet)
@@ -300,12 +300,11 @@ def _h1_error_to_exact_normal(prob, nu):
     """Parametric H1 error of nu against the scenario normal, Gauss grid."""
     grid = GaussGrid(prob.space, prob.space.degree + 3)
     weights = np.outer(grid.weights_1d, grid.weights_1d).ravel()
-    planes = grid.evaluate(nu.T, jac=slice(None))
-    values, du, dv = (a.reshape(3, -1).T for a in planes)  # grid order
+    values, du, dv = (a.reshape(3, -1) for a in grid.evaluate(nu.T, jac=slice(None)))
     exact = prob.scenario.sample(grid_points(grid.points_1d))
     err = values - exact.normal
-    err_jac = np.stack([du, dv], axis=-1) - exact.normal_jacobian
-    return np.sqrt(np.sum(weights * (np.sum(err**2, 1) + np.sum(err_jac**2, (1, 2)))))
+    err_jac = np.stack([du, dv]) - exact.normal_jacobian
+    return np.sqrt(np.sum(weights * (np.sum(err**2, 0) + np.sum(err_jac**2, (0, 1)))))
 
 
 @pytest.mark.parametrize("p, min_order", [(2, 1.8), (3, 2.8)])

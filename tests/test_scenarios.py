@@ -8,6 +8,7 @@ import pytest
 from mcflow.scenarios import (
     PLANE_AMPLITUDE,
     PLANE_AREA_TARGET,
+    SCENARIOS,
     SPHERE_AREA_TARGET,
     SPHERE_CORNER_TEMPER,
     SPHERE_EXTENT,
@@ -18,12 +19,31 @@ from mcflow.scenarios import (
     sphere_patch_area,
 )
 from mcflow.splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points
-from tests.conftest import interior_grid
+from tests.conftest import interior_grid, scenario_enneper
 
 
 @pytest.fixture(scope="module", params=["perturbed_plane", "sphere_patch"])
 def scenario(request):
     return get_scenario(request.param)
+
+
+# -- the jet contract ----------------------------------------------------------
+
+JETS = {name: entry.build for name, entry in SCENARIOS.items()}
+JETS["enneper"] = scenario_enneper
+JETS["perturbed_enneper"] = lambda: scenario_enneper(0.5, 0.05)
+
+
+@pytest.mark.parametrize("name", JETS)
+def test_jet_is_component_first(name):
+    """X (3, n), J (2, 3, n) and H (2, 2, 3, n), with a symmetric H."""
+    pts = interior_grid(5, margin=0.0)
+    X, J, H = JETS[name]().jet(pts)
+    n = len(pts)
+    assert X.shape == (3, n)
+    assert J.shape == (2, 3, n)
+    assert H.shape == (2, 2, 3, n)
+    assert np.array_equal(H[0, 1], H[1, 0])
 
 
 # -- derivative consistency --------------------------------------------------
@@ -37,7 +57,7 @@ def test_jacobian_matches_finite_differences(scenario):
         d = np.zeros(2)
         d[a] = eps
         fd = (scenario.sample(pts + d).X - scenario.sample(pts - d).X) / (2 * eps)
-        assert np.abs(J[:, :, a] - fd).max() < 1e-8
+        assert np.abs(J[a] - fd).max() < 1e-8
 
 
 def test_hessian_matches_finite_differences(scenario):
@@ -48,7 +68,7 @@ def test_hessian_matches_finite_differences(scenario):
         d = np.zeros(2)
         d[a] = eps
         fd = (scenario.sample(pts + d).J - scenario.sample(pts - d).J) / (2 * eps)
-        assert np.abs(H[:, :, :, a] - fd).max() < 1e-6
+        assert np.abs(H[:, a] - fd).max() < 1e-6
 
 
 def test_sample_normal_and_curvature_match_the_replaced_formulas(scenario):
@@ -57,16 +77,16 @@ def test_sample_normal_and_curvature_match_the_replaced_formulas(scenario):
     formulas they replaced."""
     sample = scenario.sample(interior_grid(9, margin=0.0))
     J, H = sample.J, sample.H
-    raw = np.cross(J[:, :, 0], J[:, :, 1])
-    norm = np.linalg.norm(raw, axis=1, keepdims=True)
+    raw = np.cross(J[0], J[1], axis=0)
+    norm = np.linalg.norm(raw, axis=0)
     nu = raw / norm
     Jn = np.empty_like(J)
     for a in range(2):
-        draw = np.cross(H[:, :, 0, a], J[:, :, 1]) + np.cross(J[:, :, 0], H[:, :, 1, a])
-        Jn[:, :, a] = (draw - nu * np.sum(nu * draw, axis=1, keepdims=True)) / norm
+        draw = np.cross(H[0, a], J[1], axis=0) + np.cross(J[0], H[1, a], axis=0)
+        Jn[a] = (draw - nu * np.sum(nu * draw, axis=0)) / norm
     nu, Jn = sample.normal_sign * nu, sample.normal_sign * Jn
-    Ginv = np.linalg.inv(np.einsum("nda,ndb->nab", J, J))
-    kappa = np.einsum("nda,nab,ndb->n", Jn, Ginv, J)
+    Ginv = np.linalg.inv(np.einsum("adn,bdn->nab", J, J))
+    kappa = np.einsum("adn,nab,bdn->n", Jn, Ginv, J)
     for got, want in (
         (sample.normal, nu),
         (sample.normal_jacobian, Jn),
@@ -85,7 +105,7 @@ def test_normal_jacobian_matches_finite_differences(scenario):
         fd = (scenario.sample(pts + d).normal - scenario.sample(pts - d).normal) / (
             2 * eps
         )
-        assert np.abs(Jn[:, :, a] - fd).max() < 1e-7
+        assert np.abs(Jn[a] - fd).max() < 1e-7
 
 
 def test_boundary_curvature_matches_tangent_derivative(scenario):
@@ -99,13 +119,13 @@ def test_boundary_curvature_matches_tangent_derivative(scenario):
     eps = 1e-6
 
     def unit_tangent(edge, sv):
-        c1 = scenario.sample(edge_points(edge, sv)).J[:, :, 1 - EDGE_FIXED_COORD[edge]]
-        return c1 / np.linalg.norm(c1, axis=1, keepdims=True)
+        c1 = scenario.sample(edge_points(edge, sv)).J[1 - EDGE_FIXED_COORD[edge]]
+        return c1 / np.linalg.norm(c1, axis=0)
 
     for edge in range(4):
         on_edge = scenario.sample(edge_points(edge, s), edge)
         kap = on_edge.edge_curvature
-        speed = on_edge.edge_speed[:, None]
+        speed = on_edge.edge_speed
         fd = (unit_tangent(edge, s + eps) - unit_tangent(edge, s - eps)) / (2 * eps)
         assert np.abs(kap - fd / speed).max() < 1e-7
 
@@ -119,7 +139,7 @@ def test_plane_boundary_is_straight():
     for edge in range(4):
         on_edge = sc.sample(edge_points(edge, s), edge)
         assert np.abs(on_edge.edge_curvature).max() < 1e-13
-        assert np.abs(on_edge.X[:, 2]).max() < 1e-15
+        assert np.abs(on_edge.X[2]).max() < 1e-15
 
 
 def test_plane_compatible_initial_curvature():
@@ -144,7 +164,7 @@ def test_sphere_patch_lies_on_unit_sphere():
     pts = interior_grid(21, margin=0.0)
     sample = sc.sample(pts)
     X = sample.X
-    assert np.abs(np.linalg.norm(X, axis=1) - 1.0).max() < 1e-13
+    assert np.abs(np.linalg.norm(X, axis=0) - 1.0).max() < 1e-13
     # inward normal: nu = -X
     assert np.abs(sample.normal + X).max() < 1e-12
 
@@ -161,8 +181,8 @@ def test_sphere_patch_second_fundamental_form_energy():
     pts = interior_grid(11, margin=0.0)
     sample = sc.sample(pts)
     J, Jn = sample.J, sample.normal_jacobian
-    G = np.einsum("nda,ndb->nab", J, J)
-    B = np.einsum("nda,ndb->nab", Jn, J)
+    G = np.einsum("adn,bdn->nab", J, J)
+    B = np.einsum("adn,bdn->nab", Jn, J)
     W = np.linalg.solve(G, B)
     frob2 = np.einsum("nab,nba->n", W, W)
     assert np.abs(frob2 - 2.0).max() < 1e-11
@@ -174,10 +194,10 @@ def test_sphere_patch_symmetry():
     pts = interior_grid(7, margin=0.1)
     X = sc.sample(pts).X
     refl = sc.sample(np.column_stack([1.0 - pts[:, 0], pts[:, 1]])).X
-    assert np.abs(refl[:, 0] + X[:, 0]).max() < 1e-14
-    assert np.abs(refl[:, 1:] - X[:, 1:]).max() < 1e-14
+    assert np.abs(refl[0] + X[0]).max() < 1e-14
+    assert np.abs(refl[1:] - X[1:]).max() < 1e-14
     swap = sc.sample(pts[:, ::-1]).X
-    assert np.abs(swap - X[:, [1, 0, 2]]).max() < 1e-14
+    assert np.abs(swap - X[[1, 0, 2]]).max() < 1e-14
 
 
 def test_sphere_extent_is_calibrated():
@@ -204,7 +224,7 @@ def test_corner_temper_keeps_map_injective():
     sc = get_scenario("sphere_patch")
     corner = np.array([[1e-9, 1e-9], [0.5, 0.5], [1.0 - 1e-9, 1.0 - 1e-9]])
     J = sc.sample(corner).J
-    G = np.einsum("nda,ndb->nab", J, J)
+    G = np.einsum("adn,bdn->nab", J, J)
     assert np.linalg.det(G).min() > 1e-4
 
 
@@ -220,12 +240,12 @@ def test_boundary_tangent_orientation(scenario):
         pts = edge_points(edge, s)
         on_edge = scenario.sample(pts, edge)
         tau = on_edge.edge_tangent
-        assert np.abs(np.linalg.norm(tau, axis=1) - 1.0).max() < 1e-12
-        mu = np.cross(on_edge.normal, tau)
+        assert np.abs(np.linalg.norm(tau, axis=0) - 1.0).max() < 1e-12
+        mu = np.cross(on_edge.normal, tau, axis=0)
         # step outward in the parametric domain; X moves along +mu
         step = pts + eps * np.array(EDGE_OUTWARD[edge])
         dX = scenario.sample(step).X - on_edge.X
-        assert np.einsum("nd,nd->n", mu, dX).min() > 0.0
+        assert np.einsum("dn,dn->n", mu, dX).min() > 0.0
 
 
 def test_unknown_scenario_rejected():

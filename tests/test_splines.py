@@ -132,7 +132,7 @@ def test_dual_basis_identity(space_small, quasi_small):
     for i, pt in enumerate(quasi_small.grid_points):
         idx, vals = eval_basis(space_small, pt)
         B[i, idx] = vals
-    C = quasi_small.apply_to_values(B)
+    C = quasi_small.apply_to_values(B.T)
     assert np.abs(C - np.eye(space_small.dim)).max() < 1e-10
 
 
@@ -194,7 +194,7 @@ def test_projector_on_spline_data(space_small, quasi_small, rng):
     """Applying the quasi-interpolant to a spline reproduces coefficients."""
     coeffs = rng.normal(size=(space_small.dim, 3))
     fld = SplineField(space_small, coeffs)
-    out = quasi_small.apply_to_values(fld.eval(quasi_small.grid_points))
+    out = quasi_small.apply_to_values(fld.eval(quasi_small.grid_points).T)
     assert np.abs(out - coeffs).max() < 1e-11
 
 
@@ -289,4 +289,4 @@ def test_boundary_trace_space(space_small, rng):
     vals = bt.trace(coeffs[edge_indices])
     for edge in range(4):
         full = fld.eval(edge_points(edge, bt.points_1d))
-        assert np.abs(vals[edge] - full).max() < 1e-13
+        assert np.abs(vals[:, edge] - full.T).max() < 1e-13
