@@ -47,8 +47,8 @@ C = S_B^T, all once per problem; G and T are Cholesky-factored by
 LAPACK `dpotrf`.  The same factor serves the zero-trace curvature
 system of a flow step, whose matrix is the interior block K_II, by a
 capacitance correction with G, so a step factors one matrix.
-Vector coefficients are (dim, 3) arrays; S acts on them stacked
-component-major, i.e. [all x | all y | all z].  Values on points are
+Vector coefficients are (dim, 3) arrays; S_B acts on their boundary
+rows stacked component-major, [x_B | y_B | z_B].  Values on points are
 component first, as everywhere (`geometry`): the planes of the grid are
 (D, m, m) and edge values (D, 4, m).
 
@@ -59,12 +59,13 @@ along one axis serves all four edges: a trace is C0 or C1 applied to
 the edge points, and an edge integral is C0^T applied to a (D, 4, m)
 density and one scatter that adds up the shared corners.
 `BoundaryTables` is that grid on the edge rule; the Ritz projection
-uses the grid of its own rule.  The constraint matrix S has one row per
-distinct boundary control point and columns for all 3 * dim vector
-coefficients; its entries integrate (trace basis) * (trace basis)
-* (unit tangent component) against the fixed initial boundary length
-element, so S w = 0 expresses discrete L2-orthogonality of the trace of
-w to the boundary tangent.  `conormal_load` integrates the conormal term
+uses the grid of its own rule.  The constraint S has one row per
+distinct boundary control point and reads boundary coefficients only,
+so it is assembled as C = S_B^T, numbered by boundary position; its
+entries integrate (trace basis) * (trace basis) * (unit tangent
+component) against the fixed initial boundary length element, so
+S w = 0 expresses discrete L2-orthogonality of the trace of w to the
+boundary tangent.  `conormal_load` integrates the conormal term
 (kappa_b . nu)(nu x tau) of the normal equation from sampled edge data;
 the flow samples the frozen discrete boundary, the Ritz projection the
 scenario's exact one.
@@ -243,34 +244,33 @@ class SaddleLayout:
     kd rows, the position of L_jj in the band, and the number `done` of
     boundary columns of L^-1 E_B started before it and `upto` by its end.
 
-    The frozen constraint S is nonzero only on the boundary columns of
-    each component, its boundary block S_B = [S_0B S_1B S_2B] (nb, 3 nB),
-    with one row per boundary control point, so nb = nB.  `C` is S_B^T,
-    (3 nB, nb) as CSR, and `C @ mu` gives the boundary rows of S^T mu.
-    `S_B` is its transpose, a CSC view of the same arrays taken once,
-    since building even a view costs more than a product with it.  Each
-    S_kB integrates products of two trace basis functions, so it is
-    symmetric, and `C @ G` stacks the blocks S_kB G.
+    The frozen constraint lives as its boundary block
+    S_B = [S_0B S_1B S_2B] (nB, 3 nB), one row per boundary control
+    point.  `C` is S_B^T, (3 nB, nB) CSR as `assemble_constraint` builds
+    it, and `C @ mu` gives the boundary rows of S^T mu.  `S_B` is its
+    transpose, a CSC view of the same arrays taken once, since building
+    even a view costs more than a product with it.  Each S_kB integrates
+    products of two trace basis functions, so it is symmetric, and
+    `C @ G` stacks the blocks S_kB G.
     """
 
-    def __init__(self, tables: MeshTables, S):
+    def __init__(self, tables: MeshTables, C):
         space = tables.space
-        dim = space.dim
         self.interior = space.interior_indices
         self.boundary = B = space.boundary_indices
         self.num_boundary = len(B)
         self.offsets = tables.offsets
         self.band_rows = -self.offsets[self.offsets <= 0]
         self.kd = kd = int(self.band_rows[0])
-        num_blocks = -(-dim // kd)
+        num_blocks = -(-space.dim // kd)
         self.band_size = (kd + 1) * kd * num_blocks
         started = np.searchsorted(B, kd * np.arange(1, num_blocks + 1))
         self.blocks, done = [], 0
         for j, upto in enumerate(started.tolist()):
             self.blocks.append((j * kd * (kd + 1), done, upto))
             done = upto
-        self.C = S[:, (B + dim * np.arange(3)[:, None]).ravel()].T.tocsr()
-        self.S_B = self.C.T
+        self.C = C
+        self.S_B = C.T
 
 
 def _band_block(band, kd, start):
@@ -484,10 +484,10 @@ class BoundaryTables(GaussGrid):
     field gives `coeffs[space.edge_indices]`, and per-edge data that are
     discontinuous at the corners, such as the tangent, have their own.
     A trace is C0, or C1 for the derivative along the edge, applied to
-    them (`trace`), (D, 4, m) on the edge points.  `rows` (4, n) numbers
-    the constraint row of each trace basis function: the distinct
-    boundary control points, with the corners shared (`num_rows` of
-    them).
+    them (`trace`), (D, 4, m) on the edge points.  `rows` (4, n) holds
+    the boundary position of each trace basis function, its place in
+    `space.boundary_indices`, with the corners shared: the constraint's
+    row, and its column per component.
 
     The boundary of the evolving surface is fixed in time, so `freeze`
     samples the length element, the interpolated tangent (raw and unit)
@@ -497,7 +497,6 @@ class BoundaryTables(GaussGrid):
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         super().__init__(space, n_quad)
-        self.num_rows = len(space.boundary_indices)
         self.rows = np.searchsorted(space.boundary_indices, space.edge_indices)
         self.frozen = None
 
@@ -526,30 +525,30 @@ class BoundaryTables(GaussGrid):
 
 
 def assemble_constraint(btables: BoundaryTables):
-    """Tangential-trace constraint matrix S, (n_boundary, 3*dim) CSR.
+    """Tangential-trace constraint C = S_B^T, (3 nB, nB) CSR.
 
-    Requires frozen boundary data; rows follow `btables.rows`.  Edge k
-    and component d give C0^T diag(w |x_s| tau_hat_d) C0, of which the
-    entries of basis pairs that share an element are kept
-    (`UnivariateSpline.band`): the pattern of S, one slot for each.
+    Requires frozen boundary data; row d nB + b is component d at the
+    boundary position b of `btables.rows`, which also numbers columns.
+    Edge k and component d give C0^T diag(w |x_s| tau_hat_d) C0, of
+    which the entries of basis pairs that share an element are kept
+    (`UnivariateSpline.band`): the pattern of C, one slot for each.
     """
     assert btables.frozen is not None, "freeze boundary data first"
     bt, fr = btables, btables.frozen
     space = bt.space
-    n, dim = space.factor.dim, space.dim
+    n, nb = space.factor.dim, len(space.boundary_indices)
     dens = bt.weights_1d * fr["length"] * fr["tau_hat"]  # (3, 4, m)
     c0 = bt.c[0]
     blocks = bt._to_basis(c0, dens.reshape(12, -1, 1) * c0).reshape(3, 4, n, n)
     start, width = space.factor.band
     offset = np.arange(n) - start[:, None]
     i, j = np.nonzero((offset >= 0) & (offset < width[:, None]))
-    rows = np.broadcast_to(bt.rows[:, i], (3, 4, len(i)))
-    cols = space.edge_indices[:, j] + dim * np.arange(3)[:, None, None]
-    S = sp.coo_matrix(
-        (blocks[:, :, i, j].ravel(), (rows.ravel(), cols.ravel())),
-        shape=(bt.num_rows, 3 * dim),
+    rows = bt.rows[:, j] + nb * np.arange(3)[:, None, None]
+    cols = np.broadcast_to(bt.rows[:, i], rows.shape)
+    C = sp.coo_matrix(
+        (blocks[:, :, i, j].ravel(), (rows.ravel(), cols.ravel())), shape=(3 * nb, nb)
     )
-    return S.tocsr()
+    return C.tocsr()
 
 
 def conormal_load(grid: GaussGrid, length, kappa_b, tau, nu):
@@ -577,9 +576,10 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     return conormal_load(btables, fr["length"], fr["kappa"], fr["tau"], nu)
 
 
-def constraint_residual(S, nu_coeffs):
-    """Max-norm of S applied to a stacked normal field."""
-    return float(np.abs(S @ np.asarray(nu_coeffs).T.ravel()).max())
+def constraint_residual(layout: SaddleLayout, nu_coeffs):
+    """max |S_B nu_B| for the boundary rows nu_B of a (dim, 3) normal field."""
+    nu_B = np.take(nu_coeffs, layout.boundary, axis=0)
+    return float(np.abs(layout.S_B @ nu_B.ravel(order="F")).max())
 
 
 def dump_matrix_market(path, name, matrix):

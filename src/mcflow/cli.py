@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 
 def _levels(text):
@@ -66,8 +65,9 @@ def cmd_solve(args):
         cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
     if args.dump_matrices:
         cfg = replace(cfg, dump_matrices=True)
+    cfg = replace(cfg, output_dir=cfg.output_dir or ".")
     result = FlowProblem(cfg).run()
-    out = cfg_dir(cfg) if cfg.output_dir else Path(".")
+    out = cfg_dir(cfg)
     csv_path = write_diagnostics_csv(result.diagnostics, out / "diagnostics.csv")
     for k, state in result.snapshots:
         export_vtk(result.problem, state, out / f"snapshot_{k:06d}.vtk")
@@ -87,7 +87,7 @@ def cmd_converge(args):
 
     cfg = args.config
     report = convergence_study(cfg, args.levels, t_final=cfg.t_final)
-    out = cfg_dir(cfg) if cfg.output_dir else Path(".")
+    out = cfg_dir(cfg)
     path = save_report(report, out / "convergence.json")
     print(f"wrote {path}")
     for var, slope in report.eoc_h1.items():

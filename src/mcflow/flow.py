@@ -53,6 +53,7 @@ from .assembly import (
     assemble_mass_stiffness,
     assemble_normal_load,
     constraint_residual,
+    dump_matrix_market,
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
@@ -208,7 +209,6 @@ class FlowProblem:
         # boundary rule is sized for degree 5p rather than 2p.
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
         # filled by initialize()
-        self.S = None
         self.saddle = None
         self.x0_boundary = None
         self.ritz_info = None
@@ -235,8 +235,7 @@ class FlowProblem:
         self.btables.freeze(
             x, boundary_quasi_interp(quasi, tangent), boundary_quasi_interp(quasi, curvature)
         )
-        self.S = assemble_constraint(self.btables)
-        self.saddle = SaddleLayout(self.tables, self.S)
+        self.saddle = SaddleLayout(self.tables, assemble_constraint(self.btables))
 
         kappa = quasi.apply_to_values(grid.mean_curvature)
         kappa[bidx] = 0.0
@@ -253,7 +252,7 @@ class FlowProblem:
             kappa=kappa,
             nu=nu,
             v=v,
-            multiplier=np.zeros(self.S.shape[0]),
+            multiplier=np.zeros(self.saddle.num_boundary),
         )
 
     # -- single step -----------------------------------------------------
@@ -330,7 +329,7 @@ class FlowProblem:
             time=state.time,
             area=self.area(state.x),
             max_abs_kappa=float(np.abs(state.kappa).max()),
-            constraint_residual=constraint_residual(self.S, state.nu),
+            constraint_residual=constraint_residual(self.saddle, state.nu),
             solver_residuals=solver_residuals,
             wallclock=0.0 if started is None else _time.perf_counter() - started,
         )
@@ -376,12 +375,16 @@ class FlowProblem:
         return RunResult(cfg, diagnostics, state, snapshots, self)
 
     def _dump_matrices(self, state):
-        from .assembly import dump_matrix_market
+        from scipy.sparse import csr_matrix
 
         geom = ElementGeometry(self.tables, state.x)
         M = assemble_mass_stiffness(self.tables, geom, 1.0, 0.0)
         A = assemble_mass_stiffness(self.tables, geom, 0.0)
-        for name, mat in (("mass", M), ("stiffness", A), ("constraint", self.S)):
+        # S is C widened to all 3 dim columns, as CSR to write it row by row
+        C, B, dim = self.saddle.C.tocoo(), self.saddle.boundary, self.space.dim
+        k, b = np.divmod(C.row, len(B))
+        S = csr_matrix((C.data, (C.col, B[b] + dim * k)), shape=(len(B), 3 * dim))
+        for name, mat in (("mass", M), ("stiffness", A), ("constraint", S)):
             dump_matrix_market(cfg_dir(self.cfg), name, mat)
 
     def _serialize_abort(self, state, diagnostics):

@@ -217,32 +217,28 @@ def scenario_perturbed_plane(amplitude: float | None = None) -> Scenario:
 def _sinc_family(rho):
     """g = sin(r)/r, h = cos(r) and derivatives w.r.t. rho = r^2.
 
-    Series branches keep full accuracy through the removable singularity
-    at rho = 0 and the cancellation-prone region of small rho.
+    Series in rho below 1e-2 keep full accuracy through the removable
+    singularity at rho = 0 and the cancellation-prone region of small
+    rho; the closed forms serve the other points.  Each branch is
+    evaluated on its own points only.
     """
     rho = np.asarray(rho, dtype=float)
     small = rho < 1e-2
-    r = np.sqrt(np.where(small, 1.0, rho))  # placeholder under the mask
-
-    g = np.where(
-        small,
-        1.0 - rho / 6.0 + rho ** 2 / 120.0 - rho ** 3 / 5040.0 + rho ** 4 / 362880.0,
-        np.sin(r) / r,
-    )
-    g1 = np.where(
-        small,
-        -1.0 / 6.0 + rho / 60.0 - rho ** 2 / 1680.0 + rho ** 3 / 90720.0,
-        (r * np.cos(r) - np.sin(r)) / (2.0 * r ** 3),
-    )
-    g2 = np.where(
-        small,
-        1.0 / 60.0 - rho / 840.0 + rho ** 2 / 30240.0 - rho ** 3 / 1995840.0,
-        (3.0 * np.sin(r) - 3.0 * r * np.cos(r) - rho * np.sin(r)) / (4.0 * r ** 5),
-    )
-    h = np.cos(np.sqrt(rho))
-    h1 = -0.5 * g
-    h2 = -0.5 * g1
-    return g, g1, g2, h, h1, h2
+    g, g1, g2, h = (np.empty_like(rho) for _ in range(4))
+    s = rho[small]
+    g[small] = 1.0 - s / 6.0 + s ** 2 / 120.0 - s ** 3 / 5040.0 + s ** 4 / 362880.0
+    g1[small] = -1.0 / 6.0 + s / 60.0 - s ** 2 / 1680.0 + s ** 3 / 90720.0
+    g2[small] = 1.0 / 60.0 - s / 840.0 + s ** 2 / 30240.0 - s ** 3 / 1995840.0
+    h[small] = np.cos(np.sqrt(s))
+    big = ~small
+    s = rho[big]
+    r = np.sqrt(s)
+    sin, cos = np.sin(r), np.cos(r)
+    g[big] = sin / r
+    g1[big] = (r * cos - sin) / (2.0 * r ** 3)
+    g2[big] = (3.0 * sin - 3.0 * r * cos - s * sin) / (4.0 * r ** 5)
+    h[big] = cos
+    return g, g1, g2, h, -0.5 * g, -0.5 * g1
 
 
 def scenario_sphere_patch(

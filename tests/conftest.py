@@ -15,6 +15,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mcflow.geometry import SplineField
 from mcflow.projections import boundary_quasi_interp
@@ -81,6 +82,17 @@ def boundary_data(quasi, scenario):
         boundary_quasi_interp(quasi, np.stack([getattr(e, k) for e in edges], axis=1))
         for k in ("edge_tangent", "edge_curvature")
     )
+
+
+def full_constraint(C, space):
+    """The constraint S (n_B, 3 dim) as CSR: C = S_B^T, whose rows are
+    boundary positions per component, widened to columns over all 3 dim
+    vector coefficients stacked component-major, the layout of the dense
+    and per-element references."""
+    S_B = C.T.tocoo()
+    B, dim = space.boundary_indices, space.dim
+    cols = (B + dim * np.arange(3)[:, None]).ravel()
+    return sp.csr_matrix((S_B.data, (S_B.row, cols[S_B.col])), shape=(len(B), 3 * dim))
 
 
 def dense_conormal_load(problem, state, nq=24):

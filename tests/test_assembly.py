@@ -32,6 +32,7 @@ from tests.conftest import (
     boundary_data,
     dense_conormal_load,
     eval_basis,
+    full_constraint,
     grid_points,
     interpolate,
 )
@@ -260,15 +261,16 @@ def test_boundary_load_vanishes_for_straight_edges():
 
 def test_constraint_matrix_structure(sphere_problem):
     prob, st = sphere_problem
-    S = prob.S
     space = prob.space
     n_b = len(space.boundary_indices)
+    assert prob.saddle.C.shape == (3 * n_b, n_b)
+    S = full_constraint(prob.saddle.C, space)
     assert S.shape == (n_b, 3 * space.dim)
     # columns touch boundary DOFs only
     cols = np.unique(S.tocoo().col % space.dim)
     assert np.all(np.isin(cols, space.boundary_indices))
     # the initialized normal satisfies the constraint
-    assert constraint_residual(S, st.nu) < 1e-12
+    assert constraint_residual(prob.saddle, st.nu) < 1e-12
 
 
 def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
@@ -278,13 +280,13 @@ def test_constraint_reads_only_the_tangential_trace(sphere_problem, rng):
     # zero boundary coefficients: S w = 0 exactly (column support)
     w = rng.normal(size=(space.dim, 3))
     w[space.boundary_indices] = 0.0
-    assert constraint_residual(prob.S, w) == 0.0
+    assert constraint_residual(prob.saddle, w) == 0.0
     # a trace along the interpolated tangent is maximally visible
     bt = oracle.EdgeTables(space, prob.btables.n_quad)
     tangent, _ = boundary_data(prob.quasi, prob.scenario)
     wt = np.zeros((space.dim, 3))
     wt[bt.flat] = tangent.reshape(-1, 3)[bt.local]
-    assert constraint_residual(prob.S, wt) > 1e-2
+    assert constraint_residual(prob.saddle, wt) > 1e-2
 
 
 def test_constraint_on_flat_square():
@@ -301,7 +303,7 @@ def test_constraint_on_flat_square():
     )
     prob, _ = initialize(cfg)
     ez = np.tile(np.array([0.0, 0.0, 1.0]), (prob.space.dim, 1))
-    assert constraint_residual(prob.S, ez) < 1e-12
+    assert constraint_residual(prob.saddle, ez) < 1e-12
 
 
 def _initialized_saddle(scenario, p, n=8, smoothness=None):
@@ -347,7 +349,7 @@ def sphere_saddle():
 def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness, n, rng):
     """The Schur-complement solve equals a direct solve of the assembled saddle."""
     _, _, K, prob = _initialized_saddle(scenario, p, n=n, smoothness=smoothness)
-    S = prob.S
+    S = full_constraint(prob.saddle.C, prob.space)
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
     w, mult, res = ConstrainedSolver(K, prob.saddle, "test solve")(f)
@@ -357,7 +359,7 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness,
     ref = spla.spsolve(saddle, np.concatenate([f.T.ravel(), np.zeros(nb)]))
     got = np.concatenate([w.T.ravel(), mult])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert constraint_residual(S, w) <= 1e-12
+    assert constraint_residual(prob.saddle, w) <= 1e-12
 
 
 def _check_interior_solve(K, prob, rng):
@@ -401,13 +403,12 @@ def test_constrained_solver_rejects_nonfinite_residual(sphere_saddle, rng):
 def test_constrained_solver_rejects_indefinite_schur_complements(sphere_saddle):
     """A non-SPD K or a rank-deficient constraint is a named SolverFailure."""
     _, _, K, prob = sphere_saddle
-    S = prob.S
     with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):
         ConstrainedSolver(-K, prob.saddle, "test solve")
-    S0 = S.tolil()
-    S0[0, :] = 0.0
+    C0 = prob.saddle.C.tolil()
+    C0[:, 0] = 0.0  # the first row of S
     with pytest.raises(SolverFailure, match="test solve: multiplier Schur complement"):
-        ConstrainedSolver(K, SaddleLayout(prob.tables, S0.tocsr()), "test solve")
+        ConstrainedSolver(K, SaddleLayout(prob.tables, C0.tocsr()), "test solve")
 
 
 def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):

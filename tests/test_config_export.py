@@ -25,7 +25,8 @@ from mcflow.export import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
-from mcflow.flow import FlowProblem
+from mcflow.flow import FlowProblem, NormalDrift
+from tests.conftest import full_constraint
 
 
 # -- config -------------------------------------------------------------------
@@ -204,12 +205,53 @@ def test_cli_solve_dump_matrices(tmp_path, capsys):
         matrices = (
             assemble_mass_stiffness(prob.tables, geom, 1.0, 0.0),
             assemble_mass_stiffness(prob.tables, geom, 0.0),
-            prob.S,
+            full_constraint(prob.saddle.C, prob.space),
         )
         for name, matrix, count in zip(("mass", "stiffness", "constraint"), matrices, counts):
             dumped = mmread(out / f"{name}.mtx")
             assert dumped.nnz == count, name
             assert np.array_equal(dumped.toarray(), matrix.toarray()), name
+
+
+def test_cli_solve_without_output_dir_dumps_here(tmp_path, monkeypatch, capsys):
+    """With no output_dir every file of a run lands in the current
+    directory, beside its CSV: the matrix dumps too."""
+    monkeypatch.chdir(tmp_path)
+    cfg = ScenarioConfig(
+        scenario="perturbed_plane",
+        degree=2,
+        smoothness=1,
+        elements_per_side=4,
+        dt=0.01,
+        t_final=0.01,
+        output_dir="",
+    )
+    (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+    assert cli_main(["solve", "--config", "run.cfg", "--dump-matrices"]) == 0
+    for name in ("diagnostics.csv", "mass.mtx", "stiffness.mtx", "constraint.mtx"):
+        assert (tmp_path / name).exists(), name
+
+
+def test_cli_solve_without_output_dir_keeps_its_abort_record(tmp_path, monkeypatch):
+    """A failing run with no output_dir leaves its diagnostics so far and
+    its last good state in the current directory.  The N=8 sphere at
+    dt = 0.1 stops by NormalDrift at t = 0.2."""
+    monkeypatch.chdir(tmp_path)
+    cfg = ScenarioConfig(
+        scenario="sphere_patch",
+        degree=2,
+        smoothness=1,
+        elements_per_side=8,
+        dt=0.1,
+        t_final=3.0,
+        output_dir="",
+    )
+    (tmp_path / "run.cfg").write_text(serialize_config(cfg))
+    with pytest.raises(NormalDrift, match="step to t = 0.2"):
+        cli_main(["solve", "--config", "run.cfg"])
+    rows = read_diagnostics_csv(tmp_path / "diagnostics_abort.csv")
+    assert np.allclose(rows["t"], [0.0, 0.1], rtol=0, atol=1e-12)
+    assert (tmp_path / "last_good_state.vtk").exists()
 
 
 def test_cli_converge(tmp_path, capsys):

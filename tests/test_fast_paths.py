@@ -40,7 +40,7 @@ from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surfa
 from mcflow.projections import RITZ_LAMBDA, project_velocity, ritz_rhs
 from mcflow.splines import BLOCK_ELEMENTS, TensorGrid, build_quasi_interpolant, build_space
 from tests import element_oracle as oracle
-from tests.conftest import boundary_data, grid_points, interpolate
+from tests.conftest import boundary_data, full_constraint, grid_points, interpolate
 
 KERNEL_RTOL = 1e-13
 
@@ -254,7 +254,7 @@ def test_solver_schur_complements_match_dense_ones(kernel_setup):
     U = np.triu(solver.G)
     G = U.T @ U
     assert_close(G, np.linalg.inv(K.toarray())[B][:, B])
-    S = prob.S.toarray()
+    S = full_constraint(prob.saddle.C, prob.space).toarray()
     T_ref = sum(S[:, k * dim + B] @ G @ S[:, k * dim + B].T for k in range(3))
     U = np.triu(solver.T)
     assert_close(U.T @ U, T_ref)
@@ -486,7 +486,8 @@ def test_boundary_forms_match_the_element_oracle(p, l, block_elements):
     tangent, curvature = boundary_data(prob.quasi, prob.scenario)
     bt = BoundaryTables(prob.space, 3 * p).freeze(x, tangent, curvature)
     et = oracle.EdgeTables(prob.space, 3 * p)
-    S, S_ref = assemble_constraint(bt), oracle.constraint(et, x, tangent)
+    S = full_constraint(assemble_constraint(bt), prob.space)
+    S_ref = oracle.constraint(et, x, tangent)
     assert np.array_equal(S.indptr, S_ref.indptr)
     assert np.array_equal(S.indices, S_ref.indices)
     assert_close(S.data, S_ref.data)
@@ -889,7 +890,8 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
     prob, scheme, dt = _two_step_problem("sphere_patch")
     scheme.push(prob.initialize())
     lo, dim = prob.saddle, prob.space.dim
-    blocks = [prob.S.toarray()[:, k * dim + lo.boundary] for k in range(3)]
+    S = full_constraint(lo.C, prob.space).toarray()
+    blocks = [S[:, k * dim + lo.boundary] for k in range(3)]
     assert lo.C.format == "csr"
     assert np.array_equal(lo.C.toarray(), np.hstack(blocks).T)
     assert np.array_equal(lo.S_B.toarray(), np.hstack(blocks))
@@ -918,9 +920,10 @@ def test_constraint_blocks_are_symmetric(scenario, p, l, N):
     cfg = ScenarioConfig(scenario=scenario, degree=p, smoothness=l, elements_per_side=N)
     prob = FlowProblem(cfg)
     prob.initialize()
-    S, B, dim = prob.S.toarray(), prob.space.boundary_indices, prob.space.dim
+    C = prob.saddle.C.toarray()
+    nB = C.shape[1]
     for k in range(3):
-        S_kB = S[:, k * dim + B]
+        S_kB = C[k * nB : (k + 1) * nB].T
         assert S_kB.shape[0] == S_kB.shape[1]
         assert np.abs(S_kB - S_kB.T).max() <= 1e-14 * np.abs(S_kB).max()
 
@@ -943,6 +946,34 @@ def test_flow_step_builds_no_csr_of_k(monkeypatch):
         state, _ = prob.step(scheme, dt)
         scheme.push(state)
     assert (dim, dim) not in calls
+
+
+def test_run_builds_no_full_width_constraint(monkeypatch):
+    """The constraint lives on the boundary coefficients: the problem
+    keeps C = S_B^T (3 n_B, n_B) and no S, and `initialize`, a BDF1 and
+    a BDF2 step build no sparse matrix with 3 dim columns."""
+    prob, scheme, dt = _two_step_problem("sphere_patch")
+    dim, n_B = prob.space.dim, len(prob.space.boundary_indices)
+    shapes = []
+    for cls in (
+        scipy.sparse.coo_matrix,
+        scipy.sparse.csr_matrix,
+        scipy.sparse.csc_matrix,
+        scipy.sparse.dia_matrix,
+    ):
+
+        def counted(self, *args, _original=cls.__init__, **kwargs):
+            _original(self, *args, **kwargs)
+            shapes.append(self.shape)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    scheme.push(prob.initialize())
+    assert prob.saddle.C.shape == (3 * n_B, n_B)
+    assert not hasattr(prob, "S")
+    for _ in range(2):
+        state, _ = prob.step(scheme, dt)
+        scheme.push(state)
+    assert shapes and all(3 * dim not in shape for shape in shapes)
 
 
 def test_ritz_tables_share_the_flow_pattern(monkeypatch):

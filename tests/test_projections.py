@@ -142,7 +142,7 @@ def test_sphere_normal_projection_converges(N, p):
     pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
     err = SplineField(prob.space, nu).eval(pts).T - prob.scenario.sample(pts).normal
     assert np.abs(err).max() < 5e-3
-    assert constraint_residual(prob.S, nu) < 1e-12
+    assert constraint_residual(prob.saddle, nu) < 1e-12
 
 
 def test_normal_projection_iteration_budget(monkeypatch):
@@ -195,7 +195,7 @@ def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, p, max_iter
     assert prob.ritz_info["iterations"] <= max_iterations
     ref = _plain_fixed_point(*args)
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert constraint_residual(prob.S, nu) <= 1e-10
+    assert constraint_residual(prob.saddle, nu) <= 1e-10
 
 
 def test_ritz_stops_on_the_roundoff_floor(monkeypatch):

@@ -12,6 +12,7 @@ from mcflow.scenarios import (
     SPHERE_AREA_TARGET,
     SPHERE_CORNER_TEMPER,
     SPHERE_EXTENT,
+    _sinc_family,
     calibrate_plane_amplitude,
     calibrate_sphere_extent,
     get_scenario,
@@ -157,6 +158,20 @@ def test_plane_amplitude_is_calibrated():
 
 
 # -- sphere patch ------------------------------------------------------------
+
+
+def test_sinc_family_branches_agree_at_the_switch():
+    """The series below rho = 1e-2 and the closed forms from there on
+    meet to 1e-15, 1e-13 and 1e-9 relative in g, g1 and g2 (g2's closed
+    form cancels), and the series is exact at rho = 0."""
+    below, at = np.nextafter(1e-2, 0.0), 1e-2
+    g, g1, g2, h, h1, h2 = _sinc_family(np.array([below, at]))
+    for values, tol in ((g, 1e-15), (g1, 1e-13), (g2, 1e-9), (h, 1e-15)):
+        assert abs(values[0] - values[1]) <= tol * abs(values[1])
+    assert np.array_equal(h1, -0.5 * g) and np.array_equal(h2, -0.5 * g1)
+    g, g1, _, h, _, _ = _sinc_family(np.zeros(1))
+    assert g[0] == h[0] == 1.0
+    assert g1[0] == -1.0 / 6.0
 
 
 def test_sphere_patch_lies_on_unit_sphere():
