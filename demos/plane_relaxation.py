@@ -26,7 +26,7 @@ cfg = ScenarioConfig(
     output_dir="",
 )
 
-result = run(cfg, order=2)
+result = run(cfg)
 
 # --- area and curvature record ---
 for d in result.diagnostics[::16]:

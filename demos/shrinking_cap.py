@@ -28,7 +28,7 @@ cfg = ScenarioConfig(
     output_dir="",
 )
 
-result = run(cfg, order=2)
+result = run(cfg)
 
 for d in result.diagnostics[::8]:
     print(

@@ -3,7 +3,7 @@
 A tensor-product B-spline surface evolves by mean curvature while its
 boundary stays pinned; discrete curvature and normal fields evolve
 alongside through constrained Galerkin equations, integrated in time
-with linearly implicit BDF formulas.
+by linearly implicit BDF2 after one BDF1 bootstrap step.
 """
 
 from .assembly import SolverFailure

@@ -66,7 +66,7 @@ def check_levels(levels):
 
 
 def convergence_study(
-    base: ScenarioConfig, levels, t_final: float = 0.05, order: int = 2
+    base: ScenarioConfig, levels, t_final: float = 0.05
 ) -> ConvergenceReport:
     """Run the flow on each level and fit self-convergence orders.
 
@@ -86,8 +86,7 @@ def convergence_study(
             output_dir="",
             dump_matrices=False,
         )
-        result = FlowProblem(cfg).run(order=order)
-        runs.append(result)
+        runs.append(FlowProblem(cfg).run())
 
     fine = GaussGrid(runs[-1].problem.space, base.degree + 3)
     weights = np.outer(fine.weights_1d, fine.weights_1d)

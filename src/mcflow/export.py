@@ -3,7 +3,8 @@
 The CSV uses a fixed header and 17-significant-digit formatting, enough
 for float64 round trips, so two identical runs produce byte-identical
 files in every column except the wallclock.  VTK snapshots sample the
-spline surface on a uniform parametric grid, a `splines.TensorGrid`
+spline surface on a uniform parametric grid of 2N + 1 points per side,
+two per element and side plus the last, a `splines.TensorGrid`
 whose planes the writer reads as point-major views, and write an
 unstructured quad mesh with point data for curvature, normal and
 velocity, as legacy ASCII VTK.
@@ -68,9 +69,9 @@ def read_diagnostics_csv(path):
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-def _sample_grid(problem, state, resolution: int):
-    """Surface fields on a uniform (r*N+1)^2 parametric grid."""
-    n = problem.cfg.elements_per_side * resolution + 1
+def _sample_grid(problem, state):
+    """Surface fields on a uniform (2N + 1)^2 parametric grid."""
+    n = 2 * problem.cfg.elements_per_side + 1
     grid = TensorGrid(problem.space, np.linspace(0.0, 1.0, n))
     rows = np.concatenate([state.x.T, state.kappa[None], state.nu.T, state.v.T])
     planes = grid.evaluate(rows)[0].reshape(len(rows), -1)  # point-major columns
@@ -82,9 +83,9 @@ def _sample_grid(problem, state, resolution: int):
     return pos, kap, nu, vel, quads
 
 
-def export_vtk(problem, state, path, resolution: int = 2):
+def export_vtk(problem, state, path):
     """Write a legacy VTK snapshot of the surface with its field data."""
-    pos, kap, nu, vel, quads = _sample_grid(problem, state, resolution)
+    pos, kap, nu, vel, quads = _sample_grid(problem, state)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     _write_legacy_vtk(path, pos, kap, nu, vel, quads)

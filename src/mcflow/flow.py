@@ -25,9 +25,9 @@ normal's constraint residual |S nu|_inf exceeds CONSTRAINT_TOL; a run
 that diverges after it reaches the minimal surface stops there instead
 of reporting areas that grow without bound.
 
-BDF orders 1 and 2 are supported (`bdf_coefficients`).  The history
-grows up to the scheme's order and each step uses the highest order it
-supports, so a q=2 run bootstraps with a single q=1 step.
+The scheme is BDF2 (`bdf_coefficients`): the history keeps the last two
+states, and the first step, which has only the initial state, is a
+single BDF1 bootstrap step.
 `FlowProblem` rejects a config with `ConfigError` before any set-up
 unless dt > 0 divides t_final >= 0 into whole steps, the snapshot
 stride is non-negative, degree, smoothness and elements per side
@@ -140,19 +140,19 @@ class StepDiagnostics:
 
 
 class BdfScheme:
-    """State history (newest first) of up to `order` states."""
+    """State history (newest first) of up to two states: BDF1 from one
+    state, BDF2 from two."""
 
-    def __init__(self, order: int):
-        self.order = order
-        self._coefficients = [bdf_coefficients(q) for q in range(1, order + 1)]
+    def __init__(self):
+        self._coefficients = [bdf_coefficients(1), bdf_coefficients(2)]
         self.history: list[FlowState] = []
 
     def push(self, state: FlowState):
         self.history.insert(0, state)
-        del self.history[self.order :]
+        del self.history[2:]
 
     def coefficients(self):
-        """(delta, gamma) of the highest order the history supports."""
+        """(delta, gamma) of the order the history supports."""
         if not self.history:
             raise ValueError("BDF history is empty")
         return self._coefficients[len(self.history) - 1]
@@ -180,7 +180,6 @@ class BdfScheme:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     diagnostics: list
     final_state: FlowState
     snapshots: list  # (step index, FlowState)
@@ -315,19 +314,12 @@ class FlowProblem:
             )
         return state, diag
 
-    def area(self, x) -> float:
-        """Quadrature area of the surface with position coefficients x."""
-        return surface_area(x, self.tables)
-
-    def initial_diagnostics(self, state: FlowState) -> StepDiagnostics:
-        return self._diagnostics(state, (), None)
-
     def _diagnostics(self, state, solver_residuals, started):
         """Diagnostics of `state`, timed from `started` (a `perf_counter`
         reading; None records 0.0) to after the other fields."""
         return StepDiagnostics(
             time=state.time,
-            area=self.area(state.x),
+            area=surface_area(state.x, self.tables),
             max_abs_kappa=float(np.abs(state.kappa).max()),
             constraint_residual=constraint_residual(self.saddle, state.nu),
             solver_residuals=solver_residuals,
@@ -336,8 +328,8 @@ class FlowProblem:
 
     # -- full run ---------------------------------------------------------
 
-    def run(self, order: int = 2) -> RunResult:
-        """March from t = 0 to t_final; emits per-step diagnostics.
+    def run(self) -> RunResult:
+        """March from t = 0 to t_final by BDF2; emits per-step diagnostics.
 
         A failure (a Ritz projection that does not contract, a solver
         residual, degenerate geometry or a drifting normal) aborts the
@@ -350,7 +342,7 @@ class FlowProblem:
         state, diagnostics = None, []
         try:
             state = self.initialize()
-            diagnostics.append(self.initial_diagnostics(state))
+            diagnostics.append(self._diagnostics(state, (), None))
             snapshots = []
             if cfg.snapshot_stride > 0:
                 snapshots.append((0, state.copy()))
@@ -358,7 +350,7 @@ class FlowProblem:
             if cfg.dump_matrices and cfg.output_dir:
                 self._dump_matrices(state)
 
-            scheme = BdfScheme(order)
+            scheme = BdfScheme()
             scheme.push(state)
             for k in range(1, num_steps + 1):
                 state, diag = self.step(scheme, cfg.dt)
@@ -372,7 +364,7 @@ class FlowProblem:
             if cfg.output_dir:
                 self._serialize_abort(state, diagnostics)
             raise
-        return RunResult(cfg, diagnostics, state, snapshots, self)
+        return RunResult(diagnostics, state, snapshots, self)
 
     def _dump_matrices(self, state):
         from scipy.sparse import csr_matrix
@@ -425,6 +417,6 @@ def initialize(cfg: ScenarioConfig):
     return problem, problem.initialize()
 
 
-def run(cfg: ScenarioConfig, order: int = 2) -> RunResult:
+def run(cfg: ScenarioConfig) -> RunResult:
     """Full flow run for a config; see FlowProblem.run."""
-    return FlowProblem(cfg).run(order=order)
+    return FlowProblem(cfg).run()

@@ -85,7 +85,7 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
     """
     planes = Q.grid.evaluate(np.concatenate([kappa[None], nu.T]))[0]
     coeffs = Q.apply_to_values(-planes[0] * planes[1:])  # -kappa nu
-    coeffs[Q.space.boundary_indices] = 0.0
+    coeffs[Q.grid.space.boundary_indices] = 0.0
     return coeffs
 
 

@@ -364,12 +364,23 @@ def scenario_sphere_patch(
 # calibration
 
 
-def sphere_patch_area(
-    extent: float, temper: float | None = None, n_quad: int = 60
-) -> float:
-    """Analytic area of the sphere patch by high-order quadrature."""
-    sc = scenario_sphere_patch(extent, temper)
-    x, w = gauss_rule(n_quad)
+def _bisect(f, lo, hi, target):
+    """The point of [lo, hi] where increasing f crosses `target`, to 1e-12."""
+    assert f(lo) < target < f(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def sphere_patch_area(extent: float) -> float:
+    """Analytic area of the sphere patch of half-width `extent`, corner
+    temper SPHERE_CORNER_TEMPER, by the 60-point Gauss rule squared."""
+    sc = scenario_sphere_patch(extent)
+    x, w = gauss_rule(60)
     U, V = np.meshgrid(x, x, indexing="ij")
     pts = np.column_stack([U.ravel(), V.ravel()])
     raw = cross3(*sc.jet(pts)[1])
@@ -377,57 +388,31 @@ def sphere_patch_area(
     return float(np.sum(np.outer(w, w).ravel() * dens))
 
 
-def calibrate_sphere_extent(
-    target: float = SPHERE_AREA_TARGET,
-    temper: float | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """Half-width of the sphere patch whose analytic area is `target`."""
-    lo, hi = 0.5, 2.0
-    assert sphere_patch_area(lo, temper) < target < sphere_patch_area(hi, temper)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sphere_patch_area(mid, temper) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def calibrate_sphere_extent() -> float:
+    """Half-width of the sphere patch whose analytic area is SPHERE_AREA_TARGET."""
+    return _bisect(sphere_patch_area, 0.5, 2.0, SPHERE_AREA_TARGET)
 
 
-def calibrate_plane_amplitude(
-    target: float = PLANE_AREA_TARGET,
-    num_elements: int = 20,
-    degree: int = 2,
-    smoothness: int = 1,
-    tol: float = 1e-12,
-) -> float:
-    """Bump height whose interpolated surface has the target discrete area.
+def calibrate_plane_amplitude() -> float:
+    """Bump height whose interpolated surface has area PLANE_AREA_TARGET.
 
     The area is measured on the quasi-interpolated surface at the
-    reference mesh with the standard assembly quadrature, which is what
-    a flow run reports at t = 0.
+    reference mesh, N = 20, p = 2, C^1, with the standard assembly
+    quadrature, which is what a flow run reports at t = 0.
     """
     from .assembly import MeshTables
     from .geometry import surface_area
     from .splines import build_quasi_interpolant, build_space
 
-    space = build_space(degree, smoothness, num_elements)
+    space = build_space(2, 1, 20)
     Q = build_quasi_interpolant(space)
-    tables = MeshTables(space, degree + 1)
+    tables = MeshTables(space, 3)
 
     def area_of(a):
         sc = scenario_perturbed_plane(a)
         return surface_area(Q.apply_to_values(sc.jet(Q.grid_points)[0]), tables)
 
-    lo, hi = 0.0, 1.0
-    assert area_of(lo) < target < area_of(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if area_of(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(area_of, 0.0, 1.0, PLANE_AREA_TARGET)
 
 
 # ---------------------------------------------------------------------------

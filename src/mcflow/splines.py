@@ -150,15 +150,15 @@ class UnivariateSpline:
         ders = _basis_derivatives(self.knots, self.degree, x, spans, nderiv)
         return spans - self.degree, ders
 
-    def collocation(self, x, nderiv: int = 0):
-        """Dense collocation matrices (nderiv + 1, n, dim) at points in [0, 1].
+    def collocation(self, x):
+        """Dense collocation matrices C0 and C1 (2, n, dim) at points in [0, 1].
 
         Entry [k, i, j] is the k-th derivative of basis j at x[i].
         """
-        first, ders = self.eval_basis(x, nderiv)
+        first, ders = self.eval_basis(x, 1)
         rows = np.arange(len(first))[:, None]
         cols = first[:, None] + np.arange(self.degree + 1)
-        out = np.zeros((nderiv + 1, len(first), self.dim))
+        out = np.zeros((2, len(first), self.dim))
         out[:, rows, cols] = ders.transpose(1, 0, 2)
         return out
 
@@ -326,7 +326,7 @@ class TensorGrid:
         if np.any(np.diff(self.points_1d) < 0.0):
             raise ValueError("grid points must be sorted")
         f, p = space.factor, space.degree
-        self.c = f.collocation(self.points_1d, 1)
+        self.c = f.collocation(self.points_1d)
 
         # the element of each point, and the first point of each element
         first, (lo, hi) = f.element_first, f.supports
@@ -429,11 +429,8 @@ class QuasiInterpolant:
 
     def __init__(self, grid: GaussGrid):
         self.grid = grid
-        self.space = grid.space
-        self.n_quad = grid.n_quad
-        self.points_1d = grid.points_1d
         self.w = _dual_weights(grid)
-        U, V = np.meshgrid(self.points_1d, self.points_1d, indexing="ij")
+        U, V = np.meshgrid(grid.points_1d, grid.points_1d, indexing="ij")
         self.grid_points = np.column_stack([U.ravel(), V.ravel()])
 
     def apply_to_values(self, values):
@@ -445,7 +442,7 @@ class QuasiInterpolant:
         trailing shape.
         """
         values = np.asarray(values, dtype=float)
-        m, n = len(self.points_1d), self.space.factor.dim
+        m, n = len(self.grid.points_1d), self.grid.space.factor.dim
         if values.shape[-2:] == (m, m):
             lead = values.shape[:-2]
         elif values.shape[-1:] == (m * m,):
@@ -459,7 +456,7 @@ class QuasiInterpolant:
 
     def edge_points(self, edge: int):
         """Points on `edge` at which its univariate functionals sample."""
-        return edge_points(edge, self.points_1d)
+        return edge_points(edge, self.grid.points_1d)
 
 
 def _dual_weights(grid: GaussGrid):

@@ -37,7 +37,7 @@ def example1():
         snapshot_stride=1,
         output_dir="",
     )
-    return FlowProblem(cfg).run(order=2)
+    return FlowProblem(cfg).run()
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def example2():
         snapshot_stride=1,
         output_dir="",
     )
-    return FlowProblem(cfg).run(order=2)
+    return FlowProblem(cfg).run()
 
 
 def test_criterion_1_space_dimension():
@@ -286,7 +286,7 @@ def test_criterion_6_invariants_on_scale_ladder(scenario, dt, N, p):
         snapshot_stride=1,
         output_dir="",
     )
-    result = FlowProblem(cfg).run(order=2)
+    result = FlowProblem(cfg).run()
     assert len(result.diagnostics) == steps + 1
     for d in result.diagnostics:
         assert d.constraint_residual <= 1e-10
@@ -313,7 +313,7 @@ def test_criterion_7_flat_square_stationarity():
     )
     prob = FlowProblem(cfg)
     st0 = prob.initialize()
-    res = prob.run(order=2)
+    res = prob.run()
     assert len(res.diagnostics) == 101
     s = res.final_state
     for name in ("x", "kappa", "nu", "v"):

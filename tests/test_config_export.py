@@ -144,12 +144,12 @@ def tiny_run():
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    return prob, prob.run(order=2)
+    return prob, prob.run()
 
 
 def test_vtk_legacy_structure(tiny_run, tmp_path):
     prob, res = tiny_run
-    path = export_vtk(prob, res.final_state, tmp_path / "s.vtk", resolution=2)
+    path = export_vtk(prob, res.final_state, tmp_path / "s.vtk")
     lines = path.read_text().splitlines()
     n = 4 * 2 + 1
     assert lines[0].startswith("# vtk DataFile")

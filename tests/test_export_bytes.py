@@ -81,9 +81,9 @@ def oracle_vtk(path, pos, kap, nu, vel, quads):
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def oracle_export(problem, state, path, resolution):
-    pos, kap, nu, vel, _ = _sample_grid(problem, state, resolution)
-    n = problem.cfg.elements_per_side * resolution + 1
+def oracle_export(problem, state, path):
+    pos, kap, nu, vel, _ = _sample_grid(problem, state)
+    n = problem.cfg.elements_per_side * 2 + 1
     oracle_vtk(path, pos, kap, nu, vel, oracle_quads(n))
 
 
@@ -100,15 +100,14 @@ def tiny_sphere():
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    return prob, prob.run(order=2)
+    return prob, prob.run()
 
 
-@pytest.mark.parametrize("resolution", [1, 2, 3])
-def test_vtk_bytes_match_oracle_on_a_run(tiny_sphere, tmp_path, resolution):
+def test_vtk_bytes_match_oracle_on_a_run(tiny_sphere, tmp_path):
     prob, res = tiny_sphere
     for k, state in res.snapshots + [(-1, res.final_state)]:
-        got = export_vtk(prob, state, tmp_path / f"got_{k}.vtk", resolution=resolution)
-        oracle_export(prob, state, tmp_path / f"want_{k}.vtk", resolution)
+        got = export_vtk(prob, state, tmp_path / f"got_{k}.vtk")
+        oracle_export(prob, state, tmp_path / f"want_{k}.vtk")
         assert got.read_bytes() == (tmp_path / f"want_{k}.vtk").read_bytes()
 
 
@@ -154,7 +153,7 @@ def test_vtk_bytes_match_oracle_on_a_special_state(tiny_sphere, tmp_path):
         field.flat[7] = value
     with np.errstate(invalid="ignore"):  # nan and inf spread through the grid products
         got = export_vtk(prob, state, tmp_path / "got.vtk")
-        oracle_export(prob, state, tmp_path / "want.vtk", 2)
+        oracle_export(prob, state, tmp_path / "want.vtk")
     assert got.read_bytes() == (tmp_path / "want.vtk").read_bytes()
 
 
@@ -177,10 +176,10 @@ def test_csv_bytes_match_oracle_on_special_values(tmp_path):
 
 def test_vtk_points_read_back_bit_for_bit(tiny_sphere, tmp_path):
     prob, res = tiny_sphere
-    path = export_vtk(prob, res.final_state, tmp_path / "s.vtk", resolution=2)
+    path = export_vtk(prob, res.final_state, tmp_path / "s.vtk")
     lines = path.read_text().splitlines()
     start = lines.index("POINTS 81 double") + 1
     points = np.array([[float(c) for c in line.split()] for line in lines[start : start + 81]])
-    want = _sample_grid(prob, res.final_state, 2)[0]  # what export_vtk writes
+    want = _sample_grid(prob, res.final_state)[0]  # what export_vtk writes
     assert points.shape == want.shape
     assert np.array_equal(points.view(np.int64), want.view(np.int64))

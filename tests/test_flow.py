@@ -13,7 +13,7 @@ import mcflow.projections
 from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
-from mcflow.flow import BdfScheme, FlowProblem, NormalDrift, bdf_coefficients, run
+from mcflow.flow import BdfScheme, FlowProblem, FlowState, NormalDrift, bdf_coefficients, run
 from mcflow.geometry import DegenerateSurface
 from mcflow.projections import NoContraction
 
@@ -73,7 +73,7 @@ def test_bdf2_exact_on_quadratic_sequences(rng):
 def test_bdf_order_validation():
     with pytest.raises(ValueError):
         bdf_coefficients(3)
-    scheme = BdfScheme(2)
+    scheme = BdfScheme()
     with pytest.raises(ValueError):
         FlowProblem(small_cfg()).step(scheme, 0.01)
 
@@ -116,7 +116,7 @@ def test_initial_curvature_has_zero_trace():
 def test_single_step_invariants():
     """One step: area shrinks, boundary stays put, constraint holds."""
     prob = FlowProblem(small_cfg(dt=0.005, t_final=0.005))
-    res = prob.run(order=2)
+    res = prob.run()
     assert len(res.diagnostics) == 2
     a0, a1 = (d.area for d in res.diagnostics)
     assert a1 < a0
@@ -210,17 +210,20 @@ def test_determinism_bit_identical_csv(tmp_path):
     assert back["area"][0] == res.diagnostics[0].area
 
 
-def test_bdf1_vs_bdf2_startup():
-    """Order 2 runs bootstrap with one order-1 step, then differ from order 1."""
-    r1 = run(small_cfg(t_final=0.05), order=1)
-    r2 = run(small_cfg(t_final=0.05), order=2)
-    x1 = r1.final_state.x
-    x2 = r2.final_state.x
-    assert not np.array_equal(x1, x2)
-    # after exactly one step the histories agree
-    s1 = run(small_cfg(t_final=0.01), order=1).final_state
-    s2 = run(small_cfg(t_final=0.01), order=2).final_state
-    assert np.array_equal(s1.x, s2.x)
+def _state(t):
+    z = np.full((1, 3), t)
+    return FlowState(t, z, z[:, 0].copy(), z.copy(), z.copy(), np.zeros(1))
+
+
+def test_bdf2_bootstraps_with_one_bdf1_step():
+    """A fresh scheme steps by BDF1 from one state and by BDF2 from two
+    on, and keeps the newest two states."""
+    scheme = BdfScheme()
+    for k, order in enumerate((1, 2, 2)):
+        scheme.push(_state(float(k)))
+        for got, want in zip(scheme.coefficients(), bdf_coefficients(order)):
+            assert np.array_equal(got, want)
+    assert [s.time for s in scheme.history] == [2.0, 1.0]
 
 
 def test_abort_serializes_diagnostics(tmp_path, monkeypatch):
@@ -296,7 +299,7 @@ def test_second_order_consistency():
             snapshot_stride=0,
             output_dir="",
         )
-        return run(cfg, order=2).final_state
+        return run(cfg).final_state
 
     base_dt = 0.2 / 64
     ref = final_state(base_dt / 8)

@@ -94,10 +94,10 @@ def test_surface_gradient_tangential_and_exact():
 
 
 def test_surface_area_converges_to_analytic(sphere_surface):
-    from mcflow.scenarios import SPHERE_CORNER_TEMPER, SPHERE_EXTENT, sphere_patch_area
+    from mcflow.scenarios import SPHERE_EXTENT, sphere_patch_area
 
     sc, _ = sphere_surface
-    exact = sphere_patch_area(SPHERE_EXTENT, SPHERE_CORNER_TEMPER)
+    exact = sphere_patch_area(SPHERE_EXTENT)
     errs = []
     for N in (8, 16, 32):
         space = build_space(2, 1, N)

@@ -10,7 +10,6 @@ from mcflow.scenarios import (
     PLANE_AREA_TARGET,
     SCENARIOS,
     SPHERE_AREA_TARGET,
-    SPHERE_CORNER_TEMPER,
     SPHERE_EXTENT,
     _sinc_family,
     calibrate_plane_amplitude,
@@ -217,7 +216,7 @@ def test_sphere_patch_symmetry():
 
 def test_sphere_extent_is_calibrated():
     assert abs(calibrate_sphere_extent() - SPHERE_EXTENT) < 1e-9
-    area = sphere_patch_area(SPHERE_EXTENT, SPHERE_CORNER_TEMPER)
+    area = sphere_patch_area(SPHERE_EXTENT)
     assert abs(area - SPHERE_AREA_TARGET) < 1e-10
 
 

@@ -1,7 +1,7 @@
 """Set-up builds each table once per problem, and nothing outlives a problem.
 
 A space's univariate factor keeps its Gauss rules, the space keeps its
-CSR pattern, and each 1-D point set gets one grid, so a `FlowProblem`
+matrix diagonals, and each 1-D point set gets one grid, so a `FlowProblem`
 builds each of them once.  These caches must live on objects the problem owns:
 a cache at module level, or keyed on config values, would let a second
 problem of the same config skip its set-up.
@@ -140,7 +140,7 @@ def test_basis_is_tabulated_only_by_collocation(monkeypatch):
     monkeypatch.setattr(splines.UnivariateSpline, "eval_basis", recorded)
     cfg = ScenarioConfig(scenario="sphere_patch", elements_per_side=4, dt=0.025)
     prob = FlowProblem(cfg)
-    scheme = BdfScheme(2)
+    scheme = BdfScheme()
     scheme.push(prob.initialize())
     for _ in range(2):
         scheme.push(prob.step(scheme, cfg.dt)[0])

@@ -236,7 +236,7 @@ def test_quasi_interpolant_l2_order(p, l, gate):
 
 def test_functional_support_is_local(space_small, quasi_small):
     """Dual functionals only sample inside the support of their basis function."""
-    uspace, W, points = space_small.factor, quasi_small.w, quasi_small.points_1d
+    uspace, W, points = space_small.factor, quasi_small.w, quasi_small.grid.points_1d
     h, p = uspace.mesh_size, uspace.degree
     for j in (0, uspace.dim // 2, uspace.dim - 1):
         pts = points[np.nonzero(W[j])[0]]
