@@ -347,13 +347,15 @@ class ConstrainedSolver:
     `T` hold their upper factors.
 
     Calling the solver with a (dim, 3) load f returns (w (dim, 3),
-    multiplier, relative residual) with S w = 0: y = K^-1 f,
-    mu = T^-1 S_B y_B and w = y - K^-1 [0; S_B^T mu], two solves
-    (`dpbtrs`) with three columns each, where y_B stacks the boundary
-    rows of the three components.  The residual is taken against the
-    full saddle operator, applied block by block, and gated by
-    `check_residual(..., what)` at SOLVER_RESIDUAL_TOL.  `with_interior`
-    adds the zero-trace system K_II x_I = r_I as a fourth column.
+    multiplier, relative residual, max |S_B w_B|) with S w = 0:
+    y = K^-1 f, mu = T^-1 S_B y_B and w = y - K^-1 [0; S_B^T mu], two
+    solves (`dpbtrs`) with three columns each, where y_B stacks the
+    boundary rows of the three components.  The residual is taken
+    against the full saddle operator, applied block by block, and gated
+    by `check_residual(..., what)` at SOLVER_RESIDUAL_TOL; its
+    constraint rows S_B w_B also give the last entry, which is
+    `constraint_residual` of w.  `with_interior` adds the zero-trace
+    system K_II x_I = r_I as a fourth column.
     """
 
     def __init__(self, K, layout: SaddleLayout, what):
@@ -385,9 +387,9 @@ class ConstrainedSolver:
         """Solve K_II x_I = r_I along with the saddle for f, in the same two solves.
 
         `r` is a full-length vector whose boundary entries are ignored.
-        Returns ((x, relative residual), (w, multiplier, relative
-        residual)); x has exactly zero boundary entries and its residual
-        is that of the rows I of K x, gated by `check_residual(..., what)`.
+        Returns ((x, relative residual), the saddle tuple of a call); x
+        has exactly zero boundary entries and its residual is that of the
+        rows I of K x, gated by `check_residual(..., what)`.
         """
         x, saddle = self._solve(f, r)
         I = self.layout.interior
@@ -425,7 +427,7 @@ class ConstrainedSolver:
         res[B] += St_mu
         Sw = lo.S_B @ np.take(w, B, axis=0).ravel(order="F")
         res = np.concatenate([(res - f).ravel(), Sw])
-        saddle = (w, mu, check_residual(res, f, self.what))
+        saddle = (w, mu, check_residual(res, f, self.what), float(np.abs(Sw).max()))
         if not j:
             return None, saddle
         x = y[:, 0].copy()
@@ -456,15 +458,15 @@ def assemble_normal_load(tables, geom, nu, tail, frob2):
     return tables.integrate(dens)
 
 
-def weingarten_energy(geom, du, dv):
-    """|grad_Gamma nu|_F^2 on the grid, (m, m), of the field whose
-    derivative planes are du, dv (3, m, m).
+def weingarten_energy(geom):
+    """|grad_Gamma nu|_F^2 on the grid, (m, m), of the vector field
+    whose derivative planes `geom.du`, `geom.dv` (3, m, m) hold.
 
     With grad_Gamma nu = Jn G^-1 J^T and J^T J = G, this is
     tr(Jn^T Jn G^-1), formed from the dot products of the u- and
     v-columns of Jn and the entries of the symmetric G^-1.
     """
-    g = geom.metric_inv
+    g, du, dv = geom.metric_inv, geom.du, geom.dv
     return dot(du, du) * g[0] + 2.0 * dot(du, dv) * g[1] + dot(dv, dv) * g[2]
 
 

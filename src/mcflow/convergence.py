@@ -65,10 +65,8 @@ def check_levels(levels):
     return levels
 
 
-def convergence_study(
-    base: ScenarioConfig, levels, t_final: float = 0.05
-) -> ConvergenceReport:
-    """Run the flow on each level and fit self-convergence orders.
+def convergence_study(base: ScenarioConfig, levels, t_final: float) -> ConvergenceReport:
+    """Run the flow on each level to `t_final` and fit self-convergence orders.
 
     `base.dt` is the step size of the coarsest level; finer levels scale
     it by the mesh ratio.  Levels must pass `check_levels`: strictly

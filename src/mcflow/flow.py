@@ -21,7 +21,8 @@ to their initial values so the Dirichlet data is preserved bit for bit.
 A step raises `NormalDrift` when the extrapolated normal's length is off
 1 by more than NORMAL_DRIFT_TOL at a quadrature point, read off the
 planes of the normal that the normal load integrates, or when the new
-normal's constraint residual |S nu|_inf exceeds CONSTRAINT_TOL; a run
+normal's constraint residual |S nu|_inf, which the saddle solve hands
+over from its residual gate, exceeds CONSTRAINT_TOL; a run
 that diverges after it reaches the minimal surface stops there instead
 of reporting areas that grow without bound.
 
@@ -65,7 +66,7 @@ from .projections import (
     ritz_rhs,
 )
 from .scenarios import get_scenario
-from .splines import QuasiInterpolant, build_space
+from .splines import QuasiInterpolant, build_space, edge_points
 
 
 # Bounds of the drifting-normal guard of a step.  The reference runs stay
@@ -105,24 +106,16 @@ def bdf_coefficients(order: int):
 
 @dataclass
 class FlowState:
-    """Discrete state: coefficients of position, curvature, normal, velocity."""
+    """Discrete state: coefficients of position, curvature, normal, velocity.
+
+    No step writes to a state it returned, so the BDF history and the
+    snapshots hold the states themselves."""
 
     time: float
     x: np.ndarray  # (dim, 3)
     kappa: np.ndarray  # (dim,), zero boundary coefficients
     nu: np.ndarray  # (dim, 3)
     v: np.ndarray  # (dim, 3), zero boundary coefficients
-    multiplier: np.ndarray  # (n_boundary,)
-
-    def copy(self):
-        return FlowState(
-            self.time,
-            self.x.copy(),
-            self.kappa.copy(),
-            self.nu.copy(),
-            self.v.copy(),
-            self.multiplier.copy(),
-        )
 
 
 @dataclass
@@ -224,8 +217,9 @@ class FlowProblem:
         grid and one per edge, released before the projection iterates.
         """
         sc, quasi, bidx = self.scenario, self.quasi, self.space.boundary_indices
-        grid = sc.sample(quasi.grid_points)
-        edges = [sc.sample(quasi.edge_points(k), k) for k in range(4)]
+        p1d = quasi.grid.points_1d
+        grid = sc.sample(np.meshgrid(p1d, p1d, indexing="ij"))
+        edges = [sc.sample(edge_points(k, p1d), k) for k in range(4)]
         x = quasi.apply_to_values(grid.X)
         self.x0_boundary = x[bidx].copy()
 
@@ -245,14 +239,7 @@ class FlowProblem:
             x, rhs, start, quasi.grid, self.btables, self.saddle
         )
         v = project_velocity(quasi, kappa, nu)
-        return FlowState(
-            time=0.0,
-            x=x,
-            kappa=kappa,
-            nu=nu,
-            v=v,
-            multiplier=np.zeros(self.saddle.num_boundary),
-        )
+        return FlowState(time=0.0, x=x, kappa=kappa, nu=nu, v=v)
 
     # -- single step -----------------------------------------------------
 
@@ -272,7 +259,7 @@ class FlowProblem:
         # one matrix (d0/dt) M + A serves both systems
         K = assemble_mass_stiffness(self.tables, geom, d0 / dt)
         # |A|^2 of the extrapolated normal, shared by both loads
-        frob2 = weingarten_energy(geom, geom.du, geom.dv)
+        frob2 = weingarten_energy(geom)
 
         # curvature load (zero-trace space: boundary rows unused); the BDF
         # tails fold into the load densities, as M tail / dt
@@ -289,7 +276,7 @@ class FlowProblem:
         rhs_n = f_n + assemble_boundary_load(self.btables, nu_ext)
 
         solver = ConstrainedSolver(K, self.saddle, "normal solve")
-        (kappa, res_k), (nu, multiplier, res_n) = solver.with_interior(
+        (kappa, res_k), (nu, _, res_n, constraint) = solver.with_interior(
             rhs_k, rhs_n, "curvature solve"
         )
 
@@ -298,15 +285,8 @@ class FlowProblem:
         x = (dt * v - tail_x) / d0
         x[self.space.boundary_indices] = self.x0_boundary
 
-        state = FlowState(
-            time=scheme.history[0].time + dt,
-            x=x,
-            kappa=kappa,
-            nu=nu,
-            v=v,
-            multiplier=multiplier,
-        )
-        diag = self._diagnostics(state, (res_k, res_n), t0)
+        state = FlowState(time=scheme.history[0].time + dt, x=x, kappa=kappa, nu=nu, v=v)
+        diag = self._diagnostics(state, constraint, (res_k, res_n), t0)
         if diag.constraint_residual > CONSTRAINT_TOL:
             raise NormalDrift(
                 f"step to t = {state.time:.6g}: normal constraint residual "
@@ -314,14 +294,15 @@ class FlowProblem:
             )
         return state, diag
 
-    def _diagnostics(self, state, solver_residuals, started):
-        """Diagnostics of `state`, timed from `started` (a `perf_counter`
-        reading; None records 0.0) to after the other fields."""
+    def _diagnostics(self, state, constraint, solver_residuals, started):
+        """Diagnostics of `state`, whose normal has constraint residual
+        `constraint`, timed from `started` (a `perf_counter` reading; None
+        records 0.0) to after the other fields."""
         return StepDiagnostics(
             time=state.time,
             area=surface_area(state.x, self.tables),
             max_abs_kappa=float(np.abs(state.kappa).max()),
-            constraint_residual=constraint_residual(self.saddle, state.nu),
+            constraint_residual=constraint,
             solver_residuals=solver_residuals,
             wallclock=0.0 if started is None else _time.perf_counter() - started,
         )
@@ -342,10 +323,11 @@ class FlowProblem:
         state, diagnostics = None, []
         try:
             state = self.initialize()
-            diagnostics.append(self._diagnostics(state, (), None))
+            constraint = constraint_residual(self.saddle, state.nu)
+            diagnostics.append(self._diagnostics(state, constraint, (), None))
             snapshots = []
             if cfg.snapshot_stride > 0:
-                snapshots.append((0, state.copy()))
+                snapshots.append((0, state))
 
             if cfg.dump_matrices and cfg.output_dir:
                 self._dump_matrices(state)
@@ -358,7 +340,7 @@ class FlowProblem:
                 if cfg.snapshot_stride > 0 and (
                     k % cfg.snapshot_stride == 0 or k == num_steps
                 ):
-                    snapshots.append((k, state.copy()))
+                    snapshots.append((k, state))
                 scheme.push(state)
         except Exception:
             if cfg.output_dir:

@@ -16,9 +16,10 @@ Values on points live component first: a vector field at n points is
 (3, n), and on a tensor grid (3, m, m), one plane per component; the
 derivative along parameter a of a field is its own such stack.  The
 quadrature layer of `assembly` keeps its planes so, and the scenarios'
-samples and the edge layer keep their points so too; only the
-pointwise `SplineField.eval` returns (n, D).  `dot` and `cross3` act
-on that first axis.  `metric_pieces` is the one place
+samples and the edge layer keep their values so too; points are
+(2, ...) the same way, so a sample at the meshgrid of a tensor grid is
+planes.  Only the pointwise `SplineField.eval` reads (n, 2) points and
+returns (n, D).  `dot` and `cross3` act on that first axis.  `metric_pieces` is the one place
 that forms G^{-1} and the area element, the only metric data the flow
 reads; G itself lives only as its three entries, and G^{-1} as the
 three entries (00, 01, 11) of the symmetric matrix, from the u- and

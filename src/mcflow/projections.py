@@ -7,7 +7,7 @@ kappa and nu as planes of the quasi-interpolant's fixed tensor grid,
 they are multiplied plane by plane, and the grid's transposed product
 applies the dual weights: each is a blocked pass along u and one along v.
 Values on points are component first here as everywhere (`geometry`):
-planes (D, m, m), samples (D, m * m) in grid order, edge values (D, 4, m).
+planes (D, m, m), the grid sample among them, and edge values (D, 4, m).
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
@@ -64,12 +64,12 @@ class NoContraction(Exception):
 def boundary_quasi_interp(quasi: QuasiInterpolant, values):
     """Edge-by-edge univariate quasi-interpolation of boundary data.
 
-    `values` (D, 4, m) holds samples at `quasi.edge_points(edge)` for
-    each edge.  The functionals of each edge are the univariate ones of
-    `quasi`; corners carry no quadrature points, so a discontinuity of
-    the data there (as of the tangent) never gets sampled.  Returns the
-    (4, n, D) coefficients on the trace basis of each edge, the layout
-    `assembly.BoundaryTables.trace` reads.
+    `values` (D, 4, m) holds samples at `splines.edge_points(edge,
+    quasi.grid.points_1d)` for each edge.  The functionals of each edge
+    are the univariate ones of `quasi`; corners carry no quadrature
+    points, so a discontinuity of the data there (as of the tangent)
+    never gets sampled.  Returns the (4, n, D) coefficients on the trace
+    basis of each edge, the layout `assembly.BoundaryTables.trace` reads.
     """
     return np.moveaxis(values @ quasi.w.T, 0, -1)
 
@@ -99,19 +99,17 @@ def ritz_rhs(tables: MeshTables, grid, edges):
     The form of stiffness + RITZ_LAMBDA * mass on the scenario surface
     applied to its normal, minus the conormal term of its boundary.
     `tables` is the quasi-interpolant's grid; `grid` and `edges[k]` are
-    the scenario's `Sample`s at its `grid_points` (the points of
-    `tables`, in the same order) and its `edge_points(k)`.  The interior
-    part is the transposed tensor product of the sample's density
-    planes, the boundary part the `conormal_load` of the edge samples
-    on the same grid.
+    the scenario's `Sample`s at the meshgrid of its `points_1d`, so their
+    fields are planes of `tables`, and at `splines.edge_points(k,
+    points_1d)`.  The interior part is the transposed tensor product of
+    the sample's density planes, the boundary part the `conormal_load`
+    of the edge samples on the same grid.
     """
-    m = len(tables.points_1d)
-    ginv, q = grid.metric
-    g00, g01, g11 = ginv.reshape(3, m, m)
-    wq = tables.weights * q.reshape(m, m)
-    Nu, Nv = grid.normal_jacobian.reshape(2, 3, m, m)
+    (g00, g01, g11), q = grid.metric
+    wq = tables.weights * q
+    Nu, Nv = grid.normal_jacobian
     interior = tables.integrate(
-        RITZ_LAMBDA * wq * grid.normal.reshape(3, m, m),
+        RITZ_LAMBDA * wq * grid.normal,
         du=wq * (g00 * Nu + g01 * Nv),
         dv=wq * (g01 * Nu + g11 * Nv),
     )

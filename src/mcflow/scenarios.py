@@ -5,7 +5,9 @@ of the initial surface over the unit square: its values with first and
 second parametric derivatives at a set of points, plus an orientation
 sign for the unit normal (applied to the normalized cross product of
 the columns of the Jacobian).  Like all values on points (`geometry`),
-the jet is component first: X (3, n), J (2, 3, n) and H (2, 2, 3, n).
+the jet is component first, points included: at points (2, ...), row 0
+u and row 1 v, it returns X (3, ...), J (2, 3, ...) and H (2, 2, 3, ...),
+so the meshgrid of a tensor grid gives planes (3, m, m).
 `Scenario.sample` wraps one jet evaluation in a `Sample`, which derives
 everything else by closed-form differentiation -- normal field and its
 Jacobian, mean curvature, and on an edge the speed, the oriented unit
@@ -63,9 +65,12 @@ SPHERE_AREA_TARGET = 5.859
 
 @dataclass
 class Sample:
-    """The jet of X0 at n points: X (3, n), J[a] = d_a X0 and H[a, b] = d_a d_b X0.
+    """The jet of X0 at points of trailing shape S: X (3, *S), J[a] = d_a X0
+    and H[a, b] = d_a d_b X0.
 
-    Every field, given or derived, is component first.  The metric
+    Every field, given or derived, is component first and elementwise in
+    the points, so it keeps their trailing shape S: (n,) for a point
+    list or an edge, (m, m) for planes of a tensor grid.  The metric
     (`geometry.metric_pieces`), the normal and its Jacobian are derived
     on first use and kept; the normal keeps the length of the cross
     product Ju x Jv it normalizes, which its Jacobian reads again.  A
@@ -81,20 +86,20 @@ class Sample:
 
     @cached_property
     def metric(self):
-        """The entries (00, 01, 11) of G^-1, (3, n), and the area element,
+        """The entries (00, 01, 11) of G^-1, (3, *S), and the area element,
         `geometry.metric_pieces` of the columns of J."""
         return metric_pieces(*self.J)
 
     @cached_property
     def normal(self):
-        """Oriented unit normal, (3, n)."""
+        """Oriented unit normal, (3, *S)."""
         raw = cross3(*self.J)
-        self._normal_length = np.sqrt(dot(raw, raw))  # (n,)
+        self._normal_length = np.sqrt(dot(raw, raw))  # S
         return self.normal_sign * raw / self._normal_length
 
     @cached_property
     def normal_jacobian(self):
-        """Parametric Jacobian of the oriented unit normal, (2, 3, n) like J."""
+        """Parametric Jacobian of the oriented unit normal, (2, 3, *S) like J."""
         J, H = self.J, self.H
         nu = self.normal_sign * self.normal  # Ju x Jv / |Ju x Jv|, exactly
         norm = self._normal_length
@@ -108,7 +113,7 @@ class Sample:
 
     @property
     def mean_curvature(self):
-        """Trace of the Weingarten map for the oriented normal, (n,)."""
+        """Trace of the Weingarten map for the oriented normal, S."""
         ginv = self.metric[0]
         # tr(Jn Ginv J^T) = sum_ab (Jn_a . J_b) Ginv_ab, Ginv symmetric
         Jn, J = self.normal_jacobian, self.J
@@ -122,13 +127,13 @@ class Sample:
 
     @property
     def edge_speed(self):
-        """Length of dX0/ds, (n,)."""
+        """Length of dX0/ds, S."""
         c1 = self.J[1 - EDGE_FIXED_COORD[self.edge]]
         return np.sqrt(dot(c1, c1))
 
     @property
     def edge_tangent(self):
-        """Unit boundary tangent (3, n), oriented so nu x tau is the outward conormal.
+        """Unit boundary tangent (3, *S), oriented so nu x tau is the outward conormal.
 
         DegenerateSurface where the edge or the normal degenerates.
         """
@@ -149,7 +154,7 @@ class Sample:
 
     @property
     def edge_curvature(self):
-        """Curvature vector of the boundary curve (orientation independent), (3, n)."""
+        """Curvature vector of the boundary curve (orientation independent), (3, *S)."""
         run = 1 - EDGE_FIXED_COORD[self.edge]
         c1, c2 = self.J[run], self.H[run, run]
         speed2 = dot(c1, c1)
@@ -159,7 +164,7 @@ class Sample:
 
 @dataclass
 class Scenario:
-    """Analytic initial surface: `jet(pts (n, 2))` returns `Sample`'s (X, J, H).
+    """Analytic initial surface: `jet(pts (2, ...))` returns `Sample`'s (X, J, H).
 
     `normal_sign` orients the normalized cross product of the columns of J.
     """
@@ -191,16 +196,16 @@ def scenario_perturbed_plane(amplitude: float | None = None) -> Scenario:
     a = PLANE_AMPLITUDE if amplitude is None else float(amplitude)
 
     def jet(pts):
-        u, v = pts.T
+        u, v = pts
         gu, gu1, gu2 = _bump(u)
         gv, gv1, gv2 = _bump(v)
         X = np.stack([2.0 * u - 1.0, 2.0 * v - 1.0, a * gu * gv])
-        J = np.zeros((2, 3, len(pts)))
+        J = np.zeros((2, 3) + u.shape)
         J[0, 0] = 2.0
         J[1, 1] = 2.0
         J[0, 2] = a * gu1 * gv
         J[1, 2] = a * gu * gv1
-        H = np.zeros((2, 2, 3, len(pts)))
+        H = np.zeros((2, 2, 3) + u.shape)
         H[0, 0, 2] = a * gu2 * gv
         H[0, 1, 2] = a * gu1 * gv1
         H[1, 0] = H[0, 1]
@@ -267,8 +272,7 @@ def scenario_sphere_patch(
 
     def _plane(pts):
         """Tempered plane map (a, b) and derivatives w.r.t. (u, v)."""
-        s = 2.0 * pts[:, 0] - 1.0
-        t = 2.0 * pts[:, 1] - 1.0
+        s, t = 2.0 * np.asarray(pts) - 1.0
         q = gam * s * s * t * t
         m = 1.0 / (1.0 + q)
         q_s = 2.0 * gam * s * t * t
@@ -328,10 +332,10 @@ def scenario_sphere_patch(
         )
 
         a_u, a_v, b_u, b_v = p["a_u"], p["a_v"], p["b_u"], p["b_v"]
-        J = np.empty((2, 3, len(pts)))
+        J = np.empty((2, 3) + a.shape)
         J[0] = Fa * a_u + Fb * b_u
         J[1] = Fa * a_v + Fb * b_v
-        H = np.empty((2, 2, 3, len(pts)))
+        H = np.empty((2, 2, 3) + a.shape)
         H[0, 0] = (
             Faa * (a_u * a_u)
             + 2.0 * Fab * (a_u * b_u)
@@ -381,11 +385,9 @@ def sphere_patch_area(extent: float) -> float:
     temper SPHERE_CORNER_TEMPER, by the 60-point Gauss rule squared."""
     sc = scenario_sphere_patch(extent)
     x, w = gauss_rule(60)
-    U, V = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([U.ravel(), V.ravel()])
-    raw = cross3(*sc.jet(pts)[1])
+    raw = cross3(*sc.jet(np.meshgrid(x, x, indexing="ij"))[1])
     dens = np.sqrt(dot(raw, raw))
-    return float(np.sum(np.outer(w, w).ravel() * dens))
+    return float(np.sum(np.outer(w, w) * dens))
 
 
 def calibrate_sphere_extent() -> float:
@@ -407,10 +409,11 @@ def calibrate_plane_amplitude() -> float:
     space = build_space(2, 1, 20)
     Q = build_quasi_interpolant(space)
     tables = MeshTables(space, 3)
+    pts = np.meshgrid(Q.grid.points_1d, Q.grid.points_1d, indexing="ij")
 
     def area_of(a):
         sc = scenario_perturbed_plane(a)
-        return surface_area(Q.apply_to_values(sc.jet(Q.grid_points)[0]), tables)
+        return surface_area(Q.apply_to_values(sc.jet(pts)[0]), tables)
 
     return _bisect(area_of, 0.0, 1.0, PLANE_AREA_TARGET)
 

@@ -420,43 +420,32 @@ class QuasiInterpolant:
     values on the points `points_1d` of `grid`, a `GaussGrid`; rows of
     `w` hold the weights (zero outside the support of the corresponding
     basis function).  Tensor functionals are products of univariate
-    ones, the same in both directions.  `grid_points` lists the grid
-    u-major, and `grid` evaluates fields on it.  On the grid the dual
-    weights are zero wherever the collocation matrix C0 is, so
-    `apply_to_values` is the transposed blocked product of `grid` with
-    w^T in place of C0.
+    ones, the same in both directions, so they read planes of values on
+    the grid, which `grid` evaluates fields to and a scenario samples
+    at the meshgrid of `points_1d`.  On the grid the dual weights are
+    zero wherever the collocation matrix C0 is, so `apply_to_values` is
+    the transposed blocked product of `grid` with w^T in place of C0.
     """
 
     def __init__(self, grid: GaussGrid):
         self.grid = grid
         self.w = _dual_weights(grid)
-        U, V = np.meshgrid(grid.points_1d, grid.points_1d, indexing="ij")
-        self.grid_points = np.column_stack([U.ravel(), V.ravel()])
 
     def apply_to_values(self, values):
-        """Coefficients from values on the grid, component first.
+        """Coefficients from planes of values on the grid, component first.
 
-        `values` has shape (..., m, m), planes indexed [u point, v point],
-        or (..., m * m), listed like `grid_points`; returns (dim, ...):
-        w applied along u, then along v.  ValueError for any other
-        trailing shape.
+        `values` (..., m, m) holds planes indexed [u point, v point];
+        returns (dim, ...): w applied along u, then along v.  ValueError
+        for any other trailing shape.
         """
         values = np.asarray(values, dtype=float)
         m, n = len(self.grid.points_1d), self.grid.space.factor.dim
-        if values.shape[-2:] == (m, m):
-            lead = values.shape[:-2]
-        elif values.shape[-1:] == (m * m,):
-            lead = values.shape[:-1]
-        else:
+        if values.shape[-2:] != (m, m):
             raise ValueError(f"values of shape {values.shape} are off the {m} x {m} grid")
         wt = self.w.T
         t = self.grid._to_basis(wt, values.reshape(-1, m, m))
         coeffs = self.grid._to_basis_last(t, wt).reshape(-1, n * n)
-        return np.ascontiguousarray(coeffs.T).reshape((n * n,) + lead)
-
-    def edge_points(self, edge: int):
-        """Points on `edge` at which its univariate functionals sample."""
-        return edge_points(edge, self.grid.points_1d)
+        return np.ascontiguousarray(coeffs.T).reshape((n * n,) + values.shape[:-2])
 
 
 def _dual_weights(grid: GaussGrid):
@@ -515,10 +504,11 @@ EDGE_OUTWARD = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
 
 
 def edge_points(edge: int, s):
-    """Map edge parameters to points of the unit square."""
+    """The points (2, ...) of `edge` at edge parameters `s` (...),
+    component first: row 0 holds u, row 1 v."""
     s = np.asarray(s, dtype=float)
-    pts = np.empty(s.shape + (2,))
+    pts = np.empty((2,) + s.shape)
     fixed = EDGE_FIXED_COORD[edge]
-    pts[..., fixed] = EDGE_FIXED_VALUE[edge]
-    pts[..., 1 - fixed] = s
+    pts[fixed] = EDGE_FIXED_VALUE[edge]
+    pts[1 - fixed] = s
     return pts

@@ -40,17 +40,23 @@ def rng():
 
 
 def interior_grid(n: int = 33, margin: float = 0.1):
-    """Uniform sample grid at parametric distance >= margin from the boundary."""
+    """Uniform sample grid at parametric distance >= margin from the
+    boundary, as a component-first point list (2, n * n), u-major."""
     g = np.linspace(margin, 1.0 - margin, n)
-    U, V = np.meshgrid(g, g, indexing="ij")
-    return np.column_stack([U.ravel(), V.ravel()])
+    return grid_planes(g).reshape(2, -1)
+
+
+def grid_planes(points_1d):
+    """The tensor grid of a 1-D point set as planes (2, m, m) of u and v,
+    indexed [u point, v point]: the points of an `assembly.MeshTables`
+    with these `points_1d`, as a scenario samples them."""
+    return np.stack(np.meshgrid(points_1d, points_1d, indexing="ij"))
 
 
 def grid_points(points_1d):
-    """The tensor grid of a 1-D point set, (m * m, 2), u-major: the
-    points of an `assembly.MeshTables` with these `points_1d`."""
-    U, V = np.meshgrid(points_1d, points_1d, indexing="ij")
-    return np.column_stack([U.ravel(), V.ravel()])
+    """The tensor grid of a 1-D point set as a point-major list (m * m, 2),
+    u-major, the layout `SplineField.eval` reads."""
+    return grid_planes(points_1d).reshape(2, -1).T
 
 
 def eval_basis(space, point):
@@ -69,7 +75,8 @@ def interpolate(quasi, scenario, field="X"):
     `field` names a `scenarios.Sample` attribute: "X", "normal" or
     "mean_curvature".
     """
-    return quasi.apply_to_values(getattr(scenario.sample(quasi.grid_points), field))
+    sample = scenario.sample(grid_planes(quasi.grid.points_1d))
+    return quasi.apply_to_values(getattr(sample, field))
 
 
 def boundary_data(quasi, scenario):
@@ -77,7 +84,7 @@ def boundary_data(quasi, scenario):
 
     The data `FlowProblem.initialize` freezes, from one sample per edge.
     """
-    edges = [scenario.sample(quasi.edge_points(k), k) for k in range(4)]
+    edges = [scenario.sample(edge_points(k, quasi.grid.points_1d), k) for k in range(4)]
     return tuple(
         boundary_quasi_interp(quasi, np.stack([getattr(e, k) for e in edges], axis=1))
         for k in ("edge_tangent", "edge_curvature")
@@ -129,7 +136,7 @@ def dense_conormal_load(problem, state, nq=24):
             idx = first[:, None] + np.arange(p1)[None, :]
             tau = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_c[idx])
             kap = np.einsum("nk,nkd->nd", ders[:, 0, :], kap_c[idx])
-            pts = edge_points(edge, s)
+            pts = edge_points(edge, s).T
             nuv = NU.eval(pts)
             arc = np.linalg.norm(X.eval(pts, 1)[1][:, :, run], axis=1)
             alpha = np.einsum("nd,nd->n", kap, nuv)
@@ -161,13 +168,13 @@ def scenario_enneper(half_width=0.8, bump=0.0):
     bumped = scenario_perturbed_plane(bump)
 
     def jet(pts):
-        a, b = half_width * (2.0 * pts.T - 1.0)
+        a, b = half_width * (2.0 * np.asarray(pts) - 1.0)
         X = np.stack([a - a**3 / 3 + a * b * b, b - b**3 / 3 + b * a * a, a * a - b * b])
-        J = np.empty((2, 3, len(pts)))
+        J = np.empty((2, 3) + a.shape)
         J[0] = c * np.stack([1 - a * a + b * b, 2 * a * b, 2 * a])
         J[1] = c * np.stack([2 * a * b, 1 - b * b + a * a, -2 * b])
         two = np.full_like(a, 2.0)
-        H = np.empty((2, 2, 3, len(pts)))
+        H = np.empty((2, 2, 3) + a.shape)
         H[0, 0] = c * c * np.stack([-2 * a, 2 * b, two])
         H[0, 1] = c * c * np.stack([2 * b, 2 * a, 0 * a])
         H[1, 0] = H[0, 1]

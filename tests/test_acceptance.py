@@ -21,7 +21,13 @@ from mcflow.convergence import VARIABLES, convergence_study
 from mcflow.flow import FlowProblem, bdf_coefficients, initialize, run
 from mcflow.geometry import SplineField
 from mcflow.splines import GaussGrid, build_quasi_interpolant, build_space
-from tests.conftest import dense_conormal_load, eval_basis, grid_points, interior_grid
+from tests.conftest import (
+    dense_conormal_load,
+    eval_basis,
+    grid_planes,
+    grid_points,
+    interior_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +83,7 @@ def test_criterion_2_sphere_curvature_initialization():
     the Weingarten map of the projected normal); it carries the
     convergence in N.
     """
-    pts = interior_grid(33, margin=0.1)
+    pts = interior_grid(33, margin=0.1).T  # point-major, for `SplineField.eval`
 
     def initial_errors(N):
         """Max errors of the initial curvature field and Weingarten trace."""
@@ -325,37 +331,39 @@ def test_criterion_8_projector_and_oracle_suite(example2):
     # dual-basis identity
     space = build_space(2, 1, 6)
     quasi = build_quasi_interpolant(space)
-    B = np.zeros((len(quasi.grid_points), space.dim))
-    for i, pt in enumerate(quasi.grid_points):
+    m = len(quasi.grid.points_1d)
+    B = np.zeros((m * m, space.dim))
+    for i, pt in enumerate(grid_points(quasi.grid.points_1d)):
         idx, vals = eval_basis(space, pt)
         B[i, idx] = vals
-    assert np.abs(quasi.apply_to_values(B.T) - np.eye(space.dim)).max() <= 1e-10
+    C = quasi.apply_to_values(B.T.reshape(-1, m, m))
+    assert np.abs(C - np.eye(space.dim)).max() <= 1e-10
 
     # polynomial reproduction at degree p
     rng = np.random.default_rng(3)
     cu, cv = rng.normal(size=(2, 3))
 
     def poly(pts):
-        return np.polyval(cu, pts[:, 0]) * np.polyval(cv, pts[:, 1])
+        return np.polyval(cu, pts[0]) * np.polyval(cv, pts[1])
 
-    fld = SplineField(space, quasi.apply_to_values(poly(quasi.grid_points)))
+    fld = SplineField(space, quasi.apply_to_values(poly(grid_planes(quasi.grid.points_1d))))
     probe = rng.uniform(size=(80, 2))
-    assert np.abs(fld.eval(probe)[:, 0] - poly(probe)).max() <= 1e-11
+    assert np.abs(fld.eval(probe)[:, 0] - poly(probe.T)).max() <= 1e-11
 
     # L2 order of the quasi-interpolant on a smooth non-polynomial
     def smooth(pts):
-        return np.sin(1.3 * np.pi * pts[:, 0]) * np.exp(0.7 * pts[:, 1])
+        return np.sin(1.3 * np.pi * pts[0]) * np.exp(0.7 * pts[1])
 
     for p, l in ((2, 1), (3, 2)):
         errs = []
         for N in (4, 8, 16, 32):
             sp_n = build_space(p, l, N)
             q_n = build_quasi_interpolant(sp_n)
-            f_n = SplineField(sp_n, q_n.apply_to_values(smooth(q_n.grid_points)))
+            f_n = SplineField(sp_n, q_n.apply_to_values(smooth(grid_planes(q_n.grid.points_1d))))
             tables = MeshTables(sp_n, p + 2)
             mpts = grid_points(tables.points_1d)
             w = tables.weights.ravel()
-            d = f_n.eval(mpts)[:, 0] - smooth(mpts)
+            d = f_n.eval(mpts)[:, 0] - smooth(mpts.T)
             errs.append(np.sqrt(np.sum(w * d * d)))
         eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert eocs.min() >= p + 0.8, (p, eocs)

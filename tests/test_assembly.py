@@ -156,7 +156,7 @@ def _with_normal(tables, x, nu):
     """Geometry of x carrying the values and Jacobians of nu, and the
     Weingarten energy of nu on it."""
     geom = ElementGeometry(tables, x, np.asarray(nu).T, num_jac=3)
-    return geom, weingarten_energy(geom, geom.du, geom.dv)
+    return geom, weingarten_energy(geom)
 
 
 def test_weingarten_energy_on_sphere(sphere_problem):
@@ -352,7 +352,7 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness,
     S = full_constraint(prob.saddle.C, prob.space)
     dim, nb = K.shape[0], S.shape[0]
     f = rng.normal(size=(dim, 3))
-    w, mult, res = ConstrainedSolver(K, prob.saddle, "test solve")(f)
+    w, mult, res, constraint = ConstrainedSolver(K, prob.saddle, "test solve")(f)
     assert w.shape == (dim, 3) and mult.shape == (nb,)
     assert res <= 1e-12
     saddle = sp.bmat([[sp.block_diag([K, K, K]), S.T], [S, None]], format="csc")
@@ -360,6 +360,8 @@ def test_constrained_solver_matches_direct_saddle_solve(scenario, p, smoothness,
     got = np.concatenate([w.T.ravel(), mult])
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert constraint_residual(prob.saddle, w) <= 1e-12
+    # the solver's own max |S_B w_B| is the same product on the same w
+    assert constraint == constraint_residual(prob.saddle, w)
 
 
 def _check_interior_solve(K, prob, rng):
@@ -370,12 +372,12 @@ def _check_interior_solve(K, prob, rng):
     r = rng.normal(size=K.shape[0])
     f = rng.normal(size=(K.shape[0], 3))
     solver = ConstrainedSolver(K, prob.saddle, "test solve")
-    (x, res), (w, mult, _) = solver.with_interior(r, f, "interior test solve")
+    (x, res), (w, mult, _, _) = solver.with_interior(r, f, "interior test solve")
     assert res <= 1e-12
     ref = spla.spsolve(K_II, r[idx])
     assert np.abs(x[idx] - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.all(x[bnd] == 0.0)
-    w_alone, mult_alone, _ = solver(f)
+    w_alone, mult_alone, _, _ = solver(f)
     assert np.abs(w - w_alone).max() <= 1e-13 * np.abs(w_alone).max()
     assert np.abs(mult - mult_alone).max() <= 1e-13 * np.abs(mult_alone).max()
 

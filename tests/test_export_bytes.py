@@ -22,7 +22,7 @@ from mcflow.export import (
     export_vtk,
     write_diagnostics_csv,
 )
-from mcflow.flow import FlowProblem, StepDiagnostics
+from mcflow.flow import FlowProblem, FlowState, StepDiagnostics
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 1e17, 1 / 3, -2.5e-308]
 
@@ -147,8 +147,9 @@ def test_vtk_bytes_match_oracle_on_special_values(tmp_path, rng):
 def test_vtk_bytes_match_oracle_on_a_special_state(tiny_sphere, tmp_path):
     """A state whose coefficients hold nan, inf and subnormals, through `export_vtk`."""
     prob, res = tiny_sphere
-    state = res.final_state.copy()
-    fields = (state.x, state.kappa, state.nu, state.v)
+    final = res.final_state
+    fields = tuple(a.copy() for a in (final.x, final.kappa, final.nu, final.v))
+    state = FlowState(final.time, *fields)
     for field, value in zip(fields, (np.nan, np.inf, 5e-324, -1e300)):
         field.flat[7] = value
     with np.errstate(invalid="ignore"):  # nan and inf spread through the grid products

@@ -30,6 +30,7 @@ from mcflow.assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
+    constraint_residual,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
@@ -38,9 +39,15 @@ from mcflow.export import _sample_grid
 from mcflow.flow import BdfScheme, FlowProblem
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.projections import RITZ_LAMBDA, project_velocity, ritz_rhs
-from mcflow.splines import BLOCK_ELEMENTS, TensorGrid, build_quasi_interpolant, build_space
+from mcflow.splines import (
+    BLOCK_ELEMENTS,
+    TensorGrid,
+    build_quasi_interpolant,
+    build_space,
+    edge_points,
+)
 from tests import element_oracle as oracle
-from tests.conftest import boundary_data, full_constraint, grid_points, interpolate
+from tests.conftest import boundary_data, full_constraint, grid_planes, grid_points, interpolate
 
 KERNEL_RTOL = 1e-13
 
@@ -137,7 +144,7 @@ def test_metric_pieces_match_einsum(kernel_setup):
     assert_close(ginv, et.to_grid(np.moveaxis(entries(Ginv), 0, -1)))
     assert_close(q, et.to_grid(q_ref))
 
-    J = prob.scenario.sample(grid_points(prob.tables.points_1d)).J
+    J = prob.scenario.sample(grid_planes(prob.tables.points_1d).reshape(2, -1)).J
     ginv, q = metric_pieces(*J)
     G = np.einsum("adn,bdn->nab", J, J)
     assert_close(ginv, entries(np.linalg.inv(G)))
@@ -174,7 +181,7 @@ def test_area_weingarten_and_boundary_kernels_match_the_replaced_ones(kernel_set
     H = Jn.swapaxes(2, 3) @ np.ascontiguousarray(Jn)
     ref = et.to_grid(np.sum(H * Ginv.swapaxes(2, 3), axis=(2, 3)))
     geom = ElementGeometry(prob.tables, x, nu.T, num_jac=3)
-    assert_close(weingarten_energy(geom, geom.du, geom.dv), ref)
+    assert_close(weingarten_energy(geom), ref)
 
     bt = prob.btables
     et_b = oracle.EdgeTables(prob.space, bt.n_quad)
@@ -198,7 +205,7 @@ def test_assembly_kernels_match_einsum(kernel_setup):
     ):
         assert_same_matrix(got, ref)
 
-    frob2 = weingarten_energy(geom, geom.du, geom.dv)
+    frob2 = weingarten_energy(geom)
     frob2_ref = oracle.weingarten_energy(et, x, nu)
     assert_close(frob2, et.to_grid(frob2_ref))
     nu_q, kap_q = geom.values[:3], geom.values[3]
@@ -225,7 +232,7 @@ def test_loads_fold_their_tails(kernel_setup):
     fields = np.concatenate([nu.T, kappa[None], tail_k[None] / dt, tail_n.T / dt])
     geom = ElementGeometry(tables, x, fields, num_jac=3)
     M = assemble_mass_stiffness(tables, geom, 1.0, 0.0)
-    frob2 = weingarten_energy(geom, geom.du, geom.dv)
+    frob2 = weingarten_energy(geom)
     nu_q, kap_q, tk, tn = np.split(geom.values, [3, 4, 5])
     for got, f, tail in (
         (
@@ -337,7 +344,7 @@ def test_tensor_grid_matches_spline_field_eval(p, l, N, points, block_elements):
         values = rng.normal(size=(3, m, m))
         ref = np.einsum("aq,dqr,br->abd", quasi.w, values, quasi.w, optimize=True)
         assert_close(quasi.apply_to_values(values), ref.reshape(-1, 3))
-        assert_close(quasi.apply_to_values(values[0].ravel()), ref[:, :, 0].ravel())
+        assert_close(quasi.apply_to_values(values[0]), ref[:, :, 0].ravel())
 
 
 def test_velocity_errors_and_export_match_one_block(monkeypatch):
@@ -401,7 +408,7 @@ def test_tensor_kernels_match_the_element_oracle(p, l, N, block_elements):
         assert_same_matrix(assemble_mass_stiffness(tables, geom, 1.0, 0.0), M)
         assert_same_matrix(assemble_mass_stiffness(tables, geom, 0.0), A)
 
-        frob2 = weingarten_energy(geom, geom.du, geom.dv)
+        frob2 = weingarten_energy(geom)
         frob2_ref = oracle.weingarten_energy(et, x, nu)
         assert_close(frob2, et.to_grid(frob2_ref))
         vals = geom.values
@@ -471,10 +478,11 @@ def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elem
     geom = ElementGeometry(tables, x)
     assert_same_matrix(assemble_mass_stiffness(tables, geom, RITZ_LAMBDA), A + RITZ_LAMBDA * M)
     assert_same_matrix(assemble_mass_stiffness(tables, geom, 1.0), A + M)
-    sc = prob.scenario
-    grid = sc.sample(quasi.grid_points)
-    edges = [sc.sample(quasi.edge_points(k), k) for k in range(4)]
-    assert_close(ritz_rhs(tables, grid, edges), oracle.ritz_rhs(et, grid, edges))
+    sc, p1d = prob.scenario, quasi.grid.points_1d
+    edges = [sc.sample(edge_points(k, p1d), k) for k in range(4)]
+    # the oracle reads the grid sample as a point list, element by element
+    ref = oracle.ritz_rhs(et, sc.sample(grid_planes(p1d).reshape(2, -1)), edges)
+    assert_close(ritz_rhs(tables, sc.sample(grid_planes(p1d)), edges), ref)
 
 
 @pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
@@ -500,11 +508,10 @@ def test_boundary_forms_match_the_element_oracle(p, l, block_elements):
 def test_apply_to_values_matches_einsum(p, N, rng):
     quasi = build_quasi_interpolant(build_space(p, p - 1, N))
     m = len(quasi.grid.points_1d)
-    for shape in ((m * m,), (3, m * m), (m, m), (3, m, m), (2, 3, m, m)):
+    for shape in ((m, m), (3, m, m), (2, 3, m, m)):
         values = rng.normal(size=shape)
         got = quasi.apply_to_values(values)
-        lead = shape[:-1] if shape[-1] == m * m else shape[:-2]
-        assert got.shape == (quasi.grid.space.dim,) + lead
+        assert got.shape == (quasi.grid.space.dim,) + shape[:-2]
         grid = values.reshape(-1, m, m)
         ref = np.einsum("aq,dqr,br->abd", quasi.w, grid, quasi.w)
         ref = ref.reshape(got.shape)
@@ -512,14 +519,15 @@ def test_apply_to_values_matches_einsum(p, N, rng):
 
 
 def test_apply_to_values_checks_the_grid_shape(quasi_small, rng):
-    """Values must end in (m, m) or (m * m,): two stacked scalar samples
-    and the point-major (m * m, 3) layout raise, while the component-first
-    (3, m * m) layout gives each component's coefficients."""
+    """Values must be planes, ending in (m, m): samples listed flat in
+    grid order, (m * m,) or (3, m * m), two stacked scalar samples and
+    the point-major (m * m, 3) layout raise, while component-first planes
+    (3, m, m) give each component's coefficients."""
     m = len(quasi_small.grid.points_1d)
-    for shape in ((2 * m * m,), (m * m, 3), (m, m * m + 1)):
+    for shape in ((m * m,), (3, m * m), (2 * m * m,), (m * m, 3), (m, m * m + 1)):
         with pytest.raises(ValueError, match="off the"):
             quasi_small.apply_to_values(np.zeros(shape))
-    values = rng.normal(size=(3, m * m))
+    values = rng.normal(size=(3, m, m))
     got = quasi_small.apply_to_values(values)
     assert got.shape == (quasi_small.grid.space.dim, 3)
     for d in range(3):
@@ -596,6 +604,34 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
     monkeypatch.setattr(mcflow.flow, "weingarten_energy", counted)
     prob.step(scheme, cfg.dt)
     assert len(calls) == 1
+
+
+class _CountedProducts:
+    """A matrix that counts its products `self @ x`."""
+
+    def __init__(self, matrix):
+        self.matrix, self.calls = matrix, 0
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return self.matrix @ other
+
+
+def test_bdf2_step_applies_s_b_three_times():
+    """One BDF2 step makes three products with S_B: T at the solver's
+    set-up, the multiplier's right-hand side and the saddle residual,
+    whose max |S_B w_B| the diagnostics reuse as the constraint residual."""
+    cfg = ScenarioConfig(elements_per_side=6, t_final=2 * ScenarioConfig.dt)
+    prob = FlowProblem(cfg)
+    scheme = BdfScheme()
+    scheme.push(prob.initialize())
+    scheme.push(prob.step(scheme, cfg.dt)[0])
+    counted = _CountedProducts(prob.saddle.S_B)
+    prob.saddle.S_B = counted
+    state, diag = prob.step(scheme, cfg.dt)
+    assert counted.calls == 3
+    prob.saddle.S_B = counted.matrix
+    assert diag.constraint_residual == constraint_residual(prob.saddle, state.nu)
 
 
 def _count_factorizations(monkeypatch):

@@ -94,7 +94,7 @@ def test_initialize_samples_each_point_set_once(scenario):
     prob.scenario.jet = counted
     prob.initialize()
     assert len(calls) <= 5
-    pts = np.concatenate(calls)
+    pts = np.concatenate([c.reshape(2, -1).T for c in calls])
     assert len(np.unique(pts, axis=0)) == len(pts)
 
 
@@ -136,8 +136,17 @@ def test_area_monotone_on_short_sphere_run():
 
 
 def test_snapshot_stride():
-    res = run(small_cfg(snapshot_stride=2, t_final=0.05))
+    """Snapshots every stride steps and at the last step.  A snapshot is
+    the state the step returned, not a copy, so the last one is the final
+    state; the step-0 snapshot still holds the initial data, since no
+    step writes to a state it returned."""
+    prob = FlowProblem(small_cfg(snapshot_stride=2, t_final=0.05))
+    res = prob.run()
     assert [k for k, _ in res.snapshots] == [0, 2, 4, 5]
+    assert res.snapshots[-1][1] is res.final_state
+    first = prob.initialize()
+    for name in ("x", "kappa", "nu", "v"):
+        assert np.array_equal(getattr(res.snapshots[0][1], name), getattr(first, name))
     res = run(small_cfg(snapshot_stride=0, t_final=0.03))
     assert res.snapshots == []
 
@@ -212,7 +221,7 @@ def test_determinism_bit_identical_csv(tmp_path):
 
 def _state(t):
     z = np.full((1, 3), t)
-    return FlowState(t, z, z[:, 0].copy(), z.copy(), z.copy(), np.zeros(1))
+    return FlowState(t, z, z[:, 0].copy(), z.copy(), z.copy())
 
 
 def test_bdf2_bootstraps_with_one_bdf1_step():

@@ -9,7 +9,7 @@ from mcflow.assembly import BoundaryTables, ElementGeometry, MeshTables, weingar
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.scenarios import get_scenario
 from mcflow.splines import build_quasi_interpolant, build_space, edge_points
-from tests.conftest import interpolate
+from tests.conftest import grid_planes, interpolate
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def test_eval_edge_matches_full_eval(space_small, rng):
     vals = bt.trace(on_edges)
     dtang = bt.trace(on_edges, deriv=True)
     for edge in range(4):
-        full, jac = fld.eval(edge_points(edge, bt.points_1d), 1)
+        full, jac = fld.eval(edge_points(edge, bt.points_1d).T, 1)
         run = 0 if edge in (0, 2) else 1
         assert np.abs(vals[:, edge] - full.T).max() < 1e-13
         assert np.abs(dtang[:, edge] - jac[:, :, run].T).max() < 1e-12
@@ -83,13 +83,13 @@ def test_surface_gradient_tangential_and_exact():
     x = interpolate(quasi, sc)
 
     def f(p):
-        xs, ys = 2 * p[:, 0] - 1, 2 * p[:, 1] - 1
+        xs, ys = 2 * p[0] - 1, 2 * p[1] - 1
         return np.stack([3.0 * xs - 2.0 * ys, xs + 4.0 * ys])
 
     tables = MeshTables(space, 3)
-    f_coeffs = quasi.apply_to_values(f(quasi.grid_points))
+    f_coeffs = quasi.apply_to_values(f(grid_planes(quasi.grid.points_1d)))
     geom = ElementGeometry(tables, x, f_coeffs.T, num_jac=2)
-    frob2 = weingarten_energy(geom, geom.du, geom.dv)
+    frob2 = weingarten_energy(geom)
     assert np.abs(frob2 - 30.0).max() < 1e-11
 
 

@@ -27,7 +27,7 @@ from mcflow.projections import (
 )
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import GaussGrid, build_quasi_interpolant, build_space, edge_points
-from tests.conftest import boundary_data, grid_points, interpolate
+from tests.conftest import boundary_data, grid_planes, grid_points, interpolate
 
 
 def _sphere_problem(N, p=2, l=None):
@@ -99,9 +99,10 @@ def test_project_velocity_zero_trace_and_values(rng):
     assert np.all(v[space.boundary_indices] == 0.0)
     # interior coefficients are the plain interpolant of -kappa nu; the grid
     # evaluates through its collocation matrices, so up to roundoff
-    pts = quasi.grid_points
+    m = len(quasi.grid.points_1d)
+    pts = grid_points(quasi.grid.points_1d)
     direct = quasi.apply_to_values(
-        (-SplineField(space, kap).eval(pts) * SplineField(space, nu).eval(pts)).T
+        (-SplineField(space, kap).eval(pts) * SplineField(space, nu).eval(pts)).T.reshape(3, m, m)
     )
     idx = space.interior_indices
     assert np.abs(v[idx] - direct[idx]).max() < 1e-13
@@ -140,7 +141,7 @@ def test_sphere_normal_projection_converges(N, p):
     assert res[-1] <= 1e-12 or res[-1] <= 100.0 * 1e-12
     nu = st.nu.reshape(-1, 3)
     pts = np.column_stack([np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.8, 9)])
-    err = SplineField(prob.space, nu).eval(pts).T - prob.scenario.sample(pts).normal
+    err = SplineField(prob.space, nu).eval(pts).T - prob.scenario.sample(pts.T).normal
     assert np.abs(err).max() < 5e-3
     assert constraint_residual(prob.saddle, nu) < 1e-12
 
@@ -262,13 +263,13 @@ def scenario_pinched_edge():
     """
 
     def jet(pts):
-        u, v = pts.T
+        u, v = pts
         X = np.stack([(2 * u - 1) * v, 2 * v - 1, 0 * u])
-        J = np.zeros((2, 3, len(pts)))
+        J = np.zeros((2, 3) + u.shape)
         J[0, 0] = 2 * v
         J[1, 0] = 2 * u - 1
         J[1, 1] = 2.0
-        H = np.zeros((2, 2, 3, len(pts)))
+        H = np.zeros((2, 2, 3) + u.shape)
         H[0, 1, 0] = H[1, 0, 0] = 2.0
         return X, J, H
 
@@ -299,9 +300,9 @@ def test_pinched_edge_raises_degenerate_surface(monkeypatch, tmp_path):
 def _h1_error_to_exact_normal(prob, nu):
     """Parametric H1 error of nu against the scenario normal, Gauss grid."""
     grid = GaussGrid(prob.space, prob.space.degree + 3)
-    weights = np.outer(grid.weights_1d, grid.weights_1d).ravel()
-    values, du, dv = (a.reshape(3, -1) for a in grid.evaluate(nu.T, jac=slice(None)))
-    exact = prob.scenario.sample(grid_points(grid.points_1d))
+    weights = np.outer(grid.weights_1d, grid.weights_1d)
+    values, du, dv = grid.evaluate(nu.T, jac=slice(None))
+    exact = prob.scenario.sample(grid_planes(grid.points_1d))
     err = values - exact.normal
     err_jac = np.stack([du, dv]) - exact.normal_jacobian
     return np.sqrt(np.sum(weights * (np.sum(err**2, 0) + np.sum(err_jac**2, (0, 1)))))

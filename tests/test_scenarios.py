@@ -19,7 +19,7 @@ from mcflow.scenarios import (
     sphere_patch_area,
 )
 from mcflow.splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points
-from tests.conftest import interior_grid, scenario_enneper
+from tests.conftest import grid_planes, interior_grid, scenario_enneper
 
 
 @pytest.fixture(scope="module", params=["perturbed_plane", "sphere_patch"])
@@ -36,14 +36,18 @@ JETS["perturbed_enneper"] = lambda: scenario_enneper(0.5, 0.05)
 
 @pytest.mark.parametrize("name", JETS)
 def test_jet_is_component_first(name):
-    """X (3, n), J (2, 3, n) and H (2, 2, 3, n), with a symmetric H."""
-    pts = interior_grid(5, margin=0.0)
-    X, J, H = JETS[name]().jet(pts)
-    n = len(pts)
-    assert X.shape == (3, n)
-    assert J.shape == (2, 3, n)
-    assert H.shape == (2, 2, 3, n)
+    """At points (2, m, m), planes of a tensor grid, the jet is planes too:
+    X (3, m, m), J (2, 3, m, m) and H (2, 2, 3, m, m), with a symmetric
+    H; at a point list (2, n) it is the same values, (3, n) and so on."""
+    planes = grid_planes(np.linspace(0.0, 1.0, 5))
+    jet = JETS[name]().jet
+    X, J, H = jet(planes)
+    assert X.shape == (3, 5, 5)
+    assert J.shape == (2, 3, 5, 5)
+    assert H.shape == (2, 2, 3, 5, 5)
     assert np.array_equal(H[0, 1], H[1, 0])
+    for got, want in zip(jet(planes.reshape(2, -1)), (X, J, H)):
+        assert np.array_equal(got, want.reshape(want.shape[:-2] + (-1,)))
 
 
 # -- derivative consistency --------------------------------------------------
@@ -54,7 +58,7 @@ def test_jacobian_matches_finite_differences(scenario):
     J = scenario.sample(pts).J
     eps = 1e-6
     for a in range(2):
-        d = np.zeros(2)
+        d = np.zeros((2, 1))
         d[a] = eps
         fd = (scenario.sample(pts + d).X - scenario.sample(pts - d).X) / (2 * eps)
         assert np.abs(J[a] - fd).max() < 1e-8
@@ -65,7 +69,7 @@ def test_hessian_matches_finite_differences(scenario):
     H = scenario.sample(pts).H
     eps = 1e-5
     for a in range(2):
-        d = np.zeros(2)
+        d = np.zeros((2, 1))
         d[a] = eps
         fd = (scenario.sample(pts + d).J - scenario.sample(pts - d).J) / (2 * eps)
         assert np.abs(H[:, a] - fd).max() < 1e-6
@@ -100,7 +104,7 @@ def test_normal_jacobian_matches_finite_differences(scenario):
     Jn = scenario.sample(pts).normal_jacobian
     eps = 1e-6
     for a in range(2):
-        d = np.zeros(2)
+        d = np.zeros((2, 1))
         d[a] = eps
         fd = (scenario.sample(pts + d).normal - scenario.sample(pts - d).normal) / (
             2 * eps
@@ -207,10 +211,10 @@ def test_sphere_patch_symmetry():
     sc = get_scenario("sphere_patch")
     pts = interior_grid(7, margin=0.1)
     X = sc.sample(pts).X
-    refl = sc.sample(np.column_stack([1.0 - pts[:, 0], pts[:, 1]])).X
+    refl = sc.sample(np.stack([1.0 - pts[0], pts[1]])).X
     assert np.abs(refl[0] + X[0]).max() < 1e-14
     assert np.abs(refl[1:] - X[1:]).max() < 1e-14
-    swap = sc.sample(pts[:, ::-1]).X
+    swap = sc.sample(pts[::-1]).X
     assert np.abs(swap - X[[1, 0, 2]]).max() < 1e-14
 
 
@@ -236,7 +240,7 @@ def test_sphere_patch_parameter_validation():
 def test_corner_temper_keeps_map_injective():
     """Jacobian determinant of the calibrated map stays positive at the corner."""
     sc = get_scenario("sphere_patch")
-    corner = np.array([[1e-9, 1e-9], [0.5, 0.5], [1.0 - 1e-9, 1.0 - 1e-9]])
+    corner = np.array([[1e-9, 1e-9], [0.5, 0.5], [1.0 - 1e-9, 1.0 - 1e-9]]).T
     J = sc.sample(corner).J
     G = np.einsum("adn,bdn->nab", J, J)
     assert np.linalg.det(G).min() > 1e-4
@@ -257,7 +261,7 @@ def test_boundary_tangent_orientation(scenario):
         assert np.abs(np.linalg.norm(tau, axis=0) - 1.0).max() < 1e-12
         mu = np.cross(on_edge.normal, tau, axis=0)
         # step outward in the parametric domain; X moves along +mu
-        step = pts + eps * np.array(EDGE_OUTWARD[edge])
+        step = pts + eps * np.array(EDGE_OUTWARD[edge])[:, None]
         dX = scenario.sample(step).X - on_edge.X
         assert np.einsum("dn,dn->n", mu, dX).min() > 0.0
 

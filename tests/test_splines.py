@@ -22,7 +22,7 @@ from mcflow.splines import (
     gauss_rule,
 )
 from tests import element_oracle as oracle
-from tests.conftest import eval_basis, grid_points
+from tests.conftest import eval_basis, grid_planes, grid_points
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -128,11 +128,12 @@ def test_element_tables_consistency():
 
 def test_dual_basis_identity(space_small, quasi_small):
     """The coefficient functionals are exactly dual to the basis."""
-    B = np.zeros((len(quasi_small.grid_points), space_small.dim))
-    for i, pt in enumerate(quasi_small.grid_points):
+    p1d = quasi_small.grid.points_1d
+    B = np.zeros((len(p1d) ** 2, space_small.dim))
+    for i, pt in enumerate(grid_points(p1d)):
         idx, vals = eval_basis(space_small, pt)
         B[i, idx] = vals
-    C = quasi_small.apply_to_values(B.T)
+    C = quasi_small.apply_to_values(B.T.reshape(-1, len(p1d), len(p1d)))
     assert np.abs(C - np.eye(space_small.dim)).max() < 1e-10
 
 
@@ -194,7 +195,9 @@ def test_projector_on_spline_data(space_small, quasi_small, rng):
     """Applying the quasi-interpolant to a spline reproduces coefficients."""
     coeffs = rng.normal(size=(space_small.dim, 3))
     fld = SplineField(space_small, coeffs)
-    out = quasi_small.apply_to_values(fld.eval(quasi_small.grid_points).T)
+    p1d = quasi_small.grid.points_1d
+    values = fld.eval(grid_points(p1d)).T.reshape(3, len(p1d), len(p1d))
+    out = quasi_small.apply_to_values(values)
     assert np.abs(out - coeffs).max() < 1e-11
 
 
@@ -206,11 +209,11 @@ def test_polynomial_reproduction(p, l, rng):
     cv = rng.normal(size=p + 1)
 
     def f(pts):
-        return np.polyval(cu, pts[:, 0]) * np.polyval(cv, pts[:, 1])
+        return np.polyval(cu, pts[0]) * np.polyval(cv, pts[1])
 
-    fld = SplineField(space, quasi.apply_to_values(f(quasi.grid_points)))
+    fld = SplineField(space, quasi.apply_to_values(f(grid_planes(quasi.grid.points_1d))))
     pts = rng.uniform(size=(60, 2))
-    assert np.abs(fld.eval(pts)[:, 0] - f(pts)).max() < 1e-11
+    assert np.abs(fld.eval(pts)[:, 0] - f(pts.T)).max() < 1e-11
 
 
 @pytest.mark.parametrize("p,l,gate", [(2, 1, 2.8), (3, 2, 3.8)])
@@ -218,17 +221,17 @@ def test_quasi_interpolant_l2_order(p, l, gate):
     """L2 error of Q(f) for smooth non-polynomial f decays at order p+1."""
 
     def f(pts):
-        return np.sin(1.3 * np.pi * pts[:, 0]) * np.exp(0.7 * pts[:, 1])
+        return np.sin(1.3 * np.pi * pts[0]) * np.exp(0.7 * pts[1])
 
     errs = []
     for N in (4, 8, 16, 32):
         space = build_space(p, l, N)
         quasi = build_quasi_interpolant(space)
-        fld = SplineField(space, quasi.apply_to_values(f(quasi.grid_points)))
+        fld = SplineField(space, quasi.apply_to_values(f(grid_planes(quasi.grid.points_1d))))
         tables = MeshTables(space, p + 2)
         pts = grid_points(tables.points_1d)
         w = tables.weights.ravel()
-        d = fld.eval(pts)[:, 0] - f(pts)
+        d = fld.eval(pts)[:, 0] - f(pts.T)
         errs.append(np.sqrt(np.sum(w * d * d)))
     eocs = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert eocs.min() >= gate
@@ -257,11 +260,14 @@ def test_gauss_rule_exactness():
 
 
 def test_edge_points_layout():
+    """Edge points are component first, (2, ...) for parameters (...)."""
     s = np.array([0.0, 0.25, 1.0])
-    assert np.array_equal(edge_points(0, s)[:, 1], np.zeros(3))
-    assert np.array_equal(edge_points(1, s)[:, 0], np.ones(3))
-    assert np.array_equal(edge_points(2, s)[:, 0], s)
-    assert np.array_equal(edge_points(3, s)[:, 1], s)
+    assert edge_points(0, s).shape == (2, 3)
+    assert edge_points(1, s.reshape(3, 1)).shape == (2, 3, 1)
+    assert np.array_equal(edge_points(0, s)[1], np.zeros(3))
+    assert np.array_equal(edge_points(1, s)[0], np.ones(3))
+    assert np.array_equal(edge_points(2, s)[0], s)
+    assert np.array_equal(edge_points(3, s)[1], s)
 
 
 def test_boundary_trace_space(space_small, rng):
@@ -288,5 +294,5 @@ def test_boundary_trace_space(space_small, rng):
     fld = SplineField(space_small, coeffs)
     vals = bt.trace(coeffs[edge_indices])
     for edge in range(4):
-        full = fld.eval(edge_points(edge, bt.points_1d))
+        full = fld.eval(edge_points(edge, bt.points_1d).T)
         assert np.abs(vals[:, edge] - full.T).max() < 1e-13
