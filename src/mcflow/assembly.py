@@ -582,15 +582,3 @@ def constraint_residual(layout: SaddleLayout, nu_coeffs):
     """max |S_B nu_B| for the boundary rows nu_B of a (dim, 3) normal field."""
     nu_B = np.take(nu_coeffs, layout.boundary, axis=0)
     return float(np.abs(layout.S_B @ nu_B.ravel(order="F")).max())
-
-
-def dump_matrix_market(path, name, matrix):
-    """Write a sparse matrix in MatrixMarket coordinate format, converted
-    to COO once; a `dia_matrix` leaves its zero entries out."""
-    from pathlib import Path
-
-    from scipy.io import mmwrite
-
-    target = Path(path) / f"{name}.mtx"
-    mmwrite(str(target), matrix.tocoo())
-    return target

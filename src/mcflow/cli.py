@@ -1,9 +1,14 @@
-"""Command line front end: solve, converge, calibrate."""
+"""Command line front end: solve, converge, calibrate.
+
+It writes no file: `FlowProblem.run` and `convergence_study` write every
+output into the config's `output_dir`, here the current directory if empty.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 
 def _levels(text):
@@ -17,14 +22,18 @@ def _levels(text):
 
 
 def _config(path):
-    """The --config file, read and parsed; an unreadable or malformed
-    file is a usage error."""
+    """The --config file, read and parsed, with an empty `output_dir`
+    pointed at the current directory; an unreadable or malformed file is
+    a usage error."""
+    from dataclasses import replace
+
     from .config import ConfigError, load_config
 
     try:
-        return load_config(path)
+        cfg = load_config(path)
     except (OSError, ConfigError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return replace(cfg, output_dir=cfg.output_dir or ".")
 
 
 def build_parser():
@@ -38,11 +47,6 @@ def build_parser():
 
     s = sub.add_parser("solve", help="run a flow configuration")
     s.add_argument("--config", required=True, type=_config, help="path to a config file")
-    s.add_argument("--snapshot-stride", type=int, default=None,
-                   help="override the config snapshot stride")
-    s.add_argument("--dump-matrices", action="store_true",
-                   help="dump the mass, stiffness and constraint matrices "
-                        "in MatrixMarket format")
 
     c = sub.add_parser("converge", help="self-convergence study")
     c.add_argument("--config", required=True, type=_config)
@@ -55,24 +59,11 @@ def build_parser():
 
 
 def cmd_solve(args):
-    from dataclasses import replace
-
-    from .export import export_vtk, write_diagnostics_csv
-    from .flow import FlowProblem, cfg_dir
+    from .flow import FlowProblem
 
     cfg = args.config
-    if args.snapshot_stride is not None:
-        cfg = replace(cfg, snapshot_stride=args.snapshot_stride)
-    if args.dump_matrices:
-        cfg = replace(cfg, dump_matrices=True)
-    cfg = replace(cfg, output_dir=cfg.output_dir or ".")
-    result = FlowProblem(cfg).run()
-    out = cfg_dir(cfg)
-    csv_path = write_diagnostics_csv(result.diagnostics, out / "diagnostics.csv")
-    for k, state in result.snapshots:
-        export_vtk(result.problem, state, out / f"snapshot_{k:06d}.vtk")
-    final = result.diagnostics[-1]
-    print(f"wrote {csv_path}")
+    final = FlowProblem(cfg).run().diagnostics[-1]
+    print(f"wrote {Path(cfg.output_dir) / 'diagnostics.csv'}")
     print(
         f"t = {final.time:.6g}  area = {final.area:.9g}  "
         f"max|kappa| = {final.max_abs_kappa:.6g}  "
@@ -82,14 +73,11 @@ def cmd_solve(args):
 
 
 def cmd_converge(args):
-    from .convergence import convergence_study, save_report
-    from .flow import cfg_dir
+    from .convergence import convergence_study
 
     cfg = args.config
     report = convergence_study(cfg, args.levels, t_final=cfg.t_final)
-    out = cfg_dir(cfg)
-    path = save_report(report, out / "convergence.json")
-    print(f"wrote {path}")
+    print(f"wrote {Path(cfg.output_dir) / 'convergence.json'}")
     for var, slope in report.eoc_h1.items():
         print(f"H1 order {var}: {slope:.3f}")
     return 0

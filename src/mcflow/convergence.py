@@ -6,19 +6,20 @@ and velocity are measured against the finest level in the parametric H1
 norm on a shared quadrature grid (the `splines.GaussGrid` of the finest
 level's elements, with a rule finer than either space), on which each
 level evaluates all four fields as planes in one call; orders are
-the least-squares slope of log2 error against log2 mesh size.
+the least-squares slope of log2 error against log2 mesh size.  A study
+whose base config sets an output directory writes its report there as
+`convergence.json`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .flow import FlowProblem
+from .flow import FlowProblem, cfg_dir
 from .splines import GaussGrid, TensorGrid
 
 VARIABLES = ("position", "kappa", "nu", "velocity")
@@ -71,6 +72,8 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
     `base.dt` is the step size of the coarsest level; finer levels scale
     it by the mesh ratio.  Levels must pass `check_levels`: strictly
     increasing with each dividing the next, so the spaces are nested.
+    The level runs write no file; when `base.output_dir` is set, the
+    study writes `report.to_json()` there as `convergence.json`.
     """
     levels = check_levels(levels)
     runs = []
@@ -119,7 +122,7 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
             out.append(float(np.log2(e0 / e1) / np.log2(n1 / n0)))
         return out
 
-    return ConvergenceReport(
+    report = ConvergenceReport(
         scenario=base.scenario,
         degree=base.degree,
         levels=levels,
@@ -130,10 +133,6 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
         eoc_l2={v: fit(errors_l2[v]) for v in VARIABLES},
         pairwise_h1={v: pairwise(errors_h1[v]) for v in VARIABLES},
     )
-
-
-def save_report(report: ConvergenceReport, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(report.to_json() + "\n")
-    return path
+    if base.output_dir:
+        (cfg_dir(base) / "convergence.json").write_text(report.to_json() + "\n")
+    return report

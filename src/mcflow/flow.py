@@ -54,10 +54,10 @@ from .assembly import (
     assemble_mass_stiffness,
     assemble_normal_load,
     constraint_residual,
-    dump_matrix_market,
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
+from .export import export_vtk, write_diagnostics_csv
 from .geometry import dot, surface_area
 from .projections import (
     boundary_quasi_interp,
@@ -312,11 +312,14 @@ class FlowProblem:
     def run(self) -> RunResult:
         """March from t = 0 to t_final by BDF2; emits per-step diagnostics.
 
-        A failure (a Ritz projection that does not contract, a solver
-        residual, degenerate geometry or a drifting normal) aborts the
-        run.  When an output directory is configured it first writes the
-        diagnostics so far and, once initialization has produced a state,
-        the last good state.
+        When an output directory is configured, the run writes all of its
+        files there: the matrix dumps of the initial surface if
+        `dump_matrices` is set, and on success `diagnostics.csv` and one
+        `snapshot_{k:06d}.vtk` per snapshot.  A failure (a Ritz projection
+        that does not contract, a solver residual, degenerate geometry or
+        a drifting normal) aborts the run; it first writes the diagnostics
+        so far as `diagnostics_abort.csv` and, once initialization has
+        produced a state, the last good state as `last_good_state.vtk`.
         """
         cfg = self.cfg
         num_steps = int(round(cfg.t_final / cfg.dt))
@@ -344,11 +347,16 @@ class FlowProblem:
                 scheme.push(state)
         except Exception:
             if cfg.output_dir:
-                self._serialize_abort(state, diagnostics)
+                last = [] if state is None else [("last_good_state.vtk", state)]
+                self._write_files("diagnostics_abort.csv", diagnostics, last)
             raise
+        if cfg.output_dir:
+            snaps = [(f"snapshot_{k:06d}.vtk", s) for k, s in snapshots]
+            self._write_files("diagnostics.csv", diagnostics, snaps)
         return RunResult(diagnostics, state, snapshots, self)
 
     def _dump_matrices(self, state):
+        from scipy.io import mmwrite
         from scipy.sparse import csr_matrix
 
         geom = ElementGeometry(self.tables, state.x)
@@ -358,16 +366,18 @@ class FlowProblem:
         C, B, dim = self.saddle.C.tocoo(), self.saddle.boundary, self.space.dim
         k, b = np.divmod(C.row, len(B))
         S = csr_matrix((C.data, (C.col, B[b] + dim * k)), shape=(len(B), 3 * dim))
-        for name, mat in (("mass", M), ("stiffness", A), ("constraint", S)):
-            dump_matrix_market(cfg_dir(self.cfg), name, mat)
-
-    def _serialize_abort(self, state, diagnostics):
-        from .export import export_vtk, write_diagnostics_csv
-
         out = cfg_dir(self.cfg)
-        write_diagnostics_csv(diagnostics, out / "diagnostics_abort.csv")
-        if state is not None:
-            export_vtk(self, state, out / "last_good_state.vtk")
+        # MatrixMarket from COO, which leaves a dia_matrix's zero entries out
+        for name, mat in (("mass", M), ("stiffness", A), ("constraint", S)):
+            mmwrite(str(out / f"{name}.mtx"), mat.tocoo())
+
+    def _write_files(self, csv_name, diagnostics, states):
+        """Write `diagnostics` as `csv_name` and each (file name, state) of
+        `states` as a VTK snapshot into the output directory."""
+        out = cfg_dir(self.cfg)
+        write_diagnostics_csv(diagnostics, out / csv_name)
+        for name, state in states:
+            export_vtk(self, state, out / name)
 
 
 def _check_time_grid(cfg: ScenarioConfig):
@@ -400,5 +410,6 @@ def initialize(cfg: ScenarioConfig):
 
 
 def run(cfg: ScenarioConfig) -> RunResult:
-    """Full flow run for a config; see FlowProblem.run."""
+    """Full flow run for a config, writing its files into `cfg.output_dir`
+    when that is set; see FlowProblem.run."""
     return FlowProblem(cfg).run()

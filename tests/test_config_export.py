@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.io import mmread
 
 from mcflow.assembly import ElementGeometry, assemble_mass_stiffness
+from mcflow.cli import build_parser
 from mcflow.cli import main as cli_main
 from mcflow.config import (
     ConfigError,
@@ -25,7 +29,8 @@ from mcflow.export import (
     read_diagnostics_csv,
     write_diagnostics_csv,
 )
-from mcflow.flow import FlowProblem, NormalDrift
+from mcflow.convergence import convergence_study
+from mcflow.flow import FlowProblem, NormalDrift, run
 from tests.conftest import full_constraint
 
 
@@ -195,11 +200,12 @@ def test_cli_solve_dump_matrices(tmp_path, capsys):
             elements_per_side=4,
             dt=0.01,
             t_final=0.01,
+            dump_matrices=True,
             output_dir=str(out),
         )
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(serialize_config(cfg))
-        assert cli_main(["solve", "--config", str(cfg_path), "--dump-matrices"]) == 0
+        assert cli_main(["solve", "--config", str(cfg_path)]) == 0
         prob = FlowProblem(cfg)
         geom = ElementGeometry(prob.tables, prob.initialize().x)
         matrices = (
@@ -224,10 +230,11 @@ def test_cli_solve_without_output_dir_dumps_here(tmp_path, monkeypatch, capsys):
         elements_per_side=4,
         dt=0.01,
         t_final=0.01,
+        dump_matrices=True,
         output_dir="",
     )
     (tmp_path / "run.cfg").write_text(serialize_config(cfg))
-    assert cli_main(["solve", "--config", "run.cfg", "--dump-matrices"]) == 0
+    assert cli_main(["solve", "--config", "run.cfg"]) == 0
     for name in ("diagnostics.csv", "mass.mtx", "stiffness.mtx", "constraint.mtx"):
         assert (tmp_path / name).exists(), name
 
@@ -252,6 +259,68 @@ def test_cli_solve_without_output_dir_keeps_its_abort_record(tmp_path, monkeypat
     rows = read_diagnostics_csv(tmp_path / "diagnostics_abort.csv")
     assert np.allclose(rows["t"], [0.0, 0.1], rtol=0, atol=1e-12)
     assert (tmp_path / "last_good_state.vtk").exists()
+
+
+def test_run_writes_the_files_of_solve(tmp_path):
+    """`flow.run` with an output_dir writes the files `mcflow solve` writes
+    for that config, with the same bytes except the wallclock column."""
+    cfg = ScenarioConfig(
+        scenario="sphere_patch",
+        degree=2,
+        smoothness=1,
+        elements_per_side=4,
+        dt=0.01,
+        t_final=0.03,
+        snapshot_stride=2,
+        dump_matrices=True,
+        output_dir=str(tmp_path / "solve"),
+    )
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(serialize_config(cfg))
+    assert cli_main(["solve", "--config", str(cfg_path)]) == 0
+    run(replace(cfg, output_dir=str(tmp_path / "run")))
+    names = sorted(p.name for p in (tmp_path / "solve").iterdir())
+    assert names == [
+        "constraint.mtx",
+        "diagnostics.csv",
+        "mass.mtx",
+        "snapshot_000000.vtk",
+        "snapshot_000002.vtk",
+        "snapshot_000003.vtk",
+        "stiffness.mtx",
+    ]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
+    for name in names:
+        a, b = ((tmp_path / d / name).read_text() for d in ("solve", "run"))
+        if name == "diagnostics.csv":  # all but the last column, the wallclock
+            a, b = ([line.rsplit(",", 1)[0] for line in t.splitlines()] for t in (a, b))
+        assert a == b, name
+
+
+def test_convergence_study_writes_its_report(tmp_path):
+    """With an output_dir the study writes its report there, and its level
+    runs write nothing."""
+    cfg = ScenarioConfig(elements_per_side=2, dt=0.02, t_final=0.04, output_dir=str(tmp_path))
+    report = convergence_study(cfg, [2, 4, 8], t_final=cfg.t_final)
+    assert [p.name for p in tmp_path.iterdir()] == ["convergence.json"]
+    assert (tmp_path / "convergence.json").read_text() == report.to_json() + "\n"
+
+
+def test_no_output_dir_writes_no_file(tmp_path, monkeypatch):
+    """With an empty output_dir neither a run, with dumps and snapshots
+    on, nor a study writes into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = ScenarioConfig(
+        elements_per_side=2,
+        dt=0.02,
+        t_final=0.04,
+        snapshot_stride=1,
+        dump_matrices=True,
+        output_dir="",
+    )
+    run(cfg)
+    convergence_study(cfg, [2, 4, 8], t_final=cfg.t_final)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_converge(tmp_path, capsys):
@@ -281,30 +350,15 @@ def test_cli_calibrate(capsys):
     assert "diff" in out
 
 
-def test_cli_snapshot_stride_override(tmp_path):
-    cfg = ScenarioConfig(
-        scenario="perturbed_plane",
-        degree=2,
-        smoothness=1,
-        elements_per_side=4,
-        dt=0.01,
-        t_final=0.02,
-        snapshot_stride=0,
-        output_dir=str(tmp_path / "out"),
-    )
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(serialize_config(cfg))
-    assert cli_main(["solve", "--config", str(cfg_path), "--snapshot-stride", "1"]) == 0
-    assert (tmp_path / "out" / "snapshot_000002.vtk").exists()
-
-
+@pytest.mark.parametrize("command", ["solve", "converge"])
 @pytest.mark.parametrize("flag", [["--dump-matrices"], ["--snapshot-stride", "1"]])
-def test_cli_converge_rejects_solve_flags(tmp_path, capsys, flag):
-    """`converge` writes no snapshots or matrices, so it offers neither flag."""
+def test_cli_converge_rejects_solve_flags(tmp_path, capsys, command, flag):
+    """Neither command takes a flag for the stride or the dumps: the
+    config keys `snapshot_stride` and `dump_matrices` set them."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(serialize_config(ScenarioConfig(output_dir=str(tmp_path / "out"))))
     with pytest.raises(SystemExit) as exc:
-        cli_main(["converge", "--config", str(cfg_path), *flag])
+        cli_main([command, "--config", str(cfg_path), *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -369,3 +423,26 @@ def test_cli_solve_does_not_hide_output_errors(tmp_path):
     cfg_path.write_text(serialize_config(cfg))
     with pytest.raises(FileExistsError):
         cli_main(["solve", "--config", str(cfg_path)])
+
+
+def test_readme_cli_names_the_flags_the_parser_defines():
+    """The README's CLI section names exactly the flags of each subcommand,
+    in its "`command` takes ..." clauses, and no other flag anywhere."""
+    (sub,) = [a for a in build_parser()._actions if a.choices and "solve" in a.choices]
+    defined = {
+        name: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for name, parser in sub.choices.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = " ".join(readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split())
+    documented = {
+        name: set(re.findall(r"`(--[\w-]+)`", clause))
+        for name, clause in re.findall(r"`(\w+)` takes ([^;.]*)", section)
+    }
+    assert documented == defined
+    assert set(re.findall(r"`(--[\w-]+)`", section)) == set().union(*defined.values())
