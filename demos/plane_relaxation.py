@@ -9,11 +9,7 @@ the flat-square value 4 and the maximal discrete curvature decays.
 from pathlib import Path
 
 from mcflow.config import ScenarioConfig
-from mcflow.export import export_vtk, write_diagnostics_csv
 from mcflow.flow import run
-
-out = Path("out_plane")
-out.mkdir(exist_ok=True)
 
 cfg = ScenarioConfig(
     scenario="perturbed_plane",
@@ -23,7 +19,7 @@ cfg = ScenarioConfig(
     dt=0.005,
     t_final=0.4,
     snapshot_stride=20,
-    output_dir="",
+    output_dir="out_plane",
 )
 
 result = run(cfg)
@@ -38,8 +34,7 @@ final = result.diagnostics[-1]
 print(f"final area {final.area:.8f} (flat square: 4), "
       f"area removed {result.diagnostics[0].area - final.area:.6f}")
 
-# --- artifacts: per-step diagnostics and the surfaces at both ends ---
-write_diagnostics_csv(result.diagnostics, out / "diagnostics.csv")
-export_vtk(result.problem, result.snapshots[0][1], out / "initial.vtk")
-export_vtk(result.problem, result.final_state, out / "final.vtk")
-print(f"wrote {out}/diagnostics.csv, {out}/initial.vtk, {out}/final.vtk")
+# the run wrote the per-step diagnostics and the snapshots at steps
+# 0, 20, ..., 80, the first and last of them the surfaces at both ends
+names = sorted(p.name for p in Path(cfg.output_dir).iterdir())
+print(f"wrote {', '.join(names)} to {cfg.output_dir}/")

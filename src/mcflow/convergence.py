@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .flow import FlowProblem, cfg_dir
+from .flow import FlowProblem
 from .splines import GaussGrid, TensorGrid
 
 VARIABLES = ("position", "kappa", "nu", "velocity")
@@ -72,11 +73,13 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
     `base.dt` is the step size of the coarsest level; finer levels scale
     it by the mesh ratio.  Levels must pass `check_levels`: strictly
     increasing with each dividing the next, so the spaces are nested.
-    The level runs write no file; when `base.output_dir` is set, the
-    study writes `report.to_json()` there as `convergence.json`.
+    Every level's problem is built, and so its config checked, before
+    any level runs.  The level runs write no file; when `base.output_dir`
+    is set, the study makes it before the first run and writes
+    `report.to_json()` there as `convergence.json`.
     """
     levels = check_levels(levels)
-    runs = []
+    problems = []
     for n in levels:
         cfg = replace(
             base,
@@ -87,7 +90,10 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
             output_dir="",
             dump_matrices=False,
         )
-        runs.append(FlowProblem(cfg).run())
+        problems.append(FlowProblem(cfg))
+    if base.output_dir:
+        Path(base.output_dir).mkdir(parents=True, exist_ok=True)
+    runs = [problem.run() for problem in problems]
 
     fine = GaussGrid(runs[-1].problem.space, base.degree + 3)
     weights = np.outer(fine.weights_1d, fine.weights_1d)
@@ -134,5 +140,5 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
         pairwise_h1={v: pairwise(errors_h1[v]) for v in VARIABLES},
     )
     if base.output_dir:
-        (cfg_dir(base) / "convergence.json").write_text(report.to_json() + "\n")
+        (Path(base.output_dir) / "convergence.json").write_text(report.to_json() + "\n")
     return report

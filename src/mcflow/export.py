@@ -44,7 +44,8 @@ def _write_lines(path, lines):
 
 
 def write_diagnostics_csv(diagnostics, path):
-    """Write per-step diagnostics rows; returns the path."""
+    """Write per-step diagnostics rows into an existing directory; returns
+    the path."""
     path = Path(path)
     rows = np.array(
         [
@@ -53,7 +54,6 @@ def write_diagnostics_csv(diagnostics, path):
         ],
         dtype=float,
     ).reshape(-1, 6)
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_lines(path, [CSV_HEADER, _format_rows(rows, sep=",")])
     return path
 
@@ -84,10 +84,10 @@ def _sample_grid(problem, state):
 
 
 def export_vtk(problem, state, path):
-    """Write a legacy VTK snapshot of the surface with its field data."""
+    """Write a legacy VTK snapshot of the surface with its field data into
+    an existing directory; returns the path."""
     pos, kap, nu, vel, quads = _sample_grid(problem, state)
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     _write_legacy_vtk(path, pos, kap, nu, vel, quads)
     return path
 

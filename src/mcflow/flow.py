@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -124,12 +125,8 @@ class StepDiagnostics:
     area: float
     max_abs_kappa: float
     constraint_residual: float
-    solver_residuals: tuple
+    solver_residual: float
     wallclock: float
-
-    @property
-    def solver_residual(self):
-        return max(self.solver_residuals) if self.solver_residuals else 0.0
 
 
 class BdfScheme:
@@ -286,7 +283,7 @@ class FlowProblem:
         x[self.space.boundary_indices] = self.x0_boundary
 
         state = FlowState(time=scheme.history[0].time + dt, x=x, kappa=kappa, nu=nu, v=v)
-        diag = self._diagnostics(state, constraint, (res_k, res_n), t0)
+        diag = self._diagnostics(state, constraint, max(res_k, res_n), t0)
         if diag.constraint_residual > CONSTRAINT_TOL:
             raise NormalDrift(
                 f"step to t = {state.time:.6g}: normal constraint residual "
@@ -294,16 +291,17 @@ class FlowProblem:
             )
         return state, diag
 
-    def _diagnostics(self, state, constraint, solver_residuals, started):
+    def _diagnostics(self, state, constraint, solver_residual, started):
         """Diagnostics of `state`, whose normal has constraint residual
-        `constraint`, timed from `started` (a `perf_counter` reading; None
-        records 0.0) to after the other fields."""
+        `constraint` and whose solves left `solver_residual`, timed from
+        `started` (a `perf_counter` reading; None records 0.0) to after
+        the other fields."""
         return StepDiagnostics(
             time=state.time,
             area=surface_area(state.x, self.tables),
             max_abs_kappa=float(np.abs(state.kappa).max()),
             constraint_residual=constraint,
-            solver_residuals=solver_residuals,
+            solver_residual=solver_residual,
             wallclock=0.0 if started is None else _time.perf_counter() - started,
         )
 
@@ -312,22 +310,25 @@ class FlowProblem:
     def run(self) -> RunResult:
         """March from t = 0 to t_final by BDF2; emits per-step diagnostics.
 
-        When an output directory is configured, the run writes all of its
-        files there: the matrix dumps of the initial surface if
-        `dump_matrices` is set, and on success `diagnostics.csv` and one
-        `snapshot_{k:06d}.vtk` per snapshot.  A failure (a Ritz projection
-        that does not contract, a solver residual, degenerate geometry or
-        a drifting normal) aborts the run; it first writes the diagnostics
-        so far as `diagnostics_abort.csv` and, once initialization has
-        produced a state, the last good state as `last_good_state.vtk`.
+        When an output directory is configured, the run makes it before
+        any other work and writes all of its files there: the matrix
+        dumps of the initial surface if `dump_matrices` is set, and on
+        success `diagnostics.csv` and one `snapshot_{k:06d}.vtk` per
+        snapshot.  A failure (a Ritz projection that does not contract, a
+        solver residual, degenerate geometry or a drifting normal) aborts
+        the run; it first writes the diagnostics so far as
+        `diagnostics_abort.csv` and, once initialization has produced a
+        state, the last good state as `last_good_state.vtk`.
         """
         cfg = self.cfg
         num_steps = int(round(cfg.t_final / cfg.dt))
+        if cfg.output_dir:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         state, diagnostics = None, []
         try:
             state = self.initialize()
             constraint = constraint_residual(self.saddle, state.nu)
-            diagnostics.append(self._diagnostics(state, constraint, (), None))
+            diagnostics.append(self._diagnostics(state, constraint, 0.0, None))
             snapshots = []
             if cfg.snapshot_stride > 0:
                 snapshots.append((0, state))
@@ -366,7 +367,7 @@ class FlowProblem:
         C, B, dim = self.saddle.C.tocoo(), self.saddle.boundary, self.space.dim
         k, b = np.divmod(C.row, len(B))
         S = csr_matrix((C.data, (C.col, B[b] + dim * k)), shape=(len(B), 3 * dim))
-        out = cfg_dir(self.cfg)
+        out = Path(self.cfg.output_dir)
         # MatrixMarket from COO, which leaves a dia_matrix's zero entries out
         for name, mat in (("mass", M), ("stiffness", A), ("constraint", S)):
             mmwrite(str(out / f"{name}.mtx"), mat.tocoo())
@@ -374,7 +375,7 @@ class FlowProblem:
     def _write_files(self, csv_name, diagnostics, states):
         """Write `diagnostics` as `csv_name` and each (file name, state) of
         `states` as a VTK snapshot into the output directory."""
-        out = cfg_dir(self.cfg)
+        out = Path(self.cfg.output_dir)
         write_diagnostics_csv(diagnostics, out / csv_name)
         for name, state in states:
             export_vtk(self, state, out / name)
@@ -393,14 +394,6 @@ def _check_time_grid(cfg: ScenarioConfig):
         )
     if cfg.snapshot_stride < 0:
         raise ConfigError(f"snapshot_stride must be >= 0, got {cfg.snapshot_stride}")
-
-
-def cfg_dir(cfg: ScenarioConfig):
-    from pathlib import Path
-
-    p = Path(cfg.output_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def initialize(cfg: ScenarioConfig):

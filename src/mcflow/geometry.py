@@ -18,14 +18,16 @@ derivative along parameter a of a field is its own such stack.  The
 quadrature layer of `assembly` keeps its planes so, and the scenarios'
 samples and the edge layer keep their values so too; points are
 (2, ...) the same way, so a sample at the meshgrid of a tensor grid is
-planes.  Only the pointwise `SplineField.eval` reads (n, 2) points and
-returns (n, D).  `dot` and `cross3` act on that first axis.  `metric_pieces` is the one place
-that forms G^{-1} and the area element, the only metric data the flow
-reads; G itself lives only as its three entries, and G^{-1} as the
-three entries (00, 01, 11) of the symmetric matrix, from the u- and
-v-columns of the Jacobians.  `surface_area` reads det G from the same
-entries.  Every entry is a handful of elementwise multiply-adds over
-whole arrays, not a stack of 2 x 2 and 3 x 2 matrix products.
+planes.  Only the pointwise `SplineField.eval`, the test oracle, reads
+(n, 2) points and returns (n, D), from the factor's `eval_basis` along u
+and along v.  `dot` and `cross3` act on that first axis.  `metric_pieces`
+is the one place that forms G^{-1} and the area element, the only
+metric data the flow reads; G itself lives only as its three entries,
+and G^{-1} as the three entries (00, 01, 11) of the symmetric matrix,
+from the u- and v-columns of the Jacobians.  `surface_area` reads det G
+from the same entries.  Every entry is a handful of elementwise
+multiply-adds over whole arrays, not a stack of 2 x 2 and 3 x 2 matrix
+products.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ class SplineField:
         pts = np.atleast_2d(points)
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("evaluation points must lie in the unit square")
-        flat, du, dv = self.space.active_basis(pts, nderiv)
+        fu, du = self.space.factor.eval_basis(pts[:, 0])
+        fv, dv = self.space.factor.eval_basis(pts[:, 1])
+        local = np.arange(self.space.degree + 1)
+        ju, jv = fu[:, None] + local, fv[:, None] + local
+        flat = self.space.flat_index(ju[:, :, None], jv[:, None, :])
         coeffs = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
         loc = coeffs[flat]  # (n, pu+1, pv+1, D)
 

@@ -20,21 +20,20 @@ involved, one small solve per basis function.  This makes the
 functionals exactly dual to the basis, so the operator is a projector
 onto the space and reproduces polynomials up to degree p.
 
-`UnivariateSpline.element_rule` keeps each per-element Gauss rule it
-builds, so a space computes each rule once.  `TensorGrid` is the one
-tensor-product kernel and the one tabulation of the basis: on the square
-of a sorted 1-D point set (a Gauss grid, an export grid) it holds the
-factor's collocation matrices and moves fields between coefficients and
-planes of grid values by 1-D products along u and along v.  The matrices
-are banded, so the products run per block of BLOCK_ELEMENTS elements and
-skip the zero blocks.  `GaussGrid` is the grid of a per-element Gauss
-rule with its 1-D weights.  `assembly.MeshTables` is a Gauss grid with
-the quadrature tables on top; the quasi-interpolant takes the element
-blocks of its dual functionals from the collocation matrix of its Gauss
-grid and applies them by the grid's transposed product; and
-`assembly.BoundaryTables` is the Gauss grid of the edge rule used along
-one axis, since with open knot vectors the trace of the space on an
-edge is the factor.
+`UnivariateSpline.element_rule` builds its rule on each call, since no
+problem asks for one rule twice.  `TensorGrid` is the one tensor-product
+kernel and the one tabulation of the basis: on the square of a sorted 1-D
+point set (a Gauss grid, an export grid) it holds the factor's collocation
+matrices and moves fields between coefficients and planes of grid values
+by 1-D products along u and along v.  The matrices are banded, so the
+products run per block of BLOCK_ELEMENTS elements and skip the zero
+blocks.  `GaussGrid` is the grid of a per-element Gauss rule with its 1-D
+weights.  `assembly.MeshTables` is a Gauss grid with the quadrature tables
+on top; the quasi-interpolant takes the element blocks of its dual
+functionals from the collocation matrix of its Gauss grid and applies them
+by the grid's transposed product; and `assembly.BoundaryTables` is the
+Gauss grid of the edge rule used along one axis, since with open knot
+vectors the trace of the space on an edge is the factor.
 """
 
 from __future__ import annotations
@@ -48,52 +47,6 @@ def gauss_rule(n: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _basis_derivatives(knots, degree, x, spans, nderiv):
-    """The nonzero basis functions at each point, and with nderiv == 1
-    their first derivatives; any other nderiv raises ValueError.
-
-    Returns an array of shape (npts, nderiv + 1, degree + 1); row k holds
-    the k-th derivatives of the degree + 1 basis functions active on the
-    span of each point, in index order span - degree .. span.  The
-    Cox-de Boor table `ndu` (Piegl & Tiller, The NURBS Book, A2.2) gives
-    the values, the degree p - 1 values N_r and the lengths d_r of their
-    supports; the derivatives follow by de Boor's difference formula
-    B'_r = p (N_{r-1} / d_{r-1} - N_r / d_r), formed operation by
-    operation as the first-order pass of A2.3.
-    """
-    if nderiv not in (0, 1):
-        raise ValueError(f"nderiv must be 0 or 1, got {nderiv}")
-    p = degree
-    x = np.asarray(x, dtype=float)
-    npts = x.shape[0]
-
-    ndu = np.empty((npts, p + 1, p + 1))
-    ndu[:, 0, 0] = 1.0
-    left = np.empty((npts, p + 1))
-    right = np.empty((npts, p + 1))
-    for j in range(1, p + 1):
-        left[:, j] = x - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - x
-        saved = np.zeros(npts)
-        for r in range(j):
-            # lower triangle: knot differences
-            ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
-            temp = ndu[:, r, j - 1] / ndu[:, j, r]
-            # upper triangle: basis values
-            ndu[:, r, j] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        ndu[:, j, j] = saved
-
-    ders = np.zeros((npts, nderiv + 1, p + 1))
-    ders[:, 0, :] = ndu[:, :, p]
-    if nderiv:
-        ratio = (1.0 / ndu[:, p, :p]) * ndu[:, :p, p - 1]  # N_r / d_r
-        ders[:, 1, :p] -= ratio
-        ders[:, 1, 1:] += ratio
-        ders[:, 1, :] *= float(p)
-    return ders
 
 
 class UnivariateSpline:
@@ -121,7 +74,6 @@ class UnivariateSpline:
         )
         self.dim = len(self.knots) - degree - 1
         assert self.dim == num_elements * mult + smoothness + 1
-        self._rules = {}  # n_quad -> element_rule
 
     def __repr__(self):
         return (
@@ -135,27 +87,55 @@ class UnivariateSpline:
         span = np.searchsorted(self.knots, x, side="right") - 1
         return np.clip(span, self.degree, self.dim - 1)
 
-    def eval_basis(self, x, nderiv: int = 0):
-        """Nonzero basis values, and first derivatives if nderiv == 1, at
-        points in [0, 1].
+    def eval_basis(self, x):
+        """Nonzero basis values and first derivatives at points in [0, 1].
 
         Returns (first, ders): `first[i]` is the index of the first active
-        basis function at x[i], `ders[i, k, a]` the k-th derivative of
-        basis `first[i] + a`.
+        basis function at x[i], `ders[i, k, a]` (n, 2, p + 1) the k-th
+        derivative of basis `first[i] + a`, in index order.  The Cox-de
+        Boor table `ndu` (Piegl & Tiller, The NURBS Book, A2.2) gives the
+        values, the degree p - 1 values N_r and the lengths d_r of their
+        supports; the derivatives follow by de Boor's difference formula
+        B'_r = p (N_{r-1} / d_{r-1} - N_r / d_r), formed operation by
+        operation as the first-order pass of A2.3.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")
         spans = self.find_span(x)
-        ders = _basis_derivatives(self.knots, self.degree, x, spans, nderiv)
-        return spans - self.degree, ders
+        p, knots, npts = self.degree, self.knots, x.shape[0]
+
+        ndu = np.empty((npts, p + 1, p + 1))
+        ndu[:, 0, 0] = 1.0
+        left = np.empty((npts, p + 1))
+        right = np.empty((npts, p + 1))
+        for j in range(1, p + 1):
+            left[:, j] = x - knots[spans + 1 - j]
+            right[:, j] = knots[spans + j] - x
+            saved = np.zeros(npts)
+            for r in range(j):
+                # lower triangle: knot differences
+                ndu[:, j, r] = right[:, r + 1] + left[:, j - r]
+                temp = ndu[:, r, j - 1] / ndu[:, j, r]
+                # upper triangle: basis values
+                ndu[:, r, j] = saved + right[:, r + 1] * temp
+                saved = left[:, j - r] * temp
+            ndu[:, j, j] = saved
+
+        ders = np.zeros((npts, 2, p + 1))
+        ders[:, 0, :] = ndu[:, :, p]
+        ratio = (1.0 / ndu[:, p, :p]) * ndu[:, :p, p - 1]  # N_r / d_r
+        ders[:, 1, :p] -= ratio
+        ders[:, 1, 1:] += ratio
+        ders[:, 1, :] *= float(p)
+        return spans - p, ders
 
     def collocation(self, x):
         """Dense collocation matrices C0 and C1 (2, n, dim) at points in [0, 1].
 
         Entry [k, i, j] is the k-th derivative of basis j at x[i].
         """
-        first, ders = self.eval_basis(x, 1)
+        first, ders = self.eval_basis(x)
         rows = np.arange(len(first))[:, None]
         cols = first[:, None] + np.arange(self.degree + 1)
         out = np.zeros((2, len(first), self.dim))
@@ -191,22 +171,12 @@ class UnivariateSpline:
         """Per-element Gauss rule.
 
         Returns points (N, nq) in global coordinates and weights (nq,)
-        scaled to the element length.  Each rule is built once per space
-        and returned read-only.
+        scaled to the element length.
         """
-        if n_quad not in self._rules:
-            xq, wq = gauss_rule(n_quad)
-            h = self.mesh_size
-            offsets = np.arange(self.num_elements)[:, None] * h
-            self._rules[n_quad] = _read_only(offsets + xq[None, :] * h, wq * h)
-        return self._rules[n_quad]
-
-
-def _read_only(*arrays):
-    """The arrays, made read-only: a cached table must not change under its users."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+        xq, wq = gauss_rule(n_quad)
+        h = self.mesh_size
+        offsets = np.arange(self.num_elements)[:, None] * h
+        return offsets + xq[None, :] * h, wq * h
 
 
 class TensorSplineSpace:
@@ -268,21 +238,6 @@ class TensorSplineSpace:
 
     def flat_index(self, j1, j2):
         return np.asarray(j1) * self.factor.dim + np.asarray(j2)
-
-    def active_basis(self, points, nderiv: int = 0):
-        """Active basis at each of the points (n, 2) of the unit square.
-
-        Returns (flat, du, dv): `flat[i, a, b]` is the flat index of the
-        tensor basis function whose univariate factors are active basis a
-        in u and b in v at point i, and du and dv (n, nderiv + 1, p + 1)
-        are their values and derivatives (see
-        `UnivariateSpline.eval_basis`).
-        """
-        fu, du = self.factor.eval_basis(points[:, 0], nderiv)
-        fv, dv = self.factor.eval_basis(points[:, 1], nderiv)
-        local = np.arange(self.degree + 1)
-        ju, jv = fu[:, None] + local, fv[:, None] + local
-        return self.flat_index(ju[:, :, None], jv[:, None, :]), du, dv
 
 
 def build_space(degree: int, smoothness: int, num_elements: int) -> TensorSplineSpace:

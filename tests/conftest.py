@@ -65,8 +65,11 @@ def eval_basis(space, point):
     u, v = float(point[0]), float(point[1])
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise ValueError(f"point {(u, v)} outside the unit square")
-    flat, du, dv = space.active_basis(np.array([[u, v]]))
-    return flat[0].ravel(), np.outer(du[0, 0], dv[0, 0]).ravel()
+    (fu,), du = space.factor.eval_basis(u)
+    (fv,), dv = space.factor.eval_basis(v)
+    local = np.arange(space.degree + 1)
+    flat = space.flat_index(fu + local[:, None], fv + local)
+    return flat.ravel(), np.outer(du[0, 0], dv[0, 0]).ravel()
 
 
 def interpolate(quasi, scenario, field="X"):
@@ -132,7 +135,7 @@ def dense_conormal_load(problem, state, nq=24):
         tau_c, kap_c = tangent[edge], curvature[edge]
         for e in range(uspace.num_elements):
             s = e * h + xg * h
-            first, ders = uspace.eval_basis(s, 0)
+            first, ders = uspace.eval_basis(s)
             idx = first[:, None] + np.arange(p1)[None, :]
             tau = np.einsum("nk,nkd->nd", ders[:, 0, :], tau_c[idx])
             kap = np.einsum("nk,nkd->nd", ders[:, 0, :], kap_c[idx])

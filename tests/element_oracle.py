@@ -39,7 +39,7 @@ def element_tables(uspace, n_quad):
     (N, nq, 2, p + 1), derivative order before basis index.
     """
     points, weights = uspace.element_rule(n_quad)
-    first, ders = uspace.eval_basis(points.ravel(), 1)
+    first, ders = uspace.eval_basis(points.ravel())
     values = ders.reshape(uspace.num_elements, n_quad, 2, uspace.degree + 1)
     # sanity: one span per element
     assert np.all(first.reshape(values.shape[:2]) == uspace.element_first[:, None])

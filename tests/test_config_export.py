@@ -112,7 +112,7 @@ def test_csv_roundtrip_values(tmp_path, rng):
             area=float(rng.uniform(3, 5)),
             max_abs_kappa=float(rng.uniform(0, 3)),
             constraint_residual=float(rng.uniform(0, 1e-12)),
-            solver_residuals=(float(rng.uniform(0, 1e-14)),),
+            solver_residual=float(rng.uniform(0, 1e-14)),
             wallclock=0.01,
         )
         for i in range(5)
@@ -423,6 +423,42 @@ def test_cli_solve_does_not_hide_output_errors(tmp_path):
     cfg_path.write_text(serialize_config(cfg))
     with pytest.raises(FileExistsError):
         cli_main(["solve", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize(
+    "entry, dump_matrices", [("run", False), ("run", True), ("convergence_study", False)]
+)
+def test_an_output_dir_that_is_a_file_fails_before_set_up(
+    tmp_path, monkeypatch, entry, dump_matrices
+):
+    """An output directory that cannot be made stops a run or a study
+    before any initial data are computed, with one FileExistsError that
+    chains no other error."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = ScenarioConfig(
+        elements_per_side=2,
+        dt=0.02,
+        t_final=0.04,
+        dump_matrices=dump_matrices,
+        output_dir=str(blocker),
+    )
+    calls = []
+    initialize = FlowProblem.initialize
+
+    def recorded(self):
+        calls.append(self)
+        return initialize(self)
+
+    monkeypatch.setattr(FlowProblem, "initialize", recorded)
+    with pytest.raises(FileExistsError) as exc:
+        if entry == "run":
+            run(cfg)
+        else:
+            convergence_study(cfg, [2, 4, 8], t_final=cfg.t_final)
+    assert exc.value.__context__ is None
+    assert calls == []
+    assert blocker.read_text() == ""
 
 
 def test_readme_cli_names_the_flags_the_parser_defines():

@@ -165,7 +165,7 @@ def test_csv_bytes_match_oracle_on_special_values(tmp_path):
             area=SPECIAL[-1 - i],
             max_abs_kappa=SPECIAL[(3 * i) % len(SPECIAL)],
             constraint_residual=SPECIAL[(5 * i + 1) % len(SPECIAL)],
-            solver_residuals=(SPECIAL[(7 * i + 2) % len(SPECIAL)],) if i % 3 else (),
+            solver_residual=SPECIAL[(7 * i + 2) % len(SPECIAL)] if i % 3 else 0.0,
             wallclock=SPECIAL[(i + 4) % len(SPECIAL)],
         )
         for i in range(len(SPECIAL))

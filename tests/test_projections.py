@@ -77,7 +77,7 @@ def test_boundary_interp_accuracy_on_sphere():
         s = np.linspace(0.0, 1.0, 160)
         for edge, tau_edge in enumerate(tangent):
             uspace = prob.space.factor
-            first, ders = uspace.eval_basis(s, 0)
+            first, ders = uspace.eval_basis(s)
             idx = first[:, None] + np.arange(uspace.degree + 1)[None, :]
             tau_h = np.einsum("nk,nkd->dn", ders[:, 0, :], tau_edge[idx])
             tau = sc.sample(edge_points(edge, s), edge).edge_tangent

@@ -1,10 +1,10 @@
 """Set-up builds each table once per problem, and nothing outlives a problem.
 
-A space's univariate factor keeps its Gauss rules, the space keeps its
-matrix diagonals, and each 1-D point set gets one grid, so a `FlowProblem`
-builds each of them once.  These caches must live on objects the problem owns:
-a cache at module level, or keyed on config values, would let a second
-problem of the same config skip its set-up.
+A space keeps its matrix diagonals, each 1-D point set gets one grid,
+and each Gauss rule is built for the one grid of its point set, so a
+`FlowProblem` builds each of them once.  These caches must live on
+objects the problem owns: a cache at module level, or keyed on config
+values, would let a second problem of the same config skip its set-up.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ def test_two_problems_of_one_config_share_no_table(p):
     owned = ("space", "quasi", "tables", "btables", "saddle")
     a = _arrays([getattr(first, name) for name in owned])
     b = _arrays([getattr(second, name) for name in owned])
-    # the univariate caches and the diagonals are reached through the space
+    # the diagonals are reached through the space
     assert any(x is first.space.diagonals[1] for x in a)
-    assert any(x is first.space.factor.element_rule(p + 1)[0] for x in a)
     assert not [(x.shape, y.shape) for x in a for y in b if np.may_share_memory(x, y)]
 
 

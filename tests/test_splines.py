@@ -67,20 +67,18 @@ def test_invalid_space_parameters_rejected(bad):
 @pytest.mark.parametrize("p,l", [(p, l) for p in (2, 3, 4, 5) for l in (0, p - 1)])
 def test_univariate_basis_matches_scipy(rng, p, l, N):
     """Independent oracle: scipy BSpline with the same knot vector, for
-    values and first derivatives at random points, every knot, 0 and 1.
-    The basis has no higher derivatives."""
+    values and first derivatives at random points, every knot, 0 and 1."""
     u = UnivariateSpline(p, l, N)
     coeffs = rng.normal(size=u.dim)
     ref = BSpline(u.knots, coeffs, u.degree)
     x = np.concatenate([rng.uniform(0.0, 1.0, size=200), u.knots, [0.0, 1.0]])
-    first, ders = u.eval_basis(x, 1)
+    first, ders = u.eval_basis(x)
+    assert ders.shape == (len(x), 2, u.degree + 1)
     idx = first[:, None] + np.arange(u.degree + 1)[None, :]
     for k in range(2):
         ours = np.einsum("na,na->n", ders[:, k, :], coeffs[idx])
         theirs = ref.derivative(k)(x) if k else ref(x)
         assert np.abs(ours - theirs).max() < 1e-11
-    with pytest.raises(ValueError):
-        u.eval_basis(x, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,7 +116,7 @@ def test_element_tables_consistency():
     points, weights, first, values = oracle.element_tables(u, 4)
     assert abs(weights.sum() - u.mesh_size) < 1e-15
     # tabulated values agree with pointwise evaluation
-    f2, d2 = u.eval_basis(points.ravel(), 1)
+    f2, d2 = u.eval_basis(points.ravel())
     assert np.array_equal(f2.reshape(5, 4)[:, 0], first)
     assert np.allclose(d2.reshape(5, 4, 2, 3), values)
 
