@@ -131,9 +131,23 @@ class MeshTables(GaussGrid):
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
         super().__init__(space, n_quad)
-        p = space.degree
+        self._tabulate()
+
+    @classmethod
+    def of(cls, grid: GaussGrid):
+        """The tables of the rule of `grid`, on its collocation matrices
+        and block plans, so that a grid kept for a whole run, such as the
+        quasi-interpolant's, is tabulated once and carries no tables."""
+        tables = cls.__new__(cls)
+        vars(tables).update(vars(grid))
+        tables._tabulate()
+        return tables
+
+    def _tabulate(self):
+        """The tensor weights, the diagonals and the pair tables."""
+        p = self.space.degree
         self.weights = np.outer(self.weights_1d, self.weights_1d)
-        self.offsets, self.gather = space.diagonals
+        self.offsets, self.gather = self.space.diagonals
 
         m, n = self.c.shape[1:]
         padded = np.zeros((2, m, n + 2 * p))

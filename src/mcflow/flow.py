@@ -7,7 +7,8 @@ tensor Gauss grid at once (`assembly.ElementGeometry`), assembles
 K = (d0/dt) M + A and the nonlinear loads on the extrapolated surface,
 with the curvature and normal tails folded into the load densities (the
 integral of tail * phi is M tail, so no mass-matrix product is needed),
-then solves two linear systems with one factorization:
+lets the planes of the grid go (`FlowProblem._assemble`), then solves
+two linear systems with one factorization:
 `assembly.ConstrainedSolver` factors the whole of K = (d0/dt) M + A by
 one banded Cholesky.  That factor solves both the zero-trace parabolic
 system of the curvature, whose matrix is the interior block of K, and,
@@ -62,12 +63,12 @@ from .export import export_vtk, write_diagnostics_csv
 from .geometry import dot, surface_area
 from .projections import (
     boundary_quasi_interp,
+    initial_data,
     nonlinear_ritz_normal,
     project_velocity,
-    ritz_rhs,
 )
 from .scenarios import get_scenario
-from .splines import QuasiInterpolant, build_space, edge_points
+from .splines import build_quasi_interpolant, build_space, edge_points
 
 
 # Bounds of the drifting-normal guard of a step.  The reference runs stay
@@ -193,7 +194,7 @@ class FlowProblem:
         self.tables = MeshTables(self.space, cfg.degree + 1)
         # the quasi-interpolant's standard (p + 2)-point rule; the Ritz
         # projection integrates on the same grid
-        self.quasi = QuasiInterpolant(MeshTables(self.space, cfg.degree + 2))
+        self.quasi = build_quasi_interpolant(self.space)
         # The conormal load integrand stacks five spline factors, so the
         # boundary rule is sized for degree 5p rather than 2p.
         self.btables = BoundaryTables(self.space, 3 * cfg.degree)
@@ -210,30 +211,27 @@ class FlowProblem:
         Position and curvature are quasi-interpolants (curvature with
         zero boundary coefficients); the normal solves the constrained
         nonlinear projection; the velocity interpolates -kappa * nu.
-        All of them read one scenario sample on the quasi-interpolant's
-        grid and one per edge, released before the projection iterates.
+        All of them read one scenario sample per edge and the samples of
+        the quasi-interpolant's grid, strip by strip (`initial_data`).
+        The pair tables of the grid's rule serve the projection only, so
+        they live only here.
         """
         sc, quasi, bidx = self.scenario, self.quasi, self.space.boundary_indices
+        tables = MeshTables.of(quasi.grid)
         p1d = quasi.grid.points_1d
-        grid = sc.sample(np.meshgrid(p1d, p1d, indexing="ij"))
         edges = [sc.sample(edge_points(k, p1d), k) for k in range(4)]
-        x = quasi.apply_to_values(grid.X)
-        self.x0_boundary = x[bidx].copy()
-
         tangent = np.stack([e.edge_tangent for e in edges], axis=1)  # (3, 4, m)
         curvature = np.stack([e.edge_curvature for e in edges], axis=1)
+        x, kappa, start, rhs = initial_data(sc, quasi, tables, edges)
+        self.x0_boundary = x[bidx].copy()
         self.btables.freeze(
             x, boundary_quasi_interp(quasi, tangent), boundary_quasi_interp(quasi, curvature)
         )
         self.saddle = SaddleLayout(self.tables, assemble_constraint(self.btables))
 
-        kappa = quasi.apply_to_values(grid.mean_curvature)
         kappa[bidx] = 0.0
-        rhs = ritz_rhs(quasi.grid, grid, edges)
-        start = quasi.apply_to_values(grid.normal)
-        del grid, edges
         nu, self.ritz_info = nonlinear_ritz_normal(
-            x, rhs, start, quasi.grid, self.btables, self.saddle
+            x, rhs, start, tables, self.btables, self.saddle
         )
         v = project_velocity(quasi, kappa, nu)
         return FlowState(time=0.0, x=x, kappa=kappa, nu=nu, v=v)
@@ -245,26 +243,9 @@ class FlowProblem:
         d0 = scheme.coefficients()[0][0]
         t0 = _time.perf_counter()
 
-        (x_ext, nu_ext, kap_ext), (tail_x, tail_nu, tail_kap) = (
-            scheme.extrapolate_with_tails()
-        )
-
-        # x, nu, kappa and the tails on the grid, from one evaluation
-        fields = np.concatenate([nu_ext.T, kap_ext[None], tail_kap[None] / dt, tail_nu.T / dt])
-        geom = ElementGeometry(self.tables, x_ext, fields, num_jac=3)
-        nu_q, kap_q, tail_kap_q, tail_nu_q = np.split(geom.values, [3, 4, 5])
-        # one matrix (d0/dt) M + A serves both systems
-        K = assemble_mass_stiffness(self.tables, geom, d0 / dt)
-        # |A|^2 of the extrapolated normal, shared by both loads
-        frob2 = weingarten_energy(geom)
-
-        # curvature load (zero-trace space: boundary rows unused); the BDF
-        # tails fold into the load densities, as M tail / dt
-        rhs_k = assemble_curvature_load(self.tables, geom, kap_q[0], tail_kap_q[0], frob2)
-
-        # normal load (saddle system with tangential boundary constraint)
-        f_n = assemble_normal_load(self.tables, geom, nu_q, tail_nu_q, frob2)
-        drift = float(np.abs(np.sqrt(dot(nu_q, nu_q)) - 1.0).max())
+        ext, tails = scheme.extrapolate_with_tails()
+        K, rhs_k, f_n, drift = self._assemble(ext, tails, d0 / dt, dt)
+        nu_ext, tail_x = ext[1], tails[0]
         if drift > NORMAL_DRIFT_TOL:
             raise NormalDrift(
                 f"step to t = {scheme.history[0].time + dt:.6g}: extrapolated normal "
@@ -290,6 +271,31 @@ class FlowProblem:
                 f"{diag.constraint_residual:.3e} exceeds {CONSTRAINT_TOL:.0e}"
             )
         return state, diag
+
+    def _assemble(self, ext, tails, mass, dt):
+        """K = mass M + A, the curvature and normal loads, and the normal's drift.
+
+        `ext` and `tails` are the extrapolated x, nu, kappa and their BDF
+        tails (`BdfScheme.extrapolate_with_tails`), all evaluated on the
+        grid at once; the tails of nu and kappa fold into the load
+        densities, as M tail / dt.  Returns (K, curvature load (dim,),
+        normal load (dim, 3), max over the grid of ||nu| - 1|).  The
+        planes are gone on return, before any factorization.
+        """
+        (x, nu, kappa), (_, tail_nu, tail_kap) = ext, tails
+        fields = np.concatenate([nu.T, kappa[None], tail_kap[None] / dt, tail_nu.T / dt])
+        geom = ElementGeometry(self.tables, x, fields, num_jac=3)
+        nu_q, kap_q, tail_kap_q, tail_nu_q = np.split(geom.values, [3, 4, 5])
+        # one matrix (d0/dt) M + A serves both systems
+        K = assemble_mass_stiffness(self.tables, geom, mass)
+        # |A|^2 of the extrapolated normal, shared by both loads
+        frob2 = weingarten_energy(geom)
+        # curvature load (zero-trace space: boundary rows unused)
+        rhs_k = assemble_curvature_load(self.tables, geom, kap_q[0], tail_kap_q[0], frob2)
+        # normal load (saddle system with tangential boundary constraint)
+        f_n = assemble_normal_load(self.tables, geom, nu_q, tail_nu_q, frob2)
+        drift = float(np.abs(np.sqrt(dot(nu_q, nu_q)) - 1.0).max())
+        return K, rhs_k, f_n, drift
 
     def _diagnostics(self, state, constraint, solver_residual, started):
         """Diagnostics of `state`, whose normal has constraint residual

@@ -7,28 +7,32 @@ kappa and nu as planes of the quasi-interpolant's fixed tensor grid,
 they are multiplied plane by plane, and the grid's transposed product
 applies the dual weights: each is a blocked pass along u and one along v.
 Values on points are component first here as everywhere (`geometry`):
-planes (D, m, m), the grid sample among them, and edge values (D, 4, m).
+planes (D, m, m), the grid samples among them, and edge values (D, 4, m).
 
 The Ritz projection of the normal compares the H1 form on the discrete
 initial surface with the same form on the scenario's exact surface,
-which it reads off the one grid sample (`scenarios.Sample`) that also
-gives the interpolated initial data: it integrates, in the interior
-and on the edges, on the quasi-interpolant's own Gauss grid, which a
-flow problem builds as an `assembly.MeshTables`.  That rule is one
-order finer than flow-step assembly, so data already in the space is
-reproduced to solver precision, and the sample's values are already
-planes of that grid.  A + RITZ_LAMBDA M and the Gram matrix A + M come
-from the same matrix kernel as a flow step's.  It is
-nonlinear through an orientation-dependent boundary term and
-constrained to have boundary trace discretely orthogonal to the
-interpolated boundary tangent.  `ritz_rhs` assembles the part of the
-right-hand side that no iterate changes; `nonlinear_ritz_normal` then
-runs a fixed-point iteration (as Kovacs, Li & Lubich, Numer. Math. 143
-(2019), do for closed surfaces), Anderson mixed, whose linear part, the
-constraint saddle of stiffness + RITZ_LAMBDA * mass, is one
-`assembly.ConstrainedSolver`, so one banded Cholesky serves every
-iterate, as one serves a flow step.  The weight, the tolerance, the
-iteration budget and the mixing depth are the module constants below.
+which it reads off the samples of the grid (`scenarios.Sample`) that
+also give the interpolated initial data: it integrates, in the interior
+and on the edges, on the quasi-interpolant's own Gauss grid, whose
+quadrature tables set-up builds on it (`assembly.MeshTables.of`) for
+the projection only.  That rule is one order finer than flow-step
+assembly, so data already in the space is reproduced to solver
+precision, and the samples' values are already rows of planes of that
+grid.  A + RITZ_LAMBDA M and the Gram matrix A + M come from the same
+matrix kernel as a flow step's, and their planes are gone before K is
+factored.  It is nonlinear through an orientation-dependent boundary
+term and constrained to have boundary trace discretely orthogonal to
+the interpolated boundary tangent.  `initial_data` samples the grid
+one strip of element rows at a time and sums, strip by strip, the
+interpolated initial data and the part of the right-hand side that no
+iterate changes, so set-up never holds the fields of the whole grid;
+`nonlinear_ritz_normal` then runs a fixed-point iteration (as Kovacs,
+Li & Lubich, Numer. Math. 143 (2019), do for closed surfaces),
+Anderson mixed, whose linear part, the constraint saddle of
+stiffness + RITZ_LAMBDA * mass, is one `assembly.ConstrainedSolver`,
+so one banded Cholesky serves every iterate, as one serves a flow
+step.  The weight, the tolerance, the iteration budget and the mixing
+depth are the module constants below.
 """
 
 from __future__ import annotations
@@ -93,42 +97,83 @@ def project_velocity(Q: QuasiInterpolant, kappa, nu) -> np.ndarray:
 # nonlinear normal projection
 
 
-def ritz_rhs(tables: MeshTables, grid, edges):
-    """The iterate-independent right-hand side of the normal projection, (dim, 3).
+def initial_data(scenario, quasi: QuasiInterpolant, tables: MeshTables, edges):
+    """Interpolated initial data and the right-hand side of the normal projection.
 
-    The form of stiffness + RITZ_LAMBDA * mass on the scenario surface
-    applied to its normal, minus the conormal term of its boundary.
-    `tables` is the quasi-interpolant's grid; `grid` and `edges[k]` are
-    the scenario's `Sample`s at the meshgrid of its `points_1d`, so their
-    fields are planes of `tables`, and at `splines.edge_points(k,
-    points_1d)`.  The interior part is the transposed tensor product of
-    the sample's density planes, the boundary part the `conormal_load`
-    of the edge samples on the same grid.
+    Returns the quasi-interpolants x (dim, 3), kappa (dim,) and start
+    (dim, 3) of the scenario's position, mean curvature and normal, and
+    the iterate-independent right-hand side rhs (dim, 3) of
+    `nonlinear_ritz_normal`: the form of stiffness + RITZ_LAMBDA * mass
+    on the scenario surface applied to its normal, minus the conormal
+    term of its boundary.  `tables` holds the tables of the
+    quasi-interpolant's grid (`MeshTables.of`), and `edges[k]` is the
+    scenario's `Sample` at `splines.edge_points(k, points_1d)`.  The
+    grid is sampled one strip at a time (`_add_strip`); once every strip
+    is in, the pass along v completes the quasi-interpolants, as in
+    `QuasiInterpolant.apply_to_values`.
     """
-    (g00, g01, g11), q = grid.metric
-    wq = tables.weights * q
-    Nu, Nv = grid.normal_jacobian
-    interior = tables.integrate(
-        RITZ_LAMBDA * wq * grid.normal,
-        du=wq * (g00 * Nu + g01 * Nv),
-        dv=wq * (g01 * Nu + g11 * Nv),
+    n, m = quasi.w.shape
+    along_u = np.zeros((7, n, m))  # x, kappa and the start normal
+    interior = np.zeros((3, n, n))
+    for block in tables.point_blocks:
+        _add_strip(scenario, quasi, tables, block, along_u, interior)
+    coeffs = tables._to_basis_last(along_u, quasi.w.T)  # transposed, (7, n, n)
+    x, kappa, start = (
+        np.ascontiguousarray(c.reshape(len(c), -1).T) for c in np.split(coeffs, [3, 4])
     )
 
     # analytic boundary term, moved to the right-hand side with minus sign,
     # on the edges of the same grid
     names = ("edge_speed", "edge_curvature", "edge_tangent", "normal")
     on_edges = (np.stack([getattr(e, k) for e in edges], axis=-2) for k in names)
-    rhs_b = conormal_load(tables, *on_edges)
     # (sign: the projection identity carries -boundary term on both sides)
-    return interior - rhs_b
+    rhs = interior.reshape(3, -1).T - conormal_load(tables, *on_edges)
+    return x, kappa[:, 0], start, rhs
+
+
+def _add_strip(scenario, quasi, tables, block, along_u, interior):
+    """Sample the rows q of the grid for a block (q, i) of
+    `tables.point_blocks` and add the strip's shares: the pass along u of
+    the quasi-interpolants of its position, mean curvature and normal to
+    `along_u` (7, n, m), and the interior part of the Ritz right-hand
+    side, integrated along v as in `MeshTables.integrate` and then along
+    u, to `interior` (3, n, n), transposed.  The strip is gone on
+    return, so set-up holds one strip at a time.
+    """
+    q, _ = block
+    p1d = tables.points_1d
+    strip = scenario.sample(np.meshgrid(p1d[q], p1d, indexing="ij"))
+    values = np.concatenate([strip.X, strip.mean_curvature[None], strip.normal])
+    tables._add_to_basis(quasi.w.T, values, block, along_u)
+
+    (g00, g01, g11), area = strip.metric
+    wq = tables.weights[q] * area
+    Nu, Nv = strip.normal_jacobian
+    c0, c1 = tables.c
+    t = tables._to_basis_last(RITZ_LAMBDA * wq * strip.normal, c0)
+    t += tables._to_basis_last(wq * (g01 * Nu + g11 * Nv), c1)
+    tables._add_to_basis(c0, t, block, interior)
+    du = tables._to_basis_last(wq * (g00 * Nu + g01 * Nv), c0)
+    tables._add_to_basis(c1, du, block, interior)
+
+
+def _ritz_matrices(tables: MeshTables, x):
+    """A + RITZ_LAMBDA M and the Gram matrix A + M of the residual norm on
+    the surface x; the planes of its geometry are gone on return."""
+    geom = ElementGeometry(tables, x)
+    return (
+        assemble_mass_stiffness(tables, geom, RITZ_LAMBDA),
+        assemble_mass_stiffness(tables, geom, 1.0),
+    )
 
 
 def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     """Constrained H1 projection of the scenario normal.
 
     `x` holds the position coefficients of the discrete initial surface,
-    `rhs` the `ritz_rhs` on `tables`, `start` the first iterate and
-    `saddle` the `assembly.SaddleLayout` of the space and constraint.
+    `rhs` the right-hand side from `initial_data` on `tables`, `start`
+    the first iterate and `saddle` the `assembly.SaddleLayout` of the
+    space and constraint.
     The fixed-point map g solves the saddle of A + RITZ_LAMBDA * M on
     `tables` for the boundary load of its argument, once per iterate,
     until the H1 norm of the residual g(x_k) - x_k reaches RITZ_TOL;
@@ -151,10 +196,8 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     H1 residuals.  Raises NoContraction when RITZ_MAX_ITER iterations
     do not converge.
     """
-    geom = ElementGeometry(tables, x)
-    K = assemble_mass_stiffness(tables, geom, RITZ_LAMBDA)
+    K, h1 = _ritz_matrices(tables, x)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
-    h1 = assemble_mass_stiffness(tables, geom, 1.0)  # Gram matrix of the residual norm
     current = start
     history, gs, fs = [], [], []  # gs, fs: the last map values and residuals
     for _ in range(RITZ_MAX_ITER):

@@ -27,11 +27,13 @@ point set (a Gauss grid, an export grid) it holds the factor's collocation
 matrices and moves fields between coefficients and planes of grid values
 by 1-D products along u and along v.  The matrices are banded, so the
 products run per block of BLOCK_ELEMENTS elements and skip the zero
-blocks.  `GaussGrid` is the grid of a per-element Gauss rule with its 1-D
+blocks; a transposed product along u also runs on one strip of rows of
+the grid at a time, so a set-up can sample data strip by strip.
+`GaussGrid` is the grid of a per-element Gauss rule with its 1-D
 weights.  `assembly.MeshTables` is a Gauss grid with the quadrature tables
-on top; the quasi-interpolant takes the element blocks of its dual
-functionals from the collocation matrix of its Gauss grid and applies them
-by the grid's transposed product; and `assembly.BoundaryTables` is the
+on top; the quasi-interpolant keeps a plain Gauss grid, takes the element
+blocks of its dual functionals from its collocation matrix and applies
+them by the grid's transposed product; and `assembly.BoundaryTables` is the
 Gauss grid of the edge rule used along one axis, since with open knot
 vectors the trace of the space on an edge is the factor.
 """
@@ -214,26 +216,37 @@ class TensorSplineSpace:
         computed once per space, so every `assembly.MeshTables` shares them.
 
         Basis (i1, i2) couples to (i1 + e1, i2 + e2) when both univariate
-        pairs share an element (`UnivariateSpline.band`), so couplings lie
-        on the diagonals of flat offset e1 n + e2, |e1|, |e2| <= p, held
-        ascending and without repeats by `offsets`; for n <= 2p two pairs
-        (e1, e2) share one, but never an entry.  Entry (j - offsets[k], j)
-        is entry [k, j] of the diagonals, as `scipy.sparse.dia_matrix`
-        keeps them.  `gather` (len(offsets), dim) holds its place in a
-        band array B[(i1, e1 + p), (i2, e2 + p)] of shape
-        (n (2p + 1), n (2p + 1)), flattened, or for an entry that couples
-        nothing the place just past B, which holds a zero.
+        pairs share an element (`UnivariateSpline.band`).  Every |e| <= p
+        couples some pair, since an element sees p + 1 consecutive basis
+        functions, so the diagonals are those of flat offset e1 n + e2,
+        |e1|, |e2| <= p, held ascending and without repeats by `offsets`;
+        for n <= 2p two pairs (e1, e2) share one, but never an entry.
+        Entry (j - offsets[k], j) is entry [k, j] of the diagonals, as
+        `scipy.sparse.dia_matrix` keeps them.  `gather` (len(offsets), dim)
+        holds its place in a band array B[(i1, e1 + p), (i2, e2 + p)] of
+        shape (n (2p + 1), n (2p + 1)), flattened, or for an entry that
+        couples nothing the place just past B, which holds a zero.  Each
+        pair (e1, e2) fills its diagonal, shifted by its offset; where two
+        share one, the smaller place is the one that couples.
         """
         p, n = self.degree, self.factor.dim
         s, w = self.factor.band
         e = np.arange(-p, p + 1)
         j = np.arange(n)[:, None] + e
         couples = (j >= s[:, None]) & (j < (s + w)[:, None])  # [i, e + p]
-        i1, d1, i2, d2 = np.nonzero(couples[:, :, None, None] & couples)
-        row = i1 * n + i2
-        offsets, k = np.unique(e[d1] * n + e[d2], return_inverse=True)
-        gather = np.full((len(offsets), self.dim), couples.size**2)
-        gather[k, row + offsets[k]] = np.ravel_multi_index((i1, d1, i2, d2), couples.shape * 2)
+        size = couples.size
+        # [e + p, i]: whether (i, e + p) couples, and its place in a band row
+        ok, place = couples.T, np.arange(size).reshape(couples.shape).T
+        flat = place[:, None, :, None] * size + place[None, :, None, :]
+        coupled = ok[:, None, :, None] & ok[None, :, None, :]
+        by_pair = np.where(coupled, flat, size * size).reshape(len(e) ** 2, self.dim)
+        pair_offsets = (e[:, None] * n + e).ravel()
+        offsets, k = np.unique(pair_offsets, return_inverse=True)
+        gather = np.full((len(offsets), self.dim), size * size)
+        for row, o, places in zip(k, pair_offsets, by_pair):
+            cols = slice(max(o, 0), self.dim + min(o, 0))
+            rows = slice(max(-o, 0), self.dim - max(o, 0))
+            np.minimum(gather[row, cols], places[rows], out=gather[row, cols])
         return offsets.astype(np.int32), gather
 
     def flat_index(self, j1, j2):
@@ -315,6 +328,15 @@ class TensorGrid:
         for q, i in self.basis_blocks:
             np.matmul(c[q, i].T, x[:, q], out=out[:, i])
         return out
+
+    def _add_to_basis(self, c, x, block, out):
+        """Add c^T (n, m) applied to the middle axis of the strip x (K, mq, r)
+        into out (K, n, r), for a block (q, i) of `point_blocks`: x holds
+        the rows of its mq points q, and only its basis functions i see
+        them.  Summed over every block, the strips give `_to_basis` of the
+        whole grid, bit for bit when the grid is one block."""
+        q, i = block
+        out[:, i] += np.matmul(c[q, i].T, x)
 
     def _to_points_last(self, x, c):
         """c (m, n) applied to the last axis of x (..., n): (..., m)."""

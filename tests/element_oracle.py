@@ -8,7 +8,9 @@ connectivity `conn` and the slot `scatter` of every local matrix entry
 in the CSR pattern of the space (`csr_pattern`, `element_pattern`).
 Matrices and interior loads are summed from element contributions by
 `np.bincount`, and every contraction is the plain `np.einsum` formula;
-`diagonals` reads a matrix by the diagonals that `mcflow` stores.
+`diagonals` reads a matrix by the diagonals that `mcflow` stores, and
+`space_diagonals` finds those of a space by a search over every
+coupling.
 
 The edge layer used to stack the four edges of the square along one
 element axis: `EdgeTables` holds the per-element tabulation of the trace
@@ -98,6 +100,23 @@ def diagonals(matrix):
     held = np.zeros(data.shape, dtype=bool)
     held[k, coo.col] = True
     return offsets, data, held
+
+
+def space_diagonals(space):
+    """(offsets, gather) of `TensorSplineSpace.diagonals`, by search: the
+    (n, 2p + 1, n, 2p + 1) coupling array of every basis pair and its
+    flat offset, and `np.unique` over the offsets of all couplings."""
+    p, n = space.degree, space.factor.dim
+    s, w = space.factor.band
+    e = np.arange(-p, p + 1)
+    j = np.arange(n)[:, None] + e
+    couples = (j >= s[:, None]) & (j < (s + w)[:, None])  # [i, e + p]
+    i1, d1, i2, d2 = np.nonzero(couples[:, :, None, None] & couples)
+    row = i1 * n + i2
+    offsets, k = np.unique(e[d1] * n + e[d2], return_inverse=True)
+    gather = np.full((len(offsets), space.dim), couples.size**2)
+    gather[k, row + offsets[k]] = np.ravel_multi_index((i1, d1, i2, d2), couples.shape * 2)
+    return offsets.astype(np.int32), gather
 
 
 def element_pattern(space):

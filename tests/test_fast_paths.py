@@ -38,7 +38,7 @@ from mcflow.convergence import VARIABLES, convergence_study
 from mcflow.export import _sample_grid
 from mcflow.flow import BdfScheme, FlowProblem
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
-from mcflow.projections import RITZ_LAMBDA, project_velocity, ritz_rhs
+from mcflow.projections import RITZ_LAMBDA, initial_data, project_velocity
 from mcflow.splines import (
     BLOCK_ELEMENTS,
     TensorGrid,
@@ -472,7 +472,7 @@ def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elem
     quasi-interpolant's rule."""
     prob, x, _, _ = _oracle_setup(p, l, 5, scenario)
     quasi = prob.quasi
-    tables = MeshTables(prob.space, quasi.grid.n_quad)
+    tables = MeshTables.of(quasi.grid)
     et = oracle.ElementTables(prob.space, quasi.grid.n_quad)
     M, A = oracle.mass_stiffness(et, x)
     geom = ElementGeometry(tables, x)
@@ -482,7 +482,7 @@ def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elem
     edges = [sc.sample(edge_points(k, p1d), k) for k in range(4)]
     # the oracle reads the grid sample as a point list, element by element
     ref = oracle.ritz_rhs(et, sc.sample(grid_planes(p1d).reshape(2, -1)), edges)
-    assert_close(ritz_rhs(tables, sc.sample(grid_planes(p1d)), edges), ref)
+    assert_close(initial_data(sc, quasi, tables, edges)[3], ref)
 
 
 @pytest.mark.parametrize("p, l", SPACES, ids=[f"p{p}-C{l}" for p, l in SPACES])
@@ -1013,12 +1013,14 @@ def test_run_builds_no_full_width_constraint(monkeypatch):
 
 
 def test_ritz_tables_share_the_flow_pattern(monkeypatch):
-    """Both `MeshTables` of a set-up hold the one set of diagonals of their space."""
+    """Both `MeshTables` of a set-up hold the one set of diagonals of their
+    space: the flow's, built anew, and the Ritz projection's, built on the
+    quasi-interpolant's grid by `MeshTables.of`."""
     built = []
 
     class Recorded(MeshTables):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def _tabulate(self):
+            super()._tabulate()
             built.append(self)
 
     monkeypatch.setattr(mcflow.flow, "MeshTables", Recorded)

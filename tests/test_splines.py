@@ -121,6 +121,24 @@ def test_element_tables_consistency():
     assert np.allclose(d2.reshape(5, 4, 2, 3), values)
 
 
+DIAGONAL_SPACES = [
+    (p, l, N) for p in (2, 3, 4) for l in range(p) for N in [*range(1, 2 * p + 3), 40]
+]
+
+
+@pytest.mark.parametrize("p,l,N", DIAGONAL_SPACES)
+def test_diagonals_match_the_search(p, l, N):
+    """The closed-form diagonals of a space, bit for bit and dtype for
+    dtype, against the search over every coupling, also where n <= 2p
+    merges two offsets."""
+    space = build_space(p, l, N)
+    offsets, gather = space.diagonals
+    ref_offsets, ref_gather = oracle.space_diagonals(space)
+    assert offsets.dtype == ref_offsets.dtype and gather.dtype == ref_gather.dtype
+    assert np.array_equal(offsets, ref_offsets)
+    assert np.array_equal(gather, ref_gather)
+
+
 # -- quasi-interpolant -------------------------------------------------------
 
 
