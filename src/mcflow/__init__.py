@@ -10,7 +10,6 @@ from .assembly import SolverFailure
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, serialize_config
 from .convergence import ConvergenceReport, convergence_study
 from .flow import (
-    BdfScheme,
     FlowProblem,
     FlowState,
     NormalDrift,

@@ -158,22 +158,15 @@ class MeshTables(GaussGrid):
             np.multiply(self.c[a][:, :, None], window[b], out=pairs[:, k])
         self.pairs = pairs.reshape(m, 4, -1)
 
-    def integrate(self, dens, du=None, dv=None):
-        """sum_q (dens phi_i + du d_u phi_i + dv d_v phi_i)(q) for density planes.
+    def integrate(self, dens):
+        """sum_q (dens phi_i)(q) for density planes.
 
-        `dens`, and the optional `du` and `dv`, are (k, m, m) stacks of
-        density planes already weighted by the rule; the transposed
-        tensor products integrate them against every basis function,
-        along v and then along u.  Returns (dim, k).
+        `dens` is a (k, m, m) stack of density planes already weighted by
+        the rule; the transposed tensor product integrates it against
+        every basis function, along v and then along u.  Returns (dim, k).
         """
-        c0, c1 = self.c
-        t = self._to_basis_last(dens, c0)
-        if dv is not None:
-            t += self._to_basis_last(dv, c1)
-        res = self._to_basis(c0, t)
-        if du is not None:
-            res += self._to_basis(c1, self._to_basis_last(du, c0))
-        return res.reshape(len(dens), -1).T
+        c0 = self.c[0]
+        return self._to_basis(c0, self._to_basis_last(dens, c0)).reshape(len(dens), -1).T
 
     def matrix(self, mass, g00, g01, g11):
         """sum_q mass phi_i phi_j + grad phi_i^T [[g00, g01], [g01, g11]] grad phi_j
@@ -367,8 +360,8 @@ class ConstrainedSolver:
     boundary rows of the three components.  The residual is taken
     against the full saddle operator, applied block by block, and gated
     by `check_residual(..., what)` at SOLVER_RESIDUAL_TOL; its
-    constraint rows S_B w_B also give the last entry, which is
-    `constraint_residual` of w.  `with_interior` adds the zero-trace
+    constraint rows S_B w_B also give the last entry, the constraint
+    residual of w.  `with_interior` adds the zero-trace
     system K_II x_I = r_I as a fourth column.
     """
 
@@ -591,8 +584,3 @@ def assemble_boundary_load(btables: BoundaryTables, nu_coeffs):
     nu = btables.trace(np.take(nu_coeffs, btables.space.edge_indices, axis=0))
     return conormal_load(btables, fr["length"], fr["kappa"], fr["tau"], nu)
 
-
-def constraint_residual(layout: SaddleLayout, nu_coeffs):
-    """max |S_B nu_B| for the boundary rows nu_B of a (dim, 3) normal field."""
-    nu_B = np.take(nu_coeffs, layout.boundary, axis=0)
-    return float(np.abs(layout.S_B @ nu_B.ravel(order="F")).max())

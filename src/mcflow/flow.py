@@ -1,10 +1,11 @@
 """Linearly implicit BDF time stepping for the constrained flow.
 
-Each step extrapolates surface, normal and curvature and forms their
-BDF derivative tails in one pass over the history
-(`BdfScheme.extrapolate_with_tails`), evaluates all of them on the
-tensor Gauss grid at once (`assembly.ElementGeometry`), assembles
-K = (d0/dt) M + A and the nonlinear loads on the extrapolated surface,
+A `FlowProblem` keeps its own BDF history: `initialize()` makes it the
+initial state, and each `step()`, of size cfg.dt, extrapolates surface,
+normal and curvature and forms their BDF derivative tails in one pass
+over the history (`FlowProblem._extrapolate_with_tails`), evaluates all
+of them on the tensor Gauss grid at once (`assembly.ElementGeometry`),
+assembles K = (d0/dt) M + A and the nonlinear loads on the extrapolated surface,
 with the curvature and normal tails folded into the load densities (the
 integral of tail * phi is M tail, so no mass-matrix product is needed),
 lets the planes of the grid go (`FlowProblem._assemble`), then solves
@@ -28,8 +29,9 @@ that diverges after it reaches the minimal surface stops there instead
 of reporting areas that grow without bound.
 
 The scheme is BDF2 (`bdf_coefficients`): the history keeps the last two
-states, and the first step, which has only the initial state, is a
-single BDF1 bootstrap step.
+states, newest first, and the first step, which has only the initial
+state, is a single BDF1 bootstrap step.  A step that raises leaves the
+history as it was.
 `FlowProblem` rejects a config with `ConfigError` before any set-up
 unless dt > 0 divides t_final >= 0 into whole steps, the snapshot
 stride is non-negative, degree, smoothness and elements per side
@@ -55,7 +57,6 @@ from .assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    constraint_residual,
     weingarten_energy,
 )
 from .config import ConfigError, ScenarioConfig
@@ -130,45 +131,6 @@ class StepDiagnostics:
     wallclock: float
 
 
-class BdfScheme:
-    """State history (newest first) of up to two states: BDF1 from one
-    state, BDF2 from two."""
-
-    def __init__(self):
-        self._coefficients = [bdf_coefficients(1), bdf_coefficients(2)]
-        self.history: list[FlowState] = []
-
-    def push(self, state: FlowState):
-        self.history.insert(0, state)
-        del self.history[2:]
-
-    def coefficients(self):
-        """(delta, gamma) of the order the history supports."""
-        if not self.history:
-            raise ValueError("BDF history is empty")
-        return self._coefficients[len(self.history) - 1]
-
-    def extrapolate_with_tails(self):
-        """x, nu and kappa extrapolated, and their derivative tails.
-
-        From one pass over the history (newest first): the extrapolation
-        sum_j gamma_j (state j) and the tail sum_{j>=1} delta_j (state j-1)
-        of each.  Returns ((x, nu, kappa), (tail_x, tail_nu, tail_kappa)).
-        """
-        delta, gamma = self.coefficients()
-        ext, tail = None, None
-        for g, d, s in zip(gamma, delta[1:], self.history):
-            fields = (s.x, s.nu, s.kappa)
-            if ext is None:
-                ext = [g * a for a in fields]
-                tail = [d * a for a in fields]
-            else:
-                for e, t, a in zip(ext, tail, fields):
-                    e += g * a
-                    t += d * a
-        return tuple(ext), tuple(tail)
-
-
 @dataclass
 class RunResult:
     diagnostics: list
@@ -178,7 +140,7 @@ class RunResult:
 
 
 class FlowProblem:
-    """Discretization context for one scenario run."""
+    """Discretization context for one scenario run, and its BDF history."""
 
     def __init__(self, cfg: ScenarioConfig):
         _check_time_grid(cfg)
@@ -202,6 +164,7 @@ class FlowProblem:
         self.saddle = None
         self.x0_boundary = None
         self.ritz_info = None
+        self.history: list[FlowState] = []  # the last two states, newest first
 
     # -- initialization ------------------------------------------------
 
@@ -214,8 +177,10 @@ class FlowProblem:
         All of them read one scenario sample per edge and the samples of
         the quasi-interpolant's grid, strip by strip (`initial_data`).
         The pair tables of the grid's rule serve the projection only, so
-        they live only here.
+        they live only here.  The history becomes this state alone; it is
+        empty while set-up runs, so a failed set-up leaves none.
         """
+        self.history = []
         sc, quasi, bidx = self.scenario, self.quasi, self.space.boundary_indices
         tables = MeshTables.of(quasi.grid)
         p1d = quasi.grid.points_1d
@@ -234,21 +199,28 @@ class FlowProblem:
             x, rhs, start, tables, self.btables, self.saddle
         )
         v = project_velocity(quasi, kappa, nu)
-        return FlowState(time=0.0, x=x, kappa=kappa, nu=nu, v=v)
+        state = FlowState(time=0.0, x=x, kappa=kappa, nu=nu, v=v)
+        self.history = [state]
+        return state
 
     # -- single step -----------------------------------------------------
 
-    def step(self, scheme: BdfScheme, dt: float):
-        """One linearly implicit BDF step; returns (state, diagnostics)."""
-        d0 = scheme.coefficients()[0][0]
+    def step(self):
+        """One linearly implicit BDF step of size cfg.dt from the history:
+        BDF1 from one state, BDF2 from two.  Returns (state, diagnostics)
+        once both drift guards pass, and only then makes the state the
+        newest of the history.  Raises ValueError before `initialize`."""
+        delta, gamma = bdf_coefficients(len(self.history))
+        dt, d0 = self.cfg.dt, delta[0]
         t0 = _time.perf_counter()
 
-        ext, tails = scheme.extrapolate_with_tails()
+        ext, tails = self._extrapolate_with_tails(delta, gamma)
         K, rhs_k, f_n, drift = self._assemble(ext, tails, d0 / dt, dt)
         nu_ext, tail_x = ext[1], tails[0]
+        time = self.history[0].time + dt
         if drift > NORMAL_DRIFT_TOL:
             raise NormalDrift(
-                f"step to t = {scheme.history[0].time + dt:.6g}: extrapolated normal "
+                f"step to t = {time:.6g}: extrapolated normal "
                 f"length off 1 by {drift:.3e}, above {NORMAL_DRIFT_TOL}"
             )
         rhs_n = f_n + assemble_boundary_load(self.btables, nu_ext)
@@ -263,20 +235,41 @@ class FlowProblem:
         x = (dt * v - tail_x) / d0
         x[self.space.boundary_indices] = self.x0_boundary
 
-        state = FlowState(time=scheme.history[0].time + dt, x=x, kappa=kappa, nu=nu, v=v)
+        state = FlowState(time=time, x=x, kappa=kappa, nu=nu, v=v)
         diag = self._diagnostics(state, constraint, max(res_k, res_n), t0)
         if diag.constraint_residual > CONSTRAINT_TOL:
             raise NormalDrift(
                 f"step to t = {state.time:.6g}: normal constraint residual "
                 f"{diag.constraint_residual:.3e} exceeds {CONSTRAINT_TOL:.0e}"
             )
+        self.history = [state, self.history[0]]
         return state, diag
+
+    def _extrapolate_with_tails(self, delta, gamma):
+        """x, nu and kappa extrapolated, and their derivative tails.
+
+        From one pass over the history (newest first) with the BDF
+        weights (delta, gamma): the extrapolation sum_j gamma_j (state j)
+        and the tail sum_{j>=1} delta_j (state j-1) of each.  Returns
+        ((x, nu, kappa), (tail_x, tail_nu, tail_kappa)).
+        """
+        ext, tail = None, None
+        for g, d, s in zip(gamma, delta[1:], self.history):
+            fields = (s.x, s.nu, s.kappa)
+            if ext is None:
+                ext = [g * a for a in fields]
+                tail = [d * a for a in fields]
+            else:
+                for e, t, a in zip(ext, tail, fields):
+                    e += g * a
+                    t += d * a
+        return tuple(ext), tuple(tail)
 
     def _assemble(self, ext, tails, mass, dt):
         """K = mass M + A, the curvature and normal loads, and the normal's drift.
 
         `ext` and `tails` are the extrapolated x, nu, kappa and their BDF
-        tails (`BdfScheme.extrapolate_with_tails`), all evaluated on the
+        tails (`_extrapolate_with_tails`), all evaluated on the
         grid at once; the tails of nu and kappa fold into the load
         densities, as M tail / dt.  Returns (K, curvature load (dim,),
         normal load (dim, 3), max over the grid of ||nu| - 1|).  The
@@ -330,11 +323,10 @@ class FlowProblem:
         num_steps = int(round(cfg.t_final / cfg.dt))
         if cfg.output_dir:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-        state, diagnostics = None, []
+        diagnostics = []
         try:
             state = self.initialize()
-            constraint = constraint_residual(self.saddle, state.nu)
-            diagnostics.append(self._diagnostics(state, constraint, 0.0, None))
+            diagnostics.append(self._diagnostics(state, self.ritz_info["constraint"], 0.0, None))
             snapshots = []
             if cfg.snapshot_stride > 0:
                 snapshots.append((0, state))
@@ -342,19 +334,16 @@ class FlowProblem:
             if cfg.dump_matrices and cfg.output_dir:
                 self._dump_matrices(state)
 
-            scheme = BdfScheme()
-            scheme.push(state)
             for k in range(1, num_steps + 1):
-                state, diag = self.step(scheme, cfg.dt)
+                state, diag = self.step()
                 diagnostics.append(diag)
                 if cfg.snapshot_stride > 0 and (
                     k % cfg.snapshot_stride == 0 or k == num_steps
                 ):
                     snapshots.append((k, state))
-                scheme.push(state)
         except Exception:
             if cfg.output_dir:
-                last = [] if state is None else [("last_good_state.vtk", state)]
+                last = [("last_good_state.vtk", s) for s in self.history[:1]]
                 self._write_files("diagnostics_abort.csv", diagnostics, last)
             raise
         if cfg.output_dir:

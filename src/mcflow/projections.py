@@ -192,16 +192,17 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
     with the weight, so a residual below 100 * RITZ_TOL that is no
     smaller than all of the last ANDERSON_DEPTH + 1 also counts as
     converged.  Returns (coefficients (dim, 3), info) with
-    info["iterations"] the iteration count and info["residuals"] the
-    H1 residuals.  Raises NoContraction when RITZ_MAX_ITER iterations
-    do not converge.
+    info["iterations"] the iteration count, info["residuals"] the H1
+    residuals and info["constraint"] the constraint residual
+    max |S_B g_B| that the last saddle solve reports.  Raises
+    NoContraction when RITZ_MAX_ITER iterations do not converge.
     """
     K, h1 = _ritz_matrices(tables, x)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
     current = start
     history, gs, fs = [], [], []  # gs, fs: the last map values and residuals
     for _ in range(RITZ_MAX_ITER):
-        g = solve(rhs + assemble_boundary_load(btables, current))[0]
+        g, _, _, constraint = solve(rhs + assemble_boundary_load(btables, current))
         f = g - current
         res = float(np.sqrt(np.sum(f * (h1 @ f))))
         # a residual that beats none of the window sits on the roundoff floor
@@ -209,7 +210,7 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
         stalled = bool(window) and min(window) <= res <= 100.0 * RITZ_TOL
         history.append(res)
         if res <= RITZ_TOL or stalled:
-            return g, {"iterations": len(history), "residuals": history}
+            return g, {"iterations": len(history), "residuals": history, "constraint": constraint}
         gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
         current = g
         if len(fs) > 1:

@@ -19,7 +19,6 @@ from mcflow.assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    constraint_residual,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
@@ -36,6 +35,7 @@ from tests.conftest import (
     grid_points,
     interpolate,
 )
+from tests.setup_oracle import constraint_residual
 
 
 @pytest.fixture(scope="module")

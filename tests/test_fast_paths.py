@@ -30,13 +30,12 @@ from mcflow.assembly import (
     assemble_curvature_load,
     assemble_mass_stiffness,
     assemble_normal_load,
-    constraint_residual,
     weingarten_energy,
 )
 from mcflow.config import ScenarioConfig
 from mcflow.convergence import VARIABLES, convergence_study
 from mcflow.export import _sample_grid
-from mcflow.flow import BdfScheme, FlowProblem
+from mcflow.flow import FlowProblem
 from mcflow.geometry import DegenerateSurface, SplineField, metric_pieces, surface_area
 from mcflow.projections import RITZ_LAMBDA, initial_data, project_velocity
 from mcflow.splines import (
@@ -48,6 +47,7 @@ from mcflow.splines import (
 )
 from tests import element_oracle as oracle
 from tests.conftest import boundary_data, full_constraint, grid_planes, grid_points, interpolate
+from tests.setup_oracle import constraint_residual
 
 KERNEL_RTOL = 1e-13
 
@@ -590,8 +590,7 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    scheme.push(prob.initialize())
+    prob.initialize()
 
     calls = []
     original = mcflow.assembly.weingarten_energy
@@ -602,7 +601,7 @@ def test_step_evaluates_weingarten_energy_once(monkeypatch):
 
     monkeypatch.setattr(mcflow.assembly, "weingarten_energy", counted)
     monkeypatch.setattr(mcflow.flow, "weingarten_energy", counted)
-    prob.step(scheme, cfg.dt)
+    prob.step()
     assert len(calls) == 1
 
 
@@ -623,12 +622,11 @@ def test_bdf2_step_applies_s_b_three_times():
     whose max |S_B w_B| the diagnostics reuse as the constraint residual."""
     cfg = ScenarioConfig(elements_per_side=6, t_final=2 * ScenarioConfig.dt)
     prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    scheme.push(prob.initialize())
-    scheme.push(prob.step(scheme, cfg.dt)[0])
+    prob.initialize()
+    prob.step()
     counted = _CountedProducts(prob.saddle.S_B)
     prob.saddle.S_B = counted
-    state, diag = prob.step(scheme, cfg.dt)
+    state, diag = prob.step()
     assert counted.calls == 3
     prob.saddle.S_B = counted.matrix
     assert diag.constraint_residual == constraint_residual(prob.saddle, state.nu)
@@ -659,14 +657,12 @@ def test_step_factors_one_sparse_matrix(monkeypatch):
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    scheme.push(prob.initialize())
+    prob.initialize()
     calls = _count_factorizations(monkeypatch)
     for _ in range(2):
         calls.clear()
-        state, _ = prob.step(scheme, cfg.dt)
+        prob.step()
         assert len(calls) == 1
-        scheme.push(state)
 
 
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
@@ -700,8 +696,7 @@ def test_step_runs_no_einsum(monkeypatch, scenario):
         output_dir="",
     )
     prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    scheme.push(prob.initialize())
+    prob.initialize()
 
     calls = []
     original = np.einsum
@@ -712,8 +707,7 @@ def test_step_runs_no_einsum(monkeypatch, scenario):
 
     monkeypatch.setattr(np, "einsum", counted)
     for _ in range(2):
-        state, _ = prob.step(scheme, cfg.dt)
-        scheme.push(state)
+        prob.step()
     assert calls == []
 
 
@@ -744,7 +738,7 @@ def test_initialize_runs_no_einsum(monkeypatch, scenario):
 
 
 def _two_step_problem(scenario):
-    """An N=6 problem and a BDF2 scheme holding its initial state."""
+    """An N=6 problem of two steps, not yet initialized."""
     cfg = ScenarioConfig(
         scenario=scenario,
         degree=2,
@@ -754,9 +748,7 @@ def _two_step_problem(scenario):
         t_final=0.025,
         output_dir="",
     )
-    prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    return prob, scheme, cfg.dt
+    return FlowProblem(cfg)
 
 
 def _count_sparse_indexing(monkeypatch):
@@ -785,12 +777,11 @@ def _count_sparse_indexing(monkeypatch):
 def test_step_slices_no_sparse_matrix(monkeypatch, scenario):
     """The constraint blocks and the band plan are frozen at set-up,
     so a BDF1 and a BDF2 step index no sparse matrix."""
-    prob, scheme, dt = _two_step_problem(scenario)
-    scheme.push(prob.initialize())
+    prob = _two_step_problem(scenario)
+    prob.initialize()
     calls = _count_sparse_indexing(monkeypatch)
     for _ in range(2):
-        state, _ = prob.step(scheme, dt)
-        scheme.push(state)
+        prob.step()
     assert calls == []
 
 
@@ -817,15 +808,14 @@ def _count_solve_widths(monkeypatch):
 def test_no_wide_solve(monkeypatch, scenario):
     """A step solves with its factor at most twice, at most 4 columns a time;
     a Ritz iteration solves only the normal's 3 columns, twice."""
-    prob, scheme, dt = _two_step_problem(scenario)
+    prob = _two_step_problem(scenario)
     factors = _count_solve_widths(monkeypatch)
-    scheme.push(prob.initialize())
+    prob.initialize()
     (ritz,) = factors
     assert ritz == [3] * (2 * prob.ritz_info["iterations"])
     for _ in range(2):
         factors.clear()
-        state, _ = prob.step(scheme, dt)
-        scheme.push(state)
+        prob.step()
         (widths,) = factors
         assert len(widths) <= 2 and max(widths) <= 4
 
@@ -923,8 +913,8 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
     """The saddle solves keep one matrix of the constraint, C = S_B^T as
     CSR, and apply S_B by its CSC view, which shares C's arrays and is
     taken once per problem: a step builds no transpose."""
-    prob, scheme, dt = _two_step_problem("sphere_patch")
-    scheme.push(prob.initialize())
+    prob = _two_step_problem("sphere_patch")
+    prob.initialize()
     lo, dim = prob.saddle, prob.space.dim
     S = full_constraint(lo.C, prob.space).toarray()
     blocks = [S[:, k * dim + lo.boundary] for k in range(3)]
@@ -941,7 +931,7 @@ def test_flow_step_builds_no_sparse_transpose(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", counted)
-    prob.step(scheme, dt)
+    prob.step()
     assert calls == []
 
 
@@ -967,8 +957,8 @@ def test_constraint_blocks_are_symmetric(scenario, p, l, N):
 def test_flow_step_builds_no_csr_of_k(monkeypatch):
     """K lives as its diagonals: a BDF1 and a BDF2 step build no
     `scipy.sparse.csr_matrix` of shape (dim, dim)."""
-    prob, scheme, dt = _two_step_problem("sphere_patch")
-    scheme.push(prob.initialize())
+    prob = _two_step_problem("sphere_patch")
+    prob.initialize()
     dim = prob.space.dim
     calls = []
     original = scipy.sparse.csr_matrix.__init__
@@ -979,8 +969,7 @@ def test_flow_step_builds_no_csr_of_k(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__init__", counted)
     for _ in range(2):
-        state, _ = prob.step(scheme, dt)
-        scheme.push(state)
+        prob.step()
     assert (dim, dim) not in calls
 
 
@@ -988,7 +977,7 @@ def test_run_builds_no_full_width_constraint(monkeypatch):
     """The constraint lives on the boundary coefficients: the problem
     keeps C = S_B^T (3 n_B, n_B) and no S, and `initialize`, a BDF1 and
     a BDF2 step build no sparse matrix with 3 dim columns."""
-    prob, scheme, dt = _two_step_problem("sphere_patch")
+    prob = _two_step_problem("sphere_patch")
     dim, n_B = prob.space.dim, len(prob.space.boundary_indices)
     shapes = []
     for cls in (
@@ -1003,12 +992,11 @@ def test_run_builds_no_full_width_constraint(monkeypatch):
             shapes.append(self.shape)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    scheme.push(prob.initialize())
+    prob.initialize()
     assert prob.saddle.C.shape == (3 * n_B, n_B)
     assert not hasattr(prob, "S")
     for _ in range(2):
-        state, _ = prob.step(scheme, dt)
-        scheme.push(state)
+        prob.step()
     assert shapes and all(3 * dim not in shape for shape in shapes)
 
 

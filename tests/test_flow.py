@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ import mcflow.projections
 from mcflow.assembly import SolverFailure
 from mcflow.config import ConfigError, ScenarioConfig
 from mcflow.export import read_diagnostics_csv, write_diagnostics_csv
-from mcflow.flow import BdfScheme, FlowProblem, FlowState, NormalDrift, bdf_coefficients, run
-from mcflow.geometry import DegenerateSurface
+from mcflow.flow import FlowProblem, NormalDrift, bdf_coefficients, run
+from mcflow.geometry import DegenerateSurface, surface_area
 from mcflow.projections import NoContraction
+from tests.setup_oracle import constraint_residual
 
 
 def small_cfg(**kw):
@@ -73,9 +75,8 @@ def test_bdf2_exact_on_quadratic_sequences(rng):
 def test_bdf_order_validation():
     with pytest.raises(ValueError):
         bdf_coefficients(3)
-    scheme = BdfScheme()
     with pytest.raises(ValueError):
-        FlowProblem(small_cfg()).step(scheme, 0.01)
+        FlowProblem(small_cfg()).step()  # before initialize(): an empty history
 
 
 # -- initial data ----------------------------------------------------------------
@@ -219,20 +220,91 @@ def test_determinism_bit_identical_csv(tmp_path):
     assert back["area"][0] == res.diagnostics[0].area
 
 
-def _state(t):
-    z = np.full((1, 3), t)
-    return FlowState(t, z, z[:, 0].copy(), z.copy(), z.copy())
+def _same(states, want):
+    return len(states) == len(want) and all(a is b for a, b in zip(states, want))
 
 
-def test_bdf2_bootstraps_with_one_bdf1_step():
-    """A fresh scheme steps by BDF1 from one state and by BDF2 from two
-    on, and keeps the newest two states."""
-    scheme = BdfScheme()
-    for k, order in enumerate((1, 2, 2)):
-        scheme.push(_state(float(k)))
-        for got, want in zip(scheme.coefficients(), bdf_coefficients(order)):
-            assert np.array_equal(got, want)
-    assert [s.time for s in scheme.history] == [2.0, 1.0]
+def test_bdf2_bootstraps_with_one_bdf1_step(monkeypatch):
+    """A problem steps by BDF1 from its initial state and by BDF2 from two
+    states on, and keeps the newest two states, newest first."""
+    orders = []
+
+    def recorded(order):
+        orders.append(order)
+        return bdf_coefficients(order)
+
+    monkeypatch.setattr(mcflow.flow, "bdf_coefficients", recorded)
+    prob = FlowProblem(small_cfg())
+    states = [prob.initialize()]
+    assert _same(prob.history, states)
+    for _ in range(3):
+        states.insert(0, prob.step()[0])
+        assert _same(prob.history, states[:2])
+    assert orders == [1, 2, 2]
+
+
+def test_run_is_initialize_and_a_step_per_step():
+    """`FlowProblem.run` equals a manual `initialize()`/`step()` loop bit
+    for bit: the diagnostics, wallclock aside, and the final state.  Its
+    t = 0 row takes the constraint residual from the Ritz projection,
+    which is the same product with S_B as the oracle's."""
+    cfg = small_cfg(t_final=0.03)
+    ran = FlowProblem(cfg)
+    res = ran.run()
+    prob = FlowProblem(cfg)
+    state = prob.initialize()
+    steps = [prob.step() for _ in range(3)]
+
+    first = res.diagnostics[0]
+    assert astuple(first) == (
+        0.0,
+        surface_area(state.x, prob.tables),
+        float(np.abs(state.kappa).max()),
+        constraint_residual(prob.saddle, state.nu),
+        0.0,
+        0.0,
+    )
+    assert len(res.diagnostics) == 1 + len(steps)
+    for got, (_, want) in zip(res.diagnostics[1:], steps):
+        assert astuple(got)[:-1] == astuple(want)[:-1]
+    final = steps[-1][0]
+    assert res.final_state is ran.history[0]
+    for name in ("time", "x", "kappa", "nu", "v"):
+        assert np.array_equal(getattr(res.final_state, name), getattr(final, name)), name
+
+
+@pytest.mark.parametrize("guard", ["NORMAL_DRIFT_TOL", "CONSTRAINT_TOL"])
+def test_a_step_that_raises_leaves_the_history(monkeypatch, guard):
+    """A step stopped by either `NormalDrift` guard keeps the history it
+    started from, states and values, so the next step is the one it
+    would have been."""
+    prob, ref = FlowProblem(small_cfg()), FlowProblem(small_cfg())
+    for p in (prob, ref):
+        p.initialize()
+        p.step()
+    before = list(prob.history)
+    with monkeypatch.context() as m:
+        m.setattr(mcflow.flow, guard, -1.0)
+        with pytest.raises(NormalDrift):
+            prob.step()
+    assert _same(prob.history, before)
+    got, want = prob.step()[0], ref.step()[0]
+    for name in ("time", "x", "kappa", "nu", "v"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_a_failed_setup_leaves_no_history(monkeypatch):
+    """`initialize` empties the history first: a set-up that raises
+    leaves none, so no step can run on the states of an earlier one."""
+    prob = FlowProblem(small_cfg())
+    prob.initialize()
+    prob.step()
+    monkeypatch.setattr(mcflow.projections, "RITZ_MAX_ITER", 1)
+    with pytest.raises(NoContraction):
+        prob.initialize()
+    assert prob.history == []
+    with pytest.raises(ValueError):
+        prob.step()
 
 
 def test_abort_serializes_diagnostics(tmp_path, monkeypatch):
@@ -268,13 +340,13 @@ def test_abort_record_when_the_normal_projection_fails(tmp_path, monkeypatch):
 
 def test_abort_record_on_degenerate_geometry(tmp_path, monkeypatch):
     """A step on a collapsed surface aborts after recording t = 0."""
-    extrapolate = BdfScheme.extrapolate_with_tails
+    extrapolate = FlowProblem._extrapolate_with_tails
 
-    def collapsed(self):
-        (x, nu, kappa), tails = extrapolate(self)
+    def collapsed(self, delta, gamma):
+        (x, nu, kappa), tails = extrapolate(self, delta, gamma)
         return (0.0 * x, nu, kappa), tails
 
-    monkeypatch.setattr(BdfScheme, "extrapolate_with_tails", collapsed)
+    monkeypatch.setattr(FlowProblem, "_extrapolate_with_tails", collapsed)
     out = tmp_path / "aborted"
     with pytest.raises(DegenerateSurface):
         run(small_cfg(output_dir=str(out)))

@@ -12,7 +12,6 @@ from mcflow.assembly import (
     ElementGeometry,
     assemble_boundary_load,
     assemble_mass_stiffness,
-    constraint_residual,
 )
 from mcflow.config import ScenarioConfig
 from mcflow.export import read_diagnostics_csv
@@ -28,6 +27,7 @@ from mcflow.projections import (
 from mcflow.scenarios import SCENARIOS, Scenario, ScenarioEntry, get_scenario
 from mcflow.splines import GaussGrid, build_quasi_interpolant, build_space, edge_points
 from tests.conftest import boundary_data, grid_planes, grid_points, interpolate
+from tests.setup_oracle import constraint_residual
 
 
 def _sphere_problem(N, p=2, l=None):

@@ -21,7 +21,7 @@ import scipy.sparse
 import mcflow
 from mcflow import splines
 from mcflow.config import ScenarioConfig
-from mcflow.flow import BdfScheme, FlowProblem
+from mcflow.flow import FlowProblem
 
 SOURCES = sorted(Path(mcflow.__file__).parent.glob("*.py"))
 FORBIDDEN = {"cache", "lru_cache"}
@@ -139,8 +139,7 @@ def test_basis_is_tabulated_only_by_collocation(monkeypatch):
     monkeypatch.setattr(splines.UnivariateSpline, "eval_basis", recorded)
     cfg = ScenarioConfig(scenario="sphere_patch", elements_per_side=4, dt=0.025)
     prob = FlowProblem(cfg)
-    scheme = BdfScheme()
-    scheme.push(prob.initialize())
+    prob.initialize()
     for _ in range(2):
-        scheme.push(prob.step(scheme, cfg.dt)[0])
+        prob.step()
     assert callers == Counter({"collocation": 3})

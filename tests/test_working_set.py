@@ -19,7 +19,7 @@ import pytest
 import mcflow.splines
 from mcflow.assembly import MeshTables
 from mcflow.config import ScenarioConfig
-from mcflow.flow import BdfScheme, FlowProblem
+from mcflow.flow import FlowProblem
 from mcflow.projections import initial_data
 from mcflow.splines import GaussGrid, edge_points
 from tests import setup_oracle
@@ -88,11 +88,9 @@ def test_working_set_of_setup_and_step_is_bounded():
     tracemalloc.start()
     try:
         prob = FlowProblem(cfg)
-        state, setup_peak = _traced_peak(prob.initialize)
-        scheme = BdfScheme()
-        scheme.push(state)
-        scheme.push(prob.step(scheme, cfg.dt)[0])  # the BDF1 bootstrap step
-        _, step_peak = _traced_peak(lambda: prob.step(scheme, cfg.dt))
+        _, setup_peak = _traced_peak(prob.initialize)
+        prob.step()  # the BDF1 bootstrap step
+        _, step_peak = _traced_peak(prob.step)
     finally:
         tracemalloc.stop()
     assert setup_peak <= INITIALIZE_PEAK_MIB, (
