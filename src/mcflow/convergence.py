@@ -4,11 +4,12 @@ Each level runs the flow to a short final time with a step size
 proportional to the mesh size; errors of position, curvature, normal
 and velocity are measured against the finest level in the parametric H1
 norm on a shared quadrature grid (the `splines.GaussGrid` of the finest
-level's elements, with a rule finer than either space), on which each
-level evaluates all four fields as planes in one call; orders are
-the least-squares slope of log2 error against log2 mesh size.  A study
-whose base config sets an output directory writes its report there as
-`convergence.json`.
+level's elements, with a rule finer than either space).  The levels are
+compared one variable at a time: the finest level's planes of that
+variable, then each coarser level's in turn, so the error phase holds at
+most two samples of one variable.  Orders are the least-squares slope
+of log2 error against log2 mesh size.  A study whose base config sets
+an output directory writes its report there as `convergence.json`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .flow import FlowProblem
 from .splines import GaussGrid, TensorGrid
 
 VARIABLES = ("position", "kappa", "nu", "velocity")
-# the evaluated rows of each variable: x, kappa, nu and v of the final state
-ROWS = (slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 10))
 
 
 @dataclass
@@ -42,6 +41,11 @@ class ConvergenceReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _rows(state):
+    """The coefficient rows of each of VARIABLES in `state`: x, kappa, nu, v."""
+    return state.x.T, state.kappa[None], state.nu.T, state.v.T
 
 
 def _h1_errors(planes_a, planes_b, weights):
@@ -97,23 +101,18 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
 
     fine = GaussGrid(runs[-1].problem.space, base.degree + 3)
     weights = np.outer(fine.weights_1d, fine.weights_1d)
-
-    def samples(result, grid):
-        """Each variable's (values, du, dv) planes, from one evaluation."""
-        s = result.final_state
-        rows = np.concatenate([s.x.T, s.kappa[None], s.nu.T, s.v.T])
-        planes = grid.evaluate(rows, jac=slice(None))
-        return {var: tuple(a[k] for a in planes) for var, k in zip(VARIABLES, ROWS)}
-
-    ref = samples(runs[-1], fine)
+    rows = [_rows(result.final_state) for result in runs]
+    grids = [TensorGrid(result.problem.space, fine.points_1d) for result in runs[:-1]]
     errors_l2 = {v: [] for v in VARIABLES}
     errors_h1 = {v: [] for v in VARIABLES}
-    for result in runs[:-1]:
-        cur = samples(result, TensorGrid(result.problem.space, fine.points_1d))
-        for var in VARIABLES:
-            l2, h1 = _h1_errors(cur[var], ref[var], weights)
+    for j, var in enumerate(VARIABLES):
+        ref = fine.evaluate(rows[-1][j], jac=slice(None))
+        for grid, level in zip(grids, rows):
+            # the coarse sample goes when `_h1_errors` returns
+            l2, h1 = _h1_errors(grid.evaluate(level[j], jac=slice(None)), ref, weights)
             errors_l2[var].append(l2)
             errors_h1[var].append(h1)
+        del ref  # before the next variable's is made
 
     hs = np.log2([1.0 / n for n in levels[:-1]])
 

@@ -210,6 +210,8 @@ class FlowProblem:
         BDF1 from one state, BDF2 from two.  Returns (state, diagnostics)
         once both drift guards pass, and only then makes the state the
         newest of the history.  Raises ValueError before `initialize`."""
+        if not self.history:
+            raise ValueError("no initial state to step from: call initialize() first")
         delta, gamma = bdf_coefficients(len(self.history))
         dt, d0 = self.cfg.dt, delta[0]
         t0 = _time.perf_counter()

@@ -234,7 +234,7 @@ def test_sphere_patch_interior_self_convergence_orders(monkeypatch):
     inside = (points > 1 / 8) & (points < 7 / 8)
     mask = np.outer(inside, inside)
     original = mcflow.convergence._h1_errors
-    interior = []  # H1 errors on the mask, level after level, VARIABLES in order
+    interior = []  # H1 errors on the mask, VARIABLES in order, level after level
 
     def recorded(planes_a, planes_b, weights):
         interior.append(original(planes_a, planes_b, weights * mask)[1])
@@ -242,7 +242,7 @@ def test_sphere_patch_interior_self_convergence_orders(monkeypatch):
 
     monkeypatch.setattr(mcflow.convergence, "_h1_errors", recorded)
     report = convergence_study(base, levels, t_final=0.05)
-    errors = np.reshape(interior, (len(levels) - 1, len(VARIABLES))).T
+    errors = np.reshape(interior, (len(VARIABLES), len(levels) - 1))
     hs = np.log2([1.0 / n for n in levels[:-1]])
     orders = {v: float(np.polyfit(hs, np.log2(e), 1)[0]) for v, e in zip(VARIABLES, errors)}
     print(f"interior H1 orders {orders}\nfull-domain H1 orders {report.eoc_h1}")

@@ -75,7 +75,7 @@ def test_bdf2_exact_on_quadratic_sequences(rng):
 def test_bdf_order_validation():
     with pytest.raises(ValueError):
         bdf_coefficients(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"no initial state .* call initialize\(\) first"):
         FlowProblem(small_cfg()).step()  # before initialize(): an empty history
 
 
@@ -303,7 +303,7 @@ def test_a_failed_setup_leaves_no_history(monkeypatch):
     with pytest.raises(NoContraction):
         prob.initialize()
     assert prob.history == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"no initial state .* call initialize\(\) first"):
         prob.step()
 
 

@@ -7,6 +7,11 @@ block, two blocks and many.  The quasi-interpolant's grid carries no
 quadrature tables, and `MeshTables.of` builds them on its tabulation.
 The traced peaks of set-up and of a step on the p=2 N=40 plane are
 bounded, so that no phase holds more than its own arrays again.
+
+A convergence study compares its levels one variable at a time, so its
+error phase peaks no higher than its largest run.  `whole_sample_errors`
+keeps the error phase that evaluated all ten coefficient rows of each
+level at once, the oracle of the study's errors bit for bit.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ import pytest
 import mcflow.splines
 from mcflow.assembly import MeshTables
 from mcflow.config import ScenarioConfig
+from mcflow.convergence import VARIABLES, _h1_errors, convergence_study
 from mcflow.flow import FlowProblem
 from mcflow.projections import initial_data
-from mcflow.splines import GaussGrid, edge_points
+from mcflow.splines import GaussGrid, TensorGrid, edge_points
 from tests import setup_oracle
 
 SETUP_RTOL = 1e-13
@@ -34,6 +40,11 @@ MIB = 2.0**20
 # phase through its factorization took them to 13.3 and 10.1 MiB.
 INITIALIZE_PEAK_MIB = 8.82 * 1.1
 STEP_PEAK_MIB = 7.17 * 1.1
+# A study's error phase may peak 10% above its largest run.  On the p=2
+# plane at levels 4, 8, 16 it peaked at 2.00 MiB against 2.52 MiB for
+# the N=16 run; three samples of all ten rows of a level took it to
+# 5.19 MiB.
+STUDY_PEAK_MARGIN = 1.1
 
 
 @pytest.mark.parametrize(
@@ -98,4 +109,78 @@ def test_working_set_of_setup_and_step_is_bounded():
     )
     assert step_peak <= STEP_PEAK_MIB, (
         f"a BDF2 step peaked at {step_peak:.2f} MiB, above {STEP_PEAK_MIB:.2f}"
+    )
+
+
+def whole_sample_errors(runs, degree):
+    """errors_l2 and errors_h1 of a study's runs, each level's final state
+    evaluated once, all ten coefficient rows of x, kappa, nu and v in one
+    call, on the finest level's (degree + 3)-point Gauss grid."""
+    fine = GaussGrid(runs[-1].problem.space, degree + 3)
+    weights = np.outer(fine.weights_1d, fine.weights_1d)
+    rows_of = (slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 10))
+
+    def samples(result, grid):
+        s = result.final_state
+        rows = np.concatenate([s.x.T, s.kappa[None], s.nu.T, s.v.T])
+        planes = grid.evaluate(rows, jac=slice(None))
+        return [tuple(a[k] for a in planes) for k in rows_of]
+
+    ref = samples(runs[-1], fine)
+    errors_l2 = {v: [] for v in VARIABLES}
+    errors_h1 = {v: [] for v in VARIABLES}
+    for result in runs[:-1]:
+        cur = samples(result, TensorGrid(result.problem.space, fine.points_1d))
+        for var, a, b in zip(VARIABLES, cur, ref):
+            l2, h1 = _h1_errors(a, b, weights)
+            errors_l2[var].append(l2)
+            errors_h1[var].append(h1)
+    return errors_l2, errors_h1
+
+
+def _traced_study(degree, monkeypatch):
+    """A study of the plane at levels 4, 8, 16 under tracemalloc: its
+    report, the results of its runs and the traced peaks, in MiB, of each
+    run and of what follows the last one."""
+    base = ScenarioConfig(
+        degree=degree, smoothness=degree - 1, elements_per_side=4, dt=0.0125, output_dir=""
+    )
+    run, runs, peaks = FlowProblem.run, [], []
+
+    def traced(problem):
+        result, peak = _traced_peak(lambda: run(problem))
+        runs.append(result)
+        peaks.append(peak)
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(FlowProblem, "run", traced)
+    tracemalloc.start()
+    try:
+        report = convergence_study(base, [4, 8, 16], t_final=0.05)
+        peaks.append(tracemalloc.get_traced_memory()[1] / MIB)
+    finally:
+        tracemalloc.stop()
+    return report, runs, peaks
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_study_errors_equal_one_evaluation_per_level(degree, monkeypatch):
+    """Variable by variable, the study's errors are those of one ten-row
+    evaluation per level, bit for bit."""
+    report, runs, _ = _traced_study(degree, monkeypatch)
+    errors_l2, errors_h1 = whole_sample_errors(runs, degree)
+    assert report.errors_l2 == errors_l2
+    assert report.errors_h1 == errors_h1
+
+
+def test_working_set_of_a_study_is_its_largest_run(monkeypatch):
+    """After its last run, a study holds at most two samples of one
+    variable: its traced peak stays within the margin of its largest run's."""
+    _, _, peaks = _traced_study(2, monkeypatch)
+    *run_peaks, error_peak = peaks
+    bound = STUDY_PEAK_MARGIN * max(run_peaks)
+    assert error_peak <= bound, (
+        f"the error phase peaked at {error_peak:.2f} MiB, above {bound:.2f} "
+        f"(runs: {', '.join(f'{p:.2f}' for p in run_peaks)} MiB)"
     )
