@@ -28,8 +28,6 @@ from .projections import (
 from .scenarios import (
     SCENARIOS,
     Scenario,
-    calibrate_plane_amplitude,
-    calibrate_sphere_extent,
     get_scenario,
     scenario_perturbed_plane,
     scenario_sphere_patch,

@@ -1,4 +1,4 @@
-"""Command line front end: solve, converge, calibrate.
+"""Command line front end: solve, converge.
 
 It writes no file: `FlowProblem.run` and `convergence_study` write every
 output into the config's `output_dir`, here the current directory if empty.
@@ -37,8 +37,6 @@ def _config(path):
 
 
 def build_parser():
-    from .scenarios import SCENARIOS
-
     parser = argparse.ArgumentParser(
         prog="mcflow",
         description="Mean curvature flow of spline surfaces with fixed boundary",
@@ -52,9 +50,6 @@ def build_parser():
     c.add_argument("--config", required=True, type=_config)
     c.add_argument("--levels", default="4,8,16,32", type=_levels,
                    help="comma-separated elements-per-side, nested")
-
-    k = sub.add_parser("calibrate", help="re-derive a scenario constant")
-    k.add_argument("--scenario", required=True, choices=tuple(SCENARIOS))
     return parser
 
 
@@ -83,18 +78,6 @@ def cmd_converge(args):
     return 0
 
 
-def cmd_calibrate(args):
-    from .scenarios import SCENARIOS
-
-    entry = SCENARIOS[args.scenario]
-    value = entry.calibrate()
-    print(
-        f"{entry.constant}: {value!r} (stored {entry.stored!r}, "
-        f"diff {abs(value - entry.stored):.3e})"
-    )
-    return 0
-
-
 def main(argv=None):
     from .config import ConfigError
 
@@ -103,11 +86,9 @@ def main(argv=None):
     try:
         if args.command == "solve":
             return cmd_solve(args)
-        if args.command == "converge":
-            return cmd_converge(args)
+        return cmd_converge(args)
     except ConfigError as exc:  # raised by FlowProblem before any set-up or output
         parser.error(f"argument --config: {exc}")
-    return cmd_calibrate(args)
 
 
 if __name__ == "__main__":

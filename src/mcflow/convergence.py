@@ -78,9 +78,10 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
     it by the mesh ratio.  Levels must pass `check_levels`: strictly
     increasing with each dividing the next, so the spaces are nested.
     Every level's problem is built, and so its config checked, before
-    any level runs.  The level runs write no file; when `base.output_dir`
-    is set, the study makes it before the first run and writes
-    `report.to_json()` there as `convergence.json`.
+    any level runs; each is let go once it has run.  The level runs
+    write no file; when `base.output_dir` is set, the study makes it
+    before the first run and writes `report.to_json()` there as
+    `convergence.json`.
     """
     levels = check_levels(levels)
     problems = []
@@ -97,12 +98,18 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
         problems.append(FlowProblem(cfg))
     if base.output_dir:
         Path(base.output_dir).mkdir(parents=True, exist_ok=True)
-    runs = [problem.run() for problem in problems]
+    # a level keeps only its space and final state: its problem goes as
+    # soon as it has run, before the next level's run starts
+    finals = []
+    while problems:
+        result = problems.pop(0).run()
+        finals.append((result.problem.space, result.final_state))
+        del result
 
-    fine = GaussGrid(runs[-1].problem.space, base.degree + 3)
+    fine = GaussGrid(finals[-1][0], base.degree + 3)
     weights = np.outer(fine.weights_1d, fine.weights_1d)
-    rows = [_rows(result.final_state) for result in runs]
-    grids = [TensorGrid(result.problem.space, fine.points_1d) for result in runs[:-1]]
+    rows = [_rows(state) for _, state in finals]
+    grids = [TensorGrid(space, fine.points_1d) for space, _ in finals[:-1]]
     errors_l2 = {v: [] for v in VARIABLES}
     errors_h1 = {v: [] for v in VARIABLES}
     for j, var in enumerate(VARIABLES):

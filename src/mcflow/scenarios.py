@@ -15,7 +15,9 @@ tangent and the curvature vector -- so scenario authors supply one jet
 and every reader of a point set shares one evaluation.
 
 Two scenarios are provided, registered by name in ``SCENARIOS`` together
-with their config keys and calibration:
+with their config keys.  Each has one defining constant, shipped here as
+``PLANE_AMPLITUDE`` and ``SPHERE_EXTENT``; the tests re-derive both from
+their area targets and check them:
 
 * ``perturbed_plane``: the square [-1, 1]^2 with a smooth interior bump
   a * (sin(pi u) sin(pi v))^3.  The bump vanishes at the boundary
@@ -41,9 +43,9 @@ from typing import Callable
 import numpy as np
 
 from .geometry import DegenerateSurface, cross3, dot, metric_pieces
-from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD, gauss_rule
+from .splines import EDGE_FIXED_COORD, EDGE_OUTWARD
 
-# Calibrated constants; see calibrate_plane_amplitude / calibrate_sphere_extent.
+# Calibrated constants, re-derived and checked by the tests (tests/calibration.py).
 PLANE_AMPLITUDE = 0.16074835298468315
 SPHERE_EXTENT = 1.4558001722715517
 
@@ -58,9 +60,6 @@ SPHERE_EXTENT = 1.4558001722715517
 # at g = 1/3), and the flow at the reference step size needs g >= 0.29;
 # 0.31 sits midway between the two boundaries.
 SPHERE_CORNER_TEMPER = 0.31
-
-PLANE_AREA_TARGET = 4.0442
-SPHERE_AREA_TARGET = 5.859
 
 
 @dataclass
@@ -365,88 +364,25 @@ def scenario_sphere_patch(
 
 
 # ---------------------------------------------------------------------------
-# calibration
-
-
-def _bisect(f, lo, hi, target):
-    """The point of [lo, hi] where increasing f crosses `target`, to 1e-12."""
-    assert f(lo) < target < f(hi)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def sphere_patch_area(extent: float) -> float:
-    """Analytic area of the sphere patch of half-width `extent`, corner
-    temper SPHERE_CORNER_TEMPER, by the 60-point Gauss rule squared."""
-    sc = scenario_sphere_patch(extent)
-    x, w = gauss_rule(60)
-    raw = cross3(*sc.jet(np.meshgrid(x, x, indexing="ij"))[1])
-    dens = np.sqrt(dot(raw, raw))
-    return float(np.sum(np.outer(w, w) * dens))
-
-
-def calibrate_sphere_extent() -> float:
-    """Half-width of the sphere patch whose analytic area is SPHERE_AREA_TARGET."""
-    return _bisect(sphere_patch_area, 0.5, 2.0, SPHERE_AREA_TARGET)
-
-
-def calibrate_plane_amplitude() -> float:
-    """Bump height whose interpolated surface has area PLANE_AREA_TARGET.
-
-    The area is measured on the quasi-interpolated surface at the
-    reference mesh, N = 20, p = 2, C^1, with the standard assembly
-    quadrature, which is what a flow run reports at t = 0.
-    """
-    from .assembly import MeshTables
-    from .geometry import surface_area
-    from .splines import build_quasi_interpolant, build_space
-
-    space = build_space(2, 1, 20)
-    Q = build_quasi_interpolant(space)
-    tables = MeshTables(space, 3)
-    pts = np.meshgrid(Q.grid.points_1d, Q.grid.points_1d, indexing="ij")
-
-    def area_of(a):
-        sc = scenario_perturbed_plane(a)
-        return surface_area(Q.apply_to_values(sc.jet(pts)[0]), tables)
-
-    return _bisect(area_of, 0.0, 1.0, PLANE_AREA_TARGET)
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """How to build, configure and re-calibrate one named scenario."""
+    """How to build and configure one named scenario."""
 
     build: Callable  # keyword parameters -> Scenario
     config_keys: dict  # build parameter -> ScenarioConfig field
-    calibrate: Callable  # () -> the calibrated constant, re-derived
-    stored: float  # that constant as shipped
-    constant: str  # what the constant is called
 
 
 SCENARIOS = {
     "perturbed_plane": ScenarioEntry(
         scenario_perturbed_plane,
         {"amplitude": "perturbation_amplitude"},
-        calibrate_plane_amplitude,
-        PLANE_AMPLITUDE,
-        "perturbation amplitude",
     ),
     "sphere_patch": ScenarioEntry(
         scenario_sphere_patch,
         {"extent": "patch_polar_extent", "temper": "patch_corner_temper"},
-        calibrate_sphere_extent,
-        SPHERE_EXTENT,
-        "patch polar extent",
     ),
 }
 

@@ -34,8 +34,10 @@ def quasi_small(space_small):
     return build_quasi_interpolant(space_small)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator for each test, so its data do not depend on
+    which tests drew before it."""
     return np.random.default_rng(20260814)
 
 
@@ -194,7 +196,7 @@ def scenario_enneper(half_width=0.8, bump=0.0):
 
 def _registered(monkeypatch, name, build):
     """Register `build` as scenario `name` for one test."""
-    monkeypatch.setitem(SCENARIOS, name, ScenarioEntry(build, {}, None, None, ""))
+    monkeypatch.setitem(SCENARIOS, name, ScenarioEntry(build, {}))
     return name
 
 

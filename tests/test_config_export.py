@@ -343,11 +343,13 @@ def test_cli_converge(tmp_path, capsys):
     assert "H1 order" in capsys.readouterr().out
 
 
-def test_cli_calibrate(capsys):
-    assert cli_main(["calibrate", "--scenario", "sphere_patch"]) == 0
-    out = capsys.readouterr().out
-    assert "patch polar extent" in out
-    assert "diff" in out
+def test_cli_has_no_calibrate_command(capsys):
+    """The CLI has two commands; the scenario constants are re-derived by
+    the calibration tests, not by a command."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["calibrate", "--scenario", "sphere_patch"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "converge"])

@@ -94,7 +94,8 @@ def test_surface_gradient_tangential_and_exact():
 
 
 def test_surface_area_converges_to_analytic(sphere_surface):
-    from mcflow.scenarios import SPHERE_EXTENT, sphere_patch_area
+    from mcflow.scenarios import SPHERE_EXTENT
+    from tests.calibration import sphere_patch_area
 
     sc, _ = sphere_surface
     exact = sphere_patch_area(SPHERE_EXTENT)

@@ -283,7 +283,7 @@ def test_pinched_edge_raises_degenerate_surface(monkeypatch, tmp_path):
     initialization and leaves an abort record instead of reaching a
     solver with NaN boundary data.
     """
-    entry = ScenarioEntry(scenario_pinched_edge, {}, None, None, "")
+    entry = ScenarioEntry(scenario_pinched_edge, {})
     monkeypatch.setitem(SCENARIOS, "pinched", entry)
     cfg = ScenarioConfig(
         scenario="pinched",

@@ -3,8 +3,8 @@
 Code used by nothing, or only by its own tests, is removed (ROADMAP aim
 2).  These tests run the entry points a user calls, at tiny sizes, once
 under `sys.setprofile`: `flow.run` with snapshots and matrix dumps,
-`convergence_study` with an output directory, and `mcflow solve`,
-`converge` and `calibrate` on both scenarios.  The module-level
+`convergence_study` with an output directory, and `mcflow solve` and
+`converge` on both scenarios.  The module-level
 functions and methods of `src/mcflow` (found by an AST walk) that none
 of them calls must be exactly `UNREACHED`, and the parameters with a
 default that none of them sets to another value (dead parameters) must
@@ -156,10 +156,9 @@ def entry_point_calls(tmp_path_factory):
         convergence_study(
             ScenarioConfig(output_dir=str(tmp_path / "study"), **tiny), [2, 4, 8], t_final=0.04
         )
-        for name, cfg in configs.items():
+        for cfg in configs.values():
             assert cli_main(["solve", "--config", cfg]) == 0
             assert cli_main(["converge", "--config", cfg, "--levels", "2,4,8"]) == 0
-            assert cli_main(["calibrate", "--scenario", name]) == 0
     finally:
         sys.setprofile(None)
     all_params = {f"{owner}.{name}" for owner, defaults in defaulted.values() for name in defaults}

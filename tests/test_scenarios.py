@@ -7,18 +7,20 @@ import pytest
 
 from mcflow.scenarios import (
     PLANE_AMPLITUDE,
-    PLANE_AREA_TARGET,
     SCENARIOS,
-    SPHERE_AREA_TARGET,
     SPHERE_EXTENT,
     _sinc_family,
-    calibrate_plane_amplitude,
-    calibrate_sphere_extent,
     get_scenario,
     scenario_sphere_patch,
-    sphere_patch_area,
 )
 from mcflow.splines import EDGE_FIXED_COORD, EDGE_OUTWARD, edge_points
+from tests.calibration import (
+    PLANE_AREA_TARGET,
+    SPHERE_AREA_TARGET,
+    calibrate_plane_amplitude,
+    calibrate_sphere_extent,
+    sphere_patch_area,
+)
 from tests.conftest import grid_planes, interior_grid, scenario_enneper
 
 

@@ -11,12 +11,15 @@ bounded, so that no phase holds more than its own arrays again.
 A convergence study compares its levels one variable at a time, so its
 error phase peaks no higher than its largest run.  `whole_sample_errors`
 keeps the error phase that evaluated all ten coefficient rows of each
-level at once, the oracle of the study's errors bit for bit.
+level at once, the oracle of the study's errors bit for bit.  A level's
+problem goes once it has run: no later run carries an earlier one.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -184,3 +187,20 @@ def test_working_set_of_a_study_is_its_largest_run(monkeypatch):
         f"the error phase peaked at {error_peak:.2f} MiB, above {bound:.2f} "
         f"(runs: {', '.join(f'{p:.2f}' for p in run_peaks)} MiB)"
     )
+
+
+def test_a_study_lets_each_problem_go_once_it_has_run(monkeypatch):
+    """When each level's run starts, no earlier level's problem is alive:
+    the study keeps only its space and final state."""
+    run, gone, alive = FlowProblem.run, [], []
+
+    def counted(problem):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in gone))
+        gone.append(weakref.ref(problem))
+        return run(problem)
+
+    monkeypatch.setattr(FlowProblem, "run", counted)
+    base = ScenarioConfig(elements_per_side=2, dt=0.02, output_dir="")
+    convergence_study(base, [2, 4, 8, 16], t_final=0.04)
+    assert alive == [0, 0, 0, 0]
