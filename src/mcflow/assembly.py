@@ -226,13 +226,12 @@ class ElementGeometry:
         self.du, self.dv = du[3:], dv[3:]
 
 
-def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass, stiffness=1.0):
-    """mass M + stiffness A on the given geometry, one `dia_matrix` on
-    the diagonals of the space, for the surface mass M and stiffness A."""
+def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass):
+    """mass * M + A on the given geometry, one `dia_matrix` on the
+    diagonals of the space, for the surface mass M and stiffness A."""
     wq = geom.weight
-    s = stiffness * wq
     g = geom.metric_inv
-    return tables.matrix(mass * wq, s * g[0], s * g[1], s * g[2])
+    return tables.matrix(mass * wq, wq * g[0], wq * g[1], wq * g[2])
 
 
 class SaddleLayout:

@@ -40,7 +40,6 @@ class ScenarioConfig:
     perturbation_amplitude: float = PLANE_AMPLITUDE
     patch_polar_extent: float = SPHERE_EXTENT
     patch_corner_temper: float = SPHERE_CORNER_TEMPER
-    dump_matrices: bool = False
 
     def scenario_params(self):
         """Keyword parameters of `scenarios.get_scenario` for this run."""
@@ -64,12 +63,6 @@ def _parse_value(key: str, text: str):
             if not math.isfinite(value):
                 raise ValueError(text)
             return value
-        if kind == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
@@ -101,9 +94,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     lines = []
     for f in fields(ScenarioConfig):
         value = getattr(cfg, f.name)
-        if f.type == "bool":
-            value = "true" if value else "false"
-        elif f.type == "float":
+        if f.type == "float":
             value = repr(float(value))
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

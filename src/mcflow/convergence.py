@@ -93,7 +93,6 @@ def convergence_study(base: ScenarioConfig, levels, t_final: float) -> Convergen
             t_final=t_final,
             snapshot_stride=0,
             output_dir="",
-            dump_matrices=False,
         )
         problems.append(FlowProblem(cfg))
     if base.output_dir:

@@ -312,12 +312,11 @@ class FlowProblem:
         """March from t = 0 to t_final by BDF2; emits per-step diagnostics.
 
         When an output directory is configured, the run makes it before
-        any other work and writes all of its files there: the matrix
-        dumps of the initial surface if `dump_matrices` is set, and on
-        success `diagnostics.csv` and one `snapshot_{k:06d}.vtk` per
-        snapshot.  A failure (a Ritz projection that does not contract, a
-        solver residual, degenerate geometry or a drifting normal) aborts
-        the run; it first writes the diagnostics so far as
+        any other work and writes all of its files there: on success
+        `diagnostics.csv` and one `snapshot_{k:06d}.vtk` per snapshot.
+        A failure (a Ritz projection that does not contract, a solver
+        residual, degenerate geometry or a drifting normal) aborts the
+        run; it first writes the diagnostics so far as
         `diagnostics_abort.csv` and, once initialization has produced a
         state, the last good state as `last_good_state.vtk`.
         """
@@ -332,9 +331,6 @@ class FlowProblem:
             snapshots = []
             if cfg.snapshot_stride > 0:
                 snapshots.append((0, state))
-
-            if cfg.dump_matrices and cfg.output_dir:
-                self._dump_matrices(state)
 
             for k in range(1, num_steps + 1):
                 state, diag = self.step()
@@ -352,22 +348,6 @@ class FlowProblem:
             snaps = [(f"snapshot_{k:06d}.vtk", s) for k, s in snapshots]
             self._write_files("diagnostics.csv", diagnostics, snaps)
         return RunResult(diagnostics, state, snapshots, self)
-
-    def _dump_matrices(self, state):
-        from scipy.io import mmwrite
-        from scipy.sparse import csr_matrix
-
-        geom = ElementGeometry(self.tables, state.x)
-        M = assemble_mass_stiffness(self.tables, geom, 1.0, 0.0)
-        A = assemble_mass_stiffness(self.tables, geom, 0.0)
-        # S is C widened to all 3 dim columns, as CSR to write it row by row
-        C, B, dim = self.saddle.C.tocoo(), self.saddle.boundary, self.space.dim
-        k, b = np.divmod(C.row, len(B))
-        S = csr_matrix((C.data, (C.col, B[b] + dim * k)), shape=(len(B), 3 * dim))
-        out = Path(self.cfg.output_dir)
-        # MatrixMarket from COO, which leaves a dia_matrix's zero entries out
-        for name, mat in (("mass", M), ("stiffness", A), ("constraint", S)):
-            mmwrite(str(out / f"{name}.mtx"), mat.tocoo())
 
     def _write_files(self, csv_name, diagnostics, states):
         """Write `diagnostics` as `csv_name` and each (file name, state) of

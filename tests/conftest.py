@@ -96,6 +96,16 @@ def boundary_data(quasi, scenario):
     )
 
 
+def weighted_mass_stiffness(tables, geom, mass, stiffness):
+    """mass M + stiffness A on the given geometry, both weights free, on
+    the diagonals of the space: `assembly.assemble_mass_stiffness` is the
+    case stiffness = 1."""
+    wq = geom.weight
+    s = stiffness * wq
+    g = geom.metric_inv
+    return tables.matrix(mass * wq, s * g[0], s * g[1], s * g[2])
+
+
 def full_constraint(C, space):
     """The constraint S (n_B, 3 dim) as CSR: C = S_B^T, whose rows are
     boundary positions per component, widened to columns over all 3 dim

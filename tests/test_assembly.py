@@ -34,6 +34,7 @@ from tests.conftest import (
     full_constraint,
     grid_points,
     interpolate,
+    weighted_mass_stiffness,
 )
 from tests.setup_oracle import constraint_residual
 
@@ -76,7 +77,7 @@ def test_mesh_tables_field_values(space_small, rng):
 
 
 def _mass(tables, geom):
-    return assemble_mass_stiffness(tables, geom, 1.0, 0.0)
+    return weighted_mass_stiffness(tables, geom, 1.0, 0.0)
 
 
 def _stiffness(tables, geom):
@@ -96,7 +97,7 @@ def test_mass_stiffness_structure(flat_setup):
     evals = np.linalg.eigvalsh(M.toarray())
     assert evals.min() > 0.0
     # the weighted sum is one matrix on the same diagonals
-    K = assemble_mass_stiffness(tables, geom, 3.0, 0.5)
+    K = weighted_mass_stiffness(tables, geom, 3.0, 0.5)
     assert np.array_equal(K.offsets, M.offsets) and K.data.shape == M.data.shape
     assert np.abs(K.data - (3.0 * M.data + 0.5 * A.data)).max() < 1e-13 * np.abs(K.data).max()
 
@@ -443,7 +444,7 @@ def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
     M, _, _, prob = sphere_saddle
     c = 60.0
     geom = ElementGeometry(prob.tables, interpolate(prob.quasi, prob.scenario))
-    K = assemble_mass_stiffness(prob.tables, geom, 0.0, 0.0)
+    K = weighted_mass_stiffness(prob.tables, geom, 0.0, 0.0)
     assert K.data.shape == (len(prob.tables.offsets), prob.space.dim)
     assert not np.any(K.data)
     with pytest.raises(SolverFailure, match="test solve: K is not positive definite"):

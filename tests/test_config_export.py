@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.io import mmread
 
-from mcflow.assembly import ElementGeometry, assemble_mass_stiffness
 from mcflow.cli import build_parser
 from mcflow.cli import main as cli_main
 from mcflow.config import (
@@ -31,7 +29,6 @@ from mcflow.export import (
 )
 from mcflow.convergence import convergence_study
 from mcflow.flow import FlowProblem, NormalDrift, run
-from tests.conftest import full_constraint
 
 
 # -- config -------------------------------------------------------------------
@@ -59,13 +56,13 @@ def test_comments_and_blank_lines():
         t_final = 0.9
 
         elements_per_side = 10
-        dump_matrices = yes
+        snapshot_stride = 4
         """
     )
     assert cfg.scenario == "sphere_patch"
     assert cfg.dt == 0.025
     assert cfg.elements_per_side == 10
-    assert cfg.dump_matrices is True
+    assert cfg.snapshot_stride == 4
 
 
 @pytest.mark.parametrize(
@@ -188,40 +185,9 @@ def test_cli_solve(tmp_path, capsys):
     assert "area" in capsys.readouterr().out
 
 
-def test_cli_solve_dump_matrices(tmp_path, capsys):
-    """The dumps read back as the M, A and S of the initial surface, entry
-    for entry, with the stored entries of a C^1 and a C^0 space."""
-    for smoothness, counts in ((1, (576, 576, 276)), (0, (1089, 1089, 384))):
-        out = tmp_path / f"out{smoothness}"
-        cfg = ScenarioConfig(
-            scenario="perturbed_plane",
-            degree=2,
-            smoothness=smoothness,
-            elements_per_side=4,
-            dt=0.01,
-            t_final=0.01,
-            dump_matrices=True,
-            output_dir=str(out),
-        )
-        cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(serialize_config(cfg))
-        assert cli_main(["solve", "--config", str(cfg_path)]) == 0
-        prob = FlowProblem(cfg)
-        geom = ElementGeometry(prob.tables, prob.initialize().x)
-        matrices = (
-            assemble_mass_stiffness(prob.tables, geom, 1.0, 0.0),
-            assemble_mass_stiffness(prob.tables, geom, 0.0),
-            full_constraint(prob.saddle.C, prob.space),
-        )
-        for name, matrix, count in zip(("mass", "stiffness", "constraint"), matrices, counts):
-            dumped = mmread(out / f"{name}.mtx")
-            assert dumped.nnz == count, name
-            assert np.array_equal(dumped.toarray(), matrix.toarray()), name
-
-
-def test_cli_solve_without_output_dir_dumps_here(tmp_path, monkeypatch, capsys):
+def test_cli_solve_without_output_dir_writes_here(tmp_path, monkeypatch, capsys):
     """With no output_dir every file of a run lands in the current
-    directory, beside its CSV: the matrix dumps too."""
+    directory: its CSV and its snapshots."""
     monkeypatch.chdir(tmp_path)
     cfg = ScenarioConfig(
         scenario="perturbed_plane",
@@ -230,13 +196,17 @@ def test_cli_solve_without_output_dir_dumps_here(tmp_path, monkeypatch, capsys):
         elements_per_side=4,
         dt=0.01,
         t_final=0.01,
-        dump_matrices=True,
+        snapshot_stride=1,
         output_dir="",
     )
     (tmp_path / "run.cfg").write_text(serialize_config(cfg))
     assert cli_main(["solve", "--config", "run.cfg"]) == 0
-    for name in ("diagnostics.csv", "mass.mtx", "stiffness.mtx", "constraint.mtx"):
-        assert (tmp_path / name).exists(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "diagnostics.csv",
+        "run.cfg",
+        "snapshot_000000.vtk",
+        "snapshot_000001.vtk",
+    ]
 
 
 def test_cli_solve_without_output_dir_keeps_its_abort_record(tmp_path, monkeypatch):
@@ -272,7 +242,6 @@ def test_run_writes_the_files_of_solve(tmp_path):
         dt=0.01,
         t_final=0.03,
         snapshot_stride=2,
-        dump_matrices=True,
         output_dir=str(tmp_path / "solve"),
     )
     cfg_path = tmp_path / "run.cfg"
@@ -281,13 +250,10 @@ def test_run_writes_the_files_of_solve(tmp_path):
     run(replace(cfg, output_dir=str(tmp_path / "run")))
     names = sorted(p.name for p in (tmp_path / "solve").iterdir())
     assert names == [
-        "constraint.mtx",
         "diagnostics.csv",
-        "mass.mtx",
         "snapshot_000000.vtk",
         "snapshot_000002.vtk",
         "snapshot_000003.vtk",
-        "stiffness.mtx",
     ]
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == names
     for name in names:
@@ -307,15 +273,14 @@ def test_convergence_study_writes_its_report(tmp_path):
 
 
 def test_no_output_dir_writes_no_file(tmp_path, monkeypatch):
-    """With an empty output_dir neither a run, with dumps and snapshots
-    on, nor a study writes into the working directory."""
+    """With an empty output_dir neither a run, with snapshots on, nor a
+    study writes into the working directory."""
     monkeypatch.chdir(tmp_path)
     cfg = ScenarioConfig(
         elements_per_side=2,
         dt=0.02,
         t_final=0.04,
         snapshot_stride=1,
-        dump_matrices=True,
         output_dir="",
     )
     run(cfg)
@@ -355,8 +320,8 @@ def test_cli_has_no_calibrate_command(capsys):
 @pytest.mark.parametrize("command", ["solve", "converge"])
 @pytest.mark.parametrize("flag", [["--dump-matrices"], ["--snapshot-stride", "1"]])
 def test_cli_converge_rejects_solve_flags(tmp_path, capsys, command, flag):
-    """Neither command takes a flag for the stride or the dumps: the
-    config keys `snapshot_stride` and `dump_matrices` set them."""
+    """Neither command takes a flag for the stride, which the config key
+    `snapshot_stride` sets, nor one for matrix dumps, which no run writes."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(serialize_config(ScenarioConfig(output_dir=str(tmp_path / "out"))))
     with pytest.raises(SystemExit) as exc:
@@ -399,6 +364,7 @@ def test_cli_converge_rejects_bad_levels(tmp_path, capsys, levels, message):
             "bad scenario parameters: temper must lie in [0, 1/3), got 0.5",
         ),
         ("perturbation_amplitude = nan", "bad value for 'perturbation_amplitude': 'nan'"),
+        ("dump_matrices = true", "unknown key 'dump_matrices'"),
     ],
 )
 def test_cli_rejects_bad_config(tmp_path, capsys, command, text, message):
@@ -427,12 +393,11 @@ def test_cli_solve_does_not_hide_output_errors(tmp_path):
         cli_main(["solve", "--config", str(cfg_path)])
 
 
+# the ids the cases had when they also varied the matrix dump, kept for selection by name
 @pytest.mark.parametrize(
-    "entry, dump_matrices", [("run", False), ("run", True), ("convergence_study", False)]
+    "entry", ["run", "convergence_study"], ids=["run-False", "convergence_study-False"]
 )
-def test_an_output_dir_that_is_a_file_fails_before_set_up(
-    tmp_path, monkeypatch, entry, dump_matrices
-):
+def test_an_output_dir_that_is_a_file_fails_before_set_up(tmp_path, monkeypatch, entry):
     """An output directory that cannot be made stops a run or a study
     before any initial data are computed, with one FileExistsError that
     chains no other error."""
@@ -442,7 +407,6 @@ def test_an_output_dir_that_is_a_file_fails_before_set_up(
         elements_per_side=2,
         dt=0.02,
         t_final=0.04,
-        dump_matrices=dump_matrices,
         output_dir=str(blocker),
     )
     calls = []

@@ -46,7 +46,14 @@ from mcflow.splines import (
     edge_points,
 )
 from tests import element_oracle as oracle
-from tests.conftest import boundary_data, full_constraint, grid_planes, grid_points, interpolate
+from tests.conftest import (
+    boundary_data,
+    full_constraint,
+    grid_planes,
+    grid_points,
+    interpolate,
+    weighted_mass_stiffness,
+)
 from tests.setup_oracle import constraint_residual
 
 KERNEL_RTOL = 1e-13
@@ -199,7 +206,7 @@ def test_assembly_kernels_match_einsum(kernel_setup):
     geom = ElementGeometry(tables, x, np.concatenate([nu.T, kappa[None]]), num_jac=3)
     c = 1.5 / 0.0125
     for got, ref in (
-        (assemble_mass_stiffness(tables, geom, 1.0, 0.0), M_ref),
+        (weighted_mass_stiffness(tables, geom, 1.0, 0.0), M_ref),
         (assemble_mass_stiffness(tables, geom, 0.0), A_ref),
         (assemble_mass_stiffness(tables, geom, c), c * M_ref + A_ref),
     ):
@@ -231,7 +238,7 @@ def test_loads_fold_their_tails(kernel_setup):
     tail_k, tail_n = -2.0 * kappa + 0.25 * x[:, 0], 0.5 * nu - 3.0 * x
     fields = np.concatenate([nu.T, kappa[None], tail_k[None] / dt, tail_n.T / dt])
     geom = ElementGeometry(tables, x, fields, num_jac=3)
-    M = assemble_mass_stiffness(tables, geom, 1.0, 0.0)
+    M = weighted_mass_stiffness(tables, geom, 1.0, 0.0)
     frob2 = weingarten_energy(geom)
     nu_q, kap_q, tk, tn = np.split(geom.values, [3, 4, 5])
     for got, f, tail in (
@@ -405,7 +412,7 @@ def test_tensor_kernels_match_the_element_oracle(p, l, N, block_elements):
 
         M, A = oracle.mass_stiffness(et, x)
         assert_same_matrix(assemble_mass_stiffness(tables, geom, 7.5), 7.5 * M + A)
-        assert_same_matrix(assemble_mass_stiffness(tables, geom, 1.0, 0.0), M)
+        assert_same_matrix(weighted_mass_stiffness(tables, geom, 1.0, 0.0), M)
         assert_same_matrix(assemble_mass_stiffness(tables, geom, 0.0), A)
 
         frob2 = weingarten_energy(geom)

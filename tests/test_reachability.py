@@ -2,9 +2,9 @@
 
 Code used by nothing, or only by its own tests, is removed (ROADMAP aim
 2).  These tests run the entry points a user calls, at tiny sizes, once
-under `sys.setprofile`: `flow.run` with snapshots and matrix dumps,
-`convergence_study` with an output directory, and `mcflow solve` and
-`converge` on both scenarios.  The module-level
+under `sys.setprofile`: `flow.run` with snapshots, `convergence_study`
+with an output directory, and `mcflow solve` and `converge` on both
+scenarios.  The module-level
 functions and methods of `src/mcflow` (found by an AST walk) that none
 of them calls must be exactly `UNREACHED`, and the parameters with a
 default that none of them sets to another value (dead parameters) must
@@ -148,11 +148,7 @@ def entry_point_calls(tmp_path_factory):
 
     sys.setprofile(profile)
     try:
-        run(
-            ScenarioConfig(
-                snapshot_stride=1, dump_matrices=True, output_dir=str(tmp_path / "run"), **tiny
-            )
-        )
+        run(ScenarioConfig(snapshot_stride=1, output_dir=str(tmp_path / "run"), **tiny))
         convergence_study(
             ScenarioConfig(output_dir=str(tmp_path / "study"), **tiny), [2, 4, 8], t_final=0.04
         )

@@ -44,7 +44,7 @@ MIB = 2.0**20
 INITIALIZE_PEAK_MIB = 8.82 * 1.1
 STEP_PEAK_MIB = 7.17 * 1.1
 # A study's error phase may peak 10% above its largest run.  On the p=2
-# plane at levels 4, 8, 16 it peaked at 2.00 MiB against 2.52 MiB for
+# plane at levels 4, 8, 16 it peaked at 1.55 MiB against 2.37 MiB for
 # the N=16 run; three samples of all ten rows of a level took it to
 # 5.19 MiB.
 STUDY_PEAK_MARGIN = 1.1
@@ -115,25 +115,25 @@ def test_working_set_of_setup_and_step_is_bounded():
     )
 
 
-def whole_sample_errors(runs, degree):
-    """errors_l2 and errors_h1 of a study's runs, each level's final state
-    evaluated once, all ten coefficient rows of x, kappa, nu and v in one
-    call, on the finest level's (degree + 3)-point Gauss grid."""
-    fine = GaussGrid(runs[-1].problem.space, degree + 3)
+def whole_sample_errors(finals, degree):
+    """errors_l2 and errors_h1 of a study's (space, final state) pairs, each
+    level's final state evaluated once, all ten coefficient rows of x,
+    kappa, nu and v in one call, on the finest level's (degree + 3)-point
+    Gauss grid."""
+    fine = GaussGrid(finals[-1][0], degree + 3)
     weights = np.outer(fine.weights_1d, fine.weights_1d)
     rows_of = (slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 10))
 
-    def samples(result, grid):
-        s = result.final_state
+    def samples(s, grid):
         rows = np.concatenate([s.x.T, s.kappa[None], s.nu.T, s.v.T])
         planes = grid.evaluate(rows, jac=slice(None))
         return [tuple(a[k] for a in planes) for k in rows_of]
 
-    ref = samples(runs[-1], fine)
+    ref = samples(finals[-1][1], fine)
     errors_l2 = {v: [] for v in VARIABLES}
     errors_h1 = {v: [] for v in VARIABLES}
-    for result in runs[:-1]:
-        cur = samples(result, TensorGrid(result.problem.space, fine.points_1d))
+    for space, state in finals[:-1]:
+        cur = samples(state, TensorGrid(space, fine.points_1d))
         for var, a, b in zip(VARIABLES, cur, ref):
             l2, h1 = _h1_errors(a, b, weights)
             errors_l2[var].append(l2)
@@ -143,16 +143,17 @@ def whole_sample_errors(runs, degree):
 
 def _traced_study(degree, monkeypatch):
     """A study of the plane at levels 4, 8, 16 under tracemalloc: its
-    report, the results of its runs and the traced peaks, in MiB, of each
-    run and of what follows the last one."""
+    report, each run's (space, final state), which is all the study keeps
+    of a run, and the traced peaks, in MiB, of each run and of what
+    follows the last one."""
     base = ScenarioConfig(
         degree=degree, smoothness=degree - 1, elements_per_side=4, dt=0.0125, output_dir=""
     )
-    run, runs, peaks = FlowProblem.run, [], []
+    run, finals, peaks = FlowProblem.run, [], []
 
     def traced(problem):
         result, peak = _traced_peak(lambda: run(problem))
-        runs.append(result)
+        finals.append((result.problem.space, result.final_state))
         peaks.append(peak)
         tracemalloc.reset_peak()
         return result
@@ -164,15 +165,15 @@ def _traced_study(degree, monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] / MIB)
     finally:
         tracemalloc.stop()
-    return report, runs, peaks
+    return report, finals, peaks
 
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_study_errors_equal_one_evaluation_per_level(degree, monkeypatch):
     """Variable by variable, the study's errors are those of one ten-row
     evaluation per level, bit for bit."""
-    report, runs, _ = _traced_study(degree, monkeypatch)
-    errors_l2, errors_h1 = whole_sample_errors(runs, degree)
+    report, finals, _ = _traced_study(degree, monkeypatch)
+    errors_l2, errors_h1 = whole_sample_errors(finals, degree)
     assert report.errors_l2 == errors_l2
     assert report.errors_h1 == errors_h1
 
