@@ -127,6 +127,17 @@ class MeshTables(GaussGrid):
     the grid's `basis_blocks` too.  `offsets` and `gather` are the
     diagonals of the space and the place of each of their entries in
     the band array the kernel forms (`TensorSplineSpace.diagonals`).
+
+    `matrix` forms its products in two work arrays, the pair products
+    T (m, 4, L) and the flat band, L^2 + 1 entries, for L = n (2p + 1):
+    4 m L + L^2 + 1 doubles, 1.1 MiB for the 3-point rule at p = 2,
+    N = 40.  Its first call makes them and every later call on the same
+    tables reuses them, so they live as long as the tables, which make
+    one matrix at a time.  A step's
+    largest short-lived arrays would otherwise be freed and faulted in
+    again every step, once the allocator has given the top of its heap
+    back to the system.  Each call gathers fresh diagonals, so no
+    returned matrix shares memory with them.
     """
 
     def __init__(self, space: TensorSplineSpace, n_quad: int):
@@ -157,6 +168,7 @@ class MeshTables(GaussGrid):
         for k, (a, b) in enumerate(((0, 0), (1, 1), (1, 0), (0, 1))):
             np.multiply(self.c[a][:, :, None], window[b], out=pairs[:, k])
         self.pairs = pairs.reshape(m, 4, -1)
+        self._work = None  # the work arrays of `matrix`, made by its first call
 
     def integrate(self, dens):
         """sum_q (dens phi_i)(q) for density planes.
@@ -179,13 +191,16 @@ class MeshTables(GaussGrid):
         tables with those results, which gives the band array of
         `TensorSplineSpace.diagonals`, and one `np.take` gathers its
         diagonals into a `scipy.sparse.dia_matrix`.  Both passes run per
-        block of `basis_blocks`.  Every diagonal is kept, also one whose
-        values are 0.0; an entry that couples nothing is exactly 0.0.
+        block of `basis_blocks`, in the work arrays of the tables, which
+        every call overwrites in full.  Every diagonal is kept, also one
+        whose values are 0.0; an entry that couples nothing is exactly 0.0.
         """
         P = self.pairs
         m, _, L = P.shape
         width = L // self.c.shape[2]
-        T = np.empty((m, 4, L))
+        if self._work is None:  # T, then the band and the zero of `gather`
+            self._work = np.empty((m, 4, L)), np.zeros(L * L + 1)
+        T, flat = self._work
         for q, i in self.basis_blocks:
             b = slice(i.start * width, i.stop * width)
             np.matmul(mass[:, q], P[q, 0, b], out=T[:, 0, b])
@@ -193,8 +208,6 @@ class MeshTables(GaussGrid):
             np.matmul(g00[:, q], P[q, 0, b], out=T[:, 1, b])
             np.matmul(g01[:, q], P[q, 3, b], out=T[:, 2, b])  # d_u phi_i d_v phi_j
             np.matmul(g01[:, q], P[q, 2, b], out=T[:, 3, b])  # d_v phi_i d_u phi_j
-        flat = np.empty(L * L + 1)  # the band, then the zero of `gather`
-        flat[-1] = 0.0
         band = flat[:-1].reshape(L, L)
         for q, i in self.basis_blocks:
             b = slice(i.start * width, i.stop * width)
@@ -214,16 +227,19 @@ class ElementGeometry:
     `metric_inv` (3, m, m) and the area element `area_element` (m, m)
     (`geometry.metric_pieces`), the rule's weight times the area element
     `weight` (m, m), and the planes of the fields: `values` (D, m, m)
-    and the derivatives `du`, `dv` (num_jac, m, m).
+    and the derivatives `du`, `dv` (num_jac, m, m), None without fields
+    or Jacobians.  The Jacobian of x is evaluated on its own and goes
+    once the metric is formed, so every array held is its own planes.
     """
 
     def __init__(self, tables: MeshTables, x_coeffs, fields=None, num_jac=0):
-        x = np.asarray(x_coeffs).T
-        rows = x if fields is None else np.concatenate([x, fields])
-        self.values, du, dv = tables.evaluate(rows, slice(3, None), slice(3 + num_jac))
-        self.metric_inv, self.area_element = metric_pieces(du[:3], dv[:3])
+        _, du, dv = tables.evaluate(np.asarray(x_coeffs).T, slice(0), slice(None))
+        self.metric_inv, self.area_element = metric_pieces(du, dv)
+        del du, dv
         self.weight = tables.weights * self.area_element
-        self.du, self.dv = du[3:], dv[3:]
+        self.values = self.du = self.dv = None
+        if fields is not None:
+            self.values, self.du, self.dv = tables.evaluate(fields, jac=slice(num_jac))
 
 
 def assemble_mass_stiffness(tables: MeshTables, geom: ElementGeometry, mass):

@@ -2,9 +2,10 @@
 
 The on-disk format is one `key = value` pair per line; blank lines and
 `#` comments are ignored.  Unknown keys, and float values that are not
-finite numbers, are an error.  `serialize`
+finite numbers, are an error.  `serialize_config`
 produces a canonical form (fixed key order, shortest round-trip float
-representation) so equal configs serialize identically.
+representation) so equal configs serialize identically, and refuses a
+string value that `parse_config` would read back differently.
 """
 
 from __future__ import annotations
@@ -91,10 +92,22 @@ def load_config(path) -> ScenarioConfig:
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
+    """The canonical text of `cfg`, which `parse_config` reads back equal.
+
+    Raises ConfigError, naming the key, for a string value with a `#`, a
+    line break or surrounding whitespace, which the format cannot hold.
+    """
     lines = []
     for f in fields(ScenarioConfig):
         value = getattr(cfg, f.name)
         if f.type == "float":
             value = repr(float(value))
+        elif f.type == "str" and (
+            "#" in value or "".join(value.splitlines()) != value or value != value.strip()
+        ):
+            raise ConfigError(
+                f"cannot write {f.name!r}: its value {value!r} holds '#' or a line "
+                "break, or has surrounding whitespace"
+            )
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

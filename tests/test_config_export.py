@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcflow.cli import build_parser
@@ -89,6 +89,42 @@ def test_malformed_config_rejected(text, match):
 def test_config_roundtrip_property(dt, amp, n):
     cfg = ScenarioConfig(dt=dt, perturbation_amplitude=amp, elements_per_side=n)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("output_dir", "runs/#1"),
+        ("output_dir", " padded "),
+        ("output_dir", "runs/out\t"),
+        ("output_dir", "runs/a\nb"),
+        ("output_dir", "runs/a\u2028b"),
+        ("scenario", "sphere_patch\r"),
+    ],
+    ids=["hash", "padded", "trailing-tab", "newline", "line-separator", "carriage-return"],
+)
+def test_serialize_refuses_what_parse_reads_back_differently(key, value):
+    """`#` starts a comment, a line break ends the line and surrounding
+    whitespace is stripped, so none of them can be written."""
+    with pytest.raises(ConfigError, match=f"cannot write '{key}'"):
+        serialize_config(replace(ScenarioConfig(), **{key: value}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(output_dir=st.text(max_size=12))
+@example(output_dir="")
+@example(output_dir="runs/a b")
+@example(output_dir="runs/x=1")
+@example(output_dir="C:\\runs\\ü")
+def test_serialized_configs_read_back_equal(output_dir):
+    """Any string is either refused or read back as written."""
+    cfg = ScenarioConfig(output_dir=output_dir)
+    try:
+        text = serialize_config(cfg)
+    except ConfigError as exc:
+        assert "'output_dir'" in str(exc)
+        return
+    assert parse_config(text) == cfg
 
 
 def test_unknown_scenario_fails_at_params():

@@ -6,7 +6,10 @@ whole grid at once.  Both give the same initial data to roundoff, in one
 block, two blocks and many.  The quasi-interpolant's grid carries no
 quadrature tables, and `MeshTables.of` builds them on its tabulation.
 The traced peaks of set-up and of a step on the p=2 N=40 plane are
-bounded, so that no phase holds more than its own arrays again.
+bounded, so that no phase holds more than its own arrays again: a
+geometry holds its own planes only, and the matrix kernel's work arrays
+are made once per set of tables, reused by every later call and shared
+by no matrix it returns.
 
 A convergence study compares its levels one variable at a time, so its
 error phase peaks no higher than its largest run.  `whole_sample_errors`
@@ -18,6 +21,7 @@ problem goes once it has run: no later run carries an earlier one.
 from __future__ import annotations
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -25,12 +29,12 @@ import numpy as np
 import pytest
 
 import mcflow.splines
-from mcflow.assembly import MeshTables
+from mcflow.assembly import ElementGeometry, MeshTables
 from mcflow.config import ScenarioConfig
 from mcflow.convergence import VARIABLES, _h1_errors, convergence_study
 from mcflow.flow import FlowProblem
 from mcflow.projections import initial_data
-from mcflow.splines import GaussGrid, TensorGrid, edge_points
+from mcflow.splines import GaussGrid, TensorGrid, build_space, edge_points
 from tests import setup_oracle
 
 SETUP_RTOL = 1e-13
@@ -40,7 +44,10 @@ MIB = 2.0**20
 # p=2, C^1, N=40 plane, measured at 8.82 MiB for `initialize` and
 # 7.17 MiB for a BDF2 step (numpy 2.4, scipy 1.17), bounded with a margin
 # of 10%.  Sampling the whole grid at once and holding the planes of a
-# phase through its factorization took them to 13.3 and 10.1 MiB.
+# phase through its factorization took them to 13.3 and 10.1 MiB.  With
+# the matrix kernel's work arrays kept by the tables (1.1 MiB for a step's
+# tables, 1.4 MiB for the Ritz projection's) and each geometry holding
+# its own planes only, they read 8.25 and 7.12 MiB.
 INITIALIZE_PEAK_MIB = 8.82 * 1.1
 STEP_PEAK_MIB = 7.17 * 1.1
 # A study's error phase may peak 10% above its largest run.  On the p=2
@@ -48,6 +55,11 @@ STEP_PEAK_MIB = 7.17 * 1.1
 # the N=16 run; three samples of all ten rows of a level took it to
 # 5.19 MiB.
 STUDY_PEAK_MARGIN = 1.1
+# What a `matrix` call may allocate beside the data it returns: the
+# dia_matrix's own small arrays and the kernel's per-block scratch, which
+# is gone before the data is gathered.  A second call at p=2, N=40 traced
+# 5 KiB of it; remaking the work arrays there would trace 1.1 MiB.
+MATRIX_SLACK_BYTES = 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -113,6 +125,66 @@ def test_working_set_of_setup_and_step_is_bounded():
     assert step_peak <= STEP_PEAK_MIB, (
         f"a BDF2 step peaked at {step_peak:.2f} MiB, above {STEP_PEAK_MIB:.2f}"
     )
+
+
+def _root(a):
+    """The array whose buffer `a` views, or `a` itself."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_a_geometry_holds_only_the_planes_it_exposes():
+    """Neither the Ritz projection's geometry nor a step's keeps the
+    Jacobian of x alive through a view: every array it holds owns
+    exactly its own planes."""
+    prob = FlowProblem(ScenarioConfig(elements_per_side=8))
+    st = prob.initialize()
+    fields = np.concatenate([st.nu.T, st.kappa[None], st.kappa[None], st.nu.T])
+    for geom in (
+        ElementGeometry(prob.tables, st.x),
+        ElementGeometry(prob.tables, st.x, fields, num_jac=3),
+    ):
+        for name, a in vars(geom).items():
+            if a is not None:
+                assert _root(a).nbytes == a.nbytes, f"{name} views a larger array"
+
+
+def test_repeated_matrices_equal_those_of_fresh_tables(rng):
+    """Calls on one set of tables, each on other density planes, give the
+    matrices of fresh tables bit for bit, and share no memory with each
+    other or with the work arrays."""
+    space = build_space(2, 1, 20)  # two blocks of basis functions
+    tables = MeshTables(space, 3)
+    m = len(tables.points_1d)
+    planes = [rng.standard_normal((4, m, m)) for _ in range(3)]
+    got = [tables.matrix(*d) for d in planes]
+    for d, K in zip(planes, got):
+        ref = MeshTables(space, 3).matrix(*d)
+        assert np.array_equal(K.offsets, ref.offsets)
+        assert np.array_equal(K.data, ref.data)
+    for a, b in itertools.combinations(got, 2):
+        assert not np.shares_memory(a.data, b.data)
+    for K, work in itertools.product(got, tables._work):
+        assert not np.shares_memory(K.data, work)
+
+
+def test_a_second_matrix_allocates_no_work_array(rng):
+    """Only the first `matrix` call on a set of tables makes the work
+    arrays: a later one traces its returned data and a small slack."""
+    tables = MeshTables(build_space(2, 1, 40), 3)
+    m = len(tables.points_1d)
+    dens = rng.standard_normal((4, m, m))
+    tables.matrix(*dens)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        K = tables.matrix(*dens)
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    bound = K.data.nbytes + MATRIX_SLACK_BYTES
+    assert rise <= bound, f"a second call traced {rise} bytes, above {bound}"
 
 
 def whole_sample_errors(finals, degree):
