@@ -40,13 +40,16 @@ band of half-width p (n + 1) for n coefficients per direction, so one
 LAPACK banded Cholesky factors it, which beats nested dissection on
 grids of the sizes run here (George & Liu, Computer Solution of Large
 Sparse Positive Definite Systems, 1981), whose lower band storage is
-the diagonals of offset <= 0.  `SaddleLayout` plans the row blocks of
-the forward substitution that gives G from the factor on the boundary
-columns, and keeps the boundary block of the constraint as one matrix,
-C = S_B^T, all once per problem; G and T are Cholesky-factored by
-LAPACK `dpotrf`.  The same factor serves the zero-trace curvature
-system of a flow step, whose matrix is the interior block K_II, by a
-capacitance correction with G, so a step factors one matrix.
+the diagonals of offset <= 0.  A load on the boundary rows only, such
+as the Ritz projection's conormal term, has the boundary rows of its
+saddle solution in G and T alone (`ConstrainedSolver.boundary_solve`).
+`SaddleLayout` plans the row blocks of the forward substitution that
+gives G from the factor on the boundary columns, and keeps the
+boundary block of the constraint as one matrix, C = S_B^T, all once
+per problem; G and T are Cholesky-factored by LAPACK `dpotrf`.  The
+same factor serves the zero-trace curvature system of a flow step,
+whose matrix is the interior block K_II, by a capacitance correction
+with G, so a step factors one matrix.
 Vector coefficients are (dim, 3) arrays; S_B acts on their boundary
 rows stacked component-major, [x_B | y_B | z_B].  Values on points are
 component first, as everywhere (`geometry`): the planes of the grid are
@@ -377,7 +380,8 @@ class ConstrainedSolver:
     by `check_residual(..., what)` at SOLVER_RESIDUAL_TOL; its
     constraint rows S_B w_B also give the last entry, the constraint
     residual of w.  `with_interior` adds the zero-trace
-    system K_II x_I = r_I as a fourth column.
+    system K_II x_I = r_I as a fourth column; `boundary_solve` and
+    `boundary_norm` act on boundary rows with the factors of G and T.
     """
 
     def __init__(self, K, layout: SaddleLayout, what):
@@ -404,6 +408,27 @@ class ConstrainedSolver:
 
     def __call__(self, f):
         return self._solve(f)[1]
+
+    def boundary_solve(self, c):
+        """Boundary rows w_B (nB, 3) of the saddle solution for the load
+        whose only nonzero rows are the boundary rows c (nB, 3): y_B = G c,
+        mu = T^-1 S_B vec(G c) and w_B = G (c - S_B^T mu), with G applied
+        as R^T (R .) for its upper factor R (`dtrmm` reads only the upper
+        triangle).  No band solve; S_B w_B = 0."""
+        R, lo = self.G, self.layout
+
+        def apply_G(b):
+            return blas.dtrmm(1.0, R, blas.dtrmm(1.0, R, b), trans_a=1)
+
+        mu = _cholesky_solve(self.T, lo.S_B @ apply_G(c).ravel(order="F"))
+        return apply_G(c - (lo.C @ mu).reshape(3, -1).T)
+
+    def boundary_norm(self, f):
+        """sqrt(sum_k f_k^T G^-1 f_k) = |R^-T f| for boundary values f
+        (nB, 3): the K-energy norm of their K-harmonic extension, the
+        least of any field with that trace, by one `dtrsm`."""
+        z = blas.dtrsm(1.0, self.G, f, trans_a=1)
+        return float(np.sqrt(np.sum(z * z)))
 
     def with_interior(self, r, f, what):
         """Solve K_II x_I = r_I along with the saddle for f, in the same two solves.
@@ -445,7 +470,8 @@ class ConstrainedSolver:
             load[B, 0] = _cholesky_solve(self.G, yB[:, 0])
         y -= self._band_solve(load)
         w = np.ascontiguousarray(y[:, j:])
-        res = self.K @ w
+        # one column at a time: bit for bit the product with all three, and faster
+        res = np.column_stack([self.K @ col for col in y.T[j:]])
         res[B] += St_mu
         Sw = lo.S_B @ np.take(w, B, axis=0).ravel(order="F")
         res = np.concatenate([(res - f).ravel(), Sw])

@@ -63,6 +63,7 @@ from .config import ConfigError, ScenarioConfig
 from .export import export_vtk, write_diagnostics_csv
 from .geometry import dot, surface_area
 from .projections import (
+    RITZ_LAMBDA,
     boundary_quasi_interp,
     initial_data,
     nonlinear_ritz_normal,
@@ -176,9 +177,10 @@ class FlowProblem:
         nonlinear projection; the velocity interpolates -kappa * nu.
         All of them read one scenario sample per edge and the samples of
         the quasi-interpolant's grid, strip by strip (`initial_data`).
-        The pair tables of the grid's rule serve the projection only, so
-        they live only here.  The history becomes this state alone; it is
-        empty while set-up runs, so a failed set-up leaves none.
+        The quadrature tables of the grid's rule serve the projection's
+        right-hand side and matrix only, so they go before its solver is
+        set up.  The history becomes this state alone; it is empty while
+        set-up runs, so a failed set-up leaves none.
         """
         self.history = []
         sc, quasi, bidx = self.scenario, self.quasi, self.space.boundary_indices
@@ -188,6 +190,8 @@ class FlowProblem:
         tangent = np.stack([e.edge_tangent for e in edges], axis=1)  # (3, 4, m)
         curvature = np.stack([e.edge_curvature for e in edges], axis=1)
         x, kappa, start, rhs = initial_data(sc, quasi, tables, edges)
+        K = assemble_mass_stiffness(tables, ElementGeometry(tables, x), RITZ_LAMBDA)
+        del tables  # its pair tables and work arrays, before the solver's band
         self.x0_boundary = x[bidx].copy()
         self.btables.freeze(
             x, boundary_quasi_interp(quasi, tangent), boundary_quasi_interp(quasi, curvature)
@@ -195,9 +199,7 @@ class FlowProblem:
         self.saddle = SaddleLayout(self.tables, assemble_constraint(self.btables))
 
         kappa[bidx] = 0.0
-        nu, self.ritz_info = nonlinear_ritz_normal(
-            x, rhs, start, tables, self.btables, self.saddle
-        )
+        nu, self.ritz_info = nonlinear_ritz_normal(K, rhs, start, self.btables, self.saddle)
         v = project_velocity(quasi, kappa, nu)
         state = FlowState(time=0.0, x=x, kappa=kappa, nu=nu, v=v)
         self.history = [state]

@@ -15,46 +15,43 @@ which it reads off the samples of the grid (`scenarios.Sample`) that
 also give the interpolated initial data: it integrates, in the interior
 and on the edges, on the quasi-interpolant's own Gauss grid, whose
 quadrature tables set-up builds on it (`assembly.MeshTables.of`) for
-the projection only.  That rule is one order finer than flow-step
-assembly, so data already in the space is reproduced to solver
-precision, and the samples' values are already rows of planes of that
-grid.  A + RITZ_LAMBDA M and the Gram matrix A + M come from the same
-matrix kernel as a flow step's, and their planes are gone before K is
-factored.  It is nonlinear through an orientation-dependent boundary
-term and constrained to have boundary trace discretely orthogonal to
-the interpolated boundary tangent.  `initial_data` samples the grid
-one strip of element rows at a time and sums, strip by strip, the
-interpolated initial data and the part of the right-hand side that no
-iterate changes, so set-up never holds the fields of the whole grid;
-`nonlinear_ritz_normal` then runs a fixed-point iteration (as Kovacs,
-Li & Lubich, Numer. Math. 143 (2019), do for closed surfaces),
-Anderson mixed, whose linear part, the constraint saddle of
-stiffness + RITZ_LAMBDA * mass, is one `assembly.ConstrainedSolver`,
-so one banded Cholesky serves every iterate, as one serves a flow
-step.  The weight, the tolerance, the iteration budget and the mixing
-depth are the module constants below.
+the right-hand side and A + RITZ_LAMBDA M only.  That rule is one
+order finer than flow-step assembly, so data already in the space is
+reproduced to solver precision, and the samples' values are already
+rows of planes of that grid.  A + RITZ_LAMBDA M comes from the same
+matrix kernel as a flow step's, and the tables and planes of that grid
+are gone before it is factored.  The projection is nonlinear through an
+orientation-dependent boundary term and constrained to have boundary
+trace discretely orthogonal to the interpolated boundary tangent.
+`initial_data` samples the grid one strip of element rows at a time and
+sums, strip by strip, the interpolated initial data and the part of the
+right-hand side that no iterate changes, so set-up never holds the
+fields of the whole grid; `nonlinear_ritz_normal` then runs a
+fixed-point iteration (as Kovacs, Li & Lubich, Numer. Math. 143 (2019),
+do for closed surfaces), Anderson mixed, on the trace alone, the only
+rows its boundary term reads and loads: its linear part, the constraint
+saddle of stiffness + RITZ_LAMBDA * mass, is one
+`assembly.ConstrainedSolver`, which solves it twice, and an iterate
+costs only products with the solver's boundary factors.  The weight,
+the tolerance, the iteration budget and the mixing depth are the
+module constants below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .assembly import (
-    ConstrainedSolver,
-    ElementGeometry,
-    MeshTables,
-    assemble_boundary_load,
-    assemble_mass_stiffness,
-    conormal_load,
-)
+from .assembly import ConstrainedSolver, MeshTables, assemble_boundary_load, conormal_load
 from .splines import QuasiInterpolant
 
 
-# Weight, H1 tolerance and budget of the normal's fixed-point iteration.  At
+# Weight, tolerance and budget of the normal's fixed-point iteration.  The
+# tolerance bounds the residual of the trace in the energy of its harmonic
+# extension (`ConstrainedSolver.boundary_norm`), which is H1-equivalent.  At
 # this weight the plain iteration contracts for both scenarios at N = 4..80
 # (p = 2) and 4..40 (p = 3), by a ratio of at most 0.55 and in at most 30
 # iterations; Anderson mixing at depth ANDERSON_DEPTH, the number of earlier
-# iterates it combines, takes at most 16 there (2 on the plane).
+# iterates it combines, takes at most 15 there (2 on the plane).
 RITZ_LAMBDA = 10.0
 RITZ_TOL = 1e-12
 RITZ_MAX_ITER = 100
@@ -157,60 +154,62 @@ def _add_strip(scenario, quasi, tables, block, along_u, interior):
     tables._add_to_basis(c1, du, block, interior)
 
 
-def _ritz_matrices(tables: MeshTables, x):
-    """A + RITZ_LAMBDA M and the Gram matrix A + M of the residual norm on
-    the surface x; the planes of its geometry are gone on return."""
-    geom = ElementGeometry(tables, x)
-    return (
-        assemble_mass_stiffness(tables, geom, RITZ_LAMBDA),
-        assemble_mass_stiffness(tables, geom, 1.0),
-    )
-
-
-def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
+def nonlinear_ritz_normal(K, rhs, start, btables, saddle):
     """Constrained H1 projection of the scenario normal.
 
-    `x` holds the position coefficients of the discrete initial surface,
-    `rhs` the right-hand side from `initial_data` on `tables`, `start`
-    the first iterate and `saddle` the `assembly.SaddleLayout` of the
-    space and constraint.
-    The fixed-point map g solves the saddle of A + RITZ_LAMBDA * M on
-    `tables` for the boundary load of its argument, once per iterate,
-    until the H1 norm of the residual g(x_k) - x_k reaches RITZ_TOL;
-    it then returns g(x_k).  The iterates are Anderson mixed (Walker &
-    Ni, SIAM J. Numer. Anal. 49(4), 2011) at depth ANDERSON_DEPTH: the
-    next iterate is g(x_k) - dG gamma, where the columns of dG and dF
-    are the differences of the last map values and residuals and gamma
+    `K` is A + RITZ_LAMBDA * M on the discrete initial surface, `rhs`
+    the right-hand side from `initial_data`, `start` the first iterate
+    and `saddle` the `assembly.SaddleLayout` of the space and
+    constraint.  The map g solves the saddle of K for rhs plus the
+    conormal load of its argument, which reads and writes boundary rows
+    only, so by linearity the trace of g(x) is w0_B plus
+    `ConstrainedSolver.boundary_solve` of the load's boundary rows, for
+    the saddle solution w0 of rhs alone.  The iteration runs on the
+    trace (nB, 3) until the residual g_B(x_k) - x_k reaches RITZ_TOL in
+    `ConstrainedSolver.boundary_norm`; one saddle solve then gives
+    g(x_k).  The iterates are Anderson mixed (Walker & Ni, SIAM J.
+    Numer. Anal. 49(4), 2011) at depth ANDERSON_DEPTH: the next iterate
+    is g_B(x_k) - dG gamma, where the columns of dG and dF are the
+    differences of the last map values and residuals and gamma
     minimizes |f_k - dF gamma| in the Euclidean norm of the
     coefficients.  Every map value satisfies the constraint and the
     mixed iterate is an affine combination of them, so it does too.
     Near the fixed point g is nearly affine, with linear part G, and the
     next residual is about G applied to the mixed residual, which is no
     larger than the smallest of the last ANDERSON_DEPTH + 1 residuals
-    in the coefficient norm; the H1 residual may still rise from one
+    in the coefficient norm; the energy residual may still rise from one
     iterate to the next.  The roundoff floor of the residual scales
     with the weight, so a residual below 100 * RITZ_TOL that is no
     smaller than all of the last ANDERSON_DEPTH + 1 also counts as
     converged.  Returns (coefficients (dim, 3), info) with
-    info["iterations"] the iteration count, info["residuals"] the H1
+    info["iterations"] the iteration count, info["residuals"] the trace
     residuals and info["constraint"] the constraint residual
     max |S_B g_B| that the last saddle solve reports.  Raises
-    NoContraction when RITZ_MAX_ITER iterations do not converge.
+    NoContraction, naming the last residual, when RITZ_MAX_ITER
+    iterations do not converge.
     """
-    K, h1 = _ritz_matrices(tables, x)
     solve = ConstrainedSolver(K, saddle, "normal projection solve")
-    current = start
+    B = saddle.boundary
+    field = np.zeros_like(start)  # the trace of an iterate, on zero interior rows
+
+    def load(trace):
+        field[B] = trace
+        return assemble_boundary_load(btables, field)
+
+    w0_B = solve(rhs)[0][B]
+    current = start[B]
     history, gs, fs = [], [], []  # gs, fs: the last map values and residuals
     for _ in range(RITZ_MAX_ITER):
-        g, _, _, constraint = solve(rhs + assemble_boundary_load(btables, current))
+        g = w0_B + solve.boundary_solve(load(current)[B])
         f = g - current
-        res = float(np.sqrt(np.sum(f * (h1 @ f))))
+        res = solve.boundary_norm(f)
         # a residual that beats none of the window sits on the roundoff floor
         window = history[-ANDERSON_DEPTH - 1 :]
         stalled = bool(window) and min(window) <= res <= 100.0 * RITZ_TOL
         history.append(res)
         if res <= RITZ_TOL or stalled:
-            return g, {"iterations": len(history), "residuals": history, "constraint": constraint}
+            nu, _, _, constraint = solve(rhs + load(current))
+            return nu, {"iterations": len(history), "residuals": history, "constraint": constraint}
         gs, fs = gs[-ANDERSON_DEPTH:] + [g], fs[-ANDERSON_DEPTH:] + [f]
         current = g
         if len(fs) > 1:
@@ -218,5 +217,6 @@ def nonlinear_ritz_normal(x, rhs, start, tables, btables, saddle):
             gamma = np.linalg.lstsq(dF, f.ravel(), rcond=None)[0]
             current = g - np.diff(np.stack(gs, axis=-1)) @ gamma
     raise NoContraction(
-        f"normal projection: no convergence within {RITZ_MAX_ITER} iterations"
+        f"normal projection: no convergence within {RITZ_MAX_ITER} iterations, "
+        f"last trace residual {res:.3e} above RITZ_TOL = {RITZ_TOL:.1e}"
     )

@@ -457,6 +457,42 @@ def test_shifted_matrix_keeps_entries_that_cancel(sphere_saddle):
             ConstrainedSolver(matrix, prob.saddle, "test solve")
 
 
+@pytest.mark.parametrize("scenario, p", [("sphere_patch", 2), ("perturbed_plane", 3)])
+def test_boundary_solve_is_the_trace_of_a_saddle_solve(scenario, p, rng):
+    """The trace map, from the factors of G and T alone, equals the
+    boundary rows of a full saddle solve of a load on the boundary rows,
+    and its result satisfies the constraint."""
+    _, _, K, prob = _initialized_saddle(scenario, p)
+    B = prob.space.boundary_indices
+    solver = ConstrainedSolver(K, prob.saddle, "test solve")
+    c = rng.normal(size=(len(B), 3))
+    f = np.zeros((K.shape[0], 3))
+    f[B] = c
+    ref = solver(f)[0][B]
+    got = solver.boundary_solve(c)
+    assert got.shape == (len(B), 3)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    S_w = prob.saddle.S_B @ got.ravel(order="F")
+    assert np.abs(S_w).max() <= 1e-13 * np.abs(prob.saddle.S_B @ c.ravel(order="F")).max()
+
+
+@pytest.mark.parametrize("scenario, p", [("sphere_patch", 2), ("perturbed_plane", 3)])
+def test_boundary_norm_is_the_energy_of_the_harmonic_extension(scenario, p, rng):
+    """The residual norm of the Ritz trace iteration: boundary values f
+    extended by K_II w_I = -K_IB f, whose K-energy w^T K w it returns the
+    square root of."""
+    _, _, K, prob = _initialized_saddle(scenario, p)
+    B, I = prob.space.boundary_indices, prob.space.interior_indices
+    solver = ConstrainedSolver(K, prob.saddle, "test solve")
+    f = rng.normal(size=(len(B), 3))
+    Kd = K.toarray()
+    w = np.zeros((K.shape[0], 3))
+    w[B] = f
+    w[I] = -np.linalg.solve(Kd[np.ix_(I, I)], Kd[np.ix_(I, B)] @ f)
+    ref = np.sqrt(np.sum(w * (Kd @ w)))
+    assert abs(solver.boundary_norm(f) - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_schur_complement_read_off_the_factor(scenario, p):

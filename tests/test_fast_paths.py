@@ -474,9 +474,9 @@ def test_band_entries_drop_exactly_the_structural_zeros(p, l, block_elements):
 @pytest.mark.parametrize("p, l", [(2, 1), (3, 2), (3, 0), (4, 1)])
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_ritz_matrix_and_rhs_match_the_element_oracle(scenario, p, l, block_elements):
-    """The Ritz projection's A + RITZ_LAMBDA M, its Gram matrix A + M and
-    its right-hand side against the per-element route on the
-    quasi-interpolant's rule."""
+    """The Ritz projection's A + RITZ_LAMBDA M, the Gram matrix A + M of
+    its plain fixed-point oracle and its right-hand side against the
+    per-element route on the quasi-interpolant's rule."""
     prob, x, _, _ = _oracle_setup(p, l, 5, scenario)
     quasi = prob.quasi
     tables = MeshTables.of(quasi.grid)
@@ -814,12 +814,13 @@ def _count_solve_widths(monkeypatch):
 @pytest.mark.parametrize("scenario", ["perturbed_plane", "sphere_patch"])
 def test_no_wide_solve(monkeypatch, scenario):
     """A step solves with its factor at most twice, at most 4 columns a time;
-    a Ritz iteration solves only the normal's 3 columns, twice."""
+    the Ritz projection makes two saddle solves of the normal's 3 columns,
+    two band solves each, however many times it iterates on the trace."""
     prob = _two_step_problem(scenario)
     factors = _count_solve_widths(monkeypatch)
     prob.initialize()
     (ritz,) = factors
-    assert ritz == [3] * (2 * prob.ritz_info["iterations"])
+    assert ritz == [3] * 4
     for _ in range(2):
         factors.clear()
         prob.step()

@@ -10,6 +10,7 @@ import mcflow.projections
 from mcflow.assembly import (
     ConstrainedSolver,
     ElementGeometry,
+    MeshTables,
     assemble_boundary_load,
     assemble_mass_stiffness,
 )
@@ -150,19 +151,24 @@ def test_normal_projection_iteration_budget(monkeypatch):
     """Exhausting the budget raises instead of silently returning."""
     monkeypatch.setattr(mcflow.projections, "RITZ_MAX_ITER", 3)
     prob = _sphere_problem(8)
-    with pytest.raises(NoContraction):
+    message = r"within 3 iterations, last trace residual \d\.\d{3}e-\d+ above RITZ_TOL = 1\.0e-12"
+    with pytest.raises(NoContraction, match=message):
         prob.initialize()
 
 
-def _plain_fixed_point(x, rhs, start, tables, btables, saddle):
-    """The Ritz fixed point without mixing, run until the H1 increment
-    reaches RITZ_TOL (no roundoff-floor exit)."""
-    geom = ElementGeometry(tables, x)
-    solve = ConstrainedSolver(assemble_mass_stiffness(tables, geom, RITZ_LAMBDA), saddle, "plain")
+def _plain_fixed_point(prob, rhs, start):
+    """The Ritz fixed point on whole fields, without mixing, run until the
+    H1 increment reaches RITZ_TOL (no roundoff-floor exit).  It builds its
+    own A + RITZ_LAMBDA M and Gram matrix A + M on the initial surface of
+    the initialized `prob`, on the quasi-interpolant's rule."""
+    tables = MeshTables.of(prob.quasi.grid)
+    geom = ElementGeometry(tables, prob.history[0].x)
+    K = assemble_mass_stiffness(tables, geom, RITZ_LAMBDA)
+    solve = ConstrainedSolver(K, prob.saddle, "plain")
     h1 = assemble_mass_stiffness(tables, geom, 1.0)
     current = start
     for _ in range(RITZ_MAX_ITER):
-        new = solve(rhs + assemble_boundary_load(btables, current))[0]
+        new = solve(rhs + assemble_boundary_load(prob.btables, current))[0]
         d = new - current
         current = new
         if np.sqrt(np.sum(d * (h1 @ d))) <= RITZ_TOL:
@@ -194,7 +200,7 @@ def test_anderson_ritz_matches_the_plain_fixed_point(monkeypatch, N, p, max_iter
     prob = _sphere_problem(N, p=p)
     nu, args = _initialize_recording_ritz(monkeypatch, prob)
     assert prob.ritz_info["iterations"] <= max_iterations
-    ref = _plain_fixed_point(*args)
+    ref = _plain_fixed_point(prob, *args[1:3])
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
     assert constraint_residual(prob.saddle, nu) <= 1e-10
 
@@ -207,7 +213,7 @@ def test_ritz_stops_on_the_roundoff_floor(monkeypatch):
     res = prob.ritz_info["residuals"]
     assert 3e-16 < res[-1] <= 3e-14
     assert len(res) < RITZ_MAX_ITER
-    ref = _plain_fixed_point(*args)  # to the module's RITZ_TOL, 1e-12
+    ref = _plain_fixed_point(prob, *args[1:3])  # to the module's RITZ_TOL, 1e-12
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

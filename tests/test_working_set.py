@@ -47,7 +47,9 @@ MIB = 2.0**20
 # phase through its factorization took them to 13.3 and 10.1 MiB.  With
 # the matrix kernel's work arrays kept by the tables (1.1 MiB for a step's
 # tables, 1.4 MiB for the Ritz projection's) and each geometry holding
-# its own planes only, they read 8.25 and 7.12 MiB.
+# its own planes only, they read 8.25 and 7.12 MiB.  With the Ritz
+# projection iterating on the trace and its tables gone before its solver
+# is set up, `initialize` reads 7.57 MiB (35.39 -> 25.84 MiB at N=80).
 INITIALIZE_PEAK_MIB = 8.82 * 1.1
 STEP_PEAK_MIB = 7.17 * 1.1
 # A study's error phase may peak 10% above its largest run.  On the p=2
